@@ -5,7 +5,8 @@ a photocurrent source in parallel with one diode and a shunt resistance,
 in series with a series resistance.  Reference-condition parameters are
 translated to operating irradiance/temperature, the implicit I-V equation
 is solved by bracketed root finding, and the maximum power point is located
-by golden-section search plus one derivative polish step.
+by safeguarded Newton iteration on dp/dvd along the diode voltage (the
+parameterization of Bishop, 1988).
 
 All heavy routines have an array core (suffix ``_arrays``) that broadcasts
 over numpy arrays; the dataclass API wraps scalars around it.
@@ -28,8 +29,8 @@ EG_REF_EV = 1.121        # silicon band gap at reference temperature, eV
 EG_SLOPE_PER_K = -0.0002677   # relative band-gap change per kelvin
 NIGHT_RSH_CAP = 1e8      # shunt-resistance surrogate for zero irradiance, ohm
 _EXP_CAP = 700.0         # exp() argument clamp; keeps wild probes finite
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = 1.0 - _INVPHI
+_OC_MAX_ITER = 80        # open-circuit Newton cap; reaching it raises
+_MPP_MAX_ITER = 80       # MPP Newton cap; bisection alone needs < 60 steps
 
 
 @dataclass(frozen=True)
@@ -159,9 +160,10 @@ def translate_arrays(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
     i_0 = np.asarray(i_0_ref, dtype=float) * (t_k / T_REF_K) ** 3 * np.exp(
         (EG_REF_EV / T_REF_K - eg / t_k) * (Q_ELEMENTARY / K_BOLTZMANN))
     day = g > 0
-    r_sh = np.where(day,
-                    np.asarray(r_sh_ref, dtype=float) * G_REF / np.where(day, g, 1.0),
-                    night_rsh_cap)
+    # a vanishing irradiance overflows to inf, which the cap below replaces
+    with np.errstate(over="ignore"):
+        r_sh = np.where(day, np.asarray(r_sh_ref, dtype=float) * G_REF
+                        / np.where(day, g, 1.0), night_rsh_cap)
     r_sh = np.minimum(r_sh, night_rsh_cap)
     a_mod = (np.asarray(n_diode, dtype=float) * cells_in_series
              * K_BOLTZMANN * t_k / Q_ELEMENTARY)
@@ -200,90 +202,86 @@ def open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a):
     Newton iteration started at the analytic upper bound a*log1p(i_ph/i_0);
     the residual is concave and decreasing, so the iterates descend
     monotonically onto the root.  Zero photocurrent maps to zero volts.
+    Rows stop when a step moves them by at most 1e-14*(1+vd) volts;
+    non-finite rows propagate as NaN/inf and never hold the loop.
+
+    Raises
+    ------
+    SolverError
+        If finite rows still move at the iteration cap; carries their inputs.
     """
     i_ph, i_0, r_sh, a = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (i_ph, i_0, r_sh, a)))
     vd = a * np.log1p(np.maximum(i_ph, 0.0) / i_0)
-    for _ in range(80):
-        e = np.exp(np.minimum(vd / a, _EXP_CAP))
-        resid = i_ph - i_0 * (e - 1.0) - vd / r_sh
-        slope = -i_0 * e / a - 1.0 / r_sh
-        step = resid / slope
-        vd_new = np.maximum(vd - step, 0.0)
-        if np.all(np.abs(vd_new - vd) <= 1e-14 * (1.0 + vd)):
-            vd = vd_new
-            break
+    for _ in range(_OC_MAX_ITER):
+        # expm1, not exp - 1, which cancels to zero where vd << a
+        em1 = np.expm1(np.minimum(vd / a, _EXP_CAP))
+        resid = i_ph - i_0 * em1 - vd / r_sh
+        slope = -i_0 * (em1 + 1.0) / a - 1.0 / r_sh
+        vd_new = np.maximum(vd - resid / slope, 0.0)
+        # NaN compares False, so non-finite rows are never pending
+        pending = np.abs(vd_new - vd) > 1e-14 * (1.0 + vd)
         vd = vd_new
-    return vd
+        if not pending.any():
+            return vd
+    raise SolverError(
+        f"open-circuit Newton unconverged after {_OC_MAX_ITER} iterations",
+        i_ph=i_ph[pending], i_0=i_0[pending], r_sh=r_sh[pending],
+        a=a[pending])
 
 
-def mpp_arrays(i_ph, i_0, r_s, r_sh, a, bracket_tol=1e-9):
+def mpp_arrays(i_ph, i_0, r_s, r_sh, a):
     """Maximum power point, elementwise over broadcast parameter arrays.
 
-    Returns ``(v, i, p)``.  Golden-section search on p(v) over the physical
-    branch, shrinking the bracket to ``bracket_tol`` volts, then one Newton
-    polish step on dp/dv using analytic derivatives.  Power is unimodal along
-    the curve for physical parameter values, which the search relies on.
+    Returns ``(v, i, p)``; rows with ``i_ph <= 0`` give exact zeros.  Power
+    is maximized along the diode voltage vd on [0, vd_oc], where dp/dvd is
+    positive at 0 and negative at vd_oc.  Newton steps on dp/dvd with
+    analytic derivatives start from vd_oc - a*log1p(vd_oc/a); each step
+    moves one end of the bracket to the current point by the sign of
+    dp/dvd, and a step that leaves the bracket, or where d2p/dvd2 >= 0,
+    becomes a bisection.  The loop stops when every lit row moves by at
+    most 1e-13*(1+vd) volts; non-finite rows propagate as NaN/inf.
+
+    Raises
+    ------
+    SolverError
+        If lit finite rows still move at the iteration cap; carries their
+        inputs.
     """
     i_ph, i_0, r_s, r_sh, a = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (i_ph, i_0, r_s, r_sh, a)))
     lit = i_ph > 0
-
-    def power_at(vd):
-        cur = _current_at_vd(vd, i_ph, i_0, r_sh, a)
-        return (vd - cur * r_s) * cur
-
     vd_oc = open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a)
-    lo = np.zeros_like(vd_oc)
-    hi = vd_oc.copy()
-    span = float(np.max(hi, initial=0.0))
-    n_iter = 0
-    if span > bracket_tol:
-        n_iter = int(math.ceil(math.log(span / bracket_tol)
-                               / math.log(1.0 / _INVPHI))) + 1
-    h = hi - lo
-    x1 = lo + _INVPHI2 * h
-    x2 = lo + _INVPHI * h
-    f1 = power_at(x1)
-    f2 = power_at(x2)
-    for _ in range(n_iter):
-        left = f1 >= f2          # maximum lies in [lo, x2]
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        h = hi - lo
-        x_keep = np.where(left, x1, x2)
-        f_keep = np.where(left, f1, f2)
-        x_new = np.where(left, lo + _INVPHI2 * h, lo + _INVPHI * h)
-        f_new = power_at(x_new)
-        x1 = np.where(left, x_new, x_keep)
-        f1 = np.where(left, f_new, f_keep)
-        x2 = np.where(left, x_keep, x_new)
-        f2 = np.where(left, f_keep, f_new)
-
-    vd = np.where(f1 >= f2, x1, x2)
-
-    # Newton polish on dp/dvd with analytic derivatives; applied
-    # unconditionally so the returned point is smooth in the parameters
-    # (the golden bracket alone has bracket_tol granularity)
-    for _ in range(2):
-        e = np.exp(np.minimum(vd / a, _EXP_CAP))
-        cur = i_ph - i_0 * (e - 1.0) - vd / r_sh
-        di = -i_0 * e / a - 1.0 / r_sh
-        d2i = -i_0 * e / (a * a)
+    lo, hi = np.zeros_like(vd_oc), vd_oc
+    vd = np.clip(vd_oc - a * np.log1p(vd_oc / a), 0.0, vd_oc)
+    for _ in range(_MPP_MAX_ITER):
+        em1 = np.expm1(np.minimum(vd / a, _EXP_CAP))
+        cur = i_ph - i_0 * em1 - vd / r_sh
+        g_diode = i_0 * (em1 + 1.0) / a
+        di = -g_diode - 1.0 / r_sh
+        d2i = -g_diode / a
         vol = vd - cur * r_s
         dv = 1.0 - r_s * di
         dp = dv * cur + vol * di
         d2p = -r_s * d2i * cur + 2.0 * dv * di + vol * d2i
+        lo = np.where(dp > 0, vd, lo)
+        hi = np.where(dp < 0, vd, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(d2p < 0, -dp / d2p, 0.0)
-        vd = np.clip(vd + step, 0.0, vd_oc)
-
-    cur = _current_at_vd(vd, i_ph, i_0, r_sh, a)
-    vol = vd - cur * r_s
-    p = vol * cur
-    zero = np.zeros_like(p)
-    return (np.where(lit, vol, zero), np.where(lit, cur, zero),
-            np.where(lit, p, zero))
+            newton = vd - dp / d2p
+        # inclusive bounds: a converged row sits on one end of its bracket
+        take = (d2p < 0) & (newton >= lo) & (newton <= hi)
+        vd_new = np.where(take, newton, 0.5 * (lo + hi))
+        pending = lit & (np.abs(vd_new - vd) > 1e-13 * (1.0 + vd))
+        vd = vd_new
+        if not pending.any():
+            cur = _current_at_vd(vd, i_ph, i_0, r_sh, a)
+            vol = vd - cur * r_s
+            return (np.where(lit, vol, 0.0), np.where(lit, cur, 0.0),
+                    np.where(lit, vol * cur, 0.0))
+    raise SolverError(
+        f"MPP Newton unconverged after {_MPP_MAX_ITER} iterations",
+        i_ph=i_ph[pending], i_0=i_0[pending], r_s=r_s[pending],
+        r_sh=r_sh[pending], a=a[pending])
 
 
 def solve_current(v, op: SdmParamsOperating):

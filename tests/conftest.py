@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pvprof import ArrayTopology, SdmParamsRef, synthesize_datasheet
+
+# property tests draw the same examples on every run and stay bounded in time
+settings.register_profile("pvprof", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("pvprof")
 
 # canonical 72-cell c-Si module used throughout the suite
 CSI_PARAMS = SdmParamsRef(i_ph_ref=9.5, i_0_ref=3e-10, r_s=0.35,

@@ -112,6 +112,20 @@ def scan_mpp(i_ph, i_0, r_s, r_sh, a, n_points=1_000_000):
     return float(vol[k]), float(cur[k]), float(tmp[k])
 
 
+def linear_regime_mpp(i_ph, i_0, r_s, r_sh, a):
+    """Maximum power point of a curve whose diode voltage stays far below a.
+
+    There expm1(vd/a) equals vd/a to relative order vd/a, so the curve is
+    the straight line i = i_ph - G*vd with G = i_0/a + 1/r_sh, and p(vd) is
+    a downward parabola whose vertex is closed form.
+    """
+    g = i_0 / a + 1.0 / r_sh
+    vd = i_ph * (1.0 + 2.0 * r_s * g) / (2.0 * g * (1.0 + r_s * g))
+    cur = i_ph - g * vd
+    vol = vd - r_s * cur
+    return vol, cur, vol * cur
+
+
 def five_point_gradient(fun, x, h_rel=1e-6):
     """Five-point central-difference gradient, per coordinate."""
     x = np.asarray(x, dtype=float)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pvprof import sdm
+from pvprof import fitting, sdm
+from pvprof.exceptions import SolverError
 from conftest import CELLS, CSI_PARAMS, draw_csi_like
-from oracles import bisect_current, bisect_voltage, diode_residual, scan_mpp
+from oracles import (bisect_current, bisect_voltage, diode_residual,
+                     linear_regime_mpp, scan_mpp)
 
 STC = sdm.OperatingConditions(1000.0, 25.0)
 
@@ -214,6 +218,93 @@ class TestMpp:
                 params.i_ph_ref, params.i_0_ref, params.r_s, params.r_sh_ref,
                 params.n_diode, 1000.0, t_grid, sdm.ArrayTopology(CELLS, 1, 1))
             assert np.all(np.diff(p_t) < 1e-9 * p_t[:-1])
+
+    def test_mixed_lit_and_dark_rows(self):
+        # one call over lit and dark rows: dark rows (zero or negative
+        # photocurrent) give exact zeros and the lit rows come out as if
+        # solved without them
+        g = np.array([800.0, 0.0, 250.0, 0.0, 1000.0, 3.0])
+        ops = list(sdm.translate_arrays(*CSI_PARAMS.as_array(), g, 25.0,
+                                        CELLS))
+        ops[0] = np.where(np.arange(g.size) == 3, -0.01, ops[0])
+        dark = g == 0.0
+        mixed = sdm.mpp_arrays(*ops)
+        alone = sdm.mpp_arrays(*(x[~dark] for x in ops))
+        for out_mixed, out_alone in zip(mixed, alone):
+            assert np.all(out_mixed[dark] == 0.0)
+            np.testing.assert_array_equal(out_mixed[~dark], out_alone)
+
+
+def _box_param(name):
+    lo, hi = fitting.default_bounds(ISC_STC)[name]
+    if name in fitting.DEFAULT_LOG_PARAMS:
+        return st.floats(math.log10(lo), math.log10(hi)).map(
+            lambda x: 10.0 ** x)
+    return st.floats(lo, hi)
+
+
+# the whole fitting box; its i_0_ref ceiling lies below its i_ph_ref floor
+BOX_PARAMS = st.builds(sdm.SdmParamsRef,
+                       *(_box_param(n) for n in sdm.PARAM_NAMES))
+
+
+class TestMppProperties:
+    @given(params=BOX_PARAMS,
+           g=st.lists(st.floats(0.0, 1500.0), min_size=1, max_size=4),
+           t=st.floats(-20.0, 85.0))
+    def test_mpp_over_fitting_box(self, params, g, t):
+        g = np.sort(g)
+        ops = sdm.translate_arrays(*params.as_array(), g, t, CELLS)
+        v, i, p = sdm.mpp_arrays(*ops)
+        assert np.all(np.isfinite([v, i, p]))
+        assert np.all(np.diff(p) >= -1e-12 * p[1:])
+        for k in range(g.size):
+            row = [float(x[k]) for x in ops]
+            if row[0] <= 0.0:
+                assert v[k] == i[k] == p[k] == 0.0
+                continue
+            v_oc = bisect_voltage(0.0, *row)
+            assert 0.0 <= v[k] <= v_oc
+            # the scan's v_oc is good to 1e-13 V, so sub-nanovolt curves
+            # (irradiance far below any sensor's) take the straight-line form
+            oracle = scan_mpp if v_oc > 1e-10 else linear_regime_mpp
+            _, _, p_ref = oracle(*row)
+            assert abs(p[k] - p_ref) <= 1e-6 * p_ref
+            assert p[k] >= p_ref * (1.0 - 1e-9)
+
+
+class TestIterationCaps:
+    OPS = sdm.translate_arrays(*CSI_PARAMS.as_array(),
+                               np.array([200.0, 600.0, 1000.0]), 25.0, CELLS)
+
+    def test_open_circuit_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sdm, "_OC_MAX_ITER", 1)
+        i_ph, i_0, _, r_sh, a = self.OPS
+        with pytest.raises(SolverError) as info:
+            sdm.open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a)
+        assert info.value.inputs["i_ph"].size > 0
+
+    def test_mpp_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sdm, "_MPP_MAX_ITER", 1)
+        with pytest.raises(SolverError) as info:
+            sdm.mpp_arrays(*self.OPS)
+        assert info.value.inputs["i_ph"].size > 0
+
+    def test_nan_row_stays_local(self):
+        i_ph, i_0, r_s, r_sh, a = (np.array(x) for x in self.OPS)
+        a_nan = a.copy()
+        a_nan[1] = np.nan
+        vd_oc = sdm.open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a_nan)
+        mpp = sdm.mpp_arrays(i_ph, i_0, r_s, r_sh, a_nan)
+        keep = np.array([True, False, True])
+        assert np.isnan(vd_oc[1])
+        np.testing.assert_array_equal(
+            vd_oc[keep], sdm.open_circuit_diode_voltage_arrays(
+                i_ph[keep], i_0[keep], r_sh[keep], a[keep]))
+        alone = sdm.mpp_arrays(*(x[keep] for x in (i_ph, i_0, r_s, r_sh, a)))
+        for out, out_alone in zip(mpp, alone):
+            assert np.isnan(out[1])
+            np.testing.assert_array_equal(out[keep], out_alone)
 
 
 class TestArrayScaling:
