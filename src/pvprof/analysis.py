@@ -1,9 +1,11 @@
-"""Error metrics and evaluation studies.
+"""Error metrics, the trained-model interface and evaluation studies.
 
-Nameplate-normalized error metrics (nMAE, nRMSE, per-sample bias) plus the
-study suite: seasonal partition, weather-condition train/test cases,
-bias-exceedance densities, one-feature interpretability sweeps, and the
-training-length sweep.
+Nameplate-normalized error metrics (nMAE, nRMSE, per-sample bias); the
+``train_model``/``predict_model`` pair that trains a roster model on a clean
+telemetry slice and predicts power from weather; and the study suite:
+seasonal partition, weather-condition train/test cases, bias-exceedance
+densities, one-feature interpretability sweeps, and the training-length
+sweep.
 """
 
 from dataclasses import dataclass, field
@@ -106,6 +108,44 @@ def compute_metrics(pred, meas, p_nominal, daylight_only=True, g_poa=None,
         exceedance=exceedance_density(nbe, thresholds))
 
 
+REGRESSOR_FAMILIES = {"lr": "linear", "kr": "kernel_ridge"}
+
+
+def train_model(name, train: TelemetrySeries, *, topo, datasheet, fit_options,
+                init=None, hyperparams=None):
+    """Train one roster model on a clean slice of telemetry.
+
+    ``pvpro`` fits the five parameters to the slice, starting from ``init``
+    or else the datasheet's initial guess, and returns the
+    ``FitWindowResult``; ``nominal`` returns the datasheet extraction and
+    ignores the slice; ``lr``/``kr`` return a trained ``RegressorModel``.
+    """
+    if name == "pvpro":
+        if init is None:
+            init = fitting.initial_guess(datasheet)
+        return fitting.fit_window(train, topo, init, fit_options)
+    if name == "nominal":
+        return baselines.fit_desoto_from_datasheet(datasheet)
+    if name in REGRESSOR_FAMILIES:
+        X = baselines.feature_matrix(train.timestamp, train.g_poa,
+                                     train.t_module)
+        return baselines.train_regressor(REGRESSOR_FAMILIES[name], X,
+                                         train.power, hyperparams)
+    raise ConfigError(f"model {name!r} is not trainable")
+
+
+def predict_model(fitted, weather: WeatherSeries, *, topo, datasheet, g_min):
+    """Power predicted by a ``train_model`` result from measured weather."""
+    if isinstance(fitted, baselines.RegressorModel):
+        X = baselines.feature_matrix(weather.timestamp, weather.g_poa,
+                                     weather.t_cell)
+        return baselines.predict_regressor(fitted, X)
+    if isinstance(fitted, fitting.FitWindowResult):
+        fitted = fitted.params
+    return fitting.simulate_power(fitted, weather, topo, g_min=g_min,
+                                  alpha_isc=datasheet.alpha_isc)
+
+
 _SEASON_BY_MONTH = {3: "spring", 4: "spring", 5: "spring",
                     6: "summer", 7: "summer", 8: "summer",
                     9: "fall", 10: "fall", 11: "fall",
@@ -180,37 +220,9 @@ def _records_of_days(series, mask_retained, day_list):
     return series.select(sel)
 
 
-def _train_case_model(model_name, train: TelemetrySeries, topo, datasheet,
-                      fit_options, regressor_hyperparams):
-    if model_name == "pvpro":
-        init = fitting.initial_guess(datasheet)
-        result = fitting.fit_window(train, topo, init, fit_options)
-        return ("params", result.params)
-    if model_name == "nominal":
-        return ("params", baselines.fit_desoto_from_datasheet(datasheet))
-    if model_name in ("lr", "kr"):
-        family = "linear" if model_name == "lr" else "kernel_ridge"
-        X = baselines.feature_matrix(train.timestamp, train.g_poa, train.t_module)
-        model = baselines.train_regressor(family, X, train.power,
-                                          regressor_hyperparams.get(model_name))
-        return ("regressor", model)
-    raise ConfigError(f"model {model_name!r} is not trainable in weather cases")
-
-
-def _predict_case_model(kind, model, test: TelemetrySeries, topo, datasheet,
-                        g_min):
-    if kind == "params":
-        weather = WeatherSeries.from_telemetry(test)
-        return fitting.simulate_power(model, weather, topo, g_min=g_min,
-                                      alpha_isc=datasheet.alpha_isc)
-    X = baselines.feature_matrix(test.timestamp, test.g_poa, test.t_module)
-    return baselines.predict_regressor(model, X)
-
-
 def weather_case_study(series: TelemetrySeries, labels, models, *,
                        topo: sdm.ArrayTopology, datasheet,
                        p_nominal, fit_options=None,
-                       regressor_hyperparams=None,
                        preprocess: PreprocessConfig = PreprocessConfig(),
                        g_min=50.0) -> StudyResult:
     """Six train/test weather combinations and the spread across them.
@@ -221,13 +233,10 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
     nMAE/nRMSE values and their coefficient of variation (population standard
     deviation over mean).
     """
-    if fit_options is None:
+    series.validate()
+    if fit_options is None and "pvpro" in models:
         fit_options = fitting.FitOptions.for_system(datasheet, topo)
-    regressor_hyperparams = dict(regressor_hyperparams or
-                                 {"lr": {"lam": 1e-3},
-                                  "kr": {"lam": 1e-3, "gamma": 1.0}})
-    mask = apply_quality_pipeline(series, preprocess)
-    retained = mask.retained
+    retained = apply_quality_pipeline(series, preprocess).retained
 
     clear_days = sorted(d for d, lab in labels.items() if lab == "clear")
     cloudy_days = sorted(d for d, lab in labels.items() if lab == "cloudy")
@@ -253,9 +262,10 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
                 raise InsufficientDataError(
                     f"case {train_kind}/{test_kind} unfillable: "
                     f"{len(train)} train / {len(test)} test records")
-            kind, model = _train_case_model(name, train, topo, datasheet,
-                                            fit_options, regressor_hyperparams)
-            pred = _predict_case_model(kind, model, test, topo, datasheet, g_min)
+            fitted = train_model(name, train, topo=topo, datasheet=datasheet,
+                                 fit_options=fit_options)
+            pred = predict_model(fitted, WeatherSeries.from_telemetry(test),
+                                 topo=topo, datasheet=datasheet, g_min=g_min)
             case_reports[f"{train_kind}/{test_kind}"] = compute_metrics(
                 pred, test.power, p_nominal, daylight_only=True,
                 g_poa=test.g_poa, g_min=g_min)
@@ -319,7 +329,7 @@ def interpretability_sweep(model, varied, value_range, fixed=None, *,
 
 def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
                           topo, datasheet, p_nominal, fit_options=None,
-                          regressor_hyperparams=None, n_eval_days=5,
+                          n_eval_days=5,
                           preprocess: PreprocessConfig = PreprocessConfig(),
                           g_min=50.0) -> StudyResult:
     """Day-ahead error of one model as a function of training-window length.
@@ -329,11 +339,9 @@ def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
     trained only on the preceding ``length`` days.  Lengths that do not fit
     the available history are skipped with a note.
     """
+    series.validate()
     if fit_options is None and model_name == "pvpro":
         fit_options = fitting.FitOptions.for_system(datasheet, topo)
-    regressor_hyperparams = dict(regressor_hyperparams or
-                                 {"lr": {"lam": 1e-3},
-                                  "kr": {"lam": 1e-3, "gamma": 1.0}})
     mask = apply_quality_pipeline(series, preprocess)
     days = series.days()
     if len(days) < n_eval_days + 1:
@@ -355,26 +363,12 @@ def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
                                                        train.timestamp)]
             train = train.select(train_mask)
             test = series.slice_time(day, day + DAY)
-            if model_name == "pvpro":
-                result = fitting.fit_window(train, topo,
-                                            fitting.initial_guess(datasheet),
-                                            fit_options)
-                weather = WeatherSeries.from_telemetry(test)
-                pred = fitting.simulate_power(result.params, weather, topo,
-                                              g_min=g_min,
-                                              alpha_isc=datasheet.alpha_isc)
-            elif model_name in ("lr", "kr"):
-                family = "linear" if model_name == "lr" else "kernel_ridge"
-                X = baselines.feature_matrix(train.timestamp, train.g_poa,
-                                             train.t_module)
-                model = baselines.train_regressor(
-                    family, X, train.power, regressor_hyperparams.get(model_name))
-                Xq = baselines.feature_matrix(test.timestamp, test.g_poa,
-                                              test.t_module)
-                pred = baselines.predict_regressor(model, Xq)
-            else:
-                raise ConfigError(f"unsupported model {model_name!r}")
-            preds.append(pred)
+            fitted = train_model(model_name, train, topo=topo,
+                                 datasheet=datasheet, fit_options=fit_options)
+            preds.append(predict_model(fitted,
+                                       WeatherSeries.from_telemetry(test),
+                                       topo=topo, datasheet=datasheet,
+                                       g_min=g_min))
             meas.append(test.power)
             gs.append(test.g_poa)
         report = compute_metrics(np.concatenate(preds), np.concatenate(meas),

@@ -3,8 +3,10 @@
 For every forecast day the roster models are trained strictly on data before
 that day (dynamic fit on a trailing window, regressors on their selected
 training length, persistence on the previous day) and score their prediction
-of the day from its measured weather.  Results are pooled into aggregate and
-per-day metrics plus the enabled studies, all serialized deterministically.
+of the day from its measured weather.  The trained models go through
+``analysis.train_model`` and ``analysis.predict_model``, the same pair the
+studies use.  Results are pooled into aggregate and per-day metrics plus the
+enabled studies, all serialized deterministically.
 """
 
 import hashlib
@@ -212,7 +214,12 @@ def _study_to_json(result):
 
 
 class _DayAheadRunner:
-    """Per-model prediction of one forecast day from data before it."""
+    """Per-model prediction of one forecast day from data before it.
+
+    Trained models go through ``analysis.train_model``/``predict_model``; the
+    runner adds the dynamic fit's warm start, the one-time datasheet
+    extraction, the regressors' grid selection and persistence.
+    """
 
     def __init__(self, config: RunConfig, series: TelemetrySeries):
         self.cfg = config
@@ -228,10 +235,9 @@ class _DayAheadRunner:
         if "nominal" in cfg.models:
             self.nominal_params = baselines.fit_desoto_from_datasheet(cfg.datasheet)
         history = self.series.slice_time(self.series.timestamp[0], eval_start)
-        for name in ("lr", "kr"):
+        for name, family in analysis.REGRESSOR_FAMILIES.items():
             if name not in cfg.models:
                 continue
-            family = "linear" if name == "lr" else "kernel_ridge"
             try:
                 if len(history) == 0:
                     raise InsufficientDataError("no history before evaluation")
@@ -243,31 +249,21 @@ class _DayAheadRunner:
             except (InsufficientDataError, NumericalError) as exc:
                 self.grid_errors[name] = f"grid search failed: {exc}"
 
-    def _clean_training_slice(self, start, end):
-        window = self.series.slice_time(start, end)
-        mask = apply_quality_pipeline(window, self.cfg.preprocess)
-        return window.select(mask.retained)
+    def _train(self, name, length_days, day_start, **kwargs):
+        """Train on the quality-masked ``length_days`` before the day."""
+        length = np.timedelta64(int(length_days * 86400), "s")
+        window = self.series.slice_time(day_start - length, day_start)
+        train = window.select(
+            apply_quality_pipeline(window, self.cfg.preprocess).retained)
+        return analysis.train_model(
+            name, train, topo=self.cfg.topology, datasheet=self.cfg.datasheet,
+            fit_options=self.opts, **kwargs)
 
-    def predict_day(self, name, day_start, day_end, weather: WeatherSeries):
-        """Prediction array for one model/day; raises PvprofError to skip."""
+    def predict_day(self, name, day_start, weather: WeatherSeries):
+        """Prediction array and the day's window fit (dynamic model only,
+        else None) for one model/day; raises PvprofError to skip."""
         cfg = self.cfg
         g_min = cfg.preprocess.g_min
-        if name == "pvpro":
-            wl = np.timedelta64(int(cfg.window_days * 86400), "s")
-            retained = self._clean_training_slice(day_start - wl, day_start)
-            init = self.warm_params or fitting.initial_guess(cfg.datasheet)
-            result = fitting.fit_window(retained, cfg.topology, init, self.opts)
-            if cfg.warm_start and result.converged:
-                self.warm_params = result.params
-            pred = fitting.simulate_power(result.params, weather, cfg.topology,
-                                          g_min=g_min,
-                                          alpha_isc=cfg.datasheet.alpha_isc)
-            return pred, result
-        if name == "nominal":
-            pred = fitting.simulate_power(self.nominal_params, weather,
-                                          cfg.topology, g_min=g_min,
-                                          alpha_isc=cfg.datasheet.alpha_isc)
-            return pred, None
         if name in ("smart_persistence", "naive_persistence"):
             hist = self.series.slice_time(day_start - cfg.horizon, day_start)
             if len(hist) == 0:
@@ -282,21 +278,25 @@ class _DayAheadRunner:
                     (hist.timestamp, hist.power), weather.timestamp,
                     horizon=cfg.horizon)
             return fc.p_pred, None
-        if name in ("lr", "kr"):
+        fit_result = None
+        if name == "pvpro":
+            fitted = fit_result = self._train(name, cfg.window_days, day_start,
+                                              init=self.warm_params)
+            if cfg.warm_start and fitted.converged:
+                self.warm_params = fitted.params
+        elif name == "nominal":
+            fitted = self.nominal_params
+        elif name in analysis.REGRESSOR_FAMILIES:
             if name in self.grid_errors:
                 raise InsufficientDataError(self.grid_errors[name])
             sel = self.selection[name]
-            length = np.timedelta64(int(sel.best_length_days * 86400), "s")
-            train = self._clean_training_slice(day_start - length, day_start)
-            family = "linear" if name == "lr" else "kernel_ridge"
-            X = baselines.feature_matrix(train.timestamp, train.g_poa,
-                                         train.t_module)
-            model = baselines.train_regressor(family, X, train.power,
-                                              dict(sel.best_hyperparams))
-            Xq = baselines.feature_matrix(weather.timestamp, weather.g_poa,
-                                          weather.t_cell)
-            return baselines.predict_regressor(model, Xq), None
-        raise ConfigError(f"unknown model {name!r}")
+            fitted = self._train(name, sel.best_length_days, day_start,
+                                 hyperparams=sel.best_hyperparams)
+        else:
+            raise ConfigError(f"unknown model {name!r}")
+        pred = analysis.predict_model(fitted, weather, topo=cfg.topology,
+                                      datasheet=cfg.datasheet, g_min=g_min)
+        return pred, fit_result
 
 
 def run_benchmark(config: RunConfig, series: TelemetrySeries,
@@ -336,7 +336,7 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
         day_label = str(day)
         for name in config.models:
             try:
-                pred, fit_result = runner.predict_day(name, day_start, day_end,
+                pred, fit_result = runner.predict_day(name, day_start,
                                                       weather)
             except PvprofError as exc:
                 daily[name].append({"day": day_label, "skipped": str(exc)})

@@ -20,7 +20,11 @@ from .preprocess import PreprocessConfig, apply_quality_pipeline
 from .series import DAY, ForecastSeries, TelemetrySeries, WeatherSeries
 
 PARAM_ORDER = sdm.PARAM_NAMES
-DEFAULT_LOG_PARAMS = ("i_0_ref", "r_sh_ref")
+# optimized in log10 space: their boxes span several decades
+_LOG_PARAMS = ("i_0_ref", "r_sh_ref")
+_LOG_MASK = np.isin(PARAM_ORDER, _LOG_PARAMS)
+# relative central-difference step in the transformed space
+_FD_STEP = 1e-6
 
 
 def default_bounds(i_sc_datasheet):
@@ -43,8 +47,6 @@ class FitOptions:
     i_scale: float
     max_iterations: int = 200
     loss_tolerance: float = 1e-10
-    log_space_params: tuple = DEFAULT_LOG_PARAMS
-    fd_step: float = 1e-6
     alpha_isc: float = 0.0
 
     def __post_init__(self):
@@ -108,18 +110,15 @@ def initial_guess(datasheet) -> sdm.SdmParamsRef:
     return sdm.SdmParamsRef.from_array(np.clip(raw, lo, hi))
 
 
-def _log_mask(opts: FitOptions):
-    return np.array([name in opts.log_space_params for name in PARAM_ORDER])
-
-
-def _to_transformed(nat, log_mask):
+def _to_transformed(nat):
     x = np.array(nat, dtype=float)
-    x[..., log_mask] = np.log10(x[..., log_mask])
+    x[..., _LOG_MASK] = np.log10(x[..., _LOG_MASK])
     return x
 
-def _to_natural(x, log_mask):
+
+def _to_natural(x):
     nat = np.array(x, dtype=float)
-    nat[..., log_mask] = 10.0 ** nat[..., log_mask]
+    nat[..., _LOG_MASK] = 10.0 ** nat[..., _LOG_MASK]
     return nat
 
 
@@ -171,17 +170,16 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
     if span < DAY:
         raise InsufficientDataError("window must span at least one day")
 
-    log_mask = _log_mask(opts)
     lo = np.array([opts.bounds[n][0] for n in PARAM_ORDER])
     hi = np.array([opts.bounds[n][1] for n in PARAM_ORDER])
-    x0 = _to_transformed(np.clip(init.as_array(), lo, hi), log_mask)
-    x_lo = _to_transformed(lo, log_mask)
-    x_hi = _to_transformed(hi, log_mask)
+    x0 = _to_transformed(np.clip(init.as_array(), lo, hi))
+    x_lo = _to_transformed(lo)
+    x_hi = _to_transformed(hi)
 
     best = {"f": np.inf, "x": x0.copy()}
 
     def value_and_grad(x):
-        h = opts.fd_step * np.maximum(1.0, np.abs(x))
+        h = _FD_STEP * np.maximum(1.0, np.abs(x))
         probes = np.empty((11, 5))
         probes[0] = x
         for j in range(5):
@@ -189,7 +187,7 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
             probes[1 + 2 * j][j] += h[j]
             probes[2 + 2 * j] = x
             probes[2 + 2 * j][j] -= h[j]
-        vals, _ = _loss_rows(_to_natural(probes, log_mask), window, topo, opts)
+        vals, _ = _loss_rows(_to_natural(probes), window, topo, opts)
         f = vals[0]
         with np.errstate(invalid="ignore"):
             grad = (vals[1::2] - vals[2::2]) / (2.0 * h)
@@ -222,7 +220,7 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
 
     x_best = best["x"] if best["f"] <= res.fun else np.asarray(res.x)
     f_best = min(best["f"], float(res.fun))
-    nat = np.clip(_to_natural(x_best, log_mask), lo, hi)
+    nat = np.clip(_to_natural(x_best), lo, hi)
     return FitWindowResult(
         window_start=window.timestamp[0], window_end=window.timestamp[-1],
         params=sdm.SdmParamsRef.from_array(nat),
@@ -241,6 +239,7 @@ def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
     later ones warm-start from the previous converged fit (unless disabled).
     Window-level failures are recorded on the result, not raised.
     """
+    series.validate()
     window_length = np.timedelta64(window_length)
     update_period = np.timedelta64(update_period)
     if len(series) < 2:

@@ -21,26 +21,6 @@ def _as_timestamps(values):
     return ts
 
 
-@dataclass(frozen=True)
-class TelemetryRecord:
-    """One timestamped sample of weather and DC electrical measurements."""
-
-    timestamp: np.datetime64
-    g_poa: float      # plane-of-array irradiance, W/m^2
-    t_module: float   # module temperature, degC
-    v_dc: float       # V
-    i_dc: float       # A
-
-    def validate(self):
-        vals = (self.g_poa, self.t_module, self.v_dc, self.i_dc)
-        if not all(np.isfinite(v) for v in vals):
-            raise DataError(f"non-finite field at {self.timestamp}")
-        if self.g_poa < 0:
-            raise DataError(f"negative irradiance at {self.timestamp}")
-        if self.v_dc < 0:
-            raise DataError(f"negative DC voltage at {self.timestamp}")
-
-
 @dataclass
 class TelemetrySeries:
     """Production telemetry: irradiance, module temperature, DC voltage/current."""
@@ -106,18 +86,6 @@ class TelemetrySeries:
             raise DataError("cadence undefined for a single record")
         deltas = np.diff(self.timestamp).astype("timedelta64[s]")
         return np.median(deltas.astype(np.int64)).astype("timedelta64[s]")
-
-    def record(self, k) -> TelemetryRecord:
-        return TelemetryRecord(self.timestamp[k], float(self.g_poa[k]),
-                               float(self.t_module[k]), float(self.v_dc[k]),
-                               float(self.i_dc[k]))
-
-    @classmethod
-    def from_records(cls, records):
-        records = list(records)
-        return cls(np.array([r.timestamp for r in records], dtype="datetime64[s]"),
-                   [r.g_poa for r in records], [r.t_module for r in records],
-                   [r.v_dc for r in records], [r.i_dc for r in records])
 
 
 @dataclass

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pvprof import analysis, baselines, sdm, synth
-from pvprof.exceptions import ConfigError, InsufficientDataError
+from pvprof import analysis, baselines, fitting, preprocess, sdm, synth
+from pvprof.exceptions import ConfigError, DataError, InsufficientDataError
+from pvprof.series import DAY, WeatherSeries
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS
 from oracles import scan_mpp
 
@@ -196,6 +197,19 @@ class TestWeatherCases:
         if res.cv_of_cases["kr"]["nmae"] > 0.20:
             assert any("kr" in note for note in res.notes)
 
+    def test_regressors_need_no_datasheet(self, topo, p_nominal):
+        profile = synth.WeatherProfile(days=12, seed=3,
+                                       cloud_days=(2, 5, 6, 9),
+                                       cloud_depth=0.5)
+        series, log = synth.generate_dataset(CSI_PARAMS, topo, profile,
+                                             alpha_isc=ALPHA_ISC)
+        day0 = np.datetime64(log.start_day, "D")
+        labels = {day0 + np.timedelta64(k, "D"): lab
+                  for k, lab in enumerate(log.day_labels)}
+        res = analysis.weather_case_study(series, labels, ["lr"], topo=topo,
+                                          datasheet=None, p_nominal=p_nominal)
+        assert len(res.groups["lr"]) == 6
+
     def test_unfillable_case_aborts(self, topo, datasheet, p_nominal):
         profile = synth.WeatherProfile(days=4, seed=3, cloud_days=(1,))
         series, log = synth.generate_dataset(CSI_PARAMS, topo, profile,
@@ -282,3 +296,86 @@ class TestTrainingLengthSweep:
                                              n_eval_days=3)
         assert res.groups[90.0] is None
         assert any("90" in n for n in res.notes)
+
+
+class TestTrainPredict:
+    @pytest.fixture(scope="class")
+    def split(self, topo):
+        profile = synth.WeatherProfile(days=3, seed=7, cloud_days=(1,))
+        series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
+                                           noise_v=0.0, noise_i=0.0,
+                                           alpha_isc=ALPHA_ISC)
+        last = series.days()[-1].astype("datetime64[s]")
+        train = series.slice_time(series.timestamp[0], last)
+        train = train.select(preprocess.apply_quality_pipeline(train).retained)
+        test = series.slice_time(last, last + DAY)
+        return train, WeatherSeries.from_telemetry(test)
+
+    def _pair(self, name, train, weather, topo, datasheet, opts):
+        fitted = analysis.train_model(name, train, topo=topo,
+                                      datasheet=datasheet, fit_options=opts)
+        return analysis.predict_model(fitted, weather, topo=topo,
+                                      datasheet=datasheet, g_min=50.0)
+
+    def _simulate(self, params, weather, topo, datasheet):
+        return fitting.simulate_power(params, weather, topo, g_min=50.0,
+                                      alpha_isc=datasheet.alpha_isc)
+
+    def test_physical_models_match_direct_calls(self, split, topo, datasheet):
+        train, weather = split
+        opts = fitting.FitOptions.for_system(datasheet, topo)
+        fit = fitting.fit_window(train, topo, fitting.initial_guess(datasheet),
+                                 opts)
+        direct = {"pvpro": fit.params,
+                  "nominal": baselines.fit_desoto_from_datasheet(datasheet)}
+        for name, params in direct.items():
+            np.testing.assert_array_equal(
+                self._pair(name, train, weather, topo, datasheet, opts),
+                self._simulate(params, weather, topo, datasheet))
+
+    @pytest.mark.parametrize("name, family", [("lr", "linear"),
+                                              ("kr", "kernel_ridge")])
+    def test_regressors_match_direct_calls(self, split, topo, datasheet, name,
+                                           family):
+        train, weather = split
+        X = baselines.feature_matrix(train.timestamp, train.g_poa,
+                                     train.t_module)
+        model = baselines.train_regressor(family, X, train.power)
+        Xq = baselines.feature_matrix(weather.timestamp, weather.g_poa,
+                                      weather.t_cell)
+        np.testing.assert_array_equal(
+            self._pair(name, train, weather, topo, datasheet, None),
+            baselines.predict_regressor(model, Xq))
+
+    @pytest.mark.parametrize("name", ["smart_persistence", "svr"])
+    def test_unknown_model_rejected(self, split, topo, datasheet, name):
+        with pytest.raises(ConfigError):
+            analysis.train_model(name, split[0], topo=topo,
+                                 datasheet=datasheet, fit_options=None)
+
+
+@pytest.mark.parametrize("entry", ["rolling_fit", "weather_case_study",
+                                   "training_length_sweep"])
+def test_entry_points_reject_non_finite_telemetry(entry, topo, datasheet,
+                                                  p_nominal):
+    profile = synth.WeatherProfile(days=6, seed=3, cloud_days=(1, 2))
+    series, log = synth.generate_dataset(CSI_PARAMS, topo, profile,
+                                         alpha_isc=ALPHA_ISC)
+    series.g_poa[len(series) // 2] = np.nan
+    day0 = np.datetime64(log.start_day, "D")
+    labels = {day0 + np.timedelta64(k, "D"): lab
+              for k, lab in enumerate(log.day_labels)}
+    calls = {
+        "rolling_fit": lambda: fitting.rolling_fit(
+            series, topo, np.timedelta64(3, "D"), np.timedelta64(1, "D"),
+            fitting.initial_guess(datasheet),
+            fitting.FitOptions.for_system(datasheet, topo)),
+        "weather_case_study": lambda: analysis.weather_case_study(
+            series, labels, ["lr"], topo=topo, datasheet=datasheet,
+            p_nominal=p_nominal),
+        "training_length_sweep": lambda: analysis.training_length_sweep(
+            "lr", series, (3,), topo=topo, datasheet=datasheet,
+            p_nominal=p_nominal, n_eval_days=2),
+    }
+    with pytest.raises(DataError, match="non-finite values in column g_poa"):
+        calls[entry]()

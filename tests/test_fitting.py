@@ -92,11 +92,10 @@ class TestLoss:
         rng = np.random.default_rng(3)
         lo = np.array([opts.bounds[n][0] for n in fitting.PARAM_ORDER])
         hi = np.array([opts.bounds[n][1] for n in fitting.PARAM_ORDER])
-        log_mask = fitting._log_mask(opts)
-        x_lo = fitting._to_transformed(lo, log_mask)
-        x_hi = fitting._to_transformed(hi, log_mask)
+        x_lo = fitting._to_transformed(lo)
+        x_hi = fitting._to_transformed(hi)
         xs = rng.uniform(x_lo, x_hi, size=(100, 5))
-        nat = fitting._to_natural(xs, log_mask)
+        nat = fitting._to_natural(xs)
         nat[:, 1] = np.minimum(nat[:, 1], 0.5 * nat[:, 0])  # keep i0 < iph
         values, _ = fitting._loss_rows(nat, retained, topo, opts)
         truth_loss = fitting.loss(CSI_PARAMS, retained, topo, opts)
@@ -105,11 +104,10 @@ class TestLoss:
     def test_gradient_matches_five_point_stencil(self, noiseless, topo, opts):
         _, retained = noiseless
         rng = np.random.default_rng(5)
-        log_mask = fitting._log_mask(opts)
 
         def f(x):
             vals, _ = fitting._loss_rows(
-                fitting._to_natural(np.asarray(x)[None, :], log_mask),
+                fitting._to_natural(np.asarray(x)[None, :]),
                 retained, topo, opts)
             return float(vals[0])
 
@@ -117,7 +115,7 @@ class TestLoss:
             x = fitting._to_transformed(np.array([
                 rng.uniform(6.0, 12.0), 10 ** rng.uniform(-11, -9),
                 rng.uniform(0.1, 0.8), 10 ** rng.uniform(2.0, 3.5),
-                rng.uniform(0.9, 1.4)]), log_mask)
+                rng.uniform(0.9, 1.4)]))
             h = 1e-6 * np.maximum(1.0, np.abs(x))
             central = np.empty(5)
             for j in range(5):

@@ -237,7 +237,7 @@ class TestMpp:
 
 def _box_param(name):
     lo, hi = fitting.default_bounds(ISC_STC)[name]
-    if name in fitting.DEFAULT_LOG_PARAMS:
+    if name in fitting._LOG_PARAMS:
         return st.floats(math.log10(lo), math.log10(hi)).map(
             lambda x: 10.0 ** x)
     return st.floats(lo, hi)
