@@ -109,6 +109,8 @@ def compute_metrics(pred, meas, p_nominal, daylight_only=True, g_poa=None,
 
 
 REGRESSOR_FAMILIES = {"lr": "linear", "kr": "kernel_ridge"}
+# roster names that train_model accepts
+TRAINABLE_MODELS = ("pvpro", "nominal", *REGRESSOR_FAMILIES)
 
 
 def train_model(name, train: TelemetrySeries, *, topo, datasheet, fit_options,

@@ -401,6 +401,7 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
 
 def _run_studies(config, series, agg_inputs, trajectory, ground_truth):
     studies = {}
+    trainable = [m for m in config.models if m in analysis.TRAINABLE_MODELS]
     if config.studies.get("exceedance"):
         studies["exceedance"] = {}
         for name, (_, pred, meas, g) in agg_inputs.items():
@@ -417,8 +418,6 @@ def _run_studies(config, series, agg_inputs, trajectory, ground_truth):
                 g_min=config.preprocess.g_min))
             for name, (ts, pred, meas, g) in agg_inputs.items()}
     if config.studies.get("weather_cases"):
-        roster = [m for m in config.models if m in ("pvpro", "lr", "kr",
-                                                    "nominal")]
         if ground_truth is not None:
             day0 = np.datetime64(ground_truth.start_day, "D")
             labels = {day0 + np.timedelta64(k, "D"): lab
@@ -428,7 +427,7 @@ def _run_studies(config, series, agg_inputs, trajectory, ground_truth):
                                             g_min=config.preprocess.g_min)
         try:
             result = analysis.weather_case_study(
-                series, labels, roster, topo=config.topology,
+                series, labels, trainable, topo=config.topology,
                 datasheet=config.datasheet, p_nominal=config.p_nominal,
                 fit_options=config.fit_options() if config.datasheet else None,
                 preprocess=config.preprocess, g_min=config.preprocess.g_min)
@@ -449,10 +448,13 @@ def _run_studies(config, series, agg_inputs, trajectory, ground_truth):
                 "curves": {k: v.tolist()
                            for k, v in result.groups["curves"].items()}}
         studies["sweep"] = sweep
-    if config.studies.get("training_length"):
+    if config.studies.get("training_length") and not trainable:
+        studies["training_length"] = {
+            "error": "no trainable model in the roster"}
+    elif config.studies.get("training_length"):
         try:
             result = analysis.training_length_sweep(
-                "pvpro" if "pvpro" in config.models else config.models[0],
+                "pvpro" if "pvpro" in trainable else trainable[0],
                 series, config.grid_spec.training_lengths_days,
                 topo=config.topology, datasheet=config.datasheet,
                 p_nominal=config.p_nominal,

@@ -30,7 +30,7 @@ class SolverError(NumericalError):
 
 
 class FitDegeneracyError(NumericalError):
-    """Too many records were unsolvable during a loss evaluation."""
+    """A record of the window was unsolvable during a loss evaluation."""
 
 
 class ExtractionError(NumericalError):

@@ -1,9 +1,11 @@
 """Estimation of single-diode parameters from production telemetry.
 
-The estimator minimizes the mean nameplate-normalized squared mismatch
-between measured and simulated DC voltage/current over a window of retained
-records, using bounded L-BFGS-B with central-finite-difference gradients.
-Saturation current and shunt resistance are optimized in log10 space.
+The estimator solves the nonlinear least-squares problem of matching
+simulated to measured DC voltage and current, each normalized by its
+nameplate MPP value, over a window of retained records: bounded
+trust-region-reflective least squares with a batched forward-difference
+Jacobian.  Saturation current and shunt resistance are optimized in log10
+space.
 Rolling re-fits warm-start each window from the previous result.
 """
 
@@ -11,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from . import baselines, sdm
 from .exceptions import (ConfigError, ExtractionError, FitDegeneracyError,
@@ -23,7 +25,7 @@ PARAM_ORDER = sdm.PARAM_NAMES
 # optimized in log10 space: their boxes span several decades
 _LOG_PARAMS = ("i_0_ref", "r_sh_ref")
 _LOG_MASK = np.isin(PARAM_ORDER, _LOG_PARAMS)
-# relative central-difference step in the transformed space
+# relative forward-difference step in the transformed space
 _FD_STEP = 1e-6
 
 
@@ -122,46 +124,57 @@ def _to_natural(x):
     return nat
 
 
-def _loss_rows(nat, window: TelemetrySeries, topo, opts: FitOptions):
-    """Mean normalized squared residual per parameter row.
+def _residuals(x, window: TelemetrySeries, topo, opts: FitOptions):
+    """Normalized voltage then current residuals, shape (..., 2N).
 
-    ``nat`` has shape (P, 5) in natural parameter space.  Unsolvable records
-    (non-finite simulation) are skipped and counted per row.
+    ``x`` is one transformed parameter vector (5,) or a stack (P, 5).
     """
-    cols = [nat[:, j:j + 1] for j in range(5)]
+    nat = _to_natural(x)
     v_sim, i_sim, _ = sdm.simulate_array_mpp_arrays(
-        *cols, window.g_poa, window.t_module, topo, opts.alpha_isc)
-    rv = (window.v_dc - v_sim) / opts.v_scale
-    ri = (window.i_dc - i_sim) / opts.i_scale
-    sq = rv * rv + ri * ri
-    finite = np.isfinite(sq)
-    skipped = sq.shape[1] - finite.sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        total = np.where(finite, sq, 0.0).sum(axis=1)
-        counts = np.maximum(finite.sum(axis=1), 1)
-        out = np.where(finite.any(axis=1), total / counts, np.inf)
-    return out, skipped
+        *(nat[..., j, None] for j in range(5)), window.g_poa,
+        window.t_module, topo, opts.alpha_isc)
+    return np.concatenate([(window.v_dc - v_sim) / opts.v_scale,
+                           (window.i_dc - i_sim) / opts.i_scale], axis=-1)
+
+
+def _jacobian(x, window: TelemetrySeries, topo, opts: FitOptions):
+    """Forward-difference Jacobian (2N, 5) of ``_residuals`` at ``x``.
+
+    The base point and the five probes go through one batched solve.
+    """
+    h = _FD_STEP * np.maximum(1.0, np.abs(x))
+    r = _residuals(x + np.vstack([np.zeros(5), np.diag(h)]), window, topo,
+                   opts)
+    if not np.all(np.isfinite(r)):
+        raise NumericalError("non-finite residuals at a Jacobian probe")
+    return ((r[1:] - r[0]) / h[:, None]).T
 
 
 def loss(params: sdm.SdmParamsRef, window: TelemetrySeries,
          topo: sdm.ArrayTopology, opts: FitOptions):
-    """Loss of one parameter set over a window of retained records."""
+    """Mean normalized squared V/I mismatch per record of one parameter set.
+
+    Raises ``FitDegeneracyError`` if any record is unsolvable.
+    """
     if len(window) == 0:
         raise InsufficientDataError("empty window")
-    values, skipped = _loss_rows(params.as_array()[None, :], window, topo, opts)
-    if skipped[0] > 0.1 * len(window):
+    r = _residuals(_to_transformed(params.as_array()), window, topo, opts)
+    unsolvable = np.count_nonzero(~np.isfinite(r.reshape(2, -1)).all(axis=0))
+    if unsolvable:
         raise FitDegeneracyError(
-            f"{skipped[0]} of {len(window)} records unsolvable")
-    return float(values[0])
+            f"{unsolvable} of {len(window)} records unsolvable")
+    return float(r @ r) / len(window)
 
 
 def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
                init: sdm.SdmParamsRef, opts: FitOptions) -> FitWindowResult:
     """Fit the five parameters to one window of retained telemetry.
 
-    Bounded quasi-Newton minimization with central finite differences in the
-    transformed (log/linear) parameter space; the reported parameters are the
-    best iterate seen.  ``converged`` reflects the relative-improvement stop.
+    Bounded trust-region-reflective least squares on the residual vector in
+    the transformed (log/linear) parameter space.  ``max_iterations`` caps
+    the residual evaluations; ``converged`` means a tolerance stop (such as
+    the relative cost reduction falling below ``loss_tolerance``) was met
+    before that cap.  Every record must be solvable at ``init``.
     """
     if len(window) < 50:
         raise InsufficientDataError(
@@ -173,59 +186,22 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
     lo = np.array([opts.bounds[n][0] for n in PARAM_ORDER])
     hi = np.array([opts.bounds[n][1] for n in PARAM_ORDER])
     x0 = _to_transformed(np.clip(init.as_array(), lo, hi))
-    x_lo = _to_transformed(lo)
-    x_hi = _to_transformed(hi)
+    if not np.all(np.isfinite(_residuals(x0, window, topo, opts))):
+        raise NumericalError("non-finite residuals at the initial guess")
 
-    best = {"f": np.inf, "x": x0.copy()}
-
-    def value_and_grad(x):
-        h = _FD_STEP * np.maximum(1.0, np.abs(x))
-        probes = np.empty((11, 5))
-        probes[0] = x
-        for j in range(5):
-            probes[1 + 2 * j] = x
-            probes[1 + 2 * j][j] += h[j]
-            probes[2 + 2 * j] = x
-            probes[2 + 2 * j][j] -= h[j]
-        vals, _ = _loss_rows(_to_natural(probes), window, topo, opts)
-        f = vals[0]
-        with np.errstate(invalid="ignore"):
-            grad = (vals[1::2] - vals[2::2]) / (2.0 * h)
-        if np.isfinite(f) and f < best["f"]:
-            best["f"] = f
-            best["x"] = np.array(x)
-        return f, grad
-
-    f0, _ = value_and_grad(x0)
-    if not np.isfinite(f0):
-        raise NumericalError("non-finite loss at the initial guess")
-
-    # stop on *relative* loss improvement below loss_tolerance; the solver's
-    # own ftol has an absolute floor near zero loss and would quit too early
-    state = {"f_prev": f0, "tol_stop": False}
-
-    def on_iteration(intermediate_result):
-        f = float(intermediate_result.fun)
-        improved = state["f_prev"] - f
-        if improved < opts.loss_tolerance * max(abs(state["f_prev"]), 1e-300):
-            state["tol_stop"] = True
-            raise StopIteration
-        state["f_prev"] = f
-
-    res = minimize(value_and_grad, x0, jac=True, method="L-BFGS-B",
-                   bounds=list(zip(x_lo, x_hi)), callback=on_iteration,
-                   options={"maxiter": opts.max_iterations,
-                            "ftol": 1e-16, "gtol": 1e-16,
-                            "maxcor": 20, "maxls": 50})
-
-    x_best = best["x"] if best["f"] <= res.fun else np.asarray(res.x)
-    f_best = min(best["f"], float(res.fun))
-    nat = np.clip(_to_natural(x_best), lo, hi)
+    # TRF rejects trial steps with non-finite residuals by itself and only
+    # accepts steps that lower the cost, so res.x is the best iterate
+    res = least_squares(_residuals, x0, jac=_jacobian, method="trf",
+                        bounds=(_to_transformed(lo), _to_transformed(hi)),
+                        ftol=opts.loss_tolerance, max_nfev=opts.max_iterations,
+                        args=(window, topo, opts))
+    nat = np.clip(_to_natural(res.x), lo, hi)
     return FitWindowResult(
         window_start=window.timestamp[0], window_end=window.timestamp[-1],
         params=sdm.SdmParamsRef.from_array(nat),
-        final_loss=float(f_best), iterations=int(res.nit),
-        converged=bool(state["tol_stop"] or res.success), n_points=len(window))
+        final_loss=2.0 * float(res.cost) / len(window),
+        iterations=int(res.njev), converged=bool(res.status > 0),
+        n_points=len(window))
 
 
 def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,

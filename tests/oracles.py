@@ -127,16 +127,20 @@ def linear_regime_mpp(i_ph, i_0, r_s, r_sh, a):
 
 
 def five_point_gradient(fun, x, h_rel=1e-6):
-    """Five-point central-difference gradient, per coordinate."""
+    """Five-point central-difference derivative, per coordinate.
+
+    For a vector-valued ``fun`` this is the Jacobian, one column per
+    coordinate of ``x``.
+    """
     x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
+    cols = []
     for j in range(x.size):
         h = h_rel * max(1.0, abs(x[j]))
         pts = []
         for m in (-2, -1, 1, 2):
             xp = x.copy()
             xp[j] += m * h
-            pts.append(fun(xp))
+            pts.append(np.asarray(fun(xp), dtype=float))
         f_m2, f_m1, f_p1, f_p2 = pts
-        g[j] = (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h)
-    return g
+        cols.append((f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h))
+    return np.stack(cols, axis=-1)

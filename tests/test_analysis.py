@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pvprof import analysis, baselines, fitting, preprocess, sdm, synth
+from pvprof.benchmark import RunConfig, run_benchmark
 from pvprof.exceptions import ConfigError, DataError, InsufficientDataError
 from pvprof.series import DAY, WeatherSeries
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS
@@ -296,6 +297,29 @@ class TestTrainingLengthSweep:
                                              n_eval_days=3)
         assert res.groups[90.0] is None
         assert any("90" in n for n in res.notes)
+
+    @pytest.mark.parametrize("models, swept", [
+        (["smart_persistence", "lr"], True),
+        (["smart_persistence", "naive_persistence"], False)])
+    def test_benchmark_study_sweeps_first_trainable_model(
+            self, topo, datasheet, p_nominal, models, swept):
+        profile = synth.WeatherProfile(days=10, seed=5)
+        series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
+                                           alpha_isc=ALPHA_ISC)
+        config = RunConfig.from_dict({
+            "system": {"topology": {"cells_in_series": CELLS,
+                                    "modules_per_string": 12,
+                                    "strings_in_parallel": 8},
+                       "p_nominal_w": p_nominal},
+            "models": models,
+            "regressors": {"lambda_grid": [1e-3], "gamma_grid": [0.5],
+                           "training_lengths_days": [3]},
+            "studies": {"exceedance": False, "training_length": True}})
+        study = run_benchmark(config, series).studies["training_length"]
+        if swept:
+            assert study["groups"]["3.0"]["nmae"] >= 0.0
+        else:
+            assert study == {"error": "no trainable model in the roster"}
 
 
 class TestTrainPredict:

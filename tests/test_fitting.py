@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pvprof import baselines, fitting, preprocess, sdm, synth
-from pvprof.exceptions import (ConfigError, InsufficientDataError,
-                               NumericalError)
+from pvprof.exceptions import (ConfigError, FitDegeneracyError,
+                               InsufficientDataError, NumericalError)
 from pvprof.series import TelemetrySeries, WeatherSeries
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS
 from oracles import five_point_gradient, scan_mpp
@@ -97,34 +99,44 @@ class TestLoss:
         xs = rng.uniform(x_lo, x_hi, size=(100, 5))
         nat = fitting._to_natural(xs)
         nat[:, 1] = np.minimum(nat[:, 1], 0.5 * nat[:, 0])  # keep i0 < iph
-        values, _ = fitting._loss_rows(nat, retained, topo, opts)
+        r = fitting._residuals(fitting._to_transformed(nat), retained, topo,
+                               opts)
+        values = np.sum(r * r, axis=1) / len(retained)
         truth_loss = fitting.loss(CSI_PARAMS, retained, topo, opts)
         assert np.all(values >= truth_loss)
 
-    def test_gradient_matches_five_point_stencil(self, noiseless, topo, opts):
+    def test_jacobian_matches_five_point_stencil(self, noiseless, topo, opts):
         _, retained = noiseless
         rng = np.random.default_rng(5)
 
         def f(x):
-            vals, _ = fitting._loss_rows(
-                fitting._to_natural(np.asarray(x)[None, :]),
-                retained, topo, opts)
-            return float(vals[0])
+            return fitting._residuals(x, retained, topo, opts)
 
         for _ in range(20):
             x = fitting._to_transformed(np.array([
                 rng.uniform(6.0, 12.0), 10 ** rng.uniform(-11, -9),
                 rng.uniform(0.1, 0.8), 10 ** rng.uniform(2.0, 3.5),
                 rng.uniform(0.9, 1.4)]))
-            h = 1e-6 * np.maximum(1.0, np.abs(x))
-            central = np.empty(5)
-            for j in range(5):
-                xp = x.copy(); xp[j] += h[j]
-                xm = x.copy(); xm[j] -= h[j]
-                central[j] = (f(xp) - f(xm)) / (2.0 * h[j])
+            jac = fitting._jacobian(x, retained, topo, opts)
             five = five_point_gradient(f, x)
-            scale = np.maximum(np.abs(five), 1e-3 * np.max(np.abs(five)))
-            assert np.all(np.abs(central - five) <= 1e-4 * scale)
+            assert jac.shape == five.shape == (2 * len(retained), 5)
+            scale = np.maximum(np.abs(five),
+                               1e-3 * np.max(np.abs(five), axis=0))
+            assert np.all(np.abs(jac - five) <= 1e-4 * scale)
+
+    def test_unsolvable_record_is_not_dropped(self, noiseless, topo, opts):
+        _, retained = noiseless
+        v_dc = retained.v_dc.copy()
+        v_dc[len(v_dc) // 2] = np.inf
+        broken = TelemetrySeries(retained.timestamp, retained.g_poa,
+                                 retained.t_module, v_dc, retained.i_dc)
+        with pytest.raises(FitDegeneracyError):
+            fitting.loss(CSI_PARAMS, broken, topo, opts)
+        with pytest.raises(NumericalError):
+            fitting.fit_window(broken, topo, CSI_PARAMS, opts)
+        with pytest.raises(NumericalError):
+            fitting._jacobian(fitting._to_transformed(CSI_PARAMS.as_array()),
+                              broken, topo, opts)
 
 
 class TestFitWindow:
@@ -149,6 +161,21 @@ class TestFitWindow:
         rel = np.abs(result.params.as_array() - truth.as_array()) \
             / truth.as_array()
         assert np.all(rel < 0.01)
+
+    def test_evaluation_cap_gives_unconverged_fit(self, topo, datasheet,
+                                                  opts):
+        truth = sdm.SdmParamsRef(CSI_PARAMS.i_ph_ref * 0.9, CSI_PARAMS.i_0_ref,
+                                 CSI_PARAMS.r_s * 1.3, CSI_PARAMS.r_sh_ref,
+                                 CSI_PARAMS.n_diode)
+        _, retained = make_window(params=truth, topo=topo)
+        capped = replace(opts, max_iterations=3)
+        result = fitting.fit_window(retained, topo,
+                                    fitting.initial_guess(datasheet), capped)
+        assert result.converged is False
+        assert result.iterations <= 3
+        for name in fitting.PARAM_ORDER:
+            lo, hi = opts.bounds[name]
+            assert lo <= getattr(result.params, name) <= hi
 
     def test_noisy_recovery_key_params(self, topo, datasheet, opts):
         truth = CSI_PARAMS
