@@ -193,6 +193,7 @@ def classify_days(series: TelemetrySeries, g_min=50.0,
     is clear iff the index falls below ``threshold``.  Days with fewer than
     three daylight samples are skipped.
     """
+    series.validate()
     p = series.power
     days = series.day_index()
     daylight = series.g_poa >= g_min

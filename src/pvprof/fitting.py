@@ -3,9 +3,10 @@
 The estimator solves the nonlinear least-squares problem of matching
 simulated to measured DC voltage and current, each normalized by its
 nameplate MPP value, over a window of retained records: bounded
-trust-region-reflective least squares with a batched forward-difference
-Jacobian.  Saturation current and shunt resistance are optimized in log10
-space.
+trust-region-reflective least squares.  Each evaluated parameter vector costs
+one MPP solve; the exact Jacobian at an accepted point comes from that
+solution by implicit differentiation (``sdm.mpp_sensitivities_arrays``).
+Saturation current and shunt resistance are optimized in log10 space.
 Rolling re-fits warm-start each window from the previous result.
 """
 
@@ -25,8 +26,6 @@ PARAM_ORDER = sdm.PARAM_NAMES
 # optimized in log10 space: their boxes span several decades
 _LOG_PARAMS = ("i_0_ref", "r_sh_ref")
 _LOG_MASK = np.isin(PARAM_ORDER, _LOG_PARAMS)
-# relative forward-difference step in the transformed space
-_FD_STEP = 1e-6
 
 
 def default_bounds(i_sc_datasheet):
@@ -124,30 +123,44 @@ def _to_natural(x):
     return nat
 
 
-def _residuals(x, window: TelemetrySeries, topo, opts: FitOptions):
-    """Normalized voltage then current residuals, shape (..., 2N).
+def _simulate(x, window: TelemetrySeries, topo, opts: FitOptions):
+    """Array MPP ``(v_sim, i_sim)`` of each record at transformed ``x``.
 
-    ``x`` is one transformed parameter vector (5,) or a stack (P, 5).
+    ``x`` is one parameter vector (5,) or a stack (P, 5).
     """
     nat = _to_natural(x)
     v_sim, i_sim, _ = sdm.simulate_array_mpp_arrays(
         *(nat[..., j, None] for j in range(5)), window.g_poa,
         window.t_module, topo, opts.alpha_isc)
+    return v_sim, i_sim
+
+
+def _residuals(x, window: TelemetrySeries, topo, opts: FitOptions,
+               solved=None):
+    """Normalized voltage then current residuals, shape (..., 2N).
+
+    ``solved`` is ``_simulate(x, ...)`` when the caller has it already.
+    """
+    v_sim, i_sim = solved or _simulate(x, window, topo, opts)
     return np.concatenate([(window.v_dc - v_sim) / opts.v_scale,
                            (window.i_dc - i_sim) / opts.i_scale], axis=-1)
 
 
-def _jacobian(x, window: TelemetrySeries, topo, opts: FitOptions):
-    """Forward-difference Jacobian (2N, 5) of ``_residuals`` at ``x``.
+def _jacobian(x, solved, window: TelemetrySeries, topo, opts: FitOptions):
+    """Exact Jacobian (2N, 5) of ``_residuals`` at one ``x``.
 
-    The base point and the five probes go through one batched solve.
+    ``solved`` is ``_simulate(x, ...)``; the MPP sensitivities come from
+    implicit differentiation at that solution, so nothing is solved again.
     """
-    h = _FD_STEP * np.maximum(1.0, np.abs(x))
-    r = _residuals(x + np.vstack([np.zeros(5), np.diag(h)]), window, topo,
-                   opts)
-    if not np.all(np.isfinite(r)):
-        raise NumericalError("non-finite residuals at a Jacobian probe")
-    return ((r[1:] - r[0]) / h[:, None]).T
+    nat = _to_natural(x)
+    dv, di = sdm.mpp_sensitivities_arrays(
+        *solved, *nat, window.g_poa, window.t_module, topo, opts.alpha_isc)
+    # d(natural)/dx is 1 on the linear and nat*ln(10) on the log10 columns
+    chain = np.where(_LOG_MASK, nat * math.log(10.0), 1.0)
+    jac = np.concatenate([dv / -opts.v_scale, di / -opts.i_scale]) * chain
+    if not np.all(np.isfinite(jac)):
+        raise NumericalError("non-finite MPP sensitivities")
+    return jac
 
 
 def loss(params: sdm.SdmParamsRef, window: TelemetrySeries,
@@ -186,15 +199,29 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
     lo = np.array([opts.bounds[n][0] for n in PARAM_ORDER])
     hi = np.array([opts.bounds[n][1] for n in PARAM_ORDER])
     x0 = _to_transformed(np.clip(init.as_array(), lo, hi))
-    if not np.all(np.isfinite(_residuals(x0, window, topo, opts))):
-        raise NumericalError("non-finite residuals at the initial guess")
+    # the last solved point: TRF asks for the Jacobian only at the point
+    # whose residuals it has just evaluated
+    last = {}
 
-    # TRF rejects trial steps with non-finite residuals by itself and only
-    # accepts steps that lower the cost, so res.x is the best iterate
-    res = least_squares(_residuals, x0, jac=_jacobian, method="trf",
+    def residuals(x):
+        solved = _simulate(x, window, topo, opts)
+        r = _residuals(x, window, topo, opts, solved)
+        # the first call is TRF's own evaluation of the (strictly feasible)
+        # initial guess; later non-finite trial steps TRF rejects by itself
+        if not last and not np.all(np.isfinite(r)):
+            raise NumericalError("non-finite residuals at the initial guess")
+        last.update(x=x.copy(), solved=solved)
+        return r
+
+    def jacobian(x):
+        if not np.array_equal(x, last["x"]):
+            residuals(x)
+        return _jacobian(x, last["solved"], window, topo, opts)
+
+    # TRF only accepts steps that lower the cost, so res.x is the best iterate
+    res = least_squares(residuals, x0, jac=jacobian, method="trf",
                         bounds=(_to_transformed(lo), _to_transformed(hi)),
-                        ftol=opts.loss_tolerance, max_nfev=opts.max_iterations,
-                        args=(window, topo, opts))
+                        ftol=opts.loss_tolerance, max_nfev=opts.max_iterations)
     nat = np.clip(_to_natural(res.x), lo, hi)
     return FitWindowResult(
         window_start=window.timestamp[0], window_end=window.timestamp[-1],

@@ -66,43 +66,21 @@ def read_telemetry_csv(path, mapping=None, max_bad_fraction=0.01):
     source_of = dict(zip(NATIVE_COLUMNS, NATIVE_COLUMNS))
     if mapping:
         source_of.update(mapping)
-    rows = []
-    diagnostics = []
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read telemetry: {exc}") from exc
     with fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        for native, source in source_of.items():
-            if source not in reader.fieldnames:
-                raise DataError(f"{path}: missing column {source!r} "
-                                f"(field {native})")
-        last_ts = None
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                ts = parse_timestamp(row[source_of["timestamp"]])
-                vals = [float(row[source_of[c]]) for c in NATIVE_COLUMNS[1:]]
-            except (ValueError, TypeError, KeyError) as exc:
-                diagnostics.append((line_no, f"unparseable row: {exc}"))
-                continue
-            g, t, v, i = vals
-            if not all(math.isfinite(x) for x in vals):
-                diagnostics.append((line_no, "non-finite value"))
-                continue
-            if g < 0:
-                diagnostics.append((line_no, "negative irradiance"))
-                continue
-            if v < 0:
-                diagnostics.append((line_no, "negative DC voltage"))
-                continue
-            if last_ts is not None and ts <= last_ts:
-                diagnostics.append((line_no, "timestamp not increasing"))
-                continue
-            last_ts = ts
-            rows.append((ts, g, t, v, i))
+        try:
+            rows, diagnostics = _parse_rows(reader, path, source_of)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}:{_undecodable_line(path)}: not UTF-8 "
+                            f"text ({exc.reason})") from exc
+        except csv.Error as exc:
+            # DictReader.line_num lags a failed row; its reader's does not
+            raise DataError(f"{path}:{reader.reader.line_num}: {exc}") \
+                from exc
     total = len(rows) + len(diagnostics)
     if total == 0:
         raise DataError(f"{path}: no data rows")
@@ -113,6 +91,54 @@ def read_telemetry_csv(path, mapping=None, max_bad_fraction=0.01):
     ts, g, t, v, i = zip(*rows)
     series = TelemetrySeries(np.array(ts, dtype="datetime64[s]"), g, t, v, i)
     return series.validate(), diagnostics
+
+
+def _parse_rows(reader, path, source_of):
+    # accepted (ts, g, t, v, i) tuples and (line, reason) rejections
+    rows = []
+    diagnostics = []
+    if reader.fieldnames is None:
+        raise DataError(f"{path}: empty file")
+    for native, source in source_of.items():
+        if source not in reader.fieldnames:
+            raise DataError(f"{path}: missing column {source!r} "
+                            f"(field {native})")
+    last_ts = None
+    for line_no, row in enumerate(reader, start=2):
+        try:
+            ts = parse_timestamp(row[source_of["timestamp"]])
+            vals = [float(row[source_of[c]]) for c in NATIVE_COLUMNS[1:]]
+        except (ValueError, TypeError, KeyError) as exc:
+            diagnostics.append((line_no, f"unparseable row: {exc}"))
+            continue
+        g, t, v, i = vals
+        if not all(math.isfinite(x) for x in vals):
+            diagnostics.append((line_no, "non-finite value"))
+            continue
+        if g < 0:
+            diagnostics.append((line_no, "negative irradiance"))
+            continue
+        if v < 0:
+            diagnostics.append((line_no, "negative DC voltage"))
+            continue
+        if last_ts is not None and ts <= last_ts:
+            diagnostics.append((line_no, "timestamp not increasing"))
+            continue
+        last_ts = ts
+        rows.append((ts, g, t, v, i))
+    return rows, diagnostics
+
+
+def _undecodable_line(path):
+    # the text layer decodes ahead of the CSV reader, so the reader's line
+    # count does not locate the bad byte; find it in the raw lines
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return "?"
 
 
 def write_telemetry_csv(path, series: TelemetrySeries):

@@ -6,7 +6,9 @@ in series with a series resistance.  Reference-condition parameters are
 translated to operating irradiance/temperature, the implicit I-V equation
 is solved by bracketed root finding, and the maximum power point is located
 by safeguarded Newton iteration on dp/dvd along the diode voltage (the
-parameterization of Bishop, 1988).
+parameterization of Bishop, 1988).  The derivatives of a solved MPP with
+respect to the reference parameters follow by implicit differentiation of
+dp/dvd = 0, without another solve.
 
 All heavy routines have an array core (suffix ``_arrays``) that broadcasts
 over numpy arrays; the dataclass API wraps scalars around it.
@@ -196,6 +198,22 @@ def _current_at_vd(vd, i_ph, i_0, r_sh, a):
     return i_ph - i_0 * np.expm1(np.minimum(vd / a, _EXP_CAP)) - vd / r_sh
 
 
+def _power_along_vd(vd, i_ph, i_0, r_s, r_sh, a):
+    # the curve at diode voltage vd and the first two derivatives of the
+    # power along it: (expm1(vd/a), diode conductance, i, v, di/dvd, dv/dvd,
+    # dp/dvd, d2p/dvd2)
+    em1 = np.expm1(np.minimum(vd / a, _EXP_CAP))
+    cur = i_ph - i_0 * em1 - vd / r_sh
+    g_diode = i_0 * (em1 + 1.0) / a
+    di = -g_diode - 1.0 / r_sh
+    d2i = -g_diode / a
+    vol = vd - cur * r_s
+    dv = 1.0 - r_s * di
+    dp = dv * cur + vol * di
+    d2p = -r_s * d2i * cur + 2.0 * dv * di + vol * d2i
+    return em1, g_diode, cur, vol, di, dv, dp, d2p
+
+
 def open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a):
     """Diode voltage at zero terminal current (elementwise).
 
@@ -250,20 +268,14 @@ def mpp_arrays(i_ph, i_0, r_s, r_sh, a):
     """
     i_ph, i_0, r_s, r_sh, a = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (i_ph, i_0, r_s, r_sh, a)))
-    lit = i_ph > 0
+    # NaN photocurrent is not dark: it propagates like any non-finite row
+    dark = i_ph <= 0
     vd_oc = open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a)
     lo, hi = np.zeros_like(vd_oc), vd_oc
     vd = np.clip(vd_oc - a * np.log1p(vd_oc / a), 0.0, vd_oc)
     for _ in range(_MPP_MAX_ITER):
-        em1 = np.expm1(np.minimum(vd / a, _EXP_CAP))
-        cur = i_ph - i_0 * em1 - vd / r_sh
-        g_diode = i_0 * (em1 + 1.0) / a
-        di = -g_diode - 1.0 / r_sh
-        d2i = -g_diode / a
-        vol = vd - cur * r_s
-        dv = 1.0 - r_s * di
-        dp = dv * cur + vol * di
-        d2p = -r_s * d2i * cur + 2.0 * dv * di + vol * d2i
+        _, _, cur, vol, di, dv, dp, d2p = _power_along_vd(vd, i_ph, i_0,
+                                                          r_s, r_sh, a)
         lo = np.where(dp > 0, vd, lo)
         hi = np.where(dp < 0, vd, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -271,13 +283,13 @@ def mpp_arrays(i_ph, i_0, r_s, r_sh, a):
         # inclusive bounds: a converged row sits on one end of its bracket
         take = (d2p < 0) & (newton >= lo) & (newton <= hi)
         vd_new = np.where(take, newton, 0.5 * (lo + hi))
-        pending = lit & (np.abs(vd_new - vd) > 1e-13 * (1.0 + vd))
+        pending = ~dark & (np.abs(vd_new - vd) > 1e-13 * (1.0 + vd))
         vd = vd_new
         if not pending.any():
             cur = _current_at_vd(vd, i_ph, i_0, r_sh, a)
             vol = vd - cur * r_s
-            return (np.where(lit, vol, 0.0), np.where(lit, cur, 0.0),
-                    np.where(lit, vol * cur, 0.0))
+            return (np.where(dark, 0.0, vol), np.where(dark, 0.0, cur),
+                    np.where(dark, 0.0, vol * cur))
     raise SolverError(
         f"MPP Newton unconverged after {_MPP_MAX_ITER} iterations",
         i_ph=i_ph[pending], i_0=i_0[pending], r_s=r_s[pending],
@@ -398,6 +410,61 @@ def simulate_array_mpp_arrays(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
     v_dc = v * topo.modules_per_string
     i_dc = i * topo.strings_in_parallel
     return v_dc, i_dc, v_dc * i_dc
+
+
+def mpp_sensitivities_arrays(v_dc, i_dc, i_ph_ref, i_0_ref, r_s, r_sh_ref,
+                             n_diode, g_poa, t_cell, topo: ArrayTopology,
+                             alpha_isc=0.0):
+    """Derivatives of the array MPP with respect to the reference parameters.
+
+    ``(v_dc, i_dc)`` is the MPP that :func:`simulate_array_mpp_arrays`
+    returned for the same arguments; nothing is solved again.  Returns
+    ``(dv_dc, di_dc)``, each of the broadcast shape plus a trailing axis of
+    five derivatives in ``PARAM_NAMES`` order.  Rows with ``i_ph <= 0`` give
+    zeros; non-finite rows propagate as NaN.
+
+    The optimum vd* of the power along the diode voltage satisfies
+    F = dp/dvd = 0, so implicit differentiation gives
+    dvd*/dq = -(dF/dq)/(d2p/dvd2) for each parameter q, and
+    dv/dq = (dv/dq)_vd + (dv/dvd)*dvd*/dq, likewise for the current.  The
+    partials at fixed vd chain through :func:`translate_arrays`: i_ph and
+    i_0 are proportional to their reference values, r_s passes through,
+    r_sh scales with r_sh_ref except where the night cap binds, and a is
+    proportional to n_diode.
+    """
+    i_ph, i_0, r_s, r_sh, a = translate_arrays(
+        i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode, g_poa, t_cell,
+        topo.cells_in_series, alpha_isc)
+    cur = np.asarray(i_dc, dtype=float) / topo.strings_in_parallel
+    vd = np.asarray(v_dc, dtype=float) / topo.modules_per_string + cur * r_s
+    em1, g_diode, cur, vol, di, dv, _, d2p = _power_along_vd(
+        vd, i_ph, i_0, r_s, r_sh, a)
+    # d(1/r_sh)/d(r_sh_ref), negated; zero under the night cap
+    k_sh = np.where(r_sh < NIGHT_RSH_CAP,
+                    1.0 / (r_sh * np.asarray(r_sh_ref, dtype=float)), 0.0)
+    # partials of i and di/dvd at fixed vd, per reference parameter; both
+    # are independent of r_s, which enters only through v = vd - i*r_s
+    cur_q = np.zeros(vd.shape + (5,))
+    cur_q[..., 0] = np.asarray(g_poa, dtype=float) / G_REF
+    cur_q[..., 1] = -em1 * i_0 / i_0_ref
+    cur_q[..., 3] = vd * k_sh
+    cur_q[..., 4] = g_diode * vd / n_diode
+    di_q = np.zeros_like(cur_q)
+    di_q[..., 1] = -g_diode / i_0_ref
+    di_q[..., 3] = k_sh
+    di_q[..., 4] = g_diode * (vd / a + 1.0) / n_diode
+    # dF/dq = (dv)_q*i + dv*i_q + v_q*di + v*(di)_q with v_q = -r_s*i_q and
+    # (dv)_q = -r_s*(di)_q, plus -2*i*di for q = r_s
+    dp_q = di_q * (vol - r_s * cur)[..., None] \
+        + cur_q * (1.0 - 2.0 * r_s * di)[..., None]
+    dp_q[..., 2] = -2.0 * cur * di
+    vd_q = dp_q / -d2p[..., None]
+    dv_ref = -r_s[..., None] * cur_q + dv[..., None] * vd_q
+    dv_ref[..., 2] -= cur
+    di_ref = cur_q + di[..., None] * vd_q
+    dark = (i_ph <= 0)[..., None]
+    return (np.where(dark, 0.0, dv_ref * topo.modules_per_string),
+            np.where(dark, 0.0, di_ref * topo.strings_in_parallel))
 
 
 def simulate_array_mpp(params: SdmParamsRef, topo: ArrayTopology,

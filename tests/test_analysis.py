@@ -379,7 +379,7 @@ class TestTrainPredict:
 
 
 @pytest.mark.parametrize("entry", ["rolling_fit", "weather_case_study",
-                                   "training_length_sweep"])
+                                   "training_length_sweep", "classify_days"])
 def test_entry_points_reject_non_finite_telemetry(entry, topo, datasheet,
                                                   p_nominal):
     profile = synth.WeatherProfile(days=6, seed=3, cloud_days=(1, 2))
@@ -400,6 +400,7 @@ def test_entry_points_reject_non_finite_telemetry(entry, topo, datasheet,
         "training_length_sweep": lambda: analysis.training_length_sweep(
             "lr", series, (3,), topo=topo, datasheet=datasheet,
             p_nominal=p_nominal, n_eval_days=2),
+        "classify_days": lambda: analysis.classify_days(series),
     }
     with pytest.raises(DataError, match="non-finite values in column g_poa"):
         calls[entry]()

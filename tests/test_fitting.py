@@ -117,7 +117,8 @@ class TestLoss:
                 rng.uniform(6.0, 12.0), 10 ** rng.uniform(-11, -9),
                 rng.uniform(0.1, 0.8), 10 ** rng.uniform(2.0, 3.5),
                 rng.uniform(0.9, 1.4)]))
-            jac = fitting._jacobian(x, retained, topo, opts)
+            solved = fitting._simulate(x, retained, topo, opts)
+            jac = fitting._jacobian(x, solved, retained, topo, opts)
             five = five_point_gradient(f, x)
             assert jac.shape == five.shape == (2 * len(retained), 5)
             scale = np.maximum(np.abs(five),
@@ -134,9 +135,15 @@ class TestLoss:
             fitting.loss(CSI_PARAMS, broken, topo, opts)
         with pytest.raises(NumericalError):
             fitting.fit_window(broken, topo, CSI_PARAMS, opts)
+        # a record the MPP solve cannot handle leaves no hole in the Jacobian
+        g_poa = retained.g_poa.copy()
+        g_poa[len(g_poa) // 2] = np.nan
+        nan_g = TelemetrySeries(retained.timestamp, g_poa, retained.t_module,
+                                retained.v_dc, retained.i_dc)
+        x = fitting._to_transformed(CSI_PARAMS.as_array())
         with pytest.raises(NumericalError):
-            fitting._jacobian(fitting._to_transformed(CSI_PARAMS.as_array()),
-                              broken, topo, opts)
+            fitting._jacobian(x, fitting._simulate(x, nan_g, topo, opts),
+                              nan_g, topo, opts)
 
 
 class TestFitWindow:

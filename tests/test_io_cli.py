@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pvprof import charts, iotools, synth
 from pvprof.cli import main
@@ -105,6 +107,91 @@ class TestTelemetryCsv:
         assert len(diagnostics) == 1
         assert "not increasing" in diagnostics[0][1]
         series.validate()
+
+
+# edits of one CSV file, as lists of lines; positions are fractions of the
+# current length so that every drawn edit applies to any file
+_FRAC = st.floats(0.0, 1.0, exclude_max=True)
+_CSV_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("offset"), _FRAC,
+              st.sampled_from([b"+05:30", b"-08:00", b"+00:00", b"+14:00"])),
+    st.tuples(st.just("duplicate"), _FRAC),
+    st.tuples(st.just("swap"), _FRAC, _FRAC),
+    st.tuples(st.just("value"), _FRAC, st.integers(1, 4),
+              st.sampled_from([b"NaN", b"nan", b"inf", b"-inf", b""])),
+    st.tuples(st.just("truncate"), _FRAC, _FRAC),
+    st.tuples(st.just("bytes"), _FRAC, st.binary(min_size=1, max_size=4))),
+    min_size=1, max_size=5)
+
+
+def _edit_csv(lines, edit):
+    kind, pos = edit[0], edit[1]
+
+    def row(frac):  # a data row; the header changes only by byte insertion
+        return 1 + int(frac * (len(lines) - 1))
+
+    k = row(pos)
+    if kind == "offset":
+        lines[k] = lines[k].replace(b"Z,", edit[2] + b",", 1)
+    elif kind == "duplicate":
+        lines.insert(k, lines[k])
+    elif kind == "swap":
+        j = row(edit[2])
+        lines[k], lines[j] = lines[j], lines[k]
+    elif kind == "value":
+        fields = lines[k].rstrip(b"\r\n").split(b",")
+        fields[min(edit[2], len(fields) - 1)] = edit[3]
+        lines[k] = b",".join(fields) + b"\r\n"
+    elif kind == "truncate":
+        lines[k] = lines[k][:int(edit[2] * len(lines[k]))]
+    else:
+        data = b"".join(lines)
+        at = int(pos * (len(data) + 1))
+        lines[:] = (data[:at] + edit[2] + data[at:]).splitlines(keepends=True)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def base_lines(fuzz_dir):
+    path = fuzz_dir / "base.csv"
+    iotools.write_telemetry_csv(path, _small_series())
+    return path.read_bytes().splitlines(keepends=True)
+
+
+class TestTelemetryCsvFuzz:
+    @given(edits=_CSV_EDITS)
+    def test_mutated_csv_gives_valid_series_or_data_error(self, base_lines,
+                                                          fuzz_dir, edits):
+        lines = list(base_lines)
+        for edit in edits:
+            _edit_csv(lines, edit)
+        path = fuzz_dir / "mutated.csv"
+        path.write_bytes(b"".join(lines))
+        try:
+            series, _ = iotools.read_telemetry_csv(path)
+        except DataError:
+            return
+        series.validate()
+
+    def test_non_utf8_byte_names_file_and_line(self, base_lines, tmp_path):
+        lines = list(base_lines)
+        lines[7] = lines[7].replace(b",", b",\xff", 1)
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DataError, match=r"t\.csv:8: not UTF-8"):
+            iotools.read_telemetry_csv(path)
+
+    def test_oversized_field_names_file_and_line(self, base_lines, tmp_path):
+        lines = list(base_lines)
+        lines[3] = lines[3].replace(b",", b"," + b"9" * 200_000 + b",", 1)
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DataError, match=r"t\.csv:4: field larger"):
+            iotools.read_telemetry_csv(path)
 
 
 class TestJson:
@@ -228,6 +315,16 @@ class TestCli:
         # no telemetry.csv generated
         assert main(["benchmark", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 3
+
+    def test_non_utf8_telemetry_exit_code(self, tmp_path):
+        cfg = _write_config(tmp_path, days=3)
+        out = str(tmp_path)
+        assert main(["synth", "--config", str(cfg), "--out", out]) == 0
+        csv_path = tmp_path / "telemetry.csv"
+        data = csv_path.read_bytes()
+        cut = data.index(b"\n", len(data) // 2) + 1
+        csv_path.write_bytes(data[:cut] + b"\xe9" + data[cut:])
+        assert main(["benchmark", "--config", str(cfg), "--out", out]) == 3
 
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg_path = _write_config(tmp_path, days=6, models=("nominal",))

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from pvprof import fitting, sdm
 from pvprof.exceptions import SolverError
-from conftest import CELLS, CSI_PARAMS, draw_csi_like
+from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, draw_csi_like
 from oracles import (bisect_current, bisect_voltage, diode_residual,
-                     linear_regime_mpp, scan_mpp)
+                     five_point_gradient, linear_regime_mpp, scan_mpp)
 
 STC = sdm.OperatingConditions(1000.0, 25.0)
 
@@ -273,6 +273,48 @@ class TestMppProperties:
             assert p[k] >= p_ref * (1.0 - 1e-9)
 
 
+class TestMppSensitivities:
+    @given(params=BOX_PARAMS,
+           g=st.lists(st.floats(50.0, 1500.0), min_size=1, max_size=4),
+           t=st.floats(-20.0, 85.0))
+    def test_match_central_differences_over_fitting_box(self, params, g, t):
+        topo = sdm.ArrayTopology(CELLS, 12, 8)
+        theta = params.as_array()
+        g = np.array(g)
+
+        def mpp(scale):
+            v, i, _ = sdm.simulate_array_mpp_arrays(*(theta * scale), g, t,
+                                                    topo, ALPHA_ISC)
+            return np.concatenate([v, i])
+
+        v, i, _ = sdm.simulate_array_mpp_arrays(*theta, g, t, topo,
+                                                ALPHA_ISC)
+        dv, di = sdm.mpp_sensitivities_arrays(v, i, *theta, g, t, topo,
+                                              ALPHA_ISC)
+        # relative steps: i_0_ref spans eight decades
+        exact = np.concatenate([dv, di]) * theta
+        central = five_point_gradient(mpp, np.ones(5))
+        # the solve pins the MPP to ~1e-13 relative, so the stencil carries
+        # noise of order 1e-7 of the output itself
+        tol = 1e-4 * np.abs(central) + 1e-6 * np.abs(mpp(1.0))[:, None]
+        assert np.all(np.abs(exact - central) <= tol)
+
+    def test_dark_rows_give_zeros(self, topo):
+        g = np.array([0.0, 400.0, 0.0, 900.0])
+        t = np.array([5.0, 30.0, 12.0, 45.0])
+        lit = g > 0
+        args = (*CSI_PARAMS.as_array(), g, t, topo, ALPHA_ISC)
+        v, i, _ = sdm.simulate_array_mpp_arrays(*args)
+        mixed = sdm.mpp_sensitivities_arrays(v, i, *args)
+        alone = sdm.mpp_sensitivities_arrays(
+            v[lit], i[lit], *CSI_PARAMS.as_array(), g[lit], t[lit], topo,
+            ALPHA_ISC)
+        for out_mixed, out_alone in zip(mixed, alone):
+            assert out_mixed.shape == (4, 5)
+            assert np.all(out_mixed[~lit] == 0.0)
+            np.testing.assert_array_equal(out_mixed[lit], out_alone)
+
+
 class TestIterationCaps:
     OPS = sdm.translate_arrays(*CSI_PARAMS.as_array(),
                                np.array([200.0, 600.0, 1000.0]), 25.0, CELLS)
@@ -291,20 +333,22 @@ class TestIterationCaps:
         assert info.value.inputs["i_ph"].size > 0
 
     def test_nan_row_stays_local(self):
-        i_ph, i_0, r_s, r_sh, a = (np.array(x) for x in self.OPS)
-        a_nan = a.copy()
-        a_nan[1] = np.nan
-        vd_oc = sdm.open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a_nan)
-        mpp = sdm.mpp_arrays(i_ph, i_0, r_s, r_sh, a_nan)
+        ops = [np.array(x) for x in self.OPS]
         keep = np.array([True, False, True])
-        assert np.isnan(vd_oc[1])
-        np.testing.assert_array_equal(
-            vd_oc[keep], sdm.open_circuit_diode_voltage_arrays(
-                i_ph[keep], i_0[keep], r_sh[keep], a[keep]))
-        alone = sdm.mpp_arrays(*(x[keep] for x in (i_ph, i_0, r_s, r_sh, a)))
-        for out, out_alone in zip(mpp, alone):
-            assert np.isnan(out[1])
-            np.testing.assert_array_equal(out[keep], out_alone)
+        alone = sdm.mpp_arrays(*(x[keep] for x in ops))
+        # a NaN photocurrent must not pass for a dark (zero-power) row
+        for col in (4, 0):
+            nan_ops = [x.copy() for x in ops]
+            nan_ops[col][1] = np.nan
+            i_ph, i_0, r_s, r_sh, a = nan_ops
+            vd_oc = sdm.open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a)
+            assert np.isnan(vd_oc[1])
+            np.testing.assert_array_equal(
+                vd_oc[keep], sdm.open_circuit_diode_voltage_arrays(
+                    *(x[keep] for x in (i_ph, i_0, r_sh, a))))
+            for out, out_alone in zip(sdm.mpp_arrays(*nan_ops), alone):
+                assert np.isnan(out[1])
+                np.testing.assert_array_equal(out[keep], out_alone)
 
 
 class TestArrayScaling:
