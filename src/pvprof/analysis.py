@@ -127,7 +127,7 @@ def train_model(name, train: TelemetrySeries, *, topo, datasheet, fit_options,
             init = fitting.initial_guess(datasheet)
         return fitting.fit_window(train, topo, init, fit_options)
     if name == "nominal":
-        return baselines.fit_desoto_from_datasheet(datasheet)
+        return datasheet.desoto_params
     if name in REGRESSOR_FAMILIES:
         X = baselines.feature_matrix(train.timestamp, train.g_poa,
                                      train.t_module)
@@ -339,13 +339,13 @@ def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
 
     Every length is scored over the same trailing evaluation days; each
     evaluation day is predicted from its own measured weather by a model
-    trained only on the preceding ``length`` days.  Lengths that do not fit
-    the available history are skipped with a note.
+    trained only on the preceding ``length`` days, quality-masked on their
+    own so that no later record decides which of them train.  Lengths that
+    do not fit the available history are skipped with a note.
     """
     series.validate()
     if fit_options is None and model_name == "pvpro":
         fit_options = fitting.FitOptions.for_system(datasheet, topo)
-    mask = apply_quality_pipeline(series, preprocess)
     days = series.days()
     if len(days) < n_eval_days + 1:
         raise InsufficientDataError("series too short for the evaluation span")
@@ -362,9 +362,8 @@ def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
         for day in eval_days:
             day = day.astype("datetime64[s]")
             train = series.slice_time(day - need, day)
-            train_mask = mask.retained[np.searchsorted(series.timestamp,
-                                                       train.timestamp)]
-            train = train.select(train_mask)
+            train = train.select(
+                apply_quality_pipeline(train, preprocess).retained)
             test = series.slice_time(day, day + DAY)
             fitted = train_model(model_name, train, topo=topo,
                                  datasheet=datasheet, fit_options=fit_options)

@@ -8,6 +8,7 @@ training-data length as a hyperparameter.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -58,6 +59,29 @@ class Datasheet:
         except ValueError as exc:
             raise ConfigError(f"invalid datasheet: {exc}") from exc
 
+    @property
+    def desoto_params(self) -> sdm.SdmParamsRef:
+        """The five reference parameters extracted from these values.
+
+        The extraction runs on first use and its outcome is kept for the
+        life of this (immutable) instance, so a run that reads it in many
+        places pays for it once.  Raises ``ExtractionError`` as
+        ``fit_desoto_from_datasheet`` does, on every read.
+        """
+        outcome = self._extraction
+        if isinstance(outcome, ExtractionError):
+            raise outcome
+        return outcome
+
+    @cached_property
+    def _extraction(self):
+        # the module global is looked up at call time, so a wrapped
+        # fit_desoto_from_datasheet still sees the one call
+        try:
+            return fit_desoto_from_datasheet(self)
+        except ExtractionError as exc:
+            return exc
+
 
 def synthesize_datasheet(params: sdm.SdmParamsRef, cells_in_series,
                          alpha_isc=0.0) -> Datasheet:
@@ -79,60 +103,68 @@ def synthesize_datasheet(params: sdm.SdmParamsRef, cells_in_series,
                      cells_in_series=cells_in_series)
 
 
-def _voc_model(i_l, i_0, r_s, r_sh, a_ref, ds: Datasheet, t_cell):
-    n = a_ref / (ds.cells_in_series * _VTH_REF)
-    i_ph, i_0t, _, r_sht, a_t = sdm.translate_arrays(
-        i_l, i_0, r_s, r_sh, n, sdm.G_REF, t_cell, ds.cells_in_series,
-        alpha_isc=ds.alpha_isc)
-    return float(sdm.open_circuit_diode_voltage_arrays(i_ph, i_0t, r_sht, a_t))
-
-
 def _extraction_residuals(z, ds: Datasheet):
-    i_l, ln_i0, r_s, ln_rsh, a = z
-    i_0 = math.exp(ln_i0)
-    r_sh = math.exp(ln_rsh)
+    """Scaled residuals (P, 5) of the five STC conditions at each row of the
+    (P, 5) stack ``z`` of ``(i_l, ln i_0, r_s, ln r_sh, a)``.
+
+    An off-domain row, or one whose residuals are not all finite, comes back
+    as ``inf`` in that row only.  The Voc temperature coefficient of every
+    row comes from one open-circuit solve at 25 and 35 degC.
+    """
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    f = np.full(z.shape, np.inf)
+    ok = ((z[:, 4] > 1e-6) & (z[:, 1] > -60.0) & (z[:, 1] < 0.0)
+          & (np.abs(z[:, 3]) < 40.0) & (z[:, 2] > -1.0))
+    i_l, ln_i0, r_s, ln_rsh, a = z[ok].T
+    i_0 = np.exp(ln_i0)
+    r_sh = np.exp(ln_rsh)
     isc, voc, vmp, imp = ds.i_sc, ds.v_oc, ds.v_mp, ds.i_mp
-    f = np.empty(5)
-    f[0] = (i_l - i_0 * math.expm1(isc * r_s / a) - isc * r_s / r_sh - isc) / isc
-    f[1] = (i_l - i_0 * math.expm1(voc / a) - voc / r_sh) / isc
-    vd = vmp + imp * r_s
-    e = math.exp(min(vd / a, 600.0))
-    f[2] = (i_l - i_0 * (e - 1.0) - vd / r_sh - imp) / isc
-    di_dv = -(i_0 * e / a + 1.0 / r_sh) / (1.0 + i_0 * e * r_s / a + r_s / r_sh)
-    f[3] = (imp + vmp * di_dv) / isc
-    dvoc = (_voc_model(i_l, i_0, r_s, r_sh, a, ds, 35.0)
-            - _voc_model(i_l, i_0, r_s, r_sh, a, ds, 25.0)) / 10.0
-    f[4] = (dvoc - ds.beta_voc) / max(abs(ds.beta_voc), 1e-3)
+    with np.errstate(all="ignore"):
+        vd = vmp + imp * r_s
+        e = np.exp(np.minimum(vd / a, 600.0))
+        di_dv = -(i_0 * e / a + 1.0 / r_sh) \
+            / (1.0 + i_0 * e * r_s / a + r_s / r_sh)
+        n = a / (ds.cells_in_series * _VTH_REF)
+        i_ph_t, i_0_t, _, r_sh_t, a_t = sdm.translate_arrays(
+            *(x[:, None] for x in (i_l, i_0, r_s, r_sh, n)), sdm.G_REF,
+            (25.0, 35.0), ds.cells_in_series, alpha_isc=ds.alpha_isc)
+        voc_t = sdm.open_circuit_diode_voltage_arrays(i_ph_t, i_0_t, r_sh_t,
+                                                      a_t)
+        dvoc = (voc_t[:, 1] - voc_t[:, 0]) / 10.0
+        rows = np.column_stack([
+            (i_l - i_0 * np.expm1(isc * r_s / a) - isc * r_s / r_sh - isc)
+            / isc,
+            (i_l - i_0 * np.expm1(voc / a) - voc / r_sh) / isc,
+            (i_l - i_0 * (e - 1.0) - vd / r_sh - imp) / isc,
+            (imp + vmp * di_dv) / isc,
+            (dvoc - ds.beta_voc) / max(abs(ds.beta_voc), 1e-3)])
+    rows[~np.isfinite(rows).all(axis=1)] = np.inf
+    f[ok] = rows
     return f
 
 
-def _safe_residuals(z, ds):
-    # off-domain probes come back as a failed (infinite) residual
-    if not (z[4] > 1e-6 and -60.0 < z[1] < 0.0 and abs(z[3]) < 40.0
-            and z[2] > -1.0):
-        return np.full(5, np.inf)
-    try:
-        with np.errstate(all="ignore"):
-            return _extraction_residuals(z, ds)
-    except (OverflowError, ZeroDivisionError, ValueError):
-        return np.full(5, np.inf)
+def _with_probes(z, ds):
+    """Residuals at ``z`` and the central-difference Jacobian there.
+
+    ``z`` and its 10 probes go through one batched residual call; the
+    Jacobian is ``None`` where a probe is off-domain or non-finite.
+    """
+    h = 1e-6 * np.maximum(1.0, np.abs(z))
+    f = _extraction_residuals(np.vstack([z, z + np.diag(h), z - np.diag(h)]),
+                              ds)
+    with np.errstate(invalid="ignore"):   # inf - inf at failed probes
+        jac = (f[1:6] - f[6:]).T / (2.0 * h)
+    return f[0], (jac if np.all(np.isfinite(jac)) else None)
 
 
 def _damped_newton(z0, ds, max_iterations):
+    # every trial point is evaluated with its Jacobian probes, so an
+    # accepted step (the usual case) costs one residual call
     z = np.array(z0, dtype=float)
-    f = _safe_residuals(z, ds)
+    f, jac = _with_probes(z, ds)
     norm = float(np.max(np.abs(f)))
     for _ in range(max_iterations):
-        if norm < 1e-11:
-            return z, norm
-        jac = np.empty((5, 5))
-        for j in range(5):
-            h = 1e-6 * max(1.0, abs(z[j]))
-            zp = z.copy(); zp[j] += h
-            zm = z.copy(); zm[j] -= h
-            jac[:, j] = (_safe_residuals(zp, ds)
-                         - _safe_residuals(zm, ds)) / (2.0 * h)
-        if not np.all(np.isfinite(jac)):
+        if norm < 1e-11 or jac is None:
             return z, norm
         try:
             step = np.linalg.solve(jac, -f)
@@ -140,10 +172,10 @@ def _damped_newton(z0, ds, max_iterations):
             return z, norm
         t = 1.0
         while t > 1e-4:
-            f_try = _safe_residuals(z + t * step, ds)
+            f_try, jac_try = _with_probes(z + t * step, ds)
             norm_try = float(np.max(np.abs(f_try)))
             if np.isfinite(norm_try) and norm_try < norm:
-                z, f, norm = z + t * step, f_try, norm_try
+                z, f, jac, norm = z + t * step, f_try, jac_try, norm_try
                 break
             t *= 0.5
         else:
@@ -184,7 +216,7 @@ def fit_desoto_from_datasheet(ds: Datasheet, max_iterations=100) -> sdm.SdmParam
     if norm >= 1e-11:
         raise ExtractionError(
             f"datasheet extraction stalled at scaled residual {norm:.3e}; "
-            f"residuals {_extraction_residuals(z, ds)}")
+            f"residuals {_extraction_residuals(z, ds)[0]}")
     i_l, ln_i0, r_s, ln_rsh, a = (float(v) for v in z)
     try:
         params = sdm.SdmParamsRef(i_l, math.exp(ln_i0), r_s, math.exp(ln_rsh),
@@ -313,6 +345,15 @@ class RegressorModel:
         return d
 
 
+def _check_hyperparam(name, value, positive):
+    # a negative or NaN penalty, or a non-positive kernel width, trains
+    # without error and predicts garbage, so such values never reach a solve
+    if not (math.isfinite(value) and (value > 0.0 if positive
+                                      else value >= 0.0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{name} must be finite and {bound}, got {value}")
+
+
 def train_regressor(family, features, targets, hyperparams=None) -> RegressorModel:
     """Closed-form ridge fit on standardized features.
 
@@ -322,6 +363,7 @@ def train_regressor(family, features, targets, hyperparams=None) -> RegressorMod
     """
     hyperparams = dict(hyperparams or {})
     lam = float(hyperparams.setdefault("lam", 1e-3))
+    _check_hyperparam("ridge lambda", lam, positive=False)
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.size:
@@ -347,6 +389,7 @@ def train_regressor(family, features, targets, hyperparams=None) -> RegressorMod
                               hyperparams, weights=w)
     if family == "kernel_ridge":
         gamma = float(hyperparams.setdefault("gamma", 1.0))
+        _check_hyperparam("RBF gamma", gamma, positive=True)
         K = np.exp(-gamma * cdist(Xs, Xs, "sqeuclidean"))
         try:
             dual = np.linalg.solve(K + lam * np.eye(Xs.shape[0]), yc)
@@ -387,6 +430,10 @@ class GridSearchSpec:
             raise ConfigError("grids must be nonempty")
         if list(self.training_lengths_days) != sorted(self.training_lengths_days):
             raise ConfigError("training lengths must be ascending")
+        for lam in self.lambda_grid:
+            _check_hyperparam("ridge lambda", float(lam), positive=False)
+        for gamma in self.gamma_grid:
+            _check_hyperparam("RBF gamma", float(gamma), positive=True)
 
 
 @dataclass

@@ -217,8 +217,9 @@ class _DayAheadRunner:
     """Per-model prediction of one forecast day from data before it.
 
     Trained models go through ``analysis.train_model``/``predict_model``; the
-    runner adds the dynamic fit's warm start, the one-time datasheet
-    extraction, the regressors' grid selection and persistence.
+    runner adds the dynamic fit's warm start, the regressors' grid selection
+    and persistence.  The datasheet extraction is the datasheet's own
+    (``Datasheet.desoto_params``), so every reader shares one run of it.
     """
 
     def __init__(self, config: RunConfig, series: TelemetrySeries):
@@ -226,14 +227,15 @@ class _DayAheadRunner:
         self.series = series
         self.opts = config.fit_options() if config.datasheet else None
         self.warm_params: SdmParamsRef | None = None
-        self.nominal_params: SdmParamsRef | None = None
         self.selection: dict = {}
         self.grid_errors: dict = {}
 
     def prepare(self, eval_start):
         cfg = self.cfg
         if "nominal" in cfg.models:
-            self.nominal_params = baselines.fit_desoto_from_datasheet(cfg.datasheet)
+            # extract up front: an infeasible datasheet fails the run here
+            # rather than skipping the nominal model day by day
+            cfg.datasheet.desoto_params
         history = self.series.slice_time(self.series.timestamp[0], eval_start)
         for name, family in analysis.REGRESSOR_FAMILIES.items():
             if name not in cfg.models:
@@ -285,7 +287,7 @@ class _DayAheadRunner:
             if cfg.warm_start and fitted.converged:
                 self.warm_params = fitted.params
         elif name == "nominal":
-            fitted = self.nominal_params
+            fitted = cfg.datasheet.desoto_params
         elif name in analysis.REGRESSOR_FAMILIES:
             if name in self.grid_errors:
                 raise InsufficientDataError(self.grid_errors[name])
@@ -435,7 +437,7 @@ def _run_studies(config, series, agg_inputs, trajectory, ground_truth):
         except (InsufficientDataError, NumericalError) as exc:
             studies["weather_cases"] = {"error": str(exc)}
     if config.studies.get("sweep") and config.datasheet is not None:
-        reference = baselines.fit_desoto_from_datasheet(config.datasheet)
+        reference = config.datasheet.desoto_params
         model = trajectory[-1].params if trajectory else reference
         sweep = {}
         for feature, rng in (("g_poa", (0.0, 1000.0)),

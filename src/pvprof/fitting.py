@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from . import baselines, sdm
+from . import sdm
 from .exceptions import (ConfigError, ExtractionError, FitDegeneracyError,
                          InsufficientDataError, NumericalError)
 from .preprocess import PreprocessConfig, apply_quality_pipeline
@@ -86,14 +86,15 @@ class FitWindowResult:
 def initial_guess(datasheet) -> sdm.SdmParamsRef:
     """Starting parameters for the first fit of a system.
 
-    Delegates to the datasheet extraction; if that fails to converge, falls
+    Delegates to the datasheet extraction (``Datasheet.desoto_params``,
+    computed once per datasheet); if that fails to converge, falls
     back to heuristic seeds (photocurrent at Isc, ideality 1.1, half the
     (Voc-Vmp)/Imp slope as series resistance, a generous shunt, and the
     saturation current solved from the open-circuit condition), clipped into
     the default fitting bounds.
     """
     try:
-        return baselines.fit_desoto_from_datasheet(datasheet)
+        return datasheet.desoto_params
     except ExtractionError:
         pass
     bounds = default_bounds(datasheet.i_sc)

@@ -44,8 +44,15 @@ def format_timestamp(ts):
 
 def read_mapping(path):
     """Column mapping file: JSON object {native field: source header}."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read mapping file: {exc}") from exc
+    except ValueError as exc:
+        # JSONDecodeError and UnicodeDecodeError are both ValueErrors
+        raise ConfigError(f"mapping file {path} is not valid JSON: {exc}") \
+            from exc
     if not isinstance(raw, dict):
         raise ConfigError("mapping file must hold a JSON object")
     unknown = [k for k in raw if k not in NATIVE_COLUMNS]
@@ -71,7 +78,9 @@ def read_telemetry_csv(path, mapping=None, max_bad_fraction=0.01):
     except OSError as exc:
         raise DataError(f"cannot read telemetry: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
+        # a short row's missing fields read as "", which no parser accepts,
+        # so the row is rejected like any other unparseable one
+        reader = csv.DictReader(fh, restval="")
         try:
             rows, diagnostics = _parse_rows(reader, path, source_of)
         except UnicodeDecodeError as exc:

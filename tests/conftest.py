@@ -46,3 +46,16 @@ def draw_csi_like(rng, n):
                          10.0 ** rng.uniform(np.log10(100.0), np.log10(5000.0)),
                          rng.uniform(0.9, 1.4))
             for _ in range(n)]
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test; returns the list its calls append to."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls

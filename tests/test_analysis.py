@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,6 +298,34 @@ class TestTrainingLengthSweep:
                                              n_eval_days=3)
         assert res.groups[90.0] is None
         assert any("90" in n for n in res.notes)
+
+    def test_later_records_do_not_choose_earlier_training_records(
+            self, monkeypatch, topo, datasheet, p_nominal):
+        # a voltage fault on the last day must leave the training records
+        # of every earlier day as they were: each slice is masked on its own
+        profile = synth.WeatherProfile(days=10, seed=3)
+        series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
+                                           alpha_isc=ALPHA_ISC)
+        last_day = (series.day_index() == series.days()[-1]) \
+            & (series.g_poa >= 50.0)
+        faulted = replace(series, v_dc=np.where(last_day, 0.6 * series.v_dc,
+                                                series.v_dc))
+        original = analysis.train_model
+        runs = []
+
+        def recording(name, train, **kwargs):
+            runs[-1].append(train.timestamp.copy())
+            return original(name, train, **kwargs)
+
+        monkeypatch.setattr(analysis, "train_model", recording)
+        for s in (series, faulted):
+            runs.append([])
+            analysis.training_length_sweep(
+                "lr", s, (3,), topo=topo, datasheet=datasheet,
+                p_nominal=p_nominal, n_eval_days=5)
+        assert len(runs[0]) == len(runs[1]) == 5
+        for clean, after_fault in zip(*runs):
+            np.testing.assert_array_equal(clean, after_fault)
 
     @pytest.mark.parametrize("models, swept", [
         (["smart_persistence", "lr"], True),

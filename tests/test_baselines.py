@@ -1,11 +1,14 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from pvprof import baselines, sdm
-from pvprof.exceptions import (DataError, ExtractionError,
+from pvprof import analysis, baselines, fitting, sdm
+from pvprof.exceptions import (ConfigError, DataError, ExtractionError,
                                InsufficientDataError, TrainingError)
-from conftest import CELLS, CSI_PARAMS, draw_csi_like
+from conftest import CELLS, CSI_PARAMS, count_calls, draw_csi_like
 
 H24 = np.timedelta64(24, "h")
 
@@ -126,6 +129,35 @@ class TestDatasheetExtraction:
         with pytest.raises(ExtractionError):
             baselines.fit_desoto_from_datasheet(ds)
 
+    def test_extracted_once_per_datasheet_instance(self, monkeypatch,
+                                                   datasheet, topo):
+        original = baselines.fit_desoto_from_datasheet
+        calls = count_calls(monkeypatch, baselines,
+                            "fit_desoto_from_datasheet")
+        ds = replace(datasheet)   # equal values, its own instance
+        first = ds.desoto_params
+        assert fitting.initial_guess(ds) is first
+        assert analysis.train_model("nominal", None, topo=topo, datasheet=ds,
+                                    fit_options=None) is first
+        assert len(calls) == 1
+        # no cache keyed on values: an equal datasheet extracts again
+        assert replace(ds).desoto_params == first
+        assert len(calls) == 2
+        assert first == original(datasheet)
+
+    def test_failed_extraction_raises_on_every_read(self, monkeypatch):
+        ds = baselines.Datasheet(v_oc=49.0, i_sc=9.5, v_mp=48.5, i_mp=9.45,
+                                 alpha_isc=0.0, beta_voc=-0.15,
+                                 cells_in_series=72)
+        calls = count_calls(monkeypatch, baselines,
+                            "fit_desoto_from_datasheet")
+        for _ in range(2):
+            with pytest.raises(ExtractionError):
+                ds.desoto_params
+        # the dynamic fit still starts from its heuristic seeds
+        assert fitting.initial_guess(ds).n_diode == 1.1
+        assert len(calls) == 1
+
     def test_round_trip_property_quick(self):
         rng = np.random.default_rng(17)
         for params in draw_csi_like(rng, 10):
@@ -135,6 +167,73 @@ class TestDatasheetExtraction:
             rel = np.abs(rec.as_array() - params.as_array()) \
                 / params.as_array()
             assert np.all(rel < 0.005)
+
+
+def _scalar_extraction_residuals(z, ds):
+    # the five conditions one scalar formula at a time, each Voc solved on
+    # its own; off-domain rows are not evaluated
+    i_l, ln_i0, r_s, ln_rsh, a = z
+    i_0, r_sh = math.exp(ln_i0), math.exp(ln_rsh)
+    isc, voc, vmp, imp = ds.i_sc, ds.v_oc, ds.v_mp, ds.i_mp
+
+    def voc_at(t_cell):
+        n = a / (ds.cells_in_series * baselines._VTH_REF)
+        i_ph, i_0t, _, r_sht, a_t = sdm.translate_arrays(
+            i_l, i_0, r_s, r_sh, n, sdm.G_REF, t_cell, ds.cells_in_series,
+            alpha_isc=ds.alpha_isc)
+        return float(sdm.open_circuit_diode_voltage_arrays(i_ph, i_0t, r_sht,
+                                                           a_t))
+
+    vd = vmp + imp * r_s
+    e = math.exp(min(vd / a, 600.0))
+    di_dv = -(i_0 * e / a + 1.0 / r_sh) / (1.0 + i_0 * e * r_s / a
+                                            + r_s / r_sh)
+    return np.array([
+        (i_l - i_0 * math.expm1(isc * r_s / a) - isc * r_s / r_sh - isc)
+        / isc,
+        (i_l - i_0 * math.expm1(voc / a) - voc / r_sh) / isc,
+        (i_l - i_0 * (e - 1.0) - vd / r_sh - imp) / isc,
+        (imp + vmp * di_dv) / isc,
+        ((voc_at(35.0) - voc_at(25.0)) / 10.0 - ds.beta_voc)
+        / max(abs(ds.beta_voc), 1e-3)])
+
+
+class TestExtractionResiduals:
+    def _points(self, datasheet):
+        p = datasheet.desoto_params
+        a = p.n_diode * CELLS * baselines._VTH_REF
+        z = np.array([p.i_ph_ref, math.log(p.i_0_ref), p.r_s,
+                      math.log(p.r_sh_ref), a])
+        return np.array([z, z * [1.01, 1.0, 0.9, 1.0, 1.0],
+                         z + [0.0, 0.5, 0.0, -1.0, 0.05],
+                         z * [0.98, 1.02, 1.2, 0.95, 1.03]])
+
+    def test_batch_matches_scalar_formula_row_by_row(self, datasheet):
+        z = self._points(datasheet)
+        batched = baselines._extraction_residuals(z, datasheet)
+        assert batched.shape == (len(z), 5)
+        for row, zk in zip(batched, z):
+            np.testing.assert_allclose(
+                row, _scalar_extraction_residuals(zk, datasheet),
+                rtol=1e-9, atol=1e-12)
+
+    def test_off_domain_row_is_inf_and_leaves_the_others(self, datasheet):
+        z = self._points(datasheet)
+        off = z[1] + [0.0, 30.0, 0.0, 0.0, 0.0]   # ln i_0 > 0
+        mixed = baselines._extraction_residuals(
+            np.vstack([z[:2], off, z[2:]]), datasheet)
+        assert np.all(mixed[2] == np.inf)
+        np.testing.assert_array_equal(
+            np.delete(mixed, 2, axis=0),
+            baselines._extraction_residuals(z, datasheet))
+
+    def test_non_finite_row_is_inf_in_that_row_only(self, datasheet):
+        z = self._points(datasheet)
+        overflow = z[0] * [1.0, 1.0, 1e6, 1.0, 1e-4]  # exp(isc*r_s/a) = inf
+        rows = baselines._extraction_residuals(np.vstack([z[0], overflow]),
+                                               datasheet)
+        assert np.all(rows[1] == np.inf)
+        assert np.all(np.isfinite(rows[0]))
 
 
 def _training_data(n=60, seed=0):
@@ -182,6 +281,19 @@ class TestRegressors:
         X = _training_data(n=10)
         with pytest.raises(InsufficientDataError):
             baselines.train_regressor("linear", X, X[:, 0])
+
+    @pytest.mark.parametrize("family, hp", [
+        ("linear", {"lam": -1.0}), ("linear", {"lam": float("nan")}),
+        ("kernel_ridge", {"lam": -1.0, "gamma": 1.0}),
+        ("kernel_ridge", {"lam": float("nan"), "gamma": 1.0}),
+        ("kernel_ridge", {"lam": float("inf"), "gamma": 1.0}),
+        ("kernel_ridge", {"lam": 1e-3, "gamma": -50.0}),
+        ("kernel_ridge", {"lam": 1e-3, "gamma": 0.0}),
+        ("kernel_ridge", {"lam": 1e-3, "gamma": float("nan")})])
+    def test_invalid_hyperparameters_rejected(self, family, hp):
+        X = _training_data()
+        with pytest.raises(ConfigError):
+            baselines.train_regressor(family, X, 30.0 * X[:, 0], hp)
 
     def test_negative_predictions_clamped(self):
         X = _training_data()
@@ -262,6 +374,14 @@ class TestGridSearch:
             three_day = [row["nmae"] for row in res.table
                          if row["valid"] and row["length_days"] == 3]
             assert res.best_nmae <= min(three_day) + 1e-15
+
+    @pytest.mark.parametrize("grids", [
+        {"lambda_grid": (1e-3, -1.0)}, {"lambda_grid": (float("nan"),)},
+        {"lambda_grid": (float("inf"),)}, {"gamma_grid": (0.5, -50.0)},
+        {"gamma_grid": (0.0,)}, {"gamma_grid": (float("nan"),)}])
+    def test_invalid_grid_values_rejected(self, grids):
+        with pytest.raises(ConfigError):
+            baselines.GridSearchSpec(**grids)
 
     def test_deterministic_selection(self):
         ts, X, y = self._series(days=12, seed=4)

@@ -162,20 +162,55 @@ def base_lines(fuzz_dir):
     return path.read_bytes().splitlines(keepends=True)
 
 
+# the same rows under foreign headers, the timestamp no longer first
+_MAPPING = {"timestamp": "ts", "g_poa": "g", "t_module": "t", "v_dc": "v",
+            "i_dc": "i"}
+
+
+@pytest.fixture(scope="module")
+def mapped_lines(base_lines):
+    lines = [b"g,ts,t,v,i\r\n"]
+    for line in base_lines[1:]:
+        f = line.rstrip(b"\r\n").split(b",")
+        lines.append(b",".join([f[1], f[0], *f[2:]]) + b"\r\n")
+    return lines
+
+
+def _read_mutated(lines, edits, path, mapping=None):
+    lines = list(lines)
+    for edit in edits:
+        _edit_csv(lines, edit)
+    path.write_bytes(b"".join(lines))
+    try:
+        series, _ = iotools.read_telemetry_csv(path, mapping)
+    except DataError:
+        return
+    series.validate()
+
+
 class TestTelemetryCsvFuzz:
     @given(edits=_CSV_EDITS)
     def test_mutated_csv_gives_valid_series_or_data_error(self, base_lines,
                                                           fuzz_dir, edits):
-        lines = list(base_lines)
-        for edit in edits:
-            _edit_csv(lines, edit)
-        path = fuzz_dir / "mutated.csv"
+        _read_mutated(base_lines, edits, fuzz_dir / "mutated.csv")
+
+    @given(edits=_CSV_EDITS)
+    def test_mutated_mapped_csv_gives_valid_series_or_data_error(
+            self, mapped_lines, fuzz_dir, edits):
+        _read_mutated(mapped_lines, edits, fuzz_dir / "mutated_mapped.csv",
+                      _MAPPING)
+
+    def test_short_mapped_row_rejected_with_line_number(self, mapped_lines,
+                                                        tmp_path):
+        # a row cut before its timestamp field
+        lines = list(mapped_lines)
+        lines[5] = lines[5].split(b",")[0] + b"\r\n"
+        path = tmp_path / "t.csv"
         path.write_bytes(b"".join(lines))
-        try:
-            series, _ = iotools.read_telemetry_csv(path)
-        except DataError:
-            return
-        series.validate()
+        series, diagnostics = iotools.read_telemetry_csv(path, _MAPPING)
+        assert [line for line, _ in diagnostics] == [6]
+        assert diagnostics[0][1].startswith("unparseable row")
+        assert len(series) == len(lines) - 2
 
     def test_non_utf8_byte_names_file_and_line(self, base_lines, tmp_path):
         lines = list(base_lines)
@@ -309,6 +344,24 @@ class TestCli:
     def test_unreadable_config_exit_code(self, tmp_path):
         assert main(["benchmark", "--config",
                      str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("content", [b'{"timestamp": "ts",',
+                                         b'{"timestamp": "\xe9"}', None],
+                             ids=["truncated_json", "not_utf8", "missing"])
+    def test_unreadable_mapping_exit_code(self, tmp_path, content):
+        cfg = _write_config(tmp_path, extra={"data": {
+            "telemetry": "telemetry.csv", "mapping": "mapping.json"}})
+        if content is not None:
+            (tmp_path / "mapping.json").write_bytes(content)
+        assert main(["benchmark", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("regressors", [{"lambda_grid": [1e-3, -1.0]},
+                                            {"gamma_grid": [0.5, -50.0]}])
+    def test_invalid_ridge_grid_exit_code(self, tmp_path, regressors):
+        cfg = _write_config(tmp_path, extra={"regressors": regressors})
+        assert main(["benchmark", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
 
     def test_data_error_exit_code(self, tmp_path):
         cfg = _write_config(tmp_path)

@@ -9,8 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from pvprof import fitting, sdm, synth
-from conftest import ALPHA_ISC, CSI_PARAMS
+from pvprof import baselines, fitting, sdm, synth
+from pvprof.benchmark import RunConfig, run_benchmark
+from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -76,3 +77,33 @@ def test_fit_window_solves_each_parameter_row_once(monkeypatch, topo,
         assert result.iterations > 1
         assert len(set(rows)) == len(rows)
         assert np.all((np.array(rows) > lo) & (np.array(rows) < hi))
+
+
+def test_one_datasheet_extraction_per_run(monkeypatch, topo, datasheet):
+    # the nominal model, every cold-start fit of the studies and the sweep's
+    # reference all read the one extraction of the run's datasheet
+    profile = synth.WeatherProfile(days=7, seed=11, cloud_days=(1, 3, 5),
+                                   cloud_depth=0.55)
+    series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
+                                       alpha_isc=ALPHA_ISC)
+    config = RunConfig.from_dict({
+        "system": {"topology": {"cells_in_series": CELLS,
+                                "modules_per_string": 12,
+                                "strings_in_parallel": 8},
+                   "datasheet": {k: getattr(datasheet, k) for k in (
+                       "v_oc", "i_sc", "v_mp", "i_mp", "alpha_isc",
+                       "beta_voc", "cells_in_series")}},
+        "models": ["pvpro", "nominal", "lr"],
+        "regressors": {"lambda_grid": [1e-3], "gamma_grid": [0.5],
+                       "training_lengths_days": [3]},
+        "studies": {"weather_cases": True, "sweep": True,
+                    "training_length": True},
+        "evaluation": {"start": "2024-06-05T00:00:00"}})
+    calls = count_calls(monkeypatch, baselines, "fit_desoto_from_datasheet")
+    guesses = count_calls(monkeypatch, fitting, "initial_guess")
+    report = run_benchmark(config, series)
+    assert "error" not in report.studies["weather_cases"]
+    assert "error" not in report.studies["training_length"]
+    assert "sweep" in report.studies
+    assert len(guesses) > 1
+    assert len(calls) == 1
