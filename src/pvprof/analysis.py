@@ -235,6 +235,12 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
     clear or cloudy test-pool days.  Per model the study reports the six
     nMAE/nRMSE values and their coefficient of variation (population standard
     deviation over mean).
+
+    The quality mask is computed once on the whole series, on purpose: train
+    and test days interleave, so this is a weather-sensitivity study, not a
+    day-ahead one, and no case trains only on records before its test days.
+    The day-ahead runner and ``training_length_sweep`` mask each training
+    slice on its own instead.
     """
     series.validate()
     if fit_options is None and "pvpro" in models:

@@ -6,11 +6,13 @@ linear / RBF-kernel ridge regressors with a grid search that treats the
 training-data length as a hyperparameter.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from . import sdm
@@ -354,12 +356,62 @@ def _check_hyperparam(name, value, positive):
         raise ConfigError(f"{name} must be finite and {bound}, got {value}")
 
 
+def _standardize(X, y):
+    """Standardized features and centred targets of a training set.
+
+    Returns ``(x_mean, x_std, Xs, y_mean, yc)``; raises
+    ``InsufficientDataError`` below 20 pairs and ``TrainingError`` on a
+    constant feature column.
+    """
+    if X.shape[0] < 20:
+        raise InsufficientDataError(
+            f"regressor training needs >= 20 pairs, have {X.shape[0]}")
+    x_mean = X.mean(axis=0)
+    x_std = X.std(axis=0)
+    if np.any(x_std <= 1e-12 * (np.abs(x_mean) + 1.0)):
+        raise TrainingError("constant feature column")
+    y_mean = float(y.mean())
+    return x_mean, x_std, (X - x_mean) / x_std, y_mean, y - y_mean
+
+
+def _rbf_kernel(sqdist, gamma, out=None):
+    """exp(-gamma * sqdist) elementwise, written into ``out`` (which may be
+    ``sqdist`` itself)."""
+    out = np.multiply(sqdist, -gamma, out=out)
+    return np.exp(out, out=out)
+
+
+def _kernel_dual(K, lam, yc, work):
+    """Dual coefficients solving (K + lam I) a = yc by Cholesky.
+
+    ``work`` is an (n, n) C-ordered buffer that receives K + lam I and then
+    its factor; it may be ``K`` itself, which is then overwritten.  The
+    factorization runs in place on the F-ordered transpose, which equals the
+    matrix since it is symmetric.  Raises ``TrainingError`` if the system is
+    not positive definite or the dual is not finite.
+    """
+    if work is not K:
+        np.copyto(work, K)
+    work.ravel()[::work.shape[0] + 1] += lam
+    try:
+        factor = cho_factor(work.T, lower=True, overwrite_a=True,
+                            check_finite=False)
+        dual = cho_solve(factor, yc, check_finite=False)
+    except LinAlgError as exc:
+        raise TrainingError(f"kernel system not positive definite: {exc}") \
+            from exc
+    if not np.all(np.isfinite(dual)):
+        raise TrainingError("kernel system gave a non-finite dual")
+    return dual
+
+
 def train_regressor(family, features, targets, hyperparams=None) -> RegressorModel:
     """Closed-form ridge fit on standardized features.
 
     ``linear`` solves the 3x3 normal equations with an unpenalized intercept;
-    ``kernel_ridge`` solves the dual system with an RBF kernel
-    exp(-gamma * ||x - x'||^2).
+    ``kernel_ridge`` solves the dual system (K + lam I) a = y - mean(y) with
+    the RBF kernel K = exp(-gamma * ||x - x'||^2) by an in-place Cholesky
+    factorization, the same steps ``grid_search`` scores each cell with.
     """
     hyperparams = dict(hyperparams or {})
     lam = float(hyperparams.setdefault("lam", 1e-3))
@@ -368,16 +420,12 @@ def train_regressor(family, features, targets, hyperparams=None) -> RegressorMod
     y = np.asarray(targets, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.size:
         raise DataError("features/targets shape mismatch")
-    if X.shape[0] < 20:
-        raise InsufficientDataError(
-            f"regressor training needs >= 20 pairs, have {X.shape[0]}")
-    x_mean = X.mean(axis=0)
-    x_std = X.std(axis=0)
-    if np.any(x_std <= 1e-12 * (np.abs(x_mean) + 1.0)):
-        raise TrainingError("constant feature column")
-    Xs = (X - x_mean) / x_std
-    y_mean = float(y.mean())
-    yc = y - y_mean
+    if family == "kernel_ridge":
+        gamma = float(hyperparams.setdefault("gamma", 1.0))
+        _check_hyperparam("RBF gamma", gamma, positive=True)
+    elif family != "linear":
+        raise ConfigError(f"unknown regressor family {family!r}")
+    x_mean, x_std, Xs, y_mean, yc = _standardize(X, y)
 
     if family == "linear":
         A = Xs.T @ Xs + lam * np.eye(Xs.shape[1])
@@ -387,17 +435,10 @@ def train_regressor(family, features, targets, hyperparams=None) -> RegressorMod
             raise TrainingError(f"singular normal equations: {exc}") from exc
         return RegressorModel("linear", x_mean, x_std, y_mean,
                               hyperparams, weights=w)
-    if family == "kernel_ridge":
-        gamma = float(hyperparams.setdefault("gamma", 1.0))
-        _check_hyperparam("RBF gamma", gamma, positive=True)
-        K = np.exp(-gamma * cdist(Xs, Xs, "sqeuclidean"))
-        try:
-            dual = np.linalg.solve(K + lam * np.eye(Xs.shape[0]), yc)
-        except np.linalg.LinAlgError as exc:
-            raise TrainingError(f"singular kernel system: {exc}") from exc
-        return RegressorModel("kernel_ridge", x_mean, x_std, y_mean,
-                              hyperparams, dual_coef=dual, x_train=Xs)
-    raise ConfigError(f"unknown regressor family {family!r}")
+    K = cdist(Xs, Xs, "sqeuclidean")
+    dual = _kernel_dual(_rbf_kernel(K, gamma, out=K), lam, yc, work=K)
+    return RegressorModel("kernel_ridge", x_mean, x_std, y_mean,
+                          hyperparams, dual_coef=dual, x_train=Xs)
 
 
 def predict_regressor(model: RegressorModel, features):
@@ -407,9 +448,9 @@ def predict_regressor(model: RegressorModel, features):
     if model.family == "linear":
         y = Xs @ model.weights + model.y_mean
     else:
-        gamma = model.hyperparams["gamma"]
-        y = np.exp(-gamma * cdist(Xs, model.x_train, "sqeuclidean")) \
-            @ model.dual_coef + model.y_mean
+        K = cdist(Xs, model.x_train, "sqeuclidean")
+        _rbf_kernel(K, model.hyperparams["gamma"], out=K)
+        y = K @ model.dual_coef + model.y_mean
     return np.maximum(y, 0.0)
 
 
@@ -426,7 +467,8 @@ class GridSearchSpec:
     holdout_days: float = 1.0
 
     def __post_init__(self):
-        if not self.lambda_grid or not self.training_lengths_days:
+        if not (self.lambda_grid and self.gamma_grid
+                and self.training_lengths_days):
             raise ConfigError("grids must be nonempty")
         if list(self.training_lengths_days) != sorted(self.training_lengths_days):
             raise ConfigError("training lengths must be ascending")
@@ -445,14 +487,67 @@ class GridSearchResult:
     table: list = field(default_factory=list)
 
 
+def _kernel_ridge_holdout(spec, X, y, X_val):
+    """Holdout predictions of every kernel-ridge (lambda, gamma) cell.
+
+    The training set is standardized once and the holdout distances are
+    built once; each gamma builds its kernel into one n x n buffer, and each
+    lambda factors K + lam I into a second one.  Returns a dict keyed
+    ``(lam, gamma)`` holding the prediction, or the reason a cell's system
+    failed.
+    """
+    x_mean, x_std, Xs, y_mean, yc = _standardize(X, y)
+    val_sqdist = cdist((X_val - x_mean) / x_std, Xs, "sqeuclidean")
+    n = Xs.shape[0]
+    K = np.empty((n, n))
+    work = np.empty((n, n))
+    cells = {}
+    for gamma in spec.gamma_grid:
+        cdist(Xs, Xs, "sqeuclidean", out=K)
+        _rbf_kernel(K, gamma, out=K)
+        K_val = _rbf_kernel(val_sqdist, gamma)
+        for lam in spec.lambda_grid:
+            try:
+                dual = _kernel_dual(K, lam, yc, work)
+            except TrainingError as exc:
+                cells[lam, gamma] = str(exc)
+            else:
+                cells[lam, gamma] = np.maximum(K_val @ dual + y_mean, 0.0)
+    return cells
+
+
+def _holdout_predictions(spec, family, X, y, X_val):
+    """Holdout prediction, or the reason training failed, of each cell of
+    one training length, keyed ``(lam, gamma)``; gamma is ``None`` for
+    ``linear``."""
+    if family == "kernel_ridge":
+        return _kernel_ridge_holdout(spec, X, y, X_val)
+    cells = {}
+    for lam in spec.lambda_grid:
+        try:
+            model = train_regressor(family, X, y, {"lam": lam})
+        except (TrainingError, InsufficientDataError) as exc:
+            cells[lam, None] = str(exc)
+        else:
+            cells[lam, None] = predict_regressor(model, X_val)
+    return cells
+
+
 def grid_search(spec: GridSearchSpec, family, timestamps, features, targets,
                 p_nominal, g_min=50.0) -> GridSearchResult:
     """Exhaustive hyperparameter x training-length search.
 
     Validation is a trailing holdout immediately before the data end; the
     selection minimizes holdout nMAE with ties broken toward smaller
-    training length, then smaller lambda, then smaller gamma.  Cells without
-    enough history are recorded as invalid and excluded.
+    training length, then smaller lambda, then smaller gamma (the order of
+    the table rows).  Cells without enough history are recorded as invalid
+    and excluded, as are cells whose training fails.
+
+    ``kernel_ridge`` shares work across the cells of one training length:
+    one standardization, one RBF kernel per gamma and one in-place Cholesky
+    factorization per lambda -- the steps ``train_regressor`` takes for a
+    single cell, so the selected cell retrains to the model that was scored.
+    ``linear`` trains each cell through ``train_regressor``.
     """
     ts = _as_timestamps(timestamps)
     X = np.asarray(features, dtype=float)
@@ -467,37 +562,36 @@ def grid_search(spec: GridSearchSpec, family, timestamps, features, targets,
         raise InsufficientDataError("no daylight samples in the holdout")
 
     gamma_grid = spec.gamma_grid if family == "kernel_ridge" else (None,)
+    cell_keys = list(itertools.product(spec.lambda_grid, gamma_grid))
     table = []
     best = None
     for length in spec.training_lengths_days:
         train_start = holdout_start - np.timedelta64(int(length * 86400), "s")
-        covered = ts[0] <= train_start
         train = (ts >= train_start) & (ts < holdout_start) & daylight
-        for lam in spec.lambda_grid:
-            for gamma in gamma_grid:
-                hp = {"lam": lam}
-                if gamma is not None:
-                    hp["gamma"] = gamma
-                row = {"length_days": length, **hp}
-                if not covered or train.sum() < 20:
-                    row["valid"] = False
-                    row["note"] = "insufficient history"
-                    table.append(row)
-                    continue
-                try:
-                    model = train_regressor(family, X[train], y[train], hp)
-                except (TrainingError, InsufficientDataError) as exc:
-                    row["valid"] = False
-                    row["note"] = str(exc)
-                    table.append(row)
-                    continue
-                pred = predict_regressor(model, X[val])
+        if ts[0] > train_start or train.sum() < 20:
+            cells = dict.fromkeys(cell_keys, "insufficient history")
+        else:
+            try:
+                cells = _holdout_predictions(spec, family, X[train],
+                                             y[train], X[val])
+            except TrainingError as exc:   # constant feature column
+                cells = dict.fromkeys(cell_keys, str(exc))
+        for lam, gamma in cell_keys:
+            hp = {"lam": lam}
+            if gamma is not None:
+                hp["gamma"] = gamma
+            row = {"length_days": length, **hp}
+            pred = cells[lam, gamma]
+            if isinstance(pred, str):
+                row["valid"] = False
+                row["note"] = pred
+            else:
                 nmae = float(np.mean(np.abs(pred - y[val])) / p_nominal)
                 row["valid"] = True
                 row["nmae"] = nmae
-                table.append(row)
                 if best is None or nmae < best[0]:
                     best = (nmae, hp, length)
+            table.append(row)
     if best is None:
         raise InsufficientDataError("no valid grid cell")
     return GridSearchResult(family=family, best_hyperparams=best[1],

@@ -18,8 +18,8 @@ import numpy as np
 import scipy
 
 from . import analysis, baselines, fitting
-from .exceptions import (ConfigError, InsufficientDataError,
-                         NumericalError, PvprofError)
+from .exceptions import (ConfigError, ExtractionError,
+                         InsufficientDataError, NumericalError, PvprofError)
 from .iotools import dumps_json
 from .preprocess import PreprocessConfig, apply_quality_pipeline
 from .sdm import ArrayTopology, SdmParamsRef
@@ -437,19 +437,25 @@ def _run_studies(config, series, agg_inputs, trajectory, ground_truth):
         except (InsufficientDataError, NumericalError) as exc:
             studies["weather_cases"] = {"error": str(exc)}
     if config.studies.get("sweep") and config.datasheet is not None:
-        reference = config.datasheet.desoto_params
-        model = trajectory[-1].params if trajectory else reference
-        sweep = {}
-        for feature, rng in (("g_poa", (0.0, 1000.0)),
-                             ("t_module", (0.0, 80.0)), ("hod", (0.0, 1.0))):
-            result = analysis.interpretability_sweep(
-                model, feature, rng, topo=config.topology,
-                datasheet=config.datasheet, reference_params=reference)
-            sweep[feature] = {
-                "grid": result.groups["grid"].tolist(),
-                "curves": {k: v.tolist()
-                           for k, v in result.groups["curves"].items()}}
-        studies["sweep"] = sweep
+        try:
+            reference = config.datasheet.desoto_params
+        except ExtractionError as exc:
+            # no reference curve: record the failure as the other studies do
+            studies["sweep"] = {"error": str(exc)}
+        else:
+            model = trajectory[-1].params if trajectory else reference
+            sweep = {}
+            for feature, rng in (("g_poa", (0.0, 1000.0)),
+                                 ("t_module", (0.0, 80.0)),
+                                 ("hod", (0.0, 1.0))):
+                result = analysis.interpretability_sweep(
+                    model, feature, rng, topo=config.topology,
+                    datasheet=config.datasheet, reference_params=reference)
+                sweep[feature] = {
+                    "grid": result.groups["grid"].tolist(),
+                    "curves": {k: v.tolist()
+                               for k, v in result.groups["curves"].items()}}
+            studies["sweep"] = sweep
     if config.studies.get("training_length") and not trainable:
         studies["training_length"] = {
             "error": "no trainable model in the roster"}

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -322,7 +324,8 @@ class TestRegressors:
 
 
 class TestGridSearch:
-    def _series(self, days=10, seed=0, const_power=None):
+    def _series(self, days=10, seed=0, const_power=None, cloudy=False):
+        # without clouds every day repeats the same feature rows
         n = days * 96
         ts = _axis("2024-06-01T00:00", n)
         h = np.arange(n) % 96 * 0.25
@@ -334,7 +337,23 @@ class TestGridSearch:
             y = np.full(n, const_power)
         else:
             y = 32.0 * g + rng.normal(0.0, 100.0, n)
+        if cloudy:
+            X[:, 0] *= rng.uniform(0.6, 1.0, n)
+            y *= X[:, 0] / np.maximum(g, 1e-9)
         return ts, X, y
+
+    @staticmethod
+    def _masks(ts, X, spec, length, g_min=50.0):
+        # the training and holdout records of one grid cell, as documented:
+        # a trailing holdout, and ``length`` days of daylight before it
+        end = ts[-1] + np.median(np.diff(ts))
+        holdout_start = end - np.timedelta64(
+            int(round(spec.holdout_days * 86400)), "s")
+        daylight = X[:, 0] >= g_min
+        train = (ts >= holdout_start - np.timedelta64(int(length * 86400),
+                                                      "s")) \
+            & (ts < holdout_start) & daylight
+        return train, (ts >= holdout_start) & daylight
 
     def test_single_cell_selected(self):
         ts, X, y = self._series()
@@ -378,10 +397,74 @@ class TestGridSearch:
     @pytest.mark.parametrize("grids", [
         {"lambda_grid": (1e-3, -1.0)}, {"lambda_grid": (float("nan"),)},
         {"lambda_grid": (float("inf"),)}, {"gamma_grid": (0.5, -50.0)},
-        {"gamma_grid": (0.0,)}, {"gamma_grid": (float("nan"),)}])
+        {"gamma_grid": (0.0,)}, {"gamma_grid": (float("nan"),)},
+        {"gamma_grid": ()}])
     def test_invalid_grid_values_rejected(self, grids):
         with pytest.raises(ConfigError):
             baselines.GridSearchSpec(**grids)
+
+    def test_kernel_ridge_cells_match_train_and_predict(self):
+        ts, X, y = self._series(days=8, seed=1, cloudy=True)
+        spec = baselines.GridSearchSpec(lambda_grid=(1e-4, 1e-2, 1.0),
+                                        gamma_grid=(0.5, 2.0),
+                                        training_lengths_days=(2, 5))
+        res = baselines.grid_search(spec, "kernel_ridge", ts, X, y, 30_000.0)
+        assert all(row["valid"] for row in res.table)
+        for row in res.table:
+            train, val = self._masks(ts, X, spec, row["length_days"])
+            model = baselines.train_regressor(
+                "kernel_ridge", X[train], y[train],
+                {"lam": row["lam"], "gamma": row["gamma"]})
+            pred = baselines.predict_regressor(model, X[val])
+            nmae = np.mean(np.abs(pred - y[val])) / 30_000.0
+            assert abs(row["nmae"] - nmae) <= 1e-12 * nmae
+
+    @pytest.mark.parametrize("family", ["linear", "kernel_ridge"])
+    def test_rows_follow_length_lambda_gamma_order(self, family):
+        ts, X, y = self._series(days=6, seed=2, cloudy=True)
+        spec = baselines.GridSearchSpec(lambda_grid=(1e-1, 1e-3),
+                                        gamma_grid=(2.0, 0.5),
+                                        training_lengths_days=(2, 30))
+        res = baselines.grid_search(spec, family, ts, X, y, 30_000.0)
+        gammas = spec.gamma_grid if family == "kernel_ridge" else (None,)
+        assert [(row["length_days"], row["lam"], row.get("gamma"))
+                for row in res.table] == list(itertools.product(
+                    spec.training_lengths_days, spec.lambda_grid, gammas))
+        assert all(row["valid"] for row in res.table
+                   if row["length_days"] == 2)
+        assert all(not row["valid"] and row["note"] == "insufficient history"
+                   for row in res.table if row["length_days"] == 30)
+
+    def test_duplicate_rows_without_ridge_rejected(self):
+        ts, X, y = self._series(days=6)
+        spec = baselines.GridSearchSpec(lambda_grid=(0.0, 1e-3),
+                                        gamma_grid=(1.0,),
+                                        training_lengths_days=(3,))
+        train, _ = self._masks(ts, X, spec, 3)
+        with pytest.raises(TrainingError) as err:
+            baselines.train_regressor("kernel_ridge", X[train], y[train],
+                                      {"lam": 0.0, "gamma": 1.0})
+        res = baselines.grid_search(spec, "kernel_ridge", ts, X, y, 30_000.0)
+        singular, ridged = res.table
+        assert not singular["valid"] and singular["note"] == str(err.value)
+        assert ridged["valid"]
+        assert res.best_hyperparams == {"lam": 1e-3, "gamma": 1.0}
+
+    def test_kernel_ridge_search_holds_two_kernel_matrices(self):
+        ts, X, y = self._series(days=15, seed=3, cloudy=True)
+        spec = baselines.GridSearchSpec(lambda_grid=(1e-3, 1e-1),
+                                        gamma_grid=(0.5, 2.0),
+                                        training_lengths_days=(13,))
+        n = int(np.count_nonzero(self._masks(ts, X, spec, 13)[0]))
+        assert 550 <= n <= 650
+        tracemalloc.start()
+        try:
+            baselines.grid_search(spec, "kernel_ridge", ts, X, y, 30_000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the kernel and its factor; a third n x n array would pass 3
+        assert peak < 3 * n * n * 8
 
     def test_deterministic_selection(self):
         ts, X, y = self._series(days=12, seed=4)

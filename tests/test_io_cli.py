@@ -357,11 +357,30 @@ class TestCli:
                      "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("regressors", [{"lambda_grid": [1e-3, -1.0]},
-                                            {"gamma_grid": [0.5, -50.0]}])
+                                            {"gamma_grid": [0.5, -50.0]},
+                                            {"gamma_grid": []}])
     def test_invalid_ridge_grid_exit_code(self, tmp_path, regressors):
+        # an empty gamma grid is rejected even without kernel ridge in the
+        # roster, as an empty lambda grid is
         cfg = _write_config(tmp_path, extra={"regressors": regressors})
         assert main(["benchmark", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
+
+    def test_infeasible_datasheet_sweep_records_error(self, tmp_path):
+        # no diode curve reaches this fill factor: the pvpro fits start from
+        # heuristic seeds, and the sweep has no reference curve
+        cfg = _write_config(tmp_path, days=6, models=("pvpro",))
+        raw = json.loads(cfg.read_text())
+        raw["system"]["datasheet"].update(v_oc=49.0, i_sc=9.5, v_mp=48.9,
+                                          i_mp=9.45)
+        raw["studies"] = {"sweep": True}
+        cfg.write_text(json.dumps(raw))
+        out = str(tmp_path)
+        assert main(["synth", "--config", str(cfg), "--out", out]) == 0
+        assert main(["benchmark", "--config", str(cfg), "--out", out]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "extraction stalled" in report["studies"]["sweep"]["error"]
+        assert report["aggregate"]["pvpro"]
 
     def test_data_error_exit_code(self, tmp_path):
         cfg = _write_config(tmp_path)
