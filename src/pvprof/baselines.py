@@ -360,12 +360,14 @@ def _standardize(X, y):
     """Standardized features and centred targets of a training set.
 
     Returns ``(x_mean, x_std, Xs, y_mean, yc)``; raises
-    ``InsufficientDataError`` below 20 pairs and ``TrainingError`` on a
-    constant feature column.
+    ``InsufficientDataError`` below 20 pairs, ``DataError`` on a non-finite
+    feature or target and ``TrainingError`` on a constant feature column.
     """
     if X.shape[0] < 20:
         raise InsufficientDataError(
             f"regressor training needs >= 20 pairs, have {X.shape[0]}")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise DataError("regressor training needs finite features and targets")
     x_mean = X.mean(axis=0)
     x_std = X.std(axis=0)
     if np.any(x_std <= 1e-12 * (np.abs(x_mean) + 1.0)):

@@ -378,8 +378,8 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
             g_min=config.preprocess.g_min)
         aggregate[name] = report.to_json_dict(with_series=True)
 
-    studies = _run_studies(config, series, agg_inputs, trajectory,
-                           ground_truth)
+    studies = _run_studies(config, series, aggregate, agg_inputs,
+                           trajectory, ground_truth)
 
     provenance = {
         "config_sha256": config.config_hash(),
@@ -401,17 +401,14 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
         trajectory=trajectory)
 
 
-def _run_studies(config, series, agg_inputs, trajectory, ground_truth):
+def _run_studies(config, series, aggregate, agg_inputs, trajectory,
+                 ground_truth):
     studies = {}
     trainable = [m for m in config.models if m in analysis.TRAINABLE_MODELS]
     if config.studies.get("exceedance"):
-        studies["exceedance"] = {}
-        for name, (_, pred, meas, g) in agg_inputs.items():
-            keep = (g >= config.preprocess.g_min
-                    if config.metrics_daylight_only
-                    else np.ones(g.shape, dtype=bool))
-            nbe = (pred[keep] - meas[keep]) / config.p_nominal
-            studies["exceedance"][name] = analysis.exceedance_density(nbe)
+        studies["exceedance"] = {name: agg["exceedance"]
+                                 for name, agg in aggregate.items()
+                                 if agg is not None}
     if config.studies.get("seasonal"):
         studies["seasonal"] = {
             name: _study_to_json(analysis.seasonal_partition(

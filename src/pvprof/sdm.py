@@ -3,12 +3,13 @@
 Implements the five-parameter equivalent circuit of De Soto et al. (2006):
 a photocurrent source in parallel with one diode and a shunt resistance,
 in series with a series resistance.  Reference-condition parameters are
-translated to operating irradiance/temperature, the implicit I-V equation
-is solved by bracketed root finding, and the maximum power point is located
-by safeguarded Newton iteration on dp/dvd along the diode voltage (the
-parameterization of Bishop, 1988).  The derivatives of a solved MPP with
-respect to the reference parameters follow by implicit differentiation of
-dp/dvd = 0, without another solve.
+translated to operating irradiance/temperature, and every solve runs along
+the diode voltage (the parameterization of Bishop, 1988).  Every I-V solve
+goes through one Newton core for the open-circuit diode voltage: a terminal
+current or voltage is the same problem with an effective photocurrent and
+shunt.  The maximum power point is located by safeguarded Newton iteration
+on dp/dvd; its derivatives with respect to the reference parameters follow
+by implicit differentiation of dp/dvd = 0, without another solve.
 
 All heavy routines have an array core (suffix ``_arrays``) that broadcasts
 over numpy arrays; the dataclass API wraps scalars around it.
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import Boltzmann as K_BOLTZMANN
 from scipy.constants import elementary_charge as Q_ELEMENTARY
-from scipy.optimize import brentq
 
 from .exceptions import SolverError
 
@@ -188,9 +188,8 @@ def translate_to_operating(params: SdmParamsRef, cond: OperatingConditions,
 
 def diode_residual(i, v, op: SdmParamsOperating):
     """Residual of the implicit diode equation at a candidate (v, i) pair, A."""
-    vd = v + i * op.r_s
-    return op.i_ph - op.i_0 * math.expm1(min(vd / op.a_mod, _EXP_CAP)) \
-        - vd / op.r_sh - i
+    return _current_at_vd(v + i * op.r_s, op.i_ph, op.i_0, op.r_sh,
+                          op.a_mod) - i
 
 
 def _current_at_vd(vd, i_ph, i_0, r_sh, a):
@@ -217,9 +216,9 @@ def _power_along_vd(vd, i_ph, i_0, r_s, r_sh, a):
 def open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a):
     """Diode voltage at zero terminal current (elementwise).
 
-    Newton iteration started at the analytic upper bound a*log1p(i_ph/i_0);
-    the residual is concave and decreasing, so the iterates descend
-    monotonically onto the root.  Zero photocurrent maps to zero volts.
+    Newton iteration from min(a*log1p(i_ph/i_0), i_ph*r_sh), two upper
+    bounds of the root; the residual is concave and decreasing, so the
+    iterates descend monotonically onto it.  Zero photocurrent gives 0 V.
     Rows stop when a step moves them by at most 1e-14*(1+vd) volts;
     non-finite rows propagate as NaN/inf and never hold the loop.
 
@@ -230,7 +229,9 @@ def open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a):
     """
     i_ph, i_0, r_sh, a = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (i_ph, i_0, r_sh, a)))
-    vd = a * np.log1p(np.maximum(i_ph, 0.0) / i_0)
+    i_lit = np.maximum(i_ph, 0.0)
+    with np.errstate(divide="ignore"):
+        vd = np.minimum(a * np.log1p(i_lit / i_0), i_lit * r_sh)
     for _ in range(_OC_MAX_ITER):
         # expm1, not exp - 1, which cancels to zero where vd << a
         em1 = np.expm1(np.minimum(vd / a, _EXP_CAP))
@@ -297,43 +298,27 @@ def mpp_arrays(i_ph, i_0, r_s, r_sh, a):
 
 
 def solve_current(v, op: SdmParamsOperating):
-    """Terminal current at terminal voltage ``v``.
+    """Terminal current at terminal voltage ``v >= 0``.
 
-    Bracketed root finding on the implicit diode equation, starting from the
-    bracket [-i_ph, 2*i_ph] and expanding geometrically if needed, followed
-    by Newton polish.  The returned current satisfies the implicit equation
-    with absolute residual below 1e-9 A.
+    Substituting i = (vd - v)/r_s turns the implicit equation into the
+    open-circuit problem of :func:`open_circuit_diode_voltage_arrays` for
+    the photocurrent i_ph + v/r_s and the shunt r_sh*r_s/(r_sh + r_s); the
+    current is then explicit in vd, with residual below 1e-9 A.
 
     Raises
     ------
+    ValueError
+        If ``v`` < 0, not finite, or reverse-biases the diode (vd < 0).
     SolverError
-        If no sign change is found after bracket expansion.
+        If the Newton core does not converge.
     """
     v = float(v)
-
-    def f(i):
-        return diode_residual(i, v, op)
-
-    lo, hi = -op.i_ph, 2.0 * op.i_ph
-    width = max(hi - lo, 1.0)
-    for _ in range(80):
-        if lo < hi and f(lo) > 0.0 > f(hi):
-            break
-        lo -= width
-        hi += width
-        width *= 2.0
-    else:
-        raise SolverError("no bracket for terminal current", v=v, op=op)
-    i = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    for _ in range(5):
-        resid = f(i)
-        if abs(resid) < 1e-12:
-            break
-        vd = v + i * op.r_s
-        slope = -op.i_0 * math.exp(min(vd / op.a_mod, _EXP_CAP)) \
-            * op.r_s / op.a_mod - op.r_s / op.r_sh - 1.0
-        i -= resid / slope
-    return float(i)
+    if not (math.isfinite(v) and v >= 0 and op.i_ph + v / op.r_s >= 0):
+        raise ValueError(f"v={v} is not finite, negative or reverse-biased")
+    vd = open_circuit_diode_voltage_arrays(
+        op.i_ph + v / op.r_s, op.i_0, op.r_sh * op.r_s / (op.r_sh + op.r_s),
+        op.a_mod)
+    return float(_current_at_vd(vd, op.i_ph, op.i_0, op.r_sh, op.a_mod))
 
 
 def short_circuit_current(op: SdmParamsOperating):
@@ -344,40 +329,28 @@ def short_circuit_current(op: SdmParamsOperating):
 def solve_voltage(i, op: SdmParamsOperating):
     """Terminal voltage at terminal current ``i`` (0 <= i <= i_sc).
 
-    Solved on the diode-voltage axis, where the residual is monotone; the
-    result satisfies the same residual contract as :func:`solve_current`.
+    The open-circuit solve for the photocurrent i_ph - i, less i*r_s; the
+    result meets the residual contract of :func:`solve_current`.
 
     Raises
     ------
     ValueError
-        If ``i`` lies above the short-circuit current (or below zero).
+        If ``i`` is below zero or above the short-circuit current (which
+        counts as zero for a dark module).
+    SolverError
+        If the Newton core does not converge.
     """
     i = float(i)
-    if i < 0:
+    if not i >= 0:
         raise ValueError(f"current must be >= 0, got {i}")
-    if op.i_ph <= 0:
-        if i > 1e-12:
-            raise ValueError("current above short-circuit current of a dark module")
-        return 0.0
-    i_sc = short_circuit_current(op)
+    i_sc = short_circuit_current(op) if op.i_ph > 0 else 0.0
     if i > i_sc * (1.0 + 1e-9) + 1e-12:
         raise ValueError(f"current {i} above short-circuit current {i_sc}")
     i = min(i, i_sc)
-
-    def g(vd):
-        return op.i_ph - op.i_0 * math.expm1(min(vd / op.a_mod, _EXP_CAP)) \
-            - vd / op.r_sh - i
-
-    vd_hi = op.a_mod * math.log1p(op.i_ph / op.i_0) + 1.0
-    vd = brentq(g, 0.0, vd_hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    for _ in range(5):
-        resid = g(vd)
-        if abs(resid) < 1e-12:
-            break
-        slope = -op.i_0 * math.exp(min(vd / op.a_mod, _EXP_CAP)) / op.a_mod \
-            - 1.0 / op.r_sh
-        vd -= resid / slope
-    return float(vd - i * op.r_s)
+    vd = open_circuit_diode_voltage_arrays(op.i_ph - i, op.i_0, op.r_sh,
+                                           op.a_mod)
+    # at i_sc rounding can leave -1e-10 V, which solve_current rejects
+    return max(float(vd - i * op.r_s), 0.0)
 
 
 def open_circuit_voltage(op: SdmParamsOperating):
@@ -386,12 +359,7 @@ def open_circuit_voltage(op: SdmParamsOperating):
 
 
 def find_mpp(op: SdmParamsOperating) -> IvPoint:
-    """Maximum power point of one operating condition.
-
-    A dark module (``i_ph <= 0``) yields the zero point.
-    """
-    if op.i_ph <= 0:
-        return IvPoint(0.0, 0.0, 0.0)
+    """Maximum power point of one operating condition (zero if i_ph <= 0)."""
     v, i, _ = mpp_arrays(op.i_ph, op.i_0, op.r_s, op.r_sh, op.a_mod)
     return IvPoint.from_vi(float(v), float(i))
 

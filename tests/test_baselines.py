@@ -284,6 +284,18 @@ class TestRegressors:
         with pytest.raises(InsufficientDataError):
             baselines.train_regressor("linear", X, X[:, 0])
 
+    @pytest.mark.parametrize("family", ["linear", "kernel_ridge"])
+    @pytest.mark.parametrize("column", ["temperature", "target"])
+    def test_non_finite_training_data_rejected(self, family, column):
+        X = _training_data(n=40)
+        y = 30.0 * X[:, 0]
+        if column == "temperature":
+            X[7, 1] = np.nan
+        else:
+            y[7] = np.inf
+        with pytest.raises(DataError):
+            baselines.train_regressor(family, X, y)
+
     @pytest.mark.parametrize("family, hp", [
         ("linear", {"lam": -1.0}), ("linear", {"lam": float("nan")}),
         ("kernel_ridge", {"lam": -1.0, "gamma": 1.0}),

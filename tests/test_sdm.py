@@ -28,6 +28,19 @@ def op_stc():
     return sdm.translate_to_operating(CSI_PARAMS, STC, CELLS)
 
 
+def _box_param(name):
+    lo, hi = fitting.default_bounds(ISC_STC)[name]
+    if name in fitting._LOG_PARAMS:
+        return st.floats(math.log10(lo), math.log10(hi)).map(
+            lambda x: 10.0 ** x)
+    return st.floats(lo, hi)
+
+
+# the whole fitting box; its i_0_ref ceiling lies below its i_ph_ref floor
+BOX_PARAMS = st.builds(sdm.SdmParamsRef,
+                       *(_box_param(n) for n in sdm.PARAM_NAMES))
+
+
 class TestTypes:
     def test_params_require_positive(self):
         with pytest.raises(ValueError):
@@ -160,6 +173,43 @@ class TestSolvers:
                     v_back = sdm.solve_voltage(i, op)
                     assert v_back == pytest.approx(v, abs=1e-8)
 
+    def test_reverse_bias_rejected(self, op_stc):
+        with pytest.raises(ValueError):
+            sdm.solve_current(-1.0, op_stc)
+        # a negative photocurrent reverse-biases the diode at short circuit;
+        # the module still counts as dark for its open-circuit voltage
+        op = sdm.SdmParamsOperating(i_ph=-0.01, i_0=3e-10, r_s=0.35,
+                                    r_sh=400.0, a_mod=2.0)
+        with pytest.raises(ValueError):
+            sdm.solve_current(0.0, op)
+        assert sdm.open_circuit_voltage(op) == 0.0
+
+    @given(params=BOX_PARAMS, g=st.floats(1.0, 1500.0),
+           t=st.floats(-20.0, 85.0),
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_residuals_and_inverses_over_fitting_box(self, params, g, t,
+                                                      fracs):
+        op = sdm.translate_to_operating(
+            params, sdm.OperatingConditions(g, t), CELLS)
+        v_oc = sdm.open_circuit_voltage(op)
+        i_sc = sdm.short_circuit_current(op)
+        for frac in fracs + [0.0, 1.0]:
+            v = 1.1 * frac * v_oc
+            i = sdm.solve_current(v, op)
+            assert abs(sdm.diode_residual(i, v, op)) < 1e-9
+            i_q = frac * i_sc
+            v_q = sdm.solve_voltage(i_q, op)
+            assert v_q >= 0.0
+            assert abs(sdm.diode_residual(i_q, v_q, op)) < 1e-9
+            assert abs(sdm.solve_current(v_q, op) - i_q) < 1e-9
+            if 0.0 <= i <= i_sc:
+                # the residual contract in volts: 1e-9 A times |dv/di|,
+                # which reaches r_sh on the flat part of the curve
+                vd = v + i * op.r_s
+                g_diode = op.i_0 / op.a_mod * math.exp(vd / op.a_mod)
+                dv_di = op.r_s + 1.0 / (g_diode + 1.0 / op.r_sh)
+                assert abs(sdm.solve_voltage(i, op) - v) <= 1e-9 * dv_di
+
 
 class TestMpp:
     def test_dark_module_zero_point(self):
@@ -233,19 +283,6 @@ class TestMpp:
         for out_mixed, out_alone in zip(mixed, alone):
             assert np.all(out_mixed[dark] == 0.0)
             np.testing.assert_array_equal(out_mixed[~dark], out_alone)
-
-
-def _box_param(name):
-    lo, hi = fitting.default_bounds(ISC_STC)[name]
-    if name in fitting._LOG_PARAMS:
-        return st.floats(math.log10(lo), math.log10(hi)).map(
-            lambda x: 10.0 ** x)
-    return st.floats(lo, hi)
-
-
-# the whole fitting box; its i_0_ref ceiling lies below its i_ph_ref floor
-BOX_PARAMS = st.builds(sdm.SdmParamsRef,
-                       *(_box_param(n) for n in sdm.PARAM_NAMES))
 
 
 class TestMppProperties:
@@ -325,6 +362,16 @@ class TestIterationCaps:
         with pytest.raises(SolverError) as info:
             sdm.open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a)
         assert info.value.inputs["i_ph"].size > 0
+
+    @pytest.mark.parametrize("solve", [
+        lambda op: sdm.solve_current(30.0, op),
+        lambda op: sdm.solve_voltage(4.0, op), sdm.open_circuit_voltage,
+        sdm.find_mpp], ids=["current", "voltage", "v_oc", "mpp"])
+    def test_scalar_solves_raise_solver_error_at_cap(self, monkeypatch,
+                                                     op_stc, solve):
+        monkeypatch.setattr(sdm, "_OC_MAX_ITER", 1)
+        with pytest.raises(SolverError):
+            solve(op_stc)
 
     def test_mpp_cap_raises(self, monkeypatch):
         monkeypatch.setattr(sdm, "_MPP_MAX_ITER", 1)
