@@ -543,7 +543,9 @@ def grid_search(spec: GridSearchSpec, family, timestamps, features, targets,
     selection minimizes holdout nMAE with ties broken toward smaller
     training length, then smaller lambda, then smaller gamma (the order of
     the table rows).  Cells without enough history are recorded as invalid
-    and excluded, as are cells whose training fails.
+    and excluded, as are cells whose training fails.  A non-finite feature
+    or target in a daylight holdout row raises ``DataError`` before any cell
+    is scored.
 
     ``kernel_ridge`` shares work across the cells of one training length:
     one standardization, one RBF kernel per gamma and one in-place Cholesky
@@ -562,6 +564,8 @@ def grid_search(spec: GridSearchSpec, family, timestamps, features, targets,
     val = (ts >= holdout_start) & daylight
     if not np.any(val):
         raise InsufficientDataError("no daylight samples in the holdout")
+    if not (np.all(np.isfinite(X[val])) and np.all(np.isfinite(y[val]))):
+        raise DataError("holdout needs finite features and targets")
 
     gamma_grid = spec.gamma_grid if family == "kernel_ridge" else (None,)
     cell_keys = list(itertools.product(spec.lambda_grid, gamma_grid))

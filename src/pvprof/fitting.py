@@ -4,8 +4,10 @@ The estimator solves the nonlinear least-squares problem of matching
 simulated to measured DC voltage and current, each normalized by its
 nameplate MPP value, over a window of retained records: bounded
 trust-region-reflective least squares.  Each evaluated parameter vector costs
-one MPP solve; the exact Jacobian at an accepted point comes from that
-solution by implicit differentiation (``sdm.mpp_sensitivities_arrays``).
+one MPP solve, warm-started from the solution at the previously evaluated
+vector (a step away, in a trust-region method); the exact Jacobian at an
+accepted point comes from that solution by implicit differentiation
+(``sdm.mpp_sensitivities_arrays``).  ``loss`` solves cold.
 Saturation current and shunt resistance are optimized in log10 space.
 Rolling re-fits warm-start each window from the previous result.
 """
@@ -124,15 +126,17 @@ def _to_natural(x):
     return nat
 
 
-def _simulate(x, window: TelemetrySeries, topo, opts: FitOptions):
+def _simulate(x, window: TelemetrySeries, topo, opts: FitOptions,
+              start=None):
     """Array MPP ``(v_sim, i_sim)`` of each record at transformed ``x``.
 
-    ``x`` is one parameter vector (5,) or a stack (P, 5).
+    ``x`` is one parameter vector (5,) or a stack (P, 5).  ``start`` is a
+    solution at nearby parameters to warm-start the solve from.
     """
     nat = _to_natural(x)
     v_sim, i_sim, _ = sdm.simulate_array_mpp_arrays(
         *(nat[..., j, None] for j in range(5)), window.g_poa,
-        window.t_module, topo, opts.alpha_isc)
+        window.t_module, topo, opts.alpha_isc, start=start)
     return v_sim, i_sim
 
 
@@ -205,7 +209,9 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
     last = {}
 
     def residuals(x):
-        solved = _simulate(x, window, topo, opts)
+        # TRF's successive points are close, so each solve starts from the
+        # last one; its non-finite rows start cold
+        solved = _simulate(x, window, topo, opts, last.get("solved"))
         r = _residuals(x, window, topo, opts, solved)
         # the first call is TRF's own evaluation of the (strictly feasible)
         # initial guess; later non-finite trial steps TRF rejects by itself

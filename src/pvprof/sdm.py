@@ -8,8 +8,11 @@ the diode voltage (the parameterization of Bishop, 1988).  Every I-V solve
 goes through one Newton core for the open-circuit diode voltage: a terminal
 current or voltage is the same problem with an effective photocurrent and
 shunt.  The maximum power point is located by safeguarded Newton iteration
-on dp/dvd; its derivatives with respect to the reference parameters follow
-by implicit differentiation of dp/dvd = 0, without another solve.
+on dp/dvd, bracketed by the closed-form upper bound of the open-circuit
+diode voltage that core starts from, so it needs no open-circuit solve; it
+starts cold, or warm from an MPP solved before for nearby parameters.  Its
+derivatives with respect to the reference parameters follow by implicit
+differentiation of dp/dvd = 0, without another solve.
 
 All heavy routines have an array core (suffix ``_arrays``) that broadcasts
 over numpy arrays; the dataclass API wraps scalars around it.
@@ -213,6 +216,14 @@ def _power_along_vd(vd, i_ph, i_0, r_s, r_sh, a):
     return em1, g_diode, cur, vol, di, dv, dp, d2p
 
 
+def _open_circuit_upper_bound(i_ph, i_0, r_sh, a):
+    # min(a*log1p(i_ph/i_0), i_ph*r_sh) >= vd_oc: the first drops the shunt
+    # current, the second the diode current; 0 for i_ph <= 0
+    i_lit = np.maximum(i_ph, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.minimum(a * np.log1p(i_lit / i_0), i_lit * r_sh)
+
+
 def open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a):
     """Diode voltage at zero terminal current (elementwise).
 
@@ -229,9 +240,7 @@ def open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a):
     """
     i_ph, i_0, r_sh, a = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (i_ph, i_0, r_sh, a)))
-    i_lit = np.maximum(i_ph, 0.0)
-    with np.errstate(divide="ignore"):
-        vd = np.minimum(a * np.log1p(i_lit / i_0), i_lit * r_sh)
+    vd = _open_circuit_upper_bound(i_ph, i_0, r_sh, a)
     for _ in range(_OC_MAX_ITER):
         # expm1, not exp - 1, which cancels to zero where vd << a
         em1 = np.expm1(np.minimum(vd / a, _EXP_CAP))
@@ -249,17 +258,23 @@ def open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a):
         a=a[pending])
 
 
-def mpp_arrays(i_ph, i_0, r_s, r_sh, a):
+def mpp_arrays(i_ph, i_0, r_s, r_sh, a, vd_start=None):
     """Maximum power point, elementwise over broadcast parameter arrays.
 
     Returns ``(v, i, p)``; rows with ``i_ph <= 0`` give exact zeros.  Power
-    is maximized along the diode voltage vd on [0, vd_oc], where dp/dvd is
-    positive at 0 and negative at vd_oc.  Newton steps on dp/dvd with
-    analytic derivatives start from vd_oc - a*log1p(vd_oc/a); each step
-    moves one end of the bracket to the current point by the sign of
-    dp/dvd, and a step that leaves the bracket, or where d2p/dvd2 >= 0,
-    becomes a bisection.  The loop stops when every lit row moves by at
-    most 1e-13*(1+vd) volts; non-finite rows propagate as NaN/inf.
+    is maximized along the diode voltage vd on [0, hi], with
+    hi = min(a*log1p(i_ph/i_0), i_ph*r_sh), the closed-form upper bound of
+    the open-circuit diode voltage vd_oc; no open-circuit solve is needed.
+    dp/dvd is positive at 0 and negative on (vd_oc, hi], where the current
+    is negative and falling while the voltage is positive and rising.
+    Newton steps on dp/dvd with analytic derivatives start from
+    ``vd_start`` clipped into [0, hi] (a warm start, such as the MPP solved
+    for nearby parameters) or, where that is None or not finite, from
+    hi - a*log1p(hi/a); each step moves one end of the bracket to the
+    current point by the sign of dp/dvd, and a step that leaves the
+    bracket, or where d2p/dvd2 >= 0, becomes a bisection.  The loop stops
+    when every lit row moves by at most 1e-13*(1+vd) volts; non-finite rows
+    propagate as NaN/inf.
 
     Raises
     ------
@@ -271,9 +286,14 @@ def mpp_arrays(i_ph, i_0, r_s, r_sh, a):
         *(np.asarray(x, dtype=float) for x in (i_ph, i_0, r_s, r_sh, a)))
     # NaN photocurrent is not dark: it propagates like any non-finite row
     dark = i_ph <= 0
-    vd_oc = open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a)
-    lo, hi = np.zeros_like(vd_oc), vd_oc
-    vd = np.clip(vd_oc - a * np.log1p(vd_oc / a), 0.0, vd_oc)
+    hi = _open_circuit_upper_bound(i_ph, i_0, r_sh, a)
+    lo = np.zeros_like(hi)
+    vd = hi - a * np.log1p(hi / a)
+    if vd_start is not None:
+        # a NaN start would stop its row after one bisection step: the
+        # stop test below is False for NaN
+        vd_start = np.asarray(vd_start, dtype=float)
+        vd = np.where(np.isfinite(vd_start), np.clip(vd_start, lo, hi), vd)
     for _ in range(_MPP_MAX_ITER):
         _, _, cur, vol, di, dv, dp, d2p = _power_along_vd(vd, i_ph, i_0,
                                                           r_s, r_sh, a)
@@ -364,17 +384,28 @@ def find_mpp(op: SdmParamsOperating) -> IvPoint:
     return IvPoint.from_vi(float(v), float(i))
 
 
+def _diode_voltage(v_dc, i_dc, r_s, topo: ArrayTopology):
+    # module diode voltage of an array operating point
+    cur = np.asarray(i_dc, dtype=float) / topo.strings_in_parallel
+    return np.asarray(v_dc, dtype=float) / topo.modules_per_string + cur * r_s
+
+
 def simulate_array_mpp_arrays(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
                               g_poa, t_cell, topo: ArrayTopology,
-                              alpha_isc=0.0):
+                              alpha_isc=0.0, start=None):
     """Array-level MPP voltage/current/power over broadcast inputs.
 
     Assumes a uniform, mismatch-free array: module MPP voltage scales with
-    modules per string, current with parallel strings.
+    modules per string, current with parallel strings.  ``start`` is an
+    array MPP ``(v_dc, i_dc)`` solved before for the same records, such as
+    at the previous parameters of a fit; the solve then starts from its
+    diode voltages under this ``r_s`` (see :func:`mpp_arrays`).  Rows where
+    it is not finite, and every row when it is None, start cold.
     """
     ops = translate_arrays(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
                            g_poa, t_cell, topo.cells_in_series, alpha_isc)
-    v, i, p = mpp_arrays(*ops)
+    vd_start = None if start is None else _diode_voltage(*start, ops[2], topo)
+    v, i, p = mpp_arrays(*ops, vd_start=vd_start)
     v_dc = v * topo.modules_per_string
     i_dc = i * topo.strings_in_parallel
     return v_dc, i_dc, v_dc * i_dc
@@ -403,8 +434,7 @@ def mpp_sensitivities_arrays(v_dc, i_dc, i_ph_ref, i_0_ref, r_s, r_sh_ref,
     i_ph, i_0, r_s, r_sh, a = translate_arrays(
         i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode, g_poa, t_cell,
         topo.cells_in_series, alpha_isc)
-    cur = np.asarray(i_dc, dtype=float) / topo.strings_in_parallel
-    vd = np.asarray(v_dc, dtype=float) / topo.modules_per_string + cur * r_s
+    vd = _diode_voltage(v_dc, i_dc, r_s, topo)
     em1, g_diode, cur, vol, di, dv, _, d2p = _power_along_vd(
         vd, i_ph, i_0, r_s, r_sh, a)
     # d(1/r_sh)/d(r_sh_ref), negated; zero under the night cap

@@ -386,6 +386,26 @@ class TestGridSearch:
         assert res.best_length_days == 3
         assert res.best_hyperparams == {"lam": 1e-3, "gamma": 0.5}
 
+    @pytest.mark.parametrize("family", ["linear", "kernel_ridge"])
+    @pytest.mark.parametrize("column", [1, None], ids=["t_module", "target"])
+    def test_non_finite_holdout_rejected(self, family, column):
+        # one NaN in a daylight row of the holdout day used to score every
+        # cell as valid with nMAE NaN and select a "best" one
+        ts, X, y = self._series(cloudy=True)
+        spec = baselines.GridSearchSpec(lambda_grid=(1e-3, 1e-1),
+                                        gamma_grid=(0.5, 2.0),
+                                        training_lengths_days=(3, 7))
+        _, val = self._masks(ts, X, spec, 3)
+        row = np.flatnonzero(val)[len(np.flatnonzero(val)) // 2]
+        if column is None:
+            y = y.copy()
+            y[row] = np.nan
+        else:
+            X = X.copy()
+            X[row, column] = np.nan
+        with pytest.raises(DataError):
+            baselines.grid_search(spec, family, ts, X, y, 30_000.0)
+
     def test_infeasible_length_marked_invalid(self):
         ts, X, y = self._series(days=10)
         spec = baselines.GridSearchSpec(lambda_grid=(1e-2,), gamma_grid=(1.0,),

@@ -169,6 +169,16 @@ class TestFitWindow:
             / truth.as_array()
         assert np.all(rel < 0.01)
 
+    def test_final_loss_matches_a_cold_solve(self, topo, datasheet, opts):
+        # the fit's solves start from the previous evaluation's; the loss of
+        # the fitted parameters, solved cold, must be the loss it reports
+        _, retained = make_window(noise=0.005, topo=topo, cloud_days=(1,))
+        result = fitting.fit_window(retained, topo,
+                                    fitting.initial_guess(datasheet), opts)
+        assert result.converged and result.iterations > 5
+        cold = fitting.loss(result.params, retained, topo, opts)
+        assert cold == pytest.approx(result.final_loss, rel=1e-9)
+
     def test_evaluation_cap_gives_unconverged_fit(self, topo, datasheet,
                                                   opts):
         truth = sdm.SdmParamsRef(CSI_PARAMS.i_ph_ref * 0.9, CSI_PARAMS.i_0_ref,

@@ -288,26 +288,37 @@ class TestMpp:
 class TestMppProperties:
     @given(params=BOX_PARAMS,
            g=st.lists(st.floats(0.0, 1500.0), min_size=1, max_size=4),
-           t=st.floats(-20.0, 85.0))
-    def test_mpp_over_fitting_box(self, params, g, t):
+           t=st.floats(-20.0, 85.0), frac=st.floats(0.0, 1.0))
+    def test_mpp_over_fitting_box(self, params, g, t, frac):
         g = np.sort(g)
         ops = sdm.translate_arrays(*params.as_array(), g, t, CELLS)
-        v, i, p = sdm.mpp_arrays(*ops)
-        assert np.all(np.isfinite([v, i, p]))
-        assert np.all(np.diff(p) >= -1e-12 * p[1:])
-        for k in range(g.size):
-            row = [float(x[k]) for x in ops]
-            if row[0] <= 0.0:
-                assert v[k] == i[k] == p[k] == 0.0
-                continue
-            v_oc = bisect_voltage(0.0, *row)
-            assert 0.0 <= v[k] <= v_oc
-            # the scan's v_oc is good to 1e-13 V, so sub-nanovolt curves
-            # (irradiance far below any sensor's) take the straight-line form
-            oracle = scan_mpp if v_oc > 1e-10 else linear_regime_mpp
-            _, _, p_ref = oracle(*row)
-            assert abs(p[k] - p_ref) <= 1e-6 * p_ref
-            assert p[k] >= p_ref * (1.0 - 1e-9)
+        i_ph, i_0, _, r_sh, a = ops
+        # cold, and warm from anywhere on the bracket [0, hi] (both ends
+        # included) or from a non-finite start, which must solve cold
+        hi = np.minimum(a * np.log1p(i_ph / i_0), i_ph * r_sh)
+        starts = [None, frac * hi, np.zeros_like(hi), hi] + [
+            np.full_like(hi, bad) for bad in (math.nan, math.inf, -math.inf)]
+        oracles = {}
+        for start in starts:
+            v, i, p = sdm.mpp_arrays(*ops, vd_start=start)
+            assert np.all(np.isfinite([v, i, p]))
+            assert np.all(np.diff(p) >= -1e-12 * p[1:])
+            for k in range(g.size):
+                row = [float(x[k]) for x in ops]
+                if row[0] <= 0.0:
+                    assert v[k] == i[k] == p[k] == 0.0
+                    continue
+                if k not in oracles:
+                    v_oc = bisect_voltage(0.0, *row)
+                    # the scan's v_oc is good to 1e-13 V, so sub-nanovolt
+                    # curves (irradiance far below any sensor's) take the
+                    # straight-line form
+                    oracle = scan_mpp if v_oc > 1e-10 else linear_regime_mpp
+                    oracles[k] = v_oc, oracle(*row)[2]
+                v_oc, p_ref = oracles[k]
+                assert 0.0 <= v[k] <= v_oc
+                assert abs(p[k] - p_ref) <= 1e-6 * p_ref
+                assert p[k] >= p_ref * (1.0 - 1e-9)
 
 
 class TestMppSensitivities:
@@ -363,13 +374,17 @@ class TestIterationCaps:
             sdm.open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a)
         assert info.value.inputs["i_ph"].size > 0
 
-    @pytest.mark.parametrize("solve", [
-        lambda op: sdm.solve_current(30.0, op),
-        lambda op: sdm.solve_voltage(4.0, op), sdm.open_circuit_voltage,
-        sdm.find_mpp], ids=["current", "voltage", "v_oc", "mpp"])
+    # the MPP search is bracketed in closed form, so find_mpp meets only
+    # its own cap
+    @pytest.mark.parametrize("solve, cap", [
+        (lambda op: sdm.solve_current(30.0, op), "_OC_MAX_ITER"),
+        (lambda op: sdm.solve_voltage(4.0, op), "_OC_MAX_ITER"),
+        (sdm.open_circuit_voltage, "_OC_MAX_ITER"),
+        (sdm.find_mpp, "_MPP_MAX_ITER")],
+        ids=["current", "voltage", "v_oc", "mpp"])
     def test_scalar_solves_raise_solver_error_at_cap(self, monkeypatch,
-                                                     op_stc, solve):
-        monkeypatch.setattr(sdm, "_OC_MAX_ITER", 1)
+                                                     op_stc, solve, cap):
+        monkeypatch.setattr(sdm, cap, 1)
         with pytest.raises(SolverError):
             solve(op_stc)
 
@@ -378,6 +393,15 @@ class TestIterationCaps:
         with pytest.raises(SolverError) as info:
             sdm.mpp_arrays(*self.OPS)
         assert info.value.inputs["i_ph"].size > 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_is_the_cold_start(self, bad):
+        # the stop test is False for NaN, so a NaN start clipped into the
+        # bracket would stop after one bisection step, far from the MPP
+        cold = sdm.mpp_arrays(*self.OPS)
+        warm = sdm.mpp_arrays(*self.OPS, vd_start=np.full(3, bad))
+        for out_warm, out_cold in zip(warm, cold):
+            np.testing.assert_array_equal(out_warm, out_cold)
 
     def test_nan_row_stays_local(self):
         ops = [np.array(x) for x in self.OPS]
