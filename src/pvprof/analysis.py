@@ -14,7 +14,8 @@ import numpy as np
 
 from . import baselines, fitting, sdm
 from .exceptions import ConfigError, DataError, InsufficientDataError
-from .preprocess import PreprocessConfig, apply_quality_pipeline
+from .preprocess import (PreprocessConfig, apply_quality_pipeline,
+                         training_window)
 from .series import DAY, TelemetrySeries, WeatherSeries, _as_timestamps
 
 DEFAULT_EXCEEDANCE_THRESHOLDS = (0.10, 0.20)
@@ -113,18 +114,20 @@ REGRESSOR_FAMILIES = {"lr": "linear", "kr": "kernel_ridge"}
 TRAINABLE_MODELS = ("pvpro", "nominal", *REGRESSOR_FAMILIES)
 
 
-def train_model(name, train: TelemetrySeries, *, topo, datasheet, fit_options,
-                init=None, hyperparams=None):
+def train_model(name, train: TelemetrySeries, *, topo, datasheet,
+                fit_options=None, init=None, hyperparams=None):
     """Train one roster model on a clean slice of telemetry.
 
-    ``pvpro`` fits the five parameters to the slice, starting from ``init``
-    or else the datasheet's initial guess, and returns the
-    ``FitWindowResult``; ``nominal`` returns the datasheet extraction and
-    ignores the slice; ``lr``/``kr`` return a trained ``RegressorModel``.
+    ``pvpro`` fits the five parameters to the slice from ``init`` (default:
+    the datasheet's initial guess) under ``fit_options`` (default:
+    ``FitOptions.for_system``) and returns the ``FitWindowResult``; ``nominal``
+    returns the datasheet extraction; ``lr``/``kr`` a ``RegressorModel``.
     """
     if name == "pvpro":
         if init is None:
             init = fitting.initial_guess(datasheet)
+        if fit_options is None:
+            fit_options = fitting.FitOptions.for_system(datasheet, topo)
         return fitting.fit_window(train, topo, init, fit_options)
     if name == "nominal":
         return datasheet.desoto_params
@@ -240,11 +243,9 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
     and test days interleave, so this is a weather-sensitivity study, not a
     day-ahead one, and no case trains only on records before its test days.
     The day-ahead runner and ``training_length_sweep`` mask each training
-    slice on its own instead.
+    slice on its own instead (``preprocess.training_window``).
     """
     series.validate()
-    if fit_options is None and "pvpro" in models:
-        fit_options = fitting.FitOptions.for_system(datasheet, topo)
     retained = apply_quality_pipeline(series, preprocess).retained
 
     clear_days = sorted(d for d, lab in labels.items() if lab == "clear")
@@ -345,13 +346,11 @@ def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
 
     Every length is scored over the same trailing evaluation days; each
     evaluation day is predicted from its own measured weather by a model
-    trained only on the preceding ``length`` days, quality-masked on their
-    own so that no later record decides which of them train.  Lengths that
-    do not fit the available history are skipped with a note.
+    trained only on ``preprocess.training_window`` of the preceding
+    ``length`` days (fractional lengths included).  Lengths that do not fit
+    the available history are skipped with a note.
     """
     series.validate()
-    if fit_options is None and model_name == "pvpro":
-        fit_options = fitting.FitOptions.for_system(datasheet, topo)
     days = series.days()
     if len(days) < n_eval_days + 1:
         raise InsufficientDataError("series too short for the evaluation span")
@@ -359,17 +358,15 @@ def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
     groups = {}
     notes = []
     for length in lengths_days:
-        need = np.timedelta64(int(length), "D")
-        if eval_days[0].astype("datetime64[D]") - need < days[0]:
+        need = np.timedelta64(int(length * 86400), "s")
+        if eval_days[0].astype("datetime64[s]") - need < days[0]:
             groups[float(length)] = None
             notes.append(f"length {length} d skipped: insufficient history")
             continue
         preds, meas, gs = [], [], []
         for day in eval_days:
             day = day.astype("datetime64[s]")
-            train = series.slice_time(day - need, day)
-            train = train.select(
-                apply_quality_pipeline(train, preprocess).retained)
+            train = training_window(series, day, need, preprocess)
             test = series.slice_time(day, day + DAY)
             fitted = train_model(model_name, train, topo=topo,
                                  datasheet=datasheet, fit_options=fit_options)

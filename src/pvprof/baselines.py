@@ -259,13 +259,7 @@ def smart_persistence(p_hist: ForecastSeries | tuple, g_hist, g_future,
     ts_f, g_f = g_future
     ts_f = _as_timestamps(ts_f)
     g_f = np.asarray(g_f, dtype=float)
-    horizon = np.timedelta64(horizon)
-
-    source = ts_f - horizon
-    idx = np.searchsorted(ts_h, source)
-    ok = (idx < ts_h.size) & (ts_h[np.minimum(idx, ts_h.size - 1)] == source)
-    if not np.all(ok):
-        raise DataError("history does not contain the horizon-shifted timestamps")
+    idx = _horizon_index(ts_h, ts_f, horizon)
 
     base_p = p[idx]
     base_g = g[idx]
@@ -277,7 +271,7 @@ def smart_persistence(p_hist: ForecastSeries | tuple, g_hist, g_future,
         if g_f[k] < g_min:
             continue
         j = idx[k] - 1
-        src_day = source[k].astype("datetime64[D]")
+        src_day = day_of[idx[k]]
         while j >= 0 and day_of[j] == src_day:
             if g[j] >= g_min:
                 pred[k] = p[j] * g_f[k] / g[j]
@@ -293,12 +287,18 @@ def naive_persistence(p_hist, target_timestamps,
     ts_h = _as_timestamps(ts_h)
     p = np.asarray(p, dtype=float)
     ts_f = _as_timestamps(target_timestamps)
+    idx = _horizon_index(ts_h, ts_f, horizon)
+    return ForecastSeries(ts_f, p[idx], model="naive_persistence")
+
+
+def _horizon_index(ts_h, ts_f, horizon):
+    """Index into ``ts_h`` of each target time one ``horizon`` earlier."""
     source = ts_f - np.timedelta64(horizon)
     idx = np.searchsorted(ts_h, source)
     ok = (idx < ts_h.size) & (ts_h[np.minimum(idx, ts_h.size - 1)] == source)
     if not np.all(ok):
         raise DataError("history does not contain the horizon-shifted timestamps")
-    return ForecastSeries(ts_f, p[idx], model="naive_persistence")
+    return idx
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 For every forecast day the roster models are trained strictly on data before
 that day (dynamic fit on a trailing window, regressors on their selected
 training length, persistence on the previous day) and score their prediction
-of the day from its measured weather.  The trained models go through
-``analysis.train_model`` and ``analysis.predict_model``, the same pair the
-studies use.  Results are pooled into aggregate and per-day metrics plus the
+of the day from its measured weather.  A trained model trains on
+``preprocess.training_window`` through ``analysis.train_model`` and
+``predict_model``, as the studies do, under the fit options ``RunConfig``
+builds once.  Results are pooled into aggregate and per-day metrics plus the
 enabled studies, all serialized deterministically.
 """
 
@@ -21,7 +22,7 @@ from . import analysis, baselines, fitting
 from .exceptions import (ConfigError, ExtractionError,
                          InsufficientDataError, NumericalError, PvprofError)
 from .iotools import dumps_json
-from .preprocess import PreprocessConfig, apply_quality_pipeline
+from .preprocess import PreprocessConfig, training_window
 from .sdm import ArrayTopology, SdmParamsRef
 from .series import DAY, ForecastSeries, TelemetrySeries, WeatherSeries
 
@@ -41,12 +42,10 @@ class RunConfig:
     p_nominal: float
     topology: ArrayTopology
     datasheet: baselines.Datasheet | None
-    climate_zone: str | None
     preprocess: PreprocessConfig
     window_days: float
     update_days: float
-    max_iterations: int
-    loss_tolerance: float
+    fit_options: fitting.FitOptions | None
     warm_start: bool
     models: tuple
     horizon: np.timedelta64
@@ -99,6 +98,17 @@ class RunConfig:
                         else float(pp["p_ac_limit_w"])))
 
         fit = raw.get("fit", {})
+        window_days = float(fit.get("window_days", 3))
+        update_days = float(fit.get("update_days", 1))
+        for key, days in (("window_days", window_days),
+                          ("update_days", update_days)):
+            if not 0 < days < np.inf:
+                raise ConfigError(f"fit.{key} must be finite and > 0, "
+                                  f"got {days}")
+        solver = {key: cast(fit[key]) for key, cast in (
+            ("max_iterations", int), ("loss_tolerance", float)) if key in fit}
+        fit_options = None if datasheet is None else \
+            fitting.FitOptions.for_system(datasheet, topo, **solver)
         models = tuple(raw.get("models", ("pvpro",)))
         if not models:
             raise ConfigError("model roster must be nonempty")
@@ -136,12 +146,9 @@ class RunConfig:
             telemetry_path=data.get("telemetry"),
             mapping_path=data.get("mapping"),
             p_nominal=p_nominal, topology=topo, datasheet=datasheet,
-            climate_zone=system.get("climate_zone"),
             preprocess=preprocess,
-            window_days=float(fit.get("window_days", 3)),
-            update_days=float(fit.get("update_days", 1)),
-            max_iterations=int(fit.get("max_iterations", 200)),
-            loss_tolerance=float(fit.get("loss_tolerance", 1e-10)),
+            window_days=window_days, update_days=update_days,
+            fit_options=fit_options,
             warm_start=bool(fit.get("warm_start", True)),
             models=models,
             horizon=np.timedelta64(int(raw.get("horizon_hours", 24)), "h"),
@@ -150,12 +157,6 @@ class RunConfig:
             metrics_daylight_only=bool(raw.get("metrics_daylight_only", True)),
             seed=int(raw.get("seed", 0)),
             synth=raw.get("synth"), raw=raw)
-
-    def fit_options(self):
-        return fitting.FitOptions.for_system(
-            self.datasheet, self.topology,
-            max_iterations=self.max_iterations,
-            loss_tolerance=self.loss_tolerance)
 
     def config_hash(self):
         return hashlib.sha256(dumps_json(self.raw).encode()).hexdigest()
@@ -189,20 +190,15 @@ class BenchmarkReport:
 
 
 def _study_to_json(result):
-    if result is None:
-        return None
+    """A study's groups: a ``MetricsReport``, a dict of them, or None each."""
     groups = {}
     for key, value in result.groups.items():
         k = str(key)
         if isinstance(value, analysis.MetricsReport):
             groups[k] = value.to_json_dict()
         elif isinstance(value, dict):
-            groups[k] = {str(kk): (vv.to_json_dict()
-                                   if isinstance(vv, analysis.MetricsReport)
-                                   else vv)
+            groups[k] = {str(kk): vv.to_json_dict()
                          for kk, vv in value.items()}
-        elif isinstance(value, np.ndarray):
-            groups[k] = value.tolist()
         else:
             groups[k] = value
     out = {"study": result.study_id, "groups": groups}
@@ -225,7 +221,6 @@ class _DayAheadRunner:
     def __init__(self, config: RunConfig, series: TelemetrySeries):
         self.cfg = config
         self.series = series
-        self.opts = config.fit_options() if config.datasheet else None
         self.warm_params: SdmParamsRef | None = None
         self.selection: dict = {}
         self.grid_errors: dict = {}
@@ -251,16 +246,6 @@ class _DayAheadRunner:
             except (InsufficientDataError, NumericalError) as exc:
                 self.grid_errors[name] = f"grid search failed: {exc}"
 
-    def _train(self, name, length_days, day_start, **kwargs):
-        """Train on the quality-masked ``length_days`` before the day."""
-        length = np.timedelta64(int(length_days * 86400), "s")
-        window = self.series.slice_time(day_start - length, day_start)
-        train = window.select(
-            apply_quality_pipeline(window, self.cfg.preprocess).retained)
-        return analysis.train_model(
-            name, train, topo=self.cfg.topology, datasheet=self.cfg.datasheet,
-            fit_options=self.opts, **kwargs)
-
     def predict_day(self, name, day_start, weather: WeatherSeries):
         """Prediction array and the day's window fit (dynamic model only,
         else None) for one model/day; raises PvprofError to skip."""
@@ -280,10 +265,13 @@ class _DayAheadRunner:
                     (hist.timestamp, hist.power), weather.timestamp,
                     horizon=cfg.horizon)
             return fc.p_pred, None
-        fit_result = None
         if name == "pvpro":
-            fitted = fit_result = self._train(name, cfg.window_days, day_start,
-                                              init=self.warm_params)
+            length = np.timedelta64(int(cfg.window_days * 86400), "s")
+            train = training_window(self.series, day_start, length,
+                                    cfg.preprocess)
+            fitted = analysis.train_model(
+                name, train, topo=cfg.topology, datasheet=cfg.datasheet,
+                fit_options=cfg.fit_options, init=self.warm_params)
             if cfg.warm_start and fitted.converged:
                 self.warm_params = fitted.params
         elif name == "nominal":
@@ -292,13 +280,17 @@ class _DayAheadRunner:
             if name in self.grid_errors:
                 raise InsufficientDataError(self.grid_errors[name])
             sel = self.selection[name]
-            fitted = self._train(name, sel.best_length_days, day_start,
-                                 hyperparams=sel.best_hyperparams)
+            length = np.timedelta64(int(sel.best_length_days * 86400), "s")
+            train = training_window(self.series, day_start, length,
+                                    cfg.preprocess)
+            fitted = analysis.train_model(
+                name, train, topo=cfg.topology, datasheet=cfg.datasheet,
+                hyperparams=sel.best_hyperparams)
         else:
             raise ConfigError(f"unknown model {name!r}")
         pred = analysis.predict_model(fitted, weather, topo=cfg.topology,
                                       datasheet=cfg.datasheet, g_min=g_min)
-        return pred, fit_result
+        return pred, (fitted if name == "pvpro" else None)
 
 
 def run_benchmark(config: RunConfig, series: TelemetrySeries,
@@ -428,7 +420,7 @@ def _run_studies(config, series, aggregate, agg_inputs, trajectory,
             result = analysis.weather_case_study(
                 series, labels, trainable, topo=config.topology,
                 datasheet=config.datasheet, p_nominal=config.p_nominal,
-                fit_options=config.fit_options() if config.datasheet else None,
+                fit_options=config.fit_options,
                 preprocess=config.preprocess, g_min=config.preprocess.g_min)
             studies["weather_cases"] = _study_to_json(result)
         except (InsufficientDataError, NumericalError) as exc:
@@ -463,7 +455,7 @@ def _run_studies(config, series, aggregate, agg_inputs, trajectory,
                 series, config.grid_spec.training_lengths_days,
                 topo=config.topology, datasheet=config.datasheet,
                 p_nominal=config.p_nominal,
-                fit_options=config.fit_options() if config.datasheet else None,
+                fit_options=config.fit_options,
                 preprocess=config.preprocess, g_min=config.preprocess.g_min)
             studies["training_length"] = _study_to_json(result)
         except (InsufficientDataError, NumericalError) as exc:

@@ -25,12 +25,7 @@ EXIT_NUMERICAL = 4
 
 
 def _load_config(args) -> RunConfig:
-    try:
-        raw = iotools.read_json(args.config)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    raw = iotools.read_json_object(args.config, ConfigError, "config file")
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.models is not None:
@@ -103,13 +98,15 @@ def cmd_synth(args):
 
 def cmd_fit(args):
     cfg = _load_config(args)
+    if cfg.fit_options is None:
+        raise ConfigError("fit needs a datasheet in the configuration")
     series = _load_series(cfg, os.path.dirname(args.config), args.verbose)
     init = fitting.initial_guess(cfg.datasheet)
     results = fitting.rolling_fit(
         series, cfg.topology,
         np.timedelta64(int(cfg.window_days * 86400), "s"),
         np.timedelta64(int(cfg.update_days * 86400), "s"),
-        init, cfg.fit_options(), preprocess=cfg.preprocess,
+        init, cfg.fit_options, preprocess=cfg.preprocess,
         warm_start=cfg.warm_start)
     os.makedirs(args.out, exist_ok=True)
     iotools.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
@@ -186,10 +183,7 @@ def _write_metric_csvs(out_dir, report):
 
 def cmd_report(args):
     report_path = args.report or os.path.join(args.out, "report.json")
-    try:
-        doc = iotools.read_json(report_path)
-    except FileNotFoundError as exc:
-        raise DataError(f"report not found: {exc}") from exc
+    doc = iotools.read_json_object(report_path, DataError, "report")
     os.makedirs(args.out, exist_ok=True)
 
     daily_nmae = {}

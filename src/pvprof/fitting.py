@@ -21,7 +21,7 @@ from scipy.optimize import least_squares
 from . import sdm
 from .exceptions import (ConfigError, ExtractionError, FitDegeneracyError,
                          InsufficientDataError, NumericalError)
-from .preprocess import PreprocessConfig, apply_quality_pipeline
+from .preprocess import PreprocessConfig, training_window
 from .series import DAY, ForecastSeries, TelemetrySeries, WeatherSeries
 
 PARAM_ORDER = sdm.PARAM_NAMES
@@ -55,6 +55,13 @@ class FitOptions:
     def __post_init__(self):
         if self.v_scale <= 0 or self.i_scale <= 0:
             raise ConfigError("loss scales must be positive")
+        if not isinstance(self.max_iterations, (int, np.integer)) \
+                or self.max_iterations < 1:
+            raise ConfigError(f"max_iterations must be an integer >= 1, "
+                              f"got {self.max_iterations!r}")
+        if not 0 < self.loss_tolerance < math.inf:
+            raise ConfigError(f"loss_tolerance must be finite and > 0, "
+                              f"got {self.loss_tolerance!r}")
         for name in PARAM_ORDER:
             if name not in self.bounds:
                 raise ConfigError(f"bounds missing parameter {name}")
@@ -252,6 +259,10 @@ def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
     series.validate()
     window_length = np.timedelta64(window_length)
     update_period = np.timedelta64(update_period)
+    zero = np.timedelta64(0, "s")
+    # NaT compares False, so it is rejected too
+    if not (window_length > zero and update_period > zero):
+        raise ConfigError("window length and update period must be positive")
     if len(series) < 2:
         raise InsufficientDataError("series too short for rolling fits")
     data_end = series.timestamp[-1] + series.cadence()
@@ -263,19 +274,19 @@ def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
     current = init
     u = t0 + window_length
     while u <= data_end:
-        win = series.slice_time(u - window_length, u)
         try:
-            mask = apply_quality_pipeline(win, preprocess)
-            retained = win.select(mask.retained)
+            retained = training_window(series, u, window_length, preprocess)
             result = fit_window(retained, topo, current, opts)
             result = replace(result, window_start=u - window_length, window_end=u)
             if warm_start and result.converged:
                 current = result.params
         except (InsufficientDataError, NumericalError) as exc:
+            # a failed window reports the records it held before masking
             result = FitWindowResult(
                 window_start=u - window_length, window_end=u, params=current,
                 final_loss=float("nan"), iterations=0, converged=False,
-                n_points=len(win), error=str(exc))
+                n_points=len(series.slice_time(u - window_length, u)),
+                error=str(exc))
         results.append(result)
         u = u + update_period
     return results

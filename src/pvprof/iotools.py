@@ -44,17 +44,7 @@ def format_timestamp(ts):
 
 def read_mapping(path):
     """Column mapping file: JSON object {native field: source header}."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read mapping file: {exc}") from exc
-    except ValueError as exc:
-        # JSONDecodeError and UnicodeDecodeError are both ValueErrors
-        raise ConfigError(f"mapping file {path} is not valid JSON: {exc}") \
-            from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("mapping file must hold a JSON object")
+    raw = read_json_object(path, ConfigError, "mapping file")
     unknown = [k for k in raw if k not in NATIVE_COLUMNS]
     if unknown:
         raise ConfigError(f"mapping refers to unknown fields: {unknown}")
@@ -256,3 +246,18 @@ def write_json(path, obj):
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def read_json_object(path, error, what):
+    """The JSON object in ``path``; raises ``error`` if it cannot be read,
+    is not JSON or holds anything but an object."""
+    try:
+        raw = read_json(path)
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:
+        # JSONDecodeError and UnicodeDecodeError are both ValueErrors
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return raw

@@ -4,7 +4,8 @@ Three filters in a fixed order: night removal, inverter-clipping exclusion,
 and regression-based outlier removal (straight-line fits of DC current vs
 irradiance and DC voltage vs module temperature).  Each filter is a pure
 function from a series plus the current mask to an updated mask, so the
-pipeline is deterministic and idempotent.
+pipeline is deterministic and idempotent.  ``training_window`` is the one
+training-slice rule: the ``length`` before ``end``, masked on its own.
 """
 
 from dataclasses import dataclass, replace
@@ -144,3 +145,11 @@ def apply_quality_pipeline(series: TelemetrySeries,
                            band=config.clip_band, run_min=config.clip_run)
     mask = remove_outliers_regression(series, mask, k_sigma=config.k_sigma)
     return mask
+
+
+def training_window(series: TelemetrySeries, end, length,
+                    config: PreprocessConfig):
+    """Retained records with ``end - length <= t < end``, masked on their own
+    so that no record at or after ``end`` decides which are kept."""
+    window = series.slice_time(end - length, end)
+    return window.select(apply_quality_pipeline(window, config).retained)

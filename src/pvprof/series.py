@@ -4,13 +4,12 @@ Telemetry, weather and forecast series are stored as parallel numpy arrays
 keyed by a strictly increasing ``datetime64[s]`` timestamp axis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DataError
 
-SECOND = np.timedelta64(1, "s")
 DAY = np.timedelta64(1, "D")
 
 
@@ -120,7 +119,6 @@ class ForecastSeries:
     p_pred: np.ndarray
     model: str = ""
     p_meas: np.ndarray | None = None
-    notes: list = field(default_factory=list)
 
     def __post_init__(self):
         self.timestamp = _as_timestamps(self.timestamp)

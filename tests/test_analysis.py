@@ -7,8 +7,8 @@ import pytest
 from pvprof import analysis, baselines, fitting, preprocess, sdm, synth
 from pvprof.benchmark import RunConfig, run_benchmark
 from pvprof.exceptions import ConfigError, DataError, InsufficientDataError
-from pvprof.series import DAY, WeatherSeries
-from conftest import ALPHA_ISC, CELLS, CSI_PARAMS
+from pvprof.series import DAY, TelemetrySeries, WeatherSeries
+from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls
 from oracles import scan_mpp
 
 # hand values pinned before the build
@@ -275,6 +275,12 @@ class TestInterpretabilitySweep:
                                                                   rel=1e-6)
 
 
+def _training_slices(calls):
+    """Timestamps of the telemetry slice each recorded call trained on."""
+    return [next(a for a in args if isinstance(a, TelemetrySeries)).timestamp
+            for args in calls]
+
+
 class TestTrainingLengthSweep:
     def test_single_length_single_row(self, topo, datasheet, p_nominal):
         profile = synth.WeatherProfile(days=9, seed=5)
@@ -299,31 +305,65 @@ class TestTrainingLengthSweep:
         assert res.groups[90.0] is None
         assert any("90" in n for n in res.notes)
 
-    def test_later_records_do_not_choose_earlier_training_records(
+    def test_fractional_length_trains_on_fractional_days(
             self, monkeypatch, topo, datasheet, p_nominal):
+        # 2.5 days back from midnight reaches noon of the third day back;
+        # a whole-day length would stop at the second day's first light
+        profile = synth.WeatherProfile(days=9, seed=5)
+        series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
+                                           alpha_isc=ALPHA_ISC)
+        calls = count_calls(monkeypatch, analysis, "train_model")
+        res = analysis.training_length_sweep("lr", series, (2.5,), topo=topo,
+                                             datasheet=datasheet,
+                                             p_nominal=p_nominal,
+                                             n_eval_days=3)
+        assert list(res.groups) == [2.5]
+        first = _training_slices(calls)[0]
+        assert first[-1] - first[0] > 2 * DAY
+
+    @pytest.mark.parametrize("caller", ["sweep", "rolling_fit", "runner"])
+    def test_later_records_do_not_choose_earlier_training_records(
+            self, monkeypatch, topo, datasheet, p_nominal, caller):
         # a voltage fault on the last day must leave the training records
         # of every earlier day as they were: each slice is masked on its own
         profile = synth.WeatherProfile(days=10, seed=3)
         series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
                                            alpha_isc=ALPHA_ISC)
-        last_day = (series.day_index() == series.days()[-1]) \
-            & (series.g_poa >= 50.0)
+        fault_day = series.days()[-1]
+        last_day = (series.day_index() == fault_day) & (series.g_poa >= 50.0)
         faulted = replace(series, v_dc=np.where(last_day, 0.6 * series.v_dc,
                                                 series.v_dc))
-        original = analysis.train_model
-        runs = []
-
-        def recording(name, train, **kwargs):
-            runs[-1].append(train.timestamp.copy())
-            return original(name, train, **kwargs)
-
-        monkeypatch.setattr(analysis, "train_model", recording)
-        for s in (series, faulted):
-            runs.append([])
-            analysis.training_length_sweep(
+        config = RunConfig.from_dict({
+            "system": {"topology": {"cells_in_series": CELLS,
+                                    "modules_per_string": 12,
+                                    "strings_in_parallel": 8},
+                       "p_nominal_w": p_nominal},
+            "models": ["lr"],
+            "regressors": {"lambda_grid": [1e-3], "gamma_grid": [0.5],
+                           "training_lengths_days": [3]},
+            "studies": {"exceedance": False}})
+        run = {
+            "sweep": lambda s: analysis.training_length_sweep(
                 "lr", s, (3,), topo=topo, datasheet=datasheet,
-                p_nominal=p_nominal, n_eval_days=5)
-        assert len(runs[0]) == len(runs[1]) == 5
+                p_nominal=p_nominal, n_eval_days=5),
+            "rolling_fit": lambda s: fitting.rolling_fit(
+                s, topo, np.timedelta64(3, "D"), np.timedelta64(1, "D"),
+                fitting.initial_guess(datasheet),
+                fitting.FitOptions.for_system(datasheet, topo)),
+            "runner": lambda s: run_benchmark(config, s),
+        }[caller]
+        consumer = ((fitting, "fit_window") if caller == "rolling_fit"
+                    else (analysis, "train_model"))
+        calls = count_calls(monkeypatch, *consumer)
+        runs = []
+        for s in (series, faulted):
+            run(s)
+            # only a slice that holds the faulted day may differ
+            runs.append([ts for ts in _training_slices(calls)
+                         if ts[-1] < fault_day])
+            calls.clear()
+        expected = {"sweep": 5, "rolling_fit": 7, "runner": 6}[caller]
+        assert len(runs[0]) == len(runs[1]) == expected
         for clean, after_fault in zip(*runs):
             np.testing.assert_array_equal(clean, after_fault)
 
@@ -359,8 +399,8 @@ class TestTrainPredict:
                                            noise_v=0.0, noise_i=0.0,
                                            alpha_isc=ALPHA_ISC)
         last = series.days()[-1].astype("datetime64[s]")
-        train = series.slice_time(series.timestamp[0], last)
-        train = train.select(preprocess.apply_quality_pipeline(train).retained)
+        train = preprocess.training_window(series, last, 2 * DAY,
+                                           preprocess.PreprocessConfig())
         test = series.slice_time(last, last + DAY)
         return train, WeatherSeries.from_telemetry(test)
 

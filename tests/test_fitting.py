@@ -277,6 +277,17 @@ class TestRollingFit:
                                       fitting.initial_guess(datasheet), opts)
         assert any(r.error for r in results)
 
+    @pytest.mark.parametrize("window, update", [
+        (0, 1), (-1, 1), (1, 0), (1, -1), ("NaT", 1)])
+    def test_non_positive_schedule_rejected(self, topo, datasheet, opts,
+                                            window, update):
+        # a zero update period would repeat the first window forever
+        series = make_window(days=2, topo=topo)[0]
+        with pytest.raises(ConfigError):
+            fitting.rolling_fit(series, topo, np.timedelta64(window, "D"),
+                                np.timedelta64(update, "D"),
+                                fitting.initial_guess(datasheet), opts)
+
     def test_warm_start_median_loss_not_worse(self, topo, datasheet, opts):
         profile = synth.WeatherProfile(days=8, seed=12)
         series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,

@@ -342,8 +342,50 @@ class TestCli:
         assert main(["benchmark", "--config", str(path)]) == 2
 
     def test_unreadable_config_exit_code(self, tmp_path):
-        assert main(["benchmark", "--config",
-                     str(tmp_path / "missing.json")]) == 2
+        (tmp_path / "truncated.json").write_text('{"system": ')
+        (tmp_path / "list.json").write_text("[1, 2]")
+        # a missing file, a directory, broken JSON and a non-object; --seed
+        # writes into the parsed document, so a non-object is refused first
+        for name in ("missing.json", "", "truncated.json", "list.json"):
+            assert main(["benchmark", "--config", str(tmp_path / name),
+                         "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("fit", [
+        {"max_iterations": 0}, {"max_iterations": -5},
+        {"loss_tolerance": -1.0}, {"loss_tolerance": 0.0},
+        {"loss_tolerance": float("nan")}, {"loss_tolerance": float("inf")},
+        {"window_days": 0}, {"window_days": -1}, {"window_days": float("nan")},
+        {"update_days": 0}, {"update_days": -1}],
+        ids=lambda fit: "-".join(f"{k}={v}" for k, v in fit.items()))
+    @pytest.mark.parametrize("command", ["fit", "benchmark"])
+    def test_invalid_fit_settings_exit_code(self, tmp_path, command, fit):
+        cfg = _write_config(tmp_path, extra={"fit": fit})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+
+    def test_fit_without_datasheet_exit_code(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, days=3, models=("lr",))
+        raw = json.loads(cfg.read_text())
+        del raw["system"]["datasheet"]
+        raw["system"]["p_nominal_w"] = 7000.0
+        cfg.write_text(json.dumps(raw))
+        out = str(tmp_path)
+        assert main(["synth", "--config", str(cfg), "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg), "--out", out]) == 2
+        assert "datasheet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "directory", b'{"daily": ',
+                                         b"[1, 2]"],
+                             ids=["missing", "directory", "truncated_json",
+                                  "not_object"])
+    def test_unreadable_report_exit_code(self, tmp_path, content):
+        report = tmp_path / "report.json"
+        if content == "directory":
+            report.mkdir()
+        elif content is not None:
+            report.write_bytes(content)
+        assert main(["report", "--out", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("content", [b'{"timestamp": "ts",',
                                          b'{"timestamp": "\xe9"}', None],
