@@ -5,7 +5,7 @@ system plus the pristine module datasheet, and has to find the true
 (drifted) parameters.  Compares the recovered set against the injected one.
 """
 
-from pvprof import (ArrayTopology, FitOptions, SdmParamsRef, WeatherProfile,
+from pvprof import (ArrayTopology, SdmParamsRef, WeatherProfile,
                     apply_quality_pipeline, fit_window, generate_dataset,
                     initial_guess, synthesize_datasheet)
 from pvprof.sdm import PARAM_NAMES
@@ -23,9 +23,8 @@ retained = series.select(mask.retained)
 print(f"fitting on {len(retained)} retained records "
       f"({len(series) - len(retained)} filtered out)")
 
-opts = FitOptions.for_system(datasheet, topo)
 init = initial_guess(datasheet)
-result = fit_window(retained, topo, init, opts)
+result = fit_window(retained, topo, init, datasheet)
 print(f"converged={result.converged} after {result.iterations} iterations, "
       f"loss {result.final_loss:.3e}")
 

@@ -9,9 +9,9 @@ import os
 
 import numpy as np
 
-from pvprof import (ArrayTopology, DegradationScenario, FitOptions,
-                    SdmParamsRef, WeatherProfile, generate_dataset,
-                    initial_guess, rolling_fit, synthesize_datasheet)
+from pvprof import (ArrayTopology, DegradationScenario, SdmParamsRef,
+                    WeatherProfile, generate_dataset, initial_guess,
+                    rolling_fit, synthesize_datasheet)
 from pvprof import charts
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
@@ -25,9 +25,9 @@ scenario = DegradationScenario.linear(r_s=0.15)
 series, _ = generate_dataset(truth, topo, profile, scenario,
                              noise_v=0.001, noise_i=0.001, alpha_isc=0.004)
 
-opts = FitOptions.for_system(datasheet, topo)
 results = rolling_fit(series, topo, np.timedelta64(3, "D"),
-                      np.timedelta64(1, "D"), initial_guess(datasheet), opts)
+                      np.timedelta64(1, "D"), initial_guess(datasheet),
+                      datasheet)
 good = [r for r in results if r.converged]
 print(f"{len(good)}/{len(results)} windows converged")
 

@@ -5,7 +5,7 @@ with every supported model: the dynamic re-fitted diode model, the nominal
 datasheet model, smart and naive persistence, and the two regressors.
 """
 
-from pvprof import (ArrayTopology, FitOptions, SdmParamsRef, WeatherProfile,
+from pvprof import (ArrayTopology, SdmParamsRef, WeatherProfile,
                     apply_quality_pipeline, compute_metrics, feature_matrix,
                     fit_desoto_from_datasheet, fit_window, generate_dataset,
                     initial_guess, naive_persistence, predict_regressor,
@@ -36,9 +36,8 @@ predictions = {}
 # dynamic physical model: re-fit on the trailing 3 days
 window = history.slice_time(day_start - 3 * DAY, day_start)
 mask = apply_quality_pipeline(window)
-opts = FitOptions.for_system(datasheet, topo)
 fit = fit_window(window.select(mask.retained), topo,
-                 initial_guess(datasheet), opts)
+                 initial_guess(datasheet), datasheet)
 predictions["pvpro"] = simulate_power(fit.params, weather, topo,
                                       alpha_isc=0.004)
 

@@ -22,7 +22,7 @@ from .exceptions import (ConfigError, DataError, ExtractionError,
                          FitDegeneracyError, InsufficientDataError,
                          NumericalError, PvprofError, SolverError,
                          TrainingError)
-from .fitting import (FitOptions, FitWindowResult, default_bounds, fit_window,
+from .fitting import (FitWindowResult, default_bounds, fit_window,
                       initial_guess, loss, predict_power, rolling_fit,
                       simulate_power)
 from .preprocess import (PreprocessConfig, QualityMask,

@@ -115,20 +115,18 @@ TRAINABLE_MODELS = ("pvpro", "nominal", *REGRESSOR_FAMILIES)
 
 
 def train_model(name, train: TelemetrySeries, *, topo, datasheet,
-                fit_options=None, init=None, hyperparams=None):
+                init=None, hyperparams=None):
     """Train one roster model on a clean slice of telemetry.
 
-    ``pvpro`` fits the five parameters to the slice from ``init`` (default:
-    the datasheet's initial guess) under ``fit_options`` (default:
-    ``FitOptions.for_system``) and returns the ``FitWindowResult``; ``nominal``
-    returns the datasheet extraction; ``lr``/``kr`` a ``RegressorModel``.
+    ``pvpro`` fits the five parameters of the system (``topo`` and
+    ``datasheet``) to the slice from ``init`` (default: the datasheet's
+    initial guess) and returns the ``FitWindowResult``; ``nominal`` returns
+    the datasheet extraction; ``lr``/``kr`` a ``RegressorModel``.
     """
     if name == "pvpro":
         if init is None:
             init = fitting.initial_guess(datasheet)
-        if fit_options is None:
-            fit_options = fitting.FitOptions.for_system(datasheet, topo)
-        return fitting.fit_window(train, topo, init, fit_options)
+        return fitting.fit_window(train, topo, init, datasheet)
     if name == "nominal":
         return datasheet.desoto_params
     if name in REGRESSOR_FAMILIES:
@@ -227,8 +225,7 @@ def _records_of_days(series, mask_retained, day_list):
 
 
 def weather_case_study(series: TelemetrySeries, labels, models, *,
-                       topo: sdm.ArrayTopology, datasheet,
-                       p_nominal, fit_options=None,
+                       topo: sdm.ArrayTopology, datasheet, p_nominal,
                        preprocess: PreprocessConfig = PreprocessConfig(),
                        g_min=50.0) -> StudyResult:
     """Six train/test weather combinations and the spread across them.
@@ -272,8 +269,7 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
                 raise InsufficientDataError(
                     f"case {train_kind}/{test_kind} unfillable: "
                     f"{len(train)} train / {len(test)} test records")
-            fitted = train_model(name, train, topo=topo, datasheet=datasheet,
-                                 fit_options=fit_options)
+            fitted = train_model(name, train, topo=topo, datasheet=datasheet)
             pred = predict_model(fitted, WeatherSeries.from_telemetry(test),
                                  topo=topo, datasheet=datasheet, g_min=g_min)
             case_reports[f"{train_kind}/{test_kind}"] = compute_metrics(
@@ -338,8 +334,7 @@ def interpretability_sweep(model, varied, value_range, fixed=None, *,
 
 
 def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
-                          topo, datasheet, p_nominal, fit_options=None,
-                          n_eval_days=5,
+                          topo, datasheet, p_nominal, n_eval_days=5,
                           preprocess: PreprocessConfig = PreprocessConfig(),
                           g_min=50.0) -> StudyResult:
     """Day-ahead error of one model as a function of training-window length.
@@ -369,7 +364,7 @@ def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
             train = training_window(series, day, need, preprocess)
             test = series.slice_time(day, day + DAY)
             fitted = train_model(model_name, train, topo=topo,
-                                 datasheet=datasheet, fit_options=fit_options)
+                                 datasheet=datasheet)
             preds.append(predict_model(fitted,
                                        WeatherSeries.from_telemetry(test),
                                        topo=topo, datasheet=datasheet,

@@ -478,6 +478,10 @@ class GridSearchSpec:
             _check_hyperparam("ridge lambda", float(lam), positive=False)
         for gamma in self.gamma_grid:
             _check_hyperparam("RBF gamma", float(gamma), positive=True)
+        # grid_search counts the holdout in int64 seconds; NaN fails too
+        if not 0 < float(self.holdout_days) * 86400 < 2.0 ** 63:
+            raise ConfigError(f"holdout_days must be finite and > 0 (at most "
+                              f"1e14), got {self.holdout_days!r}")
 
 
 @dataclass

@@ -5,9 +5,10 @@ that day (dynamic fit on a trailing window, regressors on their selected
 training length, persistence on the previous day) and score their prediction
 of the day from its measured weather.  A trained model trains on
 ``preprocess.training_window`` through ``analysis.train_model`` and
-``predict_model``, as the studies do, under the fit options ``RunConfig``
-builds once.  Results are pooled into aggregate and per-day metrics plus the
-enabled studies, all serialized deterministically.
+``predict_model``, as the studies do.  The dynamic fit takes the configured
+topology and datasheet, over the window length ``RunConfig`` converts to
+whole seconds at parse time.  Results are pooled into aggregate and per-day
+metrics plus the enabled studies, all serialized deterministically.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 import scipy
 
-from . import analysis, baselines, fitting
+from . import analysis, baselines
 from .exceptions import (ConfigError, ExtractionError,
                          InsufficientDataError, NumericalError, PvprofError)
 from .iotools import dumps_json
@@ -43,9 +44,8 @@ class RunConfig:
     topology: ArrayTopology
     datasheet: baselines.Datasheet | None
     preprocess: PreprocessConfig
-    window_days: float
-    update_days: float
-    fit_options: fitting.FitOptions | None
+    window_length: np.timedelta64
+    update_period: np.timedelta64
     warm_start: bool
     models: tuple
     horizon: np.timedelta64
@@ -62,7 +62,7 @@ class RunConfig:
     def from_dict(cls, raw):
         try:
             return cls._parse(dict(raw))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
 
     @classmethod
@@ -98,17 +98,17 @@ class RunConfig:
                         else float(pp["p_ac_limit_w"])))
 
         fit = raw.get("fit", {})
-        window_days = float(fit.get("window_days", 3))
-        update_days = float(fit.get("update_days", 1))
-        for key, days in (("window_days", window_days),
-                          ("update_days", update_days)):
+        for key in fit:
+            if key not in ("window_days", "update_days", "warm_start"):
+                raise ConfigError(f"unknown fit setting {key!r}")
+        lengths = {}
+        for key, default in (("window_days", 3), ("update_days", 1)):
+            days = float(fit.get(key, default))
             if not 0 < days < np.inf:
                 raise ConfigError(f"fit.{key} must be finite and > 0, "
                                   f"got {days}")
-        solver = {key: cast(fit[key]) for key, cast in (
-            ("max_iterations", int), ("loss_tolerance", float)) if key in fit}
-        fit_options = None if datasheet is None else \
-            fitting.FitOptions.for_system(datasheet, topo, **solver)
+            # whole seconds; a length past int64 raises OverflowError
+            lengths[key] = np.timedelta64(int(days * 86400), "s")
         models = tuple(raw.get("models", ("pvpro",)))
         if not models:
             raise ConfigError("model roster must be nonempty")
@@ -147,8 +147,8 @@ class RunConfig:
             mapping_path=data.get("mapping"),
             p_nominal=p_nominal, topology=topo, datasheet=datasheet,
             preprocess=preprocess,
-            window_days=window_days, update_days=update_days,
-            fit_options=fit_options,
+            window_length=lengths["window_days"],
+            update_period=lengths["update_days"],
             warm_start=bool(fit.get("warm_start", True)),
             models=models,
             horizon=np.timedelta64(int(raw.get("horizon_hours", 24)), "h"),
@@ -266,12 +266,11 @@ class _DayAheadRunner:
                     horizon=cfg.horizon)
             return fc.p_pred, None
         if name == "pvpro":
-            length = np.timedelta64(int(cfg.window_days * 86400), "s")
-            train = training_window(self.series, day_start, length,
-                                    cfg.preprocess)
+            train = training_window(self.series, day_start,
+                                    cfg.window_length, cfg.preprocess)
             fitted = analysis.train_model(
                 name, train, topo=cfg.topology, datasheet=cfg.datasheet,
-                fit_options=cfg.fit_options, init=self.warm_params)
+                init=self.warm_params)
             if cfg.warm_start and fitted.converged:
                 self.warm_params = fitted.params
         elif name == "nominal":
@@ -298,7 +297,7 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
     """Execute the full day-ahead benchmark over the evaluation span."""
     series.validate()
     days = series.days()
-    history_days = config.window_days
+    history_days = config.window_length / DAY
     if "lr" in config.models or "kr" in config.models:
         history_days = max(history_days,
                            min(config.grid_spec.training_lengths_days)
@@ -420,7 +419,6 @@ def _run_studies(config, series, aggregate, agg_inputs, trajectory,
             result = analysis.weather_case_study(
                 series, labels, trainable, topo=config.topology,
                 datasheet=config.datasheet, p_nominal=config.p_nominal,
-                fit_options=config.fit_options,
                 preprocess=config.preprocess, g_min=config.preprocess.g_min)
             studies["weather_cases"] = _study_to_json(result)
         except (InsufficientDataError, NumericalError) as exc:
@@ -455,7 +453,6 @@ def _run_studies(config, series, aggregate, agg_inputs, trajectory,
                 series, config.grid_spec.training_lengths_days,
                 topo=config.topology, datasheet=config.datasheet,
                 p_nominal=config.p_nominal,
-                fit_options=config.fit_options,
                 preprocess=config.preprocess, g_min=config.preprocess.g_min)
             studies["training_length"] = _study_to_json(result)
         except (InsufficientDataError, NumericalError) as exc:

@@ -8,10 +8,9 @@ from a benchmark report).  Exit codes: 0 success, 2 configuration error,
 """
 
 import argparse
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import charts, fitting, iotools, synth
 from .benchmark import RunConfig, run_benchmark
@@ -98,16 +97,13 @@ def cmd_synth(args):
 
 def cmd_fit(args):
     cfg = _load_config(args)
-    if cfg.fit_options is None:
+    if cfg.datasheet is None:
         raise ConfigError("fit needs a datasheet in the configuration")
     series = _load_series(cfg, os.path.dirname(args.config), args.verbose)
     init = fitting.initial_guess(cfg.datasheet)
     results = fitting.rolling_fit(
-        series, cfg.topology,
-        np.timedelta64(int(cfg.window_days * 86400), "s"),
-        np.timedelta64(int(cfg.update_days * 86400), "s"),
-        init, cfg.fit_options, preprocess=cfg.preprocess,
-        warm_start=cfg.warm_start)
+        series, cfg.topology, cfg.window_length, cfg.update_period, init,
+        cfg.datasheet, preprocess=cfg.preprocess, warm_start=cfg.warm_start)
     os.makedirs(args.out, exist_ok=True)
     iotools.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
                                  results)
@@ -181,6 +177,30 @@ def _write_metric_csvs(out_dir, report):
                                  iotools.format_float(agg["nbe_mean"])])
 
 
+def _field(value, kind, name):
+    """``value`` if it is a JSON object (``dict``) or array (``list``)."""
+    if not isinstance(value, kind):
+        raise DataError(f"report field {name} must be a JSON "
+                        f"{'object' if kind is dict else 'array'}")
+    return value
+
+
+def _numbers(value, name, gaps=False):
+    """A report's array of finite numbers as floats.  With ``gaps`` a null
+    or non-finite entry is allowed and becomes NaN, a gap in the chart."""
+    out = []
+    for v in _field(value, list, name):
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if not (number or (gaps and v is None)):
+            raise DataError(f"report field {name} must hold numbers")
+        # False for NaN, infinities and integers beyond the float range
+        finite = number and abs(v) <= sys.float_info.max
+        if not (finite or gaps):
+            raise DataError(f"report field {name} must hold finite numbers")
+        out.append(float(v) if finite else math.nan)
+    return out
+
+
 def cmd_report(args):
     report_path = args.report or os.path.join(args.out, "report.json")
     doc = iotools.read_json_object(report_path, DataError, "report")
@@ -188,11 +208,19 @@ def cmd_report(args):
 
     daily_nmae = {}
     day_labels = None
-    for model, rows in sorted(doc.get("daily", {}).items()):
-        days = [r["day"] for r in rows]
+    for model, rows in sorted(_field(doc.get("daily", {}), dict,
+                                     "daily").items()):
+        days, nmae = [], []
+        for k, row in enumerate(_field(rows, list, f"daily.{model}")):
+            where = f"daily.{model}[{k}]"
+            row = _field(row, dict, where)
+            if not isinstance(row.get("day"), str):
+                raise DataError(f"report field {where}.day must be a string")
+            days.append(row["day"])
+            nmae.append(row.get("nmae"))  # a skipped day has none: a gap
         if day_labels is None or len(days) > len(day_labels):
             day_labels = days
-        daily_nmae[model] = [r.get("nmae", float("nan")) for r in rows]
+        daily_nmae[model] = _numbers(nmae, f"daily.{model}[].nmae", gaps=True)
     if daily_nmae:
         svg = charts.line_chart(daily_nmae, "Daily day-ahead nMAE",
                                 "nMAE (fraction of nominal)",
@@ -201,9 +229,12 @@ def cmd_report(args):
                   encoding="utf-8") as fh:
             fh.write(svg)
 
-    nbe = {model: agg["nbe_series"]
-           for model, agg in sorted((doc.get("aggregate") or {}).items())
-           if agg and "nbe_series" in agg}
+    nbe = {}
+    for model, agg in sorted(_field(doc.get("aggregate") or {}, dict,
+                                    "aggregate").items()):
+        if agg and _field(agg, dict, f"aggregate.{model}").get("nbe_series"):
+            nbe[model] = _numbers(agg["nbe_series"],
+                                  f"aggregate.{model}.nbe_series")
     if nbe:
         svg = charts.histogram(nbe, "Distribution of normalized bias error",
                                "nBE (fraction of nominal)")
@@ -211,16 +242,26 @@ def cmd_report(args):
                   encoding="utf-8") as fh:
             fh.write(svg)
 
-    sweep = (doc.get("studies") or {}).get("sweep")
-    if sweep:
-        for feature, data in sorted(sweep.items()):
-            svg = charts.line_chart(
-                {name: curve for name, curve in sorted(data["curves"].items())},
-                f"Predicted power vs {feature}", "power (W)",
-                x_values=data["grid"])
-            with open(os.path.join(args.out, f"sweep_{feature}.svg"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(svg)
+    studies = _field(doc.get("studies") or {}, dict, "studies")
+    sweep = _field(studies.get("sweep") or {}, dict, "studies.sweep")
+    if "error" in sweep:  # a sweep that failed holds only its error
+        sweep = {}
+    for feature, data in sorted(sweep.items()):
+        where = f"studies.sweep.{feature}"
+        data = _field(data, dict, where)
+        grid = _numbers(data.get("grid"), f"{where}.grid")
+        curves = {name: _numbers(curve, f"{where}.curves.{name}", gaps=True)
+                  for name, curve in sorted(_field(
+                      data.get("curves"), dict, f"{where}.curves").items())}
+        if not grid or not curves \
+                or any(len(ys) != len(grid) for ys in curves.values()):
+            raise DataError(f"report field {where} needs a nonempty grid "
+                            f"and curves of the grid's length")
+        svg = charts.line_chart(curves, f"Predicted power vs {feature}",
+                                "power (W)", x_values=grid)
+        with open(os.path.join(args.out, f"sweep_{feature}.svg"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(svg)
     return EXIT_OK
 
 

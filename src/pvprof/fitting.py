@@ -3,8 +3,12 @@
 The estimator solves the nonlinear least-squares problem of matching
 simulated to measured DC voltage and current, each normalized by its
 nameplate MPP value, over a window of retained records: bounded
-trust-region-reflective least squares.  Each evaluated parameter vector costs
-one MPP solve, warm-started from the solution at the previously evaluated
+trust-region-reflective least squares.  A fit takes the system it fits:
+the array topology and the module datasheet give the loss scales, the
+photocurrent temperature coefficient and the box (``default_bounds``).  The
+solver settings are fixed: at most 200 residual evaluations and a relative
+cost-reduction stop of 1e-10.  Each evaluated parameter vector costs one MPP
+solve, warm-started from the solution at the previously evaluated
 vector (a step away, in a trust-region method); the exact Jacobian at an
 accepted point comes from that solution by implicit differentiation
 (``sdm.mpp_sensitivities_arrays``).  ``loss`` solves cold.
@@ -41,41 +45,16 @@ def default_bounds(i_sc_datasheet):
     }
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    """Loss normalization, bounds and optimizer settings for one system."""
+# the solver settings of every window fit: a cap on the residual evaluations
+# and the relative cost-reduction stop (``least_squares``' ``ftol``)
+_MAX_EVALUATIONS = 200
+_LOSS_TOLERANCE = 1e-10
 
-    bounds: dict
-    v_scale: float
-    i_scale: float
-    max_iterations: int = 200
-    loss_tolerance: float = 1e-10
-    alpha_isc: float = 0.0
 
-    def __post_init__(self):
-        if self.v_scale <= 0 or self.i_scale <= 0:
-            raise ConfigError("loss scales must be positive")
-        if not isinstance(self.max_iterations, (int, np.integer)) \
-                or self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be an integer >= 1, "
-                              f"got {self.max_iterations!r}")
-        if not 0 < self.loss_tolerance < math.inf:
-            raise ConfigError(f"loss_tolerance must be finite and > 0, "
-                              f"got {self.loss_tolerance!r}")
-        for name in PARAM_ORDER:
-            if name not in self.bounds:
-                raise ConfigError(f"bounds missing parameter {name}")
-            lo, hi = self.bounds[name]
-            if not lo < hi:
-                raise ConfigError(f"empty bound interval for {name}")
-
-    @classmethod
-    def for_system(cls, datasheet, topo: sdm.ArrayTopology, **overrides):
-        """Nameplate-normalized options: scales from the datasheet MPP."""
-        return cls(bounds=default_bounds(datasheet.i_sc),
-                   v_scale=datasheet.v_mp * topo.modules_per_string,
-                   i_scale=datasheet.i_mp * topo.strings_in_parallel,
-                   alpha_isc=datasheet.alpha_isc, **overrides)
+def _scales(datasheet, topo: sdm.ArrayTopology):
+    """Array nameplate MPP voltage and current: the units of the residuals."""
+    return (datasheet.v_mp * topo.modules_per_string,
+            datasheet.i_mp * topo.strings_in_parallel)
 
 
 @dataclass
@@ -133,8 +112,7 @@ def _to_natural(x):
     return nat
 
 
-def _simulate(x, window: TelemetrySeries, topo, opts: FitOptions,
-              start=None):
+def _simulate(x, window: TelemetrySeries, topo, datasheet, start=None):
     """Array MPP ``(v_sim, i_sim)`` of each record at transformed ``x``.
 
     ``x`` is one parameter vector (5,) or a stack (P, 5).  ``start`` is a
@@ -143,22 +121,22 @@ def _simulate(x, window: TelemetrySeries, topo, opts: FitOptions,
     nat = _to_natural(x)
     v_sim, i_sim, _ = sdm.simulate_array_mpp_arrays(
         *(nat[..., j, None] for j in range(5)), window.g_poa,
-        window.t_module, topo, opts.alpha_isc, start=start)
+        window.t_module, topo, datasheet.alpha_isc, start=start)
     return v_sim, i_sim
 
 
-def _residuals(x, window: TelemetrySeries, topo, opts: FitOptions,
-               solved=None):
+def _residuals(x, window: TelemetrySeries, topo, datasheet, solved=None):
     """Normalized voltage then current residuals, shape (..., 2N).
 
     ``solved`` is ``_simulate(x, ...)`` when the caller has it already.
     """
-    v_sim, i_sim = solved or _simulate(x, window, topo, opts)
-    return np.concatenate([(window.v_dc - v_sim) / opts.v_scale,
-                           (window.i_dc - i_sim) / opts.i_scale], axis=-1)
+    v_sim, i_sim = solved or _simulate(x, window, topo, datasheet)
+    v_scale, i_scale = _scales(datasheet, topo)
+    return np.concatenate([(window.v_dc - v_sim) / v_scale,
+                           (window.i_dc - i_sim) / i_scale], axis=-1)
 
 
-def _jacobian(x, solved, window: TelemetrySeries, topo, opts: FitOptions):
+def _jacobian(x, solved, window: TelemetrySeries, topo, datasheet):
     """Exact Jacobian (2N, 5) of ``_residuals`` at one ``x``.
 
     ``solved`` is ``_simulate(x, ...)``; the MPP sensitivities come from
@@ -166,24 +144,27 @@ def _jacobian(x, solved, window: TelemetrySeries, topo, opts: FitOptions):
     """
     nat = _to_natural(x)
     dv, di = sdm.mpp_sensitivities_arrays(
-        *solved, *nat, window.g_poa, window.t_module, topo, opts.alpha_isc)
+        *solved, *nat, window.g_poa, window.t_module, topo,
+        datasheet.alpha_isc)
     # d(natural)/dx is 1 on the linear and nat*ln(10) on the log10 columns
     chain = np.where(_LOG_MASK, nat * math.log(10.0), 1.0)
-    jac = np.concatenate([dv / -opts.v_scale, di / -opts.i_scale]) * chain
+    v_scale, i_scale = _scales(datasheet, topo)
+    jac = np.concatenate([dv / -v_scale, di / -i_scale]) * chain
     if not np.all(np.isfinite(jac)):
         raise NumericalError("non-finite MPP sensitivities")
     return jac
 
 
 def loss(params: sdm.SdmParamsRef, window: TelemetrySeries,
-         topo: sdm.ArrayTopology, opts: FitOptions):
+         topo: sdm.ArrayTopology, datasheet):
     """Mean normalized squared V/I mismatch per record of one parameter set.
 
     Raises ``FitDegeneracyError`` if any record is unsolvable.
     """
     if len(window) == 0:
         raise InsufficientDataError("empty window")
-    r = _residuals(_to_transformed(params.as_array()), window, topo, opts)
+    r = _residuals(_to_transformed(params.as_array()), window, topo,
+                   datasheet)
     unsolvable = np.count_nonzero(~np.isfinite(r.reshape(2, -1)).all(axis=0))
     if unsolvable:
         raise FitDegeneracyError(
@@ -192,14 +173,15 @@ def loss(params: sdm.SdmParamsRef, window: TelemetrySeries,
 
 
 def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
-               init: sdm.SdmParamsRef, opts: FitOptions) -> FitWindowResult:
+               init: sdm.SdmParamsRef, datasheet) -> FitWindowResult:
     """Fit the five parameters to one window of retained telemetry.
 
     Bounded trust-region-reflective least squares on the residual vector in
-    the transformed (log/linear) parameter space.  ``max_iterations`` caps
-    the residual evaluations; ``converged`` means a tolerance stop (such as
-    the relative cost reduction falling below ``loss_tolerance``) was met
-    before that cap.  Every record must be solvable at ``init``.
+    the transformed (log/linear) parameter space, inside
+    ``default_bounds(datasheet.i_sc)``.  At most 200 residual evaluations
+    run; ``converged`` means a tolerance stop (such as the relative cost
+    reduction falling below 1e-10) was met before that cap.  Every record
+    must be solvable at ``init``.
     """
     if len(window) < 50:
         raise InsufficientDataError(
@@ -208,8 +190,9 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
     if span < DAY:
         raise InsufficientDataError("window must span at least one day")
 
-    lo = np.array([opts.bounds[n][0] for n in PARAM_ORDER])
-    hi = np.array([opts.bounds[n][1] for n in PARAM_ORDER])
+    bounds = default_bounds(datasheet.i_sc)
+    lo = np.array([bounds[n][0] for n in PARAM_ORDER])
+    hi = np.array([bounds[n][1] for n in PARAM_ORDER])
     x0 = _to_transformed(np.clip(init.as_array(), lo, hi))
     # the last solved point: TRF asks for the Jacobian only at the point
     # whose residuals it has just evaluated
@@ -218,8 +201,8 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
     def residuals(x):
         # TRF's successive points are close, so each solve starts from the
         # last one; its non-finite rows start cold
-        solved = _simulate(x, window, topo, opts, last.get("solved"))
-        r = _residuals(x, window, topo, opts, solved)
+        solved = _simulate(x, window, topo, datasheet, last.get("solved"))
+        r = _residuals(x, window, topo, datasheet, solved)
         # the first call is TRF's own evaluation of the (strictly feasible)
         # initial guess; later non-finite trial steps TRF rejects by itself
         if not last and not np.all(np.isfinite(r)):
@@ -230,12 +213,12 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
     def jacobian(x):
         if not np.array_equal(x, last["x"]):
             residuals(x)
-        return _jacobian(x, last["solved"], window, topo, opts)
+        return _jacobian(x, last["solved"], window, topo, datasheet)
 
     # TRF only accepts steps that lower the cost, so res.x is the best iterate
     res = least_squares(residuals, x0, jac=jacobian, method="trf",
                         bounds=(_to_transformed(lo), _to_transformed(hi)),
-                        ftol=opts.loss_tolerance, max_nfev=opts.max_iterations)
+                        ftol=_LOSS_TOLERANCE, max_nfev=_MAX_EVALUATIONS)
     nat = np.clip(_to_natural(res.x), lo, hi)
     return FitWindowResult(
         window_start=window.timestamp[0], window_end=window.timestamp[-1],
@@ -247,7 +230,7 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
 
 def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
                 window_length, update_period, init: sdm.SdmParamsRef,
-                opts: FitOptions,
+                datasheet,
                 preprocess: PreprocessConfig = PreprocessConfig(),
                 warm_start=True):
     """Periodic re-fits over trailing windows.
@@ -276,7 +259,7 @@ def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
     while u <= data_end:
         try:
             retained = training_window(series, u, window_length, preprocess)
-            result = fit_window(retained, topo, current, opts)
+            result = fit_window(retained, topo, current, datasheet)
             result = replace(result, window_start=u - window_length, window_end=u)
             if warm_start and result.converged:
                 current = result.params

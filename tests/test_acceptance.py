@@ -90,10 +90,9 @@ def test_c02_noiseless_recovery(datasheet):
                                            alpha_isc=ALPHA_ISC)
         mask = preprocess.apply_quality_pipeline(series)
         retained = series.select(mask.retained)
-        opts = fitting.FitOptions.for_system(datasheet, TOPO)
         init = fitting.initial_guess(datasheet)
         start = time.perf_counter()
-        result = fitting.fit_window(retained, TOPO, init, opts)
+        result = fitting.fit_window(retained, TOPO, init, datasheet)
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"fit took {elapsed:.2f} s"
         assert result.converged
@@ -106,7 +105,6 @@ def test_c02_noiseless_recovery(datasheet):
 def test_c03_noisy_recovery(datasheet):
     with criterion(3, "0.5% noise, 10 seeds: median errors iph/rs/n <= 5%, "
                       "i0 within one decade with Voc consistent to 0.5%"):
-        opts = fitting.FitOptions.for_system(datasheet, TOPO)
         init = fitting.initial_guess(datasheet)
         stc = sdm.OperatingConditions(1000.0, 25.0)
         voc_true = sdm.open_circuit_voltage(
@@ -121,7 +119,7 @@ def test_c03_noisy_recovery(datasheet):
                                                alpha_isc=ALPHA_ISC)
             mask = preprocess.apply_quality_pipeline(series)
             result = fitting.fit_window(series.select(mask.retained), TOPO,
-                                        init, opts)
+                                        init, datasheet)
             fit = result.params
             errs.append(np.abs(fit.as_array() - CSI_PARAMS.as_array())
                         / CSI_PARAMS.as_array())
@@ -149,10 +147,10 @@ def test_c04_degradation_tracking(datasheet):
                                            scenario=scenario,
                                            noise_v=0.001, noise_i=0.001,
                                            alpha_isc=ALPHA_ISC)
-        opts = fitting.FitOptions.for_system(datasheet, TOPO)
         results = fitting.rolling_fit(series, TOPO, np.timedelta64(3, "D"),
                                       np.timedelta64(1, "D"),
-                                      fitting.initial_guess(datasheet), opts)
+                                      fitting.initial_guess(datasheet),
+                                      datasheet)
         good = [r for r in results if r.converged]
         assert len(good) > 50
         t0 = series.timestamp[0]

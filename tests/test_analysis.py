@@ -348,8 +348,7 @@ class TestTrainingLengthSweep:
                 p_nominal=p_nominal, n_eval_days=5),
             "rolling_fit": lambda s: fitting.rolling_fit(
                 s, topo, np.timedelta64(3, "D"), np.timedelta64(1, "D"),
-                fitting.initial_guess(datasheet),
-                fitting.FitOptions.for_system(datasheet, topo)),
+                fitting.initial_guess(datasheet), datasheet),
             "runner": lambda s: run_benchmark(config, s),
         }[caller]
         consumer = ((fitting, "fit_window") if caller == "rolling_fit"
@@ -404,9 +403,9 @@ class TestTrainPredict:
         test = series.slice_time(last, last + DAY)
         return train, WeatherSeries.from_telemetry(test)
 
-    def _pair(self, name, train, weather, topo, datasheet, opts):
+    def _pair(self, name, train, weather, topo, datasheet):
         fitted = analysis.train_model(name, train, topo=topo,
-                                      datasheet=datasheet, fit_options=opts)
+                                      datasheet=datasheet)
         return analysis.predict_model(fitted, weather, topo=topo,
                                       datasheet=datasheet, g_min=50.0)
 
@@ -416,14 +415,13 @@ class TestTrainPredict:
 
     def test_physical_models_match_direct_calls(self, split, topo, datasheet):
         train, weather = split
-        opts = fitting.FitOptions.for_system(datasheet, topo)
         fit = fitting.fit_window(train, topo, fitting.initial_guess(datasheet),
-                                 opts)
+                                 datasheet)
         direct = {"pvpro": fit.params,
                   "nominal": baselines.fit_desoto_from_datasheet(datasheet)}
         for name, params in direct.items():
             np.testing.assert_array_equal(
-                self._pair(name, train, weather, topo, datasheet, opts),
+                self._pair(name, train, weather, topo, datasheet),
                 self._simulate(params, weather, topo, datasheet))
 
     @pytest.mark.parametrize("name, family", [("lr", "linear"),
@@ -437,14 +435,14 @@ class TestTrainPredict:
         Xq = baselines.feature_matrix(weather.timestamp, weather.g_poa,
                                       weather.t_cell)
         np.testing.assert_array_equal(
-            self._pair(name, train, weather, topo, datasheet, None),
+            self._pair(name, train, weather, topo, datasheet),
             baselines.predict_regressor(model, Xq))
 
     @pytest.mark.parametrize("name", ["smart_persistence", "svr"])
     def test_unknown_model_rejected(self, split, topo, datasheet, name):
         with pytest.raises(ConfigError):
             analysis.train_model(name, split[0], topo=topo,
-                                 datasheet=datasheet, fit_options=None)
+                                 datasheet=datasheet)
 
 
 @pytest.mark.parametrize("entry", ["rolling_fit", "weather_case_study",
@@ -461,8 +459,7 @@ def test_entry_points_reject_non_finite_telemetry(entry, topo, datasheet,
     calls = {
         "rolling_fit": lambda: fitting.rolling_fit(
             series, topo, np.timedelta64(3, "D"), np.timedelta64(1, "D"),
-            fitting.initial_guess(datasheet),
-            fitting.FitOptions.for_system(datasheet, topo)),
+            fitting.initial_guess(datasheet), datasheet),
         "weather_case_study": lambda: analysis.weather_case_study(
             series, labels, ["lr"], topo=topo, datasheet=datasheet,
             p_nominal=p_nominal),

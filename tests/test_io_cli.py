@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pvprof import charts, iotools, synth
+from pvprof.benchmark import RunConfig
 from pvprof.cli import main
-from pvprof.exceptions import DataError
+from pvprof.exceptions import ConfigError, DataError
 from pvprof.sdm import ArrayTopology
 from conftest import ALPHA_ISC, CSI_PARAMS
 
@@ -229,6 +230,45 @@ class TestTelemetryCsvFuzz:
             iotools.read_telemetry_csv(path)
 
 
+# a roster_studies-shaped configuration whose length and filter settings
+# the fuzz test overwrites
+_FUZZ_BASE = {
+    "system": {"topology": {"cells_in_series": 72, "modules_per_string": 12,
+                            "strings_in_parallel": 8},
+               "datasheet": {"v_oc": 49.17, "i_sc": 9.49, "v_mp": 40.03,
+                             "i_mp": 8.91, "alpha_isc": 0.004,
+                             "beta_voc": -0.176, "cells_in_series": 72}},
+    "models": ["pvpro", "smart_persistence", "naive_persistence", "nominal",
+               "lr", "kr"],
+    "regressors": {"lambda_grid": [1e-3, 1e-1], "gamma_grid": [0.5, 2.0],
+                   "training_lengths_days": [3]},
+}
+_FUZZ_KEYS = (("fit", "window_days"), ("fit", "update_days"),
+              ("fit", "warm_start"), (None, "horizon_hours"),
+              ("regressors", "holdout_days"), ("preprocess", "g_min"),
+              ("preprocess", "k_sigma"), ("preprocess", "clip_band"),
+              ("preprocess", "clip_run"), ("preprocess", "p_ac_limit_w"))
+_ANY_SETTING = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e300, -1e300, 1e-300, 0.0, -1.0, 3.0]),
+    st.integers(-10 ** 400, 10 ** 400), st.booleans(), st.none(),
+    st.text(max_size=6), st.lists(st.integers(0, 9), max_size=2))
+
+
+class TestRunConfigFuzz:
+    @given(settings=st.fixed_dictionaries(
+        {}, optional={key: _ANY_SETTING for key in _FUZZ_KEYS}))
+    def test_config_parses_or_raises_config_error(self, settings):
+        raw = json.loads(json.dumps(_FUZZ_BASE))
+        for (section, key), value in settings.items():
+            (raw.setdefault(section, {}) if section else raw)[key] = value
+        try:
+            config = RunConfig.from_dict(raw)
+        except ConfigError:
+            return
+        assert isinstance(config, RunConfig)
+
+
 class TestJson:
     def test_seventeen_digit_floats(self):
         text = iotools.dumps_json({"x": 0.1})
@@ -355,12 +395,35 @@ class TestCli:
         {"loss_tolerance": -1.0}, {"loss_tolerance": 0.0},
         {"loss_tolerance": float("nan")}, {"loss_tolerance": float("inf")},
         {"window_days": 0}, {"window_days": -1}, {"window_days": float("nan")},
-        {"update_days": 0}, {"update_days": -1}],
+        {"window_days": 1e300}, {"update_days": 0}, {"update_days": -1},
+        {"window_dayz": 3}],
         ids=lambda fit: "-".join(f"{k}={v}" for k, v in fit.items()))
     @pytest.mark.parametrize("command", ["fit", "benchmark"])
     def test_invalid_fit_settings_exit_code(self, tmp_path, command, fit):
         cfg = _write_config(tmp_path, extra={"fit": fit})
         assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key", ["max_iterations", "loss_tolerance",
+                                     "window_dayz"])
+    def test_unknown_fit_setting_is_named(self, tmp_path, capsys, key):
+        # the evaluation cap and tolerance are fixed; a config that still
+        # sets one must not run silently under the fixed value
+        cfg = _write_config(tmp_path, extra={"fit": {key: 50}})
+        assert main(["benchmark", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        {"horizon_hours": 1e300}, {"horizon_hours": float("nan")},
+        {"horizon_hours": float("inf")},
+        {"regressors": {"holdout_days": 1e300}},
+        {"regressors": {"holdout_days": float("nan")}},
+        {"regressors": {"holdout_days": 0}}],
+        ids=lambda extra: json.dumps(extra))
+    def test_invalid_lengths_exit_code(self, tmp_path, extra):
+        cfg = _write_config(tmp_path, models=("pvpro", "lr"), extra=extra)
+        assert main(["benchmark", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
 
     def test_fit_without_datasheet_exit_code(self, tmp_path, capsys):
@@ -375,10 +438,14 @@ class TestCli:
         assert main(["fit", "--config", str(cfg), "--out", out]) == 2
         assert "datasheet" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [None, "directory", b'{"daily": ',
-                                         b"[1, 2]"],
-                             ids=["missing", "directory", "truncated_json",
-                                  "not_object"])
+    @pytest.mark.parametrize("content", [
+        None, "directory", b'{"daily": ', b"[1, 2]",
+        b'{"daily": {"m": [1]}}', b'{"aggregate": [1]}',
+        b'{"studies": {"sweep": {"g_poa": 1}}}',
+        b'{"daily": {"m": [{"day": "d", "nmae": "x"}]}}'],
+        ids=["missing", "directory", "truncated_json", "not_object",
+             "daily_row_not_object", "aggregate_not_object",
+             "sweep_feature_not_object", "nmae_not_number"])
     def test_unreadable_report_exit_code(self, tmp_path, content):
         report = tmp_path / "report.json"
         if content == "directory":
@@ -386,6 +453,16 @@ class TestCli:
         elif content is not None:
             report.write_bytes(content)
         assert main(["report", "--out", str(tmp_path)]) == 3
+
+    def test_report_charts_around_a_failed_sweep(self, tmp_path):
+        # a sweep study whose reference extraction failed holds its error
+        (tmp_path / "report.json").write_text(json.dumps({
+            "daily": {"m": [{"day": "2024-06-01", "nmae": 0.01},
+                            {"day": "2024-06-02", "skipped": "no data"}]},
+            "studies": {"sweep": {"error": "extraction failed"}}}))
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "daily_nmae.svg").exists()
+        assert not list(tmp_path.glob("sweep_*.svg"))
 
     @pytest.mark.parametrize("content", [b'{"timestamp": "ts",',
                                          b'{"timestamp": "\xe9"}', None],

@@ -134,8 +134,7 @@ class TestGenerateDataset:
                                            noise_v=0.0, noise_i=0.0,
                                            alpha_isc=datasheet.alpha_isc)
         daylight = series.select(series.g_poa >= 50.0)
-        opts = fitting.FitOptions.for_system(datasheet, topo)
-        assert fitting.loss(CSI_PARAMS, daylight, topo, opts) < 1e-12
+        assert fitting.loss(CSI_PARAMS, daylight, topo, datasheet) < 1e-12
 
     def test_ground_truth_log_round_trips(self):
         profile = synth.WeatherProfile(days=4, cloud_days=(2,), seed=5)

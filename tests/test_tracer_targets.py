@@ -33,7 +33,6 @@ def test_fit_window_solves_through_the_traced_simulation(monkeypatch, topo,
         alpha_isc=ALPHA_ISC)
     daylight = series.select(series.g_poa >= 50.0)
     init = fitting.initial_guess(datasheet)
-    opts = fitting.FitOptions.for_system(datasheet, topo)
     calls = []
     original = sdm.simulate_array_mpp_arrays
 
@@ -42,7 +41,7 @@ def test_fit_window_solves_through_the_traced_simulation(monkeypatch, topo,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sdm, "simulate_array_mpp_arrays", counting)
-    result = fitting.fit_window(daylight, topo, init, opts)
+    result = fitting.fit_window(daylight, topo, init, datasheet)
     assert result.iterations > 0
     assert len(calls) >= result.iterations
 
@@ -57,11 +56,11 @@ def test_fit_window_solves_each_parameter_row_once(monkeypatch, topo,
         CSI_PARAMS, topo, synth.WeatherProfile(days=3, seed=1),
         alpha_isc=ALPHA_ISC)
     daylight = series.select(series.g_poa >= 50.0)
-    opts = fitting.FitOptions.for_system(datasheet, topo)
-    lo, hi = (np.array([opts.bounds[n][k] for n in fitting.PARAM_ORDER])
+    bounds = fitting.default_bounds(datasheet.i_sc)
+    lo, hi = (np.array([bounds[n][k] for n in fitting.PARAM_ORDER])
               for k in (0, 1))
     guess = fitting.initial_guess(datasheet)
-    on_bound = replace(guess, r_sh_ref=opts.bounds["r_sh_ref"][1])
+    on_bound = replace(guess, r_sh_ref=bounds["r_sh_ref"][1])
     rows = []
     original = sdm.simulate_array_mpp_arrays
 
@@ -73,7 +72,7 @@ def test_fit_window_solves_each_parameter_row_once(monkeypatch, topo,
     monkeypatch.setattr(sdm, "simulate_array_mpp_arrays", recording)
     for init in (guess, on_bound):
         rows.clear()
-        result = fitting.fit_window(daylight, topo, init, opts)
+        result = fitting.fit_window(daylight, topo, init, datasheet)
         assert result.iterations > 1
         assert len(set(rows)) == len(rows)
         assert np.all((np.array(rows) > lo) & (np.array(rows) < hi))
