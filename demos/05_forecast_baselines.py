@@ -38,13 +38,13 @@ window = history.slice_time(day_start - 3 * DAY, day_start)
 mask = apply_quality_pipeline(window)
 fit = fit_window(window.select(mask.retained), topo,
                  initial_guess(datasheet), datasheet)
-predictions["pvpro"] = simulate_power(fit.params, weather, topo,
-                                      alpha_isc=0.004)
+predictions["pvpro"] = simulate_power(fit.params, test.g_poa, test.t_module,
+                                      topo, alpha_isc=0.004)
 
 # nominal model: datasheet parameters, never updated
 nominal = fit_desoto_from_datasheet(datasheet)
-predictions["nominal"] = simulate_power(nominal, weather, topo,
-                                        alpha_isc=0.004)
+predictions["nominal"] = simulate_power(nominal, test.g_poa, test.t_module,
+                                        topo, alpha_isc=0.004)
 
 # persistence
 prev = history.slice_time(day_start - DAY, day_start)

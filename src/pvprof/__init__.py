@@ -11,9 +11,8 @@ from .analysis import (MetricsReport, StudyResult, classify_days,
                        compute_metrics, exceedance_density,
                        interpretability_sweep, seasonal_partition,
                        training_length_sweep, weather_case_study)
-from .baselines import (Datasheet, FeatureVector, GridSearchSpec,
-                        RegressorModel, feature_matrix,
-                        fit_desoto_from_datasheet, grid_search,
+from .baselines import (Datasheet, GridSearchSpec, RegressorModel,
+                        feature_matrix, fit_desoto_from_datasheet, grid_search,
                         naive_persistence, predict_regressor,
                         smart_persistence, synthesize_datasheet,
                         train_regressor)
@@ -23,8 +22,7 @@ from .exceptions import (ConfigError, DataError, ExtractionError,
                          NumericalError, PvprofError, SolverError,
                          TrainingError)
 from .fitting import (FitWindowResult, default_bounds, fit_window,
-                      initial_guess, loss, predict_power, rolling_fit,
-                      simulate_power)
+                      initial_guess, loss, rolling_fit, simulate_power)
 from .preprocess import (PreprocessConfig, QualityMask,
                          apply_quality_pipeline, filter_clipping,
                          filter_night, remove_outliers_regression)

@@ -2,10 +2,11 @@
 
 Nameplate-normalized error metrics (nMAE, nRMSE, per-sample bias); the
 ``train_model``/``predict_model`` pair that trains a roster model on a clean
-telemetry slice and predicts power from weather; and the study suite:
-seasonal partition, weather-condition train/test cases, bias-exceedance
-densities, one-feature interpretability sweeps, and the training-length
-sweep.
+telemetry slice and predicts power from ``baselines.feature_matrix`` rows of
+measured weather (``predict_model`` is the one route from any model to
+power, the interpretability sweep's included); and the study suite: seasonal
+partition, weather-condition train/test cases, bias-exceedance densities,
+one-feature interpretability sweeps, and the training-length sweep.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from . import baselines, fitting, sdm
 from .exceptions import ConfigError, DataError, InsufficientDataError
 from .preprocess import (PreprocessConfig, apply_quality_pipeline,
                          training_window)
-from .series import DAY, TelemetrySeries, WeatherSeries, _as_timestamps
+from .series import DAY, TelemetrySeries, _as_timestamps
 
 DEFAULT_EXCEEDANCE_THRESHOLDS = (0.10, 0.20)
 DEFAULT_CLEAR_THRESHOLD = 0.05
@@ -137,16 +138,27 @@ def train_model(name, train: TelemetrySeries, *, topo, datasheet,
     raise ConfigError(f"model {name!r} is not trainable")
 
 
-def predict_model(fitted, weather: WeatherSeries, *, topo, datasheet, g_min):
-    """Power predicted by a ``train_model`` result from measured weather."""
+def predict_model(fitted, features, *, topo, datasheet, g_min):
+    """Power predicted by a trained model from ``feature_matrix`` rows.
+
+    This is the one route from a model to power.  ``features`` holds
+    ``[g_poa, t_module, hod]`` rows.  A ``RegressorModel`` reads all three;
+    a physical model (an ``SdmParamsRef``, or a ``FitWindowResult``'s
+    parameters) simulates the array of ``topo`` from irradiance and
+    temperature, with the datasheet's ``alpha_isc`` (0 without one), and
+    gives zero power below ``g_min``.
+    """
     if isinstance(fitted, baselines.RegressorModel):
-        X = baselines.feature_matrix(weather.timestamp, weather.g_poa,
-                                     weather.t_cell)
-        return baselines.predict_regressor(fitted, X)
+        return baselines.predict_regressor(fitted, features)
     if isinstance(fitted, fitting.FitWindowResult):
         fitted = fitted.params
-    return fitting.simulate_power(fitted, weather, topo, g_min=g_min,
-                                  alpha_isc=datasheet.alpha_isc)
+    if not isinstance(fitted, sdm.SdmParamsRef):
+        raise ConfigError(f"cannot predict from a {type(fitted).__name__}")
+    if topo is None:
+        raise ConfigError("a physical model needs the array topology")
+    alpha_isc = datasheet.alpha_isc if datasheet is not None else 0.0
+    return fitting.simulate_power(fitted, features[:, 0], features[:, 1],
+                                  topo, g_min=g_min, alpha_isc=alpha_isc)
 
 
 _SEASON_BY_MONTH = {3: "spring", 4: "spring", 5: "spring",
@@ -270,8 +282,10 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
                     f"case {train_kind}/{test_kind} unfillable: "
                     f"{len(train)} train / {len(test)} test records")
             fitted = train_model(name, train, topo=topo, datasheet=datasheet)
-            pred = predict_model(fitted, WeatherSeries.from_telemetry(test),
-                                 topo=topo, datasheet=datasheet, g_min=g_min)
+            X = baselines.feature_matrix(test.timestamp, test.g_poa,
+                                         test.t_module)
+            pred = predict_model(fitted, X, topo=topo, datasheet=datasheet,
+                                 g_min=g_min)
             case_reports[f"{train_kind}/{test_kind}"] = compute_metrics(
                 pred, test.power, p_nominal, daylight_only=True,
                 g_poa=test.g_poa, g_min=g_min)
@@ -285,50 +299,32 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
     return StudyResult("weather_cases", groups, cv_of_cases=cv, notes=notes)
 
 
-def interpretability_sweep(model, varied, value_range, fixed=None, *,
-                           topo=None, datasheet=None, reference_params=None,
+_SWEEP_FEATURES = ("g_poa", "t_module", "hod")
+# the sweep's fixed inputs, in ``_SWEEP_FEATURES`` order
+_SWEEP_CENTRE = (1000.0, 25.0, 0.5)
+
+
+def interpretability_sweep(model, varied, value_range, *, topo=None,
+                           datasheet=None, reference_params=None,
                            n_points=101, g_min=0.0) -> StudyResult:
     """Predicted power while one input varies and the others stay fixed.
 
-    ``model`` may be a trained regressor, a reference parameter set, or a
-    fitted window result (physical models ignore the hour feature).  When
-    ``reference_params`` is given a reference curve simulated from those
+    The inputs are ``feature_matrix`` rows held at 1000 W/m^2, 25 degC and
+    mid-day, with ``varied`` swept over ``value_range``; ``model`` is any
+    model ``predict_model`` takes (physical models ignore the hour).  When
+    ``reference_params`` is given a reference curve predicted from those
     parameters is emitted alongside.
     """
-    if fixed is None:
-        fixed = baselines.FeatureVector(g_poa=1000.0, t_module=25.0, hod=0.5)
-    if varied not in ("g_poa", "t_module", "hod"):
+    if varied not in _SWEEP_FEATURES:
         raise ConfigError(f"unknown sweep feature {varied!r}")
     grid = np.linspace(float(value_range[0]), float(value_range[1]), n_points)
-
-    def physical_curve(params):
-        if topo is None:
-            raise ConfigError("physical sweep needs the array topology")
-        alpha = datasheet.alpha_isc if datasheet is not None else 0.0
-        g = np.full(n_points, fixed.g_poa)
-        t = np.full(n_points, fixed.t_module)
-        if varied == "g_poa":
-            g = grid
-        elif varied == "t_module":
-            t = grid
-        _, _, p = sdm.simulate_array_mpp_arrays(
-            params.i_ph_ref, params.i_0_ref, params.r_s, params.r_sh_ref,
-            params.n_diode, g, t, topo, alpha)
-        return np.where(g < g_min, 0.0, p)
-
-    curves = {}
-    if isinstance(model, baselines.RegressorModel):
-        X = np.tile(fixed.as_array(), (n_points, 1))
-        X[:, ("g_poa", "t_module", "hod").index(varied)] = grid
-        curves["model"] = baselines.predict_regressor(model, X)
-    elif isinstance(model, fitting.FitWindowResult):
-        curves["model"] = physical_curve(model.params)
-    elif isinstance(model, sdm.SdmParamsRef):
-        curves["model"] = physical_curve(model)
-    else:
-        raise ConfigError(f"cannot sweep a {type(model).__name__}")
+    X = np.tile(_SWEEP_CENTRE, (n_points, 1))
+    X[:, _SWEEP_FEATURES.index(varied)] = grid
+    curves = {"model": predict_model(model, X, topo=topo,
+                                     datasheet=datasheet, g_min=g_min)}
     if reference_params is not None:
-        curves["reference"] = physical_curve(reference_params)
+        curves["reference"] = predict_model(reference_params, X, topo=topo,
+                                            datasheet=datasheet, g_min=g_min)
     return StudyResult("sweep", {"feature": varied, "grid": grid,
                                  "curves": curves})
 
@@ -365,10 +361,10 @@ def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
             test = series.slice_time(day, day + DAY)
             fitted = train_model(model_name, train, topo=topo,
                                  datasheet=datasheet)
-            preds.append(predict_model(fitted,
-                                       WeatherSeries.from_telemetry(test),
-                                       topo=topo, datasheet=datasheet,
-                                       g_min=g_min))
+            X = baselines.feature_matrix(test.timestamp, test.g_poa,
+                                         test.t_module)
+            preds.append(predict_model(fitted, X, topo=topo,
+                                       datasheet=datasheet, g_min=g_min))
             meas.append(test.power)
             gs.append(test.g_poa)
         report = compute_metrics(np.concatenate(preds), np.concatenate(meas),

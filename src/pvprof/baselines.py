@@ -301,22 +301,6 @@ def _horizon_index(ts_h, ts_f, horizon):
     return idx
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Regressor inputs: irradiance, module temperature, normalized hour."""
-
-    g_poa: float
-    t_module: float
-    hod: float    # hour of day / 24, in [0, 1)
-
-    def __post_init__(self):
-        if not 0.0 <= self.hod < 1.0:
-            raise ValueError(f"hod must lie in [0, 1), got {self.hod}")
-
-    def as_array(self):
-        return np.array([self.g_poa, self.t_module, self.hod])
-
-
 def feature_matrix(timestamps, g_poa, t_module):
     """(n, 3) matrix of [g_poa, t_module, hour/24] rows."""
     hod = hour_of_day(timestamps) / 24.0

@@ -4,11 +4,15 @@ For every forecast day the roster models are trained strictly on data before
 that day (dynamic fit on a trailing window, regressors on their selected
 training length, persistence on the previous day) and score their prediction
 of the day from its measured weather.  A trained model trains on
-``preprocess.training_window`` through ``analysis.train_model`` and
-``predict_model``, as the studies do.  The dynamic fit takes the configured
-topology and datasheet, over the window length ``RunConfig`` converts to
-whole seconds at parse time.  Results are pooled into aggregate and per-day
-metrics plus the enabled studies, all serialized deterministically.
+``preprocess.training_window`` through ``analysis.train_model`` and predicts
+from ``feature_matrix`` rows of the day's weather through ``predict_model``,
+as the studies do, so the day's measured power never reaches a prediction.
+The dynamic fit takes the configured topology and datasheet, over the window
+length ``RunConfig`` converts to whole seconds at parse time.  It predicts
+from TRF's best iterate even when the fit hit its evaluation cap;
+``trajectory.csv`` flags such a fit as not converged.  The sweep study
+predicts from the last window fit.  Results are pooled into aggregate and
+per-day metrics plus the enabled studies, all serialized deterministically.
 """
 
 import hashlib
@@ -32,6 +36,17 @@ KNOWN_MODELS = ("pvpro", "smart_persistence", "naive_persistence",
                 "nominal", "lr", "kr")
 KNOWN_STUDIES = ("seasonal", "weather_cases", "exceedance", "sweep",
                  "training_length")
+
+
+def _section(raw, name, default=None):
+    """Top-level config section ``name``: ``default`` when it is absent,
+    else the JSON object it must be."""
+    if name not in raw:
+        return default
+    if not isinstance(raw[name], dict):
+        raise ConfigError(f"configuration section {name!r} must be a JSON "
+                          f"object, not {type(raw[name]).__name__}")
+    return raw[name]
 
 
 @dataclass
@@ -67,8 +82,8 @@ class RunConfig:
 
     @classmethod
     def _parse(cls, raw):
-        data = raw.get("data", {})
-        system = raw.get("system")
+        data = _section(raw, "data", {})
+        system = _section(raw, "system")
         if system is None:
             raise ConfigError("configuration needs a 'system' section")
         topo_d = system.get("topology")
@@ -88,7 +103,7 @@ class RunConfig:
             p_nominal = (datasheet.v_mp * topo.modules_per_string
                          * datasheet.i_mp * topo.strings_in_parallel)
 
-        pp = raw.get("preprocess", {})
+        pp = _section(raw, "preprocess", {})
         preprocess = PreprocessConfig(
             g_min=float(pp.get("g_min", 50.0)),
             k_sigma=float(pp.get("k_sigma", 3.0)),
@@ -97,7 +112,7 @@ class RunConfig:
             p_ac_limit=(None if pp.get("p_ac_limit_w") is None
                         else float(pp["p_ac_limit_w"])))
 
-        fit = raw.get("fit", {})
+        fit = _section(raw, "fit", {})
         for key in fit:
             if key not in ("window_days", "update_days", "warm_start"):
                 raise ConfigError(f"unknown fit setting {key!r}")
@@ -119,7 +134,7 @@ class RunConfig:
             raise ConfigError("the nominal and dynamic physical models need "
                               "a datasheet in the configuration")
 
-        reg = raw.get("regressors", {})
+        reg = _section(raw, "regressors", {})
         grid_spec = baselines.GridSearchSpec(
             lambda_grid=tuple(reg.get("lambda_grid",
                                       baselines.DEFAULT_LAMBDA_GRID)),
@@ -131,12 +146,19 @@ class RunConfig:
 
         studies = {name: False for name in KNOWN_STUDIES}
         studies["exceedance"] = True
-        for name, on in raw.get("studies", {}).items():
+        for name, on in _section(raw, "studies", {}).items():
             if name not in KNOWN_STUDIES:
                 raise ConfigError(f"unknown study {name!r}")
             studies[name] = bool(on)
 
-        ev = raw.get("evaluation", {})
+        hours = raw.get("horizon_hours", 24)
+        # persistence subtracts the horizon from a day in int64 seconds;
+        # past 1e15 h (3.6e18 s) that would wrap silently
+        if not (float(hours).is_integer() and 1 <= float(hours) <= 1e15):
+            raise ConfigError(f"horizon_hours must be a whole number >= 1 "
+                              f"(at most 1e15), got {hours!r}")
+
+        ev = _section(raw, "evaluation", {})
 
         def _day(key):
             v = ev.get(key)
@@ -151,12 +173,12 @@ class RunConfig:
             update_period=lengths["update_days"],
             warm_start=bool(fit.get("warm_start", True)),
             models=models,
-            horizon=np.timedelta64(int(raw.get("horizon_hours", 24)), "h"),
+            horizon=np.timedelta64(int(float(hours)), "h"),
             grid_spec=grid_spec, studies=studies,
             eval_start=_day("start"), eval_end=_day("end"),
             metrics_daylight_only=bool(raw.get("metrics_daylight_only", True)),
             seed=int(raw.get("seed", 0)),
-            synth=raw.get("synth"), raw=raw)
+            synth=_section(raw, "synth"), raw=raw)
 
     def config_hash(self):
         return hashlib.sha256(dumps_json(self.raw).encode()).hexdigest()
@@ -275,7 +297,7 @@ class _DayAheadRunner:
                 self.warm_params = fitted.params
         elif name == "nominal":
             fitted = cfg.datasheet.desoto_params
-        elif name in analysis.REGRESSOR_FAMILIES:
+        else:
             if name in self.grid_errors:
                 raise InsufficientDataError(self.grid_errors[name])
             sel = self.selection[name]
@@ -285,9 +307,9 @@ class _DayAheadRunner:
             fitted = analysis.train_model(
                 name, train, topo=cfg.topology, datasheet=cfg.datasheet,
                 hyperparams=sel.best_hyperparams)
-        else:
-            raise ConfigError(f"unknown model {name!r}")
-        pred = analysis.predict_model(fitted, weather, topo=cfg.topology,
+        X = baselines.feature_matrix(weather.timestamp, weather.g_poa,
+                                     weather.t_cell)
+        pred = analysis.predict_model(fitted, X, topo=cfg.topology,
                                       datasheet=cfg.datasheet, g_min=g_min)
         return pred, (fitted if name == "pvpro" else None)
 
@@ -430,7 +452,7 @@ def _run_studies(config, series, aggregate, agg_inputs, trajectory,
             # no reference curve: record the failure as the other studies do
             studies["sweep"] = {"error": str(exc)}
         else:
-            model = trajectory[-1].params if trajectory else reference
+            model = trajectory[-1] if trajectory else reference
             sweep = {}
             for feature, rng in (("g_poa", (0.0, 1000.0)),
                                  ("t_module", (0.0, 80.0)),
@@ -438,10 +460,8 @@ def _run_studies(config, series, aggregate, agg_inputs, trajectory,
                 result = analysis.interpretability_sweep(
                     model, feature, rng, topo=config.topology,
                     datasheet=config.datasheet, reference_params=reference)
-                sweep[feature] = {
-                    "grid": result.groups["grid"].tolist(),
-                    "curves": {k: v.tolist()
-                               for k, v in result.groups["curves"].items()}}
+                sweep[feature] = {key: result.groups[key]
+                                  for key in ("grid", "curves")}
             studies["sweep"] = sweep
     if config.studies.get("training_length") and not trainable:
         studies["training_length"] = {

@@ -55,6 +55,16 @@ def _load_series(cfg: RunConfig, base_dir, verbose):
 def _synth_from_config(cfg: RunConfig):
     if cfg.synth is None:
         raise ConfigError("configuration has no 'synth' section")
+    try:
+        args = _parse_synth(cfg)
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        raise ConfigError(f"invalid synth section: {exc}") from exc
+    return synth.generate_dataset(*args)
+
+
+def _parse_synth(cfg: RunConfig):
+    """``generate_dataset``'s arguments from the config's synth section."""
     s = dict(cfg.synth)
     tp = s.pop("true_params", None)
     if tp is None:
@@ -78,8 +88,8 @@ def _synth_from_config(cfg: RunConfig):
     profile = synth.WeatherProfile(seed=cfg.seed,
                                    **{k: (tuple(v) if k == "cloud_days" else v)
                                       for k, v in s.items()})
-    return synth.generate_dataset(true_params, cfg.topology, profile,
-                                  scenario, noise_v, noise_i, alpha_isc)
+    return (true_params, cfg.topology, profile, scenario, noise_v, noise_i,
+            alpha_isc)
 
 
 def cmd_synth(args):

@@ -14,6 +14,9 @@ accepted point comes from that solution by implicit differentiation
 (``sdm.mpp_sensitivities_arrays``).  ``loss`` solves cold.
 Saturation current and shunt resistance are optimized in log10 space.
 Rolling re-fits warm-start each window from the previous result.
+``simulate_power`` turns a parameter set into array MPP power over arrays
+of irradiance and cell temperature; ``analysis.predict_model`` calls it for
+every physical model.
 """
 
 import math
@@ -26,7 +29,7 @@ from . import sdm
 from .exceptions import (ConfigError, ExtractionError, FitDegeneracyError,
                          InsufficientDataError, NumericalError)
 from .preprocess import PreprocessConfig, training_window
-from .series import DAY, ForecastSeries, TelemetrySeries, WeatherSeries
+from .series import DAY, TelemetrySeries
 
 PARAM_ORDER = sdm.PARAM_NAMES
 # optimized in log10 space: their boxes span several decades
@@ -35,14 +38,10 @@ _LOG_MASK = np.isin(PARAM_ORDER, _LOG_PARAMS)
 
 
 def default_bounds(i_sc_datasheet):
-    """Fitting box covering healthy to degraded crystalline-silicon modules."""
-    return {
-        "i_ph_ref": (0.1 * i_sc_datasheet, 2.0 * i_sc_datasheet),
-        "i_0_ref": (1e-13, 1e-5),
-        "r_s": (1e-4, 5.0),
-        "r_sh_ref": (10.0, 1e5),
-        "n_diode": (0.5, 2.5),
-    }
+    """Fitting box: the photocurrent's scales with the datasheet Isc, the
+    others are ``sdm.PARAM_BOX``."""
+    return {"i_ph_ref": (0.1 * i_sc_datasheet, 2.0 * i_sc_datasheet),
+            **sdm.PARAM_BOX}
 
 
 # the solver settings of every window fit: a cap on the residual evaluations
@@ -275,20 +274,10 @@ def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
     return results
 
 
-def simulate_power(params: sdm.SdmParamsRef, weather: WeatherSeries,
+def simulate_power(params: sdm.SdmParamsRef, g_poa, t_cell,
                    topo: sdm.ArrayTopology, g_min=50.0, alpha_isc=0.0):
-    """Array MPP power at each weather sample; zero below ``g_min``."""
+    """Array MPP power at each (g_poa, t_cell) sample; zero below ``g_min``."""
     _, _, p = sdm.simulate_array_mpp_arrays(
         params.i_ph_ref, params.i_0_ref, params.r_s, params.r_sh_ref,
-        params.n_diode, weather.g_poa, weather.t_cell, topo, alpha_isc)
-    return np.where(weather.g_poa < g_min, 0.0, p)
-
-
-def predict_power(result: FitWindowResult, weather: WeatherSeries,
-                  topo: sdm.ArrayTopology, g_min=50.0,
-                  alpha_isc=0.0) -> ForecastSeries:
-    """Power forecast from one fitted window over a weather sequence."""
-    if not result.converged:
-        raise ValueError("prediction requires a converged fit result")
-    p = simulate_power(result.params, weather, topo, g_min, alpha_isc)
-    return ForecastSeries(weather.timestamp, p, model="pvpro")
+        params.n_diode, g_poa, t_cell, topo, alpha_isc)
+    return np.where(g_poa < g_min, 0.0, p)

@@ -67,8 +67,10 @@ class SdmParamsRef:
                 self.n_diode)
         if not all(math.isfinite(v) and v > 0 for v in vals):
             raise ValueError(f"parameters must be positive and finite: {self}")
-        if not 0.5 <= self.n_diode <= 2.5:
-            raise ValueError(f"diode factor {self.n_diode} outside [0.5, 2.5]")
+        lo, hi = PARAM_BOX["n_diode"]
+        if not lo <= self.n_diode <= hi:
+            raise ValueError(f"diode factor {self.n_diode} outside "
+                             f"[{lo}, {hi}]")
         if self.i_0_ref >= self.i_ph_ref:
             raise ValueError("saturation current must be below photocurrent")
 
@@ -82,6 +84,15 @@ class SdmParamsRef:
 
 
 PARAM_NAMES = ("i_ph_ref", "i_0_ref", "r_s", "r_sh_ref", "n_diode")
+# the box of the four parameters that do not scale with the module's
+# short-circuit current, healthy to degraded crystalline silicon: the
+# window fit's bounds and the range a synthetic trajectory must stay in
+PARAM_BOX = {
+    "i_0_ref": (1e-13, 1e-5),
+    "r_s": (1e-4, 5.0),
+    "r_sh_ref": (10.0, 1e5),
+    "n_diode": (0.5, 2.5),
+}
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .exceptions import ConfigError
-from .sdm import ArrayTopology, SdmParamsRef, PARAM_NAMES, simulate_array_mpp_arrays
+from .sdm import (PARAM_BOX, PARAM_NAMES, ArrayTopology, SdmParamsRef,
+                  simulate_array_mpp_arrays)
 from .series import TelemetrySeries
 
 SHAPE_EXPONENT = 1.2          # clear-sky shoulder steepness
@@ -23,14 +24,6 @@ NOCT_G = 800.0
 AMBIENT_SWING_C = 5.0
 AMBIENT_PEAK_HOUR = 14.0      # two hours after solar noon
 SOLAR_NOON_HOUR = 12.0
-
-# hard box used to validate degradation trajectories
-_TRAJECTORY_BOX = {
-    "i_0_ref": (1e-13, 1e-5),
-    "r_s": (1e-4, 5.0),
-    "r_sh_ref": (10.0, 1e5),
-    "n_diode": (0.5, 2.5),
-}
 
 
 @dataclass(frozen=True)
@@ -49,8 +42,12 @@ class WeatherProfile:
     start_day: str = "2024-06-01"
 
     def __post_init__(self):
-        if self.days < 1:
-            raise ConfigError("profile needs at least one day")
+        for name in ("days", "cadence_minutes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, "
+                                  f"got {value!r}")
         if (24 * 60) % self.cadence_minutes != 0:
             raise ConfigError("cadence must divide 24 hours")
         if not 0.0 <= self.cloud_depth <= 1.0:
@@ -177,7 +174,7 @@ class DegradationScenario:
 
 
 def _check_trajectory_bounds(values):
-    for name, (lo, hi) in _TRAJECTORY_BOX.items():
+    for name, (lo, hi) in PARAM_BOX.items():
         arr = values[name]
         if np.any(arr < lo) or np.any(arr > hi):
             raise ConfigError(

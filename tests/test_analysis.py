@@ -225,6 +225,12 @@ class TestWeatherCases:
                                         p_nominal=p_nominal)
 
 
+# a fit that hit the evaluation cap: the runner still predicts from it
+_WINDOW = fitting.FitWindowResult(
+    np.datetime64("2024-06-01", "s"), np.datetime64("2024-06-04", "s"),
+    sdm.SdmParamsRef(9.1, 4e-10, 0.42, 350.0, 1.12), 1e-4, 200, False, 500)
+
+
 class TestInterpretabilitySweep:
     def test_physical_model_ignores_hour(self, topo, datasheet):
         res = analysis.interpretability_sweep(CSI_PARAMS, "hod", (0.0, 1.0),
@@ -273,6 +279,32 @@ class TestInterpretabilitySweep:
                                               n_points=11)
         assert res.groups["curves"]["model"][-1] == pytest.approx(30_000.0,
                                                                   rel=1e-6)
+
+    def test_window_result_sweeps_as_its_params(self, topo, datasheet):
+        for feature, rng in (("g_poa", (0.0, 1000.0)),
+                             ("t_module", (0.0, 80.0)), ("hod", (0.0, 1.0))):
+            got, want = (analysis.interpretability_sweep(
+                model, feature, rng, topo=topo, datasheet=datasheet,
+                reference_params=CSI_PARAMS, n_points=7).groups
+                for model in (_WINDOW, _WINDOW.params))
+            np.testing.assert_array_equal(got["grid"], want["grid"])
+            assert got["curves"].keys() == want["curves"].keys()
+            for key in want["curves"]:
+                np.testing.assert_array_equal(got["curves"][key],
+                                              want["curves"][key])
+
+    @pytest.mark.parametrize("model, varied, with_topo", [
+        ("lr", "g_poa", True),                  # a roster name, not a model
+        (CSI_PARAMS.as_array(), "g_poa", True),
+        (CSI_PARAMS, "g_poa", False),
+        (_WINDOW, "g_poa", False),
+        (CSI_PARAMS, "wind_speed", True)])
+    def test_unsweepable_input_rejected(self, topo, model, varied,
+                                        with_topo):
+        with pytest.raises(ConfigError):
+            analysis.interpretability_sweep(
+                model, varied, (0.0, 1.0), topo=topo if with_topo else None,
+                n_points=3)
 
 
 def _training_slices(calls):
@@ -406,11 +438,14 @@ class TestTrainPredict:
     def _pair(self, name, train, weather, topo, datasheet):
         fitted = analysis.train_model(name, train, topo=topo,
                                       datasheet=datasheet)
-        return analysis.predict_model(fitted, weather, topo=topo,
+        X = baselines.feature_matrix(weather.timestamp, weather.g_poa,
+                                     weather.t_cell)
+        return analysis.predict_model(fitted, X, topo=topo,
                                       datasheet=datasheet, g_min=50.0)
 
     def _simulate(self, params, weather, topo, datasheet):
-        return fitting.simulate_power(params, weather, topo, g_min=50.0,
+        return fitting.simulate_power(params, weather.g_poa, weather.t_cell,
+                                      topo, g_min=50.0,
                                       alpha_isc=datasheet.alpha_isc)
 
     def test_physical_models_match_direct_calls(self, split, topo, datasheet):
@@ -443,6 +478,16 @@ class TestTrainPredict:
         with pytest.raises(ConfigError):
             analysis.train_model(name, split[0], topo=topo,
                                  datasheet=datasheet)
+
+    @pytest.mark.parametrize("fitted, with_topo", [
+        ("pvpro", True), (None, True), (CSI_PARAMS.as_array(), True),
+        (CSI_PARAMS, False), (_WINDOW, False)])
+    def test_unpredictable_input_rejected(self, topo, datasheet, fitted,
+                                          with_topo):
+        with pytest.raises(ConfigError):
+            analysis.predict_model(fitted, np.array([[800.0, 40.0, 0.5]]),
+                                   topo=topo if with_topo else None,
+                                   datasheet=datasheet, g_min=50.0)
 
 
 @pytest.mark.parametrize("entry", ["rolling_fit", "weather_case_study",

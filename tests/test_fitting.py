@@ -4,7 +4,7 @@ import pytest
 from pvprof import baselines, fitting, preprocess, sdm, synth
 from pvprof.exceptions import (ConfigError, FitDegeneracyError,
                                InsufficientDataError, NumericalError)
-from pvprof.series import TelemetrySeries, WeatherSeries
+from pvprof.series import TelemetrySeries
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS
 from oracles import five_point_gradient, scan_mpp
 
@@ -313,12 +313,11 @@ class TestPredictPower:
         result = fitting.fit_window(retained, topo,
                                     fitting.initial_guess(datasheet),
                                     datasheet)
-        weather = WeatherSeries.from_telemetry(series)
-        fc = fitting.predict_power(result, weather, topo,
-                                   alpha_isc=ALPHA_ISC)
+        p = fitting.simulate_power(result.params, series.g_poa,
+                                   series.t_module, topo, alpha_isc=ALPHA_ISC)
         daylight = series.g_poa >= 50.0
         meas = series.power[daylight]
-        assert np.allclose(fc.p_pred[daylight], meas, rtol=1e-6)
+        assert np.allclose(p[daylight], meas, rtol=1e-6)
 
     def test_dark_weather_gives_zero_series(self, topo, datasheet,
                                             noiseless):
@@ -326,30 +325,15 @@ class TestPredictPower:
         result = fitting.fit_window(retained, topo,
                                     fitting.initial_guess(datasheet),
                                     datasheet)
-        ts = np.datetime64("2024-06-05T00:00", "s") \
-            + np.arange(10) * np.timedelta64(900, "s")
-        weather = WeatherSeries(ts, np.zeros(10), np.full(10, 15.0))
-        fc = fitting.predict_power(result, weather, topo)
-        assert np.all(fc.p_pred == 0.0)
-
-    def test_unconverged_result_rejected(self, topo, noiseless):
-        _, retained = noiseless
-        bad = fitting.FitWindowResult(retained.timestamp[0],
-                                      retained.timestamp[-1], CSI_PARAMS,
-                                      1.0, 0, False, len(retained))
-        weather = WeatherSeries(retained.timestamp, retained.g_poa,
-                                retained.t_module)
-        with pytest.raises(ValueError):
-            fitting.predict_power(bad, weather, topo)
+        p = fitting.simulate_power(result.params, np.zeros(10),
+                                   np.full(10, 15.0), topo)
+        assert np.all(p == 0.0)
 
     def test_against_grid_scan_oracle(self, topo):
         drifted = sdm.SdmParamsRef(9.1, 4e-10, 0.42, 350.0, 1.12)
-        ts = np.datetime64("2024-06-05T08:00", "s") \
-            + np.arange(5) * np.timedelta64(3600, "s")
         g = np.array([300.0, 600.0, 900.0, 750.0, 450.0])
         t = 22.0 + g / 800.0 * 28.0
-        weather = WeatherSeries(ts, g, t)
-        p_lib = fitting.simulate_power(drifted, weather, topo)
+        p_lib = fitting.simulate_power(drifted, g, t, topo)
         for k in range(5):
             i_ph, i_0, r_s, r_sh, a = (float(x) for x in sdm.translate_arrays(
                 drifted.i_ph_ref, drifted.i_0_ref, drifted.r_s,

@@ -10,7 +10,7 @@ from pvprof import charts, iotools, synth
 from pvprof.benchmark import RunConfig
 from pvprof.cli import main
 from pvprof.exceptions import ConfigError, DataError
-from pvprof.sdm import ArrayTopology
+from pvprof.sdm import PARAM_NAMES, ArrayTopology
 from conftest import ALPHA_ISC, CSI_PARAMS
 
 TOPO = ArrayTopology(72, 12, 8)
@@ -268,6 +268,16 @@ class TestRunConfigFuzz:
             return
         assert isinstance(config, RunConfig)
 
+    @pytest.mark.parametrize("value", [None, [1], 3, "x"])
+    @pytest.mark.parametrize("section", ["data", "system", "preprocess", "fit",
+                                         "regressors", "studies",
+                                         "evaluation", "synth"])
+    def test_section_must_be_object(self, section, value):
+        raw = json.loads(json.dumps(_FUZZ_BASE))
+        raw[section] = value
+        with pytest.raises(ConfigError, match=f"'{section}'"):
+            RunConfig.from_dict(raw)
+
 
 class TestJson:
     def test_seventeen_digit_floats(self):
@@ -381,6 +391,32 @@ class TestCli:
         path.write_text(json.dumps({"models": ["pvpro"]}))  # no system
         assert main(["benchmark", "--config", str(path)]) == 2
 
+    def test_section_not_object_exit_code(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, extra={"preprocess": None})
+        assert main(["benchmark", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert "'preprocess'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        3, [1], "x", {"dayz": 3}, {"scenario": {"r_s": []}},
+        {"scenario": {"r_s": ["linear"]}}, {"days": "2"},
+        {"cadence_minutes": 0}, {"cadence_minutes": 7.5},
+        {"true_params": {"i_ph_ref": 9.5}},
+        {"true_params": {**{n: getattr(CSI_PARAMS, n) for n in PARAM_NAMES},
+                         "r_s": -1}},
+        {"noise_v": "x"}], ids=lambda change: json.dumps(change))
+    def test_malformed_synth_section_exit_code(self, tmp_path, change):
+        cfg = _write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        if isinstance(change, dict):
+            raw["synth"].update(change)
+        else:
+            raw["synth"] = change
+        cfg.write_text(json.dumps(raw))
+        assert main(["synth", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "telemetry.csv").exists()
+
     def test_unreadable_config_exit_code(self, tmp_path):
         (tmp_path / "truncated.json").write_text('{"system": ')
         (tmp_path / "list.json").write_text("[1, 2]")
@@ -416,7 +452,8 @@ class TestCli:
 
     @pytest.mark.parametrize("extra", [
         {"horizon_hours": 1e300}, {"horizon_hours": float("nan")},
-        {"horizon_hours": float("inf")},
+        {"horizon_hours": float("inf")}, {"horizon_hours": 1e16},
+        {"horizon_hours": 0}, {"horizon_hours": -5}, {"horizon_hours": 1.5},
         {"regressors": {"holdout_days": 1e300}},
         {"regressors": {"holdout_days": float("nan")}},
         {"regressors": {"holdout_days": 0}}],

@@ -14,4 +14,4 @@ def test_library_quickstart_runs():
     namespace = {}
     exec(compile(block, "README.md quickstart", "exec"), namespace)
     assert namespace["result"].converged
-    assert len(namespace["forecast"].p_pred) == len(namespace["series"])
+    assert len(namespace["forecast"]) == len(namespace["series"])
