@@ -83,6 +83,10 @@ class RunConfig:
     @classmethod
     def _parse(cls, raw):
         data = _section(raw, "data", {})
+        for key in ("telemetry", "mapping"):
+            if data.get(key) is not None and not isinstance(data[key], str):
+                raise ConfigError(f"data.{key} must be a file path, "
+                                  f"got {data[key]!r}")
         system = _section(raw, "system")
         if system is None:
             raise ConfigError("configuration needs a 'system' section")

@@ -13,7 +13,13 @@ vector (a step away, in a trust-region method); the exact Jacobian at an
 accepted point comes from that solution by implicit differentiation
 (``sdm.mpp_sensitivities_arrays``).  ``loss`` solves cold.
 Saturation current and shunt resistance are optimized in log10 space.
-Rolling re-fits warm-start each window from the previous result.
+A few days of MPP data barely constrain the shunt, so each fit adds one
+prior row on log10 ``r_sh_ref``: half a decade wide, centred on the fit's
+own start, weighted by a noise estimate from the start's residuals; the
+result says when the prior, not the data, set the shunt
+(``FitWindowResult.shunt_from_prior``).
+Rolling re-fits warm-start each window from the previous result, which
+makes the shunt prior a random walk.
 ``simulate_power`` turns a parameter set into array MPP power over arrays
 of irradiance and cell temperature; ``analysis.predict_model`` calls it for
 every physical model.
@@ -48,6 +54,11 @@ def default_bounds(i_sc_datasheet):
 # and the relative cost-reduction stop (``least_squares``' ``ftol``)
 _MAX_EVALUATIONS = 200
 _LOSS_TOLERANCE = 1e-10
+# width, in decades, of the prior on log10 r_sh_ref that every window fit
+# adds: a few days of MPP data barely constrain the shunt
+_SHUNT_PRIOR_DECADES = 0.5
+_SHUNT = PARAM_ORDER.index("r_sh_ref")
+_SHUNT_ROW = np.eye(len(PARAM_ORDER))[_SHUNT]
 
 
 def _scales(datasheet, topo: sdm.ArrayTopology):
@@ -58,7 +69,14 @@ def _scales(datasheet, topo: sdm.ArrayTopology):
 
 @dataclass
 class FitWindowResult:
-    """Outcome of one window fit."""
+    """Outcome of one window fit.
+
+    ``final_loss`` is the data term of ``loss`` at ``params``, without the
+    shunt prior.  ``shunt_from_prior`` is set when the prior supplied over
+    half of the curvature in log10 ``r_sh_ref`` (or the curvature matrix
+    was singular): the fitted shunt then reflects the start more than the
+    data.  ``iterations`` counts Jacobian evaluations.
+    """
 
     window_start: np.datetime64
     window_end: np.datetime64
@@ -68,6 +86,7 @@ class FitWindowResult:
     converged: bool
     n_points: int
     error: str | None = None
+    shunt_from_prior: bool = False
 
 
 def initial_guess(datasheet) -> sdm.SdmParamsRef:
@@ -181,6 +200,15 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
     run; ``converged`` means a tolerance stop (such as the relative cost
     reduction falling below 1e-10) was met before that cap.  Every record
     must be solvable at ``init``.
+
+    One prior row ``w*(log10 r_sh_ref - c)`` joins the data residuals: ``c``
+    is the clipped start (the previous window's result in a rolling fit)
+    and ``w = s/0.5``, a half-decade width scaled by the noise ``s``
+    estimated once from successive differences of the residuals at the
+    start.  A noiseless window (``s = 0``) fits without it.
+    ``final_loss`` is the data term alone; ``shunt_from_prior`` is set when
+    the prior supplies over half of the curvature in log10 ``r_sh_ref`` at
+    the result.
     """
     if len(window) < 50:
         raise InsufficientDataError(
@@ -193,8 +221,10 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
     lo = np.array([bounds[n][0] for n in PARAM_ORDER])
     hi = np.array([bounds[n][1] for n in PARAM_ORDER])
     x0 = _to_transformed(np.clip(init.as_array(), lo, hi))
+    centre = x0[_SHUNT]
     # the last solved point: TRF asks for the Jacobian only at the point
-    # whose residuals it has just evaluated
+    # whose residuals it has just evaluated; ``weight`` is the prior's,
+    # fixed at the first evaluation
     last = {}
 
     def residuals(x):
@@ -204,27 +234,59 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
         r = _residuals(x, window, topo, datasheet, solved)
         # the first call is TRF's own evaluation of the (strictly feasible)
         # initial guess; later non-finite trial steps TRF rejects by itself
-        if not last and not np.all(np.isfinite(r)):
-            raise NumericalError("non-finite residuals at the initial guess")
+        if not last:
+            if not np.all(np.isfinite(r)):
+                raise NumericalError(
+                    "non-finite residuals at the initial guess")
+            last["weight"] = _noise_scale(r) / _SHUNT_PRIOR_DECADES
         last.update(x=x.copy(), solved=solved)
+        if last["weight"] > 0.0:
+            r = np.append(r, last["weight"] * (x[_SHUNT] - centre))
         return r
 
     def jacobian(x):
         if not np.array_equal(x, last["x"]):
             residuals(x)
-        return _jacobian(x, last["solved"], window, topo, datasheet)
+        jac = _jacobian(x, last["solved"], window, topo, datasheet)
+        if last["weight"] > 0.0:
+            jac = np.vstack([jac, last["weight"] * _SHUNT_ROW])
+        return jac
 
     # TRF only accepts steps that lower the cost, so res.x is the best iterate
     res = least_squares(residuals, x0, jac=jacobian, method="trf",
                         bounds=(_to_transformed(lo), _to_transformed(hi)),
                         ftol=_LOSS_TOLERANCE, max_nfev=_MAX_EVALUATIONS)
     nat = np.clip(_to_natural(res.x), lo, hi)
+    data = res.fun[:2 * len(window)]
     return FitWindowResult(
         window_start=window.timestamp[0], window_end=window.timestamp[-1],
         params=sdm.SdmParamsRef.from_array(nat),
-        final_loss=2.0 * float(res.cost) / len(window),
+        final_loss=float(data @ data) / len(window),
         iterations=int(res.njev), converged=bool(res.status > 0),
-        n_points=len(window))
+        n_points=len(window),
+        shunt_from_prior=_prior_dominates(res.jac, last["weight"]))
+
+
+def _noise_scale(r):
+    """Robust residual noise from successive differences of the voltage and
+    the current series: 1.4826*median(|diff|)/sqrt(2).
+
+    Differences cancel the smooth mismatch of a wrong start, which an RMS
+    would count as noise.
+    """
+    steps = np.diff(r.reshape(2, -1), axis=1)
+    return 1.4826 * float(np.median(np.abs(steps))) / math.sqrt(2.0)
+
+
+def _prior_dominates(jac, weight):
+    """Whether the prior row of ``weight`` supplies over half the curvature
+    in log10 ``r_sh_ref``: the marginal information 1/[(JᵀJ)⁻¹] of that
+    coordinate is below 2*weight².  A singular JᵀJ counts as dominated."""
+    try:
+        variance = np.linalg.inv(jac.T @ jac)[_SHUNT, _SHUNT]
+    except np.linalg.LinAlgError:
+        return True
+    return not (variance > 0.0 and 1.0 / variance >= 2.0 * weight * weight)
 
 
 def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,

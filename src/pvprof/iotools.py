@@ -154,11 +154,17 @@ def write_telemetry_csv(path, series: TelemetrySeries):
 
 TRAJECTORY_COLUMNS = ("window_start", "window_end", "i_ph_ref", "i_0_ref",
                       "r_s", "r_sh_ref", "n_diode", "final_loss",
-                      "iterations", "converged", "n_points")
+                      "iterations", "converged", "n_points",
+                      "r_sh_ref_from_prior")
 
 
 def write_trajectory_csv(path, results):
-    """Fitted-parameter trajectory, one row per window."""
+    """Fitted-parameter trajectory, one row per window.
+
+    ``r_sh_ref_from_prior`` is ``true`` where the window fit's shunt prior,
+    not the data, set most of ``r_sh_ref``
+    (``FitWindowResult.shunt_from_prior``).
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
@@ -169,7 +175,8 @@ def write_trajectory_csv(path, results):
                 format_float(p.i_ph_ref), format_float(p.i_0_ref),
                 format_float(p.r_s), format_float(p.r_sh_ref),
                 format_float(p.n_diode), format_float(r.final_loss),
-                r.iterations, "true" if r.converged else "false", r.n_points])
+                r.iterations, "true" if r.converged else "false", r.n_points,
+                "true" if r.shunt_from_prior else "false"])
 
 
 FORECAST_COLUMNS = ("timestamp", "model", "p_pred_w", "p_meas_w")

@@ -8,6 +8,7 @@ is sufficient to recompute everything that was injected.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,14 @@ class WeatherProfile:
                                   f"got {value!r}")
         if (24 * 60) % self.cadence_minutes != 0:
             raise ConfigError("cadence must divide 24 hours")
+        peak = self.peak_irradiance
+        if isinstance(peak, bool) or not isinstance(peak, numbers.Real) \
+                or not 0.0 < peak < math.inf:
+            raise ConfigError(f"peak_irradiance must be finite and > 0, "
+                              f"got {peak!r}")
+        if not _is_date(self.start_day):
+            raise ConfigError(f"start_day must be a date (YYYY-MM-DD), "
+                              f"got {self.start_day!r}")
         if not 0.0 <= self.cloud_depth <= 1.0:
             raise ConfigError("cloud_depth must lie in [0, 1]")
         if not 0.0 < self.day_length_hours <= 24.0:
@@ -70,6 +79,16 @@ class WeatherProfile:
     def hours_of_day(self):
         n = self.days * self.samples_per_day
         return (np.arange(n) % self.samples_per_day) * (self.cadence_minutes / 60.0)
+
+
+def _is_date(text):
+    """Whether ``text`` is a string naming one day (``YYYY-MM-DD``)."""
+    if not isinstance(text, str):
+        return False
+    try:
+        return np.datetime_data(np.datetime64(text))[0] == "D"
+    except ValueError:
+        return False
 
 
 def clear_sky_profile(profile: WeatherProfile):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,77 @@ class TestFitWindow:
         for name in fitting.PARAM_ORDER:
             lo, hi = fitting.default_bounds(datasheet.i_sc)[name]
             assert lo <= getattr(result.params, name) <= hi
+
+
+def spy_least_squares(monkeypatch):
+    """Record each ``least_squares`` call of ``fit_window``: its residual
+    and Jacobian callables and its result."""
+    calls = []
+    original = fitting.least_squares
+
+    def spying(fun, x0, jac, **kwargs):
+        res = original(fun, x0, jac=jac, **kwargs)
+        calls.append((fun, jac, res))
+        return res
+
+    monkeypatch.setattr(fitting, "least_squares", spying)
+    return calls
+
+
+class TestShuntPrior:
+    def test_wrong_start_is_flagged(self, topo, datasheet):
+        # a decade off the 400 ohm truth: three noisy days hardly move it,
+        # so the fitted shunt is the prior's and the result says so
+        _, retained = make_window(noise=0.005, topo=topo)
+        init = replace(CSI_PARAMS, r_sh_ref=4000.0)
+        result = fitting.fit_window(retained, topo, init, datasheet)
+        assert result.converged
+        assert result.shunt_from_prior
+
+    def test_data_wins_where_it_can(self, topo, datasheet):
+        # a 50 ohm shunt bends the curve enough for the data to pull the fit
+        # a decade off a 400 ohm start; a weight that counted the start's
+        # mismatch as noise would hold it near the start
+        truth = replace(CSI_PARAMS, r_sh_ref=50.0)
+        _, retained = make_window(noise=0.005, params=truth, topo=topo)
+        result = fitting.fit_window(retained, topo, CSI_PARAMS, datasheet)
+        assert result.converged
+        assert not result.shunt_from_prior
+        assert result.params.r_sh_ref < 100.0
+
+    def test_noiseless_window_fits_without_prior(self, noiseless, topo,
+                                                 datasheet, monkeypatch):
+        _, retained = noiseless
+        calls = spy_least_squares(monkeypatch)
+        result = fitting.fit_window(retained, topo, CSI_PARAMS, datasheet)
+        (_, _, res), = calls
+        assert res.fun.shape == (2 * len(retained),)
+        assert not result.shunt_from_prior
+
+    def test_jacobian_matches_central_differences(self, topo, datasheet,
+                                                  monkeypatch):
+        _, retained = make_window(noise=0.005, topo=topo)
+        calls = spy_least_squares(monkeypatch)
+        init = replace(CSI_PARAMS, r_sh_ref=1000.0)
+        fitting.fit_window(retained, topo, init, datasheet)
+        (fun, jac, res), = calls
+        n = 2 * len(retained)
+        assert res.fun.shape == (n + 1,)
+        shunt = fitting.PARAM_ORDER.index("r_sh_ref")
+        rng = np.random.default_rng(7)
+        for x in (res.x, res.x + rng.uniform(-0.02, 0.02, 5)):
+            analytic = jac(x)
+            numeric = five_point_gradient(fun, x)
+            assert analytic.shape == numeric.shape == (n + 1, 5)
+            scale = np.maximum(np.abs(numeric),
+                               1e-3 * np.max(np.abs(numeric), axis=0))
+            assert np.all(np.abs(analytic - numeric) <= 1e-4 * scale)
+            # the prior row: its weight in the log10 r_sh_ref column only
+            weight = analytic[n, shunt]
+            assert weight > 0.0
+            assert np.array_equal(np.flatnonzero(analytic[n]), [shunt])
+            assert fun(x)[n] == pytest.approx(
+                weight * (x[shunt] - np.log10(1000.0)), rel=1e-12)
 
 
 class TestRollingFit:

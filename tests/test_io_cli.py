@@ -364,6 +364,8 @@ class TestCli:
         traj = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert traj[0].split(",") == list(iotools.TRAJECTORY_COLUMNS)
         assert len(traj) > 1
+        # one lower-case flag per window, as `converged`
+        assert {row.split(",")[-1] for row in traj[1:]} <= {"true", "false"}
 
         assert main(["benchmark", "--config", str(cfg), "--out", out]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
@@ -404,7 +406,9 @@ class TestCli:
         {"true_params": {"i_ph_ref": 9.5}},
         {"true_params": {**{n: getattr(CSI_PARAMS, n) for n in PARAM_NAMES},
                          "r_s": -1}},
-        {"noise_v": "x"}], ids=lambda change: json.dumps(change))
+        {"noise_v": "x"}, {"peak_irradiance": "x"},
+        {"peak_irradiance": -5}, {"start_day": "x"}],
+        ids=lambda change: json.dumps(change))
     def test_malformed_synth_section_exit_code(self, tmp_path, change):
         cfg = _write_config(tmp_path)
         raw = json.loads(cfg.read_text())
@@ -416,6 +420,15 @@ class TestCli:
         assert main(["synth", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "telemetry.csv").exists()
+
+    @pytest.mark.parametrize("data", [
+        {"telemetry": 3}, {"telemetry": "telemetry.csv", "mapping": 3}],
+        ids=["telemetry", "mapping"])
+    def test_data_path_not_string_exit_code(self, tmp_path, capsys, data):
+        cfg = _write_config(tmp_path, extra={"data": data})
+        assert main(["benchmark", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert "data." in capsys.readouterr().err
 
     def test_unreadable_config_exit_code(self, tmp_path):
         (tmp_path / "truncated.json").write_text('{"system": ')
