@@ -244,9 +244,11 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
 
     Labeled days are split alternately into train and test pools per label;
     each case trains on clear, cloudy or mixed train-pool days and scores on
-    clear or cloudy test-pool days.  Per model the study reports the six
-    nMAE/nRMSE values and their coefficient of variation (population standard
-    deviation over mean).
+    clear or cloudy test-pool days.  Each model is trained once per training
+    pool, and that one trained model is scored on every test pool
+    ``WEATHER_CASES`` pairs with the pool.  Per model the study reports the
+    six nMAE/nRMSE values and their coefficient of variation (population
+    standard deviation over mean).
 
     The quality mask is computed once on the whole series, on purpose: train
     and test days interleave, so this is a weather-sensitivity study, not a
@@ -274,6 +276,9 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
     notes = []
     for name in models:
         case_reports = {}
+        # the fits are deterministic, so one model per training pool serves
+        # every case that trains on that pool
+        trained = {}
         for train_kind, test_kind in WEATHER_CASES:
             train = _records_of_days(series, retained, train_pool[train_kind])
             test = _records_of_days(series, retained, test_pool[test_kind])
@@ -281,7 +286,10 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
                 raise InsufficientDataError(
                     f"case {train_kind}/{test_kind} unfillable: "
                     f"{len(train)} train / {len(test)} test records")
-            fitted = train_model(name, train, topo=topo, datasheet=datasheet)
+            if train_kind not in trained:
+                trained[train_kind] = train_model(name, train, topo=topo,
+                                                  datasheet=datasheet)
+            fitted = trained[train_kind]
             X = baselines.feature_matrix(test.timestamp, test.g_poa,
                                          test.t_module)
             pred = predict_model(fitted, X, topo=topo, datasheet=datasheet,

@@ -8,6 +8,7 @@ training-data length as a hyperparameter.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -456,8 +457,19 @@ class GridSearchSpec:
         if not (self.lambda_grid and self.gamma_grid
                 and self.training_lengths_days):
             raise ConfigError("grids must be nonempty")
-        if list(self.training_lengths_days) != sorted(self.training_lengths_days):
-            raise ConfigError("training lengths must be ascending")
+        lengths = self.training_lengths_days
+        for length in lengths:
+            # lengths are counted in int64 seconds, like the holdout; the
+            # bound is divided out so no type overflows, and NaN fails it
+            if not (isinstance(length, numbers.Real)
+                    and not isinstance(length, bool)
+                    and 0 < length < 2.0 ** 63 / 86400):
+                raise ConfigError(f"training lengths must be finite numbers "
+                                  f"of days > 0 (at most 1e14), got "
+                                  f"{length!r}")
+        if any(a >= b for a, b in zip(lengths, lengths[1:])):
+            raise ConfigError(f"training lengths must be strictly ascending, "
+                              f"got {list(lengths)}")
         for lam in self.lambda_grid:
             _check_hyperparam("ridge lambda", float(lam), positive=False)
         for gamma in self.gamma_grid:

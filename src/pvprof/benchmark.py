@@ -134,6 +134,10 @@ class RunConfig:
         unknown = [m for m in models if m not in KNOWN_MODELS]
         if unknown:
             raise ConfigError(f"unknown models in roster: {unknown}")
+        # a repeated model would be run, and written, once per entry
+        duplicates = sorted({m for m in models if models.count(m) > 1})
+        if duplicates:
+            raise ConfigError(f"models repeated in roster: {duplicates}")
         if datasheet is None and ("nominal" in models or "pvpro" in models):
             raise ConfigError("the nominal and dynamic physical models need "
                               "a datasheet in the configuration")

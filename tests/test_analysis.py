@@ -171,6 +171,18 @@ class TestClassifyDays:
         assert set(labels.values()) == {"clear"}
 
 
+def _twelve_weather_days(topo):
+    """The 12-day fixture with four cloudy days, and its day labels."""
+    profile = synth.WeatherProfile(days=12, seed=3, cloud_days=(2, 5, 6, 9),
+                                   cloud_depth=0.5)
+    series, log = synth.generate_dataset(CSI_PARAMS, topo, profile,
+                                         alpha_isc=ALPHA_ISC)
+    day0 = np.datetime64(log.start_day, "D")
+    labels = {day0 + np.timedelta64(k, "D"): lab
+              for k, lab in enumerate(log.day_labels)}
+    return series, labels
+
+
 class TestWeatherCases:
     def test_cv_hand_case(self):
         assert analysis.coefficient_of_variation([1, 2, 3, 2, 1, 3]) \
@@ -181,14 +193,7 @@ class TestWeatherCases:
 
     def test_study_structure_and_sensitivity_flag(self, topo, datasheet,
                                                   p_nominal):
-        profile = synth.WeatherProfile(days=12, seed=3,
-                                       cloud_days=(2, 5, 6, 9),
-                                       cloud_depth=0.5)
-        series, log = synth.generate_dataset(CSI_PARAMS, topo, profile,
-                                             alpha_isc=ALPHA_ISC)
-        day0 = np.datetime64(log.start_day, "D")
-        labels = {day0 + np.timedelta64(k, "D"): lab
-                  for k, lab in enumerate(log.day_labels)}
+        series, labels = _twelve_weather_days(topo)
         res = analysis.weather_case_study(series, labels, ["pvpro", "kr"],
                                           topo=topo, datasheet=datasheet,
                                           p_nominal=p_nominal)
@@ -200,17 +205,60 @@ class TestWeatherCases:
             assert any("kr" in note for note in res.notes)
 
     def test_regressors_need_no_datasheet(self, topo, p_nominal):
-        profile = synth.WeatherProfile(days=12, seed=3,
-                                       cloud_days=(2, 5, 6, 9),
-                                       cloud_depth=0.5)
-        series, log = synth.generate_dataset(CSI_PARAMS, topo, profile,
-                                             alpha_isc=ALPHA_ISC)
-        day0 = np.datetime64(log.start_day, "D")
-        labels = {day0 + np.timedelta64(k, "D"): lab
-                  for k, lab in enumerate(log.day_labels)}
+        series, labels = _twelve_weather_days(topo)
         res = analysis.weather_case_study(series, labels, ["lr"], topo=topo,
                                           datasheet=None, p_nominal=p_nominal)
         assert len(res.groups["lr"]) == 6
+
+    def test_each_pool_trained_once(self, monkeypatch, topo, datasheet,
+                                    p_nominal):
+        series, labels = _twelve_weather_days(topo)
+        calls = count_calls(monkeypatch, analysis, "train_model")
+        analysis.weather_case_study(series, labels, ["pvpro", "lr"],
+                                    topo=topo, datasheet=datasheet,
+                                    p_nominal=p_nominal)
+        for name in ("pvpro", "lr"):
+            pools = [tuple(np.unique(train.day_index()))
+                     for model, train in calls if model == name]
+            # clear, cloudy and mixed training days, each trained on once
+            assert len(pools) == 3 and len(set(pools)) == 3
+            assert sorted(pools[0] + pools[1]) == list(pools[2])
+
+    def test_cases_match_training_per_case(self, topo, datasheet, p_nominal):
+        series, labels = _twelve_weather_days(topo)
+        res = analysis.weather_case_study(series, labels, ["lr", "pvpro"],
+                                          topo=topo, datasheet=datasheet,
+                                          p_nominal=p_nominal)
+        retained = preprocess.apply_quality_pipeline(
+            series, preprocess.PreprocessConfig()).retained
+        split = {}
+        for kind in ("clear", "cloudy"):
+            days = sorted(d for d, lab in labels.items() if lab == kind)
+            split[kind] = (days[0::2], days[1::2])
+        train_days = {kind: split[kind][0] for kind in split}
+        train_days["mix"] = sorted(train_days["clear"] + train_days["cloudy"])
+
+        def records(days):
+            return series.select(retained & np.isin(
+                series.day_index(), np.array(days, dtype="datetime64[D]")))
+
+        for name in ("lr", "pvpro"):
+            assert list(res.groups[name]) == [
+                f"{a}/{b}" for a, b in analysis.WEATHER_CASES]
+            for train_kind, test_kind in analysis.WEATHER_CASES:
+                fitted = analysis.train_model(
+                    name, records(train_days[train_kind]), topo=topo,
+                    datasheet=datasheet)
+                test = records(split[test_kind][1])
+                X = baselines.feature_matrix(test.timestamp, test.g_poa,
+                                             test.t_module)
+                pred = analysis.predict_model(fitted, X, topo=topo,
+                                              datasheet=datasheet, g_min=50.0)
+                expected = analysis.compute_metrics(
+                    pred, test.power, p_nominal, g_poa=test.g_poa)
+                got = res.groups[name][f"{train_kind}/{test_kind}"]
+                assert got.to_json_dict(with_series=True) \
+                    == expected.to_json_dict(with_series=True)
 
     def test_unfillable_case_aborts(self, topo, datasheet, p_nominal):
         profile = synth.WeatherProfile(days=4, seed=3, cloud_days=(1,))

@@ -430,7 +430,13 @@ class TestGridSearch:
         {"lambda_grid": (1e-3, -1.0)}, {"lambda_grid": (float("nan"),)},
         {"lambda_grid": (float("inf"),)}, {"gamma_grid": (0.5, -50.0)},
         {"gamma_grid": (0.0,)}, {"gamma_grid": (float("nan"),)},
-        {"gamma_grid": ()}])
+        {"gamma_grid": ()}, {"training_lengths_days": (1e300,)},
+        {"training_lengths_days": (float("nan"),)},
+        {"training_lengths_days": (float("inf"),)},
+        {"training_lengths_days": ("x",)}, {"training_lengths_days": (0,)},
+        {"training_lengths_days": (-3,)}, {"training_lengths_days": (True,)},
+        {"training_lengths_days": (3, 3)}, {"training_lengths_days": (7, 3)},
+        {"training_lengths_days": (3, 10 ** 400)}])
     def test_invalid_grid_values_rejected(self, grids):
         with pytest.raises(ConfigError):
             baselines.GridSearchSpec(**grids)

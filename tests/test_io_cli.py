@@ -469,7 +469,9 @@ class TestCli:
         {"horizon_hours": 0}, {"horizon_hours": -5}, {"horizon_hours": 1.5},
         {"regressors": {"holdout_days": 1e300}},
         {"regressors": {"holdout_days": float("nan")}},
-        {"regressors": {"holdout_days": 0}}],
+        {"regressors": {"holdout_days": 0}},
+        *({"regressors": {"training_lengths_days": lengths}} for lengths in (
+            [1e300], [float("nan")], ["x"], [0], [-3], [True], [3, 3]))],
         ids=lambda extra: json.dumps(extra))
     def test_invalid_lengths_exit_code(self, tmp_path, extra):
         cfg = _write_config(tmp_path, models=("pvpro", "lr"), extra=extra)
@@ -534,6 +536,13 @@ class TestCli:
         cfg = _write_config(tmp_path, extra={"regressors": regressors})
         assert main(["benchmark", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
+
+    def test_repeated_roster_model_exit_code(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, models=("pvpro", "lr", "pvpro"))
+        assert main(["benchmark", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "repeated" in err and "pvpro" in err
 
     def test_infeasible_datasheet_sweep_records_error(self, tmp_path):
         # no diode curve reaches this fill factor: the pvpro fits start from
