@@ -1,5 +1,11 @@
 """File formats: telemetry CSV (native + mapped), result CSVs, JSON.
 
+Telemetry is read a column at a time: the CSV records are gathered with
+their physical line numbers, each value field becomes one numpy array in
+one conversion, and the record invariants are masks over those arrays.
+Timestamps are parsed one text at a time by the standard library's
+ISO-8601 parser, and a rejected row is worded on its own.
+
 All floating-point output is serialized with 17 significant digits so that
 files round-trip exactly and repeated runs are byte-identical.
 """
@@ -7,7 +13,8 @@ files round-trip exactly and repeated runs are byte-identical.
 import csv
 import json
 import math
-from datetime import datetime, timezone
+from datetime import datetime
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,13 +36,22 @@ def format_float(x):
 
 def parse_timestamp(text):
     """ISO-8601 to datetime64[s]; naive times are taken as UTC."""
+    return np.datetime64(_epoch_seconds(text), "s")
+
+
+_EPOCH = datetime(1970, 1, 1)
+
+
+def _epoch_seconds(text):
     s = text.strip()
     if s.endswith("Z"):
         s = s[:-1] + "+00:00"
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return np.datetime64(int(dt.timestamp()), "s")
+        # what timestamp() gives for the time in UTC, without the cost of
+        # replace(tzinfo=...)
+        return int((dt - _EPOCH).total_seconds())
+    return int(dt.timestamp())
 
 
 def format_timestamp(ts):
@@ -45,87 +61,185 @@ def format_timestamp(ts):
 def read_mapping(path):
     """Column mapping file: JSON object {native field: source header}."""
     raw = read_json_object(path, ConfigError, "mapping file")
-    unknown = [k for k in raw if k not in NATIVE_COLUMNS]
+    mapping = {k: str(v) for k, v in raw.items()}
+    _source_columns(mapping)
+    return mapping
+
+
+def _source_columns(mapping):
+    """{native field: source header}, unmapped fields under their own name.
+
+    Raises ConfigError for an unknown field, and for two fields sent to one
+    header, which would both read the same column.
+    """
+    mapping = mapping or {}
+    unknown = [k for k in mapping if k not in NATIVE_COLUMNS]
     if unknown:
         raise ConfigError(f"mapping refers to unknown fields: {unknown}")
-    return {k: str(v) for k, v in raw.items()}
+    source_of = {**dict(zip(NATIVE_COLUMNS, NATIVE_COLUMNS)), **mapping}
+    fields_of = {}
+    for native, source in source_of.items():
+        fields_of.setdefault(source, []).append(native)
+    for source, fields in fields_of.items():
+        if len(fields) > 1:
+            raise ConfigError(f"mapping sends fields {', '.join(fields)} "
+                              f"to one column {source!r}")
+    return source_of
 
 
 def read_telemetry_csv(path, mapping=None, max_bad_fraction=0.01):
     """Parse a telemetry CSV into a series plus row diagnostics.
 
     The native schema is ``timestamp,g_poa,t_module,v_dc,i_dc`` with a header
-    row; a mapping translates foreign headers to the native fields.  Rows
-    violating the record invariants are rejected and reported with their line
-    number; the run continues if fewer than ``max_bad_fraction`` of rows are
-    bad and no required column is missing.
+    row; a mapping translates foreign headers to the native fields.  The
+    file is UTF-8 text, with or without a byte-order mark.  A header that
+    lacks a column the reader uses, or repeats one, is fatal.
+
+    The records are parsed a column at a time (see `_parse_columns`).  A row
+    violating the record invariants is rejected and reported as ``(line,
+    reason)``, where ``line`` is the physical line the record starts on and
+    ``reason`` names the first check it fails, in this order: unparseable
+    timestamp, g, t, v or i; non-finite value; negative irradiance; negative
+    DC voltage; timestamp not after the last accepted row.  The run
+    continues if fewer than ``max_bad_fraction`` of rows are bad.
     """
-    source_of = dict(zip(NATIVE_COLUMNS, NATIVE_COLUMNS))
-    if mapping:
-        source_of.update(mapping)
+    source_of = _source_columns(mapping)
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read telemetry: {exc}") from exc
     with fh:
-        # a short row's missing fields read as "", which no parser accepts,
-        # so the row is rejected like any other unparseable one
-        reader = csv.DictReader(fh, restval="")
+        reader = csv.reader(fh)
         try:
-            rows, diagnostics = _parse_rows(reader, path, source_of)
+            columns = _column_positions(next(reader, None), source_of, path)
+            texts, lines = _read_records(reader, columns)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}:{_undecodable_line(path)}: not UTF-8 "
                             f"text ({exc.reason})") from exc
         except csv.Error as exc:
-            # DictReader.line_num lags a failed row; its reader's does not
-            raise DataError(f"{path}:{reader.reader.line_num}: {exc}") \
-                from exc
-    total = len(rows) + len(diagnostics)
-    if total == 0:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not lines:
         raise DataError(f"{path}: no data rows")
-    if len(diagnostics) >= max_bad_fraction * total:
+    fields, rejection = _parse_columns(texts)
+    diagnostics = [(lines[k], _diagnosis(rejection[k], [t[k] for t in texts]))
+                   for k in np.flatnonzero(rejection)]
+    if len(diagnostics) >= max_bad_fraction * len(lines):
         raise DataError(
-            f"{path}: {len(diagnostics)} of {total} rows rejected; first: "
-            f"line {diagnostics[0][0]}: {diagnostics[0][1]}")
-    ts, g, t, v, i = zip(*rows)
-    series = TelemetrySeries(np.array(ts, dtype="datetime64[s]"), g, t, v, i)
+            f"{path}: {len(diagnostics)} of {len(lines)} rows rejected; "
+            f"first: line {diagnostics[0][0]}: {diagnostics[0][1]}")
+    accepted = rejection == 0
+    series = TelemetrySeries(*(f[accepted] for f in fields))
     return series.validate(), diagnostics
 
 
-def _parse_rows(reader, path, source_of):
-    # accepted (ts, g, t, v, i) tuples and (line, reason) rejections
-    rows = []
-    diagnostics = []
-    if reader.fieldnames is None:
+def _column_positions(header, source_of, path):
+    """Header position of each native field's source column."""
+    if header is None:
         raise DataError(f"{path}: empty file")
     for native, source in source_of.items():
-        if source not in reader.fieldnames:
+        count = header.count(source)
+        if count == 0:
             raise DataError(f"{path}: missing column {source!r} "
                             f"(field {native})")
-    last_ts = None
-    for line_no, row in enumerate(reader, start=2):
+        if count > 1:
+            raise DataError(f"{path}: column {source!r} (field {native}) "
+                            f"appears {count} times in the header")
+    return [header.index(source_of[c]) for c in NATIVE_COLUMNS]
+
+
+def _read_records(reader, columns):
+    """The fields at ``columns`` of each nonblank record after the header,
+    one list per column, and the physical line each record starts on."""
+    pick = itemgetter(*columns)
+    width = max(columns) + 1
+    rows = []
+    lines = []
+    end = reader.line_num
+    for record in reader:
+        if record:
+            if len(record) < width:
+                # missing fields read as "", which no parser accepts
+                record += [""] * (width - len(record))
+            rows.append(pick(record))
+            lines.append(end + 1)
+        end = reader.line_num
+    return [[row[c] for row in rows] for c in range(len(columns))], lines
+
+
+# rejection codes, in the order the checks apply; 0 is an accepted row
+_UNPARSEABLE, _NON_FINITE, _NEGATIVE_G, _NEGATIVE_V, _NOT_INCREASING = \
+    range(1, 6)
+_REASONS = {_NON_FINITE: "non-finite value",
+            _NEGATIVE_G: "negative irradiance",
+            _NEGATIVE_V: "negative DC voltage",
+            _NOT_INCREASING: "timestamp not increasing"}
+
+
+def _parse_columns(texts):
+    """Parse the field texts (timestamp, g, t, v, i), a column at a time.
+
+    Returns the parsed fields and each row's rejection code.  Each value
+    column is one numpy conversion, which applies ``float()`` to each text;
+    a column that does not convert whole is bisected down to the texts that
+    do not.  Each timestamp goes through `parse_timestamp`'s parser.  The
+    invariants are masks over the columns.
+    """
+    n = len(texts[0])
+    parsed = np.ones((5, n), dtype=bool)
+    timestamp = _timestamps(texts[0], parsed[0])
+    values = np.full((4, n), np.nan)
+    for c in range(4):
+        _floats(texts[c + 1], values[c], parsed[c + 1])
+    g, _, v, _ = values
+    rejection = np.select(
+        [~parsed.all(axis=0), ~np.isfinite(values).all(axis=0), g < 0, v < 0],
+        [_UNPARSEABLE, _NON_FINITE, _NEGATIVE_G, _NEGATIVE_V], 0)
+    # a row is accepted when it is later than the last accepted row; a row
+    # rejected for this is never later than that row, so the last accepted
+    # timestamp is the running maximum over all earlier candidates
+    candidates = np.flatnonzero(rejection == 0)
+    seconds = timestamp[candidates].astype(np.int64)
+    late = seconds[1:] <= np.maximum.accumulate(seconds)[:-1]
+    rejection[candidates[1:][late]] = _NOT_INCREASING
+    return (timestamp, *values), rejection
+
+
+def _timestamps(texts, parsed):
+    """datetime64[s] of each text, read as `parse_timestamp` reads it;
+    clears ``parsed`` where the text is not a timestamp."""
+    seconds = np.zeros(len(texts), dtype=np.int64)
+    for k, text in enumerate(texts):
         try:
-            ts = parse_timestamp(row[source_of["timestamp"]])
-            vals = [float(row[source_of[c]]) for c in NATIVE_COLUMNS[1:]]
-        except (ValueError, TypeError, KeyError) as exc:
-            diagnostics.append((line_no, f"unparseable row: {exc}"))
-            continue
-        g, t, v, i = vals
-        if not all(math.isfinite(x) for x in vals):
-            diagnostics.append((line_no, "non-finite value"))
-            continue
-        if g < 0:
-            diagnostics.append((line_no, "negative irradiance"))
-            continue
-        if v < 0:
-            diagnostics.append((line_no, "negative DC voltage"))
-            continue
-        if last_ts is not None and ts <= last_ts:
-            diagnostics.append((line_no, "timestamp not increasing"))
-            continue
-        last_ts = ts
-        rows.append((ts, g, t, v, i))
-    return rows, diagnostics
+            seconds[k] = _epoch_seconds(text)
+        except ValueError:
+            parsed[k] = False
+    return seconds.view("datetime64[s]")
+
+
+def _floats(items, out, ok):
+    """``out[:] = items`` as floats; where an item does not convert, bisect
+    down to it and clear its ``ok`` flag."""
+    try:
+        out[:] = np.array(items, dtype=float)
+    except ValueError:
+        if len(items) == 1:
+            ok[0] = False
+            return
+        mid = len(items) // 2
+        _floats(items[:mid], out[:mid], ok[:mid])
+        _floats(items[mid:], out[mid:], ok[mid:])
+
+
+def _diagnosis(rejection, fields):
+    if rejection == _UNPARSEABLE:
+        # the first field that fails, parsed on its own, words the reason
+        try:
+            parse_timestamp(fields[0])
+            for text in fields[1:]:
+                float(text)
+        except ValueError as exc:
+            return f"unparseable row: {exc}"
+    return _REASONS[rejection]
 
 
 def _undecodable_line(path):

@@ -2,12 +2,18 @@
 
 Everything here is deliberately written against the raw model equations with
 scalar math and brute-force searches (bisection, dense scans, quadrature),
-so it shares no solver code with the library under test.
+so it shares no solver code with the library under test.  The telemetry
+reader's reference parses one record at a time, as a dict, with the
+standard library's own number and ISO-8601 parsers.
 """
 
+import csv
 import math
+from datetime import datetime, timezone
 
 import numpy as np
+
+from pvprof.exceptions import DataError
 
 KB = 1.380649e-23       # J/K
 QE = 1.602176634e-19    # C
@@ -144,3 +150,101 @@ def five_point_gradient(fun, x, h_rel=1e-6):
         f_m2, f_m1, f_p1, f_p2 = pts
         cols.append((f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h))
     return np.stack(cols, axis=-1)
+
+
+TELEMETRY_FIELDS = ("timestamp", "g_poa", "t_module", "v_dc", "i_dc")
+
+
+def read_telemetry_per_record(path, mapping=None, max_bad_fraction=0.01):
+    """Reference telemetry CSV reader, one record at a time.
+
+    Returns the accepted rows as five arrays (``datetime64[s]`` timestamps,
+    then g, t, v, i) and the ``(line, reason)`` rejections, where ``line``
+    is the physical line a record starts on; raises DataError where the
+    reader must.  ``mapping`` is a valid {native field: source header}.
+    """
+    source_of = dict(zip(TELEMETRY_FIELDS, TELEMETRY_FIELDS))
+    source_of.update(mapping or {})
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows, diagnostics = _per_record_rows(reader, path, source_of)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}:{_undecodable_line(path)}: not UTF-8 "
+                            f"text ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    total = len(rows) + len(diagnostics)
+    if total == 0:
+        raise DataError(f"{path}: no data rows")
+    if len(diagnostics) >= max_bad_fraction * total:
+        raise DataError(
+            f"{path}: {len(diagnostics)} of {total} rows rejected; first: "
+            f"line {diagnostics[0][0]}: {diagnostics[0][1]}")
+    ts, *values = zip(*rows)
+    return ((np.array(ts, dtype="datetime64[s]"),
+             *(np.array(v, dtype=float) for v in values)), diagnostics)
+
+
+def _per_record_rows(reader, path, source_of):
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    for native, source in source_of.items():
+        if source not in header:
+            raise DataError(f"{path}: missing column {source!r} "
+                            f"(field {native})")
+        if header.count(source) > 1:
+            raise DataError(f"{path}: column {source!r} (field {native}) "
+                            f"appears {header.count(source)} times in the "
+                            f"header")
+    rows = []
+    diagnostics = []
+    last_ts = None
+    end = reader.line_num
+    for record in reader:
+        line_no, end = end + 1, reader.line_num
+        if not record:
+            continue
+        # a short record's missing fields read as ""
+        row = dict(zip(header, record + [""] * (len(header) - len(record))))
+        try:
+            ts = _iso_seconds(row[source_of["timestamp"]])
+            vals = [float(row[source_of[c]]) for c in TELEMETRY_FIELDS[1:]]
+        except ValueError as exc:
+            diagnostics.append((line_no, f"unparseable row: {exc}"))
+            continue
+        g, t, v, i = vals
+        if not all(math.isfinite(x) for x in vals):
+            diagnostics.append((line_no, "non-finite value"))
+        elif g < 0:
+            diagnostics.append((line_no, "negative irradiance"))
+        elif v < 0:
+            diagnostics.append((line_no, "negative DC voltage"))
+        elif last_ts is not None and ts <= last_ts:
+            diagnostics.append((line_no, "timestamp not increasing"))
+        else:
+            last_ts = ts
+            rows.append((ts, g, t, v, i))
+    return rows, diagnostics
+
+
+def _iso_seconds(text):
+    """Whole seconds since the epoch of an ISO-8601 text; naive is UTC."""
+    s = text.strip()
+    if s.endswith("Z"):
+        s = s[:-1] + "+00:00"
+    dt = datetime.fromisoformat(s)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return int(dt.timestamp())
+
+
+def _undecodable_line(path):
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return "?"

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from pvprof.benchmark import RunConfig
 from pvprof.cli import main
 from pvprof.exceptions import ConfigError, DataError
 from pvprof.sdm import PARAM_NAMES, ArrayTopology
+from pvprof.series import TelemetrySeries
 from conftest import ALPHA_ISC, CSI_PARAMS
+from oracles import read_telemetry_per_record
 
 TOPO = ArrayTopology(72, 12, 8)
 
@@ -33,6 +37,16 @@ class TestTelemetryCsv:
         assert diagnostics == []
         iotools.write_telemetry_csv(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("naive", [
+        "2024-06-01T00:15:00", "2024-06-01 00:15:00.75", "20240601T001500",
+        "1969-12-31T23:59:59.5", "1969-12-31T23:59:58.999999",
+        "0001-01-01T00:00:00", "9999-12-31T23:59:59.999999"])
+    def test_naive_timestamp_reads_as_utc(self, naive):
+        # fractional seconds truncate toward the epoch in both forms
+        assert iotools.parse_timestamp(naive) \
+            == iotools.parse_timestamp(naive + "Z") \
+            == iotools.parse_timestamp(naive + "+00:00")
 
     def test_single_corrupt_row_in_budget(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -113,7 +127,7 @@ class TestTelemetryCsv:
 # edits of one CSV file, as lists of lines; positions are fractions of the
 # current length so that every drawn edit applies to any file
 _FRAC = st.floats(0.0, 1.0, exclude_max=True)
-_CSV_EDITS = st.lists(st.one_of(
+_EDIT_KINDS = (
     st.tuples(st.just("offset"), _FRAC,
               st.sampled_from([b"+05:30", b"-08:00", b"+00:00", b"+14:00"])),
     st.tuples(st.just("duplicate"), _FRAC),
@@ -121,7 +135,24 @@ _CSV_EDITS = st.lists(st.one_of(
     st.tuples(st.just("value"), _FRAC, st.integers(1, 4),
               st.sampled_from([b"NaN", b"nan", b"inf", b"-inf", b""])),
     st.tuples(st.just("truncate"), _FRAC, _FRAC),
-    st.tuples(st.just("bytes"), _FRAC, st.binary(min_size=1, max_size=4))),
+    st.tuples(st.just("bytes"), _FRAC, st.binary(min_size=1, max_size=4)))
+_CSV_EDITS = st.lists(st.one_of(*_EDIT_KINDS), min_size=1, max_size=5)
+
+_BOM = b"\xef\xbb\xbf"
+_TIMESTAMP = re.compile(rb"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)Z")
+# other ISO-8601 forms: naive (read as UTC), an offset, fractional seconds,
+# a space separator and the basic format
+_TIMESTAMP_FORMS = (rb"\1-\2-\3T\4:\5:\6", rb"\1-\2-\3T\4:\5:\6+05:30",
+                    rb"\1-\2-\3T\4:\5:\6.250Z", rb"\1-\2-\3 \4:\5:\6Z",
+                    rb"\1\2\3T\4\5\6")
+# edits that move records off their line or off the canonical timestamp
+_READER_EDITS = st.lists(st.one_of(
+    *_EDIT_KINDS,
+    st.tuples(st.just("blank"), _FRAC, st.sampled_from([b"\r\n", b"\n"])),
+    st.tuples(st.just("multiline"), _FRAC, st.integers(0, 4), _FRAC),
+    st.tuples(st.just("bom"), _FRAC),
+    st.tuples(st.just("timestamp"), _FRAC, st.sampled_from(_TIMESTAMP_FORMS),
+              st.integers(1, 40))),
     min_size=1, max_size=5)
 
 
@@ -145,6 +176,20 @@ def _edit_csv(lines, edit):
         lines[k] = b",".join(fields) + b"\r\n"
     elif kind == "truncate":
         lines[k] = lines[k][:int(edit[2] * len(lines[k]))]
+    elif kind == "blank":
+        lines.insert(k, edit[2])
+    elif kind == "multiline":  # a quoted field with a line break in it
+        fields = lines[k].rstrip(b"\r\n").split(b",")
+        j = min(edit[2], len(fields) - 1)
+        at = int(edit[3] * (len(fields[j]) + 1))
+        fields[j] = b'"' + fields[j][:at] + b"\n" + fields[j][at:] + b'"'
+        lines[k] = b",".join(fields) + b"\r\n"
+    elif kind == "bom":
+        if not lines[0].startswith(_BOM):
+            lines[0] = _BOM + lines[0]
+    elif kind == "timestamp":
+        for j in range(k, min(k + edit[3], len(lines))):
+            lines[j] = _TIMESTAMP.sub(edit[2], lines[j], count=1)
     else:
         data = b"".join(lines)
         at = int(pos * (len(data) + 1))
@@ -228,6 +273,208 @@ class TestTelemetryCsvFuzz:
         path.write_bytes(b"".join(lines))
         with pytest.raises(DataError, match=r"t\.csv:4: field larger"):
             iotools.read_telemetry_csv(path)
+
+
+def _set_field(line, j, value):
+    fields = line.rstrip(b"\r\n").split(b",")
+    fields[j] = value
+    return b",".join(fields) + b"\r\n"
+
+
+class TestTelemetryLayout:
+    """Line numbers, byte-order marks and repeated or shared columns."""
+
+    def test_blank_line_does_not_shift_line_numbers(self, base_lines,
+                                                    tmp_path):
+        lines = list(base_lines)
+        lines.insert(3, b"\r\n")  # physical line 4
+        lines[101] = _set_field(lines[101], 1, b"bad")  # physical line 102
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"".join(lines))
+        series, diagnostics = iotools.read_telemetry_csv(path)
+        assert diagnostics == [
+            (102, "unparseable row: could not convert string to float: "
+                  "'bad'")]
+        assert len(series) == len(base_lines) - 2
+
+    def test_multiline_field_does_not_shift_line_numbers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        iotools.write_telemetry_csv(path, _small_series(days=8))
+        lines = path.read_bytes().splitlines(keepends=True)
+        # the record on line 3 spans lines 3 and 4, and still parses
+        t = lines[2].split(b",")[2]
+        lines[2] = _set_field(lines[2], 2, b'"' + t + b'\n"')
+        lines[700] = _set_field(lines[700], 1, b"bad")  # physical line 702
+        path.write_bytes(b"".join(lines))
+        series, diagnostics = iotools.read_telemetry_csv(path)
+        assert [line for line, _ in diagnostics] == [702]
+        assert series.t_module[1] == float(t)
+
+    def test_byte_order_mark_reads_like_plain_utf8(self, base_lines,
+                                                   tmp_path):
+        lines = list(base_lines)
+        lines[50] = _set_field(lines[50], 3, b"-1")
+        plain = tmp_path / "plain.csv"
+        marked = tmp_path / "marked.csv"
+        plain.write_bytes(b"".join(lines))
+        marked.write_bytes(_BOM + b"".join(lines))
+        a, a_diagnostics = iotools.read_telemetry_csv(plain)
+        b, b_diagnostics = iotools.read_telemetry_csv(marked)
+        assert a_diagnostics == b_diagnostics == [(51, "negative DC voltage")]
+        _assert_bit_identical(_columns(a), _columns(b))
+
+    def test_repeated_source_column_fatal(self, base_lines, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"".join(_with_extra_column(base_lines, b"g_poa")))
+        with pytest.raises(DataError, match="'g_poa'.*2 times"):
+            iotools.read_telemetry_csv(path)
+
+    def test_repeated_unused_column_allowed(self, base_lines, tmp_path):
+        plain = tmp_path / "plain.csv"
+        noted = tmp_path / "noted.csv"
+        plain.write_bytes(b"".join(base_lines))
+        noted.write_bytes(b"".join(_with_extra_column(
+            _with_extra_column(base_lines, b"note"), b"note")))
+        a, _ = iotools.read_telemetry_csv(plain)
+        b, diagnostics = iotools.read_telemetry_csv(noted)
+        assert diagnostics == []
+        _assert_bit_identical(_columns(a), _columns(b))
+
+    @pytest.mark.parametrize("mapping, fields", [
+        ({"v_dc": "x", "i_dc": "x"}, "v_dc, i_dc"),
+        # an unmapped field reads the header of its own name
+        ({"v_dc": "i_dc"}, "v_dc, i_dc")])
+    def test_mapping_two_fields_one_column_config_error(self, tmp_path,
+                                                        mapping, fields):
+        path = tmp_path / "mapping.json"
+        path.write_text(json.dumps(mapping))
+        with pytest.raises(ConfigError, match=fields):
+            iotools.read_mapping(path)
+        with pytest.raises(ConfigError, match=fields):
+            iotools.read_telemetry_csv(tmp_path / "unread.csv", mapping)
+
+    def test_checks_apply_in_order(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "timestamp,g_poa,t_module,v_dc,i_dc\n"
+            "2024-01-01T00:00:00Z,500,25,400,50\n"
+            "nonsense,x,25,400,50\n"
+            "2024-01-01T00:02:00Z,x,y,400,50\n"
+            "2024-01-01T00:03:00Z,-1,nan,400,50\n"
+            "2024-01-01T00:04:00Z,-1,25,-1,50\n"
+            "2024-01-01T00:00:00Z,500,25,-1,50\n"
+            "2024-01-01T00:00:00Z,500,25,400,50\n"
+            "2024-01-01T00:07:00Z,500,25,400,50\n")
+        expected = [
+            (3, "unparseable row: Invalid isoformat string: 'nonsense'"),
+            (4, "unparseable row: could not convert string to float: 'x'"),
+            (5, "non-finite value"), (6, "negative irradiance"),
+            (7, "negative DC voltage"), (8, "timestamp not increasing")]
+        series, diagnostics = iotools.read_telemetry_csv(
+            path, max_bad_fraction=1.0)
+        assert diagnostics == expected
+        assert len(series) == 2
+        assert read_telemetry_per_record(path, max_bad_fraction=1.0)[1] \
+            == expected
+
+    def test_long_timestamp_field_is_one_rejected_row(self, tmp_path):
+        # a field of garbage, as a stray quote or a block without commas
+        # leaves, costs the reader its own length, not once per row
+        n = 3_456
+        ts = np.datetime64("2024-06-01T00:00:00", "s") \
+            + np.arange(n) * np.timedelta64(900, "s")
+        path = tmp_path / "t.csv"
+        iotools.write_telemetry_csv(path, TelemetrySeries(
+            ts, np.full(n, 500.0), np.full(n, 25.0), np.full(n, 400.0),
+            np.full(n, 50.0)))
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1000] = _set_field(lines[1000], 0,
+                                 ("2024-06-11T09:45:00Z" + "\u20ac" * 100_000)
+                                 .encode())
+        path.write_bytes(b"".join(lines))
+        _assert_reads_like_oracle(path)
+        tracemalloc.start()
+        try:
+            series, diagnostics = iotools.read_telemetry_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [line for line, _ in diagnostics] == [1001]
+        assert len(series) == n - 1
+        assert peak < 8e6
+
+
+def _with_extra_column(lines, name):
+    """The file's lines with a column ``name`` appended, copying g_poa."""
+    out = [lines[0].rstrip(b"\r\n") + b"," + name + b"\r\n"]
+    for line in lines[1:]:
+        row = line.rstrip(b"\r\n")
+        out.append(row + b"," + row.split(b",")[1] + b"\r\n")
+    return out
+
+
+def _assert_reads_like_oracle(path, mapping=None):
+    try:
+        expected, expected_diagnostics = read_telemetry_per_record(path,
+                                                                   mapping)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            iotools.read_telemetry_csv(path, mapping)
+        assert str(got.value) == str(exc)
+        return
+    series, diagnostics = iotools.read_telemetry_csv(path, mapping)
+    assert diagnostics == expected_diagnostics
+    _assert_bit_identical(_columns(series), expected)
+
+
+def _columns(series):
+    return [getattr(series, name) for name in iotools.NATIVE_COLUMNS]
+
+
+def _assert_bit_identical(xs, ys):
+    for x, y in zip(xs, ys, strict=True):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestReaderMatchesPerRecordOracle:
+    """The columnar reader against the one-record-at-a-time reference."""
+
+    @given(edits=_READER_EDITS)
+    def test_native(self, base_lines, fuzz_dir, edits):
+        lines = list(base_lines)
+        for edit in edits:
+            _edit_csv(lines, edit)
+        path = fuzz_dir / "differential.csv"
+        path.write_bytes(b"".join(lines))
+        _assert_reads_like_oracle(path)
+
+    @given(edits=_READER_EDITS)
+    def test_mapped(self, mapped_lines, fuzz_dir, edits):
+        lines = list(mapped_lines)
+        for edit in edits:
+            _edit_csv(lines, edit)
+        path = fuzz_dir / "differential_mapped.csv"
+        path.write_bytes(b"".join(lines))
+        _assert_reads_like_oracle(path, _MAPPING)
+
+    def test_year_of_quarter_hours_reads_back_bit_identical(self, tmp_path):
+        n = 34_560
+        rng = np.random.default_rng(5)
+        ts = np.datetime64("2024-01-01T00:00:00", "s") \
+            + np.arange(n) * np.timedelta64(900, "s")
+        g = rng.uniform(0.0, 1200.0, n)
+        t = rng.normal(25.0, 15.0, n)
+        v = rng.uniform(0.0, 600.0, n)
+        i = rng.normal(20.0, 30.0, n)
+        # exact zeros, signed zeros, the subnormal and largest doubles
+        g[:3], t[:3], v[:3], i[:3] = (0.0, 5e-324, 1.7976931348623157e308), \
+            (-0.0, -5e-324, -1e300), (0.0, 5e-324, 1e-300), (-0.0, 1e300, 0.0)
+        written = TelemetrySeries(ts, g, t, v, i)
+        path = tmp_path / "year.csv"
+        iotools.write_telemetry_csv(path, written)
+        back, diagnostics = iotools.read_telemetry_csv(path)
+        assert diagnostics == []
+        _assert_bit_identical(_columns(back), _columns(written))
 
 
 # a roster_studies-shaped configuration whose length and filter settings
@@ -565,6 +812,37 @@ class TestCli:
         # no telemetry.csv generated
         assert main(["benchmark", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("extra, code, named", [
+        (b"g_poa", 3, ["'g_poa'"]), (b"note", 0, [])],
+        ids=["repeated_source_column", "repeated_unused_column"])
+    def test_repeated_column_exit_code(self, tmp_path, capsys, extra, code,
+                                       named):
+        cfg = _write_config(tmp_path, days=4, models=("smart_persistence",))
+        out = str(tmp_path)
+        assert main(["synth", "--config", str(cfg), "--out", out]) == 0
+        csv_path = tmp_path / "telemetry.csv"
+        lines = csv_path.read_bytes().splitlines(keepends=True)
+        csv_path.write_bytes(b"".join(_with_extra_column(
+            _with_extra_column(lines, extra), extra)))
+        capsys.readouterr()
+        assert main(["benchmark", "--config", str(cfg), "--out", out]) == code
+        err = capsys.readouterr().err
+        assert all(name in err for name in named)
+
+    def test_mapping_two_fields_one_column_exit_code(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, days=3, models=("smart_persistence",),
+                            extra={"data": {"telemetry": "telemetry.csv",
+                                            "mapping": "mapping.json"}})
+        (tmp_path / "mapping.json").write_text(
+            json.dumps({"v_dc": "x", "i_dc": "x"}))
+        assert main(["synth", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["benchmark", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "v_dc" in err and "i_dc" in err
 
     def test_non_utf8_telemetry_exit_code(self, tmp_path):
         cfg = _write_config(tmp_path, days=3)
