@@ -22,7 +22,8 @@ from .exceptions import (ConfigError, DataError, ExtractionError,
                          NumericalError, PvprofError, SolverError,
                          TrainingError)
 from .fitting import (FitWindowResult, default_bounds, fit_window,
-                      initial_guess, loss, rolling_fit, simulate_power)
+                      fit_windows, initial_guess, loss, rolling_fit,
+                      simulate_power)
 from .preprocess import (PreprocessConfig, QualityMask,
                          apply_quality_pipeline, filter_clipping,
                          filter_night, remove_outliers_regression)

@@ -115,26 +115,30 @@ REGRESSOR_FAMILIES = {"lr": "linear", "kr": "kernel_ridge"}
 TRAINABLE_MODELS = ("pvpro", "nominal", *REGRESSOR_FAMILIES)
 
 
-def train_model(name, train: TelemetrySeries, *, topo, datasheet,
-                init=None, hyperparams=None):
-    """Train one roster model on a clean slice of telemetry.
+def train_model(name, trains, *, topo, datasheet, init=None,
+                hyperparams=None):
+    """Train one roster model on each of a list of clean telemetry slices.
 
-    ``pvpro`` fits the five parameters of the system (``topo`` and
-    ``datasheet``) to the slice from ``init`` (default: the datasheet's
-    initial guess) and returns the ``FitWindowResult``; ``nominal`` returns
-    the datasheet extraction; ``lr``/``kr`` a ``RegressorModel``.
+    Returns one trained model per slice, in order.  ``pvpro`` fits the five
+    parameters of the system (``topo`` and ``datasheet``) to every slice
+    from ``init`` (default: the datasheet's initial guess) in one
+    ``fitting.fit_windows`` batch and returns the ``FitWindowResult``s;
+    ``nominal`` returns the datasheet extraction; ``lr``/``kr`` a
+    ``RegressorModel`` per slice.
     """
     if name == "pvpro":
         if init is None:
             init = fitting.initial_guess(datasheet)
-        return fitting.fit_window(train, topo, init, datasheet)
+        return fitting.fit_windows(trains, topo, [init] * len(trains),
+                                   datasheet)
     if name == "nominal":
-        return datasheet.desoto_params
+        return [datasheet.desoto_params for _ in trains]
     if name in REGRESSOR_FAMILIES:
-        X = baselines.feature_matrix(train.timestamp, train.g_poa,
-                                     train.t_module)
-        return baselines.train_regressor(REGRESSOR_FAMILIES[name], X,
-                                         train.power, hyperparams)
+        return [baselines.train_regressor(
+            REGRESSOR_FAMILIES[name],
+            baselines.feature_matrix(train.timestamp, train.g_poa,
+                                     train.t_module),
+            train.power, hyperparams) for train in trains]
     raise ConfigError(f"model {name!r} is not trainable")
 
 
@@ -244,9 +248,12 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
 
     Labeled days are split alternately into train and test pools per label;
     each case trains on clear, cloudy or mixed train-pool days and scores on
-    clear or cloudy test-pool days.  Each model is trained once per training
-    pool, and that one trained model is scored on every test pool
-    ``WEATHER_CASES`` pairs with the pool.  Per model the study reports the
+    clear or cloudy test-pool days.  Every case's pools are checked for
+    records before any model trains.  Each model is then trained once per
+    training pool, its three pools in one ``train_model`` call (one batch
+    of window fits for ``pvpro``), and that one trained model is scored on
+    every test pool ``WEATHER_CASES`` pairs with the pool.  Per model the
+    study reports the
     six nMAE/nRMSE values and their coefficient of variation (population
     standard deviation over mean).
 
@@ -271,29 +278,33 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
                   "mix": sorted(clear_train + cloudy_train)}
     test_pool = {"clear": clear_test, "cloudy": cloudy_test}
 
+    trains = {kind: _records_of_days(series, retained, days)
+              for kind, days in train_pool.items()}
+    tests = {kind: _records_of_days(series, retained, days)
+             for kind, days in test_pool.items()}
+    # every case is checked before any model trains
+    for train_kind, test_kind in WEATHER_CASES:
+        if len(trains[train_kind]) < 50 or len(tests[test_kind]) == 0:
+            raise InsufficientDataError(
+                f"case {train_kind}/{test_kind} unfillable: "
+                f"{len(trains[train_kind])} train / "
+                f"{len(tests[test_kind])} test records")
+
     groups = {}
     cv = {}
     notes = []
     for name in models:
-        case_reports = {}
         # the fits are deterministic, so one model per training pool serves
         # every case that trains on that pool
-        trained = {}
+        trained = dict(zip(trains, train_model(
+            name, list(trains.values()), topo=topo, datasheet=datasheet)))
+        case_reports = {}
         for train_kind, test_kind in WEATHER_CASES:
-            train = _records_of_days(series, retained, train_pool[train_kind])
-            test = _records_of_days(series, retained, test_pool[test_kind])
-            if len(train) < 50 or len(test) == 0:
-                raise InsufficientDataError(
-                    f"case {train_kind}/{test_kind} unfillable: "
-                    f"{len(train)} train / {len(test)} test records")
-            if train_kind not in trained:
-                trained[train_kind] = train_model(name, train, topo=topo,
-                                                  datasheet=datasheet)
-            fitted = trained[train_kind]
+            test = tests[test_kind]
             X = baselines.feature_matrix(test.timestamp, test.g_poa,
                                          test.t_module)
-            pred = predict_model(fitted, X, topo=topo, datasheet=datasheet,
-                                 g_min=g_min)
+            pred = predict_model(trained[train_kind], X, topo=topo,
+                                 datasheet=datasheet, g_min=g_min)
             case_reports[f"{train_kind}/{test_kind}"] = compute_metrics(
                 pred, test.power, p_nominal, daylight_only=True,
                 g_poa=test.g_poa, g_min=g_min)
@@ -347,36 +358,43 @@ def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
     evaluation day is predicted from its own measured weather by a model
     trained only on ``preprocess.training_window`` of the preceding
     ``length`` days (fractional lengths included).  Lengths that do not fit
-    the available history are skipped with a note.
+    the available history are skipped with a note.  All the (length, day)
+    training slices are trained in one ``train_model`` call, which for
+    ``pvpro`` is one batch of window fits.
     """
     series.validate()
     days = series.days()
     if len(days) < n_eval_days + 1:
         raise InsufficientDataError("series too short for the evaluation span")
-    eval_days = days[-n_eval_days:]
+    eval_days = [day.astype("datetime64[s]") for day in days[-n_eval_days:]]
     groups = {}
     notes = []
+    slices = {}
     for length in lengths_days:
         need = np.timedelta64(int(length * 86400), "s")
-        if eval_days[0].astype("datetime64[s]") - need < days[0]:
-            groups[float(length)] = None
+        groups[float(length)] = None
+        if eval_days[0] - need < days[0]:
             notes.append(f"length {length} d skipped: insufficient history")
             continue
+        slices[float(length)] = [training_window(series, day, need,
+                                                 preprocess)
+                                 for day in eval_days]
+    # every (length, day) window is trained in one call
+    fitted = iter(train_model(model_name,
+                              [train for trains in slices.values()
+                               for train in trains],
+                              topo=topo, datasheet=datasheet))
+    for length in slices:
         preds, meas, gs = [], [], []
         for day in eval_days:
-            day = day.astype("datetime64[s]")
-            train = training_window(series, day, need, preprocess)
             test = series.slice_time(day, day + DAY)
-            fitted = train_model(model_name, train, topo=topo,
-                                 datasheet=datasheet)
             X = baselines.feature_matrix(test.timestamp, test.g_poa,
                                          test.t_module)
-            preds.append(predict_model(fitted, X, topo=topo,
+            preds.append(predict_model(next(fitted), X, topo=topo,
                                        datasheet=datasheet, g_min=g_min))
             meas.append(test.power)
             gs.append(test.g_poa)
-        report = compute_metrics(np.concatenate(preds), np.concatenate(meas),
-                                 p_nominal, daylight_only=True,
-                                 g_poa=np.concatenate(gs), g_min=g_min)
-        groups[float(length)] = report
+        groups[length] = compute_metrics(
+            np.concatenate(preds), np.concatenate(meas), p_nominal,
+            daylight_only=True, g_poa=np.concatenate(gs), g_min=g_min)
     return StudyResult("training_length", groups, notes=notes)

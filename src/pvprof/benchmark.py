@@ -9,7 +9,7 @@ from ``feature_matrix`` rows of the day's weather through ``predict_model``,
 as the studies do, so the day's measured power never reaches a prediction.
 The dynamic fit takes the configured topology and datasheet, over the window
 length ``RunConfig`` converts to whole seconds at parse time.  It predicts
-from TRF's best iterate even when the fit hit its evaluation cap;
+from the solver's best point even when the fit hit its evaluation cap;
 ``trajectory.csv`` flags such a fit as not converged.  The sweep study
 predicts from the last window fit.  Results are pooled into aggregate and
 per-day metrics plus the enabled studies, all serialized deterministically.
@@ -298,8 +298,8 @@ class _DayAheadRunner:
         if name == "pvpro":
             train = training_window(self.series, day_start,
                                     cfg.window_length, cfg.preprocess)
-            fitted = analysis.train_model(
-                name, train, topo=cfg.topology, datasheet=cfg.datasheet,
+            fitted, = analysis.train_model(
+                name, [train], topo=cfg.topology, datasheet=cfg.datasheet,
                 init=self.warm_params)
             if cfg.warm_start and fitted.converged:
                 self.warm_params = fitted.params
@@ -312,8 +312,8 @@ class _DayAheadRunner:
             length = np.timedelta64(int(sel.best_length_days * 86400), "s")
             train = training_window(self.series, day_start, length,
                                     cfg.preprocess)
-            fitted = analysis.train_model(
-                name, train, topo=cfg.topology, datasheet=cfg.datasheet,
+            fitted, = analysis.train_model(
+                name, [train], topo=cfg.topology, datasheet=cfg.datasheet,
                 hyperparams=sel.best_hyperparams)
         X = baselines.feature_matrix(weather.timestamp, weather.g_poa,
                                      weather.t_cell)

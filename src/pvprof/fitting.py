@@ -2,17 +2,28 @@
 
 The estimator solves the nonlinear least-squares problem of matching
 simulated to measured DC voltage and current, each normalized by its
-nameplate MPP value, over a window of retained records: bounded
-trust-region-reflective least squares.  A fit takes the system it fits:
-the array topology and the module datasheet give the loss scales, the
-photocurrent temperature coefficient and the box (``default_bounds``).  The
-solver settings are fixed: at most 200 residual evaluations and a relative
-cost-reduction stop of 1e-10.  Each evaluated parameter vector costs one MPP
-solve, warm-started from the solution at the previously evaluated
-vector (a step away, in a trust-region method); the exact Jacobian at an
-accepted point comes from that solution by implicit differentiation
-(``sdm.mpp_sensitivities_arrays``).  ``loss`` solves cold.
-Saturation current and shunt resistance are optimized in log10 space.
+nameplate MPP value, over a window of retained records.  A fit takes the
+system it fits: the array topology and the module datasheet give the loss
+scales, the photocurrent temperature coefficient and the box
+(``default_bounds``).  Saturation current and shunt resistance are
+optimized in log10 space.
+
+The solver is a projected Levenberg-Marquardt method, and ``fit_windows``
+runs it on any number of independent windows at once.  Each window keeps
+its own 5x5 normal equations, damping, accept/reject decision and stop;
+the windows share only the MPP solves: every residual evaluation stacks the
+records of the windows still running into one
+``sdm.simulate_array_mpp_arrays`` call, and the Jacobians of the windows
+whose steps were accepted come from one ``sdm.mpp_sensitivities_arrays``
+call (implicit differentiation at the solution just found, so nothing is
+solved twice).  Each solve warm-starts from the window's previously solved
+vector; ``loss`` solves cold.  The solver settings are fixed: at most 200
+residual evaluations per window, and the stop rules of scipy's
+trust-region-reflective method, which fitted these windows before: a
+relative cost reduction below 1e-10, a step below 1e-8 of the point's
+norm, or a bound-scaled gradient below 1e-8.  Iterates stay strictly
+inside the box.
+
 A few days of MPP data barely constrain the shunt, so each fit adds one
 prior row on log10 ``r_sh_ref``: half a decade wide, centred on the fit's
 own start, weighted by a noise estimate from the start's residuals; the
@@ -29,7 +40,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import sdm
 from .exceptions import (ConfigError, ExtractionError, FitDegeneracyError,
@@ -51,14 +61,21 @@ def default_bounds(i_sc_datasheet):
 
 
 # the solver settings of every window fit: a cap on the residual evaluations
-# and the relative cost-reduction stop (``least_squares``' ``ftol``)
+# (the start's included), the relative cost-reduction stop, and the step
+# and scaled-gradient stops at the defaults of scipy's ``least_squares``
 _MAX_EVALUATIONS = 200
 _LOSS_TOLERANCE = 1e-10
+_STEP_TOLERANCE = 1e-8
+_GRADIENT_TOLERANCE = 1e-8
+# a step that would reach a bound stops at this share of the distance
+_BOUND_STEP = 0.995
+# the damping of a window's first step, relative to the largest curvature
+# of its normal equations: small, for a start believed to be good
+_INITIAL_DAMPING = 1e-6
 # width, in decades, of the prior on log10 r_sh_ref that every window fit
 # adds: a few days of MPP data barely constrain the shunt
 _SHUNT_PRIOR_DECADES = 0.5
 _SHUNT = PARAM_ORDER.index("r_sh_ref")
-_SHUNT_ROW = np.eye(len(PARAM_ORDER))[_SHUNT]
 
 
 def _scales(datasheet, topo: sdm.ArrayTopology):
@@ -133,13 +150,15 @@ def _to_natural(x):
 def _simulate(x, window: TelemetrySeries, topo, datasheet, start=None):
     """Array MPP ``(v_sim, i_sim)`` of each record at transformed ``x``.
 
-    ``x`` is one parameter vector (5,) or a stack (P, 5).  ``start`` is a
-    solution at nearby parameters to warm-start the solve from.
+    ``x`` has a trailing axis of the five parameters, and its leading axes
+    broadcast against the records: one vector (5,), one row per record
+    (N, 5), or a stack of vectors (P, 1, 5).  ``start`` is a solution at
+    nearby parameters to warm-start the solve from.
     """
     nat = _to_natural(x)
     v_sim, i_sim, _ = sdm.simulate_array_mpp_arrays(
-        *(nat[..., j, None] for j in range(5)), window.g_poa,
-        window.t_module, topo, datasheet.alpha_isc, start=start)
+        *np.moveaxis(nat, -1, 0), window.g_poa, window.t_module, topo,
+        datasheet.alpha_isc, start=start)
     return v_sim, i_sim
 
 
@@ -155,22 +174,21 @@ def _residuals(x, window: TelemetrySeries, topo, datasheet, solved=None):
 
 
 def _jacobian(x, solved, window: TelemetrySeries, topo, datasheet):
-    """Exact Jacobian (2N, 5) of ``_residuals`` at one ``x``.
+    """Exact Jacobian (2N, 5) of ``_residuals`` at one vector or one row
+    per record ``x``.
 
     ``solved`` is ``_simulate(x, ...)``; the MPP sensitivities come from
     implicit differentiation at that solution, so nothing is solved again.
+    A record the solve could not handle gives non-finite rows, not zeros.
     """
     nat = _to_natural(x)
     dv, di = sdm.mpp_sensitivities_arrays(
-        *solved, *nat, window.g_poa, window.t_module, topo,
-        datasheet.alpha_isc)
+        *solved, *np.moveaxis(nat, -1, 0), window.g_poa, window.t_module,
+        topo, datasheet.alpha_isc)
     # d(natural)/dx is 1 on the linear and nat*ln(10) on the log10 columns
     chain = np.where(_LOG_MASK, nat * math.log(10.0), 1.0)
     v_scale, i_scale = _scales(datasheet, topo)
-    jac = np.concatenate([dv / -v_scale, di / -i_scale]) * chain
-    if not np.all(np.isfinite(jac)):
-        raise NumericalError("non-finite MPP sensitivities")
-    return jac
+    return np.concatenate([dv / -v_scale * chain, di / -i_scale * chain])
 
 
 def loss(params: sdm.SdmParamsRef, window: TelemetrySeries,
@@ -190,16 +208,119 @@ def loss(params: sdm.SdmParamsRef, window: TelemetrySeries,
     return float(r @ r) / len(window)
 
 
+class _Batch:
+    """The records of independent windows, stacked window after window,
+    and the shunt prior row of each window.
+
+    ``active`` is a boolean mask over the windows; an evaluation solves the
+    records of the active windows only, in window order, and every sum runs
+    over one window's own records.
+    """
+
+    def __init__(self, windows, topo, datasheet):
+        self.topo = topo
+        self.datasheet = datasheet
+        self.counts = np.array([len(w) for w in windows])
+        self.records = TelemetrySeries(*(
+            np.concatenate([getattr(w, name) for w in windows])
+            for name in ("timestamp", "g_poa", "t_module", "v_dc", "i_dc")))
+        # the prior row w*(log10 r_sh_ref - c) of each window; w = 0 is none
+        self.weight = np.zeros(len(windows))
+        self.centre = np.zeros(len(windows))
+
+    def record_mask(self, active):
+        """Which stacked records belong to the ``active`` windows."""
+        return np.repeat(active, self.counts)
+
+    def _rows(self, x, active):
+        # one parameter row per record of the active windows, and the records
+        records = (self.records if active.all()
+                   else self.records.select(self.record_mask(active)))
+        return np.repeat(x[active], self.counts[active], axis=0), records
+
+    def _window_sums(self, per_record, active):
+        counts = self.counts[active]
+        return np.add.reduceat(per_record, np.cumsum(counts) - counts,
+                               axis=0)
+
+    def evaluate(self, x, active, start=None):
+        """Solve the active windows at their rows of transformed ``x``.
+
+        Returns the solution ``(v_sim, i_sim)`` per record, the data
+        residuals (2, N) (voltage row, current row) and each active
+        window's sum of squared data residuals.
+        """
+        rows, records = self._rows(x, active)
+        solved = _simulate(rows, records, self.topo, self.datasheet, start)
+        r = _residuals(rows, records, self.topo, self.datasheet,
+                       solved).reshape(2, -1)
+        return solved, r, self._window_sums((r * r).sum(axis=0), active)
+
+    def normal_equations(self, x, active, solved, r):
+        """Each active window's gradient Jᵀr (W, 5) and curvature JᵀJ
+        (W, 5, 5) of half its sum of squares at ``x``, the prior row
+        included; ``solved`` and ``r`` are ``evaluate``'s at ``x``."""
+        rows, records = self._rows(x, active)
+        jac = _jacobian(rows, solved, records, self.topo,
+                        self.datasheet).reshape(2, -1, 5)
+        # [J | r] per residual row; its outer products summed per window
+        # give JᵀJ and Jᵀr together
+        aug = np.concatenate([jac, r[..., None]], axis=2)
+        sums = self._window_sums(
+            (aug[..., :, None] * aug[..., None, :]).sum(axis=0), active)
+        grad, normal = sums[:, :5, 5], sums[:, :5, :5]
+        weight = self.weight[active]
+        grad[:, _SHUNT] += weight * self.prior(x)[active]
+        normal[:, _SHUNT, _SHUNT] += weight * weight
+        return grad, normal
+
+    def prior(self, x):
+        """The prior row's residual of every window at ``x``."""
+        return self.weight * (x[:, _SHUNT] - self.centre)
+
+
+def _check_window(window: TelemetrySeries):
+    if len(window) < 50:
+        raise InsufficientDataError(
+            f"window has {len(window)} retained records, need >= 50")
+    if window.timestamp[-1] - window.timestamp[0] < DAY:
+        raise InsufficientDataError("window must span at least one day")
+
+
 def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
                init: sdm.SdmParamsRef, datasheet) -> FitWindowResult:
     """Fit the five parameters to one window of retained telemetry.
 
-    Bounded trust-region-reflective least squares on the residual vector in
-    the transformed (log/linear) parameter space, inside
-    ``default_bounds(datasheet.i_sc)``.  At most 200 residual evaluations
-    run; ``converged`` means a tolerance stop (such as the relative cost
-    reduction falling below 1e-10) was met before that cap.  Every record
-    must be solvable at ``init``.
+    The batch of this one window; ``fit_windows`` states the solver, the
+    stop rules and the prior row.
+    """
+    return _fit_batch([window], topo, [init], datasheet)[0]
+
+
+def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet):
+    """Fit the five parameters to each of independent windows of retained
+    telemetry, one ``FitWindowResult`` per window.
+
+    Each window starts from its own entry of ``inits``, clipped into
+    ``default_bounds(datasheet.i_sc)``; a start within 1e-10 (relative) of
+    a bound is moved that far inside.  The solver is a projected
+    Levenberg-Marquardt method on the residual vector in the transformed
+    (log10/linear) parameter space.  Each step solves the window's damped
+    normal equations ``(JᵀJ + lam*c*I) dx = -Jᵀr``, ``c`` the largest
+    diagonal entry of JᵀJ; a component that would reach a bound is held at
+    0.995 of its distance and the others solved again, so every solved
+    point lies strictly inside the box.  A step that lowers the cost is accepted, and
+    the Jacobian is taken there from the solve just done; a step that does
+    not, or whose residuals are not finite, is rejected and the damping
+    raised.  The damping follows Nielsen's gain-ratio rule.
+
+    A window stops, ``converged``, at the first of scipy
+    ``least_squares``' tolerance stops: an accepted step whose relative cost
+    reduction is below 1e-10 (with a gain ratio above 0.25), a step shorter
+    than 1e-8*(1e-8 + |x|), or a bound-scaled gradient (Coleman-Li) below
+    1e-8 in max-norm.  At 200 residual evaluations, the start's included,
+    it stops unconverged at its best point.  ``iterations`` counts
+    Jacobians, the one at the final point included.
 
     One prior row ``w*(log10 r_sh_ref - c)`` joins the data residuals: ``c``
     is the clipped start (the previous window's result in a rolling fit)
@@ -209,62 +330,220 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
     ``final_loss`` is the data term alone; ``shunt_from_prior`` is set when
     the prior supplies over half of the curvature in log10 ``r_sh_ref`` at
     the result.
+
+    Every evaluation stacks the records of the windows still running into
+    one MPP solve, and a window's result does not depend on the other
+    windows in the batch.  Every record must be solvable at a window's
+    start.  If any window fails, the error of the lowest-index failing
+    window is raised: ``InsufficientDataError`` for fewer than 50 records
+    or a span under a day, ``NumericalError`` for non-finite residuals at
+    the start or non-finite MPP sensitivities at an accepted point.
     """
-    if len(window) < 50:
-        raise InsufficientDataError(
-            f"window has {len(window)} retained records, need >= 50")
-    span = window.timestamp[-1] - window.timestamp[0]
-    if span < DAY:
-        raise InsufficientDataError("window must span at least one day")
+    windows, inits = list(windows), list(inits)
+    if len(inits) != len(windows):
+        raise ConfigError(f"{len(windows)} windows but {len(inits)} starts")
+    if len(windows) == 1:
+        # a batch of one is the one-window fit, and runs (and is traced) as
+        # that
+        return [fit_window(windows[0], topo, inits[0], datasheet)]
+    return _fit_batch(windows, topo, inits, datasheet)
 
+
+def _fit_batch(windows, topo, inits, datasheet):
+    """``fit_windows`` on windows and starts of equal number."""
+    invalid = None
+    for k, window in enumerate(windows):
+        try:
+            _check_window(window)
+        except InsufficientDataError as exc:
+            # windows after it cannot change which error is raised
+            invalid = exc
+            windows, inits = windows[:k], inits[:k]
+            break
+    results = _solve(windows, topo, inits, datasheet) if windows else []
+    for result in results:
+        if isinstance(result, NumericalError):
+            raise result
+    if invalid is not None:
+        raise invalid
+    return results
+
+
+# a window's state in ``_solve``: still running, stopped by a tolerance
+# (converged), stopped at the evaluation cap, or failed
+_RUNNING, _CONVERGED, _CAPPED, _FAILED = range(4)
+
+
+def _solve(windows, topo, inits, datasheet):
+    """The batched solver of ``fit_windows``: one ``FitWindowResult`` or
+    ``NumericalError`` per window."""
     bounds = default_bounds(datasheet.i_sc)
-    lo = np.array([bounds[n][0] for n in PARAM_ORDER])
-    hi = np.array([bounds[n][1] for n in PARAM_ORDER])
-    x0 = _to_transformed(np.clip(init.as_array(), lo, hi))
-    centre = x0[_SHUNT]
-    # the last solved point: TRF asks for the Jacobian only at the point
-    # whose residuals it has just evaluated; ``weight`` is the prior's,
-    # fixed at the first evaluation
-    last = {}
+    lo_nat = np.array([bounds[n][0] for n in PARAM_ORDER])
+    hi_nat = np.array([bounds[n][1] for n in PARAM_ORDER])
+    lo, hi = _to_transformed(lo_nat), _to_transformed(hi_nat)
+    inside = np.nextafter(lo, hi), np.nextafter(hi, lo)
+    batch = _Batch(windows, topo, datasheet)
+    n = len(windows)
+    x = _to_transformed(np.clip([p.as_array() for p in inits], lo_nat,
+                                hi_nat))
+    batch.centre = x[:, _SHUNT].copy()
+    x = _strictly_inside(x, lo, hi)
 
-    def residuals(x):
-        # TRF's successive points are close, so each solve starts from the
-        # last one; its non-finite rows start cold
-        solved = _simulate(x, window, topo, datasheet, last.get("solved"))
-        r = _residuals(x, window, topo, datasheet, solved)
-        # the first call is TRF's own evaluation of the (strictly feasible)
-        # initial guess; later non-finite trial steps TRF rejects by itself
-        if not last:
-            if not np.all(np.isfinite(r)):
-                raise NumericalError(
-                    "non-finite residuals at the initial guess")
-            last["weight"] = _noise_scale(r) / _SHUNT_PRIOR_DECADES
-        last.update(x=x.copy(), solved=solved)
-        if last["weight"] > 0.0:
-            r = np.append(r, last["weight"] * (x[_SHUNT] - centre))
-        return r
+    status = np.full(n, _RUNNING)
+    errors = [None] * n
+    evaluations = np.ones(n, dtype=int)
+    jacobians = np.zeros(n, dtype=int)
+    damping = np.full(n, _INITIAL_DAMPING)
+    growth = np.full(n, 2.0)
+    grad = np.zeros((n, 5))
+    normal = np.zeros((n, 5, 5))
 
-    def jacobian(x):
-        if not np.array_equal(x, last["x"]):
-            residuals(x)
-        jac = _jacobian(x, last["solved"], window, topo, datasheet)
-        if last["weight"] > 0.0:
-            jac = np.vstack([jac, last["weight"] * _SHUNT_ROW])
-        return jac
+    every = np.ones(n, dtype=bool)
+    solved, r, data_ss = batch.evaluate(x, every)
+    # the warm start of each record's next solve: its last solution
+    last_v, last_i = solved
+    for k in np.flatnonzero(~np.isfinite(data_ss)):
+        errors[k] = NumericalError("non-finite residuals at the initial guess")
+        status[k] = _FAILED
+    offsets = np.cumsum(batch.counts) - batch.counts
+    for k in np.flatnonzero(status == _RUNNING):
+        window_r = r[:, offsets[k]:offsets[k] + batch.counts[k]]
+        batch.weight[k] = _noise_scale(window_r) / _SHUNT_PRIOR_DECADES
 
-    # TRF only accepts steps that lower the cost, so res.x is the best iterate
-    res = least_squares(residuals, x0, jac=jacobian, method="trf",
-                        bounds=(_to_transformed(lo), _to_transformed(hi)),
-                        ftol=_LOSS_TOLERANCE, max_nfev=_MAX_EVALUATIONS)
-    nat = np.clip(_to_natural(res.x), lo, hi)
-    data = res.fun[:2 * len(window)]
-    return FitWindowResult(
-        window_start=window.timestamp[0], window_end=window.timestamp[-1],
-        params=sdm.SdmParamsRef.from_array(nat),
-        final_loss=float(data @ data) / len(window),
-        iterations=int(res.njev), converged=bool(res.status > 0),
-        n_points=len(window),
-        shunt_from_prior=_prior_dominates(res.jac, last["weight"]))
+    def take_jacobians(accepted, solved_for, solved, r):
+        # the Jacobian of each accepted window at the solve just done, which
+        # ran on the records of the ``solved_for`` windows
+        keep = np.repeat(accepted[solved_for], batch.counts[solved_for])
+        jacobians[accepted] += 1
+        g, a = batch.normal_equations(
+            x, accepted, (solved[0][keep], solved[1][keep]), r[:, keep])
+        grad[accepted], normal[accepted] = g, a
+        bad = accepted.copy()
+        bad[accepted] = ~(np.isfinite(g).all(axis=1)
+                          & np.isfinite(a).all(axis=(1, 2)))
+        for k in np.flatnonzero(bad):
+            errors[k] = NumericalError("non-finite MPP sensitivities")
+            status[k] = _FAILED
+
+    take_jacobians(status == _RUNNING, every, solved, r)
+    cost = 0.5 * (data_ss + batch.prior(x) ** 2)
+    while True:
+        running = status == _RUNNING
+        # least_squares' gradient stop: each component scaled by the
+        # distance to the bound the descent direction points at
+        room = np.where(grad < 0, hi - x, x - lo)
+        small = running & (np.max(np.abs(grad * room), axis=1)
+                           < _GRADIENT_TOLERANCE)
+        status[small] = _CONVERGED
+        status[running & ~small & (evaluations >= _MAX_EVALUATIONS)] = _CAPPED
+        running = status == _RUNNING
+        if not running.any():
+            break
+        xr, g, a = x[running], grad[running], normal[running]
+        step = _damped_step(xr, g, a, damping[running], lo, hi)
+        trial = np.clip(xr + step, *inside)
+        step = trial - xr
+
+        x_trial = x.copy()
+        x_trial[running] = trial
+        keep = batch.record_mask(running)
+        solved, r, ss = batch.evaluate(
+            x_trial, running, (last_v[keep], last_i[keep]))
+        last_v[keep], last_i[keep] = solved
+        evaluations[running] += 1
+        new_cost = 0.5 * (ss + batch.prior(x_trial)[running] ** 2)
+        finite = np.isfinite(new_cost)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reduction = cost[running] - new_cost
+            predicted = -(g * step).sum(axis=1) - 0.5 * (
+                step * (a @ step[..., None])[..., 0]).sum(axis=1)
+            ratio = reduction / predicted
+            accept = finite & (reduction > 0)
+        # Nielsen's rule: shrink the damping by how well the quadratic
+        # model predicted an accepted step, grow it on every rejection
+        with np.errstate(invalid="ignore", over="ignore"):
+            shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+        damping[running] = np.where(accept, damping[running] * shrink,
+                                    damping[running] * growth[running])
+        growth[running] = np.where(accept, 2.0, 2.0 * growth[running])
+        stop = finite & (
+            (accept & (reduction < _LOSS_TOLERANCE * cost[running])
+             & (ratio > 0.25))
+            | (np.linalg.norm(step, axis=1) < _STEP_TOLERANCE * (
+                _STEP_TOLERANCE + np.linalg.norm(xr, axis=1))))
+
+        accepted = running.copy()
+        accepted[running] = accept
+        if accept.any():
+            x[accepted] = x_trial[accepted]
+            cost[accepted] = new_cost[accept]
+            data_ss[accepted] = ss[accept]
+            take_jacobians(accepted, running, solved, r)
+        stopped = running.copy()
+        stopped[running] = stop
+        status[stopped & (status == _RUNNING)] = _CONVERGED
+
+    results = []
+    for k, window in enumerate(windows):
+        if status[k] == _FAILED:
+            results.append(errors[k])
+            continue
+        nat = np.clip(_to_natural(x[k]), lo_nat, hi_nat)
+        results.append(FitWindowResult(
+            window_start=window.timestamp[0], window_end=window.timestamp[-1],
+            params=sdm.SdmParamsRef.from_array(nat),
+            final_loss=float(data_ss[k]) / len(window),
+            iterations=int(jacobians[k]),
+            converged=bool(status[k] == _CONVERGED),
+            n_points=len(window),
+            shunt_from_prior=_prior_dominates(normal[k], batch.weight[k])))
+    return results
+
+
+def _damped_step(x, grad, normal, damping, lo, hi):
+    """Each window's Levenberg-Marquardt step from ``x``, kept inside the box.
+
+    The damped normal equations ``(JᵀJ + damping*c*I) dx = -Jᵀr`` are
+    solved, with ``c`` the largest diagonal entry of JᵀJ.  A component that
+    would reach a bound is held at 0.995 of its distance to it, and the
+    other components are solved again with it held, until no free one
+    reaches a bound: a coordinate pressed against a bound then no longer
+    bends the step of the rest.
+    """
+    # in units of the largest curvature, so the damping is relative to it;
+    # damping at machine precision or above keeps the system non-singular
+    unit = np.maximum(np.diagonal(normal, axis1=1, axis2=2).max(axis=1),
+                      np.finfo(float).tiny)[:, None]
+    damping = np.maximum(damping, np.finfo(float).eps)
+    system = normal / unit[..., None] + damping[:, None, None] * np.eye(5)
+    rhs = -grad / unit
+    step = np.linalg.solve(system, rhs[..., None])[..., 0]
+    lower, upper = _BOUND_STEP * (lo - x), _BOUND_STEP * (hi - x)
+    held = np.zeros(step.shape, dtype=bool)
+    # each pass holds at least one more component, so at most five run
+    while True:
+        crossing = ~held & ((step < lower) | (step > upper))
+        if not crossing.any():
+            return step
+        held |= crossing
+        fixed = np.where(held, np.clip(step, lower, upper), 0.0)
+        # the held columns move to the right-hand side
+        free = ~held
+        reduced = np.where(free[:, :, None] & free[:, None, :], system,
+                           np.eye(5))
+        b = np.where(held, fixed, rhs - (system @ fixed[..., None])[..., 0])
+        again = crossing.any(axis=1)[:, None]
+        step = np.where(again, np.linalg.solve(reduced, b[..., None])[..., 0],
+                        step)
+        step = np.where(held, fixed, step)
+
+
+def _strictly_inside(x, lo, hi):
+    """``x`` with each coordinate within 1e-10 (relative) of a bound moved
+    that far inside, as ``least_squares`` moves its start."""
+    lo_gap = 1e-10 * np.maximum(1.0, np.abs(lo))
+    hi_gap = 1e-10 * np.maximum(1.0, np.abs(hi))
+    return np.clip(x, lo + lo_gap, hi - hi_gap)
 
 
 def _noise_scale(r):
@@ -274,16 +553,17 @@ def _noise_scale(r):
     Differences cancel the smooth mismatch of a wrong start, which an RMS
     would count as noise.
     """
-    steps = np.diff(r.reshape(2, -1), axis=1)
+    steps = np.diff(np.reshape(r, (2, -1)), axis=1)
     return 1.4826 * float(np.median(np.abs(steps))) / math.sqrt(2.0)
 
 
-def _prior_dominates(jac, weight):
+def _prior_dominates(normal, weight):
     """Whether the prior row of ``weight`` supplies over half the curvature
     in log10 ``r_sh_ref``: the marginal information 1/[(JᵀJ)⁻¹] of that
-    coordinate is below 2*weight².  A singular JᵀJ counts as dominated."""
+    coordinate is below 2*weight², where ``normal`` is JᵀJ with the prior
+    row.  A singular JᵀJ counts as dominated."""
     try:
-        variance = np.linalg.inv(jac.T @ jac)[_SHUNT, _SHUNT]
+        variance = np.linalg.inv(normal)[_SHUNT, _SHUNT]
     except np.linalg.LinAlgError:
         return True
     return not (variance > 0.0 and 1.0 / variance >= 2.0 * weight * weight)

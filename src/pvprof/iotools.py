@@ -244,13 +244,15 @@ def _diagnosis(rejection, fields):
 
 def _undecodable_line(path):
     # the text layer decodes ahead of the CSV reader, so the reader's line
-    # count does not locate the bad byte; find it in the raw lines
+    # count does not locate the bad byte; find it in the raw lines, which
+    # end where the reader's do: at \n, \r\n or a lone \r
     with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
+        raw = fh.read()
+    for line_no, line in enumerate(raw.splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return line_no
     return "?"
 
 

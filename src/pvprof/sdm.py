@@ -283,9 +283,11 @@ def mpp_arrays(i_ph, i_0, r_s, r_sh, a, vd_start=None):
     for nearby parameters) or, where that is None or not finite, from
     hi - a*log1p(hi/a); each step moves one end of the bracket to the
     current point by the sign of dp/dvd, and a step that leaves the
-    bracket, or where d2p/dvd2 >= 0, becomes a bisection.  The loop stops
-    when every lit row moves by at most 1e-13*(1+vd) volts; non-finite rows
-    propagate as NaN/inf.
+    bracket, or where d2p/dvd2 >= 0, becomes a bisection.  A row stops, and
+    is frozen at that step's vd, once a step moves it by at most
+    1e-13*(1+vd) volts, so its result does not depend on the other rows it
+    is solved with; the loop ends when every lit row has stopped.
+    Non-finite rows propagate as NaN/inf.
 
     Raises
     ------
@@ -305,6 +307,8 @@ def mpp_arrays(i_ph, i_0, r_s, r_sh, a, vd_start=None):
         # stop test below is False for NaN
         vd_start = np.asarray(vd_start, dtype=float)
         vd = np.where(np.isfinite(vd_start), np.clip(vd_start, lo, hi), vd)
+    # dark rows give zeros whatever their vd
+    frozen = dark
     for _ in range(_MPP_MAX_ITER):
         _, _, cur, vol, di, dv, dp, d2p = _power_along_vd(vd, i_ph, i_0,
                                                           r_s, r_sh, a)
@@ -315,8 +319,11 @@ def mpp_arrays(i_ph, i_0, r_s, r_sh, a, vd_start=None):
         # inclusive bounds: a converged row sits on one end of its bracket
         take = (d2p < 0) & (newton >= lo) & (newton <= hi)
         vd_new = np.where(take, newton, 0.5 * (lo + hi))
-        pending = ~dark & (np.abs(vd_new - vd) > 1e-13 * (1.0 + vd))
-        vd = vd_new
+        # NaN compares False, so a non-finite row stops with its first step
+        moved = np.abs(vd_new - vd) > 1e-13 * (1.0 + vd)
+        vd = np.where(frozen, vd, vd_new)
+        frozen = frozen | ~moved
+        pending = ~frozen
         if not pending.any():
             cur = _current_at_vd(vd, i_ph, i_0, r_sh, a)
             vol = vd - cur * r_s

@@ -242,9 +242,10 @@ def _iso_seconds(text):
 
 def _undecodable_line(path):
     with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
+        raw = fh.read()
+    for line_no, line in enumerate(raw.splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return line_no
     return "?"

@@ -219,7 +219,8 @@ class TestWeatherCases:
                                     p_nominal=p_nominal)
         for name in ("pvpro", "lr"):
             pools = [tuple(np.unique(train.day_index()))
-                     for model, train in calls if model == name]
+                     for model, trains in calls if model == name
+                     for train in trains]
             # clear, cloudy and mixed training days, each trained on once
             assert len(pools) == 3 and len(set(pools)) == 3
             assert sorted(pools[0] + pools[1]) == list(pools[2])
@@ -246,8 +247,8 @@ class TestWeatherCases:
             assert list(res.groups[name]) == [
                 f"{a}/{b}" for a, b in analysis.WEATHER_CASES]
             for train_kind, test_kind in analysis.WEATHER_CASES:
-                fitted = analysis.train_model(
-                    name, records(train_days[train_kind]), topo=topo,
+                fitted, = analysis.train_model(
+                    name, [records(train_days[train_kind])], topo=topo,
                     datasheet=datasheet)
                 test = records(split[test_kind][1])
                 X = baselines.feature_matrix(test.timestamp, test.g_poa,
@@ -356,9 +357,14 @@ class TestInterpretabilitySweep:
 
 
 def _training_slices(calls):
-    """Timestamps of the telemetry slice each recorded call trained on."""
-    return [next(a for a in args if isinstance(a, TelemetrySeries)).timestamp
-            for args in calls]
+    """Timestamps of each telemetry slice the recorded calls trained on, in
+    order: a ``fit_window`` call takes one slice, a ``train_model`` call a
+    list of them."""
+    slices = []
+    for args in calls:
+        arg = next(a for a in args if isinstance(a, (TelemetrySeries, list)))
+        slices.extend(arg if isinstance(arg, list) else [arg])
+    return [train.timestamp for train in slices]
 
 
 class TestTrainingLengthSweep:
@@ -484,8 +490,8 @@ class TestTrainPredict:
         return train, WeatherSeries.from_telemetry(test)
 
     def _pair(self, name, train, weather, topo, datasheet):
-        fitted = analysis.train_model(name, train, topo=topo,
-                                      datasheet=datasheet)
+        fitted, = analysis.train_model(name, [train], topo=topo,
+                                       datasheet=datasheet)
         X = baselines.feature_matrix(weather.timestamp, weather.g_poa,
                                      weather.t_cell)
         return analysis.predict_model(fitted, X, topo=topo,
@@ -524,7 +530,7 @@ class TestTrainPredict:
     @pytest.mark.parametrize("name", ["smart_persistence", "svr"])
     def test_unknown_model_rejected(self, split, topo, datasheet, name):
         with pytest.raises(ConfigError):
-            analysis.train_model(name, split[0], topo=topo,
+            analysis.train_model(name, [split[0]], topo=topo,
                                  datasheet=datasheet)
 
     @pytest.mark.parametrize("fitted, with_topo", [

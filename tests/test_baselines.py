@@ -139,8 +139,8 @@ class TestDatasheetExtraction:
         ds = replace(datasheet)   # equal values, its own instance
         first = ds.desoto_params
         assert fitting.initial_guess(ds) is first
-        assert analysis.train_model("nominal", None, topo=topo,
-                                    datasheet=ds) is first
+        assert analysis.train_model("nominal", [None], topo=topo,
+                                    datasheet=ds)[0] is first
         assert len(calls) == 1
         # no cache keyed on values: an equal datasheet extracts again
         assert replace(ds).desoto_params == first

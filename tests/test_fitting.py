@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+import pvprof
 from pvprof import baselines, fitting, preprocess, sdm, synth
 from pvprof.exceptions import (ConfigError, FitDegeneracyError,
                                InsufficientDataError, NumericalError)
@@ -98,8 +103,9 @@ class TestLoss:
         xs = rng.uniform(x_lo, x_hi, size=(100, 5))
         nat = fitting._to_natural(xs)
         nat[:, 1] = np.minimum(nat[:, 1], 0.5 * nat[:, 0])  # keep i0 < iph
-        r = fitting._residuals(fitting._to_transformed(nat), retained, topo,
-                               datasheet)
+        # one vector per sample, broadcast against the records
+        r = fitting._residuals(fitting._to_transformed(nat)[:, None, :],
+                               retained, topo, datasheet)
         values = np.sum(r * r, axis=1) / len(retained)
         truth_loss = fitting.loss(CSI_PARAMS, retained, topo, datasheet)
         assert np.all(values >= truth_loss)
@@ -136,15 +142,19 @@ class TestLoss:
             fitting.loss(CSI_PARAMS, broken, topo, datasheet)
         with pytest.raises(NumericalError):
             fitting.fit_window(broken, topo, CSI_PARAMS, datasheet)
-        # a record the MPP solve cannot handle leaves no hole in the Jacobian
+        # a record the MPP solve cannot handle leaves no hole in the
+        # Jacobian: its rows stay non-finite, which fails the fit
+        # (``TestFitWindows.test_non_finite_sensitivities_fail_the_window``)
+        k = len(retained) // 2
         g_poa = retained.g_poa.copy()
-        g_poa[len(g_poa) // 2] = np.nan
+        g_poa[k] = np.nan
         nan_g = TelemetrySeries(retained.timestamp, g_poa, retained.t_module,
                                 retained.v_dc, retained.i_dc)
         x = fitting._to_transformed(CSI_PARAMS.as_array())
-        with pytest.raises(NumericalError):
-            fitting._jacobian(x, fitting._simulate(x, nan_g, topo, datasheet),
-                              nan_g, topo, datasheet)
+        jac = fitting._jacobian(x, fitting._simulate(x, nan_g, topo, datasheet),
+                                nan_g, topo, datasheet)
+        finite = np.isfinite(jac).all(axis=1)
+        assert np.flatnonzero(~finite).tolist() == [k, len(retained) + k]
 
 
 class TestFitWindow:
@@ -245,19 +255,37 @@ class TestFitWindow:
             assert lo <= getattr(result.params, name) <= hi
 
 
-def spy_least_squares(monkeypatch):
-    """Record each ``least_squares`` call of ``fit_window``: its residual
-    and Jacobian callables and its result."""
-    calls = []
-    original = fitting.least_squares
+def spy_batches(monkeypatch):
+    """Record each ``fitting._Batch`` a fit builds; after the fit it holds
+    the weight and centre of each window's prior row."""
+    batches = []
 
-    def spying(fun, x0, jac, **kwargs):
-        res = original(fun, x0, jac=jac, **kwargs)
-        calls.append((fun, jac, res))
-        return res
+    class Spying(fitting._Batch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            batches.append(self)
 
-    monkeypatch.setattr(fitting, "least_squares", spying)
-    return calls
+    monkeypatch.setattr(fitting, "_Batch", Spying)
+    return batches
+
+
+def window_problem(batch, x):
+    """Residual vector and analytic Jacobian of a one-window batch at
+    transformed ``x``, from the solver's own pieces: the data rows, then
+    the prior row when its weight is positive.  Also returns the solver's
+    gradient and curvature sums at ``x``."""
+    every = np.ones(1, dtype=bool)
+    solved, r, _ = batch.evaluate(x[None], every)
+    rows = np.repeat(x[None], len(batch.records), axis=0)
+    jac = fitting._jacobian(rows, solved, batch.records, batch.topo,
+                            batch.datasheet)
+    res = r.ravel()
+    if batch.weight[0] > 0.0:
+        shunt = fitting.PARAM_ORDER.index("r_sh_ref")
+        res = np.append(res, batch.prior(x[None])[0])
+        jac = np.vstack([jac, batch.weight[0] * np.eye(5)[shunt]])
+    grad, normal = batch.normal_equations(x[None], every, solved, r)
+    return res, jac, grad[0], normal[0]
 
 
 class TestShuntPrior:
@@ -284,36 +312,272 @@ class TestShuntPrior:
     def test_noiseless_window_fits_without_prior(self, noiseless, topo,
                                                  datasheet, monkeypatch):
         _, retained = noiseless
-        calls = spy_least_squares(monkeypatch)
+        batches = spy_batches(monkeypatch)
         result = fitting.fit_window(retained, topo, CSI_PARAMS, datasheet)
-        (_, _, res), = calls
-        assert res.fun.shape == (2 * len(retained),)
+        batch, = batches
+        x = fitting._to_transformed(result.params.as_array())
+        res, _, _, _ = window_problem(batch, x)
+        assert batch.weight[0] == 0.0
+        assert res.shape == (2 * len(retained),)
         assert not result.shunt_from_prior
 
     def test_jacobian_matches_central_differences(self, topo, datasheet,
                                                   monkeypatch):
         _, retained = make_window(noise=0.005, topo=topo)
-        calls = spy_least_squares(monkeypatch)
+        batches = spy_batches(monkeypatch)
         init = replace(CSI_PARAMS, r_sh_ref=1000.0)
-        fitting.fit_window(retained, topo, init, datasheet)
-        (fun, jac, res), = calls
+        result = fitting.fit_window(retained, topo, init, datasheet)
+        batch, = batches
         n = 2 * len(retained)
-        assert res.fun.shape == (n + 1,)
         shunt = fitting.PARAM_ORDER.index("r_sh_ref")
         rng = np.random.default_rng(7)
-        for x in (res.x, res.x + rng.uniform(-0.02, 0.02, 5)):
-            analytic = jac(x)
-            numeric = five_point_gradient(fun, x)
+        x_fit = fitting._to_transformed(result.params.as_array())
+        for x in (x_fit, x_fit + rng.uniform(-0.02, 0.02, 5)):
+            res, analytic, grad, normal = window_problem(batch, x)
+            numeric = five_point_gradient(
+                lambda y: window_problem(batch, y)[0], x)
+            assert res.shape == (n + 1,)
             assert analytic.shape == numeric.shape == (n + 1, 5)
             scale = np.maximum(np.abs(numeric),
                                1e-3 * np.max(np.abs(numeric), axis=0))
             assert np.all(np.abs(analytic - numeric) <= 1e-4 * scale)
-            # the prior row: its weight in the log10 r_sh_ref column only
+            # the prior row: its weight in the log10 r_sh_ref column only,
+            # centred on the start
             weight = analytic[n, shunt]
             assert weight > 0.0
             assert np.array_equal(np.flatnonzero(analytic[n]), [shunt])
-            assert fun(x)[n] == pytest.approx(
+            assert res[n] == pytest.approx(
                 weight * (x[shunt] - np.log10(1000.0)), rel=1e-12)
+            # the solver's sums are those of this residual vector, to the
+            # rounding of the sums' terms
+            assert np.all(np.abs(grad - analytic.T @ res)
+                          <= 1e-9 * (np.abs(analytic).T @ np.abs(res)))
+            np.testing.assert_allclose(normal, analytic.T @ analytic,
+                                       rtol=1e-9)
+
+
+# fit_windows against fit_window one window at a time: params and
+# final_loss agree to this relative tolerance (they are meant to be equal)
+BATCH_RTOL = 1e-12
+# fit_windows' final data loss against scipy's TRF on the same problem: it
+# may be worse by at most this relative amount.  A noiseless window's
+# minimum is zero, and either solver may stop anywhere below
+# TRF_ZERO_LOSS: at the 1e-8 gradient stop, residuals of order 1e-10 of
+# the nameplate, a mean square of 1e-20, are left unresolved
+TRF_LOSS_RTOL = 1e-5
+TRF_ZERO_LOSS = 1e-18
+# TRF's shunt flag is borderline when the data's curvature in log10
+# r_sh_ref is within this factor of the flag's threshold, 2*weight²
+TRF_FLAG_MARGIN = 1.25
+
+
+def trf_fit(window, topo, init, datasheet):
+    """The window fit as scipy's trust-region-reflective least squares runs
+    it: the library's residuals, Jacobian, box and prior row, the solver's
+    cost-reduction stop and evaluation cap, cold solves.
+
+    Returns the clipped parameters, the final data loss and the data's
+    share of the log10 r_sh_ref curvature over the flag's threshold (inf
+    without a prior row).
+    """
+    shunt = fitting.PARAM_ORDER.index("r_sh_ref")
+    bounds = fitting.default_bounds(datasheet.i_sc)
+    lo = np.array([bounds[k][0] for k in fitting.PARAM_ORDER])
+    hi = np.array([bounds[k][1] for k in fitting.PARAM_ORDER])
+    x0 = fitting._to_transformed(np.clip(init.as_array(), lo, hi))
+    weight = fitting._noise_scale(fitting._residuals(
+        x0, window, topo, datasheet)) / fitting._SHUNT_PRIOR_DECADES
+    prior_row = weight * np.eye(5)[shunt]
+
+    def fun(x):
+        r = fitting._residuals(x, window, topo, datasheet)
+        return np.append(r, weight * (x[shunt] - x0[shunt])) if weight else r
+
+    def jac(x):
+        j = fitting._jacobian(x, fitting._simulate(x, window, topo, datasheet),
+                              window, topo, datasheet)
+        return np.vstack([j, prior_row]) if weight else j
+
+    res = least_squares(fun, x0, jac=jac, method="trf",
+                        bounds=(fitting._to_transformed(lo),
+                                fitting._to_transformed(hi)),
+                        ftol=fitting._LOSS_TOLERANCE,
+                        max_nfev=fitting._MAX_EVALUATIONS)
+    data = res.fun[:2 * len(window)]
+    variance = np.linalg.inv(res.jac.T @ res.jac)[shunt, shunt]
+    margin = 1.0 / variance / (2.0 * weight * weight) if weight else np.inf
+    return (np.clip(fitting._to_natural(res.x), lo, hi),
+            float(data @ data) / len(window), margin)
+
+
+@pytest.fixture(scope="module")
+def fixture_windows(topo, datasheet):
+    """(window, start) pairs: noiseless, noisy, cloudy, a start a decade off
+    in r_sh_ref, starts on a bound, a degraded truth, heavy noise, a 50 ohm
+    shunt, a week, and three cloudy days around a photocurrent step, whose
+    best fit lies on the r_sh_ref floor (demo 06's cloudy weather-case
+    pool)."""
+    guess = fitting.initial_guess(datasheet)
+    bounds = fitting.default_bounds(datasheet.i_sc)
+    degraded = replace(CSI_PARAMS, i_ph_ref=CSI_PARAMS.i_ph_ref * 0.9,
+                       r_s=CSI_PARAMS.r_s * 1.3)
+    cases = [
+        (dict(), guess),
+        (dict(noise=0.005, seed=2), guess),
+        (dict(noise=0.005, seed=3, cloud_days=(1,)), guess),
+        (dict(noise=0.005, seed=4), replace(CSI_PARAMS, r_sh_ref=4000.0)),
+        (dict(noise=0.005, seed=5),
+         replace(guess, r_sh_ref=bounds["r_sh_ref"][1])),
+        (dict(noise=0.005, seed=6),
+         replace(guess, n_diode=bounds["n_diode"][0])),
+        (dict(params=degraded, seed=7), guess),
+        (dict(noise=0.02, seed=9), guess),
+        (dict(noise=0.005, seed=8, params=replace(CSI_PARAMS, r_sh_ref=50.0)),
+         CSI_PARAMS),
+        (dict(days=7, noise=0.005, seed=10, cloud_days=(2, 4)), guess),
+    ]
+    windows = [(make_window(topo=topo, **kw)[1], init) for kw, init in cases]
+    stepped, _ = synth.generate_dataset(
+        CSI_PARAMS, topo,
+        synth.WeatherProfile(days=30, seed=314,
+                             cloud_days=(3, 8, 14, 15, 22, 27),
+                             cloud_depth=0.55),
+        synth.DegradationScenario.step("i_ph_ref", 20, -0.12),
+        alpha_isc=ALPHA_ISC)
+    pool = stepped.days()[[3, 14, 22]]
+    retained = preprocess.apply_quality_pipeline(stepped).retained
+    return windows + [(stepped.select(
+        retained & np.isin(stepped.day_index(), pool)), guess)]
+
+
+@pytest.fixture(scope="module")
+def batch_results(fixture_windows, topo, datasheet):
+    windows, inits = zip(*fixture_windows)
+    return fitting.fit_windows(windows, topo, inits, datasheet)
+
+
+def assert_same_fit(got, want):
+    assert got.converged == want.converged
+    assert got.iterations == want.iterations
+    assert got.shunt_from_prior == want.shunt_from_prior
+    np.testing.assert_allclose(got.params.as_array(), want.params.as_array(),
+                               rtol=BATCH_RTOL, atol=0.0)
+    assert got.final_loss == pytest.approx(want.final_loss, rel=BATCH_RTOL,
+                                           abs=0.0)
+
+
+class TestFitWindows:
+    def test_batch_equals_one_window_at_a_time(self, fixture_windows,
+                                               batch_results, topo,
+                                               datasheet):
+        windows, inits = zip(*fixture_windows)
+        reverse = fitting.fit_windows(windows[::-1], topo, inits[::-1],
+                                      datasheet)[::-1]
+        for (window, init), batched, reversed_ in zip(
+                fixture_windows, batch_results, reverse):
+            alone = fitting.fit_window(window, topo, init, datasheet)
+            assert_same_fit(batched, alone)
+            assert_same_fit(reversed_, alone)
+
+    def test_lowest_failing_window_raises(self, fixture_windows, topo,
+                                          datasheet):
+        windows = [w for w, _ in fixture_windows[:5]]
+        inits = [i for _, i in fixture_windows[:5]]
+        w = windows[2]
+        windows[2] = TelemetrySeries(w.timestamp, w.g_poa, w.t_module,
+                                     np.full(len(w), np.inf), w.i_dc)
+        with pytest.raises(NumericalError, match="initial guess"):
+            fitting.fit_windows(windows, topo, inits, datasheet)
+        # a later window too short to fit does not change the error, an
+        # earlier one does
+        short = windows[0].select(slice(0, 30))
+        with pytest.raises(NumericalError, match="initial guess"):
+            fitting.fit_windows(windows[:4] + [short], topo, inits, datasheet)
+        with pytest.raises(InsufficientDataError):
+            fitting.fit_windows([short] + windows[1:], topo, inits, datasheet)
+
+    def test_non_finite_sensitivities_fail_the_window(
+            self, fixture_windows, topo, datasheet, monkeypatch):
+        # the one record at an irradiance no other window has gets
+        # non-finite sensitivities: its window fails, the batch raises
+        (w0, i0), (w1, i1) = fixture_windows[1:3]
+        g_poa = w1.g_poa.copy()
+        g_poa[10] = 777.25
+        marked = TelemetrySeries(w1.timestamp, g_poa, w1.t_module, w1.v_dc,
+                                 w1.i_dc)
+        original = sdm.mpp_sensitivities_arrays
+
+        def poisoned(*args):
+            dv, di = original(*args)
+            dv[args[7] == 777.25] = np.nan
+            return dv, di
+
+        monkeypatch.setattr(sdm, "mpp_sensitivities_arrays", poisoned)
+        assert fitting.fit_windows([w0], topo, [i0], datasheet)[0].converged
+        with pytest.raises(NumericalError, match="sensitivities"):
+            fitting.fit_windows([w0, marked], topo, [i0, i1], datasheet)
+        # next to a window that fails at its start, the lower index wins
+        broken = TelemetrySeries(w0.timestamp, w0.g_poa, w0.t_module,
+                                 np.full(len(w0), np.inf), w0.i_dc)
+        with pytest.raises(NumericalError, match="sensitivities"):
+            fitting.fit_windows([marked, broken], topo, [i1, i0], datasheet)
+        with pytest.raises(NumericalError, match="initial guess"):
+            fitting.fit_windows([broken, marked], topo, [i0, i1], datasheet)
+
+    def test_capped_window_leaves_the_others_converged(
+            self, noiseless, topo, datasheet, monkeypatch):
+        truth = replace(CSI_PARAMS, i_ph_ref=CSI_PARAMS.i_ph_ref * 0.9,
+                        r_s=CSI_PARAMS.r_s * 1.3)
+        _, degraded = make_window(params=truth, topo=topo)
+        _, retained = noiseless
+        monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 3)
+        windows = [retained, degraded, retained]
+        inits = [CSI_PARAMS, fitting.initial_guess(datasheet), CSI_PARAMS]
+        results = fitting.fit_windows(windows, topo, inits, datasheet)
+        assert [r.converged for r in results] == [True, False, True]
+        assert results[1].iterations <= 3
+        for window, init, result in zip(windows, inits, results):
+            assert_same_fit(result, fitting.fit_window(window, topo, init,
+                                                       datasheet))
+
+    def test_empty_batch_and_mismatched_starts(self, noiseless, topo,
+                                               datasheet):
+        assert fitting.fit_windows([], topo, [], datasheet) == []
+        with pytest.raises(ConfigError):
+            fitting.fit_windows([noiseless[1]], topo, [], datasheet)
+
+
+class TestAgainstTrf:
+    """``fit_windows`` against scipy's trust-region-reflective solver, which
+    the window fit used before, on the same problems."""
+
+    @pytest.fixture(scope="class")
+    def trf_results(self, fixture_windows, topo, datasheet):
+        return [trf_fit(w, topo, init, datasheet)
+                for w, init in fixture_windows]
+
+    def test_loss_no_worse_than_trf(self, batch_results, trf_results):
+        for result, (_, trf_loss, _) in zip(batch_results, trf_results):
+            assert result.converged
+            assert result.final_loss <= max(trf_loss * (1.0 + TRF_LOSS_RTOL),
+                                            TRF_ZERO_LOSS)
+
+    def test_params_inside_bounds(self, batch_results, datasheet):
+        bounds = fitting.default_bounds(datasheet.i_sc)
+        for result in batch_results:
+            for name in fitting.PARAM_ORDER:
+                lo, hi = bounds[name]
+                assert lo <= getattr(result.params, name) <= hi
+
+    def test_shunt_flag_agrees_where_not_borderline(self, batch_results,
+                                                    trf_results):
+        decided = 0
+        for result, (_, _, margin) in zip(batch_results, trf_results):
+            if 1.0 / TRF_FLAG_MARGIN < margin < TRF_FLAG_MARGIN:
+                continue
+            decided += 1
+            assert result.shunt_from_prior == (margin < 1.0)
+        assert decided >= 6
 
 
 class TestRollingFit:
@@ -414,3 +678,15 @@ class TestPredictPower:
             _, _, p = scan_mpp(i_ph, i_0, r_s, r_sh, a, n_points=400_000)
             scaled = p * topo.modules_per_string * topo.strings_in_parallel
             assert p_lib[k] == pytest.approx(scaled, rel=1e-6)
+
+
+def test_import_leaves_scipy_optimize_out():
+    # the window fit has its own solver, so neither the package nor its
+    # command line pays for importing scipy.optimize
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pvprof.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, pvprof, pvprof.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

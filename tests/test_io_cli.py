@@ -297,6 +297,22 @@ class TestTelemetryLayout:
                   "'bad'")]
         assert len(series) == len(base_lines) - 2
 
+    def test_non_utf8_byte_in_cr_only_file_names_its_line(self, tmp_path):
+        # a lone CR ends a line for the reader, so the line of an
+        # undecodable byte counts it too
+        path = tmp_path / "cr.csv"
+        iotools.write_telemetry_csv(path, _small_series(days=1))
+        lines = path.read_bytes().splitlines()[:11]  # header and 10 rows
+        lines[5] = lines[5].replace(b",", b",\xff", 1)  # physical line 6
+        path.write_bytes(b"\r".join(lines) + b"\r")
+        with pytest.raises(DataError, match=r"cr\.csv:6: not UTF-8"):
+            iotools.read_telemetry_csv(path)
+        # the same file, decodable, reads all 10 rows
+        lines[5] = lines[5].replace(b"\xff", b"", 1)
+        path.write_bytes(b"\r".join(lines) + b"\r")
+        assert len(iotools.read_telemetry_csv(path, max_bad_fraction=1.0)[0]) \
+            == 10
+
     def test_multiline_field_does_not_shift_line_numbers(self, tmp_path):
         path = tmp_path / "t.csv"
         iotools.write_telemetry_csv(path, _small_series(days=8))

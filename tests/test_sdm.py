@@ -285,6 +285,35 @@ class TestMpp:
             np.testing.assert_array_equal(out_mixed[~dark], out_alone)
 
 
+    def test_row_frozen_at_its_stop(self):
+        # rows across the fitting box and its irradiance range stop after
+        # different numbers of steps; each row must come out bit for bit as
+        # it does solved alone, whatever the rows beside it still need
+        rng = np.random.default_rng(5)
+        box = fitting.default_bounds(ISC_STC)
+        rows = []
+        for name in sdm.PARAM_NAMES:
+            lo, hi = box[name]
+            if name in fitting._LOG_PARAMS:
+                rows.append(10.0 ** rng.uniform(math.log10(lo),
+                                                math.log10(hi), 300))
+            else:
+                rows.append(rng.uniform(lo, hi, 300))
+        ops = sdm.translate_arrays(*rows, rng.uniform(1.0, 1200.0, 300),
+                                   rng.uniform(-10.0, 70.0, 300), CELLS)
+        v, i, _ = sdm.mpp_arrays(*ops)
+        # a third start warm at their own solution, which stops them early
+        start = np.where(np.arange(300) % 3 == 0, v + i * ops[2], np.nan)
+        for vd_start in (None, start):
+            together = sdm.mpp_arrays(*ops, vd_start=vd_start)
+            for k in range(300):
+                alone = sdm.mpp_arrays(
+                    *(x[k:k + 1] for x in ops),
+                    vd_start=None if vd_start is None else start[k:k + 1])
+                for out_together, out_alone in zip(together, alone):
+                    assert out_together[k] == out_alone[0]
+
+
 class TestMppProperties:
     @given(params=BOX_PARAMS,
            g=st.lists(st.floats(0.0, 1500.0), min_size=1, max_size=4),

@@ -48,10 +48,12 @@ def test_fit_window_solves_through_the_traced_simulation(monkeypatch, topo,
 
 def test_fit_window_solves_each_parameter_row_once(monkeypatch, topo,
                                                    datasheet):
-    # the Jacobian reuses the solution TRF has just evaluated, and the
-    # initial-guess check is TRF's own first evaluation, so no parameter
+    # the Jacobian reuses the solution the solver has just evaluated, and
+    # the initial-guess check is its own first evaluation, so no parameter
     # row reaches the solver twice; a start on a bound is first moved
-    # strictly inside the box, and only that point is solved
+    # strictly inside the box, and only that point is solved.  A solve
+    # takes one parameter row per record, so a one-window fit passes one
+    # distinct row per call
     series, _ = synth.generate_dataset(
         CSI_PARAMS, topo, synth.WeatherProfile(days=3, seed=1),
         alpha_isc=ALPHA_ISC)
@@ -65,8 +67,10 @@ def test_fit_window_solves_each_parameter_row_once(monkeypatch, topo,
     original = sdm.simulate_array_mpp_arrays
 
     def recording(*args, **kwargs):
-        rows.extend(map(tuple, np.column_stack(
+        distinct = set(map(tuple, np.column_stack(
             [np.ravel(p) for p in args[:5]])))
+        assert len(distinct) == 1
+        rows.extend(distinct)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sdm, "simulate_array_mpp_arrays", recording)
@@ -76,6 +80,27 @@ def test_fit_window_solves_each_parameter_row_once(monkeypatch, topo,
         assert result.iterations > 1
         assert len(set(rows)) == len(rows)
         assert np.all((np.array(rows) > lo) & (np.array(rows) < hi))
+
+
+def test_runner_days_fit_through_the_traced_fit_window(monkeypatch, topo,
+                                                       datasheet):
+    # the runner trains each day's window as a batch of one, which must
+    # run as fit_window: the tracer reads the fit layer from its spans
+    series, _ = synth.generate_dataset(
+        CSI_PARAMS, topo, synth.WeatherProfile(days=6, seed=3),
+        alpha_isc=ALPHA_ISC)
+    config = RunConfig.from_dict({
+        "system": {"topology": {"cells_in_series": CELLS,
+                                "modules_per_string": 12,
+                                "strings_in_parallel": 8},
+                   "datasheet": {k: getattr(datasheet, k) for k in (
+                       "v_oc", "i_sc", "v_mp", "i_mp", "alpha_isc",
+                       "beta_voc", "cells_in_series")}},
+        "models": ["pvpro"],
+        "studies": {"exceedance": False}})
+    calls = count_calls(monkeypatch, fitting, "fit_window")
+    report = run_benchmark(config, series)
+    assert len(calls) == len(report.trajectory) == 3
 
 
 def test_one_datasheet_extraction_per_run(monkeypatch, topo, datasheet):
