@@ -1,0 +1,106 @@
+"""Golden outputs: ``pvprof benchmark`` on the committed demo-06 telemetry
+must write what ``demos/output/benchmark/`` holds.
+
+The run starts from the committed ``telemetry.csv``, so the benchmark is
+checked apart from ``synth``.  Text fields (timestamps, model names, skip
+reasons, flags, keys) must match exactly.  Numbers must match within
+``GOLDEN_RTOL`` relative.  Measured spreads set that tolerance: forecasts
+move by at most 4e-9 relative between equivalent builds, and the BLAS
+kernels OpenBLAS picks per CPU move the ``kr`` metrics in the 13th
+significant digit.  A change that alters outputs on purpose regenerates
+the files with ``demos/06_full_benchmark.py`` in the same commit.
+"""
+
+import csv
+import json
+import os
+
+import numpy as np
+
+from pvprof.cli import main
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMO = os.path.join(REPO, "demos", "output")
+GOLDEN_RTOL = 1e-8
+
+
+def _assert_numbers_close(actual, expected, where):
+    actual, expected = np.asarray(actual, float), np.asarray(expected, float)
+    close = np.isclose(actual, expected, rtol=GOLDEN_RTOL, atol=0.0,
+                       equal_nan=True)
+    assert close.all(), \
+        f"{where}: {actual[~close].tolist()} != {expected[~close].tolist()}"
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _assert_same(actual, expected, where):
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict), where
+        assert list(actual) == list(expected), where
+        for key in expected:
+            _assert_same(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list), where
+        assert len(actual) == len(expected), where
+        if (expected and all(map(_is_number, expected))
+                and all(map(_is_number, actual))):
+            _assert_numbers_close(actual, expected, where)
+            return
+        for k, (a, e) in enumerate(zip(actual, expected)):
+            _assert_same(a, e, f"{where}[{k}]")
+    elif _is_number(expected):
+        assert _is_number(actual), where
+        _assert_numbers_close(actual, expected, where)
+    else:
+        assert actual == expected, f"{where}: {actual!r} != {expected!r}"
+
+
+def _assert_same_csv(actual_path, expected_path, where):
+    """Column by column: a column of numbers within the tolerance, any other
+    column cell for cell, numbers within the tolerance and text exactly."""
+    tables = []
+    for path in (actual_path, expected_path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables.append(list(csv.reader(fh)))
+    actual, expected = tables
+    assert actual[0] == expected[0], f"{where} header"
+    assert len(actual) == len(expected), f"{where} rows"
+    for j, name in enumerate(expected[0]):
+        columns = [[row[j] for row in table[1:]] for table in tables]
+        try:
+            numbers = [np.array(column, dtype=float) for column in columns]
+        except ValueError:
+            if columns[0] == columns[1]:
+                continue
+            _assert_same([_cell(v) for v in columns[0]],
+                         [_cell(v) for v in columns[1]], f"{where}.{name}")
+        else:
+            _assert_numbers_close(*numbers, f"{where}.{name}")
+
+
+def _cell(text):
+    """A CSV cell's number, or its text if it is none."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def test_benchmark_reproduces_committed_demo_outputs(tmp_path):
+    config = os.path.join(DEMO, "benchmark_config.json")
+    assert main(["benchmark", "--config", config,
+                 "--out", str(tmp_path)]) == 0
+    golden = os.path.join(DEMO, "benchmark")
+    reports = []
+    for directory in (str(tmp_path), golden):
+        with open(os.path.join(directory, "report.json"),
+                  encoding="utf-8") as fh:
+            report = json.load(fh)
+        del report["provenance"]["created_utc"]
+        reports.append(report)
+    _assert_same(*reports, "report.json")
+    for name in ("forecasts.csv", "trajectory.csv"):
+        _assert_same_csv(tmp_path / name, os.path.join(golden, name), name)
