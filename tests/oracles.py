@@ -82,40 +82,78 @@ def bisect_voltage(i, i_ph, i_0, r_s, r_sh, a, tol=1e-13):
     return vd - i * r_s
 
 
-_SCAN_WORKSPACE = {}
+# the refined scan's first pass visits every this-many-th grid point
+_COARSE_STRIDE = 1000
+# the unit grid of each size, built once
+_UNIT_GRIDS = {}
 
 
 def scan_mpp(i_ph, i_0, r_s, r_sh, a, n_points=1_000_000):
     """Maximum power by dense enumeration of the I-V curve.
 
-    The curve is sampled on a dense diode-voltage grid; every sampled point
-    satisfies the implicit equation by construction, and the maximum of v*i
-    over the samples is the grid-scan reference value.  A reused workspace
-    keeps the million-point scans affordable.
+    The curve is sampled on a dense diode-voltage grid of ``n_points`` from
+    0 to open circuit; every sampled point satisfies the implicit equation
+    by construction, and the maximum of v*i over the samples is the
+    grid-scan reference value.  ``refined_grid_max`` finds that maximum
+    without evaluating most of the grid; ``full_scan_mpp`` evaluates it all.
     """
     if i_ph <= 0:
         return 0.0, 0.0, 0.0
+    return refined_grid_max(_curve_points(i_ph, i_0, r_s, r_sh, a, n_points),
+                            n_points)
+
+
+def full_scan_mpp(i_ph, i_0, r_s, r_sh, a, n_points=1_000_000):
+    """``scan_mpp`` evaluated at every grid point: its reference."""
+    if i_ph <= 0:
+        return 0.0, 0.0, 0.0
+    points = _curve_points(i_ph, i_0, r_s, r_sh, a, n_points)
+    return _grid_max(points, np.arange(n_points))
+
+
+def _curve_points(i_ph, i_0, r_s, r_sh, a, n_points):
+    """``(v, i, p)`` at given indices of the diode-voltage grid."""
     vd_oc = bisect_voltage(0.0, i_ph, i_0, r_s, r_sh, a) + 0.0
     # bisect_voltage returned terminal v at i=0, which equals vd at i=0
-    ws = _SCAN_WORKSPACE.get(n_points)
-    if ws is None:
-        ws = {"unit": np.linspace(0.0, 1.0, n_points),
-              "vd": np.empty(n_points), "cur": np.empty(n_points),
-              "tmp": np.empty(n_points), "vol": np.empty(n_points)}
-        _SCAN_WORKSPACE[n_points] = ws
-    vd, cur, tmp, vol = ws["vd"], ws["cur"], ws["tmp"], ws["vol"]
-    np.multiply(ws["unit"], vd_oc, out=vd)
-    np.divide(vd, a, out=cur)
-    np.expm1(cur, out=cur)
-    cur *= -i_0
-    cur += i_ph
-    np.divide(vd, r_sh, out=tmp)
-    cur -= tmp
-    np.multiply(cur, -r_s, out=vol)
-    vol += vd
-    np.multiply(vol, cur, out=tmp)
-    k = int(np.argmax(tmp))
-    return float(vol[k]), float(cur[k]), float(tmp[k])
+    unit = _UNIT_GRIDS.get(n_points)
+    if unit is None:
+        unit = _UNIT_GRIDS[n_points] = np.linspace(0.0, 1.0, n_points)
+
+    def points(indices):
+        vd = unit[indices] * vd_oc
+        cur = np.expm1(vd / a) * -i_0 + i_ph - vd / r_sh
+        vol = cur * -r_s + vd
+        return vol, cur, vol * cur
+
+    return points
+
+
+def _grid_max(points, indices):
+    """``(v, i, p)`` of the first maximum of p over ``indices``."""
+    v, i, p = points(indices)
+    k = int(np.argmax(p))
+    return float(v[k]), float(i[k]), float(p[k])
+
+
+def refined_grid_max(points, n_points, stride=_COARSE_STRIDE):
+    """The first maximum of p over grid indices ``0..n_points-1``, where
+    ``points(indices)`` gives ``(v, i, p)`` at those indices.
+
+    Every ``stride``-th index and the last are evaluated first.  If those
+    samples rise strictly to their maximum and fall strictly after it, the
+    maximum over the whole grid lies between that sample's two neighbours,
+    and only the indices between them are evaluated in full.  Otherwise
+    every index is.
+    """
+    coarse = np.unique(np.append(np.arange(0, n_points, stride),
+                                 n_points - 1))
+    p = points(coarse)[2]
+    m = int(np.argmax(p))
+    steps = np.diff(p)
+    if np.all(steps[:m] > 0) and np.all(steps[m:] < 0):
+        lo, hi = coarse[max(m - 1, 0)], coarse[min(m + 1, coarse.size - 1)]
+        return _grid_max(points, np.arange(lo, hi + 1))
+    return _grid_max(points, np.arange(n_points))
 
 
 def linear_regime_mpp(i_ph, i_0, r_s, r_sh, a):

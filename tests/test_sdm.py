@@ -9,7 +9,8 @@ from pvprof import fitting, sdm
 from pvprof.exceptions import SolverError
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, draw_csi_like
 from oracles import (bisect_current, bisect_voltage, diode_residual,
-                     five_point_gradient, linear_regime_mpp, scan_mpp)
+                     five_point_gradient, full_scan_mpp, linear_regime_mpp,
+                     refined_grid_max, scan_mpp)
 
 STC = sdm.OperatingConditions(1000.0, 25.0)
 
@@ -487,3 +488,61 @@ class TestOracleAgreement:
         assert p == pytest.approx(P_MPP_STC, rel=1e-7)
         i30 = bisect_current(30.0, *args)
         assert abs(diode_residual(i30, 30.0, *args)) < 1e-11
+
+
+class TestRefinedScanOracle:
+    """``scan_mpp`` scans the grid coarsely, then at full resolution only
+    around the coarse maximum; it must return the full scan's point bit for
+    bit, whichever path it takes."""
+
+    @pytest.mark.parametrize("n_points", [1_000_000, 400_001, 1000, 2])
+    def test_equals_full_scan_on_random_curves(self, n_points):
+        rng = np.random.default_rng(7)
+        params = draw_csi_like(rng, 6)
+        g = rng.uniform(100.0, 1000.0, 6)
+        t = rng.uniform(0.0, 70.0, 6)
+        for k, p in enumerate(params):
+            op = sdm.translate_to_operating(
+                p, sdm.OperatingConditions(g[k], t[k]), CELLS)
+            args = (op.i_ph, op.i_0, op.r_s, op.r_sh, op.a_mod, n_points)
+            assert scan_mpp(*args) == full_scan_mpp(*args)
+
+    @pytest.mark.parametrize("curve", [
+        # two peaks, the higher one second; equal values; a plateau at the
+        # top; a step between two coarse samples
+        lambda x: np.exp(-((x - 0.2) / 0.05) ** 2)
+        + 1.5 * np.exp(-((x - 0.7) / 0.05) ** 2),
+        lambda x: np.zeros_like(x),
+        lambda x: np.minimum(np.sin(np.pi * x), 0.9),
+        lambda x: (x > 0.5004).astype(float)],
+        ids=["two-peaks", "flat", "plateau", "step"])
+    def test_samples_not_strictly_unimodal_scan_everything(self, curve):
+        n_points = 100_000
+        x = np.linspace(0.0, 1.0, n_points)
+        evaluated = []
+
+        def points(indices):
+            evaluated.append(indices.size)
+            p = curve(x[indices])
+            return x[indices], -p, p
+
+        k = int(np.argmax(curve(x)))
+        assert refined_grid_max(points, n_points) == (x[k], -curve(x)[k],
+                                                      curve(x)[k])
+        assert evaluated[-1] == n_points
+
+    @pytest.mark.parametrize("peak", [0.0, 0.31234, 1.0])
+    def test_strictly_unimodal_samples_scan_between_neighbours(self, peak):
+        n_points = 100_000
+        x = np.linspace(0.0, 1.0, n_points)
+        evaluated = []
+
+        def points(indices):
+            evaluated.append(indices.size)
+            p = -np.abs(x[indices] - peak)
+            return x[indices], p, p
+
+        k = int(np.argmax(-np.abs(x - peak)))
+        assert refined_grid_max(points, n_points) == (x[k], -abs(x[k] - peak),
+                                                      -abs(x[k] - peak))
+        assert evaluated[-1] <= 2001
