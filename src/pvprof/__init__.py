@@ -23,7 +23,7 @@ from .exceptions import (ConfigError, DataError, ExtractionError,
                          TrainingError)
 from .fitting import (FitWindowResult, default_bounds, fit_window,
                       fit_windows, initial_guess, loss, rolling_fit,
-                      simulate_power)
+                      simulate_power, update_schedule)
 from .preprocess import (PreprocessConfig, QualityMask,
                          apply_quality_pipeline, filter_clipping,
                          filter_night, remove_outliers_regression)

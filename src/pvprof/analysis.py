@@ -115,20 +115,17 @@ REGRESSOR_FAMILIES = {"lr": "linear", "kr": "kernel_ridge"}
 TRAINABLE_MODELS = ("pvpro", "nominal", *REGRESSOR_FAMILIES)
 
 
-def train_model(name, trains, *, topo, datasheet, init=None,
-                hyperparams=None):
+def train_model(name, trains, *, topo, datasheet, hyperparams=None):
     """Train one roster model on each of a list of clean telemetry slices.
 
     Returns one trained model per slice, in order.  ``pvpro`` fits the five
     parameters of the system (``topo`` and ``datasheet``) to every slice
-    from ``init`` (default: the datasheet's initial guess) in one
-    ``fitting.fit_windows`` batch and returns the ``FitWindowResult``s;
-    ``nominal`` returns the datasheet extraction; ``lr``/``kr`` a
-    ``RegressorModel`` per slice.
+    from the datasheet's initial guess in one ``fitting.fit_windows`` batch
+    and returns the ``FitWindowResult``s; ``nominal`` returns the datasheet
+    extraction; ``lr``/``kr`` a ``RegressorModel`` per slice.
     """
     if name == "pvpro":
-        if init is None:
-            init = fitting.initial_guess(datasheet)
+        init = fitting.initial_guess(datasheet)
         return fitting.fit_windows(trains, topo, [init] * len(trains),
                                    datasheet)
     if name == "nominal":

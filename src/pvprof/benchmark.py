@@ -3,16 +3,19 @@
 For every forecast day the roster models are trained strictly on data before
 that day (dynamic fit on a trailing window, regressors on their selected
 training length, persistence on the previous day) and score their prediction
-of the day from its measured weather.  A trained model trains on
-``preprocess.training_window`` through ``analysis.train_model`` and predicts
-from ``feature_matrix`` rows of the day's weather through ``predict_model``,
-as the studies do, so the day's measured power never reaches a prediction.
-The dynamic fit takes the configured topology and datasheet, over the window
-length ``RunConfig`` converts to whole seconds at parse time.  It predicts
-from the solver's best point even when the fit hit its evaluation cap;
-``trajectory.csv`` flags such a fit as not converged.  The sweep study
-predicts from the last window fit.  Results are pooled into aggregate and
-per-day metrics plus the enabled studies, all serialized deterministically.
+of the day from its measured weather.  A regressor trains on
+``preprocess.training_window`` through ``analysis.train_model``.  The
+dynamic model's days are the windows of one ``fitting.rolling_fit`` run
+ending at the forecast-day starts, over the configured topology, datasheet
+and window length, so ``trajectory.csv`` holds ``pvprof fit``'s rows and
+labels, failed windows included (their day is skipped with the window's
+error).  A fit that hit its evaluation cap still predicts, from the
+solver's best point, and ``trajectory.csv`` flags it as not converged.
+Every model predicts from ``feature_matrix`` rows of the day's weather
+through ``predict_model``, as the studies do, so the day's measured power
+never reaches a prediction.  The sweep study predicts from the last window
+fit that did not fail.  Results are pooled into aggregate and per-day
+metrics plus the enabled studies, all serialized deterministically.
 """
 
 import hashlib
@@ -23,12 +26,12 @@ from datetime import datetime, timezone
 import numpy as np
 import scipy
 
-from . import analysis, baselines
+from . import analysis, baselines, fitting
 from .exceptions import (ConfigError, ExtractionError,
                          InsufficientDataError, NumericalError, PvprofError)
 from .iotools import dumps_json
 from .preprocess import PreprocessConfig, training_window
-from .sdm import ArrayTopology, SdmParamsRef
+from .sdm import ArrayTopology
 from .series import DAY, ForecastSeries, TelemetrySeries, WeatherSeries
 
 SCHEMA_VERSION = 1
@@ -242,20 +245,22 @@ def _study_to_json(result):
 class _DayAheadRunner:
     """Per-model prediction of one forecast day from data before it.
 
-    Trained models go through ``analysis.train_model``/``predict_model``; the
-    runner adds the dynamic fit's warm start, the regressors' grid selection
-    and persistence.  The datasheet extraction is the datasheet's own
+    Trained models go through ``analysis.train_model``/``predict_model``;
+    the dynamic model's days are the windows of one ``fitting.rolling_fit``
+    run, and the runner adds the regressors' grid selection and
+    persistence.  The datasheet extraction is the datasheet's own
     (``Datasheet.desoto_params``), so every reader shares one run of it.
     """
 
     def __init__(self, config: RunConfig, series: TelemetrySeries):
         self.cfg = config
         self.series = series
-        self.warm_params: SdmParamsRef | None = None
+        # each forecast-day start's window fit of the dynamic model, in order
+        self.day_fits: dict = {}
         self.selection: dict = {}
         self.grid_errors: dict = {}
 
-    def prepare(self, eval_start):
+    def prepare(self, eval_start, day_starts):
         cfg = self.cfg
         if "nominal" in cfg.models:
             # extract up front: an infeasible datasheet fails the run here
@@ -275,10 +280,13 @@ class _DayAheadRunner:
                     history.power, cfg.p_nominal, g_min=cfg.preprocess.g_min)
             except (InsufficientDataError, NumericalError) as exc:
                 self.grid_errors[name] = f"grid search failed: {exc}"
+        if "pvpro" in cfg.models:
+            self.day_fits = dict(zip(day_starts, fitting.rolling_fit(
+                self.series, cfg.topology, cfg.window_length, day_starts,
+                cfg.datasheet, cfg.preprocess, cfg.warm_start)))
 
     def predict_day(self, name, day_start, weather: WeatherSeries):
-        """Prediction array and the day's window fit (dynamic model only,
-        else None) for one model/day; raises PvprofError to skip."""
+        """Prediction array for one model/day; raises PvprofError to skip."""
         cfg = self.cfg
         g_min = cfg.preprocess.g_min
         if name in ("smart_persistence", "naive_persistence"):
@@ -294,15 +302,11 @@ class _DayAheadRunner:
                 fc = baselines.naive_persistence(
                     (hist.timestamp, hist.power), weather.timestamp,
                     horizon=cfg.horizon)
-            return fc.p_pred, None
+            return fc.p_pred
         if name == "pvpro":
-            train = training_window(self.series, day_start,
-                                    cfg.window_length, cfg.preprocess)
-            fitted, = analysis.train_model(
-                name, [train], topo=cfg.topology, datasheet=cfg.datasheet,
-                init=self.warm_params)
-            if cfg.warm_start and fitted.converged:
-                self.warm_params = fitted.params
+            fitted = self.day_fits[day_start]
+            if fitted.error is not None:
+                raise PvprofError(fitted.error)
         elif name == "nominal":
             fitted = cfg.datasheet.desoto_params
         else:
@@ -317,9 +321,8 @@ class _DayAheadRunner:
                 hyperparams=sel.best_hyperparams)
         X = baselines.feature_matrix(weather.timestamp, weather.g_poa,
                                      weather.t_cell)
-        pred = analysis.predict_model(fitted, X, topo=cfg.topology,
+        return analysis.predict_model(fitted, X, topo=cfg.topology,
                                       datasheet=cfg.datasheet, g_min=g_min)
-        return pred, (fitted if name == "pvpro" else None)
 
 
 def run_benchmark(config: RunConfig, series: TelemetrySeries,
@@ -344,13 +347,13 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
         raise InsufficientDataError("no forecast days in the evaluation span")
 
     runner = _DayAheadRunner(config, series)
-    runner.prepare(eval_start)
+    runner.prepare(eval_start,
+                   [day.astype("datetime64[s]") for day in eval_days])
 
     daily = {name: [] for name in config.models}
     pooled = {name: {"ts": [], "pred": [], "meas": [], "g": []}
               for name in config.models}
     forecasts = []
-    trajectory = []
     for day in eval_days:
         day_start = day.astype("datetime64[s]")
         day_end = day_start + DAY
@@ -359,13 +362,10 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
         day_label = str(day)
         for name in config.models:
             try:
-                pred, fit_result = runner.predict_day(name, day_start,
-                                                      weather)
+                pred = runner.predict_day(name, day_start, weather)
             except PvprofError as exc:
                 daily[name].append({"day": day_label, "skipped": str(exc)})
                 continue
-            if fit_result is not None:
-                trajectory.append(fit_result)
             try:
                 report = analysis.compute_metrics(
                     pred, test.power, config.p_nominal,
@@ -399,6 +399,7 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
             g_min=config.preprocess.g_min)
         aggregate[name] = report.to_json_dict(with_series=True)
 
+    trajectory = list(runner.day_fits.values())
     studies = _run_studies(config, series, aggregate, agg_inputs,
                            trajectory, ground_truth)
 
@@ -460,7 +461,9 @@ def _run_studies(config, series, aggregate, agg_inputs, trajectory,
             # no reference curve: record the failure as the other studies do
             studies["sweep"] = {"error": str(exc)}
         else:
-            model = trajectory[-1] if trajectory else reference
+            # the last window fit that did not fail
+            model = next((fit for fit in reversed(trajectory)
+                          if fit.error is None), reference)
             sweep = {}
             for feature, rng in (("g_poa", (0.0, 1000.0)),
                                  ("t_module", (0.0, 80.0)),

@@ -110,10 +110,10 @@ def cmd_fit(args):
     if cfg.datasheet is None:
         raise ConfigError("fit needs a datasheet in the configuration")
     series = _load_series(cfg, os.path.dirname(args.config), args.verbose)
-    init = fitting.initial_guess(cfg.datasheet)
     results = fitting.rolling_fit(
-        series, cfg.topology, cfg.window_length, cfg.update_period, init,
-        cfg.datasheet, preprocess=cfg.preprocess, warm_start=cfg.warm_start)
+        series, cfg.topology, cfg.window_length,
+        fitting.update_schedule(series, cfg.window_length, cfg.update_period),
+        cfg.datasheet, cfg.preprocess, cfg.warm_start)
     os.makedirs(args.out, exist_ok=True)
     iotools.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
                                  results)

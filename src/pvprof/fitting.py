@@ -29,8 +29,9 @@ prior row on log10 ``r_sh_ref``: half a decade wide, centred on the fit's
 own start, weighted by a noise estimate from the start's residuals; the
 result says when the prior, not the data, set the shunt
 (``FitWindowResult.shunt_from_prior``).
-Rolling re-fits warm-start each window from the previous result, which
-makes the shunt prior a random walk.
+``rolling_fit``, the one re-fitting loop of ``pvprof fit`` and the
+benchmark, fits the window ``[end - length, end)`` before each given end,
+warm-started from the previous result: the shunt prior is a random walk.
 ``simulate_power`` turns a parameter set into array MPP power over arrays
 of irradiance and cell temperature; ``analysis.predict_model`` calls it for
 every physical model.
@@ -291,10 +292,10 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
                init: sdm.SdmParamsRef, datasheet) -> FitWindowResult:
     """Fit the five parameters to one window of retained telemetry.
 
-    The batch of this one window; ``fit_windows`` states the solver, the
-    stop rules and the prior row.
+    ``fit_windows`` on this one window, which states the solver, the stop
+    rules and the prior row.
     """
-    return _fit_batch([window], topo, [init], datasheet)[0]
+    return fit_windows([window], topo, [init], datasheet)[0]
 
 
 def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet):
@@ -342,15 +343,6 @@ def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet):
     windows, inits = list(windows), list(inits)
     if len(inits) != len(windows):
         raise ConfigError(f"{len(windows)} windows but {len(inits)} starts")
-    if len(windows) == 1:
-        # a batch of one is the one-window fit, and runs (and is traced) as
-        # that
-        return [fit_window(windows[0], topo, inits[0], datasheet)]
-    return _fit_batch(windows, topo, inits, datasheet)
-
-
-def _fit_batch(windows, topo, inits, datasheet):
-    """``fit_windows`` on windows and starts of equal number."""
     invalid = None
     for k, window in enumerate(windows):
         try:
@@ -569,20 +561,12 @@ def _prior_dominates(normal, weight):
     return not (variance > 0.0 and 1.0 / variance >= 2.0 * weight * weight)
 
 
-def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
-                window_length, update_period, init: sdm.SdmParamsRef,
-                datasheet,
-                preprocess: PreprocessConfig = PreprocessConfig(),
-                warm_start=True):
-    """Periodic re-fits over trailing windows.
-
-    One result per update instant; the first window starts from ``init`` and
-    later ones warm-start from the previous converged fit (unless disabled).
-    Window-level failures are recorded on the result, not raised.
-    """
-    series.validate()
-    window_length = np.timedelta64(window_length)
-    update_period = np.timedelta64(update_period)
+def update_schedule(series: TelemetrySeries, window_length, update_period):
+    """The window ends of periodic re-fits over ``series``: the first record
+    plus ``window_length``, then every ``update_period`` up to the end of
+    the data (the last record plus the cadence)."""
+    window_length, update_period = (np.timedelta64(window_length),
+                                    np.timedelta64(update_period))
     zero = np.timedelta64(0, "s")
     # NaT compares False, so it is rejected too
     if not (window_length > zero and update_period > zero):
@@ -590,29 +574,43 @@ def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
     if len(series) < 2:
         raise InsufficientDataError("series too short for rolling fits")
     data_end = series.timestamp[-1] + series.cadence()
-    t0 = series.timestamp[0]
-    if data_end - t0 < window_length:
+    first = series.timestamp[0] + window_length
+    if data_end < first:
         raise InsufficientDataError("series shorter than one window")
+    return first + update_period * np.arange(
+        (data_end - first) // update_period + 1)
 
+
+def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
+                window_length, window_ends, datasheet,
+                preprocess: PreprocessConfig = PreprocessConfig(),
+                warm_start=True):
+    """One ``fit_window`` per end, in order, on ``training_window`` of
+    ``[end - window_length, end)``, labelled with that span.
+
+    The first window starts from ``initial_guess(datasheet)``, later ones
+    from the last converged fit (unless ``warm_start`` is off).  A failed
+    window is recorded, not raised: its ``error``, the start it had, a NaN
+    loss, 0 iterations, and its records before masking.
+    """
+    series.validate()
+    window_length = np.timedelta64(window_length)
+    current = initial_guess(datasheet)
     results = []
-    current = init
-    u = t0 + window_length
-    while u <= data_end:
+    for end in window_ends:
+        start = end - window_length
         try:
-            retained = training_window(series, u, window_length, preprocess)
-            result = fit_window(retained, topo, current, datasheet)
-            result = replace(result, window_start=u - window_length, window_end=u)
+            retained = training_window(series, end, window_length, preprocess)
+            result = replace(fit_window(retained, topo, current, datasheet),
+                             window_start=start, window_end=end)
             if warm_start and result.converged:
                 current = result.params
         except (InsufficientDataError, NumericalError) as exc:
-            # a failed window reports the records it held before masking
             result = FitWindowResult(
-                window_start=u - window_length, window_end=u, params=current,
+                window_start=start, window_end=end, params=current,
                 final_loss=float("nan"), iterations=0, converged=False,
-                n_points=len(series.slice_time(u - window_length, u)),
-                error=str(exc))
+                n_points=len(series.slice_time(start, end)), error=str(exc))
         results.append(result)
-        u = u + update_period
     return results
 
 

@@ -147,10 +147,9 @@ def test_c04_degradation_tracking(datasheet):
                                            scenario=scenario,
                                            noise_v=0.001, noise_i=0.001,
                                            alpha_isc=ALPHA_ISC)
-        results = fitting.rolling_fit(series, TOPO, np.timedelta64(3, "D"),
-                                      np.timedelta64(1, "D"),
-                                      fitting.initial_guess(datasheet),
-                                      datasheet)
+        window = np.timedelta64(3, "D")
+        ends = fitting.update_schedule(series, window, np.timedelta64(1, "D"))
+        results = fitting.rolling_fit(series, TOPO, window, ends, datasheet)
         good = [r for r in results if r.converged]
         assert len(good) > 50
         t0 = series.timestamp[0]

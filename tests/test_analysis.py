@@ -433,8 +433,9 @@ class TestTrainingLengthSweep:
                 "lr", s, (3,), topo=topo, datasheet=datasheet,
                 p_nominal=p_nominal, n_eval_days=5),
             "rolling_fit": lambda s: fitting.rolling_fit(
-                s, topo, np.timedelta64(3, "D"), np.timedelta64(1, "D"),
-                fitting.initial_guess(datasheet), datasheet),
+                s, topo, np.timedelta64(3, "D"), fitting.update_schedule(
+                    s, np.timedelta64(3, "D"), np.timedelta64(1, "D")),
+                datasheet),
             "runner": lambda s: run_benchmark(config, s),
         }[caller]
         consumer = ((fitting, "fit_window") if caller == "rolling_fit"
@@ -557,8 +558,9 @@ def test_entry_points_reject_non_finite_telemetry(entry, topo, datasheet,
               for k, lab in enumerate(log.day_labels)}
     calls = {
         "rolling_fit": lambda: fitting.rolling_fit(
-            series, topo, np.timedelta64(3, "D"), np.timedelta64(1, "D"),
-            fitting.initial_guess(datasheet), datasheet),
+            series, topo, np.timedelta64(3, "D"), fitting.update_schedule(
+                series, np.timedelta64(3, "D"), np.timedelta64(1, "D")),
+            datasheet),
         "weather_case_study": lambda: analysis.weather_case_study(
             series, labels, ["lr"], topo=topo, datasheet=datasheet,
             p_nominal=p_nominal),

@@ -580,16 +580,21 @@ class TestAgainstTrf:
         assert decided >= 6
 
 
+def _rolling_fit(series, topo, datasheet, window_length, update_period):
+    """``rolling_fit`` at ``update_schedule``'s ends, as ``pvprof fit`` runs
+    it."""
+    ends = fitting.update_schedule(series, window_length, update_period)
+    return fitting.rolling_fit(series, topo, window_length, ends, datasheet)
+
+
 class TestRollingFit:
     def test_constant_truth_daily_updates(self, topo, datasheet):
         profile = synth.WeatherProfile(days=30, seed=2)
         series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
                                            noise_v=0.0, noise_i=0.0,
                                            alpha_isc=ALPHA_ISC)
-        results = fitting.rolling_fit(series, topo, np.timedelta64(3, "D"),
-                                      np.timedelta64(1, "D"),
-                                      fitting.initial_guess(datasheet),
-                                      datasheet)
+        results = _rolling_fit(series, topo, datasheet,
+                               np.timedelta64(3, "D"), np.timedelta64(1, "D"))
         assert len(results) == 28
         for r in results:
             assert r.converged, r.error
@@ -601,9 +606,7 @@ class TestRollingFit:
         series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
                                            alpha_isc=ALPHA_ISC)
         span = np.timedelta64(4, "D")
-        results = fitting.rolling_fit(series, topo, span, span,
-                                      fitting.initial_guess(datasheet),
-                                      datasheet)
+        results = _rolling_fit(series, topo, datasheet, span, span)
         assert len(results) == 1
 
     def test_window_failures_recorded_not_fatal(self, topo, datasheet):
@@ -614,10 +617,8 @@ class TestRollingFit:
         series.g_poa[len(series) // 2:] = 0.0
         series.v_dc[len(series) // 2:] = 0.0
         series.i_dc[len(series) // 2:] = 0.0
-        results = fitting.rolling_fit(series, topo, np.timedelta64(1, "D"),
-                                      np.timedelta64(1, "D"),
-                                      fitting.initial_guess(datasheet),
-                                      datasheet)
+        results = _rolling_fit(series, topo, datasheet,
+                               np.timedelta64(1, "D"), np.timedelta64(1, "D"))
         assert any(r.error for r in results)
 
     @pytest.mark.parametrize("window, update", [
@@ -627,19 +628,16 @@ class TestRollingFit:
         # a zero update period would repeat the first window forever
         series = make_window(days=2, topo=topo)[0]
         with pytest.raises(ConfigError):
-            fitting.rolling_fit(series, topo, np.timedelta64(window, "D"),
-                                np.timedelta64(update, "D"),
-                                fitting.initial_guess(datasheet), datasheet)
+            fitting.update_schedule(series, np.timedelta64(window, "D"),
+                                    np.timedelta64(update, "D"))
 
     def test_warm_start_median_loss_not_worse(self, topo, datasheet):
         profile = synth.WeatherProfile(days=8, seed=12)
         series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
                                            noise_v=0.005, noise_i=0.005,
                                            alpha_isc=ALPHA_ISC)
-        results = fitting.rolling_fit(series, topo, np.timedelta64(3, "D"),
-                                      np.timedelta64(1, "D"),
-                                      fitting.initial_guess(datasheet),
-                                      datasheet)
+        results = _rolling_fit(series, topo, datasheet,
+                               np.timedelta64(3, "D"), np.timedelta64(1, "D"))
         losses = [r.final_loss for r in results if r.converged]
         assert np.median(losses[1:]) <= losses[0] * (1.0 + 1e-3)
 

@@ -891,6 +891,24 @@ class TestCli:
         assert set(report["aggregate"]) == {"pvpro"}
         assert report["provenance"]["seed"] == 99
 
+    def test_benchmark_trajectory_is_the_fit_trajectory_but_its_last(
+            self, tmp_path):
+        # both commands run one rolling loop and label a window [end -
+        # length, end); the fit's last window ends at the data end and has
+        # no forecast day after it
+        cfg = _write_config(tmp_path, days=6, models=("pvpro",),
+                            extra={"studies": {"exceedance": False}})
+        main(["synth", "--config", str(cfg), "--out", str(tmp_path)])
+        rows = {}
+        for command in ("fit", "benchmark"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            rows[command] = (out / "trajectory.csv").read_text().splitlines()
+        assert len(rows["fit"]) == 1 + 4
+        assert rows["benchmark"] == rows["fit"][:-1]
+        assert rows["fit"][-1].split(",")[1] == "2024-06-07T00:00:00Z"
+
     def test_sweep_study_chart(self, tmp_path):
         cfg = _write_config(tmp_path, days=6, models=("pvpro",),
                             extra={"studies": {"sweep": True}})

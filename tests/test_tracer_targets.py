@@ -84,8 +84,8 @@ def test_fit_window_solves_each_parameter_row_once(monkeypatch, topo,
 
 def test_runner_days_fit_through_the_traced_fit_window(monkeypatch, topo,
                                                        datasheet):
-    # the runner trains each day's window as a batch of one, which must
-    # run as fit_window: the tracer reads the fit layer from its spans
+    # the runner's days are rolling_fit's windows, each fitted through
+    # fit_window: the tracer reads the fit layer from its spans
     series, _ = synth.generate_dataset(
         CSI_PARAMS, topo, synth.WeatherProfile(days=6, seed=3),
         alpha_isc=ALPHA_ISC)
