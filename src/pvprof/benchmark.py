@@ -461,7 +461,6 @@ def _run_studies(config, series, aggregate, agg_inputs, trajectory,
             # no reference curve: record the failure as the other studies do
             studies["sweep"] = {"error": str(exc)}
         else:
-            # the last window fit that did not fail
             model = next((fit for fit in reversed(trajectory)
                           if fit.error is None), reference)
             sweep = {}

@@ -292,8 +292,9 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
                init: sdm.SdmParamsRef, datasheet) -> FitWindowResult:
     """Fit the five parameters to one window of retained telemetry.
 
-    ``fit_windows`` on this one window, which states the solver, the stop
-    rules and the prior row.
+    ``fit_windows`` on a batch of this one window; its docstring states the
+    solver, the stop rules and the prior row.  ``rolling_fit`` fits each of
+    its windows through here.
     """
     return fit_windows([window], topo, [init], datasheet)[0]
 
