@@ -339,7 +339,8 @@ def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet):
     start.  If any window fails, the error of the lowest-index failing
     window is raised: ``InsufficientDataError`` for fewer than 50 records
     or a span under a day, ``NumericalError`` for non-finite residuals at
-    the start or non-finite MPP sensitivities at an accepted point.
+    the start or non-finite MPP sensitivities at an accepted point.  A batch
+    of one window, ``fit_window``, takes this same path.
     """
     windows, inits = list(windows), list(inits)
     if len(inits) != len(windows):
