@@ -15,14 +15,15 @@ the windows share only the MPP solves: every residual evaluation stacks the
 records of the windows still running into one
 ``sdm.simulate_array_mpp_arrays`` call, and the Jacobians of the windows
 whose steps were accepted come from one ``sdm.mpp_sensitivities_arrays``
-call (implicit differentiation at the solution just found, so nothing is
-solved twice).  Each solve warm-starts from the window's previously solved
-vector; ``loss`` solves cold.  The solver settings are fixed: at most 200
-residual evaluations per window, and the stop rules of scipy's
-trust-region-reflective method, which fitted these windows before: a
-relative cost reduction below 1e-10, a step below 1e-8 of the point's
-norm, or a bound-scaled gradient below 1e-8.  Iterates stay strictly
-inside the box.
+call: implicit differentiation at the solution just found, from the
+operating coefficients, parameter rows and records of that evaluation, so
+nothing is translated or solved twice.  Each solve warm-starts from the
+window's previously solved vector; ``loss`` solves cold.  The solver
+settings are fixed: at most 200 residual evaluations per window, and the
+stop rules of scipy's trust-region-reflective method, which fitted these
+windows before: a relative cost reduction below 1e-10, a step below 1e-8
+of the point's norm, or a bound-scaled gradient below 1e-8.  Iterates stay
+strictly inside the box.
 
 A few days of MPP data barely constrain the shunt, so each fit adds one
 prior row on log10 ``r_sh_ref``: half a decade wide, centred on the fit's
@@ -39,6 +40,7 @@ every physical model.
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,8 +150,28 @@ def _to_natural(x):
     return nat
 
 
+def _columns(nat):
+    # the five parameter columns of ``nat``, as views
+    return tuple(nat[..., k] for k in range(5))
+
+
+class _Solved(NamedTuple):
+    """A solve at transformed ``x``: its natural parameters and the
+    ``sdm.ArrayMpp`` of each record."""
+
+    nat: np.ndarray
+    mpp: sdm.ArrayMpp
+
+    def select(self, keep):
+        """The rows ``keep`` of a solve with one parameter row per record."""
+        mpp = self.mpp
+        return _Solved(self.nat[keep], sdm.ArrayMpp(
+            mpp.v_dc[keep], mpp.i_dc[keep], mpp.p_dc[keep],
+            tuple(op[keep] for op in mpp.ops)))
+
+
 def _simulate(x, window: TelemetrySeries, topo, datasheet, start=None):
-    """Array MPP ``(v_sim, i_sim)`` of each record at transformed ``x``.
+    """The array MPP of each record at transformed ``x``, as ``_Solved``.
 
     ``x`` has a trailing axis of the five parameters, and its leading axes
     broadcast against the records: one vector (5,), one row per record
@@ -157,10 +179,9 @@ def _simulate(x, window: TelemetrySeries, topo, datasheet, start=None):
     nearby parameters to warm-start the solve from.
     """
     nat = _to_natural(x)
-    v_sim, i_sim, _ = sdm.simulate_array_mpp_arrays(
-        *np.moveaxis(nat, -1, 0), window.g_poa, window.t_module, topo,
-        datasheet.alpha_isc, start=start)
-    return v_sim, i_sim
+    return _Solved(nat, sdm.simulate_array_mpp_arrays(
+        *_columns(nat), window.g_poa, window.t_module, topo,
+        datasheet.alpha_isc, start=start))
 
 
 def _residuals(x, window: TelemetrySeries, topo, datasheet, solved=None):
@@ -168,24 +189,26 @@ def _residuals(x, window: TelemetrySeries, topo, datasheet, solved=None):
 
     ``solved`` is ``_simulate(x, ...)`` when the caller has it already.
     """
-    v_sim, i_sim = solved or _simulate(x, window, topo, datasheet)
+    mpp = (solved or _simulate(x, window, topo, datasheet)).mpp
     v_scale, i_scale = _scales(datasheet, topo)
-    return np.concatenate([(window.v_dc - v_sim) / v_scale,
-                           (window.i_dc - i_sim) / i_scale], axis=-1)
+    return np.concatenate([(window.v_dc - mpp.v_dc) / v_scale,
+                           (window.i_dc - mpp.i_dc) / i_scale], axis=-1)
 
 
-def _jacobian(x, solved, window: TelemetrySeries, topo, datasheet):
-    """Exact Jacobian (2N, 5) of ``_residuals`` at one vector or one row
-    per record ``x``.
+def _jacobian(solved, window: TelemetrySeries, topo, datasheet):
+    """Exact Jacobian (2N, 5) of ``_residuals`` at the one vector or one
+    row per record ``x`` of ``solved = _simulate(x, ...)``.
 
-    ``solved`` is ``_simulate(x, ...)``; the MPP sensitivities come from
-    implicit differentiation at that solution, so nothing is solved again.
-    A record the solve could not handle gives non-finite rows, not zeros.
+    The MPP sensitivities come from implicit differentiation at that
+    solution and its operating coefficients, so nothing is translated or
+    solved again.  A record the solve could not handle gives non-finite
+    rows, not zeros.
     """
-    nat = _to_natural(x)
+    nat, mpp = solved
+    _, i_0_ref, _, r_sh_ref, n_diode = _columns(nat)
     dv, di = sdm.mpp_sensitivities_arrays(
-        *solved, *np.moveaxis(nat, -1, 0), window.g_poa, window.t_module,
-        topo, datasheet.alpha_isc)
+        mpp.v_dc, mpp.i_dc, mpp.ops, i_0_ref, r_sh_ref, n_diode,
+        window.g_poa, topo)
     # d(natural)/dx is 1 on the linear and nat*ln(10) on the log10 columns
     chain = np.where(_LOG_MASK, nat * math.log(10.0), 1.0)
     v_scale, i_scale = _scales(datasheet, topo)
@@ -207,6 +230,19 @@ def loss(params: sdm.SdmParamsRef, window: TelemetrySeries,
         raise FitDegeneracyError(
             f"{unsolvable} of {len(window)} records unsolvable")
     return float(r @ r) / len(window)
+
+
+class _Evaluation(NamedTuple):
+    """One solve of the ``active`` windows: their stacked ``records``, the
+    ``_Solved`` at one parameter row per record, the data residuals (2, N)
+    (voltage row, current row) and each active window's sum of squared
+    data residuals."""
+
+    active: np.ndarray
+    records: TelemetrySeries
+    solved: _Solved
+    r: np.ndarray
+    sums: np.ndarray
 
 
 class _Batch:
@@ -233,45 +269,46 @@ class _Batch:
         """Which stacked records belong to the ``active`` windows."""
         return np.repeat(active, self.counts)
 
-    def _rows(self, x, active):
-        # one parameter row per record of the active windows, and the records
-        records = (self.records if active.all()
-                   else self.records.select(self.record_mask(active)))
-        return np.repeat(x[active], self.counts[active], axis=0), records
-
     def _window_sums(self, per_record, active):
         counts = self.counts[active]
         return np.add.reduceat(per_record, np.cumsum(counts) - counts,
                                axis=0)
 
     def evaluate(self, x, active, start=None):
-        """Solve the active windows at their rows of transformed ``x``.
-
-        Returns the solution ``(v_sim, i_sim)`` per record, the data
-        residuals (2, N) (voltage row, current row) and each active
-        window's sum of squared data residuals.
-        """
-        rows, records = self._rows(x, active)
+        """Solve the active windows at their rows of transformed ``x``, one
+        parameter row per record; an ``_Evaluation``."""
+        records = (self.records if active.all()
+                   else self.records.select(self.record_mask(active)))
+        rows = np.repeat(x[active], self.counts[active], axis=0)
         solved = _simulate(rows, records, self.topo, self.datasheet, start)
         r = _residuals(rows, records, self.topo, self.datasheet,
                        solved).reshape(2, -1)
-        return solved, r, self._window_sums((r * r).sum(axis=0), active)
+        return _Evaluation(active, records, solved, r,
+                           self._window_sums((r * r).sum(axis=0), active))
 
-    def normal_equations(self, x, active, solved, r):
-        """Each active window's gradient Jᵀr (W, 5) and curvature JᵀJ
+    def normal_equations(self, x, evaluation, accepted):
+        """Each ``accepted`` window's gradient Jᵀr (W, 5) and curvature JᵀJ
         (W, 5, 5) of half its sum of squares at ``x``, the prior row
-        included; ``solved`` and ``r`` are ``evaluate``'s at ``x``."""
-        rows, records = self._rows(x, active)
-        jac = _jacobian(rows, solved, records, self.topo,
+        included, from ``evaluation``, a solve at ``x`` of a superset of
+        the accepted windows."""
+        records, solved, r = (evaluation.records, evaluation.solved,
+                              evaluation.r)
+        solved_for = evaluation.active
+        if (accepted != solved_for).any():
+            # some windows solved were rejected: keep the others' records
+            keep = np.repeat(accepted[solved_for], self.counts[solved_for])
+            records, solved, r = (records.select(keep), solved.select(keep),
+                                  r[:, keep])
+        jac = _jacobian(solved, records, self.topo,
                         self.datasheet).reshape(2, -1, 5)
         # [J | r] per residual row; its outer products summed per window
         # give JᵀJ and Jᵀr together
         aug = np.concatenate([jac, r[..., None]], axis=2)
         sums = self._window_sums(
-            (aug[..., :, None] * aug[..., None, :]).sum(axis=0), active)
+            (aug[..., :, None] * aug[..., None, :]).sum(axis=0), accepted)
         grad, normal = sums[:, :5, 5], sums[:, :5, :5]
-        weight = self.weight[active]
-        grad[:, _SHUNT] += weight * self.prior(x)[active]
+        weight = self.weight[accepted]
+        grad[:, _SHUNT] += weight * self.prior(x)[accepted]
         normal[:, _SHUNT, _SHUNT] += weight * weight
         return grad, normal
 
@@ -392,25 +429,22 @@ def _solve(windows, topo, inits, datasheet):
     grad = np.zeros((n, 5))
     normal = np.zeros((n, 5, 5))
 
-    every = np.ones(n, dtype=bool)
-    solved, r, data_ss = batch.evaluate(x, every)
+    evaluation = batch.evaluate(x, np.ones(n, dtype=bool))
+    data_ss = evaluation.sums
     # the warm start of each record's next solve: its last solution
-    last_v, last_i = solved
+    last_v, last_i = evaluation.solved.mpp.v_dc, evaluation.solved.mpp.i_dc
     for k in np.flatnonzero(~np.isfinite(data_ss)):
         errors[k] = NumericalError("non-finite residuals at the initial guess")
         status[k] = _FAILED
     offsets = np.cumsum(batch.counts) - batch.counts
     for k in np.flatnonzero(status == _RUNNING):
-        window_r = r[:, offsets[k]:offsets[k] + batch.counts[k]]
+        window_r = evaluation.r[:, offsets[k]:offsets[k] + batch.counts[k]]
         batch.weight[k] = _noise_scale(window_r) / _SHUNT_PRIOR_DECADES
 
-    def take_jacobians(accepted, solved_for, solved, r):
-        # the Jacobian of each accepted window at the solve just done, which
-        # ran on the records of the ``solved_for`` windows
-        keep = np.repeat(accepted[solved_for], batch.counts[solved_for])
+    def take_jacobians(accepted, evaluation):
+        # the Jacobian of each accepted window at the solve just done
         jacobians[accepted] += 1
-        g, a = batch.normal_equations(
-            x, accepted, (solved[0][keep], solved[1][keep]), r[:, keep])
+        g, a = batch.normal_equations(x, evaluation, accepted)
         grad[accepted], normal[accepted] = g, a
         bad = accepted.copy()
         bad[accepted] = ~(np.isfinite(g).all(axis=1)
@@ -419,7 +453,7 @@ def _solve(windows, topo, inits, datasheet):
             errors[k] = NumericalError("non-finite MPP sensitivities")
             status[k] = _FAILED
 
-    take_jacobians(status == _RUNNING, every, solved, r)
+    take_jacobians(status == _RUNNING, evaluation)
     cost = 0.5 * (data_ss + batch.prior(x) ** 2)
     while True:
         running = status == _RUNNING
@@ -440,10 +474,15 @@ def _solve(windows, topo, inits, datasheet):
 
         x_trial = x.copy()
         x_trial[running] = trial
-        keep = batch.record_mask(running)
-        solved, r, ss = batch.evaluate(
-            x_trial, running, (last_v[keep], last_i[keep]))
-        last_v[keep], last_i[keep] = solved
+        if running.all():
+            evaluation = batch.evaluate(x_trial, running, (last_v, last_i))
+            last_v, last_i = evaluation.solved.mpp[:2]
+        else:
+            keep = batch.record_mask(running)
+            evaluation = batch.evaluate(x_trial, running,
+                                        (last_v[keep], last_i[keep]))
+            last_v[keep], last_i[keep] = evaluation.solved.mpp[:2]
+        ss = evaluation.sums
         evaluations[running] += 1
         new_cost = 0.5 * (ss + batch.prior(x_trial)[running] ** 2)
         finite = np.isfinite(new_cost)
@@ -472,7 +511,7 @@ def _solve(windows, topo, inits, datasheet):
             x[accepted] = x_trial[accepted]
             cost[accepted] = new_cost[accept]
             data_ss[accepted] = ss[accept]
-            take_jacobians(accepted, running, solved, r)
+            take_jacobians(accepted, evaluation)
         stopped = running.copy()
         stopped[running] = stop
         status[stopped & (status == _RUNNING)] = _CONVERGED
@@ -619,7 +658,7 @@ def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
 def simulate_power(params: sdm.SdmParamsRef, g_poa, t_cell,
                    topo: sdm.ArrayTopology, g_min=50.0, alpha_isc=0.0):
     """Array MPP power at each (g_poa, t_cell) sample; zero below ``g_min``."""
-    _, _, p = sdm.simulate_array_mpp_arrays(
+    mpp = sdm.simulate_array_mpp_arrays(
         params.i_ph_ref, params.i_0_ref, params.r_s, params.r_sh_ref,
         params.n_diode, g_poa, t_cell, topo, alpha_isc)
-    return np.where(g_poa < g_min, 0.0, p)
+    return np.where(g_poa < g_min, 0.0, mpp.p_dc)

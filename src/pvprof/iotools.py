@@ -25,13 +25,9 @@ NATIVE_COLUMNS = ("timestamp", "g_poa", "t_module", "v_dc", "i_dc")
 
 
 def format_float(x):
-    """17-significant-digit decimal form (exact double round trip)."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    """17-significant-digit decimal form (exact double round trip); every
+    NaN is ``nan``, the infinities ``inf`` and ``-inf``."""
+    return f"{float(x):.17g}"
 
 
 def parse_timestamp(text):
@@ -306,10 +302,11 @@ def write_forecast_csv(path, forecasts):
         for fc in forecasts:
             meas = fc.p_meas if fc.p_meas is not None \
                 else np.full(len(fc), np.nan)
-            for k in range(len(fc)):
-                writer.writerow([format_timestamp(fc.timestamp[k]), fc.model,
-                                 format_float(fc.p_pred[k]),
-                                 format_float(meas[k])])
+            stamps = np.datetime_as_string(fc.timestamp, unit="s").tolist()
+            writer.writerows(
+                [f"{ts}Z", fc.model, format_float(p), format_float(m)]
+                for ts, p, m in zip(stamps, fc.p_pred.tolist(),
+                                    meas.tolist()))
 
 
 def _emit_json(obj, out, indent):

@@ -12,7 +12,8 @@ on dp/dvd, bracketed by the closed-form upper bound of the open-circuit
 diode voltage that core starts from, so it needs no open-circuit solve; it
 starts cold, or warm from an MPP solved before for nearby parameters.  Its
 derivatives with respect to the reference parameters follow by implicit
-differentiation of dp/dvd = 0, without another solve.
+differentiation of dp/dvd = 0 at the operating coefficients the solve ran
+at, without another solve or translation.
 
 All heavy routines have an array core (suffix ``_arrays``) that broadcasts
 over numpy arrays; the dataclass API wraps scalars around it.
@@ -20,6 +21,7 @@ over numpy arrays; the dataclass API wraps scalars around it.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.constants import Boltzmann as K_BOLTZMANN
@@ -152,6 +154,16 @@ class IvPoint:
         return cls(float(v), float(i), float(v) * float(i))
 
 
+def _broadcast(*arrays):
+    # float arrays of one broadcast shape; when they share a shape already
+    # they pass through, without np.broadcast_arrays, whose cost exceeds a
+    # ufunc's on a few hundred points
+    arrays = tuple(np.asarray(x, dtype=float) for x in arrays)
+    if all(x.shape == arrays[0].shape for x in arrays):
+        return arrays
+    return tuple(np.broadcast_arrays(*arrays))
+
+
 def translate_arrays(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
                      g_poa, t_cell, cells_in_series, alpha_isc=0.0,
                      night_rsh_cap=NIGHT_RSH_CAP):
@@ -183,10 +195,7 @@ def translate_arrays(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
     r_sh = np.minimum(r_sh, night_rsh_cap)
     a_mod = (np.asarray(n_diode, dtype=float) * cells_in_series
              * K_BOLTZMANN * t_k / Q_ELEMENTARY)
-    r_s_b = np.broadcast_to(np.asarray(r_s, dtype=float),
-                            np.broadcast_shapes(np.shape(i_ph), np.shape(a_mod)))
-    i_ph, i_0, r_sh, a_mod = np.broadcast_arrays(i_ph, i_0, r_sh, a_mod)
-    return i_ph, i_0, r_s_b, r_sh, a_mod
+    return _broadcast(i_ph, i_0, r_s, r_sh, a_mod)
 
 
 def translate_to_operating(params: SdmParamsRef, cond: OperatingConditions,
@@ -249,8 +258,7 @@ def open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a):
     SolverError
         If finite rows still move at the iteration cap; carries their inputs.
     """
-    i_ph, i_0, r_sh, a = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (i_ph, i_0, r_sh, a)))
+    i_ph, i_0, r_sh, a = _broadcast(i_ph, i_0, r_sh, a)
     vd = _open_circuit_upper_bound(i_ph, i_0, r_sh, a)
     for _ in range(_OC_MAX_ITER):
         # expm1, not exp - 1, which cancels to zero where vd << a
@@ -295,8 +303,7 @@ def mpp_arrays(i_ph, i_0, r_s, r_sh, a, vd_start=None):
         If lit finite rows still move at the iteration cap; carries their
         inputs.
     """
-    i_ph, i_0, r_s, r_sh, a = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (i_ph, i_0, r_s, r_sh, a)))
+    i_ph, i_0, r_s, r_sh, a = _broadcast(i_ph, i_0, r_s, r_sh, a)
     # NaN photocurrent is not dark: it propagates like any non-finite row
     dark = i_ph <= 0
     hi = _open_circuit_upper_bound(i_ph, i_0, r_sh, a)
@@ -408,17 +415,31 @@ def _diode_voltage(v_dc, i_dc, r_s, topo: ArrayTopology):
     return np.asarray(v_dc, dtype=float) / topo.modules_per_string + cur * r_s
 
 
+class ArrayMpp(NamedTuple):
+    """Array MPP voltage, current and power of each record, and the
+    operating coefficients ``(i_ph, i_0, r_s, r_sh, a_mod)`` of
+    :func:`translate_arrays` that the solve ran at."""
+
+    v_dc: np.ndarray
+    i_dc: np.ndarray
+    p_dc: np.ndarray
+    ops: tuple
+
+
 def simulate_array_mpp_arrays(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
                               g_poa, t_cell, topo: ArrayTopology,
-                              alpha_isc=0.0, start=None):
-    """Array-level MPP voltage/current/power over broadcast inputs.
+                              alpha_isc=0.0, start=None) -> ArrayMpp:
+    """Array-level MPP over broadcast inputs, as an :class:`ArrayMpp`.
 
     Assumes a uniform, mismatch-free array: module MPP voltage scales with
     modules per string, current with parallel strings.  ``start`` is an
     array MPP ``(v_dc, i_dc)`` solved before for the same records, such as
     at the previous parameters of a fit; the solve then starts from its
     diode voltages under this ``r_s`` (see :func:`mpp_arrays`).  Rows where
-    it is not finite, and every row when it is None, start cold.
+    it is not finite, and every row when it is None, start cold.  The
+    reference parameters are translated once, and the result keeps the
+    operating coefficients, so :func:`mpp_sensitivities_arrays` needs no
+    second translation.
     """
     ops = translate_arrays(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
                            g_poa, t_cell, topo.cells_in_series, alpha_isc)
@@ -426,32 +447,30 @@ def simulate_array_mpp_arrays(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
     v, i, p = mpp_arrays(*ops, vd_start=vd_start)
     v_dc = v * topo.modules_per_string
     i_dc = i * topo.strings_in_parallel
-    return v_dc, i_dc, v_dc * i_dc
+    return ArrayMpp(v_dc, i_dc, v_dc * i_dc, ops)
 
 
-def mpp_sensitivities_arrays(v_dc, i_dc, i_ph_ref, i_0_ref, r_s, r_sh_ref,
-                             n_diode, g_poa, t_cell, topo: ArrayTopology,
-                             alpha_isc=0.0):
+def mpp_sensitivities_arrays(v_dc, i_dc, ops, i_0_ref, r_sh_ref, n_diode,
+                             g_poa, topo: ArrayTopology):
     """Derivatives of the array MPP with respect to the reference parameters.
 
-    ``(v_dc, i_dc)`` is the MPP that :func:`simulate_array_mpp_arrays`
-    returned for the same arguments; nothing is solved again.  Returns
-    ``(dv_dc, di_dc)``, each of the broadcast shape plus a trailing axis of
-    five derivatives in ``PARAM_NAMES`` order.  Rows with ``i_ph <= 0`` give
-    zeros; non-finite rows propagate as NaN.
+    ``v_dc``, ``i_dc`` and ``ops`` are those of the :class:`ArrayMpp` that
+    :func:`simulate_array_mpp_arrays` returned for these reference
+    parameters and irradiances; nothing is translated or solved again.
+    Returns ``(dv_dc, di_dc)``, each of the broadcast shape plus a trailing
+    axis of five derivatives in ``PARAM_NAMES`` order.  Rows with
+    ``i_ph <= 0`` give zeros; non-finite rows propagate as NaN.
 
     The optimum vd* of the power along the diode voltage satisfies
     F = dp/dvd = 0, so implicit differentiation gives
     dvd*/dq = -(dF/dq)/(d2p/dvd2) for each parameter q, and
     dv/dq = (dv/dq)_vd + (dv/dvd)*dvd*/dq, likewise for the current.  The
-    partials at fixed vd chain through :func:`translate_arrays`: i_ph and
-    i_0 are proportional to their reference values, r_s passes through,
-    r_sh scales with r_sh_ref except where the night cap binds, and a is
-    proportional to n_diode.
+    partials at fixed vd chain through :func:`translate_arrays`: i_ph
+    scales with g_poa/G_REF times i_ph_ref and i_0 is proportional to
+    i_0_ref, r_s passes through, r_sh scales with r_sh_ref except where the
+    night cap binds, and a is proportional to n_diode.
     """
-    i_ph, i_0, r_s, r_sh, a = translate_arrays(
-        i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode, g_poa, t_cell,
-        topo.cells_in_series, alpha_isc)
+    i_ph, i_0, r_s, r_sh, a = ops
     vd = _diode_voltage(v_dc, i_dc, r_s, topo)
     em1, g_diode, cur, vol, di, dv, _, d2p = _power_along_vd(
         vd, i_ph, i_0, r_s, r_sh, a)
@@ -486,7 +505,7 @@ def mpp_sensitivities_arrays(v_dc, i_dc, i_ph_ref, i_0_ref, r_s, r_sh_ref,
 def simulate_array_mpp(params: SdmParamsRef, topo: ArrayTopology,
                        cond: OperatingConditions, alpha_isc=0.0):
     """Array-level (v_dc, i_dc) at the maximum power point."""
-    v_dc, i_dc, _ = simulate_array_mpp_arrays(
+    mpp = simulate_array_mpp_arrays(
         params.i_ph_ref, params.i_0_ref, params.r_s, params.r_sh_ref,
         params.n_diode, cond.g_poa, cond.t_cell, topo, alpha_isc)
-    return float(v_dc), float(i_dc)
+    return float(mpp.v_dc), float(mpp.i_dc)

@@ -259,7 +259,7 @@ def generate_dataset(true_params: SdmParamsRef, topo: ArrayTopology,
     values = scenario.params_at(true_params, day_float, profile.days)
     _check_trajectory_bounds(values)
 
-    v_dc, i_dc, _ = simulate_array_mpp_arrays(
+    v_dc, i_dc, _, _ = simulate_array_mpp_arrays(
         values["i_ph_ref"], values["i_0_ref"], values["r_s"],
         values["r_sh_ref"], values["n_diode"], g, t_mod, topo, alpha_isc)
 

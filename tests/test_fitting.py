@@ -124,7 +124,7 @@ class TestLoss:
                 rng.uniform(0.1, 0.8), 10 ** rng.uniform(2.0, 3.5),
                 rng.uniform(0.9, 1.4)]))
             solved = fitting._simulate(x, retained, topo, datasheet)
-            jac = fitting._jacobian(x, solved, retained, topo, datasheet)
+            jac = fitting._jacobian(solved, retained, topo, datasheet)
             five = five_point_gradient(f, x)
             assert jac.shape == five.shape == (2 * len(retained), 5)
             scale = np.maximum(np.abs(five),
@@ -151,7 +151,7 @@ class TestLoss:
         nan_g = TelemetrySeries(retained.timestamp, g_poa, retained.t_module,
                                 retained.v_dc, retained.i_dc)
         x = fitting._to_transformed(CSI_PARAMS.as_array())
-        jac = fitting._jacobian(x, fitting._simulate(x, nan_g, topo, datasheet),
+        jac = fitting._jacobian(fitting._simulate(x, nan_g, topo, datasheet),
                                 nan_g, topo, datasheet)
         finite = np.isfinite(jac).all(axis=1)
         assert np.flatnonzero(~finite).tolist() == [k, len(retained) + k]
@@ -275,16 +275,15 @@ def window_problem(batch, x):
     the prior row when its weight is positive.  Also returns the solver's
     gradient and curvature sums at ``x``."""
     every = np.ones(1, dtype=bool)
-    solved, r, _ = batch.evaluate(x[None], every)
-    rows = np.repeat(x[None], len(batch.records), axis=0)
-    jac = fitting._jacobian(rows, solved, batch.records, batch.topo,
+    evaluation = batch.evaluate(x[None], every)
+    jac = fitting._jacobian(evaluation.solved, batch.records, batch.topo,
                             batch.datasheet)
-    res = r.ravel()
+    res = evaluation.r.ravel()
     if batch.weight[0] > 0.0:
         shunt = fitting.PARAM_ORDER.index("r_sh_ref")
         res = np.append(res, batch.prior(x[None])[0])
         jac = np.vstack([jac, batch.weight[0] * np.eye(5)[shunt]])
-    grad, normal = batch.normal_equations(x[None], every, solved, r)
+    grad, normal = batch.normal_equations(x[None], evaluation, every)
     return res, jac, grad[0], normal[0]
 
 
@@ -394,7 +393,7 @@ def trf_fit(window, topo, init, datasheet):
         return np.append(r, weight * (x[shunt] - x0[shunt])) if weight else r
 
     def jac(x):
-        j = fitting._jacobian(x, fitting._simulate(x, window, topo, datasheet),
+        j = fitting._jacobian(fitting._simulate(x, window, topo, datasheet),
                               window, topo, datasheet)
         return np.vstack([j, prior_row]) if weight else j
 
@@ -509,7 +508,8 @@ class TestFitWindows:
 
         def poisoned(*args):
             dv, di = original(*args)
-            dv[args[7] == 777.25] = np.nan
+            g_poa = args[6]
+            dv[g_poa == 777.25] = np.nan
             return dv, di
 
         monkeypatch.setattr(sdm, "mpp_sensitivities_arrays", poisoned)

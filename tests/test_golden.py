@@ -102,5 +102,6 @@ def test_benchmark_reproduces_committed_demo_outputs(tmp_path):
         del report["provenance"]["created_utc"]
         reports.append(report)
     _assert_same(*reports, "report.json")
-    for name in ("forecasts.csv", "trajectory.csv"):
+    for name in ("forecasts.csv", "trajectory.csv", "daily_metrics.csv",
+                 "aggregate_metrics.csv"):
         _assert_same_csv(tmp_path / name, os.path.join(golden, name), name)

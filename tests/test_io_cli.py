@@ -1,6 +1,9 @@
 import csv
 import json
+import math
 import re
+import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +16,7 @@ from pvprof.benchmark import RunConfig
 from pvprof.cli import main
 from pvprof.exceptions import ConfigError, DataError
 from pvprof.sdm import PARAM_NAMES, ArrayTopology
-from pvprof.series import TelemetrySeries
+from pvprof.series import ForecastSeries, TelemetrySeries
 from conftest import ALPHA_ISC, CSI_PARAMS
 from oracles import read_telemetry_per_record
 
@@ -561,6 +564,53 @@ class TestJson:
         vals = (rng.standard_normal(50) * 10.0 ** rng.integers(-20, 20, 50))
         back = json.loads(iotools.dumps_json({"v": vals.tolist()}))["v"]
         assert back == vals.tolist()
+
+
+def branchy_format_float(x):
+    # the branch-per-case form format_float replaced
+    x = float(x)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return f"{x:.17g}"
+
+
+class TestFloatText:
+    NEG_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000000))[0]
+
+    def test_format_float_matches_the_branchy_form(self):
+        assert math.isnan(self.NEG_NAN)
+        assert math.copysign(1.0, self.NEG_NAN) == -1.0
+        values = [math.nan, self.NEG_NAN, math.inf, -math.inf, -0.0, 0.0,
+                  5e-324, -2.2250738585072014e-308, sys.float_info.max,
+                  -sys.float_info.max, 0.1, np.float64(1.0 / 3.0),
+                  np.float32(0.1), 7]
+        for x in values:
+            assert iotools.format_float(x) == branchy_format_float(x)
+        assert [iotools.format_float(x) for x in values[:5]] == [
+            "nan", "nan", "inf", "-inf", "-0"]
+
+    def test_forecast_csv_rows_match_per_record_formatting(self, tmp_path):
+        ts = (np.datetime64("2024-06-01T00:00:00")
+              + np.arange(4) * np.timedelta64(900, "s"))
+        forecasts = [
+            ForecastSeries(ts, [1.5, math.nan, -0.0, 1e300], "a",
+                           p_meas=[math.inf, 2.0, self.NEG_NAN, 5e-324]),
+            ForecastSeries(ts[:2], [0.1, 2.0], "b")]
+        path = tmp_path / "forecasts.csv"
+        iotools.write_forecast_csv(path, forecasts)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        expected = [list(iotools.FORECAST_COLUMNS)]
+        for fc in forecasts:
+            meas = (fc.p_meas if fc.p_meas is not None
+                    else np.full(len(fc), np.nan))
+            expected += [[iotools.format_timestamp(fc.timestamp[k]), fc.model,
+                          branchy_format_float(fc.p_pred[k]),
+                          branchy_format_float(meas[k])]
+                         for k in range(len(fc))]
+        assert rows == expected
 
 
 class TestCharts:

@@ -42,6 +42,23 @@ BOX_PARAMS = st.builds(sdm.SdmParamsRef,
                        *(_box_param(n) for n in sdm.PARAM_NAMES))
 
 
+def draw_box_rows(rng, n):
+    """``n`` parameter rows drawn across the fitting box (log-uniform on
+    the log10 parameters), then irradiances and cell temperatures over the
+    fitted range: ``(rows, g, t)`` with ``rows`` of shape (5, n)."""
+    box = fitting.default_bounds(ISC_STC)
+    rows = []
+    for name in sdm.PARAM_NAMES:
+        lo, hi = box[name]
+        if name in fitting._LOG_PARAMS:
+            rows.append(10.0 ** rng.uniform(math.log10(lo), math.log10(hi),
+                                            n))
+        else:
+            rows.append(rng.uniform(lo, hi, n))
+    return np.array(rows), rng.uniform(1.0, 1200.0, n), \
+        rng.uniform(-10.0, 70.0, n)
+
+
 class TestTypes:
     def test_params_require_positive(self):
         with pytest.raises(ValueError):
@@ -103,6 +120,24 @@ class TestTranslate:
         assert op.i_ph == 0.0
         assert op.r_sh == sdm.NIGHT_RSH_CAP
         assert math.isfinite(op.a_mod) and op.a_mod > 0
+
+
+    def test_series_resistance_sweep_at_one_weather_point(self, topo):
+        # an array r_s beside scalar parameters and weather broadcasts like
+        # any other array input: each entry equals its scalar call
+        r_s = np.array([0.3, 0.4])
+        args = (9.5, 3e-10, r_s, 400.0, 1.1, 800.0, 25.0)
+        swept = sdm.translate_arrays(*args, CELLS)
+        mpp = sdm.simulate_array_mpp_arrays(*args, topo)
+        for k, r in enumerate(r_s):
+            scalar = args[:2] + (r,) + args[3:]
+            for out_swept, out_scalar in zip(
+                    swept, sdm.translate_arrays(*scalar, CELLS)):
+                assert out_swept.shape == (2,)
+                assert out_swept[k] == out_scalar
+            for out_swept, out_scalar in zip(
+                    mpp[:3], sdm.simulate_array_mpp_arrays(*scalar, topo)):
+                assert out_swept[k] == out_scalar
 
 
 class TestSolvers:
@@ -261,13 +296,15 @@ class TestMpp:
         g_grid = np.linspace(50.0, 1000.0, 40)
         t_grid = np.linspace(0.0, 80.0, 33)
         for params in draw_csi_like(rng, 8):
-            _, _, p_g = sdm.simulate_array_mpp_arrays(
+            p_g = sdm.simulate_array_mpp_arrays(
                 params.i_ph_ref, params.i_0_ref, params.r_s, params.r_sh_ref,
-                params.n_diode, g_grid, 25.0, sdm.ArrayTopology(CELLS, 1, 1))
+                params.n_diode, g_grid, 25.0,
+                sdm.ArrayTopology(CELLS, 1, 1)).p_dc
             assert np.all(np.diff(p_g) > -1e-9 * p_g[:-1])
-            _, _, p_t = sdm.simulate_array_mpp_arrays(
+            p_t = sdm.simulate_array_mpp_arrays(
                 params.i_ph_ref, params.i_0_ref, params.r_s, params.r_sh_ref,
-                params.n_diode, 1000.0, t_grid, sdm.ArrayTopology(CELLS, 1, 1))
+                params.n_diode, 1000.0, t_grid,
+                sdm.ArrayTopology(CELLS, 1, 1)).p_dc
             assert np.all(np.diff(p_t) < 1e-9 * p_t[:-1])
 
     def test_mixed_lit_and_dark_rows(self):
@@ -290,18 +327,8 @@ class TestMpp:
         # rows across the fitting box and its irradiance range stop after
         # different numbers of steps; each row must come out bit for bit as
         # it does solved alone, whatever the rows beside it still need
-        rng = np.random.default_rng(5)
-        box = fitting.default_bounds(ISC_STC)
-        rows = []
-        for name in sdm.PARAM_NAMES:
-            lo, hi = box[name]
-            if name in fitting._LOG_PARAMS:
-                rows.append(10.0 ** rng.uniform(math.log10(lo),
-                                                math.log10(hi), 300))
-            else:
-                rows.append(rng.uniform(lo, hi, 300))
-        ops = sdm.translate_arrays(*rows, rng.uniform(1.0, 1200.0, 300),
-                                   rng.uniform(-10.0, 70.0, 300), CELLS)
+        rows, g, t = draw_box_rows(np.random.default_rng(5), 300)
+        ops = sdm.translate_arrays(*rows, g, t, CELLS)
         v, i, _ = sdm.mpp_arrays(*ops)
         # a third start warm at their own solution, which stops them early
         start = np.where(np.arange(300) % 3 == 0, v + i * ops[2], np.nan)
@@ -361,14 +388,14 @@ class TestMppSensitivities:
         g = np.array(g)
 
         def mpp(scale):
-            v, i, _ = sdm.simulate_array_mpp_arrays(*(theta * scale), g, t,
-                                                    topo, ALPHA_ISC)
+            v, i, _, _ = sdm.simulate_array_mpp_arrays(
+                *(theta * scale), g, t, topo, ALPHA_ISC)
             return np.concatenate([v, i])
 
-        v, i, _ = sdm.simulate_array_mpp_arrays(*theta, g, t, topo,
-                                                ALPHA_ISC)
-        dv, di = sdm.mpp_sensitivities_arrays(v, i, *theta, g, t, topo,
-                                              ALPHA_ISC)
+        v, i, _, ops = sdm.simulate_array_mpp_arrays(*theta, g, t, topo,
+                                                     ALPHA_ISC)
+        dv, di = sdm.mpp_sensitivities_arrays(v, i, ops, *theta[[1, 3, 4]],
+                                              g, topo)
         # relative steps: i_0_ref spans eight decades
         exact = np.concatenate([dv, di]) * theta
         central = five_point_gradient(mpp, np.ones(5))
@@ -381,16 +408,36 @@ class TestMppSensitivities:
         g = np.array([0.0, 400.0, 0.0, 900.0])
         t = np.array([5.0, 30.0, 12.0, 45.0])
         lit = g > 0
-        args = (*CSI_PARAMS.as_array(), g, t, topo, ALPHA_ISC)
-        v, i, _ = sdm.simulate_array_mpp_arrays(*args)
-        mixed = sdm.mpp_sensitivities_arrays(v, i, *args)
+        ref = CSI_PARAMS.as_array()
+        v, i, _, ops = sdm.simulate_array_mpp_arrays(*ref, g, t, topo,
+                                                     ALPHA_ISC)
+        mixed = sdm.mpp_sensitivities_arrays(v, i, ops, *ref[[1, 3, 4]], g,
+                                             topo)
         alone = sdm.mpp_sensitivities_arrays(
-            v[lit], i[lit], *CSI_PARAMS.as_array(), g[lit], t[lit], topo,
-            ALPHA_ISC)
+            v[lit], i[lit], tuple(op[lit] for op in ops), *ref[[1, 3, 4]],
+            g[lit], topo)
         for out_mixed, out_alone in zip(mixed, alone):
             assert out_mixed.shape == (4, 5)
             assert np.all(out_mixed[~lit] == 0.0)
             np.testing.assert_array_equal(out_mixed[lit], out_alone)
+
+
+    def test_solve_coefficients_equal_a_fresh_translation(self, topo):
+        # the coefficients a solve returns are those translate_arrays gives
+        # for its inputs, so sensitivities taken from them are bit for bit
+        # those of a fresh translation
+        rows, g, t = draw_box_rows(np.random.default_rng(5), 300)
+        mpp = sdm.simulate_array_mpp_arrays(*rows, g, t, topo, ALPHA_ISC)
+        fresh = sdm.translate_arrays(*rows, g, t, topo.cells_in_series,
+                                     ALPHA_ISC)
+        for out_solve, out_fresh in zip(
+                sdm.mpp_sensitivities_arrays(mpp.v_dc, mpp.i_dc, mpp.ops,
+                                             *rows[[1, 3, 4]], g, topo),
+                sdm.mpp_sensitivities_arrays(mpp.v_dc, mpp.i_dc, fresh,
+                                             *rows[[1, 3, 4]], g, topo)):
+            assert out_solve.shape == (300, 5)
+            assert np.isfinite(out_solve).all()
+            np.testing.assert_array_equal(out_solve, out_fresh)
 
 
 class TestIterationCaps:

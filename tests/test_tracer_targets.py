@@ -82,6 +82,34 @@ def test_fit_window_solves_each_parameter_row_once(monkeypatch, topo,
         assert np.all((np.array(rows) > lo) & (np.array(rows) < hi))
 
 
+def test_fit_translates_once_per_solve(monkeypatch, topo, datasheet):
+    # a Jacobian takes the operating coefficients of the solve it
+    # differentiates, so a fit translates the reference parameters once per
+    # evaluation, in a one-window fit and in a batch whose windows stop at
+    # different evaluations
+    series, _ = synth.generate_dataset(
+        CSI_PARAMS, topo, synth.WeatherProfile(days=6, seed=1,
+                                               cloud_days=(4,)),
+        alpha_isc=ALPHA_ISC)
+    daylight = series.select(series.g_poa >= 50.0)
+    days = daylight.days()
+    windows = [daylight.select(np.isin(daylight.day_index(), days[k:k + 3]))
+               for k in (0, 3)]
+    guess = fitting.initial_guess(datasheet)
+    translations = count_calls(monkeypatch, sdm, "translate_arrays")
+    solves = count_calls(monkeypatch, sdm, "simulate_array_mpp_arrays")
+    result = fitting.fit_window(windows[0], topo, guess, datasheet)
+    assert result.iterations > 1
+    assert len(translations) == len(solves) > result.iterations
+    translations.clear()
+    solves.clear()
+    results = fitting.fit_windows(windows, topo, [guess, CSI_PARAMS],
+                                  datasheet)
+    assert results[0].iterations != results[1].iterations
+    assert len(translations) == len(solves) > max(r.iterations
+                                                  for r in results)
+
+
 def test_runner_days_fit_through_the_traced_fit_window(monkeypatch, topo,
                                                        datasheet):
     # the runner's days are rolling_fit's windows, each fitted through
