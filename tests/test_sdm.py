@@ -121,7 +121,6 @@ class TestTranslate:
         assert op.r_sh == sdm.NIGHT_RSH_CAP
         assert math.isfinite(op.a_mod) and op.a_mod > 0
 
-
     def test_series_resistance_sweep_at_one_weather_point(self, topo):
         # an array r_s beside scalar parameters and weather broadcasts like
         # any other array input: each entry equals its scalar call
@@ -420,7 +419,6 @@ class TestMppSensitivities:
             assert out_mixed.shape == (4, 5)
             assert np.all(out_mixed[~lit] == 0.0)
             np.testing.assert_array_equal(out_mixed[lit], out_alone)
-
 
     def test_solve_coefficients_equal_a_fresh_translation(self, topo):
         # the coefficients a solve returns are those translate_arrays gives
