@@ -7,10 +7,11 @@ and benchmark the dynamic model against persistence, datasheet and
 regression baselines.
 """
 
-from .analysis import (MetricsReport, StudyResult, classify_days,
-                       compute_metrics, exceedance_density,
+from .analysis import (LengthWindows, MetricsReport, StudyResult,
+                       classify_days, compute_metrics, exceedance_density,
                        interpretability_sweep, seasonal_partition,
-                       training_length_sweep, weather_case_study)
+                       training_length_sweep, training_length_windows,
+                       weather_case_study, weather_pools)
 from .baselines import (Datasheet, GridSearchSpec, RegressorModel,
                         feature_matrix, fit_desoto_from_datasheet, grid_search,
                         naive_persistence, predict_regressor,
@@ -21,9 +22,9 @@ from .exceptions import (ConfigError, DataError, ExtractionError,
                          FitDegeneracyError, InsufficientDataError,
                          NumericalError, PvprofError, SolverError,
                          TrainingError)
-from .fitting import (FitWindowResult, default_bounds, fit_window,
-                      fit_windows, initial_guess, loss, rolling_fit,
-                      simulate_power, update_schedule)
+from .fitting import (FitWindowResult, SolvedWindows, default_bounds,
+                      fit_window, fit_windows, initial_guess, loss,
+                      rolling_fit, simulate_power, update_schedule)
 from .preprocess import (PreprocessConfig, QualityMask,
                          apply_quality_pipeline, filter_clipping,
                          filter_night, remove_outliers_regression)

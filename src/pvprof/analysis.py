@@ -10,6 +10,7 @@ one-feature interpretability sweeps, and the training-length sweep.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,19 +116,22 @@ REGRESSOR_FAMILIES = {"lr": "linear", "kr": "kernel_ridge"}
 TRAINABLE_MODELS = ("pvpro", "nominal", *REGRESSOR_FAMILIES)
 
 
-def train_model(name, trains, *, topo, datasheet, hyperparams=None):
+def train_model(name, trains, *, topo, datasheet, hyperparams=None,
+                solved=None):
     """Train one roster model on each of a list of clean telemetry slices.
 
     Returns one trained model per slice, in order.  ``pvpro`` fits the five
     parameters of the system (``topo`` and ``datasheet``) to every slice
     from the datasheet's initial guess in one ``fitting.fit_windows`` batch
-    and returns the ``FitWindowResult``s; ``nominal`` returns the datasheet
-    extraction; ``lr``/``kr`` a ``RegressorModel`` per slice.
+    and returns the ``FitWindowResult``s; a slice that ``solved`` (a
+    ``fitting.SolvedWindows`` of the system) holds is read from it, not
+    solved again.  ``nominal`` returns the datasheet extraction;
+    ``lr``/``kr`` a ``RegressorModel`` per slice.
     """
     if name == "pvpro":
         init = fitting.initial_guess(datasheet)
         return fitting.fit_windows(trains, topo, [init] * len(trains),
-                                   datasheet)
+                                   datasheet, solved)
     if name == "nominal":
         return [datasheet.desoto_params for _ in trains]
     if name in REGRESSOR_FAMILIES:
@@ -237,28 +241,17 @@ def _records_of_days(series, mask_retained, day_list):
     return series.select(sel)
 
 
-def weather_case_study(series: TelemetrySeries, labels, models, *,
-                       topo: sdm.ArrayTopology, datasheet, p_nominal,
-                       preprocess: PreprocessConfig = PreprocessConfig(),
-                       g_min=50.0) -> StudyResult:
-    """Six train/test weather combinations and the spread across them.
+def weather_pools(series: TelemetrySeries, labels,
+                  preprocess: PreprocessConfig = PreprocessConfig()):
+    """The weather cases' retained records: ``(trains, tests)``, the
+    training pools by kind (clear, cloudy, mix) and the test pools (clear,
+    cloudy).
 
-    Labeled days are split alternately into train and test pools per label;
-    each case trains on clear, cloudy or mixed train-pool days and scores on
-    clear or cloudy test-pool days.  Every case's pools are checked for
-    records before any model trains.  Each model is then trained once per
-    training pool, its three pools in one ``train_model`` call (one batch
-    of window fits for ``pvpro``), and that one trained model is scored on
-    every test pool ``WEATHER_CASES`` pairs with the pool.  Per model the
-    study reports the
-    six nMAE/nRMSE values and their coefficient of variation (population
-    standard deviation over mean).
-
-    The quality mask is computed once on the whole series, on purpose: train
-    and test days interleave, so this is a weather-sensitivity study, not a
-    day-ahead one, and no case trains only on records before its test days.
-    The day-ahead runner and ``training_length_sweep`` mask each training
-    slice on its own instead (``preprocess.training_window``).
+    Labeled days are split alternately into train and test pools per
+    label; the mixed pool trains on both kinds' training days.  The quality
+    mask is computed once on the whole series.  Raises
+    ``InsufficientDataError`` unless there are two days of each label, and
+    unless every case has 50 training records and one test record.
     """
     series.validate()
     retained = apply_quality_pipeline(series, preprocess).retained
@@ -279,13 +272,40 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
               for kind, days in train_pool.items()}
     tests = {kind: _records_of_days(series, retained, days)
              for kind, days in test_pool.items()}
-    # every case is checked before any model trains
     for train_kind, test_kind in WEATHER_CASES:
         if len(trains[train_kind]) < 50 or len(tests[test_kind]) == 0:
             raise InsufficientDataError(
                 f"case {train_kind}/{test_kind} unfillable: "
                 f"{len(trains[train_kind])} train / "
                 f"{len(tests[test_kind])} test records")
+    return trains, tests
+
+
+def weather_case_study(series: TelemetrySeries, labels, models, *,
+                       topo: sdm.ArrayTopology, datasheet, p_nominal,
+                       preprocess: PreprocessConfig = PreprocessConfig(),
+                       g_min=50.0, pools=None, solved=None) -> StudyResult:
+    """Six train/test weather combinations and the spread across them.
+
+    Each case trains on the clear, cloudy or mixed training pool of
+    ``weather_pools`` and scores on its clear or cloudy test pool; every
+    case's pools are checked for records there, before any model trains.
+    ``pools`` is ``weather_pools(series, labels, preprocess)`` when the
+    caller has it already.  Each model is then trained once per training
+    pool, its three pools in one ``train_model`` call (one batch of window
+    fits for ``pvpro``, read from ``solved`` where that holds them), and
+    that one trained model is scored on every test pool ``WEATHER_CASES``
+    pairs with the pool.  Per model the study reports the six nMAE/nRMSE
+    values and their coefficient of variation (population standard
+    deviation over mean).
+
+    The quality mask is computed once on the whole series, on purpose: train
+    and test days interleave, so this is a weather-sensitivity study, not a
+    day-ahead one, and no case trains only on records before its test days.
+    The day-ahead runner and ``training_length_sweep`` mask each training
+    slice on its own instead (``preprocess.training_window``).
+    """
+    trains, tests = pools or weather_pools(series, labels, preprocess)
 
     groups = {}
     cv = {}
@@ -294,7 +314,8 @@ def weather_case_study(series: TelemetrySeries, labels, models, *,
         # the fits are deterministic, so one model per training pool serves
         # every case that trains on that pool
         trained = dict(zip(trains, train_model(
-            name, list(trains.values()), topo=topo, datasheet=datasheet)))
+            name, list(trains.values()), topo=topo, datasheet=datasheet,
+            solved=solved)))
         case_reports = {}
         for train_kind, test_kind in WEATHER_CASES:
             test = tests[test_kind]
@@ -345,42 +366,71 @@ def interpretability_sweep(model, varied, value_range, *, topo=None,
                                  "curves": curves})
 
 
-def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
-                          topo, datasheet, p_nominal, n_eval_days=5,
-                          preprocess: PreprocessConfig = PreprocessConfig(),
-                          g_min=50.0) -> StudyResult:
-    """Day-ahead error of one model as a function of training-window length.
+class LengthWindows(NamedTuple):
+    """The training-length sweep's slices: its evaluation-day starts, the
+    training window before each of them by length in days (lengths with
+    too little history left out), and a note per left-out length."""
 
-    Every length is scored over the same trailing evaluation days; each
-    evaluation day is predicted from its own measured weather by a model
-    trained only on ``preprocess.training_window`` of the preceding
-    ``length`` days (fractional lengths included).  Lengths that do not fit
-    the available history are skipped with a note.  All the (length, day)
-    training slices are trained in one ``train_model`` call, which for
-    ``pvpro`` is one batch of window fits.
+    eval_days: list
+    slices: dict
+    notes: list
+
+
+def training_length_windows(series: TelemetrySeries, lengths_days,
+                            n_eval_days=5,
+                            preprocess: PreprocessConfig = PreprocessConfig()
+                            ) -> LengthWindows:
+    """The training slices of ``training_length_sweep``.
+
+    The evaluation days are the series' last ``n_eval_days``; the slice of
+    a length before each of them is ``preprocess.training_window`` of the
+    preceding ``length`` days (fractional lengths included).  A length
+    that does not fit the history before the first evaluation day is left
+    out with a note.
     """
     series.validate()
     days = series.days()
     if len(days) < n_eval_days + 1:
         raise InsufficientDataError("series too short for the evaluation span")
     eval_days = [day.astype("datetime64[s]") for day in days[-n_eval_days:]]
-    groups = {}
-    notes = []
     slices = {}
+    notes = []
     for length in lengths_days:
         need = np.timedelta64(int(length * 86400), "s")
-        groups[float(length)] = None
         if eval_days[0] - need < days[0]:
             notes.append(f"length {length} d skipped: insufficient history")
             continue
         slices[float(length)] = [training_window(series, day, need,
                                                  preprocess)
                                  for day in eval_days]
+    return LengthWindows(eval_days, slices, notes)
+
+
+def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
+                          topo, datasheet, p_nominal, n_eval_days=5,
+                          preprocess: PreprocessConfig = PreprocessConfig(),
+                          g_min=50.0, windows=None,
+                          solved=None) -> StudyResult:
+    """Day-ahead error of one model as a function of training-window length.
+
+    Every length is scored over the same trailing evaluation days; each
+    evaluation day is predicted from its own measured weather by a model
+    trained only on its slice of ``training_length_windows``, which skips
+    with a note the lengths that do not fit the available history.
+    ``windows`` is ``training_length_windows(series, lengths_days,
+    n_eval_days, preprocess)`` when the caller has it already.  All the
+    (length, day) training slices are trained in one ``train_model`` call,
+    which for ``pvpro`` is one batch of window fits, read from ``solved``
+    where that holds them.
+    """
+    eval_days, slices, notes = windows or training_length_windows(
+        series, lengths_days, n_eval_days, preprocess)
+    groups = {float(length): None for length in lengths_days}
     # every (length, day) window is trained in one call
     fitted = iter(train_model(model_name,
                               [train for trains in slices.values()
                                for train in trains],
-                              topo=topo, datasheet=datasheet))
+                              topo=topo, datasheet=datasheet, solved=solved))
     for length in slices:
         preds, meas, gs = [], [], []
         for day in eval_days:
@@ -394,4 +444,4 @@ def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
         groups[length] = compute_metrics(
             np.concatenate(preds), np.concatenate(meas), p_nominal,
             daylight_only=True, g_poa=np.concatenate(gs), g_min=g_min)
-    return StudyResult("training_length", groups, notes=notes)
+    return StudyResult("training_length", groups, notes=list(notes))

@@ -3,7 +3,9 @@
 Smart and naive persistence, the nominal datasheet-parameterized diode model
 (five-condition extraction at standard test conditions), and closed-form
 linear / RBF-kernel ridge regressors with a grid search that treats the
-training-data length as a hyperparameter.
+training-data length as a hyperparameter.  The kernel-ridge functions
+import scipy's ``linalg`` and ``spatial`` themselves, so a command that
+runs no kernel ridge does not load them.
 """
 
 import itertools
@@ -13,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.spatial.distance import cdist
 
 from . import sdm
 from .exceptions import (ConfigError, DataError, ExtractionError,
@@ -377,6 +377,8 @@ def _kernel_dual(K, lam, yc, work):
     matrix since it is symmetric.  Raises ``TrainingError`` if the system is
     not positive definite or the dual is not finite.
     """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     if work is not K:
         np.copyto(work, K)
     work.ravel()[::work.shape[0] + 1] += lam
@@ -422,6 +424,8 @@ def train_regressor(family, features, targets, hyperparams=None) -> RegressorMod
             raise TrainingError(f"singular normal equations: {exc}") from exc
         return RegressorModel("linear", x_mean, x_std, y_mean,
                               hyperparams, weights=w)
+    from scipy.spatial.distance import cdist
+
     K = cdist(Xs, Xs, "sqeuclidean")
     dual = _kernel_dual(_rbf_kernel(K, gamma, out=K), lam, yc, work=K)
     return RegressorModel("kernel_ridge", x_mean, x_std, y_mean,
@@ -435,6 +439,8 @@ def predict_regressor(model: RegressorModel, features):
     if model.family == "linear":
         y = Xs @ model.weights + model.y_mean
     else:
+        from scipy.spatial.distance import cdist
+
         K = cdist(Xs, model.x_train, "sqeuclidean")
         _rbf_kernel(K, model.hyperparams["gamma"], out=K)
         y = K @ model.dual_coef + model.y_mean
@@ -498,6 +504,8 @@ def _kernel_ridge_holdout(spec, X, y, X_val):
     ``(lam, gamma)`` holding the prediction, or the reason a cell's system
     failed.
     """
+    from scipy.spatial.distance import cdist
+
     x_mean, x_std, Xs, y_mean, yc = _standardize(X, y)
     val_sqdist = cdist((X_val - x_mean) / x_std, Xs, "sqeuclidean")
     n = Xs.shape[0]

@@ -16,6 +16,15 @@ through ``predict_model``, as the studies do, so the day's measured power
 never reaches a prediction.  The sweep study predicts from the last window
 fit that did not fail.  Results are pooled into aggregate and per-day
 metrics plus the enabled studies, all serialized deterministically.
+
+Every dynamic-model fit of a run goes through one
+``fitting.SolvedWindows``, made for that run.  The weather-case pools and
+the training-length windows are sliced once, before any model trains;
+their pvpro fits start cold from the datasheet's initial guess, as the
+first day's window does, and all of these are solved in one batch with
+that window, each distinct window once.  The studies then read their fits
+from the record; the warm-started days after the first are fitted one by
+one.
 """
 
 import hashlib
@@ -242,6 +251,56 @@ def _study_to_json(result):
     return out
 
 
+@dataclass
+class _StudySlices:
+    """What the weather-case and training-length studies train on, sliced
+    once per run before any model trains: the day labels, the weather
+    pools (``analysis.weather_pools``) and the training-length windows
+    (``analysis.training_length_windows``).  A slicing that fails is left
+    None; its study then slices again and records the same error."""
+
+    labels: dict | None = None
+    pools: tuple | None = None
+    lengths: analysis.LengthWindows | None = None
+
+    @classmethod
+    def of(cls, config: RunConfig, series, ground_truth, trainable):
+        slices = cls()
+        if config.studies.get("weather_cases"):
+            if ground_truth is not None:
+                day0 = np.datetime64(ground_truth.start_day, "D")
+                slices.labels = {day0 + np.timedelta64(k, "D"): lab
+                                 for k, lab in enumerate(
+                                     ground_truth.day_labels)}
+            else:
+                slices.labels = analysis.classify_days(
+                    series, g_min=config.preprocess.g_min)
+            try:
+                slices.pools = analysis.weather_pools(
+                    series, slices.labels, config.preprocess)
+            except (InsufficientDataError, NumericalError):
+                pass
+        if config.studies.get("training_length") and trainable:
+            try:
+                slices.lengths = analysis.training_length_windows(
+                    series, config.grid_spec.training_lengths_days,
+                    preprocess=config.preprocess)
+            except (InsufficientDataError, NumericalError):
+                pass
+        return slices
+
+    def pvpro_windows(self):
+        """The slices the studies fit pvpro to from the datasheet's initial
+        guess, when it is in the roster: every weather training pool and
+        every training-length window."""
+        windows = list(self.pools[0].values()) if self.pools else []
+        if self.lengths:
+            windows += [window for windows_of_length in
+                        self.lengths.slices.values()
+                        for window in windows_of_length]
+        return windows
+
+
 class _DayAheadRunner:
     """Per-model prediction of one forecast day from data before it.
 
@@ -250,6 +309,8 @@ class _DayAheadRunner:
     run, and the runner adds the regressors' grid selection and
     persistence.  The datasheet extraction is the datasheet's own
     (``Datasheet.desoto_params``), so every reader shares one run of it.
+    ``solved`` records the run's dynamic-model fits
+    (``fitting.SolvedWindows``), for the studies to read theirs from.
     """
 
     def __init__(self, config: RunConfig, series: TelemetrySeries):
@@ -257,10 +318,18 @@ class _DayAheadRunner:
         self.series = series
         # each forecast-day start's window fit of the dynamic model, in order
         self.day_fits: dict = {}
+        self.solved = None
         self.selection: dict = {}
         self.grid_errors: dict = {}
 
-    def prepare(self, eval_start, day_starts):
+    def prepare(self, eval_start, day_starts, cold_windows=()):
+        """Select the regressors and fit the dynamic model's days.
+
+        ``cold_windows`` are the studies' dynamic-model windows.  They are
+        planned on the run's ``fitting.SolvedWindows``, so ``rolling_fit``
+        solves them from the datasheet's initial guess in one batch with
+        the first day's window, and each distinct window is solved once.
+        """
         cfg = self.cfg
         if "nominal" in cfg.models:
             # extract up front: an infeasible datasheet fails the run here
@@ -281,9 +350,14 @@ class _DayAheadRunner:
             except (InsufficientDataError, NumericalError) as exc:
                 self.grid_errors[name] = f"grid search failed: {exc}"
         if "pvpro" in cfg.models:
+            self.solved = fitting.SolvedWindows(cfg.topology, cfg.datasheet)
+            if cold_windows:
+                self.solved.plan(cold_windows, [fitting.initial_guess(
+                    cfg.datasheet)] * len(cold_windows))
             self.day_fits = dict(zip(day_starts, fitting.rolling_fit(
                 self.series, cfg.topology, cfg.window_length, day_starts,
-                cfg.datasheet, cfg.preprocess, cfg.warm_start)))
+                cfg.datasheet, cfg.preprocess, cfg.warm_start,
+                self.solved)))
 
     def predict_day(self, name, day_start, weather: WeatherSeries):
         """Prediction array for one model/day; raises PvprofError to skip."""
@@ -346,9 +420,12 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
     if not eval_days:
         raise InsufficientDataError("no forecast days in the evaluation span")
 
+    trainable = [m for m in config.models if m in analysis.TRAINABLE_MODELS]
+    slices = _StudySlices.of(config, series, ground_truth, trainable)
     runner = _DayAheadRunner(config, series)
     runner.prepare(eval_start,
-                   [day.astype("datetime64[s]") for day in eval_days])
+                   [day.astype("datetime64[s]") for day in eval_days],
+                   slices.pvpro_windows())
 
     daily = {name: [] for name in config.models}
     pooled = {name: {"ts": [], "pred": [], "meas": [], "g": []}
@@ -401,7 +478,7 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
 
     trajectory = list(runner.day_fits.values())
     studies = _run_studies(config, series, aggregate, agg_inputs,
-                           trajectory, ground_truth)
+                           trajectory, trainable, slices, runner.solved)
 
     provenance = {
         "config_sha256": config.config_hash(),
@@ -424,9 +501,8 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
 
 
 def _run_studies(config, series, aggregate, agg_inputs, trajectory,
-                 ground_truth):
+                 trainable, slices, solved):
     studies = {}
-    trainable = [m for m in config.models if m in analysis.TRAINABLE_MODELS]
     if config.studies.get("exceedance"):
         studies["exceedance"] = {name: agg["exceedance"]
                                  for name, agg in aggregate.items()
@@ -439,18 +515,12 @@ def _run_studies(config, series, aggregate, agg_inputs, trajectory,
                 g_min=config.preprocess.g_min))
             for name, (ts, pred, meas, g) in agg_inputs.items()}
     if config.studies.get("weather_cases"):
-        if ground_truth is not None:
-            day0 = np.datetime64(ground_truth.start_day, "D")
-            labels = {day0 + np.timedelta64(k, "D"): lab
-                      for k, lab in enumerate(ground_truth.day_labels)}
-        else:
-            labels = analysis.classify_days(series,
-                                            g_min=config.preprocess.g_min)
         try:
             result = analysis.weather_case_study(
-                series, labels, trainable, topo=config.topology,
+                series, slices.labels, trainable, topo=config.topology,
                 datasheet=config.datasheet, p_nominal=config.p_nominal,
-                preprocess=config.preprocess, g_min=config.preprocess.g_min)
+                preprocess=config.preprocess, g_min=config.preprocess.g_min,
+                pools=slices.pools, solved=solved)
             studies["weather_cases"] = _study_to_json(result)
         except (InsufficientDataError, NumericalError) as exc:
             studies["weather_cases"] = {"error": str(exc)}
@@ -483,7 +553,8 @@ def _run_studies(config, series, aggregate, agg_inputs, trajectory,
                 series, config.grid_spec.training_lengths_days,
                 topo=config.topology, datasheet=config.datasheet,
                 p_nominal=config.p_nominal,
-                preprocess=config.preprocess, g_min=config.preprocess.g_min)
+                preprocess=config.preprocess, g_min=config.preprocess.g_min,
+                windows=slices.lengths, solved=solved)
             studies["training_length"] = _study_to_json(result)
         except (InsufficientDataError, NumericalError) as exc:
             studies["training_length"] = {"error": str(exc)}

@@ -33,6 +33,9 @@ result says when the prior, not the data, set the shunt
 ``rolling_fit``, the one re-fitting loop of ``pvprof fit`` and the
 benchmark, fits the window ``[end - length, end)`` before each given end,
 warm-started from the previous result: the shunt prior is a random walk.
+A ``SolvedWindows`` keeps the fits of one run by window content, so each
+distinct window is solved once, and windows planned on it are solved in
+one batch with the next fit that needs the solver.
 ``simulate_power`` turns a parameter set into array MPP power over arrays
 of irradiance and cell temperature; ``analysis.predict_model`` calls it for
 every physical model.
@@ -46,7 +49,7 @@ import numpy as np
 
 from . import sdm
 from .exceptions import (ConfigError, ExtractionError, FitDegeneracyError,
-                         InsufficientDataError, NumericalError)
+                         InsufficientDataError, NumericalError, PvprofError)
 from .preprocess import PreprocessConfig, training_window
 from .series import DAY, TelemetrySeries
 
@@ -326,17 +329,19 @@ def _check_window(window: TelemetrySeries):
 
 
 def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
-               init: sdm.SdmParamsRef, datasheet) -> FitWindowResult:
+               init: sdm.SdmParamsRef, datasheet,
+               solved=None) -> FitWindowResult:
     """Fit the five parameters to one window of retained telemetry.
 
     ``fit_windows`` on a batch of this one window; its docstring states the
-    solver, the stop rules and the prior row.  ``rolling_fit`` fits each of
-    its windows through here.
+    solver, the stop rules, the prior row and ``solved``.  ``rolling_fit``
+    fits each of its windows through here.
     """
-    return fit_windows([window], topo, [init], datasheet)[0]
+    return fit_windows([window], topo, [init], datasheet, solved)[0]
 
 
-def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet):
+def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet,
+                solved=None):
     """Fit the five parameters to each of independent windows of retained
     telemetry, one ``FitWindowResult`` per window.
 
@@ -378,26 +383,84 @@ def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet):
     or a span under a day, ``NumericalError`` for non-finite residuals at
     the start or non-finite MPP sensitivities at an accepted point.  A batch
     of one window, ``fit_window``, takes this same path.
+
+    The windows are solved through ``solved``, a ``SolvedWindows`` of this
+    system (a new one when None): a window it holds is not solved again,
+    and the rest are solved in one batch with the windows planned on it.
     """
     windows, inits = list(windows), list(inits)
     if len(inits) != len(windows):
         raise ConfigError(f"{len(windows)} windows but {len(inits)} starts")
-    invalid = None
-    for k, window in enumerate(windows):
-        try:
-            _check_window(window)
-        except InsufficientDataError as exc:
-            # windows after it cannot change which error is raised
-            invalid = exc
-            windows, inits = windows[:k], inits[:k]
-            break
-    results = _solve(windows, topo, inits, datasheet) if windows else []
-    for result in results:
-        if isinstance(result, NumericalError):
-            raise result
-    if invalid is not None:
-        raise invalid
-    return results
+    if solved is None:
+        solved = SolvedWindows(topo, datasheet)
+    elif (solved.topo, solved.datasheet) != (topo, datasheet):
+        raise ConfigError("the solved windows belong to another system")
+    outcomes = solved.solve(windows, inits)
+    for outcome in outcomes:
+        if isinstance(outcome, PvprofError):
+            raise outcome
+    return outcomes
+
+
+def _window_key(window: TelemetrySeries, init: sdm.SdmParamsRef):
+    # the bytes of the five record arrays (``TelemetrySeries`` fixes their
+    # dtypes) and of the start: windows with equal keys are the same fit.
+    # A dict compares these bytes, not only their hashes
+    return tuple(getattr(window, name).tobytes() for name in (
+        "timestamp", "g_poa", "t_module", "v_dc", "i_dc")) + (
+        init.as_array().tobytes(),)
+
+
+class SolvedWindows:
+    """The window fits of one system, each distinct window solved once.
+
+    Two windows are the same fit when their five record arrays and their
+    starts are equal byte for byte.  ``plan`` names windows whose fits are
+    wanted later; the next ``solve`` fits them together with its own new
+    windows in one batch of ``fit_windows``' solver.  A window's outcome is
+    its ``FitWindowResult`` or the ``InsufficientDataError`` or
+    ``NumericalError`` its fit raises; by the batch independence of
+    ``fit_windows`` it does not depend on the windows solved with it.
+    Keep one for the fits of one run, and pass it to them: a record that
+    outlived its run would answer the next run's fits from memory.
+    """
+
+    def __init__(self, topo: sdm.ArrayTopology, datasheet):
+        self.topo = topo
+        self.datasheet = datasheet
+        self._outcomes = {}
+        self._planned = {}
+
+    def plan(self, windows, inits):
+        """Solve ``windows`` from ``inits`` with the next ``solve``."""
+        for window, init in zip(windows, inits):
+            key = _window_key(window, init)
+            if key not in self._outcomes:
+                self._planned[key] = (window, init)
+
+    def solve(self, windows, inits):
+        """The outcome of each window from its start, in order.  The
+        windows not held yet and the planned ones are checked, and the
+        valid ones solved in one batch."""
+        keys = [_window_key(window, init)
+                for window, init in zip(windows, inits)]
+        pending, self._planned = self._planned, {}
+        for key, window, init in zip(keys, windows, inits):
+            if key not in self._outcomes:
+                pending[key] = (window, init)
+        batch = {}
+        for key, (window, init) in pending.items():
+            try:
+                _check_window(window)
+            except InsufficientDataError as exc:
+                self._outcomes[key] = exc
+            else:
+                batch[key] = (window, init)
+        if batch:
+            new_windows, new_inits = zip(*batch.values())
+            self._outcomes.update(zip(batch, _solve(
+                new_windows, self.topo, new_inits, self.datasheet)))
+        return [self._outcomes[key] for key in keys]
 
 
 # a window's state in ``_solve``: still running, stopped by a tolerance
@@ -455,66 +518,73 @@ def _solve(windows, topo, inits, datasheet):
 
     take_jacobians(status == _RUNNING, evaluation)
     cost = 0.5 * (data_ss + batch.prior(x) ** 2)
-    while True:
-        running = status == _RUNNING
-        # least_squares' gradient stop: each component scaled by the
-        # distance to the bound the descent direction points at
-        room = np.where(grad < 0, hi - x, x - lo)
-        small = running & (np.max(np.abs(grad * room), axis=1)
-                           < _GRADIENT_TOLERANCE)
-        status[small] = _CONVERGED
-        status[running & ~small & (evaluations >= _MAX_EVALUATIONS)] = _CAPPED
-        running = status == _RUNNING
-        if not running.any():
-            break
-        xr, g, a = x[running], grad[running], normal[running]
-        step = _damped_step(xr, g, a, damping[running], lo, hi)
-        trial = np.clip(xr + step, *inside)
-        step = trial - xr
+    # a rejected or failed trial may divide by zero or compare NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            running = status == _RUNNING
+            # least_squares' gradient stop: each component scaled by the
+            # distance to the bound the descent direction points at
+            room = np.where(grad < 0, hi - x, x - lo)
+            small = running & (np.max(np.abs(grad * room), axis=1)
+                               < _GRADIENT_TOLERANCE)
+            status[small] = _CONVERGED
+            status[running & ~small
+                   & (evaluations >= _MAX_EVALUATIONS)] = _CAPPED
+            running = status == _RUNNING
+            if not running.any():
+                break
+            # the running windows' rows: while every window runs, the
+            # arrays themselves (views), not masked copies
+            every = running.all()
+            rows = slice(None) if every else running
+            xr, g, a = x[rows], grad[rows], normal[rows]
+            step = _damped_step(xr, g, a, damping[rows], lo, hi)
+            trial = np.clip(xr + step, *inside)
+            step = trial - xr
 
-        x_trial = x.copy()
-        x_trial[running] = trial
-        if running.all():
-            evaluation = batch.evaluate(x_trial, running, (last_v, last_i))
-            last_v, last_i = evaluation.solved.mpp[:2]
-        else:
-            keep = batch.record_mask(running)
-            evaluation = batch.evaluate(x_trial, running,
-                                        (last_v[keep], last_i[keep]))
-            last_v[keep], last_i[keep] = evaluation.solved.mpp[:2]
-        ss = evaluation.sums
-        evaluations[running] += 1
-        new_cost = 0.5 * (ss + batch.prior(x_trial)[running] ** 2)
-        finite = np.isfinite(new_cost)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reduction = cost[running] - new_cost
+            if every:
+                x_trial = trial
+                evaluation = batch.evaluate(x_trial, running,
+                                            (last_v, last_i))
+                last_v, last_i = evaluation.solved.mpp[:2]
+            else:
+                x_trial = x.copy()
+                x_trial[running] = trial
+                keep = batch.record_mask(running)
+                evaluation = batch.evaluate(x_trial, running,
+                                            (last_v[keep], last_i[keep]))
+                last_v[keep], last_i[keep] = evaluation.solved.mpp[:2]
+            ss = evaluation.sums
+            evaluations[rows] += 1
+            new_cost = 0.5 * (ss + batch.prior(x_trial)[rows] ** 2)
+            finite = np.isfinite(new_cost)
+            reduction = cost[rows] - new_cost
             predicted = -(g * step).sum(axis=1) - 0.5 * (
                 step * (a @ step[..., None])[..., 0]).sum(axis=1)
             ratio = reduction / predicted
             accept = finite & (reduction > 0)
-        # Nielsen's rule: shrink the damping by how well the quadratic
-        # model predicted an accepted step, grow it on every rejection
-        with np.errstate(invalid="ignore", over="ignore"):
+            # Nielsen's rule: shrink the damping by how well the quadratic
+            # model predicted an accepted step, grow it on every rejection
             shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
-        damping[running] = np.where(accept, damping[running] * shrink,
-                                    damping[running] * growth[running])
-        growth[running] = np.where(accept, 2.0, 2.0 * growth[running])
-        stop = finite & (
-            (accept & (reduction < _LOSS_TOLERANCE * cost[running])
-             & (ratio > 0.25))
-            | (np.linalg.norm(step, axis=1) < _STEP_TOLERANCE * (
-                _STEP_TOLERANCE + np.linalg.norm(xr, axis=1))))
+            damping[rows] = np.where(accept, damping[rows] * shrink,
+                                     damping[rows] * growth[rows])
+            growth[rows] = np.where(accept, 2.0, 2.0 * growth[rows])
+            stop = finite & (
+                (accept & (reduction < _LOSS_TOLERANCE * cost[rows])
+                 & (ratio > 0.25))
+                | (np.linalg.norm(step, axis=1) < _STEP_TOLERANCE * (
+                    _STEP_TOLERANCE + np.linalg.norm(xr, axis=1))))
 
-        accepted = running.copy()
-        accepted[running] = accept
-        if accept.any():
-            x[accepted] = x_trial[accepted]
-            cost[accepted] = new_cost[accept]
-            data_ss[accepted] = ss[accept]
-            take_jacobians(accepted, evaluation)
-        stopped = running.copy()
-        stopped[running] = stop
-        status[stopped & (status == _RUNNING)] = _CONVERGED
+            accepted = running.copy()
+            accepted[rows] = accept
+            if accept.any():
+                x[accepted] = x_trial[accepted]
+                cost[accepted] = new_cost[accept]
+                data_ss[accepted] = ss[accept]
+                take_jacobians(accepted, evaluation)
+            stopped = running.copy()
+            stopped[rows] = stop
+            status[stopped & (status == _RUNNING)] = _CONVERGED
 
     results = []
     for k, window in enumerate(windows):
@@ -625,14 +695,17 @@ def update_schedule(series: TelemetrySeries, window_length, update_period):
 def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
                 window_length, window_ends, datasheet,
                 preprocess: PreprocessConfig = PreprocessConfig(),
-                warm_start=True):
+                warm_start=True, solved=None):
     """One ``fit_window`` per end, in order, on ``training_window`` of
     ``[end - window_length, end)``, labelled with that span.
 
     The first window starts from ``initial_guess(datasheet)``, later ones
-    from the last converged fit (unless ``warm_start`` is off).  A failed
-    window is recorded, not raised: its ``error``, the start it had, a NaN
-    loss, 0 iterations, and its records before masking.
+    from the last converged fit (unless ``warm_start`` is off).  Each
+    window is fitted through ``solved``, a ``SolvedWindows`` of the system
+    or None: the first fit then also solves the windows planned on it, in
+    one batch.  A failed window is recorded, not raised: its ``error``, the
+    start it had, a NaN loss, 0 iterations, and its records before
+    masking.
     """
     series.validate()
     window_length = np.timedelta64(window_length)
@@ -642,7 +715,8 @@ def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
         start = end - window_length
         try:
             retained = training_window(series, end, window_length, preprocess)
-            result = replace(fit_window(retained, topo, current, datasheet),
+            result = replace(fit_window(retained, topo, current, datasheet,
+                                        solved),
                              window_start=start, window_end=end)
             if warm_start and result.converged:
                 current = result.params

@@ -24,10 +24,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.constants import Boltzmann as K_BOLTZMANN
-from scipy.constants import elementary_charge as Q_ELEMENTARY
 
 from .exceptions import SolverError
+
+# the exact SI values (2019), equal to scipy.constants' bit for bit
+K_BOLTZMANN = 1.380649e-23     # J/K
+Q_ELEMENTARY = 1.602176634e-19  # C
 
 G_REF = 1000.0           # reference irradiance, W/m^2
 T_REF_C = 25.0           # reference cell temperature, degC
@@ -306,7 +308,8 @@ def mpp_arrays(i_ph, i_0, r_s, r_sh, a, vd_start=None):
     i_ph, i_0, r_s, r_sh, a = _broadcast(i_ph, i_0, r_s, r_sh, a)
     # NaN photocurrent is not dark: it propagates like any non-finite row
     dark = i_ph <= 0
-    hi = _open_circuit_upper_bound(i_ph, i_0, r_sh, a)
+    # arrays even for scalar inputs, so the loop can update them in place
+    hi = np.array(_open_circuit_upper_bound(i_ph, i_0, r_sh, a))
     lo = np.zeros_like(hi)
     vd = hi - a * np.log1p(hi / a)
     if vd_start is not None:
@@ -314,28 +317,31 @@ def mpp_arrays(i_ph, i_0, r_s, r_sh, a, vd_start=None):
         # stop test below is False for NaN
         vd_start = np.asarray(vd_start, dtype=float)
         vd = np.where(np.isfinite(vd_start), np.clip(vd_start, lo, hi), vd)
+    vd = np.asarray(vd)
     # dark rows give zeros whatever their vd
-    frozen = dark
-    for _ in range(_MPP_MAX_ITER):
-        _, _, cur, vol, di, dv, dp, d2p = _power_along_vd(vd, i_ph, i_0,
-                                                          r_s, r_sh, a)
-        lo = np.where(dp > 0, vd, lo)
-        hi = np.where(dp < 0, vd, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    frozen = np.array(dark)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MPP_MAX_ITER):
+            _, _, cur, vol, di, dv, dp, d2p = _power_along_vd(
+                vd, i_ph, i_0, r_s, r_sh, a)
+            np.copyto(lo, vd, where=dp > 0)
+            np.copyto(hi, vd, where=dp < 0)
             newton = vd - dp / d2p
-        # inclusive bounds: a converged row sits on one end of its bracket
-        take = (d2p < 0) & (newton >= lo) & (newton <= hi)
-        vd_new = np.where(take, newton, 0.5 * (lo + hi))
-        # NaN compares False, so a non-finite row stops with its first step
-        moved = np.abs(vd_new - vd) > 1e-13 * (1.0 + vd)
-        vd = np.where(frozen, vd, vd_new)
-        frozen = frozen | ~moved
-        pending = ~frozen
-        if not pending.any():
-            cur = _current_at_vd(vd, i_ph, i_0, r_sh, a)
-            vol = vd - cur * r_s
-            return (np.where(dark, 0.0, vol), np.where(dark, 0.0, cur),
-                    np.where(dark, 0.0, vol * cur))
+            # inclusive bounds: a converged row sits on one end of its
+            # bracket
+            take = (d2p < 0) & (newton >= lo) & (newton <= hi)
+            vd_new = np.where(take, newton, 0.5 * (lo + hi))
+            # NaN compares False, so a non-finite row stops with its first
+            # step
+            moved = np.abs(vd_new - vd) > 1e-13 * (1.0 + vd)
+            np.copyto(vd, vd_new, where=~frozen)
+            frozen |= ~moved
+            if frozen.all():
+                cur = _current_at_vd(vd, i_ph, i_0, r_sh, a)
+                vol = vd - cur * r_s
+                return (np.where(dark, 0.0, vol), np.where(dark, 0.0, cur),
+                        np.where(dark, 0.0, vol * cur))
+    pending = ~frozen
     raise SolverError(
         f"MPP Newton unconverged after {_MPP_MAX_ITER} iterations",
         i_ph=i_ph[pending], i_0=i_0[pending], r_s=r_s[pending],

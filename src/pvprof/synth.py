@@ -12,7 +12,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .exceptions import ConfigError
 from .sdm import (PARAM_BOX, PARAM_NAMES, ArrayTopology, SdmParamsRef,
@@ -114,6 +113,10 @@ def apply_clouds(g, profile: WeatherProfile):
     correlation time mapped through the normal CDF, so its bounds hold
     exactly.  Returns the attenuated irradiance and per-day labels.
     """
+    # imported here: only cloud days need it, and importing pvprof should
+    # not load scipy.special
+    from scipy.special import ndtr
+
     g = np.array(g, dtype=float)
     spd = profile.samples_per_day
     labels = []

@@ -1,15 +1,22 @@
-"""The benchmark's dynamic model: its days are ``rolling_fit``'s windows."""
+"""The benchmark's dynamic model: its days are ``rolling_fit``'s windows,
+and every cold window fit of a run is solved once, in one batch."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pvprof import analysis, fitting, synth
+import pvprof
+from pvprof import analysis, cli, fitting, iotools, synth
 from pvprof.benchmark import RunConfig, run_benchmark
-from pvprof.exceptions import InsufficientDataError
+from pvprof.exceptions import InsufficientDataError, NumericalError
 from pvprof.preprocess import PreprocessConfig, training_window
+from pvprof.series import TelemetrySeries
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS
 
 WINDOW = np.timedelta64(3, "D")
@@ -82,3 +89,161 @@ def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet,
     np.testing.assert_array_equal(
         report.studies["sweep"]["g_poa"]["curves"]["model"],
         expected.groups["curves"]["model"])
+
+
+def _system(datasheet):
+    return {"topology": {"cells_in_series": CELLS, "modules_per_string": 12,
+                         "strings_in_parallel": 8},
+            "datasheet": {k: getattr(datasheet, k) for k in (
+                "v_oc", "i_sc", "v_mp", "i_mp", "alpha_isc", "beta_voc",
+                "cells_in_series")}}
+
+
+def _studies_config(datasheet):
+    # the shape of the benchmark's roster_studies workload, pvpro alone:
+    # both studies that train cold fits, a 3-day training-length sweep
+    return {"system": _system(datasheet), "models": ["pvpro"],
+            "regressors": {"training_lengths_days": [3]},
+            "studies": {"weather_cases": True, "training_length": True},
+            "evaluation": {"start": "2024-06-05T00:00:00"}}
+
+
+def _studies_series(topo, seed):
+    return synth.generate_dataset(
+        CSI_PARAMS, topo, synth.WeatherProfile(days=8, seed=seed,
+                                               cloud_days=(1, 3, 6),
+                                               cloud_depth=0.55),
+        synth.DegradationScenario.step("i_ph_ref", 4, -0.12),
+        alpha_isc=ALPHA_ISC)
+
+
+def _fit_key(window, init):
+    return (tuple(getattr(window, name).tobytes() for name in (
+        "timestamp", "g_poa", "t_module", "v_dc", "i_dc")),
+        init.as_array().tobytes())
+
+
+def test_every_cold_window_is_solved_once_in_one_batch(monkeypatch, topo,
+                                                       datasheet):
+    series, truth = _studies_series(topo, seed=21)
+    config = RunConfig.from_dict(_studies_config(datasheet))
+    batches = []
+    original = fitting._solve
+
+    def recording(windows, topo, inits, datasheet):
+        batches.append([_fit_key(w, i) for w, i in zip(windows, inits)])
+        return original(windows, topo, inits, datasheet)
+
+    monkeypatch.setattr(fitting, "_solve", recording)
+    report = run_benchmark(config, series, truth)
+    assert "error" not in report.studies["weather_cases"]
+    assert "error" not in report.studies["training_length"]
+
+    guess = fitting.initial_guess(config.datasheet)
+    first = training_window(series, np.datetime64("2024-06-05T00:00:00"),
+                            WINDOW, PreprocessConfig())
+    labels = {np.datetime64(truth.start_day, "D") + np.timedelta64(k, "D"):
+              lab for k, lab in enumerate(truth.day_labels)}
+    pools, _ = analysis.weather_pools(series, labels)
+    lengths = analysis.training_length_windows(series, (3,))
+    cold = ([first] + list(pools.values())
+            + [w for ws in lengths.slices.values() for w in ws])
+    cold_keys = {_fit_key(w, guess) for w in cold}
+    # the runner's first window is also the sweep's second: 9 cold fits,
+    # 8 of them distinct
+    assert len(cold) == 9 and len(cold_keys) == 8
+    # one batch of every distinct cold window, then the warm chain one
+    # window at a time; no window reaches the solver twice
+    assert set(batches[0]) == cold_keys and len(batches[0]) == 8
+    assert [len(b) for b in batches[1:]] == [1] * (len(report.trajectory)
+                                                    - 1)
+    solved = [key for batch in batches for key in batch]
+    assert len(solved) == len(set(solved))
+
+
+def test_failed_planned_window_leaves_the_others_and_each_error(topo,
+                                                                datasheet):
+    series, _ = _studies_series(topo, seed=22)
+    guess = fitting.initial_guess(datasheet)
+    ends = [np.datetime64("2024-06-05T00:00:00") + np.timedelta64(k, "D")
+            for k in range(2)]
+    windows = [training_window(series, end, WINDOW, PreprocessConfig())
+               for end in (ends[0], ends[1],
+                           np.datetime64("2024-06-08T00:00:00"))]
+    w = windows[1]
+    broken = TelemetrySeries(w.timestamp, w.g_poa, w.t_module,
+                             np.full(len(w), np.inf), w.i_dc)
+    short = windows[2].select(slice(0, 30))
+    alone = [fitting.fit_window(w, topo, guess, datasheet)
+             for w in (windows[0], windows[2])]
+    errors = {}
+    for bad in (broken, short):
+        with pytest.raises((NumericalError, InsufficientDataError)) as exc:
+            fitting.fit_window(bad, topo, guess, datasheet)
+        errors[id(bad)] = exc.value
+
+    solved = fitting.SolvedWindows(topo, datasheet)
+    solved.plan([broken, windows[2], short], [guess] * 3)
+    # the runner's first window is solved with the planned ones and, like
+    # every window, exactly as it is alone
+    rolled = fitting.rolling_fit(series, topo, WINDOW, ends, datasheet,
+                                 solved=solved)
+    assert rolled == fitting.rolling_fit(series, topo, WINDOW, ends,
+                                         datasheet)
+    assert fitting.fit_windows([windows[0], windows[2]], topo, [guess] * 2,
+                               datasheet, solved) == alone
+    # each consumer gets the error of its own lowest failing window, the
+    # error it gets without the record
+    for batch in ([windows[0], broken, short], [short, broken],
+                  [windows[2], short]):
+        with pytest.raises((NumericalError, InsufficientDataError)) as exc:
+            fitting.fit_windows(batch, topo, [guess] * len(batch),
+                                datasheet, solved)
+        first_bad = next(w for w in batch if w is broken or w is short)
+        assert type(exc.value) is type(errors[id(first_bad)])
+        assert str(exc.value) == str(errors[id(first_bad)])
+    with pytest.raises(InsufficientDataError) as exc:
+        analysis.train_model("pvpro", [windows[0], short], topo=topo,
+                             datasheet=datasheet, solved=solved)
+    assert str(exc.value) == str(errors[id(short)])
+
+
+def test_runs_in_one_process_match_fresh_processes(tmp_path, topo,
+                                                   datasheet):
+    # the record of solved windows lives for one run: a second run on
+    # other data with the same timestamps reads none of the first's fits
+    config = dict(_studies_config(datasheet),
+                  data={"telemetry": "telemetry.csv"})
+    runs = []
+    for seed in (23, 24):
+        d = tmp_path / f"seed{seed}"
+        d.mkdir()
+        series, truth = _studies_series(topo, seed)
+        iotools.write_telemetry_csv(str(d / "telemetry.csv"), series)
+        (d / "config.json").write_text(json.dumps(config))
+        runs.append(d)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pvprof.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def outputs(out):
+        files = {}
+        for name in sorted(os.listdir(out)):
+            text = (out / name).read_text()
+            if name == "report.json":
+                report = json.loads(text)
+                del report["provenance"]["created_utc"]
+                text = json.dumps(report, sort_keys=True)
+            files[name] = text
+        return files
+
+    for d in runs:
+        assert cli.main(["benchmark", "--config", str(d / "config.json"),
+                         "--out", str(d / "together")]) == 0
+    for d in runs:
+        subprocess.run([sys.executable, "-m", "pvprof.cli", "benchmark",
+                        "--config", str(d / "config.json"),
+                        "--out", str(d / "fresh")],
+                       env=env, check=True, capture_output=True)
+        assert outputs(d / "together") == outputs(d / "fresh")
+    assert (outputs(runs[0] / "fresh")["trajectory.csv"]
+            != outputs(runs[1] / "fresh")["trajectory.csv"])
