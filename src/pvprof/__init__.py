@@ -7,8 +7,8 @@ and benchmark the dynamic model against persistence, datasheet and
 regression baselines.
 """
 
-from .analysis import (LengthWindows, MetricsReport, StudyResult,
-                       classify_days, compute_metrics, exceedance_density,
+from .analysis import (MetricsReport, StudyResult, classify_days,
+                       compute_metrics, exceedance_density,
                        interpretability_sweep, seasonal_partition,
                        training_length_sweep, training_length_windows,
                        weather_case_study, weather_pools)

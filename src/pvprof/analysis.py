@@ -10,7 +10,6 @@ one-feature interpretability sweeps, and the training-length sweep.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -366,27 +365,17 @@ def interpretability_sweep(model, varied, value_range, *, topo=None,
                                  "curves": curves})
 
 
-class LengthWindows(NamedTuple):
-    """The training-length sweep's slices: its evaluation-day starts, the
-    training window before each of them by length in days (lengths with
-    too little history left out), and a note per left-out length."""
-
-    eval_days: list
-    slices: dict
-    notes: list
-
-
 def training_length_windows(series: TelemetrySeries, lengths_days,
                             n_eval_days=5,
-                            preprocess: PreprocessConfig = PreprocessConfig()
-                            ) -> LengthWindows:
-    """The training slices of ``training_length_sweep``.
+                            preprocess: PreprocessConfig = PreprocessConfig()):
+    """The training slices of ``training_length_sweep``: ``(eval_days,
+    slices, notes)``.
 
-    The evaluation days are the series' last ``n_eval_days``; the slice of
-    a length before each of them is ``preprocess.training_window`` of the
-    preceding ``length`` days (fractional lengths included).  A length
-    that does not fit the history before the first evaluation day is left
-    out with a note.
+    ``eval_days`` are the starts of the series' last ``n_eval_days`` days;
+    ``slices`` maps each length in days to its slice before each of them,
+    ``preprocess.training_window`` of the preceding ``length`` days
+    (fractional lengths included).  A length that does not fit the history
+    before the first evaluation day is left out, with a note in ``notes``.
     """
     series.validate()
     days = series.days()
@@ -403,7 +392,7 @@ def training_length_windows(series: TelemetrySeries, lengths_days,
         slices[float(length)] = [training_window(series, day, need,
                                                  preprocess)
                                  for day in eval_days]
-    return LengthWindows(eval_days, slices, notes)
+    return eval_days, slices, notes
 
 
 def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,

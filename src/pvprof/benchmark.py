@@ -253,15 +253,14 @@ def _study_to_json(result):
 
 @dataclass
 class _StudySlices:
-    """What the weather-case and training-length studies train on, sliced
-    once per run before any model trains: the day labels, the weather
-    pools (``analysis.weather_pools``) and the training-length windows
-    (``analysis.training_length_windows``).  A slicing that fails is left
-    None; its study then slices again and records the same error."""
+    """The day labels, the weather pools (``analysis.weather_pools``) and
+    the training-length windows (``analysis.training_length_windows``) of
+    the enabled studies.  A slicing that fails is left None; its study
+    then slices again and records the same error."""
 
     labels: dict | None = None
     pools: tuple | None = None
-    lengths: analysis.LengthWindows | None = None
+    lengths: tuple | None = None
 
     @classmethod
     def of(cls, config: RunConfig, series, ground_truth, trainable):
@@ -293,11 +292,14 @@ class _StudySlices:
         """The slices the studies fit pvpro to from the datasheet's initial
         guess, when it is in the roster: every weather training pool and
         every training-length window."""
-        windows = list(self.pools[0].values()) if self.pools else []
+        windows = []
+        if self.pools:
+            trains, _ = self.pools
+            windows += trains.values()
         if self.lengths:
-            windows += [window for windows_of_length in
-                        self.lengths.slices.values()
-                        for window in windows_of_length]
+            _, slices, _ = self.lengths
+            windows += [window for of_length in slices.values()
+                        for window in of_length]
         return windows
 
 
@@ -309,8 +311,7 @@ class _DayAheadRunner:
     run, and the runner adds the regressors' grid selection and
     persistence.  The datasheet extraction is the datasheet's own
     (``Datasheet.desoto_params``), so every reader shares one run of it.
-    ``solved`` records the run's dynamic-model fits
-    (``fitting.SolvedWindows``), for the studies to read theirs from.
+    ``solved`` is the run's ``fitting.SolvedWindows``.
     """
 
     def __init__(self, config: RunConfig, series: TelemetrySeries):
@@ -323,13 +324,9 @@ class _DayAheadRunner:
         self.grid_errors: dict = {}
 
     def prepare(self, eval_start, day_starts, cold_windows=()):
-        """Select the regressors and fit the dynamic model's days.
-
-        ``cold_windows`` are the studies' dynamic-model windows.  They are
-        planned on the run's ``fitting.SolvedWindows``, so ``rolling_fit``
-        solves them from the datasheet's initial guess in one batch with
-        the first day's window, and each distinct window is solved once.
-        """
+        """Select the regressors and fit the dynamic model's days; the
+        studies' ``cold_windows`` are solved in one batch with the first
+        day's window (see the module docstring)."""
         cfg = self.cfg
         if "nominal" in cfg.models:
             # extract up front: an infeasible datasheet fails the run here

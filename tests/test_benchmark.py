@@ -145,9 +145,9 @@ def test_every_cold_window_is_solved_once_in_one_batch(monkeypatch, topo,
     labels = {np.datetime64(truth.start_day, "D") + np.timedelta64(k, "D"):
               lab for k, lab in enumerate(truth.day_labels)}
     pools, _ = analysis.weather_pools(series, labels)
-    lengths = analysis.training_length_windows(series, (3,))
+    _, lengths, _ = analysis.training_length_windows(series, (3,))
     cold = ([first] + list(pools.values())
-            + [w for ws in lengths.slices.values() for w in ws])
+            + [w for ws in lengths.values() for w in ws])
     cold_keys = {_fit_key(w, guess) for w in cold}
     # the runner's first window is also the sweep's second: 9 cold fits,
     # 8 of them distinct
