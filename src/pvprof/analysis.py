@@ -6,7 +6,9 @@ telemetry slice and predicts power from ``baselines.feature_matrix`` rows of
 measured weather (``predict_model`` is the one route from any model to
 power, the interpretability sweep's included); and the study suite: seasonal
 partition, weather-condition train/test cases, bias-exceedance densities,
-one-feature interpretability sweeps, and the training-length sweep.
+one-feature interpretability sweeps, and the training-length sweep.  The
+two studies that train models take their training and test records as
+their one input, sliced by ``weather_pools`` and ``training_length_windows``.
 """
 
 from dataclasses import dataclass, field
@@ -247,10 +249,15 @@ def weather_pools(series: TelemetrySeries, labels,
     cloudy).
 
     Labeled days are split alternately into train and test pools per
-    label; the mixed pool trains on both kinds' training days.  The quality
-    mask is computed once on the whole series.  Raises
+    label; the mixed pool trains on both kinds' training days.  Raises
     ``InsufficientDataError`` unless there are two days of each label, and
     unless every case has 50 training records and one test record.
+
+    The quality mask is computed once on the whole series, on purpose: train
+    and test days interleave, so this is a weather-sensitivity study, not a
+    day-ahead one, and no case trains only on records before its test days.
+    The day-ahead runner and ``training_length_windows`` mask each training
+    slice on its own instead (``preprocess.training_window``).
     """
     series.validate()
     retained = apply_quality_pipeline(series, preprocess).retained
@@ -280,31 +287,21 @@ def weather_pools(series: TelemetrySeries, labels,
     return trains, tests
 
 
-def weather_case_study(series: TelemetrySeries, labels, models, *,
-                       topo: sdm.ArrayTopology, datasheet, p_nominal,
-                       preprocess: PreprocessConfig = PreprocessConfig(),
-                       g_min=50.0, pools=None, solved=None) -> StudyResult:
+def weather_case_study(pools, models, *, topo: sdm.ArrayTopology, datasheet,
+                       p_nominal, g_min=50.0, solved=None) -> StudyResult:
     """Six train/test weather combinations and the spread across them.
 
-    Each case trains on the clear, cloudy or mixed training pool of
-    ``weather_pools`` and scores on its clear or cloudy test pool; every
-    case's pools are checked for records there, before any model trains.
-    ``pools`` is ``weather_pools(series, labels, preprocess)`` when the
-    caller has it already.  Each model is then trained once per training
-    pool, its three pools in one ``train_model`` call (one batch of window
-    fits for ``pvpro``, read from ``solved`` where that holds them), and
-    that one trained model is scored on every test pool ``WEATHER_CASES``
-    pairs with the pool.  Per model the study reports the six nMAE/nRMSE
-    values and their coefficient of variation (population standard
-    deviation over mean).
-
-    The quality mask is computed once on the whole series, on purpose: train
-    and test days interleave, so this is a weather-sensitivity study, not a
-    day-ahead one, and no case trains only on records before its test days.
-    The day-ahead runner and ``training_length_sweep`` mask each training
-    slice on its own instead (``preprocess.training_window``).
+    ``pools`` is ``weather_pools``' ``(trains, tests)``: each case trains
+    on the clear, cloudy or mixed training pool and scores on its clear or
+    cloudy test pool.  Each model is trained once per training pool, its
+    three pools in one ``train_model`` call (one batch of window fits for
+    ``pvpro``, read from ``solved`` where that holds them), and that one
+    trained model is scored on every test pool ``WEATHER_CASES`` pairs with
+    the pool.  Per model the study reports the six nMAE/nRMSE values and
+    their coefficient of variation (population standard deviation over
+    mean).
     """
-    trains, tests = pools or weather_pools(series, labels, preprocess)
+    trains, tests = pools
 
     groups = {}
     cv = {}
@@ -368,14 +365,14 @@ def interpretability_sweep(model, varied, value_range, *, topo=None,
 def training_length_windows(series: TelemetrySeries, lengths_days,
                             n_eval_days=5,
                             preprocess: PreprocessConfig = PreprocessConfig()):
-    """The training slices of ``training_length_sweep``: ``(eval_days,
-    slices, notes)``.
+    """The slices of ``training_length_sweep``: ``(tests, slices, notes)``.
 
-    ``eval_days`` are the starts of the series' last ``n_eval_days`` days;
-    ``slices`` maps each length in days to its slice before each of them,
+    ``tests`` holds the records of each of the series' last
+    ``n_eval_days`` days.  ``slices`` maps every length in days to its
+    training slice before each of those days,
     ``preprocess.training_window`` of the preceding ``length`` days
     (fractional lengths included).  A length that does not fit the history
-    before the first evaluation day is left out, with a note in ``notes``.
+    before the first evaluation day maps to None, with a note in ``notes``.
     """
     series.validate()
     days = series.days()
@@ -387,50 +384,48 @@ def training_length_windows(series: TelemetrySeries, lengths_days,
     for length in lengths_days:
         need = np.timedelta64(int(length * 86400), "s")
         if eval_days[0] - need < days[0]:
+            slices[float(length)] = None
             notes.append(f"length {length} d skipped: insufficient history")
             continue
         slices[float(length)] = [training_window(series, day, need,
                                                  preprocess)
                                  for day in eval_days]
-    return eval_days, slices, notes
+    tests = [series.slice_time(day, day + DAY) for day in eval_days]
+    return tests, slices, notes
 
 
-def training_length_sweep(model_name, series: TelemetrySeries, lengths_days, *,
-                          topo, datasheet, p_nominal, n_eval_days=5,
-                          preprocess: PreprocessConfig = PreprocessConfig(),
-                          g_min=50.0, windows=None,
-                          solved=None) -> StudyResult:
+def training_length_sweep(model_name, windows, *, topo, datasheet, p_nominal,
+                          g_min=50.0, solved=None) -> StudyResult:
     """Day-ahead error of one model as a function of training-window length.
 
-    Every length is scored over the same trailing evaluation days; each
-    evaluation day is predicted from its own measured weather by a model
-    trained only on its slice of ``training_length_windows``, which skips
-    with a note the lengths that do not fit the available history.
-    ``windows`` is ``training_length_windows(series, lengths_days,
-    n_eval_days, preprocess)`` when the caller has it already.  All the
-    (length, day) training slices are trained in one ``train_model`` call,
-    which for ``pvpro`` is one batch of window fits, read from ``solved``
-    where that holds them.
+    ``windows`` is ``training_length_windows``' ``(tests, slices, notes)``.
+    Every length is scored over the same evaluation days; each day is
+    predicted from its own measured weather by a model trained only on its
+    slice, and a length without slices is reported as None.  All the
+    (length, day) slices are trained in one ``train_model`` call, which for
+    ``pvpro`` is one batch of window fits, read from ``solved`` where that
+    holds them.
     """
-    eval_days, slices, notes = windows or training_length_windows(
-        series, lengths_days, n_eval_days, preprocess)
-    groups = {float(length): None for length in lengths_days}
+    tests, slices, notes = windows
     # every (length, day) window is trained in one call
     fitted = iter(train_model(model_name,
                               [train for trains in slices.values()
+                               if trains is not None
                                for train in trains],
                               topo=topo, datasheet=datasheet, solved=solved))
-    for length in slices:
-        preds, meas, gs = [], [], []
-        for day in eval_days:
-            test = series.slice_time(day, day + DAY)
-            X = baselines.feature_matrix(test.timestamp, test.g_poa,
-                                         test.t_module)
-            preds.append(predict_model(next(fitted), X, topo=topo,
-                                       datasheet=datasheet, g_min=g_min))
-            meas.append(test.power)
-            gs.append(test.g_poa)
-        groups[length] = compute_metrics(
-            np.concatenate(preds), np.concatenate(meas), p_nominal,
-            daylight_only=True, g_poa=np.concatenate(gs), g_min=g_min)
+    features = [baselines.feature_matrix(test.timestamp, test.g_poa,
+                                         test.t_module) for test in tests]
+    meas = np.concatenate([test.power for test in tests])
+    g_poa = np.concatenate([test.g_poa for test in tests])
+    groups = {}
+    for length, trains in slices.items():
+        if trains is None:
+            groups[length] = None
+            continue
+        pred = np.concatenate([predict_model(next(fitted), X, topo=topo,
+                                             datasheet=datasheet, g_min=g_min)
+                               for X in features])
+        groups[length] = compute_metrics(pred, meas, p_nominal,
+                                         daylight_only=True, g_poa=g_poa,
+                                         g_min=g_min)
     return StudyResult("training_length", groups, notes=list(notes))

@@ -23,6 +23,8 @@ from .series import (ForecastSeries, hour_of_day, require_aligned,
                      _as_timestamps)
 
 _VTH_REF = sdm.K_BOLTZMANN * sdm.T_REF_K / sdm.Q_ELEMENTARY
+# Newton steps of the datasheet extraction, per seed
+_NEWTON_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -160,13 +162,13 @@ def _with_probes(z, ds):
     return f[0], (jac if np.all(np.isfinite(jac)) else None)
 
 
-def _damped_newton(z0, ds, max_iterations):
+def _damped_newton(z0, ds):
     # every trial point is evaluated with its Jacobian probes, so an
     # accepted step (the usual case) costs one residual call
     z = np.array(z0, dtype=float)
     f, jac = _with_probes(z, ds)
     norm = float(np.max(np.abs(f)))
-    for _ in range(max_iterations):
+    for _ in range(_NEWTON_ITERATIONS):
         if norm < 1e-11 or jac is None:
             return z, norm
         try:
@@ -186,7 +188,7 @@ def _damped_newton(z0, ds, max_iterations):
     return z, norm
 
 
-def fit_desoto_from_datasheet(ds: Datasheet, max_iterations=100) -> sdm.SdmParamsRef:
+def fit_desoto_from_datasheet(ds: Datasheet) -> sdm.SdmParamsRef:
     """Extract the five diode parameters from nameplate values.
 
     Solves the five STC conditions -- the I-V curve through (0, Isc),
@@ -197,7 +199,7 @@ def fit_desoto_from_datasheet(ds: Datasheet, max_iterations=100) -> sdm.SdmParam
     Raises
     ------
     ExtractionError
-        If no seed converges within ``max_iterations``, with the residual
+        If no seed converges within 100 Newton steps, with the residual
         report of the best attempt.
     """
     rs0 = max(0.5 * (ds.v_oc - ds.v_mp) / ds.i_mp, 1e-3)
@@ -208,7 +210,7 @@ def fit_desoto_from_datasheet(ds: Datasheet, max_iterations=100) -> sdm.SdmParam
             rsh0 = rsh_factor * ds.v_mp / ds.i_mp
             i00 = max((ds.i_sc - ds.v_oc / rsh0) / math.expm1(ds.v_oc / a0), 1e-25)
             z0 = np.array([ds.i_sc, math.log(i00), rs0, math.log(rsh0), a0])
-            z, norm = _damped_newton(z0, ds, max_iterations)
+            z, norm = _damped_newton(z0, ds)
             if best is None or norm < best[1]:
                 best = (z, norm)
             if norm < 1e-11:

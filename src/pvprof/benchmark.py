@@ -18,13 +18,14 @@ fit that did not fail.  Results are pooled into aggregate and per-day
 metrics plus the enabled studies, all serialized deterministically.
 
 Every dynamic-model fit of a run goes through one
-``fitting.SolvedWindows``, made for that run.  The weather-case pools and
-the training-length windows are sliced once, before any model trains;
-their pvpro fits start cold from the datasheet's initial guess, as the
-first day's window does, and all of these are solved in one batch with
-that window, each distinct window once.  The studies then read their fits
-from the record; the warm-started days after the first are fitted one by
-one.
+``fitting.SolvedWindows``, made for that run.  The weather-case pools
+(``analysis.weather_pools``) and the training-length windows
+(``analysis.training_length_windows``) are sliced once, before any model
+trains, and a slicing error is its study's reported error.  Their pvpro
+fits start cold from the datasheet's initial guess, as the first day's
+window does, and all of these are solved in one batch with that window,
+each distinct window once.  The studies then read their fits from the
+record; the warm-started days after the first are fitted one by one.
 """
 
 import hashlib
@@ -59,6 +60,14 @@ def _section(raw, name, default=None):
         raise ConfigError(f"configuration section {name!r} must be a JSON "
                           f"object, not {type(raw[name]).__name__}")
     return raw[name]
+
+
+def _flag(value, name):
+    """A JSON boolean setting; any other value is refused, so that the
+    string ``"false"`` does not read as true."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 @dataclass
@@ -169,7 +178,7 @@ class RunConfig:
         for name, on in _section(raw, "studies", {}).items():
             if name not in KNOWN_STUDIES:
                 raise ConfigError(f"unknown study {name!r}")
-            studies[name] = bool(on)
+            studies[name] = _flag(on, f"studies.{name}")
 
         hours = raw.get("horizon_hours", 24)
         # persistence subtracts the horizon from a day in int64 seconds;
@@ -191,12 +200,13 @@ class RunConfig:
             preprocess=preprocess,
             window_length=lengths["window_days"],
             update_period=lengths["update_days"],
-            warm_start=bool(fit.get("warm_start", True)),
+            warm_start=_flag(fit.get("warm_start", True), "fit.warm_start"),
             models=models,
             horizon=np.timedelta64(int(float(hours)), "h"),
             grid_spec=grid_spec, studies=studies,
             eval_start=_day("start"), eval_end=_day("end"),
-            metrics_daylight_only=bool(raw.get("metrics_daylight_only", True)),
+            metrics_daylight_only=_flag(raw.get("metrics_daylight_only", True),
+                                        "metrics_daylight_only"),
             seed=int(raw.get("seed", 0)),
             synth=_section(raw, "synth"), raw=raw)
 
@@ -251,56 +261,23 @@ def _study_to_json(result):
     return out
 
 
-@dataclass
-class _StudySlices:
-    """The day labels, the weather pools (``analysis.weather_pools``) and
-    the training-length windows (``analysis.training_length_windows``) of
-    the enabled studies.  A slicing that fails is left None; its study
-    then slices again and records the same error."""
+def _day_labels(series, ground_truth, g_min):
+    """Each day's weather label: the generator's when the series is
+    synthetic (``ground_truth``), else ``analysis.classify_days``'."""
+    if ground_truth is None:
+        return analysis.classify_days(series, g_min=g_min)
+    day0 = np.datetime64(ground_truth.start_day, "D")
+    return {day0 + np.timedelta64(k, "D"): label
+            for k, label in enumerate(ground_truth.day_labels)}
 
-    labels: dict | None = None
-    pools: tuple | None = None
-    lengths: tuple | None = None
 
-    @classmethod
-    def of(cls, config: RunConfig, series, ground_truth, trainable):
-        slices = cls()
-        if config.studies.get("weather_cases"):
-            if ground_truth is not None:
-                day0 = np.datetime64(ground_truth.start_day, "D")
-                slices.labels = {day0 + np.timedelta64(k, "D"): lab
-                                 for k, lab in enumerate(
-                                     ground_truth.day_labels)}
-            else:
-                slices.labels = analysis.classify_days(
-                    series, g_min=config.preprocess.g_min)
-            try:
-                slices.pools = analysis.weather_pools(
-                    series, slices.labels, config.preprocess)
-            except (InsufficientDataError, NumericalError):
-                pass
-        if config.studies.get("training_length") and trainable:
-            try:
-                slices.lengths = analysis.training_length_windows(
-                    series, config.grid_spec.training_lengths_days,
-                    preprocess=config.preprocess)
-            except (InsufficientDataError, NumericalError):
-                pass
-        return slices
-
-    def pvpro_windows(self):
-        """The slices the studies fit pvpro to from the datasheet's initial
-        guess, when it is in the roster: every weather training pool and
-        every training-length window."""
-        windows = []
-        if self.pools:
-            trains, _ = self.pools
-            windows += trains.values()
-        if self.lengths:
-            _, slices, _ = self.lengths
-            windows += [window for of_length in slices.values()
-                        for window in of_length]
-        return windows
+def _sliced(slicing, *args, **kwargs):
+    """A study's slices, ``slicing(*args, **kwargs)``, or the
+    ``InsufficientDataError`` or ``NumericalError`` that it raises."""
+    try:
+        return slicing(*args, **kwargs)
+    except (InsufficientDataError, NumericalError) as exc:
+        return exc
 
 
 class _DayAheadRunner:
@@ -323,7 +300,7 @@ class _DayAheadRunner:
         self.selection: dict = {}
         self.grid_errors: dict = {}
 
-    def prepare(self, eval_start, day_starts, cold_windows=()):
+    def prepare(self, eval_start, day_starts, cold_windows):
         """Select the regressors and fit the dynamic model's days; the
         studies' ``cold_windows`` are solved in one batch with the first
         day's window (see the module docstring)."""
@@ -418,11 +395,28 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
         raise InsufficientDataError("no forecast days in the evaluation span")
 
     trainable = [m for m in config.models if m in analysis.TRAINABLE_MODELS]
-    slices = _StudySlices.of(config, series, ground_truth, trainable)
+    # each study's slices, or its error, sliced once; pvpro fits every
+    # training slice of them from the datasheet's initial guess
+    pools = lengths = None
+    cold_windows = []
+    if config.studies.get("weather_cases"):
+        pools = _sliced(analysis.weather_pools, series,
+                        _day_labels(series, ground_truth,
+                                    config.preprocess.g_min),
+                        config.preprocess)
+        if not isinstance(pools, Exception):
+            cold_windows += pools[0].values()
+    if config.studies.get("training_length") and trainable:
+        lengths = _sliced(analysis.training_length_windows, series,
+                          config.grid_spec.training_lengths_days,
+                          preprocess=config.preprocess)
+        if not isinstance(lengths, Exception):
+            cold_windows += [window for windows in lengths[1].values()
+                             if windows is not None for window in windows]
     runner = _DayAheadRunner(config, series)
     runner.prepare(eval_start,
                    [day.astype("datetime64[s]") for day in eval_days],
-                   slices.pvpro_windows())
+                   cold_windows)
 
     daily = {name: [] for name in config.models}
     pooled = {name: {"ts": [], "pred": [], "meas": [], "g": []}
@@ -474,8 +468,8 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
         aggregate[name] = report.to_json_dict(with_series=True)
 
     trajectory = list(runner.day_fits.values())
-    studies = _run_studies(config, series, aggregate, agg_inputs,
-                           trajectory, trainable, slices, runner.solved)
+    studies = _run_studies(config, aggregate, agg_inputs, trajectory,
+                           trainable, pools, lengths, runner.solved)
 
     provenance = {
         "config_sha256": config.config_hash(),
@@ -497,8 +491,20 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
         trajectory=trajectory)
 
 
-def _run_studies(config, series, aggregate, agg_inputs, trajectory,
-                 trainable, slices, solved):
+def _study(slices, run):
+    """The JSON of the study ``run()`` on ``slices``; a slicing error, or
+    the study's own ``InsufficientDataError`` or ``NumericalError``, as
+    ``{"error": ...}``."""
+    if isinstance(slices, Exception):
+        return {"error": str(slices)}
+    try:
+        return _study_to_json(run())
+    except (InsufficientDataError, NumericalError) as exc:
+        return {"error": str(exc)}
+
+
+def _run_studies(config, aggregate, agg_inputs, trajectory, trainable,
+                 pools, lengths, solved):
     studies = {}
     if config.studies.get("exceedance"):
         studies["exceedance"] = {name: agg["exceedance"]
@@ -512,15 +518,11 @@ def _run_studies(config, series, aggregate, agg_inputs, trajectory,
                 g_min=config.preprocess.g_min))
             for name, (ts, pred, meas, g) in agg_inputs.items()}
     if config.studies.get("weather_cases"):
-        try:
-            result = analysis.weather_case_study(
-                series, slices.labels, trainable, topo=config.topology,
+        studies["weather_cases"] = _study(
+            pools, lambda: analysis.weather_case_study(
+                pools, trainable, topo=config.topology,
                 datasheet=config.datasheet, p_nominal=config.p_nominal,
-                preprocess=config.preprocess, g_min=config.preprocess.g_min,
-                pools=slices.pools, solved=solved)
-            studies["weather_cases"] = _study_to_json(result)
-        except (InsufficientDataError, NumericalError) as exc:
-            studies["weather_cases"] = {"error": str(exc)}
+                g_min=config.preprocess.g_min, solved=solved))
     if config.studies.get("sweep") and config.datasheet is not None:
         try:
             reference = config.datasheet.desoto_params
@@ -544,15 +546,10 @@ def _run_studies(config, series, aggregate, agg_inputs, trajectory,
         studies["training_length"] = {
             "error": "no trainable model in the roster"}
     elif config.studies.get("training_length"):
-        try:
-            result = analysis.training_length_sweep(
-                "pvpro" if "pvpro" in trainable else trainable[0],
-                series, config.grid_spec.training_lengths_days,
+        studies["training_length"] = _study(
+            lengths, lambda: analysis.training_length_sweep(
+                "pvpro" if "pvpro" in trainable else trainable[0], lengths,
                 topo=config.topology, datasheet=config.datasheet,
-                p_nominal=config.p_nominal,
-                preprocess=config.preprocess, g_min=config.preprocess.g_min,
-                windows=slices.lengths, solved=solved)
-            studies["training_length"] = _study_to_json(result)
-        except (InsufficientDataError, NumericalError) as exc:
-            studies["training_length"] = {"error": str(exc)}
+                p_nominal=config.p_nominal, g_min=config.preprocess.g_min,
+                solved=solved))
     return studies

@@ -398,7 +398,9 @@ def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet,
     outcomes = solved.solve(windows, inits)
     for outcome in outcomes:
         if isinstance(outcome, PvprofError):
-            raise outcome
+            # the record keeps one error object for every consumer: each
+            # raise starts a fresh traceback rather than growing the last
+            raise outcome.with_traceback(None)
     return outcomes
 
 

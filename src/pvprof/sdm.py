@@ -167,8 +167,7 @@ def _broadcast(*arrays):
 
 
 def translate_arrays(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
-                     g_poa, t_cell, cells_in_series, alpha_isc=0.0,
-                     night_rsh_cap=NIGHT_RSH_CAP):
+                     g_poa, t_cell, cells_in_series, alpha_isc=0.0):
     """Translate reference parameters to operating conditions (array core).
 
     Broadcasts every argument; returns the tuple
@@ -177,7 +176,7 @@ def translate_arrays(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
     The auxiliary equations follow De Soto et al. (2006): photocurrent linear
     in irradiance with temperature coefficient ``alpha_isc``; saturation
     current with the cubic temperature factor and band-gap exponential;
-    shunt resistance inverse in irradiance (capped at ``night_rsh_cap``
+    shunt resistance inverse in irradiance (capped at ``NIGHT_RSH_CAP``
     instead of going to infinity at zero irradiance); series resistance
     constant; modified ideality factor proportional to absolute temperature.
     """
@@ -193,8 +192,8 @@ def translate_arrays(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
     # a vanishing irradiance overflows to inf, which the cap below replaces
     with np.errstate(over="ignore"):
         r_sh = np.where(day, np.asarray(r_sh_ref, dtype=float) * G_REF
-                        / np.where(day, g, 1.0), night_rsh_cap)
-    r_sh = np.minimum(r_sh, night_rsh_cap)
+                        / np.where(day, g, 1.0), NIGHT_RSH_CAP)
+    r_sh = np.minimum(r_sh, NIGHT_RSH_CAP)
     a_mod = (np.asarray(n_diode, dtype=float) * cells_in_series
              * K_BOLTZMANN * t_k / Q_ELEMENTARY)
     return _broadcast(i_ph, i_0, r_s, r_sh, a_mod)

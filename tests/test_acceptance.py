@@ -234,9 +234,11 @@ def test_c08_short_window_within_2x(datasheet, p_nominal):
         profile = synth.WeatherProfile(days=67, seed=8)
         series, _ = synth.generate_dataset(CSI_PARAMS, TOPO, profile,
                                            alpha_isc=ALPHA_ISC)
+        windows = analysis.training_length_windows(series, (3, 60),
+                                                   n_eval_days=5)
         res = analysis.training_length_sweep(
-            "pvpro", series, (3, 60), topo=TOPO, datasheet=datasheet,
-            p_nominal=p_nominal, n_eval_days=5)
+            "pvpro", windows, topo=TOPO, datasheet=datasheet,
+            p_nominal=p_nominal)
         nmae3 = res.groups[3.0].nmae
         nmae60 = res.groups[60.0].nmae
         assert nmae3 <= 2.0 * nmae60, f"3d {nmae3:.5f} vs 60d {nmae60:.5f}"
@@ -255,9 +257,9 @@ def test_c09_weather_case_robustness(datasheet, p_nominal):
             day0 = np.datetime64(log.start_day, "D")
             labels = {day0 + np.timedelta64(k, "D"): lab
                       for k, lab in enumerate(log.day_labels)}
-            res = analysis.weather_case_study(series, labels, ["pvpro", "kr"],
-                                              topo=TOPO, datasheet=datasheet,
-                                              p_nominal=p_nominal)
+            res = analysis.weather_case_study(
+                analysis.weather_pools(series, labels), ["pvpro", "kr"],
+                topo=TOPO, datasheet=datasheet, p_nominal=p_nominal)
             if res.cv_of_cases["pvpro"]["nmae"] \
                     < res.cv_of_cases["kr"]["nmae"]:
                 wins += 1

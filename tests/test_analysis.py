@@ -194,9 +194,9 @@ class TestWeatherCases:
     def test_study_structure_and_sensitivity_flag(self, topo, datasheet,
                                                   p_nominal):
         series, labels = _twelve_weather_days(topo)
-        res = analysis.weather_case_study(series, labels, ["pvpro", "kr"],
-                                          topo=topo, datasheet=datasheet,
-                                          p_nominal=p_nominal)
+        res = analysis.weather_case_study(
+            analysis.weather_pools(series, labels), ["pvpro", "kr"],
+            topo=topo, datasheet=datasheet, p_nominal=p_nominal)
         assert set(res.groups) == {"pvpro", "kr"}
         for reports in res.groups.values():
             assert len(reports) == 6
@@ -206,17 +206,18 @@ class TestWeatherCases:
 
     def test_regressors_need_no_datasheet(self, topo, p_nominal):
         series, labels = _twelve_weather_days(topo)
-        res = analysis.weather_case_study(series, labels, ["lr"], topo=topo,
-                                          datasheet=None, p_nominal=p_nominal)
+        res = analysis.weather_case_study(
+            analysis.weather_pools(series, labels), ["lr"], topo=topo,
+            datasheet=None, p_nominal=p_nominal)
         assert len(res.groups["lr"]) == 6
 
     def test_each_pool_trained_once(self, monkeypatch, topo, datasheet,
                                     p_nominal):
         series, labels = _twelve_weather_days(topo)
         calls = count_calls(monkeypatch, analysis, "train_model")
-        analysis.weather_case_study(series, labels, ["pvpro", "lr"],
-                                    topo=topo, datasheet=datasheet,
-                                    p_nominal=p_nominal)
+        analysis.weather_case_study(analysis.weather_pools(series, labels),
+                                    ["pvpro", "lr"], topo=topo,
+                                    datasheet=datasheet, p_nominal=p_nominal)
         for name in ("pvpro", "lr"):
             pools = [tuple(np.unique(train.day_index()))
                      for model, trains in calls if model == name
@@ -227,9 +228,9 @@ class TestWeatherCases:
 
     def test_cases_match_training_per_case(self, topo, datasheet, p_nominal):
         series, labels = _twelve_weather_days(topo)
-        res = analysis.weather_case_study(series, labels, ["lr", "pvpro"],
-                                          topo=topo, datasheet=datasheet,
-                                          p_nominal=p_nominal)
+        res = analysis.weather_case_study(
+            analysis.weather_pools(series, labels), ["lr", "pvpro"],
+            topo=topo, datasheet=datasheet, p_nominal=p_nominal)
         retained = preprocess.apply_quality_pipeline(
             series, preprocess.PreprocessConfig()).retained
         split = {}
@@ -269,9 +270,9 @@ class TestWeatherCases:
         labels = {day0 + np.timedelta64(k, "D"): lab
                   for k, lab in enumerate(log.day_labels)}
         with pytest.raises(InsufficientDataError):
-            analysis.weather_case_study(series, labels, ["pvpro"], topo=topo,
-                                        datasheet=datasheet,
-                                        p_nominal=p_nominal)
+            analysis.weather_case_study(
+                analysis.weather_pools(series, labels), ["pvpro"], topo=topo,
+                datasheet=datasheet, p_nominal=p_nominal)
 
 
 # a fit that hit the evaluation cap: the runner still predicts from it
@@ -372,10 +373,11 @@ class TestTrainingLengthSweep:
         profile = synth.WeatherProfile(days=9, seed=5)
         series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
                                            alpha_isc=ALPHA_ISC)
-        res = analysis.training_length_sweep("lr", series, (3,), topo=topo,
-                                             datasheet=datasheet,
-                                             p_nominal=p_nominal,
-                                             n_eval_days=3)
+        windows = analysis.training_length_windows(series, (3,),
+                                                   n_eval_days=3)
+        res = analysis.training_length_sweep(
+            "lr", windows, topo=topo, datasheet=datasheet,
+            p_nominal=p_nominal)
         assert list(res.groups) == [3.0]
         assert res.groups[3.0].nmae >= 0.0
 
@@ -384,10 +386,11 @@ class TestTrainingLengthSweep:
         profile = synth.WeatherProfile(days=9, seed=5)
         series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
                                            alpha_isc=ALPHA_ISC)
-        res = analysis.training_length_sweep("lr", series, (3, 90), topo=topo,
-                                             datasheet=datasheet,
-                                             p_nominal=p_nominal,
-                                             n_eval_days=3)
+        windows = analysis.training_length_windows(series, (3, 90),
+                                                   n_eval_days=3)
+        res = analysis.training_length_sweep(
+            "lr", windows, topo=topo, datasheet=datasheet,
+            p_nominal=p_nominal)
         assert res.groups[90.0] is None
         assert any("90" in n for n in res.notes)
 
@@ -399,10 +402,11 @@ class TestTrainingLengthSweep:
         series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
                                            alpha_isc=ALPHA_ISC)
         calls = count_calls(monkeypatch, analysis, "train_model")
-        res = analysis.training_length_sweep("lr", series, (2.5,), topo=topo,
-                                             datasheet=datasheet,
-                                             p_nominal=p_nominal,
-                                             n_eval_days=3)
+        windows = analysis.training_length_windows(series, (2.5,),
+                                                   n_eval_days=3)
+        res = analysis.training_length_sweep(
+            "lr", windows, topo=topo, datasheet=datasheet,
+            p_nominal=p_nominal)
         assert list(res.groups) == [2.5]
         first = _training_slices(calls)[0]
         assert first[-1] - first[0] > 2 * DAY
@@ -430,8 +434,8 @@ class TestTrainingLengthSweep:
             "studies": {"exceedance": False}})
         run = {
             "sweep": lambda s: analysis.training_length_sweep(
-                "lr", s, (3,), topo=topo, datasheet=datasheet,
-                p_nominal=p_nominal, n_eval_days=5),
+                "lr", analysis.training_length_windows(s, (3,), n_eval_days=5),
+                topo=topo, datasheet=datasheet, p_nominal=p_nominal),
             "rolling_fit": lambda s: fitting.rolling_fit(
                 s, topo, np.timedelta64(3, "D"), fitting.update_schedule(
                     s, np.timedelta64(3, "D"), np.timedelta64(1, "D")),
@@ -545,8 +549,8 @@ class TestTrainPredict:
                                    datasheet=datasheet, g_min=50.0)
 
 
-@pytest.mark.parametrize("entry", ["rolling_fit", "weather_case_study",
-                                   "training_length_sweep", "classify_days"])
+@pytest.mark.parametrize("entry", ["rolling_fit", "weather_pools",
+                                   "training_length_windows", "classify_days"])
 def test_entry_points_reject_non_finite_telemetry(entry, topo, datasheet,
                                                   p_nominal):
     profile = synth.WeatherProfile(days=6, seed=3, cloud_days=(1, 2))
@@ -561,12 +565,9 @@ def test_entry_points_reject_non_finite_telemetry(entry, topo, datasheet,
             series, topo, np.timedelta64(3, "D"), fitting.update_schedule(
                 series, np.timedelta64(3, "D"), np.timedelta64(1, "D")),
             datasheet),
-        "weather_case_study": lambda: analysis.weather_case_study(
-            series, labels, ["lr"], topo=topo, datasheet=datasheet,
-            p_nominal=p_nominal),
-        "training_length_sweep": lambda: analysis.training_length_sweep(
-            "lr", series, (3,), topo=topo, datasheet=datasheet,
-            p_nominal=p_nominal, n_eval_days=2),
+        "weather_pools": lambda: analysis.weather_pools(series, labels),
+        "training_length_windows": lambda: analysis.training_length_windows(
+            series, (3,), n_eval_days=2),
         "classify_days": lambda: analysis.classify_days(series),
     }
     with pytest.raises(DataError, match="non-finite values in column g_poa"):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from pvprof.benchmark import RunConfig, run_benchmark
 from pvprof.exceptions import InsufficientDataError, NumericalError
 from pvprof.preprocess import PreprocessConfig, training_window
 from pvprof.series import TelemetrySeries
-from conftest import ALPHA_ISC, CELLS, CSI_PARAMS
+from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls
 
 WINDOW = np.timedelta64(3, "D")
 
@@ -108,10 +109,11 @@ def _studies_config(datasheet):
             "evaluation": {"start": "2024-06-05T00:00:00"}}
 
 
-def _studies_series(topo, seed):
+def _studies_series(topo, seed, days=8):
+    cloud_days = tuple(day for day in (1, 3, 6) if day < days)
     return synth.generate_dataset(
-        CSI_PARAMS, topo, synth.WeatherProfile(days=8, seed=seed,
-                                               cloud_days=(1, 3, 6),
+        CSI_PARAMS, topo, synth.WeatherProfile(days=days, seed=seed,
+                                               cloud_days=cloud_days,
                                                cloud_depth=0.55),
         synth.DegradationScenario.step("i_ph_ref", 4, -0.12),
         alpha_isc=ALPHA_ISC)
@@ -206,6 +208,37 @@ def test_failed_planned_window_leaves_the_others_and_each_error(topo,
         analysis.train_model("pvpro", [windows[0], short], topo=topo,
                              datasheet=datasheet, solved=solved)
     assert str(exc.value) == str(errors[id(short)])
+
+
+def test_a_recorded_error_is_raised_with_a_fresh_traceback(topo, datasheet):
+    # every consumer of a failed window raises the one error object the
+    # record keeps; its traceback must not grow from one raise to the next
+    series, _ = _studies_series(topo, seed=22)
+    short = training_window(series, np.datetime64("2024-06-05T00:00:00"),
+                            WINDOW, PreprocessConfig()).select(slice(0, 30))
+    guess = fitting.initial_guess(datasheet)
+    solved = fitting.SolvedWindows(topo, datasheet)
+    depths = []
+    for _ in range(2):
+        with pytest.raises(InsufficientDataError) as exc:
+            fitting.fit_windows([short], topo, [guess], datasheet, solved)
+        depths.append(len(traceback.extract_tb(exc.value.__traceback__)))
+    assert depths[0] == depths[1]
+
+
+def test_a_failed_slicing_runs_once_and_is_its_study_error(monkeypatch, topo,
+                                                          datasheet):
+    # the roster_studies shape cut to 6 days: the cloudy training pool is
+    # one day, too few records for the cloudy/clear case
+    series, truth = _studies_series(topo, seed=21, days=6)
+    config = RunConfig.from_dict(_studies_config(datasheet))
+    slicings = count_calls(monkeypatch, analysis, "weather_pools")
+    report = run_benchmark(config, series, truth)
+    assert len(slicings) == 1
+    with pytest.raises(InsufficientDataError) as failure:
+        analysis.weather_pools(*slicings[0])
+    assert str(failure.value).startswith("case cloudy/clear unfillable")
+    assert report.studies["weather_cases"] == {"error": str(failure.value)}
 
 
 def test_runs_in_one_process_match_fresh_processes(tmp_path, topo,

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pvprof import charts, iotools, synth
-from pvprof.benchmark import RunConfig
+from pvprof.benchmark import KNOWN_STUDIES, RunConfig
 from pvprof.cli import main
 from pvprof.exceptions import ConfigError, DataError
 from pvprof.sdm import PARAM_NAMES, ArrayTopology
@@ -533,6 +533,17 @@ class TestRunConfigFuzz:
         except ConfigError:
             return
         assert isinstance(config, RunConfig)
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    @pytest.mark.parametrize("section, key", [
+        ("fit", "warm_start"), (None, "metrics_daylight_only"),
+        *(("studies", name) for name in KNOWN_STUDIES)])
+    def test_flag_must_be_a_json_boolean(self, section, key, value):
+        # bool("false") is True: a flag is read only from a JSON boolean
+        raw = json.loads(json.dumps(_FUZZ_BASE))
+        (raw.setdefault(section, {}) if section else raw)[key] = value
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_dict(raw)
 
     @pytest.mark.parametrize("value", [None, [1], 3, "x"])
     @pytest.mark.parametrize("section", ["data", "system", "preprocess", "fit",

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from pvprof import baselines, fitting, sdm, synth
+from pvprof import analysis, baselines, fitting, sdm, synth
 from pvprof.benchmark import RunConfig, run_benchmark
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls
 
@@ -129,6 +129,39 @@ def test_runner_days_fit_through_the_traced_fit_window(monkeypatch, topo,
     calls = count_calls(monkeypatch, fitting, "fit_window")
     report = run_benchmark(config, series)
     assert len(calls) == len(report.trajectory) == 3
+
+
+def test_benchmark_runs_both_studies_through_the_traced_names(monkeypatch,
+                                                              topo,
+                                                              datasheet):
+    # perfbench expects spans of both studies on roster_studies; a run that
+    # reached them other than through the analysis module would read 0
+    series, truth = synth.generate_dataset(
+        CSI_PARAMS, topo, synth.WeatherProfile(days=8, seed=21,
+                                               cloud_days=(1, 3, 6),
+                                               cloud_depth=0.55),
+        synth.DegradationScenario.step("i_ph_ref", 4, -0.12),
+        alpha_isc=ALPHA_ISC)
+    config = RunConfig.from_dict({
+        "system": {"topology": {"cells_in_series": CELLS,
+                                "modules_per_string": 12,
+                                "strings_in_parallel": 8},
+                   "datasheet": {k: getattr(datasheet, k) for k in (
+                       "v_oc", "i_sc", "v_mp", "i_mp", "alpha_isc",
+                       "beta_voc", "cells_in_series")}},
+        "models": ["pvpro", "smart_persistence", "naive_persistence",
+                   "nominal", "lr", "kr"],
+        "regressors": {"lambda_grid": [1e-3], "gamma_grid": [0.5],
+                       "training_lengths_days": [3]},
+        "studies": {"seasonal": True, "weather_cases": True, "sweep": True,
+                    "training_length": True},
+        "evaluation": {"start": "2024-06-05T00:00:00"}})
+    studies = [count_calls(monkeypatch, analysis, name)
+               for name in ("weather_case_study", "training_length_sweep")]
+    report = run_benchmark(config, series, truth)
+    assert "error" not in report.studies["weather_cases"]
+    assert "error" not in report.studies["training_length"]
+    assert [len(calls) for calls in studies] == [1, 1]
 
 
 def test_one_datasheet_extraction_per_run(monkeypatch, topo, datasheet):
