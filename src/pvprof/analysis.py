@@ -17,8 +17,8 @@ import numpy as np
 
 from . import baselines, fitting, sdm
 from .exceptions import ConfigError, DataError, InsufficientDataError
-from .preprocess import (PreprocessConfig, apply_quality_pipeline,
-                         training_window)
+from .preprocess import (PreprocessConfig, TrainingWindows,
+                         apply_quality_pipeline)
 from .series import DAY, TelemetrySeries, _as_timestamps
 
 DEFAULT_EXCEEDANCE_THRESHOLDS = (0.10, 0.20)
@@ -153,18 +153,43 @@ def predict_model(fitted, features, *, topo, datasheet, g_min):
     parameters) simulates the array of ``topo`` from irradiance and
     temperature, with the datasheet's ``alpha_isc`` (0 without one), and
     gives zero power below ``g_min``.
+
+    ``fitted`` may also be a list of trained models, with ``features`` the
+    list of their blocks of rows; the predictions come back as a list, one
+    array per block.  The physical models' blocks are stacked into one
+    ``fitting.simulate_power`` call with one parameter row per record, and
+    each block's power is what its model predicts for it alone.  A single
+    model is a list of one.
     """
-    if isinstance(fitted, baselines.RegressorModel):
-        return baselines.predict_regressor(fitted, features)
-    if isinstance(fitted, fitting.FitWindowResult):
-        fitted = fitted.params
-    if not isinstance(fitted, sdm.SdmParamsRef):
-        raise ConfigError(f"cannot predict from a {type(fitted).__name__}")
+    if not isinstance(fitted, list):
+        return predict_model([fitted], [features], topo=topo,
+                             datasheet=datasheet, g_min=g_min)[0]
+    preds = [None] * len(fitted)
+    physical = []
+    for k, model in enumerate(fitted):
+        if isinstance(model, baselines.RegressorModel):
+            preds[k] = baselines.predict_regressor(model, features[k])
+            continue
+        if isinstance(model, fitting.FitWindowResult):
+            model = model.params
+        if not isinstance(model, sdm.SdmParamsRef):
+            raise ConfigError(f"cannot predict from a {type(model).__name__}")
+        physical.append((k, model))
+    if not physical:
+        return preds
     if topo is None:
         raise ConfigError("a physical model needs the array topology")
+    blocks = [features[k] for k, _ in physical]
+    counts = [len(block) for block in blocks]
+    rows = np.repeat([model.as_array() for _, model in physical], counts,
+                     axis=0)
+    X = np.concatenate(blocks)
     alpha_isc = datasheet.alpha_isc if datasheet is not None else 0.0
-    return fitting.simulate_power(fitted, features[:, 0], features[:, 1],
-                                  topo, g_min=g_min, alpha_isc=alpha_isc)
+    power = fitting.simulate_power(rows, X[:, 0], X[:, 1], topo, g_min=g_min,
+                                   alpha_isc=alpha_isc)
+    for (k, _), pred in zip(physical, np.split(power, np.cumsum(counts)[:-1])):
+        preds[k] = pred
+    return preds
 
 
 _SEASON_BY_MONTH = {3: "spring", 4: "spring", 5: "spring",
@@ -297,11 +322,14 @@ def weather_case_study(pools, models, *, topo: sdm.ArrayTopology, datasheet,
     three pools in one ``train_model`` call (one batch of window fits for
     ``pvpro``, read from ``solved`` where that holds them), and that one
     trained model is scored on every test pool ``WEATHER_CASES`` pairs with
-    the pool.  Per model the study reports the six nMAE/nRMSE values and
-    their coefficient of variation (population standard deviation over
-    mean).
+    the pool, the six cases in one ``predict_model`` call.  Per model
+    the study reports the six nMAE/nRMSE values and their coefficient of
+    variation (population standard deviation over mean).
     """
     trains, tests = pools
+    features = {kind: baselines.feature_matrix(test.timestamp, test.g_poa,
+                                               test.t_module)
+                for kind, test in tests.items()}
 
     groups = {}
     cv = {}
@@ -312,13 +340,13 @@ def weather_case_study(pools, models, *, topo: sdm.ArrayTopology, datasheet,
         trained = dict(zip(trains, train_model(
             name, list(trains.values()), topo=topo, datasheet=datasheet,
             solved=solved)))
+        preds = predict_model(
+            [trained[train_kind] for train_kind, _ in WEATHER_CASES],
+            [features[test_kind] for _, test_kind in WEATHER_CASES],
+            topo=topo, datasheet=datasheet, g_min=g_min)
         case_reports = {}
-        for train_kind, test_kind in WEATHER_CASES:
+        for (train_kind, test_kind), pred in zip(WEATHER_CASES, preds):
             test = tests[test_kind]
-            X = baselines.feature_matrix(test.timestamp, test.g_poa,
-                                         test.t_module)
-            pred = predict_model(trained[train_kind], X, topo=topo,
-                                 datasheet=datasheet, g_min=g_min)
             case_reports[f"{train_kind}/{test_kind}"] = compute_metrics(
                 pred, test.power, p_nominal, daylight_only=True,
                 g_poa=test.g_poa, g_min=g_min)
@@ -364,17 +392,21 @@ def interpretability_sweep(model, varied, value_range, *, topo=None,
 
 def training_length_windows(series: TelemetrySeries, lengths_days,
                             n_eval_days=5,
-                            preprocess: PreprocessConfig = PreprocessConfig()):
+                            preprocess: PreprocessConfig = PreprocessConfig(),
+                            windows=None):
     """The slices of ``training_length_sweep``: ``(tests, slices, notes)``.
 
     ``tests`` holds the records of each of the series' last
     ``n_eval_days`` days.  ``slices`` maps every length in days to its
     training slice before each of those days,
     ``preprocess.training_window`` of the preceding ``length`` days
-    (fractional lengths included).  A length that does not fit the history
-    before the first evaluation day maps to None, with a note in ``notes``.
+    (fractional lengths included), read from ``windows``, the run's
+    ``preprocess.TrainingWindows`` of ``series`` and ``preprocess`` (a new
+    one when None).  A length that does not fit the history before the
+    first evaluation day maps to None, with a note in ``notes``.
     """
     series.validate()
+    windows = TrainingWindows.of(series, preprocess, windows)
     days = series.days()
     if len(days) < n_eval_days + 1:
         raise InsufficientDataError("series too short for the evaluation span")
@@ -387,9 +419,7 @@ def training_length_windows(series: TelemetrySeries, lengths_days,
             slices[float(length)] = None
             notes.append(f"length {length} d skipped: insufficient history")
             continue
-        slices[float(length)] = [training_window(series, day, need,
-                                                 preprocess)
-                                 for day in eval_days]
+        slices[float(length)] = [windows.get(day, need) for day in eval_days]
     tests = [series.slice_time(day, day + DAY) for day in eval_days]
     return tests, slices, notes
 
@@ -404,17 +434,20 @@ def training_length_sweep(model_name, windows, *, topo, datasheet, p_nominal,
     slice, and a length without slices is reported as None.  All the
     (length, day) slices are trained in one ``train_model`` call, which for
     ``pvpro`` is one batch of window fits, read from ``solved`` where that
-    holds them.
+    holds them, and predicted in one ``predict_model`` call.
     """
     tests, slices, notes = windows
-    # every (length, day) window is trained in one call
-    fitted = iter(train_model(model_name,
-                              [train for trains in slices.values()
-                               if trains is not None
-                               for train in trains],
-                              topo=topo, datasheet=datasheet, solved=solved))
+    # every (length, day) window is trained in one call and predicted in
+    # another
     features = [baselines.feature_matrix(test.timestamp, test.g_poa,
                                          test.t_module) for test in tests]
+    pairs = [(train, X) for trains in slices.values() if trains is not None
+             for train, X in zip(trains, features)]
+    preds = iter(predict_model(
+        train_model(model_name, [train for train, _ in pairs], topo=topo,
+                    datasheet=datasheet, solved=solved),
+        [X for _, X in pairs], topo=topo, datasheet=datasheet,
+        g_min=g_min))
     meas = np.concatenate([test.power for test in tests])
     g_poa = np.concatenate([test.g_poa for test in tests])
     groups = {}
@@ -422,9 +455,7 @@ def training_length_sweep(model_name, windows, *, topo, datasheet, p_nominal,
         if trains is None:
             groups[length] = None
             continue
-        pred = np.concatenate([predict_model(next(fitted), X, topo=topo,
-                                             datasheet=datasheet, g_min=g_min)
-                               for X in features])
+        pred = np.concatenate([next(preds) for _ in features])
         groups[length] = compute_metrics(pred, meas, p_nominal,
                                          daylight_only=True, g_poa=g_poa,
                                          g_min=g_min)

@@ -17,6 +17,14 @@ never reaches a prediction.  The sweep study predicts from the last window
 fit that did not fail.  Results are pooled into aggregate and per-day
 metrics plus the enabled studies, all serialized deterministically.
 
+A run slices each distinct training window once.  One
+``preprocess.TrainingWindows`` table, made for the run, masks every
+``[end - length, end)`` window the first time a reader asks for it:
+``rolling_fit``'s days, the regressors' training slices and the
+training-length windows read their slices from it, so pvpro, ``lr`` and
+``kr`` share the mask of an equal window.  The weather-case pools keep
+their own whole-series mask (see ``analysis.weather_pools``).
+
 Every dynamic-model fit of a run goes through one
 ``fitting.SolvedWindows``, made for that run.  The weather-case pools
 (``analysis.weather_pools``) and the training-length windows
@@ -26,8 +34,16 @@ fits start cold from the datasheet's initial guess, as the first day's
 window does, and all of these are solved in one batch with that window,
 each distinct window once.  The studies then read their fits from the
 record; the warm-started days after the first are fitted one by one.
+
+Each trained model predicts all its days in one ``predict_model`` call:
+pvpro's and nominal's days are one stacked MPP solve each, with one
+parameter row per record.  A day whose model could not be trained is left
+out of the stack and skipped with its error, and a stacked solve that
+fails is repeated day by day, so a failure skips only its own
+(model, day) cell.  ``forecasts.csv`` stays day-major.
 """
 
+import functools
 import hashlib
 import platform
 from dataclasses import dataclass, field
@@ -40,7 +56,7 @@ from . import analysis, baselines, fitting
 from .exceptions import (ConfigError, ExtractionError,
                          InsufficientDataError, NumericalError, PvprofError)
 from .iotools import dumps_json
-from .preprocess import PreprocessConfig, training_window
+from .preprocess import PreprocessConfig, TrainingWindows
 from .sdm import ArrayTopology
 from .series import DAY, ForecastSeries, TelemetrySeries, WeatherSeries
 
@@ -280,20 +296,34 @@ def _sliced(slicing, *args, **kwargs):
         return exc
 
 
+def _outcome(run, *args, **kwargs):
+    """``run(*args, **kwargs)``, or the ``PvprofError`` that it raises."""
+    try:
+        return run(*args, **kwargs)
+    except PvprofError as exc:
+        return exc
+
+
 class _DayAheadRunner:
-    """Per-model prediction of one forecast day from data before it.
+    """Per-model predictions of the forecast days, each from data before it.
 
     Trained models go through ``analysis.train_model``/``predict_model``;
     the dynamic model's days are the windows of one ``fitting.rolling_fit``
     run, and the runner adds the regressors' grid selection and
-    persistence.  The datasheet extraction is the datasheet's own
+    persistence.  Every training slice, pvpro's and the regressors', is
+    read from ``windows``, the run's ``preprocess.TrainingWindows``.  Each
+    trained model predicts its days in one ``predict_model`` call, a
+    stacked solve for pvpro and nominal (see the module docstring).  The
+    datasheet extraction is the datasheet's own
     (``Datasheet.desoto_params``), so every reader shares one run of it.
     ``solved`` is the run's ``fitting.SolvedWindows``.
     """
 
-    def __init__(self, config: RunConfig, series: TelemetrySeries):
+    def __init__(self, config: RunConfig, series: TelemetrySeries,
+                 windows: TrainingWindows):
         self.cfg = config
         self.series = series
+        self.windows = windows
         # each forecast-day start's window fit of the dynamic model, in order
         self.day_fits: dict = {}
         self.solved = None
@@ -331,46 +361,72 @@ class _DayAheadRunner:
             self.day_fits = dict(zip(day_starts, fitting.rolling_fit(
                 self.series, cfg.topology, cfg.window_length, day_starts,
                 cfg.datasheet, cfg.preprocess, cfg.warm_start,
-                self.solved)))
+                self.solved, self.windows)))
 
-    def predict_day(self, name, day_start, weather: WeatherSeries):
-        """Prediction array for one model/day; raises PvprofError to skip."""
-        cfg = self.cfg
-        g_min = cfg.preprocess.g_min
+    def predict(self, name, day_starts, weathers):
+        """Model ``name``'s prediction array for each day, or the
+        ``PvprofError`` that skips the day."""
         if name in ("smart_persistence", "naive_persistence"):
-            hist = self.series.slice_time(day_start - cfg.horizon, day_start)
-            if len(hist) == 0:
-                raise InsufficientDataError("no history one horizon back")
-            if name == "smart_persistence":
-                fc = baselines.smart_persistence(
-                    (hist.timestamp, hist.power), (hist.timestamp, hist.g_poa),
-                    (weather.timestamp, weather.g_poa),
-                    horizon=cfg.horizon, g_min=g_min)
-            else:
-                fc = baselines.naive_persistence(
-                    (hist.timestamp, hist.power), weather.timestamp,
-                    horizon=cfg.horizon)
-            return fc.p_pred
+            return [_outcome(self._persist, name, day_start, weather)
+                    for day_start, weather in zip(day_starts, weathers)]
+        outcomes = [_outcome(self._trained, name, day_start)
+                    for day_start in day_starts]
+        days = [k for k, fitted in enumerate(outcomes)
+                if not isinstance(fitted, PvprofError)]
+        models = [outcomes[k] for k in days]
+        features = [baselines.feature_matrix(
+            weathers[k].timestamp, weathers[k].g_poa, weathers[k].t_cell)
+            for k in days]
+        predict = functools.partial(
+            analysis.predict_model, topo=self.cfg.topology,
+            datasheet=self.cfg.datasheet, g_min=self.cfg.preprocess.g_min)
+        try:
+            preds = predict(models, features)
+        except PvprofError:
+            # a stack that fails is solved day by day: each day gets its
+            # own outcome, as it would alone
+            preds = [_outcome(predict, model, X)
+                     for model, X in zip(models, features)]
+        for k, pred in zip(days, preds):
+            outcomes[k] = pred
+        return outcomes
+
+    def _persist(self, name, day_start, weather: WeatherSeries):
+        """A persistence model's prediction array for one day."""
+        cfg = self.cfg
+        hist = self.series.slice_time(day_start - cfg.horizon, day_start)
+        if len(hist) == 0:
+            raise InsufficientDataError("no history one horizon back")
+        if name == "smart_persistence":
+            fc = baselines.smart_persistence(
+                (hist.timestamp, hist.power), (hist.timestamp, hist.g_poa),
+                (weather.timestamp, weather.g_poa),
+                horizon=cfg.horizon, g_min=cfg.preprocess.g_min)
+        else:
+            fc = baselines.naive_persistence(
+                (hist.timestamp, hist.power), weather.timestamp,
+                horizon=cfg.horizon)
+        return fc.p_pred
+
+    def _trained(self, name, day_start):
+        """A trained model's parameters or regressor for one day; raises
+        ``PvprofError`` to skip the day."""
+        cfg = self.cfg
         if name == "pvpro":
             fitted = self.day_fits[day_start]
             if fitted.error is not None:
                 raise PvprofError(fitted.error)
-        elif name == "nominal":
-            fitted = cfg.datasheet.desoto_params
-        else:
-            if name in self.grid_errors:
-                raise InsufficientDataError(self.grid_errors[name])
-            sel = self.selection[name]
-            length = np.timedelta64(int(sel.best_length_days * 86400), "s")
-            train = training_window(self.series, day_start, length,
-                                    cfg.preprocess)
-            fitted, = analysis.train_model(
-                name, [train], topo=cfg.topology, datasheet=cfg.datasheet,
-                hyperparams=sel.best_hyperparams)
-        X = baselines.feature_matrix(weather.timestamp, weather.g_poa,
-                                     weather.t_cell)
-        return analysis.predict_model(fitted, X, topo=cfg.topology,
-                                      datasheet=cfg.datasheet, g_min=g_min)
+            return fitted
+        if name == "nominal":
+            return cfg.datasheet.desoto_params
+        if name in self.grid_errors:
+            raise InsufficientDataError(self.grid_errors[name])
+        sel = self.selection[name]
+        length = np.timedelta64(int(sel.best_length_days * 86400), "s")
+        fitted, = analysis.train_model(
+            name, [self.windows.get(day_start, length)], topo=cfg.topology,
+            datasheet=cfg.datasheet, hyperparams=sel.best_hyperparams)
+        return fitted
 
 
 def run_benchmark(config: RunConfig, series: TelemetrySeries,
@@ -395,6 +451,7 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
         raise InsufficientDataError("no forecast days in the evaluation span")
 
     trainable = [m for m in config.models if m in analysis.TRAINABLE_MODELS]
+    windows = TrainingWindows(series, config.preprocess)
     # each study's slices, or its error, sliced once; pvpro fits every
     # training slice of them from the datasheet's initial guess
     pools = lengths = None
@@ -409,30 +466,29 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
     if config.studies.get("training_length") and trainable:
         lengths = _sliced(analysis.training_length_windows, series,
                           config.grid_spec.training_lengths_days,
-                          preprocess=config.preprocess)
+                          preprocess=config.preprocess, windows=windows)
         if not isinstance(lengths, Exception):
-            cold_windows += [window for windows in lengths[1].values()
-                             if windows is not None for window in windows]
-    runner = _DayAheadRunner(config, series)
-    runner.prepare(eval_start,
-                   [day.astype("datetime64[s]") for day in eval_days],
-                   cold_windows)
+            cold_windows += [window for slices in lengths[1].values()
+                             if slices is not None for window in slices]
+    day_starts = [day.astype("datetime64[s]") for day in eval_days]
+    runner = _DayAheadRunner(config, series, windows)
+    runner.prepare(eval_start, day_starts, cold_windows)
+    tests = [series.slice_time(day_start, day_start + DAY)
+             for day_start in day_starts]
+    weathers = [WeatherSeries.from_telemetry(test) for test in tests]
+    predictions = {name: runner.predict(name, day_starts, weathers)
+                   for name in config.models}
 
     daily = {name: [] for name in config.models}
     pooled = {name: {"ts": [], "pred": [], "meas": [], "g": []}
               for name in config.models}
     forecasts = []
-    for day in eval_days:
-        day_start = day.astype("datetime64[s]")
-        day_end = day_start + DAY
-        test = series.slice_time(day_start, day_end)
-        weather = WeatherSeries.from_telemetry(test)
+    for k, (day, test) in enumerate(zip(eval_days, tests)):
         day_label = str(day)
         for name in config.models:
-            try:
-                pred = runner.predict_day(name, day_start, weather)
-            except PvprofError as exc:
-                daily[name].append({"day": day_label, "skipped": str(exc)})
+            pred = predictions[name][k]
+            if isinstance(pred, PvprofError):
+                daily[name].append({"day": day_label, "skipped": str(pred)})
                 continue
             try:
                 report = analysis.compute_metrics(

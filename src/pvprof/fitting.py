@@ -33,12 +33,15 @@ result says when the prior, not the data, set the shunt
 ``rolling_fit``, the one re-fitting loop of ``pvprof fit`` and the
 benchmark, fits the window ``[end - length, end)`` before each given end,
 warm-started from the previous result: the shunt prior is a random walk.
-A ``SolvedWindows`` keeps the fits of one run by window content, so each
+It reads its slices from a ``preprocess.TrainingWindows`` table, which a
+run shares with its other readers of the same windows.  A
+``SolvedWindows`` keeps the fits of one run by window content, so each
 distinct window is solved once, and windows planned on it are solved in
 one batch with the next fit that needs the solver.
-``simulate_power`` turns a parameter set into array MPP power over arrays
-of irradiance and cell temperature; ``analysis.predict_model`` calls it for
-every physical model.
+``simulate_power`` turns a parameter set, or one parameter row per sample,
+into array MPP power over arrays of irradiance and cell temperature;
+``analysis.predict_model`` calls it for every physical model, and stacks
+the days of one model into one call.
 """
 
 import math
@@ -50,7 +53,7 @@ import numpy as np
 from . import sdm
 from .exceptions import (ConfigError, ExtractionError, FitDegeneracyError,
                          InsufficientDataError, NumericalError, PvprofError)
-from .preprocess import PreprocessConfig, training_window
+from .preprocess import PreprocessConfig, TrainingWindows
 from .series import DAY, TelemetrySeries
 
 PARAM_ORDER = sdm.PARAM_NAMES
@@ -697,26 +700,30 @@ def update_schedule(series: TelemetrySeries, window_length, update_period):
 def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
                 window_length, window_ends, datasheet,
                 preprocess: PreprocessConfig = PreprocessConfig(),
-                warm_start=True, solved=None):
+                warm_start=True, solved=None, windows=None):
     """One ``fit_window`` per end, in order, on ``training_window`` of
     ``[end - window_length, end)``, labelled with that span.
 
-    The first window starts from ``initial_guess(datasheet)``, later ones
-    from the last converged fit (unless ``warm_start`` is off).  Each
-    window is fitted through ``solved``, a ``SolvedWindows`` of the system
-    or None: the first fit then also solves the windows planned on it, in
-    one batch.  A failed window is recorded, not raised: its ``error``, the
-    start it had, a NaN loss, 0 iterations, and its records before
-    masking.
+    The slices come from ``windows``, the run's ``TrainingWindows`` of
+    ``series`` and ``preprocess`` (a new one when None), so a window that
+    another reader of the run has masked is not masked again.  The first
+    window starts from ``initial_guess(datasheet)``, later ones from the
+    last converged fit (unless ``warm_start`` is off).  Each window is
+    fitted through ``solved``, a ``SolvedWindows`` of the system or None:
+    the first fit then also solves the windows planned on it, in one batch.
+    A failed window, in its masking or its fit, is recorded, not raised:
+    its ``error``, the start it had, a NaN loss, 0 iterations, and its
+    records before masking.
     """
     series.validate()
+    windows = TrainingWindows.of(series, preprocess, windows)
     window_length = np.timedelta64(window_length)
     current = initial_guess(datasheet)
     results = []
     for end in window_ends:
         start = end - window_length
         try:
-            retained = training_window(series, end, window_length, preprocess)
+            retained = windows.get(end, window_length)
             result = replace(fit_window(retained, topo, current, datasheet,
                                         solved),
                              window_start=start, window_end=end)
@@ -731,10 +738,19 @@ def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
     return results
 
 
-def simulate_power(params: sdm.SdmParamsRef, g_poa, t_cell,
-                   topo: sdm.ArrayTopology, g_min=50.0, alpha_isc=0.0):
-    """Array MPP power at each (g_poa, t_cell) sample; zero below ``g_min``."""
+def simulate_power(params, g_poa, t_cell, topo: sdm.ArrayTopology,
+                   g_min=50.0, alpha_isc=0.0):
+    """Array MPP power at each (g_poa, t_cell) sample; zero below ``g_min``.
+
+    ``params`` is one ``SdmParamsRef`` for every sample, or an (N, 5)
+    array of parameter rows in ``PARAM_ORDER``, one per sample: the days of
+    several parameter sets then solve in one call.  The MPP solve stops
+    each row on its own, so a sample's power does not depend on the rows
+    solved with it.
+    """
+    if isinstance(params, sdm.SdmParamsRef):
+        params = params.as_array()
     mpp = sdm.simulate_array_mpp_arrays(
-        params.i_ph_ref, params.i_0_ref, params.r_s, params.r_sh_ref,
-        params.n_diode, g_poa, t_cell, topo, alpha_isc)
+        *_columns(np.asarray(params, dtype=float)), g_poa, t_cell, topo,
+        alpha_isc)
     return np.where(g_poa < g_min, 0.0, mpp.p_dc)

@@ -294,19 +294,38 @@ def write_trajectory_csv(path, results):
 FORECAST_COLUMNS = ("timestamp", "model", "p_pred_w", "p_meas_w")
 
 
+def _csv_field(text):
+    """``text`` as ``csv.writer``'s default dialect writes it in a row of
+    several fields: quoted, with its quotes doubled, when it holds a comma,
+    a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_forecast_csv(path, forecasts):
-    """Long-format forecast table across models."""
+    """Long-format forecast table across models.
+
+    The bytes are those of ``csv.writer``'s default dialect (CRLF row ends)
+    with ``format_float`` numbers; each row is one format string, and the
+    table is written in one piece.
+    """
+    lines = [",".join(FORECAST_COLUMNS) + "\r\n"]
+    for fc in forecasts:
+        meas = fc.p_meas if fc.p_meas is not None \
+            else np.full(len(fc), np.nan)
+        stamps = np.datetime_as_string(fc.timestamp, unit="s").tolist()
+        model = _csv_field(fc.model)
+        # p and m are Python floats, so this is format_float's text
+        lines += [f"{ts}Z,{model},{p:.17g},{m:.17g}\r\n"
+                  for ts, p, m in zip(stamps, fc.p_pred.tolist(),
+                                      meas.tolist())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FORECAST_COLUMNS)
-        for fc in forecasts:
-            meas = fc.p_meas if fc.p_meas is not None \
-                else np.full(len(fc), np.nan)
-            stamps = np.datetime_as_string(fc.timestamp, unit="s").tolist()
-            writer.writerows(
-                [f"{ts}Z", fc.model, format_float(p), format_float(m)]
-                for ts, p, m in zip(stamps, fc.p_pred.tolist(),
-                                    meas.tolist()))
+        fh.write("".join(lines))
+
+
+# the item types of a list that ``_emit_json`` writes in one go
+_FLOAT_TYPES = {float, np.float64}
 
 
 def _emit_json(obj, out, indent):
@@ -339,6 +358,19 @@ def _emit_json(obj, out, indent):
         items = list(obj)
         if not items:
             out.append("[]")
+            return
+        if set(map(type, items)) <= _FLOAT_TYPES:
+            # a list of floats alone, the bulk of a report: each item as
+            # the branch for one float above writes it, in one format call
+            # when every item is finite (their sum is then finite or, on
+            # overflow, sends the list item by item)
+            sep = f",\n{pad}  "
+            if math.isfinite(sum(items)):
+                body = sep.join(["%.17g"] * len(items)) % tuple(items)
+            else:
+                body = sep.join(format_float(x) if math.isfinite(x)
+                                else "null" for x in items)
+            out.append(f"[\n{pad}  {body}\n{pad}]")
             return
         out.append("[\n")
         for k, item in enumerate(items):

@@ -5,14 +5,16 @@ and regression-based outlier removal (straight-line fits of DC current vs
 irradiance and DC voltage vs module temperature).  Each filter is a pure
 function from a series plus the current mask to an updated mask, so the
 pipeline is deterministic and idempotent.  ``training_window`` is the one
-training-slice rule: the ``length`` before ``end``, masked on its own.
+training-slice rule: the ``length`` before ``end``, masked on its own.  A
+``TrainingWindows`` table applies it once per distinct window of a run, so
+every model that trains on a window reads the same slice.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import InsufficientDataError
+from .exceptions import ConfigError, InsufficientDataError
 from .series import TelemetrySeries
 
 DEFAULT_G_MIN = 50.0     # W/m^2; below this trackers and sensors are unreliable
@@ -153,3 +155,51 @@ def training_window(series: TelemetrySeries, end, length,
     so that no record at or after ``end`` decides which are kept."""
     window = series.slice_time(end - length, end)
     return window.select(apply_quality_pipeline(window, config).retained)
+
+
+class TrainingWindows:
+    """The ``training_window`` slices of one series and configuration, each
+    distinct window masked once.
+
+    Two windows are the same when their spans ``[end - length, end)`` are
+    equal in whole seconds, the resolution of ``TelemetrySeries.slice_time``.
+    A window's outcome is its slice or the ``InsufficientDataError`` its
+    masking raises; every reader of a failed window gets that error, raised
+    with a fresh traceback.  Keep one table for the slices of one run.
+    """
+
+    def __init__(self, series: TelemetrySeries, config: PreprocessConfig):
+        self.series = series
+        self.config = config
+        self._outcomes = {}
+
+    @classmethod
+    def of(cls, series: TelemetrySeries, config: PreprocessConfig,
+           windows=None):
+        """``windows`` if it is a table of ``series`` and ``config``, a new
+        table when it is None; raises ``ConfigError`` otherwise."""
+        if windows is None:
+            return cls(series, config)
+        if windows.series is not series or windows.config != config:
+            raise ConfigError("the training windows belong to another "
+                              "series or preprocessing")
+        return windows
+
+    def get(self, end, length):
+        """``training_window(series, end, length, config)``, masked on the
+        first request of its span."""
+        start = end - length
+        key = (np.datetime64(start, "s"), np.datetime64(end, "s"))
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            try:
+                outcome = training_window(self.series, end, length,
+                                          self.config)
+            except InsufficientDataError as exc:
+                outcome = exc
+            self._outcomes[key] = outcome
+        if isinstance(outcome, InsufficientDataError):
+            # one error object serves every reader: each raise starts a
+            # fresh traceback rather than growing the last
+            raise outcome.with_traceback(None)
+        return outcome

@@ -4,10 +4,12 @@ Everything here is deliberately written against the raw model equations with
 scalar math and brute-force searches (bisection, dense scans, quadrature),
 so it shares no solver code with the library under test.  The telemetry
 reader's reference parses one record at a time, as a dict, with the
-standard library's own number and ISO-8601 parsers.
+standard library's own number and ISO-8601 parsers.  The JSON writer's
+reference emits one value per recursive call.
 """
 
 import csv
+import json
 import math
 from datetime import datetime, timezone
 
@@ -287,3 +289,54 @@ def _undecodable_line(path):
         except UnicodeDecodeError:
             return line_no
     return "?"
+
+
+def dumps_json_per_item(obj):
+    """Deterministic JSON as ``iotools.dumps_json`` writes it, one value
+    per recursive call: sorted keys, two-space indent, 17-significant-digit
+    floats, non-finite floats as null."""
+    out = []
+    _emit_per_item(obj, out, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit_per_item(obj, out, indent):
+    pad = "  " * indent
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        out.append("null" if not math.isfinite(x) else f"{x:.17g}")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(obj, key=str)
+        for k, key in enumerate(keys):
+            out.append(f'{pad}  {json.dumps(str(key))}: ')
+            _emit_per_item(obj[key], out, indent + 1)
+            out.append(",\n" if k < len(keys) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = list(obj)
+        if not items:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for k, item in enumerate(items):
+            out.append(pad + "  ")
+            _emit_per_item(item, out, indent + 1)
+            out.append(",\n" if k < len(items) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")

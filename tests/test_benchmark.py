@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import pvprof
-from pvprof import analysis, cli, fitting, iotools, synth
+from pvprof import analysis, cli, fitting, iotools, preprocess, synth
 from pvprof.benchmark import RunConfig, run_benchmark
-from pvprof.exceptions import InsufficientDataError, NumericalError
+from pvprof.exceptions import (InsufficientDataError, NumericalError,
+                               SolverError)
 from pvprof.preprocess import PreprocessConfig, training_window
-from pvprof.series import TelemetrySeries
+from pvprof.series import DAY, TelemetrySeries
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls
 
 WINDOW = np.timedelta64(3, "D")
@@ -90,6 +91,73 @@ def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet,
     np.testing.assert_array_equal(
         report.studies["sweep"]["g_poa"]["curves"]["model"],
         expected.groups["curves"]["model"])
+
+
+def _cells(report):
+    """Each (model, day) cell of a report: its forecast array, or its skip
+    reason."""
+    cells = {(fc.model, str(fc.timestamp[0].astype("datetime64[D]"))):
+             fc.p_pred for fc in report.forecasts}
+    for name, rows in report.daily.items():
+        cells.update({(name, row["day"]): row["skipped"]
+                      for row in rows if "skipped" in row})
+    return cells
+
+
+@pytest.mark.parametrize("failure", ["masking", "solve"])
+def test_a_failed_day_between_good_days_skips_only_its_cells(
+        monkeypatch, topo, datasheet, failure):
+    # the forecast days are 06-05 to 06-08; 06-06 fails, either in its
+    # training window's mask (pvpro's and lr's) or in the stacked solve of
+    # its records (pvpro's and nominal's).  Only those cells are skipped,
+    # and every other cell is what an undisturbed run predicts; cold
+    # starts make each window's fit independent of the failed one
+    series, _ = _studies_series(topo, seed=25)
+    middle = np.datetime64("2024-06-06T00:00:00")
+    # clear days repeat their temperatures: mark one noon record of the
+    # failing day with a temperature of its own
+    marker = 41.0123456789
+    noon = np.searchsorted(series.timestamp, middle + np.timedelta64(12, "h"))
+    series.t_module[noon] = marker
+    config = RunConfig.from_dict({
+        "system": _system(datasheet),
+        "models": ["pvpro", "nominal", "lr", "smart_persistence"],
+        "fit": {"warm_start": False},
+        "regressors": {"lambda_grid": [1e-3], "gamma_grid": [0.5],
+                       "training_lengths_days": [3]},
+        "studies": {"exceedance": False},
+        "evaluation": {"start": "2024-06-05T00:00:00"}})
+    expected = _cells(run_benchmark(config, series))
+    if failure == "masking":
+        message = "outlier regression needs >= 10 retained records, have 3"
+        original = preprocess.training_window
+
+        def failing(series, end, length, config):
+            if end == middle:
+                raise InsufficientDataError(message)
+            return original(series, end, length, config)
+
+        monkeypatch.setattr(preprocess, "training_window", failing)
+        failed = {"pvpro", "lr"}
+    else:
+        message = "MPP Newton unconverged after 100 iterations"
+        original = fitting.simulate_power
+
+        def failing(params, g_poa, t_cell, *args, **kwargs):
+            if marker in t_cell:
+                raise SolverError(message)
+            return original(params, g_poa, t_cell, *args, **kwargs)
+
+        monkeypatch.setattr(fitting, "simulate_power", failing)
+        failed = {"pvpro", "nominal"}
+    cells = _cells(run_benchmark(config, series))
+    assert cells.keys() == expected.keys()
+    for (name, label), cell in cells.items():
+        if label == "2024-06-06" and name in failed:
+            assert cell == message
+        else:
+            assert isinstance(cell, np.ndarray), (name, label)
+            np.testing.assert_array_equal(cell, expected[name, label])
 
 
 def _system(datasheet):

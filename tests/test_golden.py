@@ -1,14 +1,20 @@
-"""Golden outputs: ``pvprof benchmark`` on the committed demo-06 telemetry
-must write what ``demos/output/benchmark/`` holds.
+"""Golden outputs: ``pvprof benchmark`` on committed telemetry must write
+the committed outputs.
 
-The run starts from the committed ``telemetry.csv``, so the benchmark is
-checked apart from ``synth``.  Text fields (timestamps, model names, skip
+Two runs are checked: demo 06 (30 days, ``demos/output/benchmark/``) and a
+small ``roster_studies``-shaped run (8 days, six models, every study, an
+``i_ph_ref`` step; ``tests/golden/roster_studies/``), which tests the
+studies path apart from demo 06's size.  Each run starts from the
+committed ``telemetry.csv``, so the benchmark is checked apart from
+``synth``.  Text fields (timestamps, model names, skip
 reasons, flags, keys) must match exactly.  Numbers must match within
 ``GOLDEN_RTOL`` relative.  Measured spreads set that tolerance: forecasts
 move by at most 4e-9 relative between equivalent builds, and the BLAS
 kernels OpenBLAS picks per CPU move the ``kr`` metrics in the 13th
 significant digit.  A change that alters outputs on purpose regenerates
-the files with ``demos/06_full_benchmark.py`` in the same commit.
+the files in the same commit: demo 06's with ``demos/06_full_benchmark.py``,
+the small run's with ``pvprof benchmark --config config.json --out .`` in
+its directory.
 """
 
 import csv
@@ -21,6 +27,7 @@ from pvprof.cli import main
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO = os.path.join(REPO, "demos", "output")
+ROSTER = os.path.join(REPO, "tests", "golden", "roster_studies")
 GOLDEN_RTOL = 1e-8
 
 
@@ -89,13 +96,12 @@ def _cell(text):
         return text
 
 
-def test_benchmark_reproduces_committed_demo_outputs(tmp_path):
-    config = os.path.join(DEMO, "benchmark_config.json")
-    assert main(["benchmark", "--config", config,
-                 "--out", str(tmp_path)]) == 0
-    golden = os.path.join(DEMO, "benchmark")
+def _assert_reproduces(config, golden, out):
+    """``pvprof benchmark`` on ``config`` writes, into ``out``, what the
+    directory ``golden`` holds."""
+    assert main(["benchmark", "--config", config, "--out", str(out)]) == 0
     reports = []
-    for directory in (str(tmp_path), golden):
+    for directory in (str(out), golden):
         with open(os.path.join(directory, "report.json"),
                   encoding="utf-8") as fh:
             report = json.load(fh)
@@ -104,4 +110,15 @@ def test_benchmark_reproduces_committed_demo_outputs(tmp_path):
     _assert_same(*reports, "report.json")
     for name in ("forecasts.csv", "trajectory.csv", "daily_metrics.csv",
                  "aggregate_metrics.csv"):
-        _assert_same_csv(tmp_path / name, os.path.join(golden, name), name)
+        _assert_same_csv(os.path.join(out, name), os.path.join(golden, name),
+                         name)
+
+
+def test_benchmark_reproduces_committed_demo_outputs(tmp_path):
+    _assert_reproduces(os.path.join(DEMO, "benchmark_config.json"),
+                       os.path.join(DEMO, "benchmark"), tmp_path)
+
+
+def test_benchmark_reproduces_committed_roster_studies_outputs(tmp_path):
+    # synth seed 5000 of perfbench's roster_studies workload
+    _assert_reproduces(os.path.join(ROSTER, "config.json"), ROSTER, tmp_path)

@@ -18,7 +18,7 @@ from pvprof.exceptions import ConfigError, DataError
 from pvprof.sdm import PARAM_NAMES, ArrayTopology
 from pvprof.series import ForecastSeries, TelemetrySeries
 from conftest import ALPHA_ISC, CSI_PARAMS
-from oracles import read_telemetry_per_record
+from oracles import dumps_json_per_item, read_telemetry_per_record
 
 TOPO = ArrayTopology(72, 12, 8)
 
@@ -576,6 +576,34 @@ class TestJson:
         back = json.loads(iotools.dumps_json({"v": vals.tolist()}))["v"]
         assert back == vals.tolist()
 
+    @pytest.mark.parametrize("floats", [
+        [0.1, -0.0, 5e-324, 1e300, 1.0 / 3.0],
+        [1.5, math.nan, 2.5],
+        [math.inf, -math.inf, 0.0],
+        [1e308, 1e308, -2.0],
+        [np.float64(0.1), 0.2, np.float64(-7.25)],
+        np.array([0.5, np.nan, -1e-300]),
+        np.array([1.0, 2.0, 3.0]),
+        [1.0],
+    ])
+    def test_float_lists_match_the_per_item_writer(self, floats):
+        # a list of floats alone is written in one go; its bytes must be
+        # the per-item writer's, non-finite items and overflowing sums too
+        doc = {"a": floats, "b": {"c": [floats, list(floats)]}}
+        assert iotools.dumps_json(doc) == dumps_json_per_item(doc)
+
+    @pytest.mark.parametrize("items", [
+        [1.5, True, 2.5], [0.5, None], [0.25, np.int64(3), 0.75],
+        [np.float32(0.1), 0.1], [np.float32(1.5), np.float32(2.0)],
+        [1.0, 2], [1.0, "x"], [1.0, [2.0, 3.0]], [[], {}, ()],
+        [1.0, {"k": [math.nan, 2.0]}], (1.0, 2.0),
+        np.array([1, 2, 3]), np.array([0.5, 1.5], dtype=np.float32),
+    ])
+    def test_mixed_lists_match_the_per_item_writer(self, items):
+        doc = {"v": items, "empty": [], "nested": {"w": [items, []]},
+               "n": np.int64(4), "f": np.float32(0.3), "x": math.nan}
+        assert iotools.dumps_json(doc) == dumps_json_per_item(doc)
+
 
 def branchy_format_float(x):
     # the branch-per-case form format_float replaced
@@ -622,6 +650,38 @@ class TestFloatText:
                           branchy_format_float(meas[k])]
                          for k in range(len(fc))]
         assert rows == expected
+
+
+    @pytest.mark.parametrize("model", [
+        "pvpro", "a,b", 'say "hi"', 'x,"y"', "line\nbreak", "cr\rend", "",
+        " lead", "100%"])
+    def test_forecast_csv_bytes_match_csv_writer(self, tmp_path, model):
+        # the table is formatted row by row in one string; its bytes must be
+        # csv.writer's default dialect with format_float numbers
+        ts = (np.datetime64("2024-06-01T00:00:00")
+              + np.arange(8) * np.timedelta64(900, "s"))
+        pred = [math.nan, self.NEG_NAN, math.inf, -math.inf, -0.0, 5e-324,
+                1e300, np.float32(0.1)]
+        meas = [np.float32(2.5), 0.1, 1.0 / 3.0, -1e-300, math.nan, 7.0,
+                -0.0, math.inf]
+        forecasts = [ForecastSeries(ts, pred, model, p_meas=meas),
+                     ForecastSeries(ts[:3], pred[:3], "second")]
+        path = tmp_path / "forecasts.csv"
+        iotools.write_forecast_csv(path, forecasts)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(iotools.FORECAST_COLUMNS)
+            for fc in forecasts:
+                m = (fc.p_meas if fc.p_meas is not None
+                     else np.full(len(fc), np.nan))
+                for k in range(len(fc)):
+                    writer.writerow([iotools.format_timestamp(fc.timestamp[k]),
+                                     fc.model, iotools.format_float(
+                                         fc.p_pred[k]),
+                                     iotools.format_float(m[k])])
+        assert path.read_bytes() == reference.read_bytes()
+        assert b"\r\n" in path.read_bytes()
 
 
 class TestCharts:

@@ -9,8 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from pvprof import analysis, baselines, fitting, sdm, synth
+from pvprof import analysis, baselines, fitting, preprocess, sdm, synth
 from pvprof.benchmark import RunConfig, run_benchmark
+from pvprof.series import DAY
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -131,11 +132,17 @@ def test_runner_days_fit_through_the_traced_fit_window(monkeypatch, topo,
     assert len(calls) == len(report.trajectory) == 3
 
 
-def test_benchmark_runs_both_studies_through_the_traced_names(monkeypatch,
-                                                              topo,
-                                                              datasheet):
-    # perfbench expects spans of both studies on roster_studies; a run that
-    # reached them other than through the analysis module would read 0
+def _system(datasheet):
+    return {"topology": {"cells_in_series": CELLS, "modules_per_string": 12,
+                         "strings_in_parallel": 8},
+            "datasheet": {k: getattr(datasheet, k) for k in (
+                "v_oc", "i_sc", "v_mp", "i_mp", "alpha_isc", "beta_voc",
+                "cells_in_series")}}
+
+
+def _roster_run(topo, datasheet):
+    """An 8-day, six-model run with every study, shaped like perfbench's
+    roster_studies: its series, ground truth and configuration."""
     series, truth = synth.generate_dataset(
         CSI_PARAMS, topo, synth.WeatherProfile(days=8, seed=21,
                                                cloud_days=(1, 3, 6),
@@ -143,12 +150,7 @@ def test_benchmark_runs_both_studies_through_the_traced_names(monkeypatch,
         synth.DegradationScenario.step("i_ph_ref", 4, -0.12),
         alpha_isc=ALPHA_ISC)
     config = RunConfig.from_dict({
-        "system": {"topology": {"cells_in_series": CELLS,
-                                "modules_per_string": 12,
-                                "strings_in_parallel": 8},
-                   "datasheet": {k: getattr(datasheet, k) for k in (
-                       "v_oc", "i_sc", "v_mp", "i_mp", "alpha_isc",
-                       "beta_voc", "cells_in_series")}},
+        "system": _system(datasheet),
         "models": ["pvpro", "smart_persistence", "naive_persistence",
                    "nominal", "lr", "kr"],
         "regressors": {"lambda_grid": [1e-3], "gamma_grid": [0.5],
@@ -156,12 +158,101 @@ def test_benchmark_runs_both_studies_through_the_traced_names(monkeypatch,
         "studies": {"seasonal": True, "weather_cases": True, "sweep": True,
                     "training_length": True},
         "evaluation": {"start": "2024-06-05T00:00:00"}})
+    return series, truth, config
+
+
+def _count_masks(monkeypatch):
+    """The calls of ``apply_quality_pipeline``, wrapped in every module
+    that binds it, as perfbench's tracer wraps it."""
+    calls = []
+    original = preprocess.apply_quality_pipeline
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (preprocess, analysis):
+        monkeypatch.setattr(module, "apply_quality_pipeline", counting)
+    return calls
+
+
+def test_benchmark_runs_both_studies_through_the_traced_names(monkeypatch,
+                                                              topo,
+                                                              datasheet):
+    # perfbench expects spans of both studies on roster_studies; a run that
+    # reached them other than through the analysis module would read 0
+    series, truth, config = _roster_run(topo, datasheet)
     studies = [count_calls(monkeypatch, analysis, name)
                for name in ("weather_case_study", "training_length_sweep")]
     report = run_benchmark(config, series, truth)
     assert "error" not in report.studies["weather_cases"]
     assert "error" not in report.studies["training_length"]
     assert [len(calls) for calls in studies] == [1, 1]
+
+
+def test_each_distinct_training_window_is_masked_once(monkeypatch, topo,
+                                                      datasheet):
+    # pvpro's days, lr's and kr's training slices and the training-length
+    # windows read one table: each distinct window is masked once, and
+    # weather_pools masks the whole series once more
+    series, truth, config = _roster_run(topo, datasheet)
+    masks = _count_masks(monkeypatch)
+    windows = count_calls(monkeypatch, preprocess, "training_window")
+    report = run_benchmark(config, series, truth)
+    assert "error" not in report.studies["weather_cases"]
+    assert "error" not in report.studies["training_length"]
+    spans = [(end - length, end) for _, end, length, _ in windows]
+    assert len(set(spans)) == len(spans)
+    # 4 forecast days share their 3-day windows with lr and kr, and the
+    # training-length study adds one earlier 3-day window
+    assert len(spans) == 5
+    assert len(masks) == len(spans) + 1
+    assert sum(len(args[0]) == len(series) for args in masks) == 1
+
+
+def test_physical_models_predict_their_days_in_one_solve(monkeypatch, topo,
+                                                         datasheet):
+    # pvpro and nominal each predict all four forecast days in one
+    # simulate_power call, one parameter row per record
+    series, truth, config = _roster_run(topo, datasheet)
+    calls = count_calls(monkeypatch, fitting, "simulate_power")
+    report = run_benchmark(config, series, truth)
+    starts = [np.datetime64(row["day"], "s") for row in report.daily["pvpro"]]
+    days = [series.slice_time(start, start + DAY) for start in starts]
+    g_days = np.concatenate([day.g_poa for day in days])
+    runner = [args for args in calls if np.array_equal(args[1], g_days)]
+    assert len(runner) == 2
+    assert not any(np.array_equal(args[1], day.g_poa)
+                   for args in calls for day in days)
+    fits = {fit.window_end: fit.params for fit in report.trajectory}
+    bounds = np.cumsum([0] + [len(day) for day in days])
+    pvpro, nominal = (np.asarray(args[0]) for args in runner)
+    for k, start in enumerate(starts):
+        rows = slice(bounds[k], bounds[k + 1])
+        assert (pvpro[rows] == fits[start].as_array()).all()
+        assert (nominal[rows] == datasheet.desoto_params.as_array()).all()
+
+
+def test_a_pvpro_run_without_studies_calls_the_traced_layers(monkeypatch,
+                                                             topo,
+                                                             datasheet):
+    # dayahead_rolling's shape: perfbench expects spans of the prediction
+    # and of the masks there too
+    series, _ = synth.generate_dataset(
+        CSI_PARAMS, topo, synth.WeatherProfile(days=6, seed=3),
+        alpha_isc=ALPHA_ISC)
+    config = RunConfig.from_dict({
+        "system": _system(datasheet), "models": ["pvpro"],
+        "fit": {"window_days": 3, "warm_start": True},
+        "studies": {name: False for name in (
+            "seasonal", "weather_cases", "sweep", "training_length",
+            "exceedance")}})
+    masks = _count_masks(monkeypatch)
+    solves = count_calls(monkeypatch, fitting, "simulate_power")
+    report = run_benchmark(config, series)
+    assert len(report.trajectory) == 3
+    assert len(masks) == 3
+    assert len(solves) == 1
 
 
 def test_one_datasheet_extraction_per_run(monkeypatch, topo, datasheet):
