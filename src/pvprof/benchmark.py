@@ -29,11 +29,11 @@ Every dynamic-model fit of a run goes through one
 ``fitting.SolvedWindows``, made for that run.  The weather-case pools
 (``analysis.weather_pools``) and the training-length windows
 (``analysis.training_length_windows``) are sliced once, before any model
-trains, and a slicing error is its study's reported error.  Their pvpro
-fits start cold from the datasheet's initial guess, as the first day's
-window does, and all of these are solved in one batch with that window,
-each distinct window once.  The studies then read their fits from the
-record; the warm-started days after the first are fitted one by one.
+trains, and a slicing error is its study's reported error.  Every pvpro
+fit starts from the datasheet's initial guess, so the days' windows, the
+pools and the training-length windows are solved in one batch, each
+distinct window once, and the days and the studies read their fits from
+the record.
 
 Each trained model predicts all its days in one ``predict_model`` call:
 pvpro's and nominal's days are one stacked MPP solve each, with one
@@ -98,7 +98,6 @@ class RunConfig:
     preprocess: PreprocessConfig
     window_length: np.timedelta64
     update_period: np.timedelta64
-    warm_start: bool
     models: tuple
     horizon: np.timedelta64
     grid_spec: baselines.GridSearchSpec
@@ -165,6 +164,8 @@ class RunConfig:
                                   f"got {days}")
             # whole seconds; a length past int64 raises OverflowError
             lengths[key] = np.timedelta64(int(days * 86400), "s")
+        # accepted for old configurations; every window fit starts cold
+        _flag(fit.get("warm_start", True), "fit.warm_start")
         models = tuple(raw.get("models", ("pvpro",)))
         if not models:
             raise ConfigError("model roster must be nonempty")
@@ -216,7 +217,6 @@ class RunConfig:
             preprocess=preprocess,
             window_length=lengths["window_days"],
             update_period=lengths["update_days"],
-            warm_start=_flag(fit.get("warm_start", True), "fit.warm_start"),
             models=models,
             horizon=np.timedelta64(int(float(hours)), "h"),
             grid_spec=grid_spec, studies=studies,
@@ -326,14 +326,14 @@ class _DayAheadRunner:
         self.windows = windows
         # each forecast-day start's window fit of the dynamic model, in order
         self.day_fits: dict = {}
-        self.solved = None
+        self.solved = fitting.SolvedWindows(config.topology, config.datasheet)
         self.selection: dict = {}
         self.grid_errors: dict = {}
 
     def prepare(self, eval_start, day_starts, cold_windows):
         """Select the regressors and fit the dynamic model's days; the
-        studies' ``cold_windows`` are solved in one batch with the first
-        day's window (see the module docstring)."""
+        studies' ``cold_windows`` are solved in one batch with the days'
+        windows (see the module docstring)."""
         cfg = self.cfg
         if "nominal" in cfg.models:
             # extract up front: an infeasible datasheet fails the run here
@@ -354,14 +354,12 @@ class _DayAheadRunner:
             except (InsufficientDataError, NumericalError) as exc:
                 self.grid_errors[name] = f"grid search failed: {exc}"
         if "pvpro" in cfg.models:
-            self.solved = fitting.SolvedWindows(cfg.topology, cfg.datasheet)
             if cold_windows:
                 self.solved.plan(cold_windows, [fitting.initial_guess(
                     cfg.datasheet)] * len(cold_windows))
             self.day_fits = dict(zip(day_starts, fitting.rolling_fit(
                 self.series, cfg.topology, cfg.window_length, day_starts,
-                cfg.datasheet, cfg.preprocess, cfg.warm_start,
-                self.solved, self.windows)))
+                cfg.datasheet, cfg.preprocess, self.solved, self.windows)))
 
     def predict(self, name, day_starts, weathers):
         """Model ``name``'s prediction array for each day, or the

@@ -113,7 +113,7 @@ def cmd_fit(args):
     results = fitting.rolling_fit(
         series, cfg.topology, cfg.window_length,
         fitting.update_schedule(series, cfg.window_length, cfg.update_period),
-        cfg.datasheet, cfg.preprocess, cfg.warm_start)
+        cfg.datasheet, cfg.preprocess)
     os.makedirs(args.out, exist_ok=True)
     iotools.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
                                  results)

@@ -32,18 +32,17 @@ result says when the prior, not the data, set the shunt
 (``FitWindowResult.shunt_from_prior``).
 ``rolling_fit``, the one re-fitting loop of ``pvprof fit`` and the
 benchmark, fits the window ``[end - length, end)`` before each given end,
-warm-started from the previous result: the shunt prior is a random walk.
-It reads its slices from a ``preprocess.TrainingWindows`` table, which a
-run shares with its other readers of the same windows.  A
-``SolvedWindows`` keeps the fits of one run by window content, so each
-distinct window is solved once, and windows planned on it are solved in
-one batch with the next fit that needs the solver.
+each from the datasheet's initial guess: a fit stands on its own window.
+It reads its slices from the run's ``preprocess.TrainingWindows`` and plans
+them on the run's ``SolvedWindows``, which keeps fits by window content: its
+first fit solves every window of the run in one batch, each distinct once.
 ``simulate_power`` turns a parameter set, or one parameter row per sample,
 into array MPP power over arrays of irradiance and cell temperature;
 ``analysis.predict_model`` calls it for every physical model, and stacks
 the days of one model into one call.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -370,7 +369,7 @@ def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet,
     Jacobians, the one at the final point included.
 
     One prior row ``w*(log10 r_sh_ref - c)`` joins the data residuals: ``c``
-    is the clipped start (the previous window's result in a rolling fit)
+    is the clipped start (the datasheet's initial guess in a rolling fit)
     and ``w = s/0.5``, a half-decade width scaled by the noise ``s``
     estimated once from successive differences of the residuals at the
     start.  A noiseless window (``s = 0``) fits without it.
@@ -447,12 +446,8 @@ class SolvedWindows:
         """The outcome of each window from its start, in order.  The
         windows not held yet and the planned ones are checked, and the
         valid ones solved in one batch."""
-        keys = [_window_key(window, init)
-                for window, init in zip(windows, inits)]
+        self.plan(windows, inits)
         pending, self._planned = self._planned, {}
-        for key, window, init in zip(keys, windows, inits):
-            if key not in self._outcomes:
-                pending[key] = (window, init)
         batch = {}
         for key, (window, init) in pending.items():
             try:
@@ -465,7 +460,8 @@ class SolvedWindows:
             new_windows, new_inits = zip(*batch.values())
             self._outcomes.update(zip(batch, _solve(
                 new_windows, self.topo, new_inits, self.datasheet)))
-        return [self._outcomes[key] for key in keys]
+        return [self._outcomes[_window_key(window, init)]
+                for window, init in zip(windows, inits)]
 
 
 # a window's state in ``_solve``: still running, stopped by a tolerance
@@ -700,38 +696,41 @@ def update_schedule(series: TelemetrySeries, window_length, update_period):
 def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
                 window_length, window_ends, datasheet,
                 preprocess: PreprocessConfig = PreprocessConfig(),
-                warm_start=True, solved=None, windows=None):
+                solved=None, windows=None):
     """One ``fit_window`` per end, in order, on ``training_window`` of
     ``[end - window_length, end)``, labelled with that span.
 
     The slices come from ``windows``, the run's ``TrainingWindows`` of
     ``series`` and ``preprocess`` (a new one when None), so a window that
-    another reader of the run has masked is not masked again.  The first
-    window starts from ``initial_guess(datasheet)``, later ones from the
-    last converged fit (unless ``warm_start`` is off).  Each window is
-    fitted through ``solved``, a ``SolvedWindows`` of the system or None:
-    the first fit then also solves the windows planned on it, in one batch.
-    A failed window, in its masking or its fit, is recorded, not raised:
-    its ``error``, the start it had, a NaN loss, 0 iterations, and its
-    records before masking.
+    another reader of the run has masked is not masked again.  Every window
+    starts from ``initial_guess(datasheet)`` and is planned on ``solved``,
+    the run's ``SolvedWindows`` (a new one when None), so the first fit
+    solves all of them, with any planned before, in one batch.  A failed
+    window, in its masking or its fit, is recorded, not raised: its
+    ``error``, the initial guess, a NaN loss, 0 iterations, and its records
+    before masking.
     """
     series.validate()
     windows = TrainingWindows.of(series, preprocess, windows)
+    if solved is None:
+        solved = SolvedWindows(topo, datasheet)
     window_length = np.timedelta64(window_length)
-    current = initial_guess(datasheet)
+    guess = initial_guess(datasheet)
+    for end in window_ends:
+        # a masking error is read again, and recorded, by the fit below
+        with contextlib.suppress(InsufficientDataError):
+            solved.plan([windows.get(end, window_length)], [guess])
     results = []
     for end in window_ends:
         start = end - window_length
         try:
             retained = windows.get(end, window_length)
-            result = replace(fit_window(retained, topo, current, datasheet,
+            result = replace(fit_window(retained, topo, guess, datasheet,
                                         solved),
                              window_start=start, window_end=end)
-            if warm_start and result.converged:
-                current = result.params
         except (InsufficientDataError, NumericalError) as exc:
             result = FitWindowResult(
-                window_start=start, window_end=end, params=current,
+                window_start=start, window_end=end, params=guess,
                 final_loss=float("nan"), iterations=0, converged=False,
                 n_points=len(series.slice_time(start, end)), error=str(exc))
         results.append(result)

@@ -1,5 +1,5 @@
 """The benchmark's dynamic model: its days are ``rolling_fit``'s windows,
-and every cold window fit of a run is solved once, in one batch."""
+and every window fit of a run is solved once, in one batch."""
 
 import json
 import math
@@ -24,9 +24,7 @@ from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls
 WINDOW = np.timedelta64(3, "D")
 
 
-@pytest.mark.parametrize("warm_start", [True, False])
-def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet,
-                                                       warm_start):
+def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet):
     # the evaluation starts on the second day, so the first window holds
     # one day of records; the last three days are dark, so the last
     # window holds one day too
@@ -46,7 +44,6 @@ def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet,
                        "v_oc", "i_sc", "v_mp", "i_mp", "alpha_isc",
                        "beta_voc", "cells_in_series")}},
         "models": ["pvpro"],
-        "fit": {"warm_start": warm_start},
         "studies": {"exceedance": False, "sweep": True},
         "evaluation": {"start": str(days[1])}})
     report = run_benchmark(config, series)
@@ -71,7 +68,7 @@ def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet,
     assert math.isnan(first.final_loss)
     assert first.iterations == 0
 
-    # the next window starts from the datasheet guess
+    # the failed window leaves the next one's fit as it is alone
     cold = fitting.fit_window(training_window(series, second_day, WINDOW,
                                               PreprocessConfig()),
                               topo, guess, ds)
@@ -122,7 +119,6 @@ def test_a_failed_day_between_good_days_skips_only_its_cells(
     config = RunConfig.from_dict({
         "system": _system(datasheet),
         "models": ["pvpro", "nominal", "lr", "smart_persistence"],
-        "fit": {"warm_start": False},
         "regressors": {"lambda_grid": [1e-3], "gamma_grid": [0.5],
                        "training_lengths_days": [3]},
         "studies": {"exceedance": False},
@@ -210,25 +206,21 @@ def test_every_cold_window_is_solved_once_in_one_batch(monkeypatch, topo,
     assert "error" not in report.studies["training_length"]
 
     guess = fitting.initial_guess(config.datasheet)
-    first = training_window(series, np.datetime64("2024-06-05T00:00:00"),
-                            WINDOW, PreprocessConfig())
+    days = [training_window(series, fit.window_end, WINDOW,
+                            PreprocessConfig()) for fit in report.trajectory]
     labels = {np.datetime64(truth.start_day, "D") + np.timedelta64(k, "D"):
               lab for k, lab in enumerate(truth.day_labels)}
     pools, _ = analysis.weather_pools(series, labels)
     _, lengths, _ = analysis.training_length_windows(series, (3,))
-    cold = ([first] + list(pools.values())
-            + [w for ws in lengths.values() for w in ws])
-    cold_keys = {_fit_key(w, guess) for w in cold}
-    # the runner's first window is also the sweep's second: 9 cold fits,
+    every = (days + list(pools.values())
+             + [w for ws in lengths.values() for w in ws])
+    keys = {_fit_key(w, guess) for w in every}
+    # the runner's 4 days are also the sweep's last 4 windows: 12 fits,
     # 8 of them distinct
-    assert len(cold) == 9 and len(cold_keys) == 8
-    # one batch of every distinct cold window, then the warm chain one
-    # window at a time; no window reaches the solver twice
-    assert set(batches[0]) == cold_keys and len(batches[0]) == 8
-    assert [len(b) for b in batches[1:]] == [1] * (len(report.trajectory)
-                                                    - 1)
-    solved = [key for batch in batches for key in batch]
-    assert len(solved) == len(set(solved))
+    assert len(days) == 4 and len(every) == 12 and len(keys) == 8
+    # one batch of every distinct window, days included, and no other
+    assert len(batches) == 1
+    assert set(batches[0]) == keys and len(batches[0]) == 8
 
 
 def test_failed_planned_window_leaves_the_others_and_each_error(topo,

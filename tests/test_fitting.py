@@ -631,15 +631,28 @@ class TestRollingFit:
             fitting.update_schedule(series, np.timedelta64(window, "D"),
                                     np.timedelta64(update, "D"))
 
-    def test_warm_start_median_loss_not_worse(self, topo, datasheet):
+    def test_each_window_fits_as_it_does_alone(self, topo, datasheet):
+        # every window starts from the datasheet and a batch does not move
+        # a window's result: each of the run's fits has the bits of its
+        # window fitted alone
         profile = synth.WeatherProfile(days=8, seed=12)
         series, _ = synth.generate_dataset(CSI_PARAMS, topo, profile,
                                            noise_v=0.005, noise_i=0.005,
                                            alpha_isc=ALPHA_ISC)
         results = _rolling_fit(series, topo, datasheet,
                                np.timedelta64(3, "D"), np.timedelta64(1, "D"))
-        losses = [r.final_loss for r in results if r.converged]
-        assert np.median(losses[1:]) <= losses[0] * (1.0 + 1e-3)
+        guess = fitting.initial_guess(datasheet)
+        assert len(results) == 6
+        for r in results:
+            alone = fitting.fit_window(
+                preprocess.training_window(series, r.window_end,
+                                           np.timedelta64(3, "D"),
+                                           preprocess.PreprocessConfig()),
+                topo, guess, datasheet)
+            assert r.converged
+            assert r.params == alone.params
+            assert (r.final_loss, r.iterations) == (alone.final_loss,
+                                                    alone.iterations)
 
 
 class TestPredictPower:

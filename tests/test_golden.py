@@ -11,17 +11,20 @@ reasons, flags, keys) must match exactly.  Numbers must match within
 ``GOLDEN_RTOL`` relative.  Measured spreads set that tolerance: forecasts
 move by at most 4e-9 relative between equivalent builds, and the BLAS
 kernels OpenBLAS picks per CPU move the ``kr`` metrics in the 13th
-significant digit.  A change that alters outputs on purpose regenerates
-the files in the same commit: demo 06's with ``demos/06_full_benchmark.py``,
-the small run's with ``pvprof benchmark --config config.json --out .`` in
-its directory.
+significant digit.  ``provenance.versions`` must name the numpy, scipy and
+Python that run the test.  A change that alters outputs on purpose
+regenerates the files in the same commit: demo 06's with
+``demos/06_full_benchmark.py``, the small run's with ``pvprof benchmark
+--config config.json --out .`` in its directory.
 """
 
 import csv
 import json
 import os
+import platform
 
 import numpy as np
+import scipy
 
 from pvprof.cli import main
 
@@ -107,6 +110,11 @@ def _assert_reproduces(config, golden, out):
             report = json.load(fh)
         del report["provenance"]["created_utc"]
         reports.append(report)
+    # the report records the build that ran it, not the one that wrote the
+    # golden files
+    reports[1]["provenance"]["versions"].update(
+        numpy=np.__version__, scipy=scipy.__version__,
+        python=platform.python_version())
     _assert_same(*reports, "report.json")
     for name in ("forecasts.csv", "trajectory.csv", "daily_metrics.csv",
                  "aggregate_metrics.csv"):

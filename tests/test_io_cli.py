@@ -5,19 +5,20 @@ import re
 import struct
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pvprof import charts, iotools, synth
+from pvprof import charts, fitting, iotools, synth
 from pvprof.benchmark import KNOWN_STUDIES, RunConfig
 from pvprof.cli import main
 from pvprof.exceptions import ConfigError, DataError
 from pvprof.sdm import PARAM_NAMES, ArrayTopology
 from pvprof.series import ForecastSeries, TelemetrySeries
-from conftest import ALPHA_ISC, CSI_PARAMS
+from conftest import ALPHA_ISC, CSI_PARAMS, count_calls
 from oracles import dumps_json_per_item, read_telemetry_per_record
 
 TOPO = ArrayTopology(72, 12, 8)
@@ -545,6 +546,16 @@ class TestRunConfigFuzz:
         with pytest.raises(ConfigError, match=key):
             RunConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_warm_start_is_accepted_and_has_no_effect(self, value):
+        # every window fit starts from the datasheet; old configurations
+        # that set the key still parse, to the same settings
+        raw = json.loads(json.dumps(_FUZZ_BASE))
+        plain = RunConfig.from_dict(raw)
+        raw["fit"] = {"warm_start": value}
+        assert replace(RunConfig.from_dict(raw), raw=None) == replace(
+            plain, raw=None)
+
     @pytest.mark.parametrize("value", [None, [1], 3, "x"])
     @pytest.mark.parametrize("section", ["data", "system", "preprocess", "fit",
                                          "regressors", "studies",
@@ -1029,6 +1040,17 @@ class TestCli:
         assert len(rows["fit"]) == 1 + 4
         assert rows["benchmark"] == rows["fit"][:-1]
         assert rows["fit"][-1].split(",")[1] == "2024-06-07T00:00:00Z"
+
+    def test_fit_solves_every_window_in_one_batch(self, tmp_path,
+                                                   monkeypatch):
+        cfg = _write_config(tmp_path, days=6, models=("pvpro",))
+        main(["synth", "--config", str(cfg), "--out", str(tmp_path)])
+        batches = count_calls(monkeypatch, fitting, "_solve")
+        assert main(["fit", "--config", str(cfg), "--out",
+                     str(tmp_path)]) == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4
+        assert len(batches) == 1 and len(batches[0][0]) == 4
 
     def test_sweep_study_chart(self, tmp_path):
         cfg = _write_config(tmp_path, days=6, models=("pvpro",),
