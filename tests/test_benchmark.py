@@ -24,7 +24,9 @@ from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls
 WINDOW = np.timedelta64(3, "D")
 
 
-def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet):
+@pytest.mark.parametrize("warm_start", [True, False])
+def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet,
+                                                       warm_start):
     # the evaluation starts on the second day, so the first window holds
     # one day of records; the last three days are dark, so the last
     # window holds one day too
@@ -44,6 +46,9 @@ def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet):
                        "v_oc", "i_sc", "v_mp", "i_mp", "alpha_isc",
                        "beta_voc", "cells_in_series")}},
         "models": ["pvpro"],
+        # fit.warm_start still parses and has no effect: every window
+        # starts from the datasheet guess either way
+        "fit": {"warm_start": warm_start},
         "studies": {"exceedance": False, "sweep": True},
         "evaluation": {"start": str(days[1])}})
     report = run_benchmark(config, series)
