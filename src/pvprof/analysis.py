@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, fitting, sdm
-from .exceptions import ConfigError, DataError, InsufficientDataError
+from .exceptions import (ConfigError, DataError, InsufficientDataError,
+                         NumericalError)
 from .preprocess import (PreprocessConfig, TrainingWindows,
                          apply_quality_pipeline)
 from .series import DAY, TelemetrySeries, _as_timestamps
@@ -67,10 +68,17 @@ def coefficient_of_variation(values):
 
 
 def exceedance_density(nbe_series, thresholds=DEFAULT_EXCEEDANCE_THRESHOLDS):
-    """Fraction of samples whose signed bias exceeds each threshold."""
+    """Fraction of samples whose signed bias exceeds each threshold.
+
+    Raises ``NumericalError`` if any entry is not finite: NaN exceeds no
+    threshold, so it would read as a sample without bias.
+    """
     nbe = np.asarray(nbe_series, dtype=float)
     if nbe.size == 0:
         raise InsufficientDataError("empty bias series")
+    bad = np.count_nonzero(~np.isfinite(nbe))
+    if bad:
+        raise NumericalError(f"{bad} of {nbe.size} bias entries not finite")
     return {float(tau): float(np.mean(nbe > tau)) for tau in thresholds}
 
 
@@ -81,7 +89,9 @@ def compute_metrics(pred, meas, p_nominal, daylight_only=True, g_poa=None,
 
     With ``daylight_only`` (the default) samples whose measured irradiance
     falls below ``g_min`` are excluded, since night zeros deflate the errors;
-    that mode requires the ``g_poa`` series.
+    that mode requires the ``g_poa`` series.  Raises ``NumericalError`` if
+    a kept prediction or measurement is not finite, rather than returning
+    NaN statistics.
     """
     pred = np.asarray(pred, dtype=float)
     meas = np.asarray(meas, dtype=float)
@@ -102,6 +112,10 @@ def compute_metrics(pred, meas, p_nominal, daylight_only=True, g_poa=None,
     if n == 0:
         raise InsufficientDataError("no samples left after daylight filtering")
     resid = (pred[keep] - meas[keep]) / p_nominal
+    bad = np.count_nonzero(~np.isfinite(resid))
+    if bad:
+        raise NumericalError(f"{bad} of {n} kept samples have a non-finite "
+                             "prediction or measurement")
     nbe = resid
     return MetricsReport(
         n_samples=n,

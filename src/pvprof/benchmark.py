@@ -15,7 +15,10 @@ Every model predicts from ``feature_matrix`` rows of the day's weather
 through ``predict_model``, as the studies do, so the day's measured power
 never reaches a prediction.  The sweep study predicts from the last window
 fit that did not fail.  Results are pooled into aggregate and per-day
-metrics plus the enabled studies, all serialized deterministically.
+metrics plus the enabled studies, all serialized deterministically.  A
+(model, day) cell whose metrics cannot be taken, for want of daylight
+samples or for a non-finite prediction or measurement, is skipped with
+that reason and left out of the pool.
 
 A run slices each distinct training window once.  One
 ``preprocess.TrainingWindows`` table, made for the run, masks every
@@ -493,7 +496,7 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
                     pred, test.power, config.p_nominal,
                     daylight_only=config.metrics_daylight_only,
                     g_poa=test.g_poa, g_min=config.preprocess.g_min)
-            except InsufficientDataError as exc:
+            except (InsufficientDataError, NumericalError) as exc:
                 daily[name].append({"day": day_label, "skipped": str(exc)})
                 continue
             daily[name].append({"day": day_label, **report.to_json_dict()})

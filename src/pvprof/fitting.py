@@ -274,28 +274,28 @@ class _Batch:
         """Which stacked records belong to the ``active`` windows."""
         return np.repeat(active, self.counts)
 
-    def _window_sums(self, per_record, active):
-        counts = self.counts[active]
-        return np.add.reduceat(per_record, np.cumsum(counts) - counts,
-                               axis=0)
-
     def evaluate(self, x, active, start=None):
         """Solve the active windows at their rows of transformed ``x``, one
         parameter row per record; an ``_Evaluation``."""
         records = (self.records if active.all()
                    else self.records.select(self.record_mask(active)))
-        rows = np.repeat(x[active], self.counts[active], axis=0)
+        counts = self.counts[active]
+        rows = np.repeat(x[active], counts, axis=0)
         solved = _simulate(rows, records, self.topo, self.datasheet, start)
         r = _residuals(rows, records, self.topo, self.datasheet,
                        solved).reshape(2, -1)
-        return _Evaluation(active, records, solved, r,
-                           self._window_sums((r * r).sum(axis=0), active))
+        return _Evaluation(active, records, solved, r, np.add.reduceat(
+            (r * r).sum(axis=0), np.cumsum(counts) - counts))
 
     def normal_equations(self, x, evaluation, accepted):
         """Each ``accepted`` window's gradient Jᵀr (W, 5) and curvature JᵀJ
         (W, 5, 5) of half its sum of squares at ``x``, the prior row
         included, from ``evaluation``, a solve at ``x`` of a superset of
-        the accepted windows."""
+        the accepted windows.
+
+        Both come from one Gram product AᵀA per window, where A = [J | r]
+        holds the window's residual rows, record by record, as one
+        contiguous block."""
         records, solved, r = (evaluation.records, evaluation.solved,
                               evaluation.r)
         solved_for = evaluation.active
@@ -304,14 +304,20 @@ class _Batch:
             keep = np.repeat(accepted[solved_for], self.counts[solved_for])
             records, solved, r = (records.select(keep), solved.select(keep),
                                   r[:, keep])
-        jac = _jacobian(solved, records, self.topo,
-                        self.datasheet).reshape(2, -1, 5)
-        # [J | r] per residual row; its outer products summed per window
-        # give JᵀJ and Jᵀr together
-        aug = np.concatenate([jac, r[..., None]], axis=2)
-        sums = self._window_sums(
-            (aug[..., :, None] * aug[..., None, :]).sum(axis=0), accepted)
-        grad, normal = sums[:, :5, 5], sums[:, :5, :5]
+        jac = _jacobian(solved, records, self.topo, self.datasheet)
+        # [J | r] with a record's voltage and current rows side by side, so
+        # that each window's rows are one contiguous block A of the stack
+        aug = np.empty((r.shape[1], 2, 6))
+        aug[..., :5] = jac.reshape(2, -1, 5).swapaxes(0, 1)
+        aug[..., 5] = r.T
+        rows = aug.reshape(-1, 6)
+        sizes = 2 * self.counts[accepted]
+        ends = np.cumsum(sizes)
+        gram = np.empty((len(sizes), 6, 6))
+        for k, (start, end) in enumerate(zip(ends - sizes, ends)):
+            block = rows[start:end]
+            np.matmul(block.T, block, out=gram[k])
+        grad, normal = gram[:, :5, 5], gram[:, :5, :5]
         weight = self.weight[accepted]
         grad[:, _SHUNT] += weight * self.prior(x)[accepted]
         normal[:, _SHUNT, _SHUNT] += weight * weight

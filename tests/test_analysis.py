@@ -6,7 +6,8 @@ import pytest
 
 from pvprof import analysis, baselines, fitting, preprocess, sdm, synth
 from pvprof.benchmark import RunConfig, run_benchmark
-from pvprof.exceptions import ConfigError, DataError, InsufficientDataError
+from pvprof.exceptions import (ConfigError, DataError, InsufficientDataError,
+                               NumericalError)
 from pvprof.series import DAY, TelemetrySeries, WeatherSeries
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls
 from oracles import scan_mpp
@@ -60,6 +61,19 @@ class TestComputeMetrics:
             analysis.compute_metrics(np.ones(3), np.ones(3), 1e5,
                                      daylight_only=True)
 
+    def test_non_finite_kept_sample_is_refused(self):
+        # a NaN would read as NaN errors and as no exceedance at all
+        with pytest.raises(NumericalError, match="^1 of 3 kept samples"):
+            analysis.compute_metrics([1.0, np.nan, 3.0], [1.0, 2.0, 3.0], 10,
+                                     g_poa=[100.0] * 3)
+        with pytest.raises(NumericalError, match="^2 of 2 kept samples"):
+            analysis.compute_metrics([1.0, 2.0, 3.0], [1.0, np.inf, np.nan],
+                                     10, g_poa=[10.0, 100.0, 100.0])
+        # a sample the daylight filter drops may be anything
+        r = analysis.compute_metrics([np.nan, 2.0, 3.0], [1.0, 2.0, 3.0], 10,
+                                     g_poa=[10.0, 100.0, 100.0])
+        assert (r.n_samples, r.nmae) == (2, 0.0)
+
     def test_nrmse_dominates_nmae_and_bias_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -90,6 +104,10 @@ class TestExceedance:
         nbe = rng.normal(0.0, 0.05, 200_000)
         d = analysis.exceedance_density(nbe, thresholds=(0.0,))
         assert d[0.0] == pytest.approx(0.5, abs=0.01)
+
+    def test_non_finite_entry_is_refused(self):
+        with pytest.raises(NumericalError, match="^2 of 4 bias entries"):
+            analysis.exceedance_density([0.0, np.nan, 0.3, -np.inf])
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(2)

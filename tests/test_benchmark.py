@@ -106,14 +106,16 @@ def _cells(report):
     return cells
 
 
-@pytest.mark.parametrize("failure", ["masking", "solve"])
+@pytest.mark.parametrize("failure", ["masking", "solve", "non_finite"])
 def test_a_failed_day_between_good_days_skips_only_its_cells(
         monkeypatch, topo, datasheet, failure):
     # the forecast days are 06-05 to 06-08; 06-06 fails, either in its
-    # training window's mask (pvpro's and lr's) or in the stacked solve of
-    # its records (pvpro's and nominal's).  Only those cells are skipped,
-    # and every other cell is what an undisturbed run predicts; cold
-    # starts make each window's fit independent of the failed one
+    # training window's mask (pvpro's and lr's), in the stacked solve of
+    # its records (pvpro's and nominal's), or in its metrics, for a NaN
+    # predicted at one record (pvpro's and nominal's).  Only those cells
+    # are skipped, and every other cell is what an undisturbed run
+    # predicts; cold starts make each window's fit independent of the
+    # failed one
     series, _ = _studies_series(topo, seed=25)
     middle = np.datetime64("2024-06-06T00:00:00")
     # clear days repeat their temperatures: mark one noon record of the
@@ -141,13 +143,22 @@ def test_a_failed_day_between_good_days_skips_only_its_cells(
         monkeypatch.setattr(preprocess, "training_window", failing)
         failed = {"pvpro", "lr"}
     else:
-        message = "MPP Newton unconverged after 100 iterations"
         original = fitting.simulate_power
+        if failure == "solve":
+            message = "MPP Newton unconverged after 100 iterations"
 
-        def failing(params, g_poa, t_cell, *args, **kwargs):
-            if marker in t_cell:
-                raise SolverError(message)
-            return original(params, g_poa, t_cell, *args, **kwargs)
+            def failing(params, g_poa, t_cell, *args, **kwargs):
+                if marker in t_cell:
+                    raise SolverError(message)
+                return original(params, g_poa, t_cell, *args, **kwargs)
+        else:
+            day = series.slice_time(middle, middle + DAY)
+            message = (f"1 of {np.count_nonzero(day.g_poa >= 50.0)} kept "
+                       "samples have a non-finite prediction or measurement")
+
+            def failing(params, g_poa, t_cell, *args, **kwargs):
+                return np.where(t_cell == marker, np.nan, original(
+                    params, g_poa, t_cell, *args, **kwargs))
 
         monkeypatch.setattr(fitting, "simulate_power", failing)
         failed = {"pvpro", "nominal"}

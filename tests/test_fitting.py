@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 import pvprof
@@ -269,22 +271,32 @@ def spy_batches(monkeypatch):
     return batches
 
 
-def window_problem(batch, x):
-    """Residual vector and analytic Jacobian of a one-window batch at
-    transformed ``x``, from the solver's own pieces: the data rows, then
-    the prior row when its weight is positive.  Also returns the solver's
-    gradient and curvature sums at ``x``."""
-    every = np.ones(1, dtype=bool)
-    evaluation = batch.evaluate(x[None], every)
-    jac = fitting._jacobian(evaluation.solved, batch.records, batch.topo,
-                            batch.datasheet)
-    res = evaluation.r.ravel()
-    if batch.weight[0] > 0.0:
-        shunt = fitting.PARAM_ORDER.index("r_sh_ref")
-        res = np.append(res, batch.prior(x[None])[0])
-        jac = np.vstack([jac, batch.weight[0] * np.eye(5)[shunt]])
-    grad, normal = batch.normal_equations(x[None], evaluation, every)
-    return res, jac, grad[0], normal[0]
+def window_problem(batch, x, solved=None, accepted=None):
+    """Each accepted window's problem in a batch at transformed rows ``x``
+    (W, 5): its residual vector and analytic Jacobian from the solver's own
+    pieces on the window's records alone, the data rows, then the prior row
+    when its weight is positive; and the solver's gradient and curvature
+    sums from one evaluation of the ``solved`` windows (all by default)
+    taken for the ``accepted`` ones (the solved ones by default)."""
+    solved = np.ones(len(x), dtype=bool) if solved is None else solved
+    accepted = solved if accepted is None else accepted
+    grad, normal = batch.normal_equations(x, batch.evaluate(x, solved),
+                                          accepted)
+    shunt = fitting.PARAM_ORDER.index("r_sh_ref")
+    ends = np.cumsum(batch.counts)
+    problems = []
+    for j, k in enumerate(np.flatnonzero(accepted)):
+        window = batch.records.select(slice(ends[k] - batch.counts[k],
+                                            ends[k]))
+        one = fitting._simulate(x[k], window, batch.topo, batch.datasheet)
+        res = fitting._residuals(x[k], window, batch.topo, batch.datasheet,
+                                 one)
+        jac = fitting._jacobian(one, window, batch.topo, batch.datasheet)
+        if batch.weight[k] > 0.0:
+            res = np.append(res, batch.prior(x)[k])
+            jac = np.vstack([jac, batch.weight[k] * np.eye(5)[shunt]])
+        problems.append((res, jac, grad[j], normal[j]))
+    return problems
 
 
 class TestShuntPrior:
@@ -315,7 +327,7 @@ class TestShuntPrior:
         result = fitting.fit_window(retained, topo, CSI_PARAMS, datasheet)
         batch, = batches
         x = fitting._to_transformed(result.params.as_array())
-        res, _, _, _ = window_problem(batch, x)
+        (res, _, _, _), = window_problem(batch, x[None])
         assert batch.weight[0] == 0.0
         assert res.shape == (2 * len(retained),)
         assert not result.shunt_from_prior
@@ -332,9 +344,9 @@ class TestShuntPrior:
         rng = np.random.default_rng(7)
         x_fit = fitting._to_transformed(result.params.as_array())
         for x in (x_fit, x_fit + rng.uniform(-0.02, 0.02, 5)):
-            res, analytic, grad, normal = window_problem(batch, x)
+            (res, analytic, grad, normal), = window_problem(batch, x[None])
             numeric = five_point_gradient(
-                lambda y: window_problem(batch, y)[0], x)
+                lambda y: window_problem(batch, y[None])[0][0], x)
             assert res.shape == (n + 1,)
             assert analytic.shape == numeric.shape == (n + 1, 5)
             scale = np.maximum(np.abs(numeric),
@@ -539,6 +551,38 @@ class TestFitWindows:
         for window, init, result in zip(windows, inits, results):
             assert_same_fit(result, fitting.fit_window(window, topo, init,
                                                        datasheet))
+
+    def test_normal_equations_are_each_window_s_own(self, fixture_windows,
+                                                    topo, datasheet):
+        # a 3-day, a 7-day and a three-cloudy-day window, the middle one
+        # solved but rejected: each accepted window's sums are Jᵀr and JᵀJ
+        # of its own residual vector, prior row included
+        windows = [fixture_windows[k][0] for k in (1, 9, 10)]
+        assert len({len(w) for w in windows}) == 3
+        batch = fitting._Batch(windows, topo, datasheet)
+        x = fitting._to_transformed(CSI_PARAMS.as_array()) \
+            + np.random.default_rng(5).uniform(-0.02, 0.02, (3, 5))
+        batch.weight[:] = [0.004, 0.002, 0.003]
+        batch.centre[:] = np.log10(1000.0)
+        accepted = np.array([True, False, True])
+        problems = window_problem(batch, x, accepted=accepted)
+        assert len(problems) == 2
+        for (res, jac, grad, normal), k in zip(problems, (0, 2)):
+            assert res.shape == jac.shape[:1] == (2 * len(windows[k]) + 1,)
+            np.testing.assert_allclose(grad, jac.T @ res, rtol=1e-12)
+            np.testing.assert_allclose(normal, jac.T @ jac, rtol=1e-12)
+
+    @given(data=st.data())
+    @settings(max_examples=10)
+    def test_any_order_gives_each_window_its_fit(self, fixture_windows,
+                                                 batch_results, topo,
+                                                 datasheet, data):
+        # a window's sums do not depend on where its rows sit in the stack
+        order = data.draw(st.permutations(range(len(fixture_windows))))
+        windows, inits = zip(*(fixture_windows[k] for k in order))
+        results = fitting.fit_windows(windows, topo, inits, datasheet)
+        for k, result in zip(order, results):
+            assert result == batch_results[k]
 
     def test_empty_batch_and_mismatched_starts(self, noiseless, topo,
                                                datasheet):

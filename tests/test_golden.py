@@ -11,9 +11,14 @@ reasons, flags, keys) must match exactly.  Numbers must match within
 ``GOLDEN_RTOL`` relative.  Measured spreads set that tolerance: forecasts
 move by at most 4e-9 relative between equivalent builds, and the BLAS
 kernels OpenBLAS picks per CPU move the ``kr`` metrics in the 13th
-significant digit.  ``provenance.versions`` must name the numpy, scipy and
-Python that run the test.  A change that alters outputs on purpose
-regenerates the files in the same commit: demo 06's with
+significant digit.  An ``nbe_series`` entry, (pred - meas)/p_nominal, is
+held to the forecasts' tolerance carried into bias units,
+``GOLDEN_RTOL*|pred|/p_nominal`` absolute, with ``pred`` the committed
+forecast of its record: a relative tolerance on the entry itself would
+amplify the forecast's move by |pred|/|pred - meas|, up to 4e4.
+``provenance.versions`` must name the numpy, scipy and Python that run the
+test.  A change that alters outputs on purpose regenerates the files in
+the same commit: demo 06's with
 ``demos/06_full_benchmark.py``, the small run's with ``pvprof benchmark
 --config config.json --out .`` in its directory.
 """
@@ -27,6 +32,7 @@ import numpy as np
 import scipy
 
 from pvprof.cli import main
+from pvprof.iotools import read_telemetry_csv
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO = os.path.join(REPO, "demos", "output")
@@ -34,9 +40,10 @@ ROSTER = os.path.join(REPO, "tests", "golden", "roster_studies")
 GOLDEN_RTOL = 1e-8
 
 
-def _assert_numbers_close(actual, expected, where):
+def _assert_numbers_close(actual, expected, where, rtol=GOLDEN_RTOL,
+                          atol=0.0):
     actual, expected = np.asarray(actual, float), np.asarray(expected, float)
-    close = np.isclose(actual, expected, rtol=GOLDEN_RTOL, atol=0.0,
+    close = np.isclose(actual, expected, rtol=rtol, atol=atol,
                        equal_nan=True)
     assert close.all(), \
         f"{where}: {actual[~close].tolist()} != {expected[~close].tolist()}"
@@ -99,6 +106,30 @@ def _cell(text):
         return text
 
 
+def _nbe_tolerances(config, golden, report):
+    """Each model's ``nbe_series`` tolerances: ``GOLDEN_RTOL*|pred|/
+    p_nominal`` per entry, ``pred`` the committed forecast of the entry's
+    record, a kept record of the model's rows of ``forecasts.csv``."""
+    with open(config, encoding="utf-8") as fh:
+        daylight_only = json.load(fh).get("metrics_daylight_only", True)
+    telemetry = read_telemetry_csv(os.path.join(golden, "telemetry.csv"))[0]
+    with open(os.path.join(golden, "forecasts.csv"), newline="",
+              encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    tolerances = {}
+    for model in report["aggregate"]:
+        mine = [row for row in rows if row["model"] == model]
+        pred = np.array([row["p_pred_w"] for row in mine], dtype=float)
+        if daylight_only:
+            stamps = np.array([row["timestamp"].rstrip("Z") for row in mine],
+                              dtype="datetime64[s]")
+            at = np.searchsorted(telemetry.timestamp, stamps)
+            assert (telemetry.timestamp[at] == stamps).all(), model
+            pred = pred[telemetry.g_poa[at] >= report["g_min"]]
+        tolerances[model] = GOLDEN_RTOL * np.abs(pred) / report["p_nominal_w"]
+    return tolerances
+
+
 def _assert_reproduces(config, golden, out):
     """``pvprof benchmark`` on ``config`` writes, into ``out``, what the
     directory ``golden`` holds."""
@@ -115,6 +146,16 @@ def _assert_reproduces(config, golden, out):
     reports[1]["provenance"]["versions"].update(
         numpy=np.__version__, scipy=scipy.__version__,
         python=platform.python_version())
+    tolerances = _nbe_tolerances(config, golden, reports[1])
+    for model, atol in tolerances.items():
+        aggregates = [report["aggregate"][model] for report in reports]
+        if aggregates[1] is None:
+            continue
+        actual, expected = (agg.pop("nbe_series") for agg in aggregates)
+        assert len(actual) == len(expected) == len(atol), model
+        _assert_numbers_close(actual, expected,
+                              f"report.json.aggregate.{model}.nbe_series",
+                              rtol=0.0, atol=atol)
     _assert_same(*reports, "report.json")
     for name in ("forecasts.csv", "trajectory.csv", "daily_metrics.csv",
                  "aggregate_metrics.csv"):
