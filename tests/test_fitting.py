@@ -271,16 +271,16 @@ def spy_batches(monkeypatch):
     return batches
 
 
-def window_problem(batch, x, solved=None, accepted=None):
+def window_problem(batch, x, accepted=None):
     """Each accepted window's problem in a batch at transformed rows ``x``
     (W, 5): its residual vector and analytic Jacobian from the solver's own
     pieces on the window's records alone, the data rows, then the prior row
     when its weight is positive; and the solver's gradient and curvature
-    sums from one evaluation of the ``solved`` windows (all by default)
-    taken for the ``accepted`` ones (the solved ones by default)."""
-    solved = np.ones(len(x), dtype=bool) if solved is None else solved
-    accepted = solved if accepted is None else accepted
-    grad, normal = batch.normal_equations(x, batch.evaluate(x, solved),
+    sums from one evaluation of every window, taken for the ``accepted``
+    ones (all by default)."""
+    every = np.ones(len(x), dtype=bool)
+    accepted = every if accepted is None else accepted
+    grad, normal = batch.normal_equations(x, batch.evaluate(x, every),
                                           accepted)
     shunt = fitting.PARAM_ORDER.index("r_sh_ref")
     ends = np.cumsum(batch.counts)
