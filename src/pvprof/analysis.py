@@ -379,29 +379,42 @@ _SWEEP_FEATURES = ("g_poa", "t_module", "hod")
 _SWEEP_CENTRE = (1000.0, 25.0, 0.5)
 
 
-def interpretability_sweep(model, varied, value_range, *, topo=None,
-                           datasheet=None, reference_params=None,
-                           n_points=101, g_min=0.0) -> StudyResult:
-    """Predicted power while one input varies and the others stay fixed.
+def interpretability_sweep(model, ranges, *, topo=None, datasheet=None,
+                           reference_params=None, n_points=101,
+                           g_min=0.0) -> dict:
+    """Predicted power while one input varies and the others stay fixed,
+    for each input of ``ranges``.
 
-    The inputs are ``feature_matrix`` rows held at 1000 W/m^2, 25 degC and
-    mid-day, with ``varied`` swept over ``value_range``; ``model`` is any
-    model ``predict_model`` takes (physical models ignore the hour).  When
-    ``reference_params`` is given a reference curve predicted from those
-    parameters is emitted alongside.
+    ``ranges`` maps each input to sweep, one of ``g_poa``, ``t_module`` and
+    ``hod``, to its ``(low, high)`` range; the result maps it to its
+    ``StudyResult``.  The inputs are ``feature_matrix`` rows held at
+    1000 W/m^2, 25 degC and mid-day, with the swept one on an ``n_points``
+    grid over its range; ``model`` is any model ``predict_model`` takes
+    (physical models ignore the hour).  When ``reference_params`` is given
+    a reference curve predicted from those parameters is emitted alongside.
+    Every curve comes from one ``predict_model`` call, and each is what its
+    model predicts for its grid alone.
     """
-    if varied not in _SWEEP_FEATURES:
-        raise ConfigError(f"unknown sweep feature {varied!r}")
-    grid = np.linspace(float(value_range[0]), float(value_range[1]), n_points)
-    X = np.tile(_SWEEP_CENTRE, (n_points, 1))
-    X[:, _SWEEP_FEATURES.index(varied)] = grid
-    curves = {"model": predict_model(model, X, topo=topo,
-                                     datasheet=datasheet, g_min=g_min)}
+    unknown = [varied for varied in ranges if varied not in _SWEEP_FEATURES]
+    if unknown:
+        raise ConfigError(f"unknown sweep feature {unknown[0]!r}")
+    curves = {"model": model}
     if reference_params is not None:
-        curves["reference"] = predict_model(reference_params, X, topo=topo,
-                                            datasheet=datasheet, g_min=g_min)
-    return StudyResult("sweep", {"feature": varied, "grid": grid,
-                                 "curves": curves})
+        curves["reference"] = reference_params
+    grids, blocks = {}, []
+    for varied, value_range in ranges.items():
+        grid = np.linspace(float(value_range[0]), float(value_range[1]),
+                           n_points)
+        X = np.tile(_SWEEP_CENTRE, (n_points, 1))
+        X[:, _SWEEP_FEATURES.index(varied)] = grid
+        grids[varied] = grid
+        blocks += [X] * len(curves)
+    preds = iter(predict_model(list(curves.values()) * len(ranges), blocks,
+                               topo=topo, datasheet=datasheet, g_min=g_min))
+    return {varied: StudyResult("sweep", {
+                "feature": varied, "grid": grid,
+                "curves": {name: next(preds) for name in curves}})
+            for varied, grid in grids.items()}
 
 
 def training_length_windows(series: TelemetrySeries, lengths_days,

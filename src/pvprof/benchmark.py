@@ -589,16 +589,15 @@ def _run_studies(config, aggregate, agg_inputs, trajectory, trainable,
         else:
             model = next((fit for fit in reversed(trajectory)
                           if fit.error is None), reference)
-            sweep = {}
-            for feature, rng in (("g_poa", (0.0, 1000.0)),
-                                 ("t_module", (0.0, 80.0)),
-                                 ("hod", (0.0, 1.0))):
-                result = analysis.interpretability_sweep(
-                    model, feature, rng, topo=config.topology,
-                    datasheet=config.datasheet, reference_params=reference)
-                sweep[feature] = {key: result.groups[key]
-                                  for key in ("grid", "curves")}
-            studies["sweep"] = sweep
+            results = analysis.interpretability_sweep(
+                model, {"g_poa": (0.0, 1000.0), "t_module": (0.0, 80.0),
+                        "hod": (0.0, 1.0)},
+                topo=config.topology, datasheet=config.datasheet,
+                reference_params=reference)
+            studies["sweep"] = {
+                feature: {key: result.groups[key]
+                          for key in ("grid", "curves")}
+                for feature, result in results.items()}
     if config.studies.get("training_length") and not trainable:
         studies["training_length"] = {
             "error": "no trainable model in the roster"}

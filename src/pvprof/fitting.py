@@ -84,6 +84,8 @@ _INITIAL_DAMPING = 1e-6
 # adds: a few days of MPP data barely constrain the shunt
 _SHUNT_PRIOR_DECADES = 0.5
 _SHUNT = PARAM_ORDER.index("r_sh_ref")
+_EYE = np.eye(5)
+_TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 
 
 def _scales(datasheet, topo: sdm.ArrayTopology):
@@ -200,9 +202,11 @@ def _residuals(x, window: TelemetrySeries, topo, datasheet, solved=None):
                            (window.i_dc - mpp.i_dc) / i_scale], axis=-1)
 
 
-def _jacobian(solved, window: TelemetrySeries, topo, datasheet):
-    """Exact Jacobian (2N, 5) of ``_residuals`` at the one vector or one
-    row per record ``x`` of ``solved = _simulate(x, ...)``.
+def _jacobian(solved, window: TelemetrySeries, topo, datasheet, out=None):
+    """Exact Jacobian of ``_residuals`` at the one vector or one row per
+    record ``x`` of ``solved = _simulate(x, ...)``, as (2, N, 5): the
+    voltage rows, then the current rows.  It is written into ``out``, an
+    array or view of that shape, when given.
 
     The MPP sensitivities come from implicit differentiation at that
     solution and its operating coefficients, so nothing is translated or
@@ -217,7 +221,11 @@ def _jacobian(solved, window: TelemetrySeries, topo, datasheet):
     # d(natural)/dx is 1 on the linear and nat*ln(10) on the log10 columns
     chain = np.where(_LOG_MASK, nat * math.log(10.0), 1.0)
     v_scale, i_scale = _scales(datasheet, topo)
-    return np.concatenate([dv / -v_scale * chain, di / -i_scale * chain])
+    if out is None:
+        out = np.empty((2,) + dv.shape)
+    np.multiply(dv / -v_scale, chain, out=out[0])
+    np.multiply(di / -i_scale, chain, out=out[1])
+    return out
 
 
 def loss(params: sdm.SdmParamsRef, window: TelemetrySeries,
@@ -280,12 +288,12 @@ class _Batch:
         records = (self.records if active.all()
                    else self.records.select(self.record_mask(active)))
         counts = self.counts[active]
-        rows = np.repeat(x[active], counts, axis=0)
+        rows = x[active].repeat(counts, axis=0)
         solved = _simulate(rows, records, self.topo, self.datasheet, start)
         r = _residuals(rows, records, self.topo, self.datasheet,
                        solved).reshape(2, -1)
         return _Evaluation(active, records, solved, r, np.add.reduceat(
-            (r * r).sum(axis=0), np.cumsum(counts) - counts))
+            (r * r).sum(axis=0), counts.cumsum() - counts))
 
     def normal_equations(self, x, evaluation, accepted):
         """Each ``accepted`` window's gradient Jᵀr (W, 5) and curvature JᵀJ
@@ -304,15 +312,16 @@ class _Batch:
             keep = np.repeat(accepted[solved_for], self.counts[solved_for])
             records, solved, r = (records.select(keep), solved.select(keep),
                                   r[:, keep])
-        jac = _jacobian(solved, records, self.topo, self.datasheet)
         # [J | r] with a record's voltage and current rows side by side, so
-        # that each window's rows are one contiguous block A of the stack
+        # that each window's rows are one contiguous block A of the stack;
+        # the Jacobian is written into it through a (2, N, 5) view
         aug = np.empty((r.shape[1], 2, 6))
-        aug[..., :5] = jac.reshape(2, -1, 5).swapaxes(0, 1)
+        _jacobian(solved, records, self.topo, self.datasheet,
+                  out=aug[..., :5].swapaxes(0, 1))
         aug[..., 5] = r.T
         rows = aug.reshape(-1, 6)
         sizes = 2 * self.counts[accepted]
-        ends = np.cumsum(sizes)
+        ends = sizes.cumsum()
         gram = np.empty((len(sizes), 6, 6))
         for k, (start, end) in enumerate(zip(ends - sizes, ends)):
             block = rows[start:end]
@@ -532,7 +541,7 @@ def _solve(windows, topo, inits, datasheet):
             # least_squares' gradient stop: each component scaled by the
             # distance to the bound the descent direction points at
             room = np.where(grad < 0, hi - x, x - lo)
-            small = running & (np.max(np.abs(grad * room), axis=1)
+            small = running & (np.abs(grad * room).max(axis=1)
                                < _GRADIENT_TOLERANCE)
             status[small] = _CONVERGED
             status[running & ~small
@@ -546,7 +555,7 @@ def _solve(windows, topo, inits, datasheet):
             rows = slice(None) if every else running
             xr, g, a = x[rows], grad[rows], normal[rows]
             step = _damped_step(xr, g, a, damping[rows], lo, hi)
-            trial = np.clip(xr + step, *inside)
+            trial = np.minimum(np.maximum(xr + step, inside[0]), inside[1])
             step = trial - xr
 
             if every:
@@ -579,8 +588,8 @@ def _solve(windows, topo, inits, datasheet):
             stop = finite & (
                 (accept & (reduction < _LOSS_TOLERANCE * cost[rows])
                  & (ratio > 0.25))
-                | (np.linalg.norm(step, axis=1) < _STEP_TOLERANCE * (
-                    _STEP_TOLERANCE + np.linalg.norm(xr, axis=1))))
+                | (np.sqrt((step * step).sum(axis=1)) < _STEP_TOLERANCE * (
+                    _STEP_TOLERANCE + np.sqrt((xr * xr).sum(axis=1)))))
 
             accepted = running.copy()
             accepted[rows] = accept
@@ -622,10 +631,9 @@ def _damped_step(x, grad, normal, damping, lo, hi):
     """
     # in units of the largest curvature, so the damping is relative to it;
     # damping at machine precision or above keeps the system non-singular
-    unit = np.maximum(np.diagonal(normal, axis1=1, axis2=2).max(axis=1),
-                      np.finfo(float).tiny)[:, None]
-    damping = np.maximum(damping, np.finfo(float).eps)
-    system = normal / unit[..., None] + damping[:, None, None] * np.eye(5)
+    unit = np.maximum(normal.diagonal(0, 1, 2).max(axis=1), _TINY)[:, None]
+    damping = np.maximum(damping, _EPS)
+    system = normal / unit[..., None] + damping[:, None, None] * _EYE
     rhs = -grad / unit
     step = np.linalg.solve(system, rhs[..., None])[..., 0]
     lower, upper = _BOUND_STEP * (lo - x), _BOUND_STEP * (hi - x)
@@ -640,7 +648,7 @@ def _damped_step(x, grad, normal, damping, lo, hi):
         # the held columns move to the right-hand side
         free = ~held
         reduced = np.where(free[:, :, None] & free[:, None, :], system,
-                           np.eye(5))
+                           _EYE)
         b = np.where(held, fixed, rhs - (system @ fixed[..., None])[..., 0])
         again = crossing.any(axis=1)[:, None]
         step = np.where(again, np.linalg.solve(reduced, b[..., None])[..., 0],

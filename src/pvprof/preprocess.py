@@ -4,12 +4,16 @@ Three filters in a fixed order: night removal, inverter-clipping exclusion,
 and regression-based outlier removal (straight-line fits of DC current vs
 irradiance and DC voltage vs module temperature).  Each filter is a pure
 function from a series plus the current mask to an updated mask, so the
-pipeline is deterministic and idempotent.  ``training_window`` is the one
-training-slice rule: the ``length`` before ``end``, masked on its own.  A
+pipeline is deterministic and idempotent.  The filters work on whole
+arrays: the clipping scan finds every day's plateau candidates at once,
+and the screening lines are closed-form least-squares fits, where a flat
+regressor (a stuck sensor) gets the mean line.  ``training_window`` is the
+one training-slice rule: the ``length`` before ``end``, masked on its own.  A
 ``TrainingWindows`` table applies it once per distinct window of a run, so
 every model that trains on a window reads the same slice.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +25,7 @@ DEFAULT_G_MIN = 50.0     # W/m^2; below this trackers and sensors are unreliable
 DEFAULT_K_SIGMA = 3.0
 DEFAULT_CLIP_BAND = 0.005
 DEFAULT_CLIP_RUN = 3
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -72,49 +77,74 @@ def filter_clipping(series: TelemetrySeries, mask: QualityMask,
     detected plateau is then expanded to the whole contiguous region sitting
     within ``band`` of the plateau level, so the falling-irradiance half of a
     clipped midday is flagged as well.
+
+    The candidates of every day come from array operations on one grid of
+    days by records (the timestamps increase, so a day's records are
+    contiguous); only the plateaus found are expanded one record at a time.
     """
     p = series.power
     if p_ac_limit is not None:
         return replace(mask, clipped=p >= 0.98 * p_ac_limit)
 
-    clipped = np.zeros(len(series), dtype=bool)
+    n = len(series)
+    clipped = np.zeros(n, dtype=bool)
+    if n == 0:
+        return replace(mask, clipped=clipped)
     days = series.day_index()
-    for day in np.unique(days):
-        sel = np.flatnonzero(days == day)
-        pd = p[sel]
-        gd = series.g_poa[sel]
-        prev_max = np.zeros(sel.size)
-        prev_max[1:] = np.maximum.accumulate(pd)[:-1]
-        rising = np.zeros(sel.size, dtype=bool)
-        rising[1:] = gd[1:] > gd[:-1]
-        cand = (~mask.night[sel]) & rising & (prev_max > 0) \
-            & (pd >= (1.0 - band) * prev_max) & (pd <= (1.0 + band) * prev_max)
-        start = None
-        for k in range(sel.size + 1):
-            on = k < sel.size and cand[k]
-            if on and start is None:
-                start = k
-            elif not on and start is not None:
-                if k - start >= run_min:
-                    level = float(np.max(pd[start:k]))
-                    a, b = start, k
-                    while a > 0 and abs(pd[a - 1] - level) <= band * level:
-                        a -= 1
-                    while b < sel.size and abs(pd[b] - level) <= band * level:
-                        b += 1
-                    clipped[sel[a:b]] = True
-                start = None
+    # True at each day's first record and at n, so ``bounds`` holds the
+    # start of every day followed by n
+    new_day = np.empty(n + 1, dtype=bool)
+    new_day[0] = new_day[n] = True
+    np.not_equal(days[1:], days[:-1], out=new_day[1:n])
+    bounds = new_day.nonzero()[0]
+    first = new_day[:n]
+    day = first.cumsum() - 1
+    pos = np.arange(n) - bounds[day]
+    # the running maximum of each day's power before each record: 0 at a
+    # day's first record, whose column -1 reads the row's padding
+    grid = np.full((bounds.size - 1, (bounds[1:] - bounds[:-1]).max()),
+                   -np.inf)
+    grid[day, pos] = p
+    prev_max = np.maximum.accumulate(grid, axis=1)[day, pos - 1]
+    prev_max[first] = 0.0
+    rising = np.zeros(n, dtype=bool)
+    np.greater(series.g_poa[1:], series.g_poa[:-1], out=rising[1:])
+    # prev_max is 0 at a day's first record, which is then no candidate,
+    # so no run spans two days; ``cand`` is padded with False at both ends
+    cand = np.zeros(n + 2, dtype=bool)
+    cand[1:-1] = (~mask.night) & rising & (prev_max > 0) \
+        & (p >= (1.0 - band) * prev_max) & (p <= (1.0 + band) * prev_max)
+    edges = (cand[1:] != cand[:-1]).nonzero()[0]
+    for start, end in zip(edges[0::2], edges[1::2]):
+        if end - start < run_min:
+            continue
+        level = float(np.max(p[start:end]))
+        a, b = start, end
+        lo, hi = bounds[day[start]], bounds[day[start] + 1]
+        while a > lo and abs(p[a - 1] - level) <= band * level:
+            a -= 1
+        while b < hi and abs(p[b] - level) <= band * level:
+            b += 1
+        clipped[a:b] = True
     return replace(mask, clipped=clipped)
 
 
 def _line_fit_outliers(x, y, k_sigma):
-    coef = np.polyfit(x, y, 1)
-    resid = y - np.polyval(coef, x)
-    dof = max(x.size - 2, 1)
-    sigma = float(np.sqrt(np.sum(resid ** 2) / dof))
+    # the least-squares line of y on x, centred on the means.  x is flat
+    # when polyfit would call the fit rank-deficient: its ratio of singular
+    # values, about sqrt(sxx/sum(x^2))/2, is under n*eps
+    n = x.size
+    x_mean = float(x.sum()) / n
+    dx = x - x_mean
+    dy = y - float(y.sum()) / n
+    sxx = float(dx @ dx)
+    flat = sxx <= (2.0 * n * _EPS) ** 2 * (sxx + n * x_mean * x_mean)
+    resid = dy if flat else dy - float(dx @ dy) / sxx * dx
+    dof = max(n - 2, 1)
+    sigma = math.sqrt(float(resid @ resid) / dof)
     # a residual spread at float-noise level means the fit is exact
-    if sigma <= 1e-9 * (float(np.std(y)) + 1e-30):
-        return np.zeros(x.size, dtype=bool)
+    if sigma <= 1e-9 * (math.sqrt(float(dy @ dy) / n) + 1e-30):
+        return np.zeros(n, dtype=bool)
     return np.abs(resid) > k_sigma * sigma
 
 
@@ -125,7 +155,13 @@ def remove_outliers_regression(series: TelemetrySeries, mask: QualityMask,
     Over currently retained records, fits i_dc against g_poa and v_dc against
     t_module by ordinary least squares (one pass, no re-fit) and flags any
     record whose residual exceeds ``k_sigma`` residual standard deviations
-    in either regression.
+    (n - 2 degrees of freedom) in either regression.  Each line is the
+    closed-form fit centred on the means.  A regressor that is flat (a
+    stuck sensor, or a spread below the rank cut of ``np.polyfit``: the
+    ratio of singular values under n*eps) gets the mean line, slope 0,
+    which is polyfit's minimum-norm fit.  A residual spread below 1e-9 of
+    the response's standard deviation means an exact fit: nothing is
+    flagged.
     """
     keep = np.flatnonzero(mask.retained)
     if keep.size < 10:

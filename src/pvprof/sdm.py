@@ -310,12 +310,16 @@ def mpp_arrays(i_ph, i_0, r_s, r_sh, a, vd_start=None):
     # arrays even for scalar inputs, so the loop can update them in place
     hi = np.array(_open_circuit_upper_bound(i_ph, i_0, r_sh, a))
     lo = np.zeros_like(hi)
-    vd = hi - a * np.log1p(hi / a)
-    if vd_start is not None:
+    if vd_start is None:
+        vd = hi - a * np.log1p(hi / a)
+    else:
         # a NaN start would stop its row after one bisection step: the
         # stop test below is False for NaN
         vd_start = np.asarray(vd_start, dtype=float)
-        vd = np.where(np.isfinite(vd_start), np.clip(vd_start, lo, hi), vd)
+        vd = np.clip(vd_start, lo, hi)
+        warm = np.isfinite(vd_start)
+        if not warm.all():
+            vd = np.where(warm, vd, hi - a * np.log1p(hi / a))
     vd = np.asarray(vd)
     # dark rows give zeros whatever their vd
     frozen = np.array(dark)
@@ -338,8 +342,10 @@ def mpp_arrays(i_ph, i_0, r_s, r_sh, a, vd_start=None):
             if frozen.all():
                 cur = _current_at_vd(vd, i_ph, i_0, r_sh, a)
                 vol = vd - cur * r_s
-                return (np.where(dark, 0.0, vol), np.where(dark, 0.0, cur),
-                        np.where(dark, 0.0, vol * cur))
+                if dark.any():
+                    cur = np.where(dark, 0.0, cur)
+                    vol = np.where(dark, 0.0, vol)
+                return vol, cur, vol * cur
     pending = ~frozen
     raise SolverError(
         f"MPP Newton unconverged after {_MPP_MAX_ITER} iterations",
@@ -502,9 +508,13 @@ def mpp_sensitivities_arrays(v_dc, i_dc, ops, i_0_ref, r_sh_ref, n_diode,
     dv_ref = -r_s[..., None] * cur_q + dv[..., None] * vd_q
     dv_ref[..., 2] -= cur
     di_ref = cur_q + di[..., None] * vd_q
-    dark = (i_ph <= 0)[..., None]
-    return (np.where(dark, 0.0, dv_ref * topo.modules_per_string),
-            np.where(dark, 0.0, di_ref * topo.strings_in_parallel))
+    dv_dc = dv_ref * topo.modules_per_string
+    di_dc = di_ref * topo.strings_in_parallel
+    dark = i_ph <= 0
+    if dark.any():
+        dv_dc = np.where(dark[..., None], 0.0, dv_dc)
+        di_dc = np.where(dark[..., None], 0.0, di_dc)
+    return dv_dc, di_dc
 
 
 def simulate_array_mpp(params: SdmParamsRef, topo: ArrayTopology,

@@ -5,12 +5,15 @@ scalar math and brute-force searches (bisection, dense scans, quadrature),
 so it shares no solver code with the library under test.  The telemetry
 reader's reference parses one record at a time, as a dict, with the
 standard library's own number and ISO-8601 parsers.  The JSON writer's
-reference emits one value per recursive call.
+reference emits one value per recursive call.  The quality filters'
+references scan each day's records one at a time and fit the screening
+lines with ``np.polyfit``.
 """
 
 import csv
 import json
 import math
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -340,3 +343,64 @@ def _emit_per_item(obj, out, indent):
         out.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def clipping_per_record(timestamp, g_poa, power, night, p_ac_limit=None,
+                        band=0.005, run_min=3):
+    """Clipping flags as ``preprocess.filter_clipping`` defines them, from a
+    per-day scan of one record at a time: a run of at least ``run_min``
+    rising-irradiance, non-night records within ``band`` of the day's
+    running maximum so far, expanded to the contiguous records within
+    ``band`` of the run's highest power."""
+    if p_ac_limit is not None:
+        return power >= 0.98 * p_ac_limit
+    clipped = np.zeros(power.size, dtype=bool)
+    days = timestamp.astype("datetime64[D]")
+    for day in np.unique(days):
+        sel = np.flatnonzero(days == day)
+        pd, gd = power[sel], g_poa[sel]
+        cand = []
+        running = None
+        for k in range(sel.size):
+            prev_max = 0.0 if running is None else running
+            cand.append(
+                k > 0 and not night[sel[k]] and gd[k] > gd[k - 1]
+                and prev_max > 0
+                and (1.0 - band) * prev_max <= pd[k]
+                <= (1.0 + band) * prev_max)
+            running = pd[k] if running is None else max(running, pd[k])
+        start = None
+        for k in range(sel.size + 1):
+            on = k < sel.size and cand[k]
+            if on and start is None:
+                start = k
+            elif not on and start is not None:
+                if k - start >= run_min:
+                    level = float(max(pd[start:k]))
+                    a, b = start, k
+                    while a > 0 and abs(pd[a - 1] - level) <= band * level:
+                        a -= 1
+                    while b < sel.size and abs(pd[b] - level) <= band * level:
+                        b += 1
+                    clipped[sel[a:b]] = True
+                start = None
+    return clipped
+
+
+def polyfit_outliers(x, y, k_sigma):
+    """Outlier flags of one screening regression fitted by ``np.polyfit``,
+    and which records sit within 1e-9 residual deviations of the threshold,
+    where rounding may decide the flag.
+
+    On a flat regressor polyfit warns that the fit is rank-deficient and
+    returns its minimum-norm line, which is the mean of ``y``.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.RankWarning)
+        coef = np.polyfit(x, y, 1)
+    resid = y - np.polyval(coef, x)
+    sigma = float(np.sqrt(np.sum(resid ** 2) / max(x.size - 2, 1)))
+    if sigma <= 1e-9 * (float(np.std(y)) + 1e-30):
+        return np.zeros(x.size, dtype=bool), np.zeros(x.size, dtype=bool)
+    margin = np.abs(resid) - k_sigma * sigma
+    return margin > 0, np.abs(margin) <= 1e-9 * sigma

@@ -301,15 +301,16 @@ _WINDOW = fitting.FitWindowResult(
 
 class TestInterpretabilitySweep:
     def test_physical_model_ignores_hour(self, topo, datasheet):
-        res = analysis.interpretability_sweep(CSI_PARAMS, "hod", (0.0, 1.0),
-                                              topo=topo, datasheet=datasheet)
+        res = analysis.interpretability_sweep(
+            CSI_PARAMS, {"hod": (0.0, 1.0)}, topo=topo,
+            datasheet=datasheet)["hod"]
         curve = res.groups["curves"]["model"]
         assert np.allclose(curve, curve[0], rtol=1e-12)
 
     def test_reference_irradiance_sweep_endpoint(self, topo, datasheet):
         res = analysis.interpretability_sweep(
-            CSI_PARAMS, "g_poa", (0.0, 1000.0), topo=topo, datasheet=None,
-            reference_params=CSI_PARAMS)
+            CSI_PARAMS, {"g_poa": (0.0, 1000.0)}, topo=topo, datasheet=None,
+            reference_params=CSI_PARAMS)["g_poa"]
         curve = res.groups["curves"]["reference"]
         stc = sdm.translate_to_operating(
             CSI_PARAMS, sdm.OperatingConditions(1000.0, 25.0), CELLS)
@@ -321,7 +322,8 @@ class TestInterpretabilitySweep:
 
     def test_temperature_sweep_matches_scan_oracle(self, topo):
         res = analysis.interpretability_sweep(
-            CSI_PARAMS, "t_module", (0.0, 80.0), topo=topo, n_points=9)
+            CSI_PARAMS, {"t_module": (0.0, 80.0)}, topo=topo,
+            n_points=9)["t_module"]
         grid = res.groups["grid"]
         curve = res.groups["curves"]["model"]
         assert np.all(np.diff(curve) < 0)
@@ -343,8 +345,8 @@ class TestInterpretabilitySweep:
         t = 20 + g / 800 * 28 + rng.uniform(-5, 5, 300)  # break collinearity
         X = baselines.feature_matrix(ts, g, t)
         model = baselines.train_regressor("linear", X, 30.0 * g, {"lam": 1e-9})
-        res = analysis.interpretability_sweep(model, "g_poa", (100.0, 1000.0),
-                                              n_points=11)
+        res = analysis.interpretability_sweep(
+            model, {"g_poa": (100.0, 1000.0)}, n_points=11)["g_poa"]
         assert res.groups["curves"]["model"][-1] == pytest.approx(30_000.0,
                                                                   rel=1e-6)
 
@@ -352,14 +354,38 @@ class TestInterpretabilitySweep:
         for feature, rng in (("g_poa", (0.0, 1000.0)),
                              ("t_module", (0.0, 80.0)), ("hod", (0.0, 1.0))):
             got, want = (analysis.interpretability_sweep(
-                model, feature, rng, topo=topo, datasheet=datasheet,
-                reference_params=CSI_PARAMS, n_points=7).groups
+                model, {feature: rng}, topo=topo, datasheet=datasheet,
+                reference_params=CSI_PARAMS, n_points=7)[feature].groups
                 for model in (_WINDOW, _WINDOW.params))
             np.testing.assert_array_equal(got["grid"], want["grid"])
             assert got["curves"].keys() == want["curves"].keys()
             for key in want["curves"]:
                 np.testing.assert_array_equal(got["curves"][key],
                                               want["curves"][key])
+
+    def test_every_curve_comes_from_one_solve(self, monkeypatch, topo,
+                                              datasheet):
+        ranges = {"g_poa": (0.0, 1000.0), "t_module": (0.0, 80.0),
+                  "hod": (0.0, 1.0)}
+        alone = {feature: analysis.interpretability_sweep(
+                     _WINDOW, {feature: rng}, topo=topo, datasheet=datasheet,
+                     reference_params=CSI_PARAMS)[feature]
+                 for feature, rng in ranges.items()}
+        solves = count_calls(monkeypatch, fitting, "simulate_power")
+        together = analysis.interpretability_sweep(
+            _WINDOW, ranges, topo=topo, datasheet=datasheet,
+            reference_params=CSI_PARAMS)
+        assert len(solves) == 1
+        assert list(together) == list(ranges)
+        for feature, result in together.items():
+            assert result.groups["feature"] == feature
+            np.testing.assert_array_equal(result.groups["grid"],
+                                          alone[feature].groups["grid"])
+            assert list(result.groups["curves"]) == ["model", "reference"]
+            for key, curve in result.groups["curves"].items():
+                # each row of the MPP solve stops on its own: bit-identical
+                np.testing.assert_array_equal(
+                    curve, alone[feature].groups["curves"][key])
 
     @pytest.mark.parametrize("model, varied, with_topo", [
         ("lr", "g_poa", True),                  # a roster name, not a model
@@ -371,8 +397,8 @@ class TestInterpretabilitySweep:
                                         with_topo):
         with pytest.raises(ConfigError):
             analysis.interpretability_sweep(
-                model, varied, (0.0, 1.0), topo=topo if with_topo else None,
-                n_points=3)
+                model, {varied: (0.0, 1.0)},
+                topo=topo if with_topo else None, n_points=3)
 
 
 def _training_slices(calls):

@@ -88,8 +88,8 @@ def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet,
     assert report.trajectory[-1].error is not None
     last_fit = [fit for fit in report.trajectory if fit.error is None][-1]
     expected = analysis.interpretability_sweep(
-        last_fit, "g_poa", (0.0, 1000.0), topo=topo, datasheet=ds,
-        reference_params=ds.desoto_params)
+        last_fit, {"g_poa": (0.0, 1000.0)}, topo=topo, datasheet=ds,
+        reference_params=ds.desoto_params)["g_poa"]
     np.testing.assert_array_equal(
         report.studies["sweep"]["g_poa"]["curves"]["model"],
         expected.groups["curves"]["model"])

@@ -126,7 +126,8 @@ class TestLoss:
                 rng.uniform(0.1, 0.8), 10 ** rng.uniform(2.0, 3.5),
                 rng.uniform(0.9, 1.4)]))
             solved = fitting._simulate(x, retained, topo, datasheet)
-            jac = fitting._jacobian(solved, retained, topo, datasheet)
+            jac = fitting._jacobian(solved, retained, topo,
+                                    datasheet).reshape(-1, 5)
             five = five_point_gradient(f, x)
             assert jac.shape == five.shape == (2 * len(retained), 5)
             scale = np.maximum(np.abs(five),
@@ -154,7 +155,7 @@ class TestLoss:
                                 retained.v_dc, retained.i_dc)
         x = fitting._to_transformed(CSI_PARAMS.as_array())
         jac = fitting._jacobian(fitting._simulate(x, nan_g, topo, datasheet),
-                                nan_g, topo, datasheet)
+                                nan_g, topo, datasheet).reshape(-1, 5)
         finite = np.isfinite(jac).all(axis=1)
         assert np.flatnonzero(~finite).tolist() == [k, len(retained) + k]
 
@@ -291,7 +292,8 @@ def window_problem(batch, x, accepted=None):
         one = fitting._simulate(x[k], window, batch.topo, batch.datasheet)
         res = fitting._residuals(x[k], window, batch.topo, batch.datasheet,
                                  one)
-        jac = fitting._jacobian(one, window, batch.topo, batch.datasheet)
+        jac = fitting._jacobian(one, window, batch.topo,
+                                batch.datasheet).reshape(-1, 5)
         if batch.weight[k] > 0.0:
             res = np.append(res, batch.prior(x)[k])
             jac = np.vstack([jac, batch.weight[k] * np.eye(5)[shunt]])
@@ -406,7 +408,7 @@ def trf_fit(window, topo, init, datasheet):
 
     def jac(x):
         j = fitting._jacobian(fitting._simulate(x, window, topo, datasheet),
-                              window, topo, datasheet)
+                              window, topo, datasheet).reshape(-1, 5)
         return np.vstack([j, prior_row]) if weight else j
 
     res = least_squares(fun, x0, jac=jac, method="trf",

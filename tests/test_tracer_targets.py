@@ -237,7 +237,8 @@ def test_a_pvpro_run_without_studies_calls_the_traced_layers(monkeypatch,
                                                              topo,
                                                              datasheet):
     # dayahead_rolling's shape: perfbench expects spans of the prediction
-    # and of the masks there too
+    # and of the masks there too, and every mask's clipping filter runs
+    # through its module name, where the tracer wraps it
     series, _ = synth.generate_dataset(
         CSI_PARAMS, topo, synth.WeatherProfile(days=6, seed=3),
         alpha_isc=ALPHA_ISC)
@@ -248,10 +249,12 @@ def test_a_pvpro_run_without_studies_calls_the_traced_layers(monkeypatch,
             "seasonal", "weather_cases", "sweep", "training_length",
             "exceedance")}})
     masks = _count_masks(monkeypatch)
+    clipping = count_calls(monkeypatch, preprocess, "filter_clipping")
     solves = count_calls(monkeypatch, fitting, "simulate_power")
     report = run_benchmark(config, series)
     assert len(report.trajectory) == 3
     assert len(masks) == 3
+    assert len(clipping) == 3
     assert len(solves) == 1
 
 
