@@ -23,8 +23,9 @@ retained = series.select(mask.retained)
 print(f"fitting on {len(retained)} retained records "
       f"({len(series) - len(retained)} filtered out)")
 
-init = initial_guess(datasheet)
-result = fit_window(retained, topo, init, datasheet)
+# every fit starts from the datasheet's parameters
+start = initial_guess(datasheet)
+result = fit_window(retained, topo, datasheet)
 print(f"converged={result.converged} after {result.iterations} iterations, "
       f"loss {result.final_loss:.3e}")
 
@@ -33,7 +34,7 @@ print(f"{'parameter':>10} {'datasheet':>12} {'true':>12} "
 for name in PARAM_NAMES:
     true = getattr(degraded, name)
     rec = getattr(result.params, name)
-    print(f"{name:>10} {getattr(init, name):12.4g} {true:12.4g} "
+    print(f"{name:>10} {getattr(start, name):12.4g} {true:12.4g} "
           f"{rec:12.4g} {abs(rec - true) / true:8.1%}")
 print("\nNote: photocurrent, series resistance and ideality are well")
 print("determined by noisy MPP-only data; saturation current trades off")

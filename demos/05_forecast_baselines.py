@@ -8,9 +8,8 @@ datasheet model, smart and naive persistence, and the two regressors.
 from pvprof import (ArrayTopology, SdmParamsRef, WeatherProfile,
                     apply_quality_pipeline, compute_metrics, feature_matrix,
                     fit_desoto_from_datasheet, fit_window, generate_dataset,
-                    initial_guess, naive_persistence, predict_regressor,
-                    simulate_power, smart_persistence, synthesize_datasheet,
-                    train_regressor)
+                    naive_persistence, predict_regressor, simulate_power,
+                    smart_persistence, synthesize_datasheet, train_regressor)
 from pvprof.series import DAY, WeatherSeries
 
 truth = SdmParamsRef(9.5 * 0.9, 3e-10, 0.35 * 1.2, 400.0, 1.1)  # degraded
@@ -36,8 +35,7 @@ predictions = {}
 # dynamic physical model: re-fit on the trailing 3 days
 window = history.slice_time(day_start - 3 * DAY, day_start)
 mask = apply_quality_pipeline(window)
-fit = fit_window(window.select(mask.retained), topo,
-                 initial_guess(datasheet), datasheet)
+fit = fit_window(window.select(mask.retained), topo, datasheet)
 predictions["pvpro"] = simulate_power(fit.params, test.g_poa, test.t_module,
                                       topo, alpha_isc=0.004)
 

@@ -144,9 +144,7 @@ def train_model(name, trains, *, topo, datasheet, hyperparams=None,
     ``lr``/``kr`` a ``RegressorModel`` per slice.
     """
     if name == "pvpro":
-        init = fitting.initial_guess(datasheet)
-        return fitting.fit_windows(trains, topo, [init] * len(trains),
-                                   datasheet, solved)
+        return fitting.fit_windows(trains, topo, datasheet, solved)
     if name == "nominal":
         return [datasheet.desoto_params for _ in trains]
     if name in REGRESSOR_FAMILIES:

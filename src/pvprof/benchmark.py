@@ -167,7 +167,8 @@ class RunConfig:
                                   f"got {days}")
             # whole seconds; a length past int64 raises OverflowError
             lengths[key] = np.timedelta64(int(days * 86400), "s")
-        # accepted for old configurations; every window fit starts cold
+        # accepted for old configurations; every window fit starts from
+        # the datasheet
         _flag(fit.get("warm_start", True), "fit.warm_start")
         models = tuple(raw.get("models", ("pvpro",)))
         if not models:
@@ -333,10 +334,10 @@ class _DayAheadRunner:
         self.selection: dict = {}
         self.grid_errors: dict = {}
 
-    def prepare(self, eval_start, day_starts, cold_windows):
+    def prepare(self, eval_start, day_starts, study_windows):
         """Select the regressors and fit the dynamic model's days; the
-        studies' ``cold_windows`` are solved in one batch with the days'
-        windows (see the module docstring)."""
+        studies' pvpro training windows, ``study_windows``, are solved in
+        one batch with the days' windows (see the module docstring)."""
         cfg = self.cfg
         if "nominal" in cfg.models:
             # extract up front: an infeasible datasheet fails the run here
@@ -357,9 +358,7 @@ class _DayAheadRunner:
             except (InsufficientDataError, NumericalError) as exc:
                 self.grid_errors[name] = f"grid search failed: {exc}"
         if "pvpro" in cfg.models:
-            if cold_windows:
-                self.solved.plan(cold_windows, [fitting.initial_guess(
-                    cfg.datasheet)] * len(cold_windows))
+            self.solved.plan(study_windows)
             self.day_fits = dict(zip(day_starts, fitting.rolling_fit(
                 self.series, cfg.topology, cfg.window_length, day_starts,
                 cfg.datasheet, cfg.preprocess, self.solved, self.windows)))
@@ -456,24 +455,24 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
     # each study's slices, or its error, sliced once; pvpro fits every
     # training slice of them from the datasheet's initial guess
     pools = lengths = None
-    cold_windows = []
+    study_windows = []
     if config.studies.get("weather_cases"):
         pools = _sliced(analysis.weather_pools, series,
                         _day_labels(series, ground_truth,
                                     config.preprocess.g_min),
                         config.preprocess)
         if not isinstance(pools, Exception):
-            cold_windows += pools[0].values()
+            study_windows += pools[0].values()
     if config.studies.get("training_length") and trainable:
         lengths = _sliced(analysis.training_length_windows, series,
                           config.grid_spec.training_lengths_days,
                           preprocess=config.preprocess, windows=windows)
         if not isinstance(lengths, Exception):
-            cold_windows += [window for slices in lengths[1].values()
-                             if slices is not None for window in slices]
+            study_windows += [window for slices in lengths[1].values()
+                              if slices is not None for window in slices]
     day_starts = [day.astype("datetime64[s]") for day in eval_days]
     runner = _DayAheadRunner(config, series, windows)
-    runner.prepare(eval_start, day_starts, cold_windows)
+    runner.prepare(eval_start, day_starts, study_windows)
     tests = [series.slice_time(day_start, day_start + DAY)
              for day_start in day_starts]
     weathers = [WeatherSeries.from_telemetry(test) for test in tests]

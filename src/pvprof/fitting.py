@@ -25,14 +25,15 @@ windows before: a relative cost reduction below 1e-10, a step below 1e-8
 of the point's norm, or a bound-scaled gradient below 1e-8.  Iterates stay
 strictly inside the box.
 
-A few days of MPP data barely constrain the shunt, so each fit adds one
-prior row on log10 ``r_sh_ref``: half a decade wide, centred on the fit's
-own start, weighted by a noise estimate from the start's residuals; the
-result says when the prior, not the data, set the shunt
-(``FitWindowResult.shunt_from_prior``).
+Every fit starts from the datasheet's initial guess (``initial_guess``),
+so a fit depends only on its window and its system: each periodic update
+is a fresh estimate.  A few days of MPP data barely constrain the shunt, so
+each fit adds one prior row on log10 ``r_sh_ref``: half a decade wide,
+centred on the datasheet extraction, weighted by a noise estimate from the
+start's residuals; the result says when the prior, not the data, set the
+shunt (``FitWindowResult.shunt_from_prior``).
 ``rolling_fit``, the one re-fitting loop of ``pvprof fit`` and the
-benchmark, fits the window ``[end - length, end)`` before each given end,
-each from the datasheet's initial guess: a fit stands on its own window.
+benchmark, fits the window ``[end - length, end)`` before each given end.
 It reads its slices from the run's ``preprocess.TrainingWindows`` and plans
 them on the run's ``SolvedWindows``, which keeps fits by window content: its
 first fit solves every window of the run in one batch, each distinct once.
@@ -101,8 +102,8 @@ class FitWindowResult:
     ``final_loss`` is the data term of ``loss`` at ``params``, without the
     shunt prior.  ``shunt_from_prior`` is set when the prior supplied over
     half of the curvature in log10 ``r_sh_ref`` (or the curvature matrix
-    was singular): the fitted shunt then reflects the start more than the
-    data.  ``iterations`` counts Jacobian evaluations.
+    was singular): the fitted shunt then reflects the datasheet more than
+    the data.  ``iterations`` counts Jacobian evaluations.
     """
 
     window_start: np.datetime64
@@ -117,7 +118,7 @@ class FitWindowResult:
 
 
 def initial_guess(datasheet) -> sdm.SdmParamsRef:
-    """Starting parameters for the first fit of a system.
+    """Starting parameters of every window fit of a system.
 
     Delegates to the datasheet extraction (``Datasheet.desoto_params``,
     computed once per datasheet); if that fails to converge, falls
@@ -260,7 +261,8 @@ class _Evaluation(NamedTuple):
 
 class _Batch:
     """The records of independent windows, stacked window after window,
-    and the shunt prior row of each window.
+    and the shunt prior row of each window: its own weight, and the one
+    centre of every window, the start's log10 ``r_sh_ref``.
 
     ``active`` is a boolean mask over the windows; an evaluation solves the
     records of the active windows only, in window order, and every sum runs
@@ -276,7 +278,7 @@ class _Batch:
             for name in ("timestamp", "g_poa", "t_module", "v_dc", "i_dc")))
         # the prior row w*(log10 r_sh_ref - c) of each window; w = 0 is none
         self.weight = np.zeros(len(windows))
-        self.centre = np.zeros(len(windows))
+        self.centre = 0.0
 
     def record_mask(self, active):
         """Which stacked records belong to the ``active`` windows."""
@@ -345,8 +347,7 @@ def _check_window(window: TelemetrySeries):
         raise InsufficientDataError("window must span at least one day")
 
 
-def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
-               init: sdm.SdmParamsRef, datasheet,
+def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology, datasheet,
                solved=None) -> FitWindowResult:
     """Fit the five parameters to one window of retained telemetry.
 
@@ -354,15 +355,14 @@ def fit_window(window: TelemetrySeries, topo: sdm.ArrayTopology,
     solver, the stop rules, the prior row and ``solved``.  ``rolling_fit``
     fits each of its windows through here.
     """
-    return fit_windows([window], topo, [init], datasheet, solved)[0]
+    return fit_windows([window], topo, datasheet, solved)[0]
 
 
-def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet,
-                solved=None):
+def fit_windows(windows, topo: sdm.ArrayTopology, datasheet, solved=None):
     """Fit the five parameters to each of independent windows of retained
     telemetry, one ``FitWindowResult`` per window.
 
-    Each window starts from its own entry of ``inits``, clipped into
+    Every window starts from ``initial_guess(datasheet)``, clipped into
     ``default_bounds(datasheet.i_sc)``; a start within 1e-10 (relative) of
     a bound is moved that far inside.  The solver is a projected
     Levenberg-Marquardt method on the residual vector in the transformed
@@ -370,10 +370,10 @@ def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet,
     normal equations ``(JᵀJ + lam*c*I) dx = -Jᵀr``, ``c`` the largest
     diagonal entry of JᵀJ; a component that would reach a bound is held at
     0.995 of its distance and the others solved again, so every solved
-    point lies strictly inside the box.  A step that lowers the cost is accepted, and
-    the Jacobian is taken there from the solve just done; a step that does
-    not, or whose residuals are not finite, is rejected and the damping
-    raised.  The damping follows Nielsen's gain-ratio rule.
+    point lies strictly inside the box.  A step that lowers the cost is
+    accepted, and the Jacobian is taken there from the solve just done; a
+    step that does not, or whose residuals are not finite, is rejected and
+    the damping raised.  The damping follows Nielsen's gain-ratio rule.
 
     A window stops, ``converged``, at the first of scipy
     ``least_squares``' tolerance stops: an accepted step whose relative cost
@@ -384,35 +384,33 @@ def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet,
     Jacobians, the one at the final point included.
 
     One prior row ``w*(log10 r_sh_ref - c)`` joins the data residuals: ``c``
-    is the clipped start (the datasheet's initial guess in a rolling fit)
-    and ``w = s/0.5``, a half-decade width scaled by the noise ``s``
-    estimated once from successive differences of the residuals at the
-    start.  A noiseless window (``s = 0``) fits without it.
+    is the clipped start's, the same for every window, and ``w = s/0.5``, a
+    half-decade width scaled by the window's noise ``s``, estimated once
+    from successive differences of its residuals at the start.  A noiseless
+    window (``s = 0``) fits without it.
     ``final_loss`` is the data term alone; ``shunt_from_prior`` is set when
     the prior supplies over half of the curvature in log10 ``r_sh_ref`` at
     the result.
 
     Every evaluation stacks the records of the windows still running into
     one MPP solve, and a window's result does not depend on the other
-    windows in the batch.  Every record must be solvable at a window's
-    start.  If any window fails, the error of the lowest-index failing
-    window is raised: ``InsufficientDataError`` for fewer than 50 records
-    or a span under a day, ``NumericalError`` for non-finite residuals at
-    the start or non-finite MPP sensitivities at an accepted point.  A batch
-    of one window, ``fit_window``, takes this same path.
+    windows in the batch.  Every record must be solvable at the start.  If
+    any window fails, the error of the lowest-index failing window is
+    raised: ``InsufficientDataError`` for fewer than 50 records or a span
+    under a day, ``NumericalError`` for non-finite residuals at the start
+    or non-finite MPP sensitivities at an accepted point.  A batch of one
+    window, ``fit_window``, takes this same path.
 
     The windows are solved through ``solved``, a ``SolvedWindows`` of this
     system (a new one when None): a window it holds is not solved again,
     and the rest are solved in one batch with the windows planned on it.
     """
-    windows, inits = list(windows), list(inits)
-    if len(inits) != len(windows):
-        raise ConfigError(f"{len(windows)} windows but {len(inits)} starts")
+    windows = list(windows)
     if solved is None:
         solved = SolvedWindows(topo, datasheet)
     elif (solved.topo, solved.datasheet) != (topo, datasheet):
         raise ConfigError("the solved windows belong to another system")
-    outcomes = solved.solve(windows, inits)
+    outcomes = solved.solve(windows)
     for outcome in outcomes:
         if isinstance(outcome, PvprofError):
             # the record keeps one error object for every consumer: each
@@ -421,27 +419,27 @@ def fit_windows(windows, topo: sdm.ArrayTopology, inits, datasheet,
     return outcomes
 
 
-def _window_key(window: TelemetrySeries, init: sdm.SdmParamsRef):
+def _window_key(window: TelemetrySeries):
     # the bytes of the five record arrays (``TelemetrySeries`` fixes their
-    # dtypes) and of the start: windows with equal keys are the same fit.
-    # A dict compares these bytes, not only their hashes
+    # dtypes): windows with equal keys are the same fit.  A dict compares
+    # these bytes, not only their hashes
     return tuple(getattr(window, name).tobytes() for name in (
-        "timestamp", "g_poa", "t_module", "v_dc", "i_dc")) + (
-        init.as_array().tobytes(),)
+        "timestamp", "g_poa", "t_module", "v_dc", "i_dc"))
 
 
 class SolvedWindows:
     """The window fits of one system, each distinct window solved once.
 
-    Two windows are the same fit when their five record arrays and their
-    starts are equal byte for byte.  ``plan`` names windows whose fits are
-    wanted later; the next ``solve`` fits them together with its own new
-    windows in one batch of ``fit_windows``' solver.  A window's outcome is
-    its ``FitWindowResult`` or the ``InsufficientDataError`` or
-    ``NumericalError`` its fit raises; by the batch independence of
-    ``fit_windows`` it does not depend on the windows solved with it.
-    Keep one for the fits of one run, and pass it to them: a record that
-    outlived its run would answer the next run's fits from memory.
+    Every fit starts from the system's datasheet, so two windows are the
+    same fit when their five record arrays are equal byte for byte.
+    ``plan`` names windows whose fits are wanted later; the next ``solve``
+    fits them together with its own new windows in one batch of
+    ``fit_windows``' solver.  A window's outcome is its ``FitWindowResult``
+    or the ``InsufficientDataError`` or ``NumericalError`` its fit raises;
+    by the batch independence of ``fit_windows`` it does not depend on the
+    windows solved with it.  Keep one for the fits of one run, and pass it
+    to them: a record that outlived its run would answer the next run's
+    fits from memory.
     """
 
     def __init__(self, topo: sdm.ArrayTopology, datasheet):
@@ -450,33 +448,31 @@ class SolvedWindows:
         self._outcomes = {}
         self._planned = {}
 
-    def plan(self, windows, inits):
-        """Solve ``windows`` from ``inits`` with the next ``solve``."""
-        for window, init in zip(windows, inits):
-            key = _window_key(window, init)
+    def plan(self, windows):
+        """Solve ``windows`` with the next ``solve``."""
+        for window in windows:
+            key = _window_key(window)
             if key not in self._outcomes:
-                self._planned[key] = (window, init)
+                self._planned[key] = window
 
-    def solve(self, windows, inits):
-        """The outcome of each window from its start, in order.  The
-        windows not held yet and the planned ones are checked, and the
-        valid ones solved in one batch."""
-        self.plan(windows, inits)
+    def solve(self, windows):
+        """The outcome of each window, in order.  The windows not held yet
+        and the planned ones are checked, and the valid ones solved in one
+        batch."""
+        self.plan(windows)
         pending, self._planned = self._planned, {}
         batch = {}
-        for key, (window, init) in pending.items():
+        for key, window in pending.items():
             try:
                 _check_window(window)
             except InsufficientDataError as exc:
                 self._outcomes[key] = exc
             else:
-                batch[key] = (window, init)
+                batch[key] = window
         if batch:
-            new_windows, new_inits = zip(*batch.values())
             self._outcomes.update(zip(batch, _solve(
-                new_windows, self.topo, new_inits, self.datasheet)))
-        return [self._outcomes[_window_key(window, init)]
-                for window, init in zip(windows, inits)]
+                list(batch.values()), self.topo, self.datasheet)))
+        return [self._outcomes[_window_key(window)] for window in windows]
 
 
 # a window's state in ``_solve``: still running, stopped by a tolerance
@@ -484,7 +480,7 @@ class SolvedWindows:
 _RUNNING, _CONVERGED, _CAPPED, _FAILED = range(4)
 
 
-def _solve(windows, topo, inits, datasheet):
+def _solve(windows, topo, datasheet):
     """The batched solver of ``fit_windows``: one ``FitWindowResult`` or
     ``NumericalError`` per window."""
     bounds = default_bounds(datasheet.i_sc)
@@ -494,10 +490,11 @@ def _solve(windows, topo, inits, datasheet):
     inside = np.nextafter(lo, hi), np.nextafter(hi, lo)
     batch = _Batch(windows, topo, datasheet)
     n = len(windows)
-    x = _to_transformed(np.clip([p.as_array() for p in inits], lo_nat,
-                                hi_nat))
-    batch.centre = x[:, _SHUNT].copy()
-    x = _strictly_inside(x, lo, hi)
+    # the module global, so that a wrapper bound to it sees the call
+    start = _to_transformed(np.clip(initial_guess(datasheet).as_array(),
+                                    lo_nat, hi_nat))
+    batch.centre = start[_SHUNT]
+    x = np.tile(_strictly_inside(start, lo, hi), (n, 1))
 
     status = np.full(n, _RUNNING)
     errors = [None] * n
@@ -717,12 +714,11 @@ def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
     The slices come from ``windows``, the run's ``TrainingWindows`` of
     ``series`` and ``preprocess`` (a new one when None), so a window that
     another reader of the run has masked is not masked again.  Every window
-    starts from ``initial_guess(datasheet)`` and is planned on ``solved``,
-    the run's ``SolvedWindows`` (a new one when None), so the first fit
-    solves all of them, with any planned before, in one batch.  A failed
-    window, in its masking or its fit, is recorded, not raised: its
-    ``error``, the initial guess, a NaN loss, 0 iterations, and its records
-    before masking.
+    is planned on ``solved``, the run's ``SolvedWindows`` (a new one when
+    None), so the first fit solves all of them, with any planned before, in
+    one batch.  A failed window, in its masking or its fit, is recorded,
+    not raised: its ``error``, the initial guess, a NaN loss, 0 iterations,
+    and its records before masking.
     """
     series.validate()
     windows = TrainingWindows.of(series, preprocess, windows)
@@ -733,14 +729,13 @@ def rolling_fit(series: TelemetrySeries, topo: sdm.ArrayTopology,
     for end in window_ends:
         # a masking error is read again, and recorded, by the fit below
         with contextlib.suppress(InsufficientDataError):
-            solved.plan([windows.get(end, window_length)], [guess])
+            solved.plan([windows.get(end, window_length)])
     results = []
     for end in window_ends:
         start = end - window_length
         try:
             retained = windows.get(end, window_length)
-            result = replace(fit_window(retained, topo, guess, datasheet,
-                                        solved),
+            result = replace(fit_window(retained, topo, datasheet, solved),
                              window_start=start, window_end=end)
         except (InsufficientDataError, NumericalError) as exc:
             result = FitWindowResult(

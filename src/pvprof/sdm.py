@@ -251,8 +251,10 @@ def open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a):
     Newton iteration from min(a*log1p(i_ph/i_0), i_ph*r_sh), two upper
     bounds of the root; the residual is concave and decreasing, so the
     iterates descend monotonically onto it.  Zero photocurrent gives 0 V.
-    Rows stop when a step moves them by at most 1e-14*(1+vd) volts;
-    non-finite rows propagate as NaN/inf and never hold the loop.
+    A row stops, and is frozen at that step's vd, once a step moves it by
+    at most 1e-14*(1+vd) volts, so its result does not depend on the other
+    rows it is solved with; non-finite rows propagate as NaN/inf and never
+    hold the loop.
 
     Raises
     ------
@@ -260,16 +262,19 @@ def open_circuit_diode_voltage_arrays(i_ph, i_0, r_sh, a):
         If finite rows still move at the iteration cap; carries their inputs.
     """
     i_ph, i_0, r_sh, a = _broadcast(i_ph, i_0, r_sh, a)
-    vd = _open_circuit_upper_bound(i_ph, i_0, r_sh, a)
+    # an array even for scalar inputs, so the loop can update it in place
+    vd = np.array(_open_circuit_upper_bound(i_ph, i_0, r_sh, a))
+    pending = np.ones(vd.shape, dtype=bool)
     for _ in range(_OC_MAX_ITER):
         # expm1, not exp - 1, which cancels to zero where vd << a
         em1 = np.expm1(np.minimum(vd / a, _EXP_CAP))
         resid = i_ph - i_0 * em1 - vd / r_sh
         slope = -i_0 * (em1 + 1.0) / a - 1.0 / r_sh
         vd_new = np.maximum(vd - resid / slope, 0.0)
-        # NaN compares False, so non-finite rows are never pending
-        pending = np.abs(vd_new - vd) > 1e-14 * (1.0 + vd)
-        vd = vd_new
+        # NaN compares False, so a non-finite row stops with its first step
+        moved = np.abs(vd_new - vd) > 1e-14 * (1.0 + vd)
+        np.copyto(vd, vd_new, where=pending)
+        pending &= moved
         if not pending.any():
             return vd
     raise SolverError(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pvprof import ArrayTopology, SdmParamsRef, synthesize_datasheet
+from pvprof import ArrayTopology, SdmParamsRef, fitting, synthesize_datasheet
 
 # property tests draw the same examples on every run and stay bounded in time
 settings.register_profile("pvprof", derandomize=True, deadline=None,
@@ -59,3 +59,9 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def start_fits_from(monkeypatch, params):
+    """Start every window fit of the test from ``params``: a fit takes its
+    start from ``fitting.initial_guess``."""
+    monkeypatch.setattr(fitting, "initial_guess", lambda datasheet: params)

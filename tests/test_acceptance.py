@@ -90,9 +90,8 @@ def test_c02_noiseless_recovery(datasheet):
                                            alpha_isc=ALPHA_ISC)
         mask = preprocess.apply_quality_pipeline(series)
         retained = series.select(mask.retained)
-        init = fitting.initial_guess(datasheet)
         start = time.perf_counter()
-        result = fitting.fit_window(retained, TOPO, init, datasheet)
+        result = fitting.fit_window(retained, TOPO, datasheet)
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"fit took {elapsed:.2f} s"
         assert result.converged
@@ -105,7 +104,6 @@ def test_c02_noiseless_recovery(datasheet):
 def test_c03_noisy_recovery(datasheet):
     with criterion(3, "0.5% noise, 10 seeds: median errors iph/rs/n <= 5%, "
                       "i0 within one decade with Voc consistent to 0.5%"):
-        init = fitting.initial_guess(datasheet)
         stc = sdm.OperatingConditions(1000.0, 25.0)
         voc_true = sdm.open_circuit_voltage(
             sdm.translate_to_operating(CSI_PARAMS, stc, CELLS))
@@ -119,7 +117,7 @@ def test_c03_noisy_recovery(datasheet):
                                                alpha_isc=ALPHA_ISC)
             mask = preprocess.apply_quality_pipeline(series)
             result = fitting.fit_window(series.select(mask.retained), TOPO,
-                                        init, datasheet)
+                                        datasheet)
             fit = result.params
             errs.append(np.abs(fit.as_array() - CSI_PARAMS.as_array())
                         / CSI_PARAMS.as_array())

@@ -553,8 +553,7 @@ class TestTrainPredict:
 
     def test_physical_models_match_direct_calls(self, split, topo, datasheet):
         train, weather = split
-        fit = fitting.fit_window(train, topo, fitting.initial_guess(datasheet),
-                                 datasheet)
+        fit = fitting.fit_window(train, topo, datasheet)
         direct = {"pvpro": fit.params,
                   "nominal": baselines.fit_desoto_from_datasheet(datasheet)}
         for name, params in direct.items():

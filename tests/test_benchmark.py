@@ -53,14 +53,13 @@ def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet,
         "evaluation": {"start": str(days[1])}})
     report = run_benchmark(config, series)
     ds = config.datasheet
-    guess = fitting.initial_guess(ds)
     first_day, second_day = (d.astype("datetime64[s]") for d in days[1:3])
 
     # the day is skipped with the window fit's own error
     with pytest.raises(InsufficientDataError) as failure:
         fitting.fit_window(training_window(series, first_day, WINDOW,
                                            PreprocessConfig()),
-                           topo, guess, ds)
+                           topo, ds)
     assert report.daily["pvpro"][0] == {"day": str(days[1]),
                                         "skipped": str(failure.value)}
 
@@ -76,7 +75,7 @@ def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet,
     # the failed window leaves the next one's fit as it is alone
     cold = fitting.fit_window(training_window(series, second_day, WINDOW,
                                               PreprocessConfig()),
-                              topo, guess, ds)
+                              topo, ds)
     second = report.trajectory[1]
     assert second.error is None
     assert second.params == cold.params
@@ -199,10 +198,9 @@ def _studies_series(topo, seed, days=8):
         alpha_isc=ALPHA_ISC)
 
 
-def _fit_key(window, init):
-    return (tuple(getattr(window, name).tobytes() for name in (
-        "timestamp", "g_poa", "t_module", "v_dc", "i_dc")),
-        init.as_array().tobytes())
+def _fit_key(window):
+    return tuple(getattr(window, name).tobytes() for name in (
+        "timestamp", "g_poa", "t_module", "v_dc", "i_dc"))
 
 
 def test_every_cold_window_is_solved_once_in_one_batch(monkeypatch, topo,
@@ -212,16 +210,15 @@ def test_every_cold_window_is_solved_once_in_one_batch(monkeypatch, topo,
     batches = []
     original = fitting._solve
 
-    def recording(windows, topo, inits, datasheet):
-        batches.append([_fit_key(w, i) for w, i in zip(windows, inits)])
-        return original(windows, topo, inits, datasheet)
+    def recording(windows, topo, datasheet):
+        batches.append([_fit_key(w) for w in windows])
+        return original(windows, topo, datasheet)
 
     monkeypatch.setattr(fitting, "_solve", recording)
     report = run_benchmark(config, series, truth)
     assert "error" not in report.studies["weather_cases"]
     assert "error" not in report.studies["training_length"]
 
-    guess = fitting.initial_guess(config.datasheet)
     days = [training_window(series, fit.window_end, WINDOW,
                             PreprocessConfig()) for fit in report.trajectory]
     labels = {np.datetime64(truth.start_day, "D") + np.timedelta64(k, "D"):
@@ -230,7 +227,7 @@ def test_every_cold_window_is_solved_once_in_one_batch(monkeypatch, topo,
     _, lengths, _ = analysis.training_length_windows(series, (3,))
     every = (days + list(pools.values())
              + [w for ws in lengths.values() for w in ws])
-    keys = {_fit_key(w, guess) for w in every}
+    keys = {_fit_key(w) for w in every}
     # the runner's 4 days are also the sweep's last 4 windows: 12 fits,
     # 8 of them distinct
     assert len(days) == 4 and len(every) == 12 and len(keys) == 8
@@ -242,7 +239,6 @@ def test_every_cold_window_is_solved_once_in_one_batch(monkeypatch, topo,
 def test_failed_planned_window_leaves_the_others_and_each_error(topo,
                                                                 datasheet):
     series, _ = _studies_series(topo, seed=22)
-    guess = fitting.initial_guess(datasheet)
     ends = [np.datetime64("2024-06-05T00:00:00") + np.timedelta64(k, "D")
             for k in range(2)]
     windows = [training_window(series, end, WINDOW, PreprocessConfig())
@@ -252,31 +248,30 @@ def test_failed_planned_window_leaves_the_others_and_each_error(topo,
     broken = TelemetrySeries(w.timestamp, w.g_poa, w.t_module,
                              np.full(len(w), np.inf), w.i_dc)
     short = windows[2].select(slice(0, 30))
-    alone = [fitting.fit_window(w, topo, guess, datasheet)
+    alone = [fitting.fit_window(w, topo, datasheet)
              for w in (windows[0], windows[2])]
     errors = {}
     for bad in (broken, short):
         with pytest.raises((NumericalError, InsufficientDataError)) as exc:
-            fitting.fit_window(bad, topo, guess, datasheet)
+            fitting.fit_window(bad, topo, datasheet)
         errors[id(bad)] = exc.value
 
     solved = fitting.SolvedWindows(topo, datasheet)
-    solved.plan([broken, windows[2], short], [guess] * 3)
+    solved.plan([broken, windows[2], short])
     # the runner's first window is solved with the planned ones and, like
     # every window, exactly as it is alone
     rolled = fitting.rolling_fit(series, topo, WINDOW, ends, datasheet,
                                  solved=solved)
     assert rolled == fitting.rolling_fit(series, topo, WINDOW, ends,
                                          datasheet)
-    assert fitting.fit_windows([windows[0], windows[2]], topo, [guess] * 2,
-                               datasheet, solved) == alone
+    assert fitting.fit_windows([windows[0], windows[2]], topo, datasheet,
+                               solved) == alone
     # each consumer gets the error of its own lowest failing window, the
     # error it gets without the record
     for batch in ([windows[0], broken, short], [short, broken],
                   [windows[2], short]):
         with pytest.raises((NumericalError, InsufficientDataError)) as exc:
-            fitting.fit_windows(batch, topo, [guess] * len(batch),
-                                datasheet, solved)
+            fitting.fit_windows(batch, topo, datasheet, solved)
         first_bad = next(w for w in batch if w is broken or w is short)
         assert type(exc.value) is type(errors[id(first_bad)])
         assert str(exc.value) == str(errors[id(first_bad)])
@@ -292,12 +287,11 @@ def test_a_recorded_error_is_raised_with_a_fresh_traceback(topo, datasheet):
     series, _ = _studies_series(topo, seed=22)
     short = training_window(series, np.datetime64("2024-06-05T00:00:00"),
                             WINDOW, PreprocessConfig()).select(slice(0, 30))
-    guess = fitting.initial_guess(datasheet)
     solved = fitting.SolvedWindows(topo, datasheet)
     depths = []
     for _ in range(2):
         with pytest.raises(InsufficientDataError) as exc:
-            fitting.fit_windows([short], topo, [guess], datasheet, solved)
+            fitting.fit_windows([short], topo, datasheet, solved)
         depths.append(len(traceback.extract_tb(exc.value.__traceback__)))
     assert depths[0] == depths[1]
 

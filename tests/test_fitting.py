@@ -14,7 +14,7 @@ from pvprof import baselines, fitting, preprocess, sdm, synth
 from pvprof.exceptions import (ConfigError, FitDegeneracyError,
                                InsufficientDataError, NumericalError)
 from pvprof.series import TelemetrySeries
-from conftest import ALPHA_ISC, CELLS, CSI_PARAMS
+from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, start_fits_from
 from oracles import five_point_gradient, scan_mpp
 
 
@@ -144,7 +144,7 @@ class TestLoss:
         with pytest.raises(FitDegeneracyError):
             fitting.loss(CSI_PARAMS, broken, topo, datasheet)
         with pytest.raises(NumericalError):
-            fitting.fit_window(broken, topo, CSI_PARAMS, datasheet)
+            fitting.fit_window(broken, topo, datasheet)
         # a record the MPP solve cannot handle leaves no hole in the
         # Jacobian: its rows stay non-finite, which fails the fit
         # (``TestFitWindows.test_non_finite_sensitivities_fail_the_window``)
@@ -161,9 +161,11 @@ class TestLoss:
 
 
 class TestFitWindow:
-    def test_stationary_point_from_truth(self, noiseless, topo, datasheet):
+    def test_stationary_point_from_truth(self, noiseless, topo, datasheet,
+                                         monkeypatch):
         _, retained = noiseless
-        result = fitting.fit_window(retained, topo, CSI_PARAMS, datasheet)
+        start_fits_from(monkeypatch, CSI_PARAMS)
+        result = fitting.fit_window(retained, topo, datasheet)
         assert result.converged
         assert result.iterations <= fitting._MAX_EVALUATIONS
         assert result.final_loss < 1e-12
@@ -176,8 +178,7 @@ class TestFitWindow:
                                  CSI_PARAMS.r_s * 1.3, CSI_PARAMS.r_sh_ref,
                                  CSI_PARAMS.n_diode)
         _, retained = make_window(params=truth, topo=topo)
-        init = fitting.initial_guess(datasheet)
-        result = fitting.fit_window(retained, topo, init, datasheet)
+        result = fitting.fit_window(retained, topo, datasheet)
         assert result.converged
         rel = np.abs(result.params.as_array() - truth.as_array()) \
             / truth.as_array()
@@ -187,9 +188,7 @@ class TestFitWindow:
         # the fit's solves start from the previous evaluation's; the loss of
         # the fitted parameters, solved cold, must be the loss it reports
         _, retained = make_window(noise=0.005, topo=topo, cloud_days=(1,))
-        result = fitting.fit_window(retained, topo,
-                                    fitting.initial_guess(datasheet),
-                                    datasheet)
+        result = fitting.fit_window(retained, topo, datasheet)
         assert result.converged and result.iterations > 5
         cold = fitting.loss(result.params, retained, topo, datasheet)
         assert cold == pytest.approx(result.final_loss, rel=1e-9)
@@ -201,9 +200,7 @@ class TestFitWindow:
                                  CSI_PARAMS.n_diode)
         _, retained = make_window(params=truth, topo=topo)
         monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 3)
-        result = fitting.fit_window(retained, topo,
-                                    fitting.initial_guess(datasheet),
-                                    datasheet)
+        result = fitting.fit_window(retained, topo, datasheet)
         assert result.converged is False
         assert result.iterations <= 3
         for name in fitting.PARAM_ORDER:
@@ -216,9 +213,7 @@ class TestFitWindow:
         for seed in range(3):
             _, retained = make_window(seed=seed, noise=0.005, topo=topo,
                                       cloud_days=(1,), day_length_hours=13.0)
-            result = fitting.fit_window(retained, topo,
-                                        fitting.initial_guess(datasheet),
-                                        datasheet)
+            result = fitting.fit_window(retained, topo, datasheet)
             errs.append(np.abs(result.params.as_array() - truth.as_array())
                         / truth.as_array())
         med = np.median(np.array(errs), axis=0)
@@ -228,7 +223,7 @@ class TestFitWindow:
         _, retained = noiseless
         with pytest.raises(InsufficientDataError):
             fitting.fit_window(retained.select(slice(0, 30)), topo,
-                               CSI_PARAMS, datasheet)
+                               datasheet)
 
     def test_non_finite_initial_loss(self, topo, datasheet, noiseless):
         _, retained = noiseless
@@ -237,22 +232,19 @@ class TestFitWindow:
                                  np.full(len(retained), np.inf),
                                  retained.i_dc)
         with pytest.raises(NumericalError):
-            fitting.fit_window(broken, topo, CSI_PARAMS, datasheet)
+            fitting.fit_window(broken, topo, datasheet)
 
     def test_deterministic(self, noiseless, topo, datasheet):
         _, retained = noiseless
-        init = fitting.initial_guess(datasheet)
-        r1 = fitting.fit_window(retained, topo, init, datasheet)
-        r2 = fitting.fit_window(retained, topo, init, datasheet)
+        r1 = fitting.fit_window(retained, topo, datasheet)
+        r2 = fitting.fit_window(retained, topo, datasheet)
         assert np.array_equal(r1.params.as_array(), r2.params.as_array())
         assert r1.final_loss == r2.final_loss
         assert r1.iterations == r2.iterations
 
     def test_params_stay_inside_bounds(self, topo, datasheet):
         _, retained = make_window(seed=9, noise=0.02, topo=topo)
-        result = fitting.fit_window(retained, topo,
-                                    fitting.initial_guess(datasheet),
-                                    datasheet)
+        result = fitting.fit_window(retained, topo, datasheet)
         for name in fitting.PARAM_ORDER:
             lo, hi = fitting.default_bounds(datasheet.i_sc)[name]
             assert lo <= getattr(result.params, name) <= hi
@@ -302,22 +294,22 @@ def window_problem(batch, x, accepted=None):
 
 
 class TestShuntPrior:
-    def test_wrong_start_is_flagged(self, topo, datasheet):
+    def test_wrong_start_is_flagged(self, topo, datasheet, monkeypatch):
         # a decade off the 400 ohm truth: three noisy days hardly move it,
         # so the fitted shunt is the prior's and the result says so
         _, retained = make_window(noise=0.005, topo=topo)
-        init = replace(CSI_PARAMS, r_sh_ref=4000.0)
-        result = fitting.fit_window(retained, topo, init, datasheet)
+        start_fits_from(monkeypatch, replace(CSI_PARAMS, r_sh_ref=4000.0))
+        result = fitting.fit_window(retained, topo, datasheet)
         assert result.converged
         assert result.shunt_from_prior
 
     def test_data_wins_where_it_can(self, topo, datasheet):
         # a 50 ohm shunt bends the curve enough for the data to pull the fit
-        # a decade off a 400 ohm start; a weight that counted the start's
-        # mismatch as noise would hold it near the start
+        # a decade off the datasheet's 400 ohm; a weight that counted the
+        # start's mismatch as noise would hold it near the start
         truth = replace(CSI_PARAMS, r_sh_ref=50.0)
         _, retained = make_window(noise=0.005, params=truth, topo=topo)
-        result = fitting.fit_window(retained, topo, CSI_PARAMS, datasheet)
+        result = fitting.fit_window(retained, topo, datasheet)
         assert result.converged
         assert not result.shunt_from_prior
         assert result.params.r_sh_ref < 100.0
@@ -326,7 +318,8 @@ class TestShuntPrior:
                                                  datasheet, monkeypatch):
         _, retained = noiseless
         batches = spy_batches(monkeypatch)
-        result = fitting.fit_window(retained, topo, CSI_PARAMS, datasheet)
+        start_fits_from(monkeypatch, CSI_PARAMS)
+        result = fitting.fit_window(retained, topo, datasheet)
         batch, = batches
         x = fitting._to_transformed(result.params.as_array())
         (res, _, _, _), = window_problem(batch, x[None])
@@ -338,8 +331,8 @@ class TestShuntPrior:
                                                   monkeypatch):
         _, retained = make_window(noise=0.005, topo=topo)
         batches = spy_batches(monkeypatch)
-        init = replace(CSI_PARAMS, r_sh_ref=1000.0)
-        result = fitting.fit_window(retained, topo, init, datasheet)
+        start_fits_from(monkeypatch, replace(CSI_PARAMS, r_sh_ref=1000.0))
+        result = fitting.fit_window(retained, topo, datasheet)
         batch, = batches
         n = 2 * len(retained)
         shunt = fitting.PARAM_ORDER.index("r_sh_ref")
@@ -384,10 +377,11 @@ TRF_ZERO_LOSS = 1e-18
 TRF_FLAG_MARGIN = 1.25
 
 
-def trf_fit(window, topo, init, datasheet):
+def trf_fit(window, topo, datasheet):
     """The window fit as scipy's trust-region-reflective least squares runs
-    it: the library's residuals, Jacobian, box and prior row, the solver's
-    cost-reduction stop and evaluation cap, cold solves.
+    it: the library's start (``fitting.initial_guess``), residuals,
+    Jacobian, box and prior row, the solver's cost-reduction stop and
+    evaluation cap, cold solves.
 
     Returns the clipped parameters, the final data loss and the data's
     share of the log10 r_sh_ref curvature over the flag's threshold (inf
@@ -397,7 +391,8 @@ def trf_fit(window, topo, init, datasheet):
     bounds = fitting.default_bounds(datasheet.i_sc)
     lo = np.array([bounds[k][0] for k in fitting.PARAM_ORDER])
     hi = np.array([bounds[k][1] for k in fitting.PARAM_ORDER])
-    x0 = fitting._to_transformed(np.clip(init.as_array(), lo, hi))
+    x0 = fitting._to_transformed(np.clip(
+        fitting.initial_guess(datasheet).as_array(), lo, hi))
     weight = fitting._noise_scale(fitting._residuals(
         x0, window, topo, datasheet)) / fitting._SHUNT_PRIOR_DECADES
     prior_row = weight * np.eye(5)[shunt]
@@ -423,13 +418,37 @@ def trf_fit(window, topo, init, datasheet):
             float(data @ data) / len(window), margin)
 
 
+def from_start(start, fit, *args):
+    """``fit(*args)`` with every window fit in it started from ``start``."""
+    with pytest.MonkeyPatch.context() as patch:
+        start_fits_from(patch, start)
+        return fit(*args)
+
+
+def fit_from_starts(pairs, topo, datasheet):
+    """``fit_windows`` on (window, start) pairs, one result per pair in
+    order: the windows of each distinct start are one batch from it."""
+    groups = {}
+    for k, (_, start) in enumerate(pairs):
+        groups.setdefault(start, []).append(k)
+    results = [None] * len(pairs)
+    for start, ks in groups.items():
+        fits = from_start(start, fitting.fit_windows,
+                          [pairs[k][0] for k in ks], topo, datasheet)
+        for k, fit in zip(ks, fits):
+            results[k] = fit
+    return results
+
+
 @pytest.fixture(scope="module")
 def fixture_windows(topo, datasheet):
     """(window, start) pairs: noiseless, noisy, cloudy, a start a decade off
     in r_sh_ref, starts on a bound, a degraded truth, heavy noise, a 50 ohm
     shunt, a week, and three cloudy days around a photocurrent step, whose
     best fit lies on the r_sh_ref floor (demo 06's cloudy weather-case
-    pool)."""
+    pool).  Seven windows start from the datasheet's initial guess; a fit
+    takes its start from ``fitting.initial_guess``, which ``from_start``
+    patches for the other four."""
     guess = fitting.initial_guess(datasheet)
     bounds = fitting.default_bounds(datasheet.i_sc)
     degraded = replace(CSI_PARAMS, i_ph_ref=CSI_PARAMS.i_ph_ref * 0.9,
@@ -449,7 +468,8 @@ def fixture_windows(topo, datasheet):
          CSI_PARAMS),
         (dict(days=7, noise=0.005, seed=10, cloud_days=(2, 4)), guess),
     ]
-    windows = [(make_window(topo=topo, **kw)[1], init) for kw, init in cases]
+    windows = [(make_window(topo=topo, **kw)[1], start)
+               for kw, start in cases]
     stepped, _ = synth.generate_dataset(
         CSI_PARAMS, topo,
         synth.WeatherProfile(days=30, seed=314,
@@ -465,8 +485,7 @@ def fixture_windows(topo, datasheet):
 
 @pytest.fixture(scope="module")
 def batch_results(fixture_windows, topo, datasheet):
-    windows, inits = zip(*fixture_windows)
-    return fitting.fit_windows(windows, topo, inits, datasheet)
+    return fit_from_starts(fixture_windows, topo, datasheet)
 
 
 def assert_same_fit(got, want):
@@ -483,37 +502,36 @@ class TestFitWindows:
     def test_batch_equals_one_window_at_a_time(self, fixture_windows,
                                                batch_results, topo,
                                                datasheet):
-        windows, inits = zip(*fixture_windows)
-        reverse = fitting.fit_windows(windows[::-1], topo, inits[::-1],
-                                      datasheet)[::-1]
-        for (window, init), batched, reversed_ in zip(
+        reverse = fit_from_starts(fixture_windows[::-1], topo,
+                                  datasheet)[::-1]
+        for (window, start), batched, reversed_ in zip(
                 fixture_windows, batch_results, reverse):
-            alone = fitting.fit_window(window, topo, init, datasheet)
+            alone = from_start(start, fitting.fit_window, window, topo,
+                               datasheet)
             assert_same_fit(batched, alone)
             assert_same_fit(reversed_, alone)
 
     def test_lowest_failing_window_raises(self, fixture_windows, topo,
                                           datasheet):
         windows = [w for w, _ in fixture_windows[:5]]
-        inits = [i for _, i in fixture_windows[:5]]
         w = windows[2]
         windows[2] = TelemetrySeries(w.timestamp, w.g_poa, w.t_module,
                                      np.full(len(w), np.inf), w.i_dc)
         with pytest.raises(NumericalError, match="initial guess"):
-            fitting.fit_windows(windows, topo, inits, datasheet)
+            fitting.fit_windows(windows, topo, datasheet)
         # a later window too short to fit does not change the error, an
         # earlier one does
         short = windows[0].select(slice(0, 30))
         with pytest.raises(NumericalError, match="initial guess"):
-            fitting.fit_windows(windows[:4] + [short], topo, inits, datasheet)
+            fitting.fit_windows(windows[:4] + [short], topo, datasheet)
         with pytest.raises(InsufficientDataError):
-            fitting.fit_windows([short] + windows[1:], topo, inits, datasheet)
+            fitting.fit_windows([short] + windows[1:], topo, datasheet)
 
     def test_non_finite_sensitivities_fail_the_window(
             self, fixture_windows, topo, datasheet, monkeypatch):
         # the one record at an irradiance no other window has gets
         # non-finite sensitivities: its window fails, the batch raises
-        (w0, i0), (w1, i1) = fixture_windows[1:3]
+        (w0, _), (w1, _) = fixture_windows[1:3]
         g_poa = w1.g_poa.copy()
         g_poa[10] = 777.25
         marked = TelemetrySeries(w1.timestamp, g_poa, w1.t_module, w1.v_dc,
@@ -527,16 +545,16 @@ class TestFitWindows:
             return dv, di
 
         monkeypatch.setattr(sdm, "mpp_sensitivities_arrays", poisoned)
-        assert fitting.fit_windows([w0], topo, [i0], datasheet)[0].converged
+        assert fitting.fit_windows([w0], topo, datasheet)[0].converged
         with pytest.raises(NumericalError, match="sensitivities"):
-            fitting.fit_windows([w0, marked], topo, [i0, i1], datasheet)
+            fitting.fit_windows([w0, marked], topo, datasheet)
         # next to a window that fails at its start, the lower index wins
         broken = TelemetrySeries(w0.timestamp, w0.g_poa, w0.t_module,
                                  np.full(len(w0), np.inf), w0.i_dc)
         with pytest.raises(NumericalError, match="sensitivities"):
-            fitting.fit_windows([marked, broken], topo, [i1, i0], datasheet)
+            fitting.fit_windows([marked, broken], topo, datasheet)
         with pytest.raises(NumericalError, match="initial guess"):
-            fitting.fit_windows([broken, marked], topo, [i0, i1], datasheet)
+            fitting.fit_windows([broken, marked], topo, datasheet)
 
     def test_capped_window_leaves_the_others_converged(
             self, noiseless, topo, datasheet, monkeypatch):
@@ -545,13 +563,14 @@ class TestFitWindows:
         _, degraded = make_window(params=truth, topo=topo)
         _, retained = noiseless
         monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 3)
+        # from the truth of the noiseless window, which stops at once
+        start_fits_from(monkeypatch, CSI_PARAMS)
         windows = [retained, degraded, retained]
-        inits = [CSI_PARAMS, fitting.initial_guess(datasheet), CSI_PARAMS]
-        results = fitting.fit_windows(windows, topo, inits, datasheet)
+        results = fitting.fit_windows(windows, topo, datasheet)
         assert [r.converged for r in results] == [True, False, True]
         assert results[1].iterations <= 3
-        for window, init, result in zip(windows, inits, results):
-            assert_same_fit(result, fitting.fit_window(window, topo, init,
+        for window, result in zip(windows, results):
+            assert_same_fit(result, fitting.fit_window(window, topo,
                                                        datasheet))
 
     def test_normal_equations_are_each_window_s_own(self, fixture_windows,
@@ -565,7 +584,7 @@ class TestFitWindows:
         x = fitting._to_transformed(CSI_PARAMS.as_array()) \
             + np.random.default_rng(5).uniform(-0.02, 0.02, (3, 5))
         batch.weight[:] = [0.004, 0.002, 0.003]
-        batch.centre[:] = np.log10(1000.0)
+        batch.centre = np.log10(1000.0)
         accepted = np.array([True, False, True])
         problems = window_problem(batch, x, accepted=accepted)
         assert len(problems) == 2
@@ -581,16 +600,13 @@ class TestFitWindows:
                                                  datasheet, data):
         # a window's sums do not depend on where its rows sit in the stack
         order = data.draw(st.permutations(range(len(fixture_windows))))
-        windows, inits = zip(*(fixture_windows[k] for k in order))
-        results = fitting.fit_windows(windows, topo, inits, datasheet)
+        results = fit_from_starts([fixture_windows[k] for k in order], topo,
+                                  datasheet)
         for k, result in zip(order, results):
             assert result == batch_results[k]
 
-    def test_empty_batch_and_mismatched_starts(self, noiseless, topo,
-                                               datasheet):
-        assert fitting.fit_windows([], topo, [], datasheet) == []
-        with pytest.raises(ConfigError):
-            fitting.fit_windows([noiseless[1]], topo, [], datasheet)
+    def test_empty_batch(self, topo, datasheet):
+        assert fitting.fit_windows([], topo, datasheet) == []
 
 
 class TestAgainstTrf:
@@ -599,8 +615,8 @@ class TestAgainstTrf:
 
     @pytest.fixture(scope="class")
     def trf_results(self, fixture_windows, topo, datasheet):
-        return [trf_fit(w, topo, init, datasheet)
-                for w, init in fixture_windows]
+        return [from_start(start, trf_fit, window, topo, datasheet)
+                for window, start in fixture_windows]
 
     def test_loss_no_worse_than_trf(self, batch_results, trf_results):
         for result, (_, trf_loss, _) in zip(batch_results, trf_results):
@@ -687,14 +703,13 @@ class TestRollingFit:
                                            alpha_isc=ALPHA_ISC)
         results = _rolling_fit(series, topo, datasheet,
                                np.timedelta64(3, "D"), np.timedelta64(1, "D"))
-        guess = fitting.initial_guess(datasheet)
         assert len(results) == 6
         for r in results:
             alone = fitting.fit_window(
                 preprocess.training_window(series, r.window_end,
                                            np.timedelta64(3, "D"),
                                            preprocess.PreprocessConfig()),
-                topo, guess, datasheet)
+                topo, datasheet)
             assert r.converged
             assert r.params == alone.params
             assert (r.final_loss, r.iterations) == (alone.final_loss,
@@ -704,9 +719,7 @@ class TestRollingFit:
 class TestPredictPower:
     def test_reproduces_fitted_window(self, noiseless, topo, datasheet):
         series, retained = noiseless
-        result = fitting.fit_window(retained, topo,
-                                    fitting.initial_guess(datasheet),
-                                    datasheet)
+        result = fitting.fit_window(retained, topo, datasheet)
         p = fitting.simulate_power(result.params, series.g_poa,
                                    series.t_module, topo, alpha_isc=ALPHA_ISC)
         daylight = series.g_poa >= 50.0
@@ -716,9 +729,7 @@ class TestPredictPower:
     def test_dark_weather_gives_zero_series(self, topo, datasheet,
                                             noiseless):
         _, retained = noiseless
-        result = fitting.fit_window(retained, topo,
-                                    fitting.initial_guess(datasheet),
-                                    datasheet)
+        result = fitting.fit_window(retained, topo, datasheet)
         p = fitting.simulate_power(result.params, np.zeros(10),
                                    np.full(10, 15.0), topo)
         assert np.all(p == 0.0)

@@ -1,26 +1,28 @@
-"""Golden outputs: ``pvprof benchmark`` on committed telemetry must write
-the committed outputs.
+"""Golden outputs: ``pvprof synth`` must write the committed telemetry, and
+``pvprof benchmark`` on it the committed outputs.
 
 Two runs are checked: demo 06 (30 days, ``demos/output/benchmark/``) and a
 small ``roster_studies``-shaped run (8 days, six models, every study, an
 ``i_ph_ref`` step; ``tests/golden/roster_studies/``), which tests the
-studies path apart from demo 06's size.  Each run starts from the
+studies path apart from demo 06's size.  Each benchmark starts from the
 committed ``telemetry.csv``, so the benchmark is checked apart from
-``synth``.  Text fields (timestamps, model names, skip
-reasons, flags, keys) must match exactly.  Numbers must match within
-``GOLDEN_RTOL`` relative.  Measured spreads set that tolerance: forecasts
-move by at most 4e-9 relative between equivalent builds, and the BLAS
-kernels OpenBLAS picks per CPU move the ``kr`` metrics in the 13th
-significant digit.  An ``nbe_series`` entry, (pred - meas)/p_nominal, is
+``synth``, and ``synth`` is checked on its own: on each run's config it
+writes that ``telemetry.csv`` and, for demo 06, ``ground_truth.json``.
+Text fields (timestamps, model names, skip reasons, flags, keys) must
+match exactly.  Numbers must match within ``GOLDEN_RTOL`` relative.
+Measured spreads set that tolerance: forecasts move by at most 4e-9
+relative between equivalent builds, and the BLAS kernels OpenBLAS picks
+per CPU move the ``kr`` metrics in the 13th significant digit.  An
+``nbe_series`` entry, (pred - meas)/p_nominal, is
 held to the forecasts' tolerance carried into bias units,
 ``GOLDEN_RTOL*|pred|/p_nominal`` absolute, with ``pred`` the committed
 forecast of its record: a relative tolerance on the entry itself would
 amplify the forecast's move by |pred|/|pred - meas|, up to 4e4.
 ``provenance.versions`` must name the numpy, scipy and Python that run the
 test.  A change that alters outputs on purpose regenerates the files in
-the same commit: demo 06's with
-``demos/06_full_benchmark.py``, the small run's with ``pvprof benchmark
---config config.json --out .`` in its directory.
+the same commit: demo 06's with ``demos/06_full_benchmark.py``, the small
+run's with ``pvprof synth`` and then ``pvprof benchmark``, each with
+``--config config.json --out .``, in its directory.
 """
 
 import csv
@@ -29,6 +31,7 @@ import os
 import platform
 
 import numpy as np
+import pytest
 import scipy
 
 from pvprof.cli import main
@@ -171,3 +174,24 @@ def test_benchmark_reproduces_committed_demo_outputs(tmp_path):
 def test_benchmark_reproduces_committed_roster_studies_outputs(tmp_path):
     # synth seed 5000 of perfbench's roster_studies workload
     _assert_reproduces(os.path.join(ROSTER, "config.json"), ROSTER, tmp_path)
+
+
+@pytest.mark.parametrize("config, golden, names", [
+    (os.path.join(DEMO, "benchmark_config.json"),
+     os.path.join(DEMO, "benchmark"), ("telemetry.csv", "ground_truth.json")),
+    (os.path.join(ROSTER, "config.json"), ROSTER, ("telemetry.csv",))],
+    ids=["demo", "roster_studies"])
+def test_synth_reproduces_committed_telemetry(tmp_path, config, golden,
+                                              names):
+    assert main(["synth", "--config", config, "--out", str(tmp_path)]) == 0
+    for name in names:
+        actual, expected = (os.path.join(directory, name)
+                            for directory in (str(tmp_path), golden))
+        if name.endswith(".csv"):
+            _assert_same_csv(actual, expected, name)
+            continue
+        documents = []
+        for path in (actual, expected):
+            with open(path, encoding="utf-8") as fh:
+                documents.append(json.load(fh))
+        _assert_same(*documents, name)

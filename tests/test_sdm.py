@@ -208,6 +208,20 @@ class TestSolvers:
                     v_back = sdm.solve_voltage(i, op)
                     assert v_back == pytest.approx(v, abs=1e-8)
 
+    def test_open_circuit_row_frozen_at_its_stop(self):
+        # rows over these ranges stop after different numbers of Newton
+        # steps; each must come out bit for bit as it does solved alone,
+        # whatever the rows beside it still need
+        rng = np.random.default_rng(0)
+        n = 2000
+        rows = (rng.uniform(0.01, 12.0, n),
+                10.0 ** rng.uniform(-12.0, -6.0, n),
+                10.0 ** rng.uniform(0.0, 4.0, n), rng.uniform(1.5, 3.5, n))
+        together = sdm.open_circuit_diode_voltage_arrays(*rows)
+        alone = [sdm.open_circuit_diode_voltage_arrays(
+            *(x[k:k + 1] for x in rows))[0] for k in range(n)]
+        np.testing.assert_array_equal(together, alone)
+
     def test_reverse_bias_rejected(self, op_stc):
         with pytest.raises(ValueError):
             sdm.solve_current(-1.0, op_stc)

@@ -12,7 +12,8 @@ import numpy as np
 from pvprof import analysis, baselines, fitting, preprocess, sdm, synth
 from pvprof.benchmark import RunConfig, run_benchmark
 from pvprof.series import DAY
-from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls
+from conftest import (ALPHA_ISC, CELLS, CSI_PARAMS, count_calls,
+                      start_fits_from)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -33,7 +34,6 @@ def test_fit_window_solves_through_the_traced_simulation(monkeypatch, topo,
         CSI_PARAMS, topo, synth.WeatherProfile(days=3, seed=1),
         alpha_isc=ALPHA_ISC)
     daylight = series.select(series.g_poa >= 50.0)
-    init = fitting.initial_guess(datasheet)
     calls = []
     original = sdm.simulate_array_mpp_arrays
 
@@ -42,7 +42,7 @@ def test_fit_window_solves_through_the_traced_simulation(monkeypatch, topo,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sdm, "simulate_array_mpp_arrays", counting)
-    result = fitting.fit_window(daylight, topo, init, datasheet)
+    result = fitting.fit_window(daylight, topo, datasheet)
     assert result.iterations > 0
     assert len(calls) >= result.iterations
 
@@ -75,9 +75,10 @@ def test_fit_window_solves_each_parameter_row_once(monkeypatch, topo,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sdm, "simulate_array_mpp_arrays", recording)
-    for init in (guess, on_bound):
+    for start in (guess, on_bound):
         rows.clear()
-        result = fitting.fit_window(daylight, topo, init, datasheet)
+        start_fits_from(monkeypatch, start)
+        result = fitting.fit_window(daylight, topo, datasheet)
         assert result.iterations > 1
         assert len(set(rows)) == len(rows)
         assert np.all((np.array(rows) > lo) & (np.array(rows) < hi))
@@ -96,16 +97,14 @@ def test_fit_translates_once_per_solve(monkeypatch, topo, datasheet):
     days = daylight.days()
     windows = [daylight.select(np.isin(daylight.day_index(), days[k:k + 3]))
                for k in (0, 3)]
-    guess = fitting.initial_guess(datasheet)
     translations = count_calls(monkeypatch, sdm, "translate_arrays")
     solves = count_calls(monkeypatch, sdm, "simulate_array_mpp_arrays")
-    result = fitting.fit_window(windows[0], topo, guess, datasheet)
+    result = fitting.fit_window(windows[0], topo, datasheet)
     assert result.iterations > 1
     assert len(translations) == len(solves) > result.iterations
     translations.clear()
     solves.clear()
-    results = fitting.fit_windows(windows, topo, [guess, CSI_PARAMS],
-                                  datasheet)
+    results = fitting.fit_windows(windows, topo, datasheet)
     assert results[0].iterations != results[1].iterations
     assert len(translations) == len(solves) > max(r.iterations
                                                   for r in results)
@@ -236,9 +235,10 @@ def test_physical_models_predict_their_days_in_one_solve(monkeypatch, topo,
 def test_a_pvpro_run_without_studies_calls_the_traced_layers(monkeypatch,
                                                              topo,
                                                              datasheet):
-    # dayahead_rolling's shape: perfbench expects spans of the prediction
-    # and of the masks there too, and every mask's clipping filter runs
-    # through its module name, where the tracer wraps it
+    # dayahead_rolling's shape: perfbench expects spans of the prediction,
+    # of the masks and of the fits' start there too; every mask's clipping
+    # filter and the fit's start run through their module names, where the
+    # tracer wraps them
     series, _ = synth.generate_dataset(
         CSI_PARAMS, topo, synth.WeatherProfile(days=6, seed=3),
         alpha_isc=ALPHA_ISC)
@@ -251,11 +251,13 @@ def test_a_pvpro_run_without_studies_calls_the_traced_layers(monkeypatch,
     masks = _count_masks(monkeypatch)
     clipping = count_calls(monkeypatch, preprocess, "filter_clipping")
     solves = count_calls(monkeypatch, fitting, "simulate_power")
+    guesses = count_calls(monkeypatch, fitting, "initial_guess")
     report = run_benchmark(config, series)
     assert len(report.trajectory) == 3
     assert len(masks) == 3
     assert len(clipping) == 3
     assert len(solves) == 1
+    assert len(guesses) >= 1
 
 
 def test_one_datasheet_extraction_per_run(monkeypatch, topo, datasheet):
