@@ -26,7 +26,10 @@ A run slices each distinct training window once.  One
 ``rolling_fit``'s days, the regressors' training slices and the
 training-length windows read their slices from it, so pvpro, ``lr`` and
 ``kr`` share the mask of an equal window.  The weather-case pools keep
-their own whole-series mask (see ``analysis.weather_pools``).
+their own whole-series mask (see ``analysis.weather_pools``), and their
+days are labelled from each day's own power variability
+(``analysis.classify_days``), so a run reads nothing but its
+configuration and its telemetry.
 
 Every dynamic-model fit of a run goes through one
 ``fitting.SolvedWindows``, made for that run.  The weather-case pools
@@ -281,27 +284,12 @@ def _study_to_json(result):
     return out
 
 
-def _day_labels(series, ground_truth, g_min):
-    """Each day's weather label: the generator's when the series is
-    synthetic (``ground_truth``), else ``analysis.classify_days``'."""
-    if ground_truth is None:
-        return analysis.classify_days(series, g_min=g_min)
-    day0 = np.datetime64(ground_truth.start_day, "D")
-    return {day0 + np.timedelta64(k, "D"): label
-            for k, label in enumerate(ground_truth.day_labels)}
-
-
-def _sliced(slicing, *args, **kwargs):
-    """A study's slices, ``slicing(*args, **kwargs)``, or the
-    ``InsufficientDataError`` or ``NumericalError`` that it raises."""
-    try:
-        return slicing(*args, **kwargs)
-    except (InsufficientDataError, NumericalError) as exc:
-        return exc
-
-
 def _outcome(run, *args, **kwargs):
-    """``run(*args, **kwargs)``, or the ``PvprofError`` that it raises."""
+    """``run(*args, **kwargs)``, or the ``PvprofError`` that it raises.
+
+    A study's slicing goes through it too.  ``run_benchmark`` validates the
+    series first and hands the slicers its own ``TrainingWindows``, so
+    there they raise only ``InsufficientDataError``."""
     try:
         return run(*args, **kwargs)
     except PvprofError as exc:
@@ -429,8 +417,8 @@ class _DayAheadRunner:
         return fitted
 
 
-def run_benchmark(config: RunConfig, series: TelemetrySeries,
-                  ground_truth=None) -> BenchmarkReport:
+def run_benchmark(config: RunConfig,
+                  series: TelemetrySeries) -> BenchmarkReport:
     """Execute the full day-ahead benchmark over the evaluation span."""
     series.validate()
     days = series.days()
@@ -457,16 +445,16 @@ def run_benchmark(config: RunConfig, series: TelemetrySeries,
     pools = lengths = None
     study_windows = []
     if config.studies.get("weather_cases"):
-        pools = _sliced(analysis.weather_pools, series,
-                        _day_labels(series, ground_truth,
-                                    config.preprocess.g_min),
-                        config.preprocess)
+        pools = _outcome(analysis.weather_pools, series,
+                         analysis.classify_days(
+                             series, g_min=config.preprocess.g_min),
+                         config.preprocess)
         if not isinstance(pools, Exception):
             study_windows += pools[0].values()
     if config.studies.get("training_length") and trainable:
-        lengths = _sliced(analysis.training_length_windows, series,
-                          config.grid_spec.training_lengths_days,
-                          preprocess=config.preprocess, windows=windows)
+        lengths = _outcome(analysis.training_length_windows, series,
+                           config.grid_spec.training_lengths_days,
+                           preprocess=config.preprocess, windows=windows)
         if not isinstance(lengths, Exception):
             study_windows += [window for slices in lengths[1].values()
                               if slices is not None for window in slices]

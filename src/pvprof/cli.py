@@ -35,13 +35,12 @@ def _load_config(args) -> RunConfig:
 def _load_series(cfg: RunConfig, base_dir, verbose):
     if cfg.telemetry_path is None:
         raise ConfigError("configuration has no data.telemetry path")
-    path = os.path.join(base_dir, cfg.telemetry_path) \
-        if not os.path.isabs(cfg.telemetry_path) else cfg.telemetry_path
+    # an absolute path is kept as it is: os.path.join drops base_dir
+    path = os.path.join(base_dir, cfg.telemetry_path)
     mapping = None
     if cfg.mapping_path:
-        mpath = os.path.join(base_dir, cfg.mapping_path) \
-            if not os.path.isabs(cfg.mapping_path) else cfg.mapping_path
-        mapping = iotools.read_mapping(mpath)
+        mapping = iotools.read_mapping(os.path.join(base_dir,
+                                                    cfg.mapping_path))
     series, diagnostics = iotools.read_telemetry_csv(path, mapping)
     if verbose and diagnostics:
         for line_no, msg in diagnostics:
@@ -56,40 +55,30 @@ def _synth_from_config(cfg: RunConfig):
     if cfg.synth is None:
         raise ConfigError("configuration has no 'synth' section")
     try:
-        args = _parse_synth(cfg)
+        kwargs = _parse_synth(cfg)
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         raise ConfigError(f"invalid synth section: {exc}") from exc
-    return synth.generate_dataset(*args)
+    return synth.generate_dataset(**kwargs)
 
 
 def _parse_synth(cfg: RunConfig):
-    """``generate_dataset``'s arguments from the config's synth section."""
+    """``generate_dataset``'s arguments from the config's synth section;
+    a noise level the section leaves out keeps its default."""
     s = dict(cfg.synth)
     tp = s.pop("true_params", None)
     if tp is None:
         raise ConfigError("synth section needs 'true_params'")
     true_params = SdmParamsRef(**{k: float(v) for k, v in tp.items()})
-    scenario_d = s.pop("scenario", {}) or {}
-    trajectories = {}
-    for name, spec in scenario_d.items():
-        kind = spec[0]
-        if kind == "linear":
-            trajectories[name] = ("linear", float(spec[1]))
-        elif kind == "step":
-            trajectories[name] = ("step", float(spec[1]), float(spec[2]))
-        else:
-            raise ConfigError(f"unknown trajectory kind {kind!r}")
-    scenario = synth.DegradationScenario(trajectories)
-    noise_v = float(s.pop("noise_v", 0.005))
-    noise_i = float(s.pop("noise_i", 0.005))
+    scenario = synth.DegradationScenario(s.pop("scenario", None) or {})
+    noise = {k: float(s.pop(k)) for k in ("noise_v", "noise_i") if k in s}
     alpha_isc = float(s.pop("alpha_isc",
                             cfg.datasheet.alpha_isc if cfg.datasheet else 0.0))
     profile = synth.WeatherProfile(seed=cfg.seed,
                                    **{k: (tuple(v) if k == "cloud_days" else v)
                                       for k, v in s.items()})
-    return (true_params, cfg.topology, profile, scenario, noise_v, noise_i,
-            alpha_isc)
+    return dict(true_params=true_params, topo=cfg.topology, profile=profile,
+                scenario=scenario, alpha_isc=alpha_isc, **noise)
 
 
 def cmd_synth(args):

@@ -151,8 +151,12 @@ def module_temperature(timestamps, g, profile: WeatherProfile):
 class DegradationScenario:
     """Per-parameter trajectories: constant, linear drift, or a step change.
 
-    Relative changes multiply the base parameter; a linear drift reaches its
-    total relative change at the end of the generated span.
+    ``trajectories`` maps a parameter name to its spec, ``("linear",
+    total_rel_change)`` or ``("step", day, rel_change)``; a JSON array reads
+    the same.  The constructor checks each spec's kind and length and keeps
+    its numbers as floats.  Relative changes multiply the base parameter; a
+    linear drift reaches its total relative change at the end of the
+    generated span.
     """
 
     trajectories: dict = field(default_factory=dict)
@@ -163,28 +167,28 @@ class DegradationScenario:
 
     @classmethod
     def linear(cls, **total_rel_change):
-        return cls({k: ("linear", float(v)) for k, v in total_rel_change.items()})
+        return cls({k: ("linear", v) for k, v in total_rel_change.items()})
 
     @classmethod
     def step(cls, param, day, rel_change):
-        return cls({param: ("step", float(day), float(rel_change))})
+        return cls({param: ("step", day, rel_change)})
 
     def __post_init__(self):
-        for name in self.trajectories:
+        specs = {}
+        for name, spec in self.trajectories.items():
             if name not in PARAM_NAMES:
                 raise ConfigError(f"unknown parameter {name!r} in scenario")
+            specs[name] = _trajectory(name, spec)
+        object.__setattr__(self, "trajectories", specs)
 
     def factor(self, name, day_float, total_days):
         traj = self.trajectories.get(name)
         if traj is None:
             return np.ones_like(np.asarray(day_float, dtype=float))
-        kind = traj[0]
         d = np.asarray(day_float, dtype=float)
-        if kind == "linear":
+        if traj[0] == "linear":
             return 1.0 + traj[1] * d / total_days
-        if kind == "step":
-            return np.where(d >= traj[1], 1.0 + traj[2], 1.0)
-        raise ConfigError(f"unknown trajectory kind {kind!r}")
+        return np.where(d >= traj[1], 1.0 + traj[2], 1.0)
 
     def params_at(self, base: SdmParamsRef, day_float, total_days):
         """Parameter value arrays along the trajectory."""
@@ -193,6 +197,24 @@ class DegradationScenario:
 
     def describe(self):
         return {k: list(v) for k, v in self.trajectories.items()}
+
+
+def _trajectory(name, spec):
+    """Scenario ``spec`` of parameter ``name`` as a tuple of its kind and
+    floats; ``ConfigError`` unless it is ``("linear", total_rel_change)``
+    or ``("step", day, rel_change)`` with finite numbers."""
+    lengths = {"linear": 2, "step": 3}
+    kind = spec[0] if isinstance(spec, (list, tuple)) and spec else None
+    try:
+        values = tuple(float(v) for v in spec[1:])
+    except (OverflowError, TypeError, ValueError):
+        values = (math.nan,)
+    if not (isinstance(kind, str) and len(spec) == lengths.get(kind)
+            and all(map(math.isfinite, values))):
+        raise ConfigError(
+            f"scenario {name}: expected ['linear', total_rel_change] or "
+            f"['step', day, rel_change] of finite numbers, got {spec!r}")
+    return (kind, *values)
 
 
 def _check_trajectory_bounds(values):

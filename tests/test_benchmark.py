@@ -205,7 +205,7 @@ def _fit_key(window):
 
 def test_every_cold_window_is_solved_once_in_one_batch(monkeypatch, topo,
                                                        datasheet):
-    series, truth = _studies_series(topo, seed=21)
+    series, _ = _studies_series(topo, seed=21)
     config = RunConfig.from_dict(_studies_config(datasheet))
     batches = []
     original = fitting._solve
@@ -215,15 +215,13 @@ def test_every_cold_window_is_solved_once_in_one_batch(monkeypatch, topo,
         return original(windows, topo, datasheet)
 
     monkeypatch.setattr(fitting, "_solve", recording)
-    report = run_benchmark(config, series, truth)
+    report = run_benchmark(config, series)
     assert "error" not in report.studies["weather_cases"]
     assert "error" not in report.studies["training_length"]
 
     days = [training_window(series, fit.window_end, WINDOW,
                             PreprocessConfig()) for fit in report.trajectory]
-    labels = {np.datetime64(truth.start_day, "D") + np.timedelta64(k, "D"):
-              lab for k, lab in enumerate(truth.day_labels)}
-    pools, _ = analysis.weather_pools(series, labels)
+    pools, _ = analysis.weather_pools(series, analysis.classify_days(series))
     _, lengths, _ = analysis.training_length_windows(series, (3,))
     every = (days + list(pools.values())
              + [w for ws in lengths.values() for w in ws])
@@ -300,10 +298,10 @@ def test_a_failed_slicing_runs_once_and_is_its_study_error(monkeypatch, topo,
                                                           datasheet):
     # the roster_studies shape cut to 6 days: the cloudy training pool is
     # one day, too few records for the cloudy/clear case
-    series, truth = _studies_series(topo, seed=21, days=6)
+    series, _ = _studies_series(topo, seed=21, days=6)
     config = RunConfig.from_dict(_studies_config(datasheet))
     slicings = count_calls(monkeypatch, analysis, "weather_pools")
-    report = run_benchmark(config, series, truth)
+    report = run_benchmark(config, series)
     assert len(slicings) == 1
     with pytest.raises(InsufficientDataError) as failure:
         analysis.weather_pools(*slicings[0])
@@ -321,7 +319,7 @@ def test_runs_in_one_process_match_fresh_processes(tmp_path, topo,
     for seed in (23, 24):
         d = tmp_path / f"seed{seed}"
         d.mkdir()
-        series, truth = _studies_series(topo, seed)
+        series, _ = _studies_series(topo, seed)
         iotools.write_telemetry_csv(str(d / "telemetry.csv"), series)
         (d / "config.json").write_text(json.dumps(config))
         runs.append(d)

@@ -14,7 +14,8 @@ from pvprof import baselines, fitting, preprocess, sdm, synth
 from pvprof.exceptions import (ConfigError, FitDegeneracyError,
                                InsufficientDataError, NumericalError)
 from pvprof.series import TelemetrySeries
-from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, start_fits_from
+from conftest import (ALPHA_ISC, CELLS, CSI_PARAMS, draw_csi_like,
+                      start_fits_from)
 from oracles import five_point_gradient, scan_mpp
 
 
@@ -607,6 +608,21 @@ class TestFitWindows:
 
     def test_empty_batch(self, topo, datasheet):
         assert fitting.fit_windows([], topo, datasheet) == []
+
+    def test_random_truths_over_the_csi_range(self, topo, datasheet):
+        # 30 random c-Si truths, one noisy 3-day window each, fitted as one
+        # batch from the datasheet's start: every window converges well
+        # inside the evaluation cap, to a loss no higher than its truth's
+        truths = draw_csi_like(np.random.default_rng(2026), 30)
+        windows = [make_window(seed=k, noise=0.005, params=truth,
+                               topo=topo)[1]
+                   for k, truth in enumerate(truths)]
+        results = fitting.fit_windows(windows, topo, datasheet)
+        for truth, window, result in zip(truths, windows, results):
+            assert result.converged
+            assert result.iterations <= 40
+            assert result.final_loss <= fitting.loss(truth, window, topo,
+                                                     datasheet)
 
 
 class TestAgainstTrf:

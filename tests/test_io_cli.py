@@ -797,6 +797,8 @@ class TestCli:
     @pytest.mark.parametrize("change", [
         3, [1], "x", {"dayz": 3}, {"scenario": {"r_s": []}},
         {"scenario": {"r_s": ["linear"]}}, {"days": "2"},
+        {"scenario": {"r_s": ["quadratic", 0.1]}},
+        {"scenario": {"r_s": ["linear", 0.1, 5]}},
         {"cadence_minutes": 0}, {"cadence_minutes": 7.5},
         {"true_params": {"i_ph_ref": 9.5}},
         {"true_params": {**{n: getattr(CSI_PARAMS, n) for n in PARAM_NAMES},

@@ -112,6 +112,26 @@ class TestScenario:
         with pytest.raises(ConfigError):
             synth.DegradationScenario({"bogus": ("linear", 0.1)})
 
+    @pytest.mark.parametrize("spec", [
+        ("quadratic", 0.1), ("linear",), ("linear", 0.1, 5), ("step", 4),
+        ("step", 4, -0.1, 1), (), "linear", None, (["linear"], 0.1),
+        ("linear", "x"), ("step", 4, None), ("linear", float("nan")),
+        ("step", float("inf"), 0.1), ("linear", 10**400)], ids=repr)
+    def test_malformed_spec_rejected_when_built(self, spec):
+        # the scenario is the one reader of its specs: a wrong kind, a
+        # wrong length or a value that is not a finite number fails on
+        # construction
+        with pytest.raises(ConfigError):
+            synth.DegradationScenario({"r_s": spec})
+
+    def test_spec_numbers_are_kept_as_floats(self):
+        sc = synth.DegradationScenario({"r_s": ["linear", 1],
+                                        "i_ph_ref": ("step", 20, -0.12)})
+        assert sc.describe() == {"r_s": ["linear", 1.0],
+                                 "i_ph_ref": ["step", 20.0, -0.12]}
+        assert all(type(v) is float for spec in sc.trajectories.values()
+                   for v in spec[1:])
+
     def test_out_of_bounds_trajectory_rejected(self):
         profile = synth.WeatherProfile(days=10)
         sc = synth.DegradationScenario.linear(r_sh_ref=-0.999)  # 400 -> 0.4 ohm

@@ -1,4 +1,5 @@
-"""The benchmark tracer's targets must exist in the program.
+"""The benchmark tracer's targets must exist in the program, and its
+workload configurations must parse and synthesize.
 
 ``perfbench/tracer.py`` wraps named pvprof functions from the outside; a
 renamed or deleted target would otherwise surface only in a benchmark run.
@@ -9,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from pvprof import analysis, baselines, fitting, preprocess, sdm, synth
+from pvprof import analysis, baselines, cli, fitting, preprocess, sdm, synth
 from pvprof.benchmark import RunConfig, run_benchmark
 from pvprof.series import DAY
 from conftest import (ALPHA_ISC, CELLS, CSI_PARAMS, count_calls,
@@ -23,6 +24,19 @@ def test_every_traced_target_resolves(monkeypatch):
     import tracer
 
     tracer.resolve_targets()  # raises TracerError naming any missing target
+
+
+def test_every_workload_config_parses_and_synthesizes(monkeypatch):
+    # each perfbench operation is `pvprof synth` then `pvprof benchmark` on
+    # a workload's config; a change to the config or scenario format that
+    # refused one would otherwise surface only in a benchmark run
+    monkeypatch.syspath_prepend(os.path.join(REPO, "perfbench"))
+    import workloads
+
+    for name, make in workloads.WORKLOADS.items():
+        config = RunConfig.from_dict(dict(make(), seed=1))
+        _, log = cli._synth_from_config(config)
+        assert log.days == config.synth["days"], name
 
 
 def test_fit_window_solves_through_the_traced_simulation(monkeypatch, topo,
@@ -141,8 +155,8 @@ def _system(datasheet):
 
 def _roster_run(topo, datasheet):
     """An 8-day, six-model run with every study, shaped like perfbench's
-    roster_studies: its series, ground truth and configuration."""
-    series, truth = synth.generate_dataset(
+    roster_studies: its series and configuration."""
+    series, _ = synth.generate_dataset(
         CSI_PARAMS, topo, synth.WeatherProfile(days=8, seed=21,
                                                cloud_days=(1, 3, 6),
                                                cloud_depth=0.55),
@@ -157,7 +171,7 @@ def _roster_run(topo, datasheet):
         "studies": {"seasonal": True, "weather_cases": True, "sweep": True,
                     "training_length": True},
         "evaluation": {"start": "2024-06-05T00:00:00"}})
-    return series, truth, config
+    return series, config
 
 
 def _count_masks(monkeypatch):
@@ -180,10 +194,10 @@ def test_benchmark_runs_both_studies_through_the_traced_names(monkeypatch,
                                                               datasheet):
     # perfbench expects spans of both studies on roster_studies; a run that
     # reached them other than through the analysis module would read 0
-    series, truth, config = _roster_run(topo, datasheet)
+    series, config = _roster_run(topo, datasheet)
     studies = [count_calls(monkeypatch, analysis, name)
                for name in ("weather_case_study", "training_length_sweep")]
-    report = run_benchmark(config, series, truth)
+    report = run_benchmark(config, series)
     assert "error" not in report.studies["weather_cases"]
     assert "error" not in report.studies["training_length"]
     assert [len(calls) for calls in studies] == [1, 1]
@@ -194,10 +208,10 @@ def test_each_distinct_training_window_is_masked_once(monkeypatch, topo,
     # pvpro's days, lr's and kr's training slices and the training-length
     # windows read one table: each distinct window is masked once, and
     # weather_pools masks the whole series once more
-    series, truth, config = _roster_run(topo, datasheet)
+    series, config = _roster_run(topo, datasheet)
     masks = _count_masks(monkeypatch)
     windows = count_calls(monkeypatch, preprocess, "training_window")
-    report = run_benchmark(config, series, truth)
+    report = run_benchmark(config, series)
     assert "error" not in report.studies["weather_cases"]
     assert "error" not in report.studies["training_length"]
     spans = [(end - length, end) for _, end, length, _ in windows]
@@ -213,9 +227,9 @@ def test_physical_models_predict_their_days_in_one_solve(monkeypatch, topo,
                                                          datasheet):
     # pvpro and nominal each predict all four forecast days in one
     # simulate_power call, one parameter row per record
-    series, truth, config = _roster_run(topo, datasheet)
+    series, config = _roster_run(topo, datasheet)
     calls = count_calls(monkeypatch, fitting, "simulate_power")
-    report = run_benchmark(config, series, truth)
+    report = run_benchmark(config, series)
     starts = [np.datetime64(row["day"], "s") for row in report.daily["pvpro"]]
     days = [series.slice_time(start, start + DAY) for start in starts]
     g_days = np.concatenate([day.g_poa for day in days])
