@@ -188,13 +188,35 @@ def _damped_newton(z0, ds):
     return z, norm
 
 
+def _ideality_from_beta_voc(ds: Datasheet):
+    """The ideality factor at which Voc = a ln(Isc / I0) moves with
+    temperature at ``ds.beta_voc``, under the photocurrent and
+    saturation-current rules of `sdm.translate_arrays` with the band gap
+    held at ``EG_REF_EV``; clipped to [0.5, 3], and 0.5 where undefined.
+
+    The band gap's own slope (``EG_SLOPE_PER_K``) is left out.  It would
+    put the seed nearer the answer (1.10 against 1.18 on a module of
+    n = 1.1, two residual calls fewer), but Newton then stops at another
+    point inside its tolerance, 2e-10 away (relative) in the shunt
+    resistance, and forecasts move in their twelfth digit.
+    """
+    t = sdm.T_REF_K
+    # d(Voc)/dT = Voc / T + n * per_n at the reference temperature
+    per_n = ds.cells_in_series * (
+        _VTH_REF * (ds.alpha_isc / ds.i_sc - 3.0 / t) - sdm.EG_REF_EV / t)
+    n = (ds.beta_voc - ds.v_oc / t) / per_n if per_n else math.nan
+    return min(3.0, max(0.5, n))   # max(0.5, nan) is 0.5
+
+
 def fit_desoto_from_datasheet(ds: Datasheet) -> sdm.SdmParamsRef:
     """Extract the five diode parameters from nameplate values.
 
     Solves the five STC conditions -- the I-V curve through (0, Isc),
     (Voc, 0) and (Vmp, Imp), zero power slope at the MPP, and the modeled
     Voc temperature coefficient matching beta_voc -- by damped Newton
-    iteration from a ladder of heuristic seeds.
+    iteration.  The first ideality seed is the one beta_voc implies
+    (`_ideality_from_beta_voc`); a ladder of fixed seeds follows if it
+    does not converge.  Each ideality seed is tried with three shunt seeds.
 
     Raises
     ------
@@ -204,7 +226,7 @@ def fit_desoto_from_datasheet(ds: Datasheet) -> sdm.SdmParamsRef:
     """
     rs0 = max(0.5 * (ds.v_oc - ds.v_mp) / ds.i_mp, 1e-3)
     best = None
-    for n0 in (1.5, 1.1, 2.0):
+    for n0 in (_ideality_from_beta_voc(ds), 1.5, 1.1, 2.0):
         for rsh_factor in (100.0, 10.0, 1000.0):
             a0 = n0 * ds.cells_in_series * _VTH_REF
             rsh0 = rsh_factor * ds.v_mp / ds.i_mp

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: ``synth`` (generate a ground-truth dataset), ``fit`` (rolling
+Commands: ``synth`` (generate a ground-truth dataset), ``fit`` (rolling
 parameter estimation), ``predict`` (day-ahead power from the dynamic model),
 ``benchmark`` (full model comparison with studies), ``report`` (SVG charts
 from a benchmark report).  Exit codes: 0 success, 2 configuration error,
@@ -264,35 +264,43 @@ def cmd_report(args):
     return EXIT_OK
 
 
+COMMANDS = {"synth": cmd_synth, "fit": cmd_fit, "predict": cmd_predict,
+            "benchmark": cmd_benchmark, "report": cmd_report}
+
+
 def build_parser():
+    """One parser for every command; `main` applies the two rules it cannot
+    state: every command but ``report`` needs ``--config``, and only
+    ``report`` takes ``--report``."""
     parser = argparse.ArgumentParser(
         prog="pvprof",
         description="Single-diode PV modeling, day-ahead power conversion "
                     "and forecast benchmarking")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("synth", cmd_synth), ("fit", cmd_fit),
-                     ("predict", cmd_predict), ("benchmark", cmd_benchmark),
-                     ("report", cmd_report)):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=(name != "report"),
-                       help="path to the JSON run configuration")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the configured seed")
-        p.add_argument("--models", default=None,
-                       help="comma-separated roster override")
-        p.add_argument("--verbose", action="store_true")
-        if name == "report":
-            p.add_argument("--report", default=None,
-                           help="path to report.json (default: <out>/report.json)")
-        p.set_defaults(func=fn)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="path to the JSON run configuration "
+                                         "(every command but report)")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the configured seed")
+    parser.add_argument("--models", default=None,
+                        help="comma-separated roster override")
+    parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--report", default=None,
+                        help="report only: path to report.json "
+                             "(default: <out>/report.json)")
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # parser.error exits with code 2, as argparse does on any usage error
+    if args.config is None and args.command != "report":
+        parser.error(f"{args.command} needs --config")
+    if args.report is not None and args.command != "report":
+        parser.error("--report is an option of report alone")
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,10 +1,12 @@
 """File formats: telemetry CSV (native + mapped), result CSVs, JSON.
 
-Telemetry is read a column at a time: the CSV records are gathered with
-their physical line numbers, each value field becomes one numpy array in
+Telemetry is read a column at a time: the CSV records are gathered as
+the fields the reader uses, each value field becomes one numpy array in
 one conversion, and the record invariants are masks over those arrays.
-Timestamps are parsed one text at a time by the standard library's
-ISO-8601 parser, and a rejected row is worded on its own.
+Timestamps in the form the writer uses, ``YYYY-MM-DDTHH:MM:SSZ``, are
+read in bulk from their bytes; any other text goes to the standard
+library's ISO-8601 parser on its own.  A rejected row is worded on its
+own, with the physical line it starts on.
 
 All floating-point output is serialized with 17 significant digits so that
 files round-trip exactly and repeated runs are byte-identical.
@@ -14,6 +16,7 @@ import csv
 import json
 import math
 from datetime import datetime
+from itertools import compress
 from operator import itemgetter
 
 import numpy as np
@@ -97,7 +100,8 @@ def read_telemetry_csv(path, mapping=None, max_bad_fraction=0.01):
     ``reason`` names the first check it fails, in this order: unparseable
     timestamp, g, t, v or i; non-finite value; negative irradiance; negative
     DC voltage; timestamp not after the last accepted row.  The run
-    continues if fewer than ``max_bad_fraction`` of rows are bad.
+    continues if fewer than ``max_bad_fraction`` of rows are bad; a file
+    with no bad row is read whatever the fraction.
     """
     source_of = _source_columns(mapping)
     try:
@@ -105,23 +109,26 @@ def read_telemetry_csv(path, mapping=None, max_bad_fraction=0.01):
     except OSError as exc:
         raise DataError(f"cannot read telemetry: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
         try:
-            columns = _column_positions(next(reader, None), source_of, path)
-            texts, lines = _read_records(reader, columns)
+            texts, first_line, one_line_each = _read_records(fh, source_of,
+                                                             path)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}:{_undecodable_line(path)}: not UTF-8 "
                             f"text ({exc.reason})") from exc
-        except csv.Error as exc:
-            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    if not lines:
+    n = len(texts[0])
+    if not n:
         raise DataError(f"{path}: no data rows")
     fields, rejection = _parse_columns(texts)
-    diagnostics = [(lines[k], _diagnosis(rejection[k], [t[k] for t in texts]))
-                   for k in np.flatnonzero(rejection)]
-    if len(diagnostics) >= max_bad_fraction * len(lines):
+    bad = np.flatnonzero(rejection)
+    if one_line_each or not bad.size:
+        lines = (first_line + bad).tolist()
+    else:   # blank lines or records over several lines: count them again
+        lines = _record_lines(path, bad)
+    diagnostics = [(line, _diagnosis(rejection[k], [t[k] for t in texts]))
+                   for line, k in zip(lines, bad)]
+    if diagnostics and len(diagnostics) >= max_bad_fraction * n:
         raise DataError(
-            f"{path}: {len(diagnostics)} of {len(lines)} rows rejected; "
+            f"{path}: {len(diagnostics)} of {n} rows rejected; "
             f"first: line {diagnostics[0][0]}: {diagnostics[0][1]}")
     accepted = rejection == 0
     series = TelemetrySeries(*(f[accepted] for f in fields))
@@ -143,23 +150,46 @@ def _column_positions(header, source_of, path):
     return [header.index(source_of[c]) for c in NATIVE_COLUMNS]
 
 
-def _read_records(reader, columns):
-    """The fields at ``columns`` of each nonblank record after the header,
-    one list per column, and the physical line each record starts on."""
-    pick = itemgetter(*columns)
-    width = max(columns) + 1
-    rows = []
-    lines = []
-    end = reader.line_num
-    for record in reader:
-        if record:
-            if len(record) < width:
-                # missing fields read as "", which no parser accepts
-                record += [""] * (width - len(record))
-            rows.append(pick(record))
-            lines.append(end + 1)
+def _read_records(fh, source_of, path, pad=False):
+    """The texts of the native fields in each nonblank record after the
+    header, one tuple per field; the physical line the first record starts
+    on; and whether every record after the header is one nonblank line.
+
+    Only the fields the reader uses are kept.  A record shorter than the
+    header has its missing fields read as "", which no parser accepts: the
+    file is then read again with ``pad``.
+    """
+    reader = csv.reader(fh)
+    try:
+        columns = _column_positions(next(reader, None), source_of, path)
+        header_lines = reader.line_num
+        records = filter(None, reader)
+        if pad:
+            width = max(columns) + 1
+            records = (r + [""] * (width - len(r)) for r in records)
+        rows = list(map(itemgetter(*columns), records))
+    except IndexError:
+        fh.seek(0)
+        return _read_records(fh, source_of, path, pad=True)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    texts = list(zip(*rows)) or [()] * len(columns)
+    return texts, header_lines + 1, reader.line_num - header_lines == len(rows)
+
+
+def _record_lines(path, records):
+    """The physical line each nonblank record numbered in ``records``
+    (0 is the first after the header) starts on."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        starts = []
         end = reader.line_num
-    return [[row[c] for row in rows] for c in range(len(columns))], lines
+        for record in reader:
+            if record:
+                starts.append(end + 1)
+            end = reader.line_num
+    return [starts[k] for k in records]
 
 
 # rejection codes, in the order the checks apply; 0 is an accepted row
@@ -177,8 +207,8 @@ def _parse_columns(texts):
     Returns the parsed fields and each row's rejection code.  Each value
     column is one numpy conversion, which applies ``float()`` to each text;
     a column that does not convert whole is bisected down to the texts that
-    do not.  Each timestamp goes through `parse_timestamp`'s parser.  The
-    invariants are masks over the columns.
+    do not.  The timestamps are read by `_timestamps`.  The invariants are
+    masks over the columns.
     """
     n = len(texts[0])
     parsed = np.ones((5, n), dtype=bool)
@@ -202,14 +232,58 @@ def _parse_columns(texts):
 
 def _timestamps(texts, parsed):
     """datetime64[s] of each text, read as `parse_timestamp` reads it;
-    clears ``parsed`` where the text is not a timestamp."""
+    clears ``parsed`` where the text is not a timestamp.
+
+    `_canonical_seconds` reads the texts in the writer's form at once; each
+    other text goes through `parse_timestamp`'s parser.
+    """
     seconds = np.zeros(len(texts), dtype=np.int64)
-    for k, text in enumerate(texts):
+    done = _canonical_seconds(texts, seconds)
+    for k in np.flatnonzero(~done).tolist():
         try:
-            seconds[k] = _epoch_seconds(text)
+            seconds[k] = _epoch_seconds(texts[k])
         except ValueError:
             parsed[k] = False
     return seconds.view("datetime64[s]")
+
+
+# byte offsets of the separators and the digits in YYYY-MM-DDTHH:MM:SSZ
+_SEPARATORS = [4, 7, 10, 13, 16, 19]
+_DIGITS = [k for k in range(20) if k not in _SEPARATORS]
+
+
+def _canonical_seconds(texts, seconds):
+    """Set ``seconds`` of each text that reads ``YYYY-MM-DDTHH:MM:SSZ``
+    with ASCII digits and every field in range; returns where it did.
+
+    Only texts of 20 characters are joined, so the bytes read are at most
+    20 per row however long a field is.
+    """
+    n = len(texts)
+    twenty = np.fromiter(map(len, texts), np.intp, n) == 20
+    rows = np.flatnonzero(twenty)
+    chosen = texts if rows.size == n else compress(texts, twenty.tolist())
+    # a non-ASCII character becomes "?", which no layout check passes
+    raw = np.frombuffer("".join(chosen).encode("ascii", "replace"),
+                        np.uint8).reshape(-1, 20)
+    digits = raw[:, _DIGITS] - np.uint8(ord("0"))   # wraps below "0"
+    ok = (raw[:, _SEPARATORS] == np.frombuffer(b"--T::Z", np.uint8)).all(1) \
+        & (digits < 10).all(1)
+    digits = digits.astype(np.int64)
+    year = digits[:, :4] @ (1000, 100, 10, 1)
+    month, day, hour, minute, second = \
+        (digits[:, 4:].reshape(-1, 5, 2) @ (10, 1)).T
+    first = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    date = first.astype("datetime64[D]") + (day - 1)
+    # a day past its month's end, or 0, lands in another month
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) \
+        & (date.astype("datetime64[M]") == first) \
+        & (hour < 24) & (minute < 60) & (second < 60)
+    seconds[rows[ok]] = (date[ok].astype(np.int64) * 86400 + hour[ok] * 3600
+                         + minute[ok] * 60 + second[ok])
+    done = np.zeros(n, dtype=bool)
+    done[rows[ok]] = True
+    return done
 
 
 def _floats(items, out, ok):

@@ -220,7 +220,7 @@ def read_telemetry_per_record(path, mapping=None, max_bad_fraction=0.01):
     total = len(rows) + len(diagnostics)
     if total == 0:
         raise DataError(f"{path}: no data rows")
-    if len(diagnostics) >= max_bad_fraction * total:
+    if diagnostics and len(diagnostics) >= max_bad_fraction * total:
         raise DataError(
             f"{path}: {len(diagnostics)} of {total} rows rejected; first: "
             f"line {diagnostics[0][0]}: {diagnostics[0][1]}")

@@ -10,7 +10,7 @@ import scipy.linalg
 from pvprof import analysis, baselines, fitting, sdm
 from pvprof.exceptions import (ConfigError, DataError, ExtractionError,
                                InsufficientDataError, TrainingError)
-from conftest import CELLS, CSI_PARAMS, count_calls, draw_csi_like
+from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls, draw_csi_like
 
 H24 = np.timedelta64(24, "h")
 
@@ -99,6 +99,13 @@ class TestNaivePersistence:
         assert lib == pytest.approx(direct, rel=1e-12)
 
 
+# the module of the demos and the benchmark workloads
+DEMO_DATASHEET = baselines.Datasheet(
+    v_oc=49.173233960313716, i_sc=9.491694765844741, v_mp=40.03260387410554,
+    i_mp=8.906280334902181, alpha_isc=0.004, beta_voc=-0.17644040663146326,
+    cells_in_series=72)
+
+
 class TestDatasheetExtraction:
     def test_round_trip_canonical(self, datasheet):
         rec = baselines.fit_desoto_from_datasheet(datasheet)
@@ -159,6 +166,32 @@ class TestDatasheetExtraction:
         # the dynamic fit still starts from its heuristic seeds
         assert fitting.initial_guess(ds).n_diode == 1.1
         assert len(calls) == 1
+
+    def test_seed_from_beta_voc_converges_in_few_calls(self, monkeypatch):
+        # Newton starts from the ideality the Voc temperature coefficient
+        # implies: each of 60 random c-Si datasheets converges and passes
+        # the post-check, in few batched residual calls
+        sheets = [baselines.synthesize_datasheet(p, CELLS, alpha_isc=ALPHA_ISC)
+                  for p in draw_csi_like(np.random.default_rng(2026), 60)]
+        calls = count_calls(monkeypatch, baselines, "_extraction_residuals")
+        counts = []
+        for ds in sheets:
+            del calls[:]
+            baselines.fit_desoto_from_datasheet(ds)
+            counts.append(len(calls))
+        assert np.median(counts) <= 9
+        del calls[:]
+        baselines.fit_desoto_from_datasheet(DEMO_DATASHEET)
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("beta_voc, n0", [
+        (math.nan, 0.5), (math.inf, 0.5), (0.5, 0.5), (-5.0, 3.0)])
+    def test_seed_outside_the_physical_range_is_clipped(self, beta_voc, n0):
+        ds = replace(DEMO_DATASHEET, beta_voc=beta_voc)
+        assert baselines._ideality_from_beta_voc(ds) == n0
+        if not math.isfinite(beta_voc):
+            with pytest.raises(ExtractionError):
+                baselines.fit_desoto_from_datasheet(ds)
 
     def test_round_trip_property_quick(self):
         rng = np.random.default_rng(17)

@@ -12,7 +12,8 @@ from scipy.optimize import least_squares
 import pvprof
 from pvprof import baselines, fitting, preprocess, sdm, synth
 from pvprof.exceptions import (ConfigError, FitDegeneracyError,
-                               InsufficientDataError, NumericalError)
+                               InsufficientDataError, NumericalError,
+                               PvprofError)
 from pvprof.series import TelemetrySeries
 from conftest import (ALPHA_ISC, CELLS, CSI_PARAMS, draw_csi_like,
                       start_fits_from)
@@ -623,6 +624,34 @@ class TestFitWindows:
             assert result.iterations <= 40
             assert result.final_loss <= fitting.loss(truth, window, topo,
                                                      datasheet)
+
+
+    @given(unit=st.tuples(*[st.floats(0.0, 1.0)] * 5))
+    def test_any_truth_in_the_box_fits_inside_it_or_raises_typed(
+            self, topo, datasheet, unit):
+        # a truth anywhere in the fitting box, not only the c-Si range, on a
+        # noisy 3-day window: the fit returns a result inside the box with
+        # a finite loss, or raises a PvprofError
+        bounds = fitting.default_bounds(datasheet.i_sc)
+        truth = {}
+        for name, u in zip(fitting.PARAM_ORDER, unit):
+            lo, hi = bounds[name]
+            if name in fitting._LOG_PARAMS:
+                value = lo * (hi / lo) ** u
+            else:
+                value = lo + u * (hi - lo)
+            truth[name] = min(max(value, lo), hi)
+        window = make_window(seed=7, noise=0.005,
+                             params=sdm.SdmParamsRef(**truth), topo=topo)[1]
+        try:
+            result, = fitting.fit_windows([window], topo, datasheet)
+        except PvprofError:
+            return
+        assert isinstance(result, fitting.FitWindowResult)
+        assert np.isfinite(result.final_loss)
+        for name in fitting.PARAM_ORDER:
+            lo, hi = bounds[name]
+            assert lo <= getattr(result.params, name) <= hi
 
 
 class TestAgainstTrf:

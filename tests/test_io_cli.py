@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pvprof import charts, fitting, iotools, synth
@@ -72,6 +72,17 @@ class TestTelemetryCsv:
         assert len(diagnostics) == 1
         assert diagnostics[0][0] == 5002  # header + 1-based data line
 
+    def test_clean_file_reads_at_zero_bad_fraction(self, tmp_path):
+        # no bad row is fewer than any share of the rows
+        path = tmp_path / "t.csv"
+        series = _small_series(days=4)
+        iotools.write_telemetry_csv(path, series)
+        back, diagnostics = iotools.read_telemetry_csv(path,
+                                                       max_bad_fraction=0.0)
+        assert diagnostics == []
+        assert len(back) == len(series)
+        assert read_telemetry_per_record(path, max_bad_fraction=0.0)[1] == []
+
     def test_too_many_bad_rows_fatal(self, tmp_path):
         path = tmp_path / "t.csv"
         with open(path, "w", newline="") as fh:
@@ -126,6 +137,87 @@ class TestTelemetryCsv:
         assert len(diagnostics) == 1
         assert "not increasing" in diagnostics[0][1]
         series.validate()
+
+
+def _canonical_text(fields, edge=None):
+    """YYYY-MM-DDTHH:MM:SSZ of the six fields, with ``edge`` (field index,
+    value) replacing one of them."""
+    fields = list(fields)
+    if edge is not None:
+        fields[edge[0]] = edge[1]
+    year, month, day, hour, minute, second = fields
+    return f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:" \
+           f"{second:02d}Z"
+
+
+_VALID_FIELDS = st.tuples(st.integers(1, 9999), st.integers(1, 12),
+                          st.integers(1, 28), st.integers(0, 23),
+                          st.integers(0, 59), st.integers(0, 59))
+# year 0; month 0 or 13; day 0, past the month's end or 32; hour 24;
+# minute or second 60
+_FIELD_EDGES = st.sampled_from([(0, 0), (1, 0), (1, 13), (2, 0), (2, 29),
+                                (2, 30), (2, 31), (2, 32), (3, 24), (4, 60),
+                                (5, 60)])
+_CANONICAL_SHAPED = st.builds(_canonical_text, _VALID_FIELDS,
+                              st.none() | _FIELD_EDGES)
+# February 29 and its neighbours in leap, common and century years
+_LEAP_DAYS = st.builds(
+    lambda year, day, clock: _canonical_text((year, 2, day, *clock)),
+    st.sampled_from([1, 4, 100, 400, 1900, 2000, 2023, 2024, 2100, 9996]),
+    st.integers(28, 30), _VALID_FIELDS.map(lambda fields: fields[3:]))
+
+
+def _respelled(text, at, char):
+    return text[:at] + char + text[at + 1:]
+
+
+_TIMESTAMP_TEXTS = st.one_of(
+    _CANONICAL_SHAPED, _LEAP_DAYS,
+    # a non-ASCII digit or letter, or another separator, in any position
+    st.builds(_respelled, _CANONICAL_SHAPED, st.integers(0, 19),
+              st.sampled_from(["\u0663", "\uff13", "\u00b2", "\u00e9",
+                               " ", "t", "z", "/", "+"])),
+    # naive, offset and fractional forms, and other lengths
+    _CANONICAL_SHAPED.map(lambda t: t[:-1]),
+    st.builds(lambda t, offset: t[:-1] + offset, _CANONICAL_SHAPED,
+              st.sampled_from(["+00:00", "-05:30", "+14:00", "+24:00"])),
+    _CANONICAL_SHAPED.map(lambda t: t[:-1] + ".5Z"),
+    _CANONICAL_SHAPED.map(lambda t: " " + t),
+    st.text(max_size=24))
+
+
+class TestCanonicalTimestamps:
+    """The bulk read of YYYY-MM-DDTHH:MM:SSZ against the per-text parser."""
+
+    @given(texts=st.lists(_TIMESTAMP_TEXTS, min_size=1, max_size=40))
+    @example(texts=["0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z",
+                    "9999-12-31T23:59:59Z", "2023-02-29T00:00:00Z",
+                    "2024-02-29T00:00:00Z", "1900-02-29T00:00:00Z",
+                    "2000-02-29T00:00:00Z", "2024-04-31T00:00:00Z",
+                    "2024-00-01T00:00:00Z", "2024-13-01T00:00:00Z",
+                    "2024-06-00T00:00:00Z", "2024-06-32T00:00:00Z",
+                    "2024-06-01T24:00:00Z", "2024-06-01T00:60:00Z",
+                    "2024-06-01T00:00:60Z", "\u0662024-06-01T00:00:00Z",
+                    "2024-06-01 00:00:00Z", "2024-06-01T00:00:00z"])
+    def test_column_reads_as_each_text_does(self, texts):
+        parsed = np.ones(len(texts), dtype=bool)
+        seconds = iotools._timestamps(texts, parsed).astype(np.int64)
+        for k, text in enumerate(texts):
+            try:
+                expected = iotools._epoch_seconds(text)
+            except ValueError:
+                assert not parsed[k], text
+            else:
+                assert parsed[k], text
+                assert seconds[k] == expected, text
+
+    def test_every_leap_day_of_four_centuries(self):
+        days = np.arange(np.datetime64("1900-01-01"), np.datetime64("2300-01-01"))
+        texts = [f"{d}T23:59:59Z" for d in days.tolist()]
+        parsed = np.ones(len(texts), dtype=bool)
+        seconds = iotools._timestamps(texts, parsed)
+        assert parsed.all()
+        assert np.array_equal(seconds, days + np.timedelta64(86399, "s"))
 
 
 # edits of one CSV file, as lists of lines; positions are fractions of the
@@ -329,6 +421,24 @@ class TestTelemetryLayout:
         series, diagnostics = iotools.read_telemetry_csv(path)
         assert [line for line, _ in diagnostics] == [702]
         assert series.t_module[1] == float(t)
+
+    def test_short_record_after_mark_and_blank_line(self, base_lines,
+                                                    tmp_path):
+        # a short record sends the reader over the file again, past the
+        # byte-order mark, and the line numbers still count the blank line
+        lines = list(base_lines)
+        lines.insert(3, b"\r\n")  # physical line 4
+        lines[9] = lines[9].rsplit(b",", 2)[0] + b"\r\n"  # physical line 10
+        lines[20] = _set_field(lines[20], 1, b"-1")  # physical line 21
+        path = tmp_path / "t.csv"
+        path.write_bytes(_BOM + b"".join(lines))
+        series, diagnostics = iotools.read_telemetry_csv(path,
+                                                         max_bad_fraction=1.0)
+        assert [line for line, _ in diagnostics] == [10, 21]
+        assert diagnostics[0][1] == \
+            "unparseable row: could not convert string to float: ''"
+        assert len(series) == len(base_lines) - 3
+        _assert_reads_like_oracle(path)
 
     def test_byte_order_mark_reads_like_plain_utf8(self, base_lines,
                                                    tmp_path):
@@ -748,6 +858,22 @@ def _write_config(tmp_path, days=9, models=("pvpro", "nominal",
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus", "--config", "c.json"],
+        *([command] for command in ("synth", "fit", "predict", "benchmark")),
+        *([command, "--config", "c.json", "--report", "r.json"]
+          for command in ("synth", "fit", "predict", "benchmark"))])
+    def test_usage_error_exit_code(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "usage: pvprof" in capsys.readouterr().err
+
+    def test_report_needs_no_config(self, tmp_path):
+        # without a report to read it is a data error, not a usage error
+        assert main(["report", "--report", str(tmp_path / "none.json"),
+                     "--out", str(tmp_path)]) == 3
+
     def test_full_command_chain(self, tmp_path):
         cfg = _write_config(tmp_path)
         out = str(tmp_path)
