@@ -269,9 +269,6 @@ COMMANDS = {"synth": cmd_synth, "fit": cmd_fit, "predict": cmd_predict,
 
 
 def build_parser():
-    """One parser for every command; `main` applies the two rules it cannot
-    state: every command but ``report`` needs ``--config``, and only
-    ``report`` takes ``--report``."""
     parser = argparse.ArgumentParser(
         prog="pvprof",
         description="Single-diode PV modeling, day-ahead power conversion "
@@ -280,25 +277,23 @@ def build_parser():
     parser.add_argument("--config", help="path to the JSON run configuration "
                                          "(every command but report)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int,
                         help="override the configured seed")
-    parser.add_argument("--models", default=None,
-                        help="comma-separated roster override")
+    parser.add_argument("--models", help="comma-separated roster override")
     parser.add_argument("--verbose", action="store_true")
-    parser.add_argument("--report", default=None,
-                        help="report only: path to report.json "
-                             "(default: <out>/report.json)")
+    parser.add_argument("--report", help="report only: path to report.json "
+                                         "(default: <out>/report.json)")
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # parser.error exits with code 2, as argparse does on any usage error
+    # usage errors exit with code 2, as argparse's own do
     if args.config is None and args.command != "report":
         parser.error(f"{args.command} needs --config")
     if args.report is not None and args.command != "report":
-        parser.error("--report is an option of report alone")
+        parser.error("only report takes --report")
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:

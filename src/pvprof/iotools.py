@@ -269,10 +269,10 @@ def _canonical_seconds(texts, seconds):
     digits = raw[:, _DIGITS] - np.uint8(ord("0"))   # wraps below "0"
     ok = (raw[:, _SEPARATORS] == np.frombuffer(b"--T::Z", np.uint8)).all(1) \
         & (digits < 10).all(1)
-    digits = digits.astype(np.int64)
-    year = digits[:, :4] @ (1000, 100, 10, 1)
-    month, day, hour, minute, second = \
-        (digits[:, 4:].reshape(-1, 5, 2) @ (10, 1)).T
+    # the 7 two-digit numbers; a row with a non-digit wraps, and is not ok
+    century, year, month, day, hour, minute, second = \
+        (digits[:, ::2] * np.uint8(10) + digits[:, 1::2]).astype(np.int64).T
+    year += century * 100
     first = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
     date = first.astype("datetime64[D]") + (day - 1)
     # a day past its month's end, or 0, lands in another month
