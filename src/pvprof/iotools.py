@@ -110,8 +110,7 @@ def read_telemetry_csv(path, mapping=None, max_bad_fraction=0.01):
         raise DataError(f"cannot read telemetry: {exc}") from exc
     with fh:
         try:
-            texts, first_line, one_line_each = _read_records(fh, source_of,
-                                                             path)
+            texts = _read_records(fh, source_of, path)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}:{_undecodable_line(path)}: not UTF-8 "
                             f"text ({exc.reason})") from exc
@@ -120,10 +119,8 @@ def read_telemetry_csv(path, mapping=None, max_bad_fraction=0.01):
         raise DataError(f"{path}: no data rows")
     fields, rejection = _parse_columns(texts)
     bad = np.flatnonzero(rejection)
-    if one_line_each or not bad.size:
-        lines = (first_line + bad).tolist()
-    else:   # blank lines or records over several lines: count them again
-        lines = _record_lines(path, bad)
+    # only a rejected record needs its line: the file is read again for it
+    lines = _record_lines(path, bad) if bad.size else []
     diagnostics = [(line, _diagnosis(rejection[k], [t[k] for t in texts]))
                    for line, k in zip(lines, bad)]
     if diagnostics and len(diagnostics) >= max_bad_fraction * n:
@@ -152,8 +149,7 @@ def _column_positions(header, source_of, path):
 
 def _read_records(fh, source_of, path, pad=False):
     """The texts of the native fields in each nonblank record after the
-    header, one tuple per field; the physical line the first record starts
-    on; and whether every record after the header is one nonblank line.
+    header, one tuple per field.
 
     Only the fields the reader uses are kept.  A record shorter than the
     header has its missing fields read as "", which no parser accepts: the
@@ -162,7 +158,6 @@ def _read_records(fh, source_of, path, pad=False):
     reader = csv.reader(fh)
     try:
         columns = _column_positions(next(reader, None), source_of, path)
-        header_lines = reader.line_num
         records = filter(None, reader)
         if pad:
             width = max(columns) + 1
@@ -173,8 +168,7 @@ def _read_records(fh, source_of, path, pad=False):
         return _read_records(fh, source_of, path, pad=True)
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    texts = list(zip(*rows)) or [()] * len(columns)
-    return texts, header_lines + 1, reader.line_num - header_lines == len(rows)
+    return list(zip(*rows)) or [()] * len(columns)
 
 
 def _record_lines(path, records):
