@@ -10,7 +10,7 @@ from pvprof import (ArrayTopology, SdmParamsRef, WeatherProfile,
                     fit_desoto_from_datasheet, fit_window, generate_dataset,
                     naive_persistence, predict_regressor, simulate_power,
                     smart_persistence, synthesize_datasheet, train_regressor)
-from pvprof.series import DAY, WeatherSeries
+from pvprof.series import DAY
 
 truth = SdmParamsRef(9.5 * 0.9, 3e-10, 0.35 * 1.2, 400.0, 1.1)  # degraded
 topo = ArrayTopology(72, 12, 8)
@@ -24,7 +24,6 @@ series, _ = generate_dataset(truth, topo, profile, alpha_isc=0.004)
 
 day_start = series.days()[-1].astype("datetime64[s]")
 test = series.slice_time(day_start, day_start + DAY)
-weather = WeatherSeries.from_telemetry(test)
 history = series.slice_time(series.timestamp[0], day_start)
 print(f"forecast day {series.days()[-1]} "
       f"({'cloudy' if 13 in profile.cloud_days else 'clear'}), "
@@ -48,9 +47,9 @@ predictions["nominal"] = simulate_power(nominal, test.g_poa, test.t_module,
 prev = history.slice_time(day_start - DAY, day_start)
 predictions["smart_persistence"] = smart_persistence(
     (prev.timestamp, prev.power), (prev.timestamp, prev.g_poa),
-    (weather.timestamp, weather.g_poa)).p_pred
+    (test.timestamp, test.g_poa))
 predictions["naive_persistence"] = naive_persistence(
-    (prev.timestamp, prev.power), weather.timestamp).p_pred
+    (prev.timestamp, prev.power), test.timestamp)
 
 # regressors trained on the trailing week of daylight data
 train = history.slice_time(day_start - 7 * DAY, day_start)

@@ -33,7 +33,7 @@ from .sdm import (ArrayTopology, IvPoint, OperatingConditions,
                   open_circuit_voltage, short_circuit_current,
                   simulate_array_mpp, solve_current, solve_voltage,
                   translate_to_operating)
-from .series import ForecastSeries, TelemetrySeries, WeatherSeries
+from .series import ForecastSeries, TelemetrySeries
 from .synth import (DegradationScenario, GroundTruthLog, WeatherProfile,
                     apply_clouds, clear_sky_profile, generate_dataset,
                     module_temperature)

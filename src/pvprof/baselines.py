@@ -19,8 +19,7 @@ import numpy as np
 from . import sdm
 from .exceptions import (ConfigError, DataError, ExtractionError,
                          InsufficientDataError, TrainingError)
-from .series import (ForecastSeries, hour_of_day, require_aligned,
-                     _as_timestamps)
+from .series import hour_of_day, require_aligned, _as_timestamps
 
 _VTH_REF = sdm.K_BOLTZMANN * sdm.T_REF_K / sdm.Q_ELEMENTARY
 # Newton steps of the datasheet extraction, per seed
@@ -265,10 +264,11 @@ def fit_desoto_from_datasheet(ds: Datasheet) -> sdm.SdmParamsRef:
     return params
 
 
-def smart_persistence(p_hist: ForecastSeries | tuple, g_hist, g_future,
+def smart_persistence(p_hist: tuple, g_hist: tuple, g_future: tuple,
                       horizon=np.timedelta64(24, "h"),
-                      g_min=50.0) -> ForecastSeries:
-    """Scale the power observed one horizon ago by the irradiance ratio.
+                      g_min=50.0) -> np.ndarray:
+    """Predicted power at the target timestamps: the power observed one
+    horizon earlier, scaled by the irradiance ratio.
 
     ``p_hist`` and ``g_hist`` are (timestamps, values) pairs on the same
     axis; ``g_future`` holds the target timestamps and their irradiance.
@@ -302,18 +302,19 @@ def smart_persistence(p_hist: ForecastSeries | tuple, g_hist, g_future,
                 pred[k] = p[j] * g_f[k] / g[j]
                 break
             j -= 1
-    return ForecastSeries(ts_f, pred, model="smart_persistence")
+    return pred
 
 
-def naive_persistence(p_hist, target_timestamps,
-                      horizon=np.timedelta64(24, "h")) -> ForecastSeries:
-    """Repeat the power observed one horizon earlier."""
+def naive_persistence(p_hist: tuple, target_timestamps,
+                      horizon=np.timedelta64(24, "h")) -> np.ndarray:
+    """Predicted power at the target timestamps: the power observed one
+    horizon earlier.  ``p_hist`` is a (timestamps, values) pair."""
     ts_h, p = p_hist
     ts_h = _as_timestamps(ts_h)
     p = np.asarray(p, dtype=float)
     ts_f = _as_timestamps(target_timestamps)
     idx = _horizon_index(ts_h, ts_f, horizon)
-    return ForecastSeries(ts_f, p[idx], model="naive_persistence")
+    return p[idx]
 
 
 def _horizon_index(ts_h, ts_f, horizon):
@@ -343,17 +344,6 @@ class RegressorModel:
     weights: np.ndarray | None = None      # linear family
     dual_coef: np.ndarray | None = None    # kernel family
     x_train: np.ndarray | None = None      # standardized training inputs
-
-    def to_json_dict(self):
-        d = {"family": self.family, "x_mean": self.x_mean.tolist(),
-             "x_std": self.x_std.tolist(), "y_mean": self.y_mean,
-             "hyperparams": dict(self.hyperparams)}
-        if self.weights is not None:
-            d["weights"] = self.weights.tolist()
-        if self.dual_coef is not None:
-            d["dual_coef"] = self.dual_coef.tolist()
-            d["x_train"] = self.x_train.tolist()
-        return d
 
 
 def _check_hyperparam(name, value, positive):

@@ -11,9 +11,11 @@ and window length, so ``trajectory.csv`` holds ``pvprof fit``'s rows and
 labels, failed windows included (their day is skipped with the window's
 error).  A fit that hit its evaluation cap still predicts, from the
 solver's best point, and ``trajectory.csv`` flags it as not converged.
-Every model predicts from ``feature_matrix`` rows of the day's weather
-through ``predict_model``, as the studies do, so the day's measured power
-never reaches a prediction.  The sweep study predicts from the last window
+Every model predicts a day as a power array from the day's telemetry
+slice: a trained model from ``feature_matrix`` rows of its irradiance and
+module temperature through ``predict_model``, as the studies do, and
+persistence from its timestamps and irradiance, so the day's measured
+power never reaches a prediction.  The sweep study predicts from the last window
 fit that did not fail.  Results are pooled into aggregate and per-day
 metrics plus the enabled studies, all serialized deterministically.  A
 (model, day) cell whose metrics cannot be taken, for want of daylight
@@ -64,7 +66,7 @@ from .exceptions import (ConfigError, ExtractionError,
 from .iotools import dumps_json
 from .preprocess import PreprocessConfig, TrainingWindows
 from .sdm import ArrayTopology
-from .series import DAY, ForecastSeries, TelemetrySeries, WeatherSeries
+from .series import DAY, ForecastSeries, TelemetrySeries
 
 SCHEMA_VERSION = 1
 KNOWN_MODELS = ("pvpro", "smart_persistence", "naive_persistence",
@@ -351,19 +353,20 @@ class _DayAheadRunner:
                 self.series, cfg.topology, cfg.window_length, day_starts,
                 cfg.datasheet, cfg.preprocess, self.solved, self.windows)))
 
-    def predict(self, name, day_starts, weathers):
-        """Model ``name``'s prediction array for each day, or the
-        ``PvprofError`` that skips the day."""
+    def predict(self, name, day_starts, tests):
+        """Model ``name``'s prediction array for each day, from the day's
+        telemetry slice in ``tests``, or the ``PvprofError`` that skips
+        the day."""
         if name in ("smart_persistence", "naive_persistence"):
-            return [_outcome(self._persist, name, day_start, weather)
-                    for day_start, weather in zip(day_starts, weathers)]
+            return [_outcome(self._persist, name, day_start, test)
+                    for day_start, test in zip(day_starts, tests)]
         outcomes = [_outcome(self._trained, name, day_start)
                     for day_start in day_starts]
         days = [k for k, fitted in enumerate(outcomes)
                 if not isinstance(fitted, PvprofError)]
         models = [outcomes[k] for k in days]
         features = [baselines.feature_matrix(
-            weathers[k].timestamp, weathers[k].g_poa, weathers[k].t_cell)
+            tests[k].timestamp, tests[k].g_poa, tests[k].t_module)
             for k in days]
         predict = functools.partial(
             analysis.predict_model, topo=self.cfg.topology,
@@ -379,22 +382,19 @@ class _DayAheadRunner:
             outcomes[k] = pred
         return outcomes
 
-    def _persist(self, name, day_start, weather: WeatherSeries):
-        """A persistence model's prediction array for one day."""
+    def _persist(self, name, day_start, test: TelemetrySeries):
+        """A persistence model's prediction array for the day ``test``."""
         cfg = self.cfg
         hist = self.series.slice_time(day_start - cfg.horizon, day_start)
         if len(hist) == 0:
             raise InsufficientDataError("no history one horizon back")
         if name == "smart_persistence":
-            fc = baselines.smart_persistence(
+            return baselines.smart_persistence(
                 (hist.timestamp, hist.power), (hist.timestamp, hist.g_poa),
-                (weather.timestamp, weather.g_poa),
+                (test.timestamp, test.g_poa),
                 horizon=cfg.horizon, g_min=cfg.preprocess.g_min)
-        else:
-            fc = baselines.naive_persistence(
-                (hist.timestamp, hist.power), weather.timestamp,
-                horizon=cfg.horizon)
-        return fc.p_pred
+        return baselines.naive_persistence(
+            (hist.timestamp, hist.power), test.timestamp, horizon=cfg.horizon)
 
     def _trained(self, name, day_start):
         """A trained model's parameters or regressor for one day; raises
@@ -463,8 +463,7 @@ def run_benchmark(config: RunConfig,
     runner.prepare(eval_start, day_starts, study_windows)
     tests = [series.slice_time(day_start, day_start + DAY)
              for day_start in day_starts]
-    weathers = [WeatherSeries.from_telemetry(test) for test in tests]
-    predictions = {name: runner.predict(name, day_starts, weathers)
+    predictions = {name: runner.predict(name, day_starts, tests)
                    for name in config.models}
 
     daily = {name: [] for name in config.models}

@@ -380,14 +380,12 @@ def write_forecast_csv(path, forecasts):
     """
     lines = [",".join(FORECAST_COLUMNS) + "\r\n"]
     for fc in forecasts:
-        meas = fc.p_meas if fc.p_meas is not None \
-            else np.full(len(fc), np.nan)
         stamps = np.datetime_as_string(fc.timestamp, unit="s").tolist()
         model = _csv_field(fc.model)
         # p and m are Python floats, so this is format_float's text
         lines += [f"{ts}Z,{model},{p:.17g},{m:.17g}\r\n"
                   for ts, p, m in zip(stamps, fc.p_pred.tolist(),
-                                      meas.tolist())]
+                                      fc.p_meas.tolist())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("".join(lines))
 

@@ -1,7 +1,9 @@
 """Columnar time-series containers shared across the library.
 
-Telemetry, weather and forecast series are stored as parallel numpy arrays
-keyed by a strictly increasing ``datetime64[s]`` timestamp axis.
+Telemetry and forecast series are stored as parallel numpy arrays keyed by
+a ``datetime64[s]`` timestamp axis.  Every model predicts a day as a power
+array from the day's ``TelemetrySeries`` slice; a ``ForecastSeries`` is
+one scored (model, day) row of the report's forecast table.
 """
 
 from dataclasses import dataclass
@@ -88,47 +90,21 @@ class TelemetrySeries:
 
 
 @dataclass
-class WeatherSeries:
-    """Timestamped operating conditions (irradiance + module temperature)."""
-
-    timestamp: np.ndarray
-    g_poa: np.ndarray
-    t_cell: np.ndarray
-
-    def __post_init__(self):
-        self.timestamp = _as_timestamps(self.timestamp)
-        self.g_poa = np.asarray(self.g_poa, dtype=float)
-        self.t_cell = np.asarray(self.t_cell, dtype=float)
-        if self.g_poa.shape != self.timestamp.shape \
-                or self.t_cell.shape != self.timestamp.shape:
-            raise DataError("weather columns do not match timestamp axis")
-
-    def __len__(self):
-        return self.timestamp.size
-
-    @classmethod
-    def from_telemetry(cls, series: TelemetrySeries):
-        return cls(series.timestamp, series.g_poa, series.t_module)
-
-
-@dataclass
 class ForecastSeries:
-    """Predicted power from one model, optionally paired with measurements."""
+    """One model's predicted power for one day beside the measured power."""
 
     timestamp: np.ndarray
     p_pred: np.ndarray
-    model: str = ""
-    p_meas: np.ndarray | None = None
+    model: str
+    p_meas: np.ndarray
 
     def __post_init__(self):
         self.timestamp = _as_timestamps(self.timestamp)
-        self.p_pred = np.asarray(self.p_pred, dtype=float)
-        if self.p_pred.shape != self.timestamp.shape:
-            raise DataError("forecast column does not match timestamp axis")
-        if self.p_meas is not None:
-            self.p_meas = np.asarray(self.p_meas, dtype=float)
-            if self.p_meas.shape != self.timestamp.shape:
-                raise DataError("measurement column does not match timestamp axis")
+        for name in ("p_pred", "p_meas"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != self.timestamp.shape:
+                raise DataError(f"column {name} does not match timestamp axis")
+            setattr(self, name, arr)
 
     def __len__(self):
         return self.timestamp.size

@@ -274,10 +274,10 @@ def test_c10_smart_persistence_exactness():
         g = np.maximum(0.0, np.sin(np.pi * (h - 6.0) / 12.0)) * 900.0
         g[n:] *= 0.77          # different sky, proportional power
         p = 35.0 * g
-        fc = baselines.smart_persistence((ts[:n], p[:n]), (ts[:n], g[:n]),
-                                         (ts[n:], g[n:]))
+        pred = baselines.smart_persistence((ts[:n], p[:n]),
+                                           (ts[:n], g[:n]), (ts[n:], g[n:]))
         daylight = g[n:] >= 50.0
-        nmae = np.mean(np.abs(fc.p_pred[daylight] - p[n:][daylight])) / 35e3
+        nmae = np.mean(np.abs(pred[daylight] - p[n:][daylight])) / 35e3
         assert nmae <= 1e-12, nmae
 
 

@@ -8,7 +8,7 @@ from pvprof import analysis, baselines, fitting, preprocess, sdm, synth
 from pvprof.benchmark import RunConfig, run_benchmark
 from pvprof.exceptions import (ConfigError, DataError, InsufficientDataError,
                                NumericalError)
-from pvprof.series import DAY, TelemetrySeries, WeatherSeries
+from pvprof.series import DAY, TelemetrySeries
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls
 from oracles import scan_mpp
 
@@ -536,43 +536,43 @@ class TestTrainPredict:
         train = preprocess.training_window(series, last, 2 * DAY,
                                            preprocess.PreprocessConfig())
         test = series.slice_time(last, last + DAY)
-        return train, WeatherSeries.from_telemetry(test)
+        return train, test
 
-    def _pair(self, name, train, weather, topo, datasheet):
+    def _pair(self, name, train, test, topo, datasheet):
         fitted, = analysis.train_model(name, [train], topo=topo,
                                        datasheet=datasheet)
-        X = baselines.feature_matrix(weather.timestamp, weather.g_poa,
-                                     weather.t_cell)
+        X = baselines.feature_matrix(test.timestamp, test.g_poa,
+                                     test.t_module)
         return analysis.predict_model(fitted, X, topo=topo,
                                       datasheet=datasheet, g_min=50.0)
 
-    def _simulate(self, params, weather, topo, datasheet):
-        return fitting.simulate_power(params, weather.g_poa, weather.t_cell,
+    def _simulate(self, params, test, topo, datasheet):
+        return fitting.simulate_power(params, test.g_poa, test.t_module,
                                       topo, g_min=50.0,
                                       alpha_isc=datasheet.alpha_isc)
 
     def test_physical_models_match_direct_calls(self, split, topo, datasheet):
-        train, weather = split
+        train, test = split
         fit = fitting.fit_window(train, topo, datasheet)
         direct = {"pvpro": fit.params,
                   "nominal": baselines.fit_desoto_from_datasheet(datasheet)}
         for name, params in direct.items():
             np.testing.assert_array_equal(
-                self._pair(name, train, weather, topo, datasheet),
-                self._simulate(params, weather, topo, datasheet))
+                self._pair(name, train, test, topo, datasheet),
+                self._simulate(params, test, topo, datasheet))
 
     @pytest.mark.parametrize("name, family", [("lr", "linear"),
                                               ("kr", "kernel_ridge")])
     def test_regressors_match_direct_calls(self, split, topo, datasheet, name,
                                            family):
-        train, weather = split
+        train, test = split
         X = baselines.feature_matrix(train.timestamp, train.g_poa,
                                      train.t_module)
         model = baselines.train_regressor(family, X, train.power)
-        Xq = baselines.feature_matrix(weather.timestamp, weather.g_poa,
-                                      weather.t_cell)
+        Xq = baselines.feature_matrix(test.timestamp, test.g_poa,
+                                      test.t_module)
         np.testing.assert_array_equal(
-            self._pair(name, train, weather, topo, datasheet),
+            self._pair(name, train, test, topo, datasheet),
             baselines.predict_regressor(model, Xq))
 
     @pytest.mark.parametrize("name", ["smart_persistence", "svr"])

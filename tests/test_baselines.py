@@ -26,37 +26,37 @@ class TestSmartPersistence:
         g = np.tile(np.concatenate([np.zeros(24), 800 * np.sin(
             np.linspace(0, np.pi, 48)), np.zeros(24)]), 2)
         p = 30.0 * g
-        fc = baselines.smart_persistence((ts, p), (ts, g),
-                                         (ts[96:] + H24, g[96:]))
-        assert np.allclose(fc.p_pred, p[96:], atol=1e-9)
+        pred = baselines.smart_persistence((ts, p), (ts, g),
+                                           (ts[96:] + H24, g[96:]))
+        assert np.allclose(pred, p[96:], atol=1e-9)
 
     def test_dark_future_is_zero(self):
         ts = _axis("2024-06-01T12:00", 4)
-        fc = baselines.smart_persistence(
+        pred = baselines.smart_persistence(
             (ts, [100.0] * 4), (ts, [500.0] * 4),
             (ts + H24, [0.0] * 4))
-        assert np.all(fc.p_pred == 0.0)
+        assert np.all(pred == 0.0)
 
     def test_direct_ratio_arithmetic(self):
         ts = _axis("2024-06-01T12:00", 1)
-        fc = baselines.smart_persistence(
+        pred = baselines.smart_persistence(
             (ts, [100_000.0]), (ts, [500.0]), (ts + H24, [750.0]))
-        assert fc.p_pred[0] == pytest.approx(150_000.0, rel=1e-14)
+        assert pred[0] == pytest.approx(150_000.0, rel=1e-14)
 
     def test_dark_anchor_falls_back_to_earlier_sample(self):
         ts = _axis("2024-06-01T12:00", 3)
         p = np.array([80_000.0, 70_000.0, 100.0])
         g = np.array([400.0, 350.0, 10.0])     # last anchor below g_min
         future = (ts[2:] + H24, np.array([700.0]))
-        fc = baselines.smart_persistence((ts, p), (ts, g), future)
-        assert fc.p_pred[0] == pytest.approx(70_000.0 * 700.0 / 350.0)
+        pred = baselines.smart_persistence((ts, p), (ts, g), future)
+        assert pred[0] == pytest.approx(70_000.0 * 700.0 / 350.0)
 
     def test_dark_anchor_without_fallback_is_zero(self):
         ts = _axis("2024-06-01T00:00", 2)
-        fc = baselines.smart_persistence(
+        pred = baselines.smart_persistence(
             (ts, [0.0, 0.0]), (ts, [0.0, 5.0]),
             (ts + H24, [600.0, 600.0]))
-        assert np.all(fc.p_pred == 0.0)
+        assert np.all(pred == 0.0)
 
     def test_misaligned_histories_rejected(self):
         ts = _axis("2024-06-01T00:00", 4)
@@ -77,25 +77,26 @@ class TestSmartPersistence:
 class TestNaivePersistence:
     def test_constant_history(self):
         ts = _axis("2024-06-01T00:00", 96)
-        fc = baselines.naive_persistence((ts, np.full(96, 5.0)), ts[48:] + H24)
-        assert np.all(fc.p_pred == 5.0)
+        pred = baselines.naive_persistence((ts, np.full(96, 5.0)),
+                                           ts[48:] + H24)
+        assert np.all(pred == 5.0)
 
     def test_zero_horizon_is_identity(self):
         ts = _axis("2024-06-01T00:00", 8)
         p = np.arange(8.0)
-        fc = baselines.naive_persistence((ts, p), ts,
-                                         horizon=np.timedelta64(0, "s"))
-        assert np.array_equal(fc.p_pred, p)
+        pred = baselines.naive_persistence((ts, p), ts,
+                                           horizon=np.timedelta64(0, "s"))
+        assert np.array_equal(pred, p)
 
     def test_day_shift_error_matches_direct_computation(self):
         ts = _axis("2024-06-01T00:00", 192)
         h = np.arange(192) % 96 * 0.25
         p = np.maximum(0.0, np.sin(np.pi * (h - 6.0) / 12.0)) * 50_000.0
         p[96:] *= 0.8  # next day scaled
-        fc = baselines.naive_persistence((ts, p), ts[96:])
+        pred = baselines.naive_persistence((ts, p), ts[96:])
         nominal = 50_000.0
         direct = np.mean(np.abs(p[:96] - p[96:])) / nominal
-        lib = np.mean(np.abs(fc.p_pred - p[96:])) / nominal
+        lib = np.mean(np.abs(pred - p[96:])) / nominal
         assert lib == pytest.approx(direct, rel=1e-12)
 
 

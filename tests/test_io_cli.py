@@ -758,18 +758,16 @@ class TestFloatText:
         forecasts = [
             ForecastSeries(ts, [1.5, math.nan, -0.0, 1e300], "a",
                            p_meas=[math.inf, 2.0, self.NEG_NAN, 5e-324]),
-            ForecastSeries(ts[:2], [0.1, 2.0], "b")]
+            ForecastSeries(ts[:2], [0.1, 2.0], "b", p_meas=[math.nan, 0.5])]
         path = tmp_path / "forecasts.csv"
         iotools.write_forecast_csv(path, forecasts)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         expected = [list(iotools.FORECAST_COLUMNS)]
         for fc in forecasts:
-            meas = (fc.p_meas if fc.p_meas is not None
-                    else np.full(len(fc), np.nan))
             expected += [[iotools.format_timestamp(fc.timestamp[k]), fc.model,
                           branchy_format_float(fc.p_pred[k]),
-                          branchy_format_float(meas[k])]
+                          branchy_format_float(fc.p_meas[k])]
                          for k in range(len(fc))]
         assert rows == expected
 
@@ -787,7 +785,7 @@ class TestFloatText:
         meas = [np.float32(2.5), 0.1, 1.0 / 3.0, -1e-300, math.nan, 7.0,
                 -0.0, math.inf]
         forecasts = [ForecastSeries(ts, pred, model, p_meas=meas),
-                     ForecastSeries(ts[:3], pred[:3], "second")]
+                     ForecastSeries(ts[:3], pred[:3], "second", meas[5:])]
         path = tmp_path / "forecasts.csv"
         iotools.write_forecast_csv(path, forecasts)
         reference = tmp_path / "reference.csv"
@@ -795,13 +793,11 @@ class TestFloatText:
             writer = csv.writer(fh)
             writer.writerow(iotools.FORECAST_COLUMNS)
             for fc in forecasts:
-                m = (fc.p_meas if fc.p_meas is not None
-                     else np.full(len(fc), np.nan))
                 for k in range(len(fc)):
                     writer.writerow([iotools.format_timestamp(fc.timestamp[k]),
                                      fc.model, iotools.format_float(
                                          fc.p_pred[k]),
-                                     iotools.format_float(m[k])])
+                                     iotools.format_float(fc.p_meas[k])])
         assert path.read_bytes() == reference.read_bytes()
         assert b"\r\n" in path.read_bytes()
 
