@@ -97,8 +97,9 @@ def compute_metrics(pred, meas, p_nominal, daylight_only=True, g_poa=None,
     meas = np.asarray(meas, dtype=float)
     if pred.shape != meas.shape:
         raise DataError("prediction and measurement series differ in length")
-    if p_nominal <= 0:
-        raise ConfigError("nominal power must be positive")
+    if not 0 < p_nominal < np.inf:
+        raise ConfigError(f"nominal power must be finite and > 0, "
+                          f"got {p_nominal!r}")
     if daylight_only:
         if g_poa is None:
             raise ConfigError("daylight_only metrics need the irradiance series")

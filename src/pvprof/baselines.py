@@ -54,6 +54,9 @@ class Datasheet:
         missing = [k for k in required if k not in d]
         if missing:
             raise ConfigError(f"datasheet missing fields: {', '.join(missing)}")
+        unknown = [k for k in d if k not in (*required, "alpha_isc")]
+        if unknown:
+            raise ConfigError(f"unknown datasheet fields: {', '.join(unknown)}")
         try:
             return cls(v_oc=float(d["v_oc"]), i_sc=float(d["i_sc"]),
                        v_mp=float(d["v_mp"]), i_mp=float(d["i_mp"]),

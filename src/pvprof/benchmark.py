@@ -75,14 +75,48 @@ KNOWN_STUDIES = ("seasonal", "weather_cases", "exceedance", "sweep",
                  "training_length")
 
 
+# the settings each part of a configuration may hold; a misspelled key is
+# refused rather than silently left at its default
+_TOP_LEVEL_KEYS = ("data", "system", "preprocess", "fit", "models",
+                   "regressors", "studies", "horizon_hours", "evaluation",
+                   "metrics_daylight_only", "seed", "synth")
+_SECTION_KEYS = {
+    "data": ("telemetry", "mapping"),
+    # climate_zone is an annotation, with no effect
+    "system": ("topology", "datasheet", "p_nominal_w", "climate_zone"),
+    "preprocess": ("g_min", "k_sigma", "clip_band", "clip_run",
+                   "p_ac_limit_w"),
+    "fit": ("window_days", "update_days", "warm_start"),
+    "regressors": ("lambda_grid", "gamma_grid", "training_lengths_days",
+                   "holdout_days"),
+    "studies": KNOWN_STUDIES,
+    "evaluation": ("start", "end"),
+}
+_TOPOLOGY_KEYS = ("cells_in_series", "modules_per_string",
+                  "strings_in_parallel")
+
+
+def _check_keys(settings, known, what):
+    """Raise ``ConfigError`` naming the first key of ``settings`` that is
+    not in ``known``."""
+    for key in settings:
+        if key not in known:
+            raise ConfigError(f"unknown {what} {key!r}")
+
+
 def _section(raw, name, default=None):
     """Top-level config section ``name``: ``default`` when it is absent,
-    else the JSON object it must be."""
+    else the JSON object it must be.  The ``synth`` section's keys are
+    checked where it is read (``cli``); every other section's are checked
+    here."""
     if name not in raw:
         return default
     if not isinstance(raw[name], dict):
         raise ConfigError(f"configuration section {name!r} must be a JSON "
                           f"object, not {type(raw[name]).__name__}")
+    if name in _SECTION_KEYS:
+        _check_keys(raw[name], _SECTION_KEYS[name],
+                    "study" if name == "studies" else f"{name} setting")
     return raw[name]
 
 
@@ -126,6 +160,7 @@ class RunConfig:
 
     @classmethod
     def _parse(cls, raw):
+        _check_keys(raw, _TOP_LEVEL_KEYS, "top-level setting")
         data = _section(raw, "data", {})
         for key in ("telemetry", "mapping"):
             if data.get(key) is not None and not isinstance(data[key], str):
@@ -137,33 +172,37 @@ class RunConfig:
         topo_d = system.get("topology")
         if topo_d is None:
             raise ConfigError("system section needs 'topology'")
+        _check_keys(topo_d, _TOPOLOGY_KEYS, "system.topology setting")
         topo = ArrayTopology(int(topo_d["cells_in_series"]),
                              int(topo_d["modules_per_string"]),
                              int(topo_d["strings_in_parallel"]))
         datasheet = None
         if system.get("datasheet") is not None:
             datasheet = baselines.Datasheet.from_dict(system["datasheet"])
-        p_nominal = float(system.get("p_nominal_w") or 0.0)
-        if p_nominal <= 0:
+        if system.get("p_nominal_w") is None:
             if datasheet is None:
                 raise ConfigError("p_nominal_w missing and no datasheet to "
                                   "derive it from")
             p_nominal = (datasheet.v_mp * topo.modules_per_string
                          * datasheet.i_mp * topo.strings_in_parallel)
+        else:
+            # an infinite nameplate scores every model 0, a NaN one skips
+            # every cell
+            p_nominal = float(system["p_nominal_w"])
+            if not 0 < p_nominal < np.inf:
+                raise ConfigError(f"system.p_nominal_w must be finite and "
+                                  f"> 0, got {system['p_nominal_w']!r}")
 
         pp = _section(raw, "preprocess", {})
         preprocess = PreprocessConfig(
-            g_min=float(pp.get("g_min", 50.0)),
-            k_sigma=float(pp.get("k_sigma", 3.0)),
-            clip_band=float(pp.get("clip_band", 0.005)),
-            clip_run=int(pp.get("clip_run", 3)),
+            g_min=float(pp.get("g_min", PreprocessConfig.g_min)),
+            k_sigma=float(pp.get("k_sigma", PreprocessConfig.k_sigma)),
+            clip_band=float(pp.get("clip_band", PreprocessConfig.clip_band)),
+            clip_run=pp.get("clip_run", PreprocessConfig.clip_run),
             p_ac_limit=(None if pp.get("p_ac_limit_w") is None
                         else float(pp["p_ac_limit_w"])))
 
         fit = _section(raw, "fit", {})
-        for key in fit:
-            if key not in ("window_days", "update_days", "warm_start"):
-                raise ConfigError(f"unknown fit setting {key!r}")
         lengths = {}
         for key, default in (("window_days", 3), ("update_days", 1)):
             days = float(fit.get(key, default))
@@ -190,20 +229,17 @@ class RunConfig:
                               "a datasheet in the configuration")
 
         reg = _section(raw, "regressors", {})
-        grid_spec = baselines.GridSearchSpec(
-            lambda_grid=tuple(reg.get("lambda_grid",
-                                      baselines.DEFAULT_LAMBDA_GRID)),
-            gamma_grid=tuple(reg.get("gamma_grid",
-                                     baselines.DEFAULT_GAMMA_GRID)),
-            training_lengths_days=tuple(reg.get(
-                "training_lengths_days", baselines.DEFAULT_TRAINING_LENGTHS)),
-            holdout_days=float(reg.get("holdout_days", 1.0)))
+        spec = baselines.GridSearchSpec
+        grid_spec = spec(
+            lambda_grid=tuple(reg.get("lambda_grid", spec.lambda_grid)),
+            gamma_grid=tuple(reg.get("gamma_grid", spec.gamma_grid)),
+            training_lengths_days=tuple(reg.get("training_lengths_days",
+                                                spec.training_lengths_days)),
+            holdout_days=float(reg.get("holdout_days", spec.holdout_days)))
 
         studies = {name: False for name in KNOWN_STUDIES}
         studies["exceedance"] = True
         for name, on in _section(raw, "studies", {}).items():
-            if name not in KNOWN_STUDIES:
-                raise ConfigError(f"unknown study {name!r}")
             studies[name] = _flag(on, f"studies.{name}")
 
         hours = raw.get("horizon_hours", 24)

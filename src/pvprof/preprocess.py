@@ -14,6 +14,7 @@ every model that trains on a window reads the same slice.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,11 +31,40 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class PreprocessConfig:
+    """The quality filters' settings.
+
+    Raises ``ConfigError`` unless ``g_min`` and ``clip_band`` are finite
+    and >= 0, ``k_sigma`` is finite and > 0, ``clip_run`` is a whole
+    number >= 1 (kept as an ``int``) and ``p_ac_limit`` is None or finite
+    and > 0.  A NaN threshold would flag nothing: no night, no outlier.
+    """
+
     g_min: float = DEFAULT_G_MIN
     k_sigma: float = DEFAULT_K_SIGMA
     clip_band: float = DEFAULT_CLIP_BAND
     clip_run: int = DEFAULT_CLIP_RUN
     p_ac_limit: float | None = None
+
+    def __post_init__(self):
+        for name, positive in (("g_min", False), ("k_sigma", True),
+                               ("clip_band", False)):
+            value = getattr(self, name)
+            if not (math.isfinite(value)
+                    and (value > 0 if positive else value >= 0)):
+                raise ConfigError(f"preprocess.{name} must be finite and "
+                                  f"{'>' if positive else '>='} 0, "
+                                  f"got {value!r}")
+        run = self.clip_run
+        whole = isinstance(run, numbers.Integral) \
+            or isinstance(run, float) and run.is_integer()
+        if isinstance(run, bool) or not whole or run < 1:
+            raise ConfigError(f"preprocess.clip_run must be a whole number "
+                              f">= 1, got {run!r}")
+        object.__setattr__(self, "clip_run", int(run))
+        if self.p_ac_limit is not None \
+                and not 0 < self.p_ac_limit < math.inf:
+            raise ConfigError(f"preprocess.p_ac_limit_w must be finite and "
+                              f"> 0, got {self.p_ac_limit!r}")
 
 
 @dataclass(frozen=True)

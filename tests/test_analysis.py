@@ -61,6 +61,13 @@ class TestComputeMetrics:
             analysis.compute_metrics(np.ones(3), np.ones(3), 1e5,
                                      daylight_only=True)
 
+    @pytest.mark.parametrize("p_nominal", [0.0, -1.0, np.inf, np.nan])
+    def test_nominal_power_must_be_finite_and_positive(self, p_nominal):
+        # an infinite nameplate would score any prediction 0
+        with pytest.raises(ConfigError, match="nominal power"):
+            analysis.compute_metrics(np.ones(3), np.zeros(3), p_nominal,
+                                     daylight_only=False)
+
     def test_non_finite_kept_sample_is_refused(self):
         # a NaN would read as NaN errors and as no exceedance at all
         with pytest.raises(NumericalError, match="^1 of 3 kept samples"):

@@ -633,6 +633,24 @@ _ANY_SETTING = st.one_of(
     st.text(max_size=6), st.lists(st.integers(0, 9), max_size=2))
 
 
+# a misspelled key of every part of a configuration, and the error that
+# names it
+_MISSPELLED = [
+    (("preprocess", "gmin"), "unknown preprocess setting 'gmin'"),
+    (("regressors", "lamda_grid"),
+     "unknown regressors setting 'lamda_grid'"),
+    (("evaluation", "begin"), "unknown evaluation setting 'begin'"),
+    (("data", "telemetri"), "unknown data setting 'telemetri'"),
+    (("system", "p_nominal"), "unknown system setting 'p_nominal'"),
+    (("horizon_hour",), "unknown top-level setting 'horizon_hour'"),
+    (("fit", "window_dayz"), "unknown fit setting 'window_dayz'"),
+    (("studies", "sweeps"), "unknown study 'sweeps'"),
+    (("system", "topology", "modules"),
+     "unknown system.topology setting 'modules'"),
+    (("system", "datasheet", "alpha_is"),
+     "unknown datasheet fields: alpha_is")]
+
+
 class TestRunConfigFuzz:
     @given(settings=st.fixed_dictionaries(
         {}, optional={key: _ANY_SETTING for key in _FUZZ_KEYS}))
@@ -644,7 +662,61 @@ class TestRunConfigFuzz:
             config = RunConfig.from_dict(raw)
         except ConfigError:
             return
-        assert isinstance(config, RunConfig)
+        pre = config.preprocess
+        assert 0 <= pre.g_min < math.inf and 0 < pre.k_sigma < math.inf
+        assert 0 <= pre.clip_band < math.inf
+        assert isinstance(pre.clip_run, int) and pre.clip_run >= 1
+        assert pre.p_ac_limit is None or 0 < pre.p_ac_limit < math.inf
+
+    @pytest.mark.parametrize("key, value", [
+        ("g_min", math.nan), ("g_min", -1.0), ("g_min", math.inf),
+        ("k_sigma", math.nan), ("k_sigma", 0.0), ("k_sigma", math.inf),
+        ("clip_band", math.nan), ("clip_band", -0.01), ("clip_run", 0),
+        ("clip_run", 2.5), ("clip_run", True), ("p_ac_limit_w", 0.0),
+        ("p_ac_limit_w", math.nan), ("p_ac_limit_w", math.inf)])
+    def test_preprocess_setting_out_of_range_is_refused(self, key, value):
+        # a NaN g_min flags no night and a NaN k_sigma no outlier, so every
+        # metric cell, or no record, would be dropped without a word
+        raw = json.loads(json.dumps(_FUZZ_BASE))
+        raw["preprocess"] = {key: value}
+        with pytest.raises(ConfigError, match=f"preprocess.{key}"):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("text", ["Infinity", "NaN", "1e400", "0", "-1"])
+    def test_p_nominal_must_be_finite_and_positive(self, text):
+        # json reads Infinity and 1e400 as inf, which scores every model
+        # 0; NaN skips every cell; 0 and -1 are not a nameplate either
+        raw = json.loads(json.dumps(_FUZZ_BASE))
+        raw["system"]["p_nominal_w"] = json.loads(text)
+        with pytest.raises(ConfigError, match="p_nominal_w"):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("system", [{}, {"p_nominal_w": None}])
+    def test_absent_p_nominal_comes_from_the_datasheet(self, system):
+        raw = json.loads(json.dumps(_FUZZ_BASE))
+        raw["system"].update(system)
+        ds = raw["system"]["datasheet"]
+        assert RunConfig.from_dict(raw).p_nominal == (
+            ds["v_mp"] * 12 * ds["i_mp"] * 8)
+
+    def test_climate_zone_is_an_annotation(self):
+        raw = json.loads(json.dumps(_FUZZ_BASE))
+        plain = RunConfig.from_dict(raw)
+        raw["system"]["climate_zone"] = "Csa"
+        assert replace(RunConfig.from_dict(raw), raw=None) == replace(
+            plain, raw=None)
+
+    @pytest.mark.parametrize("path, message", _MISSPELLED,
+                             ids=[".".join(path) for path, _ in _MISSPELLED])
+    def test_misspelled_key_is_refused_and_named(self, path, message):
+        # a misspelled key would leave its setting at the default
+        raw = json.loads(json.dumps(_FUZZ_BASE))
+        target = raw
+        for part in path[:-1]:
+            target = target.setdefault(part, {})
+        target[path[-1]] = 1
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            RunConfig.from_dict(raw)
 
     @pytest.mark.parametrize("value", ["false", 0, None])
     @pytest.mark.parametrize("section, key", [
