@@ -10,15 +10,15 @@ runs no kernel ridge does not load them.
 
 import itertools
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import sdm
 from .exceptions import (ConfigError, DataError, ExtractionError,
-                         InsufficientDataError, TrainingError)
+                         InsufficientDataError, TrainingError,
+                         finite_number, whole_number)
 from .series import hour_of_day, require_aligned, _as_timestamps
 
 _VTH_REF = sdm.K_BOLTZMANN * sdm.T_REF_K / sdm.Q_ELEMENTARY
@@ -28,43 +28,30 @@ _NEWTON_ITERATIONS = 100
 
 @dataclass(frozen=True)
 class Datasheet:
-    """Module nameplate values at standard test conditions."""
+    """Module nameplate values at standard test conditions: finite numbers,
+    kept as floats, and a whole ``cells_in_series`` >= 1, with the MPP
+    inside the open-circuit and short-circuit corner (``ConfigError``
+    otherwise, naming the field)."""
 
     v_oc: float
     i_sc: float
     v_mp: float
     i_mp: float
-    alpha_isc: float      # A/degC
     beta_voc: float       # V/degC
     cells_in_series: int
+    alpha_isc: float = 0.0   # A/degC
 
     def __post_init__(self):
-        if not 0 < self.v_mp < self.v_oc:
-            raise ValueError(f"need 0 < v_mp < v_oc, got {self.v_mp}, {self.v_oc}")
-        if not 0 < self.i_mp < self.i_sc:
-            raise ValueError(f"need 0 < i_mp < i_sc, got {self.i_mp}, {self.i_sc}")
-        if not self.v_mp * self.i_mp < self.v_oc * self.i_sc:
-            raise ValueError("MPP power must lie below v_oc * i_sc")
-        if self.cells_in_series < 1:
-            raise ValueError("cells_in_series must be >= 1")
-
-    @classmethod
-    def from_dict(cls, d):
-        required = ("v_oc", "i_sc", "v_mp", "i_mp", "beta_voc", "cells_in_series")
-        missing = [k for k in required if k not in d]
-        if missing:
-            raise ConfigError(f"datasheet missing fields: {', '.join(missing)}")
-        unknown = [k for k in d if k not in (*required, "alpha_isc")]
-        if unknown:
-            raise ConfigError(f"unknown datasheet fields: {', '.join(unknown)}")
-        try:
-            return cls(v_oc=float(d["v_oc"]), i_sc=float(d["i_sc"]),
-                       v_mp=float(d["v_mp"]), i_mp=float(d["i_mp"]),
-                       alpha_isc=float(d.get("alpha_isc", 0.0)),
-                       beta_voc=float(d["beta_voc"]),
-                       cells_in_series=int(d["cells_in_series"]))
-        except ValueError as exc:
-            raise ConfigError(f"invalid datasheet: {exc}") from exc
+        for f in fields(self):
+            rule = whole_number if f.name == "cells_in_series" \
+                else finite_number
+            object.__setattr__(self, f.name, rule(
+                getattr(self, f.name), f"system.datasheet.{f.name}"))
+        if not (0 < self.v_mp < self.v_oc and 0 < self.i_mp < self.i_sc
+                and self.v_mp * self.i_mp < self.v_oc * self.i_sc):
+            raise ConfigError(
+                f"datasheet needs 0 < v_mp < v_oc, 0 < i_mp < i_sc and an MPP "
+                f"power below v_oc * i_sc, got {self}")
 
     @property
     def desoto_params(self) -> sdm.SdmParamsRef:
@@ -471,22 +458,27 @@ DEFAULT_TRAINING_LENGTHS = (3, 7, 14, 30, 60, 90)
 
 @dataclass(frozen=True)
 class GridSearchSpec:
+    """The regressors' grids, each a nonempty list of numbers kept as a
+    tuple, and the holdout in days, kept as a float; ``ConfigError``
+    unless each value is in its documented range."""
+
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     gamma_grid: tuple = DEFAULT_GAMMA_GRID
     training_lengths_days: tuple = DEFAULT_TRAINING_LENGTHS
     holdout_days: float = 1.0
 
     def __post_init__(self):
-        if not (self.lambda_grid and self.gamma_grid
-                and self.training_lengths_days):
-            raise ConfigError("grids must be nonempty")
+        for name in ("lambda_grid", "gamma_grid", "training_lengths_days"):
+            grid = getattr(self, name)
+            if not (isinstance(grid, (list, tuple)) and grid):
+                raise ConfigError(f"regressors.{name} must be a nonempty "
+                                  f"list, got {grid!r}")
+            object.__setattr__(self, name, tuple(grid))
         lengths = self.training_lengths_days
         for length in lengths:
-            # lengths are counted in int64 seconds, like the holdout; the
-            # bound is divided out so no type overflows, and NaN fails it
-            if not (isinstance(length, numbers.Real)
-                    and not isinstance(length, bool)
-                    and 0 < length < 2.0 ** 63 / 86400):
+            # lengths are counted in int64 seconds, like the holdout
+            days = finite_number(length, "regressors.training_lengths_days")
+            if not 0 < days < 2.0 ** 63 / 86400:
                 raise ConfigError(f"training lengths must be finite numbers "
                                   f"of days > 0 (at most 1e14), got "
                                   f"{length!r}")
@@ -494,13 +486,16 @@ class GridSearchSpec:
             raise ConfigError(f"training lengths must be strictly ascending, "
                               f"got {list(lengths)}")
         for lam in self.lambda_grid:
-            _check_hyperparam("ridge lambda", float(lam), positive=False)
+            _check_hyperparam("ridge lambda", finite_number(
+                lam, "regressors.lambda_grid"), positive=False)
         for gamma in self.gamma_grid:
-            _check_hyperparam("RBF gamma", float(gamma), positive=True)
-        # grid_search counts the holdout in int64 seconds; NaN fails too
-        if not 0 < float(self.holdout_days) * 86400 < 2.0 ** 63:
+            _check_hyperparam("RBF gamma", finite_number(
+                gamma, "regressors.gamma_grid"), positive=True)
+        holdout = finite_number(self.holdout_days, "regressors.holdout_days")
+        if not 0 < holdout * 86400 < 2.0 ** 63:
             raise ConfigError(f"holdout_days must be finite and > 0 (at most "
                               f"1e14), got {self.holdout_days!r}")
+        object.__setattr__(self, "holdout_days", holdout)
 
 
 @dataclass

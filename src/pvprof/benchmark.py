@@ -54,7 +54,7 @@ fails is repeated day by day, so a failure skips only its own
 import functools
 import hashlib
 import platform
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -62,7 +62,8 @@ import scipy
 
 from . import analysis, baselines, fitting
 from .exceptions import (ConfigError, ExtractionError,
-                         InsufficientDataError, NumericalError, PvprofError)
+                         InsufficientDataError, NumericalError, PvprofError,
+                         finite_number, whole_number)
 from .iotools import dumps_json
 from .preprocess import PreprocessConfig, TrainingWindows
 from .sdm import ArrayTopology
@@ -76,7 +77,9 @@ KNOWN_STUDIES = ("seasonal", "weather_cases", "exceedance", "sweep",
 
 
 # the settings each part of a configuration may hold; a misspelled key is
-# refused rather than silently left at its default
+# refused rather than silently left at its default.  A section that
+# configures one type (preprocess, regressors, system.topology and
+# system.datasheet) holds that type's fields, checked by ``_build``.
 _TOP_LEVEL_KEYS = ("data", "system", "preprocess", "fit", "models",
                    "regressors", "studies", "horizon_hours", "evaluation",
                    "metrics_daylight_only", "seed", "synth")
@@ -84,16 +87,12 @@ _SECTION_KEYS = {
     "data": ("telemetry", "mapping"),
     # climate_zone is an annotation, with no effect
     "system": ("topology", "datasheet", "p_nominal_w", "climate_zone"),
-    "preprocess": ("g_min", "k_sigma", "clip_band", "clip_run",
-                   "p_ac_limit_w"),
     "fit": ("window_days", "update_days", "warm_start"),
-    "regressors": ("lambda_grid", "gamma_grid", "training_lengths_days",
-                   "holdout_days"),
     "studies": KNOWN_STUDIES,
     "evaluation": ("start", "end"),
 }
-_TOPOLOGY_KEYS = ("cells_in_series", "modules_per_string",
-                  "strings_in_parallel")
+# the one key that differs from the field it sets
+_FIELD_KEYS = {"p_ac_limit": "p_ac_limit_w"}
 
 
 def _check_keys(settings, known, what):
@@ -104,11 +103,27 @@ def _check_keys(settings, known, what):
             raise ConfigError(f"unknown {what} {key!r}")
 
 
+def _build(cls, settings, what):
+    """The dataclass ``cls`` made from the JSON object ``settings``, whose
+    keys are its fields (see ``_FIELD_KEYS``).  An unknown key, or a
+    missing one that has no default, is refused and named; ``cls`` checks
+    the values themselves."""
+    if not isinstance(settings, dict):
+        raise ConfigError(f"{what} must be a JSON object, not "
+                          f"{type(settings).__name__}")
+    keys = {_FIELD_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    _check_keys(settings, keys, f"{what} setting")
+    for key, f in keys.items():
+        if key not in settings and f.default is MISSING:
+            raise ConfigError(f"{what} needs {key!r}")
+    return cls(**{keys[key].name: value for key, value in settings.items()})
+
+
 def _section(raw, name, default=None):
     """Top-level config section ``name``: ``default`` when it is absent,
-    else the JSON object it must be.  The ``synth`` section's keys are
-    checked where it is read (``cli``); every other section's are checked
-    here."""
+    else the JSON object it must be.  The keys of a section in
+    ``_SECTION_KEYS`` are checked here, the typed sections' by ``_build``
+    and the ``synth`` section's where it is read (``cli``)."""
     if name not in raw:
         return default
     if not isinstance(raw[name], dict):
@@ -169,16 +184,13 @@ class RunConfig:
         system = _section(raw, "system")
         if system is None:
             raise ConfigError("configuration needs a 'system' section")
-        topo_d = system.get("topology")
-        if topo_d is None:
+        if system.get("topology") is None:
             raise ConfigError("system section needs 'topology'")
-        _check_keys(topo_d, _TOPOLOGY_KEYS, "system.topology setting")
-        topo = ArrayTopology(int(topo_d["cells_in_series"]),
-                             int(topo_d["modules_per_string"]),
-                             int(topo_d["strings_in_parallel"]))
+        topo = _build(ArrayTopology, system["topology"], "system.topology")
         datasheet = None
         if system.get("datasheet") is not None:
-            datasheet = baselines.Datasheet.from_dict(system["datasheet"])
+            datasheet = _build(baselines.Datasheet, system["datasheet"],
+                               "system.datasheet")
         if system.get("p_nominal_w") is None:
             if datasheet is None:
                 raise ConfigError("p_nominal_w missing and no datasheet to "
@@ -186,27 +198,21 @@ class RunConfig:
             p_nominal = (datasheet.v_mp * topo.modules_per_string
                          * datasheet.i_mp * topo.strings_in_parallel)
         else:
-            # an infinite nameplate scores every model 0, a NaN one skips
-            # every cell
-            p_nominal = float(system["p_nominal_w"])
-            if not 0 < p_nominal < np.inf:
-                raise ConfigError(f"system.p_nominal_w must be finite and "
-                                  f"> 0, got {system['p_nominal_w']!r}")
-
-        pp = _section(raw, "preprocess", {})
-        preprocess = PreprocessConfig(
-            g_min=float(pp.get("g_min", PreprocessConfig.g_min)),
-            k_sigma=float(pp.get("k_sigma", PreprocessConfig.k_sigma)),
-            clip_band=float(pp.get("clip_band", PreprocessConfig.clip_band)),
-            clip_run=pp.get("clip_run", PreprocessConfig.clip_run),
-            p_ac_limit=(None if pp.get("p_ac_limit_w") is None
-                        else float(pp["p_ac_limit_w"])))
+            p_nominal = finite_number(system["p_nominal_w"],
+                                      "system.p_nominal_w")
+        # an infinite nameplate scores every model 0, a NaN one skips
+        # every cell
+        if not 0 < p_nominal < np.inf:
+            raise ConfigError(f"system.p_nominal_w must be finite and > 0, "
+                              f"got {p_nominal!r}")
+        preprocess = _build(PreprocessConfig, _section(raw, "preprocess", {}),
+                            "preprocess")
 
         fit = _section(raw, "fit", {})
         lengths = {}
         for key, default in (("window_days", 3), ("update_days", 1)):
-            days = float(fit.get(key, default))
-            if not 0 < days < np.inf:
+            days = finite_number(fit.get(key, default), f"fit.{key}")
+            if days <= 0:
                 raise ConfigError(f"fit.{key} must be finite and > 0, "
                                   f"got {days}")
             # whole seconds; a length past int64 raises OverflowError
@@ -228,26 +234,18 @@ class RunConfig:
             raise ConfigError("the nominal and dynamic physical models need "
                               "a datasheet in the configuration")
 
-        reg = _section(raw, "regressors", {})
-        spec = baselines.GridSearchSpec
-        grid_spec = spec(
-            lambda_grid=tuple(reg.get("lambda_grid", spec.lambda_grid)),
-            gamma_grid=tuple(reg.get("gamma_grid", spec.gamma_grid)),
-            training_lengths_days=tuple(reg.get("training_lengths_days",
-                                                spec.training_lengths_days)),
-            holdout_days=float(reg.get("holdout_days", spec.holdout_days)))
+        grid_spec = _build(baselines.GridSearchSpec,
+                           _section(raw, "regressors", {}), "regressors")
 
         studies = {name: False for name in KNOWN_STUDIES}
         studies["exceedance"] = True
         for name, on in _section(raw, "studies", {}).items():
             studies[name] = _flag(on, f"studies.{name}")
 
-        hours = raw.get("horizon_hours", 24)
         # persistence subtracts the horizon from a day in int64 seconds;
         # past 1e15 h (3.6e18 s) that would wrap silently
-        if not (float(hours).is_integer() and 1 <= float(hours) <= 1e15):
-            raise ConfigError(f"horizon_hours must be a whole number >= 1 "
-                              f"(at most 1e15), got {hours!r}")
+        hours = whole_number(raw.get("horizon_hours", 24), "horizon_hours",
+                             high=1e15)
 
         ev = _section(raw, "evaluation", {})
 
@@ -263,12 +261,12 @@ class RunConfig:
             window_length=lengths["window_days"],
             update_period=lengths["update_days"],
             models=models,
-            horizon=np.timedelta64(int(float(hours)), "h"),
+            horizon=np.timedelta64(hours, "h"),
             grid_spec=grid_spec, studies=studies,
             eval_start=_day("start"), eval_end=_day("end"),
             metrics_daylight_only=_flag(raw.get("metrics_daylight_only", True),
                                         "metrics_daylight_only"),
-            seed=int(raw.get("seed", 0)),
+            seed=whole_number(raw.get("seed", 0), "seed", low=0),
             synth=_section(raw, "synth"), raw=raw)
 
     def config_hash(self):

@@ -1,4 +1,7 @@
-"""Exception hierarchy. The CLI maps these onto stable exit codes."""
+"""Exception hierarchy, and the two rules a numeric setting is read by.
+The CLI maps the exceptions onto stable exit codes."""
+
+import math
 
 
 class PvprofError(Exception):
@@ -39,3 +42,30 @@ class ExtractionError(NumericalError):
 
 class TrainingError(NumericalError):
     """Regressor training failed (e.g. constant feature, singular system)."""
+
+
+def finite_number(value, name):
+    """``value`` as a float if it is a finite JSON number, an int or a
+    float (``true`` and ``"3"`` are not), else ``ConfigError`` naming
+    ``name``."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):   # not a number, or an int past 1e308
+        pass
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def whole_number(value, name, low=1, high=math.inf):
+    """``value`` as an int if it is a whole number from ``low`` to ``high``
+    (an int, or a whole float such as 12.0; not a bool), else
+    ``ConfigError`` naming ``name``."""
+    try:
+        if not isinstance(value, bool) and value == int(value) \
+                and low <= value <= high:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):   # NaN, inf, a list
+        pass
+    limit = "" if high == math.inf else f" (at most {high:g})"
+    raise ConfigError(f"{name} must be a whole number >= {low}{limit}, got "
+                      f"{value!r}")

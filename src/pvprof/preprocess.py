@@ -14,12 +14,12 @@ every model that trains on a window reads the same slice.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import ConfigError, InsufficientDataError
+from .exceptions import (ConfigError, InsufficientDataError,
+                         finite_number, whole_number)
 from .series import TelemetrySeries
 
 DEFAULT_G_MIN = 50.0     # W/m^2; below this trackers and sensors are unreliable
@@ -34,9 +34,10 @@ class PreprocessConfig:
     """The quality filters' settings.
 
     Raises ``ConfigError`` unless ``g_min`` and ``clip_band`` are finite
-    and >= 0, ``k_sigma`` is finite and > 0, ``clip_run`` is a whole
-    number >= 1 (kept as an ``int``) and ``p_ac_limit`` is None or finite
-    and > 0.  A NaN threshold would flag nothing: no night, no outlier.
+    numbers >= 0, ``k_sigma`` is a finite number > 0, ``clip_run`` is a
+    whole number >= 1 (kept as an ``int``) and ``p_ac_limit`` is None or a
+    finite number > 0; the numbers are kept as floats.  A NaN threshold
+    would flag nothing: no night, no outlier.
     """
 
     g_min: float = DEFAULT_G_MIN
@@ -48,23 +49,20 @@ class PreprocessConfig:
     def __post_init__(self):
         for name, positive in (("g_min", False), ("k_sigma", True),
                                ("clip_band", False)):
-            value = getattr(self, name)
-            if not (math.isfinite(value)
-                    and (value > 0 if positive else value >= 0)):
+            value = finite_number(getattr(self, name), f"preprocess.{name}")
+            if not (value > 0 if positive else value >= 0):
                 raise ConfigError(f"preprocess.{name} must be finite and "
                                   f"{'>' if positive else '>='} 0, "
                                   f"got {value!r}")
-        run = self.clip_run
-        whole = isinstance(run, numbers.Integral) \
-            or isinstance(run, float) and run.is_integer()
-        if isinstance(run, bool) or not whole or run < 1:
-            raise ConfigError(f"preprocess.clip_run must be a whole number "
-                              f">= 1, got {run!r}")
-        object.__setattr__(self, "clip_run", int(run))
-        if self.p_ac_limit is not None \
-                and not 0 < self.p_ac_limit < math.inf:
-            raise ConfigError(f"preprocess.p_ac_limit_w must be finite and "
-                              f"> 0, got {self.p_ac_limit!r}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "clip_run", whole_number(
+            self.clip_run, "preprocess.clip_run"))
+        if self.p_ac_limit is not None:
+            limit = finite_number(self.p_ac_limit, "preprocess.p_ac_limit_w")
+            if limit <= 0:
+                raise ConfigError(f"preprocess.p_ac_limit_w must be finite "
+                                  f"and > 0, got {limit!r}")
+            object.__setattr__(self, "p_ac_limit", limit)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,12 @@ over numpy arrays; the dataclass API wraps scalars around it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import SolverError
+from .exceptions import SolverError, whole_number
 
 # the exact SI values (2019), equal to scipy.constants' bit for bit
 K_BOLTZMANN = 1.380649e-23     # J/K
@@ -115,17 +115,18 @@ class OperatingConditions:
 
 @dataclass(frozen=True)
 class ArrayTopology:
-    """Uniform array layout: series cells per module, modules per string, strings."""
+    """Uniform array layout: series cells per module, modules per string,
+    strings.  Each count is a whole number >= 1, kept as an ``int``
+    (``exceptions.whole_number``)."""
 
     cells_in_series: int
     modules_per_string: int
     strings_in_parallel: int
 
     def __post_init__(self):
-        for name in ("cells_in_series", "modules_per_string", "strings_in_parallel"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        for f in fields(self):
+            object.__setattr__(self, f.name, whole_number(
+                getattr(self, f.name), f"system.topology.{f.name}"))
 
 
 @dataclass(frozen=True)

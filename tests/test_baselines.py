@@ -127,7 +127,7 @@ class TestDatasheetExtraction:
             / (datasheet.v_mp * datasheet.i_mp) < 1e-3
 
     def test_infeasible_datasheet_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="v_mp < v_oc"):
             baselines.Datasheet(v_oc=40.0, i_sc=9.0, v_mp=45.0, i_mp=8.5,
                                 alpha_isc=0.0, beta_voc=-0.15,
                                 cells_in_series=72)
@@ -188,11 +188,13 @@ class TestDatasheetExtraction:
     @pytest.mark.parametrize("beta_voc, n0", [
         (math.nan, 0.5), (math.inf, 0.5), (0.5, 0.5), (-5.0, 3.0)])
     def test_seed_outside_the_physical_range_is_clipped(self, beta_voc, n0):
+        if not math.isfinite(beta_voc):
+            # refused as the configuration it is, before any extraction
+            with pytest.raises(ConfigError, match="datasheet.beta_voc"):
+                replace(DEMO_DATASHEET, beta_voc=beta_voc)
+            return
         ds = replace(DEMO_DATASHEET, beta_voc=beta_voc)
         assert baselines._ideality_from_beta_voc(ds) == n0
-        if not math.isfinite(beta_voc):
-            with pytest.raises(ExtractionError):
-                baselines.fit_desoto_from_datasheet(ds)
 
     def test_round_trip_property_quick(self):
         rng = np.random.default_rng(17)

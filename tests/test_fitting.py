@@ -11,6 +11,7 @@ from scipy.optimize import least_squares
 
 import pvprof
 from pvprof import baselines, fitting, preprocess, sdm, synth
+from pvprof.benchmark import RunConfig
 from pvprof.exceptions import (ConfigError, FitDegeneracyError,
                                InsufficientDataError, NumericalError,
                                PvprofError)
@@ -53,10 +54,13 @@ class TestInitialGuess:
                       / CSI_PARAMS.as_array() < 0.02)
 
     def test_missing_field_is_config_error(self):
-        with pytest.raises(ConfigError):
-            baselines.Datasheet.from_dict(
-                {"v_oc": 49.0, "i_sc": 9.5, "i_mp": 8.9,
-                 "beta_voc": -0.17, "cells_in_series": 72})
+        topology = {"cells_in_series": 72, "modules_per_string": 1,
+                    "strings_in_parallel": 1}
+        with pytest.raises(ConfigError, match="'v_mp'"):
+            RunConfig.from_dict({"system": {
+                "topology": topology,
+                "datasheet": {"v_oc": 49.0, "i_sc": 9.5, "i_mp": 8.9,
+                              "beta_voc": -0.17, "cells_in_series": 72}}})
 
 
 class TestLoss:

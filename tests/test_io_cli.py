@@ -621,16 +621,37 @@ _FUZZ_BASE = {
     "regressors": {"lambda_grid": [1e-3, 1e-1], "gamma_grid": [0.5, 2.0],
                    "training_lengths_days": [3]},
 }
+_COUNTS = ("cells_in_series", "modules_per_string", "strings_in_parallel")
+_DATASHEET_VALUES = ("v_oc", "i_sc", "v_mp", "i_mp", "alpha_isc", "beta_voc")
+# where a parsed configuration keeps each whole-number setting
+_WHOLE = {("horizon_hours",): lambda c: c.horizon / np.timedelta64(1, "h"),
+          ("seed",): lambda c: c.seed,
+          ("preprocess", "clip_run"): lambda c: c.preprocess.clip_run,
+          ("system", "datasheet", "cells_in_series"):
+              lambda c: c.datasheet.cells_in_series,
+          **{("system", "topology", name):
+             (lambda c, name=name: getattr(c.topology, name))
+             for name in _COUNTS}}
 _FUZZ_KEYS = (("fit", "window_days"), ("fit", "update_days"),
-              ("fit", "warm_start"), (None, "horizon_hours"),
-              ("regressors", "holdout_days"), ("preprocess", "g_min"),
-              ("preprocess", "k_sigma"), ("preprocess", "clip_band"),
-              ("preprocess", "clip_run"), ("preprocess", "p_ac_limit_w"))
+              ("fit", "warm_start"), ("regressors", "holdout_days"),
+              ("preprocess", "g_min"), ("preprocess", "k_sigma"),
+              ("preprocess", "clip_band"), ("preprocess", "p_ac_limit_w"),
+              *_WHOLE,
+              *(("system", "datasheet", key) for key in _DATASHEET_VALUES))
 _ANY_SETTING = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([1e300, -1e300, 1e-300, 0.0, -1.0, 3.0]),
     st.integers(-10 ** 400, 10 ** 400), st.booleans(), st.none(),
-    st.text(max_size=6), st.lists(st.integers(0, 9), max_size=2))
+    st.text(max_size=6), st.lists(st.integers(0, 9), max_size=2),
+    st.sampled_from([12.7, 12.0, 72.9, "3", "24", 0.004, -0.176]))
+
+
+def _set(raw, path, value):
+    """Set the setting at ``path``, a tuple of keys, in the nested
+    configuration ``raw``."""
+    for key in path[:-1]:
+        raw = raw.setdefault(key, {})
+    raw[path[-1]] = value
 
 
 # a misspelled key of every part of a configuration, and the error that
@@ -648,25 +669,86 @@ _MISSPELLED = [
     (("system", "topology", "modules"),
      "unknown system.topology setting 'modules'"),
     (("system", "datasheet", "alpha_is"),
-     "unknown datasheet fields: alpha_is")]
+     "unknown system.datasheet setting 'alpha_is'")]
 
 
 class TestRunConfigFuzz:
-    @given(settings=st.fixed_dictionaries(
-        {}, optional={key: _ANY_SETTING for key in _FUZZ_KEYS}))
+    @given(settings=st.dictionaries(st.sampled_from(_FUZZ_KEYS),
+                                    _ANY_SETTING, max_size=4))
+    @example(settings={("system", "topology", "strings_in_parallel"): True})
+    @example(settings={("fit", "window_days"): "3"})
     def test_config_parses_or_raises_config_error(self, settings):
         raw = json.loads(json.dumps(_FUZZ_BASE))
-        for (section, key), value in settings.items():
-            (raw.setdefault(section, {}) if section else raw)[key] = value
+        for path, value in settings.items():
+            _set(raw, path, value)
         try:
             config = RunConfig.from_dict(raw)
         except ConfigError:
             return
+        # a numeric setting that parsed was a JSON number, and a whole one
+        # was read as given, not truncated
+        for path, value in settings.items():
+            if path[-1] != "warm_start" and value is not None:
+                assert type(value) in (int, float), (path, value)
+            if path in _WHOLE:
+                assert _WHOLE[path](config) == value, (path, value)
         pre = config.preprocess
         assert 0 <= pre.g_min < math.inf and 0 < pre.k_sigma < math.inf
         assert 0 <= pre.clip_band < math.inf
         assert isinstance(pre.clip_run, int) and pre.clip_run >= 1
         assert pre.p_ac_limit is None or 0 < pre.p_ac_limit < math.inf
+        counts = [getattr(config.topology, name) for name in _COUNTS]
+        counts.append(config.datasheet.cells_in_series)
+        assert all(type(count) is int and count >= 1 for count in counts)
+        assert all(type(getattr(config.datasheet, key)) is float
+                   and math.isfinite(getattr(config.datasheet, key))
+                   for key in _DATASHEET_VALUES)
+        assert type(config.seed) is int and config.seed >= 0
+        assert config.window_length > np.timedelta64(0, "s")
+        assert config.horizon >= np.timedelta64(1, "h")
+        assert 0 < config.p_nominal < math.inf
+
+    @pytest.mark.parametrize("path, value", [
+        # int() made 12.7 modules 12 and true strings 1, a nameplate 8x
+        # too small
+        (("system", "topology", "modules_per_string"), 12.7),
+        (("system", "topology", "strings_in_parallel"), True),
+        (("system", "topology", "cells_in_series"), "72"),
+        (("system", "datasheet", "cells_in_series"), 72.9),
+        (("seed",), 1.5), (("seed",), True), (("seed",), -1),
+        (("horizon_hours",), 1.5), (("preprocess", "clip_run"), "3"),
+        # float() read true as 1 and "3" as 3
+        (("fit", "window_days"), True), (("fit", "update_days"), True),
+        (("horizon_hours",), True), (("regressors", "holdout_days"), True),
+        (("fit", "window_days"), "3"), (("horizon_hours",), "24"),
+        (("preprocess", "g_min"), "50"),
+        (("regressors", "lambda_grid"), ["0.001"]),
+        (("regressors", "training_lengths_days"), "37"),
+        (("system", "datasheet", "v_oc"), "49.17"),
+        (("system", "p_nominal_w"), "5000"),
+        # a NaN or infinite coefficient stalled the extraction (exit 4)
+        *((("system", "datasheet", key), value) for key in _DATASHEET_VALUES
+          for value in (math.nan, math.inf, -math.inf))],
+        ids=lambda v: ".".join(v) if isinstance(v, tuple)
+        else json.dumps(v))
+    def test_setting_is_checked_not_coerced(self, path, value):
+        raw = json.loads(json.dumps(_FUZZ_BASE))
+        _set(raw, path, value)
+        with pytest.raises(ConfigError, match=".".join(path)):
+            RunConfig.from_dict(raw)
+
+    def test_whole_float_reads_as_an_int(self):
+        # as clip_run always did: 3.0 is the whole number 3
+        raw = json.loads(json.dumps(_FUZZ_BASE))
+        for path in _WHOLE:
+            _set(raw, path, 72.0 if path[-1] == "cells_in_series" else 3.0)
+        config = RunConfig.from_dict(raw)
+        assert config.horizon == np.timedelta64(3, "h")
+        for path, get in _WHOLE.items():
+            if path != ("horizon_hours",):
+                assert type(get(config)) is int
+                assert get(config) == (72 if path[-1] == "cells_in_series"
+                                       else 3)
 
     @pytest.mark.parametrize("key, value", [
         ("g_min", math.nan), ("g_min", -1.0), ("g_min", math.inf),
@@ -1069,6 +1151,20 @@ class TestCli:
         cfg = _write_config(tmp_path, models=("pvpro", "lr"), extra=extra)
         assert main(["benchmark", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key", ["alpha_isc", "beta_voc"])
+    def test_non_finite_datasheet_coefficient_exit_code(self, tmp_path,
+                                                        capsys, key):
+        # it used to stall the datasheet extraction, exit code 4
+        cfg = _write_config(tmp_path)
+        out = str(tmp_path)
+        assert main(["synth", "--config", str(cfg), "--out", out]) == 0
+        raw = json.loads(cfg.read_text())
+        raw["system"]["datasheet"][key] = math.nan
+        cfg.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["benchmark", "--config", str(cfg), "--out", out]) == 2
+        assert f"system.datasheet.{key}" in capsys.readouterr().err
 
     def test_fit_without_datasheet_exit_code(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, days=3, models=("lr",))

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pvprof import fitting, sdm
-from pvprof.exceptions import SolverError
+from pvprof.exceptions import ConfigError, SolverError
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, draw_csi_like
 from oracles import (bisect_current, bisect_voltage, diode_residual,
                      five_point_gradient, full_scan_mpp, linear_regime_mpp,
@@ -79,7 +79,7 @@ class TestTypes:
             sdm.OperatingConditions(500.0, 150.0)
 
     def test_topology_integers(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="cells_in_series"):
             sdm.ArrayTopology(0, 1, 1)
 
     def test_iv_point_power_product(self):
