@@ -220,9 +220,11 @@ class RunConfig:
         # accepted for old configurations; every window fit starts from
         # the datasheet
         _flag(fit.get("warm_start", True), "fit.warm_start")
-        models = tuple(raw.get("models", ("pvpro",)))
-        if not models:
-            raise ConfigError("model roster must be nonempty")
+        models = raw.get("models", ("pvpro",))
+        if not (isinstance(models, (list, tuple)) and models):
+            raise ConfigError(f"models must be a nonempty list, got "
+                              f"{models!r}")
+        models = tuple(models)
         unknown = [m for m in models if m not in KNOWN_MODELS]
         if unknown:
             raise ConfigError(f"unknown models in roster: {unknown}")

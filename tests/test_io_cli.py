@@ -726,6 +726,8 @@ class TestRunConfigFuzz:
         (("regressors", "training_lengths_days"), "37"),
         (("system", "datasheet", "v_oc"), "49.17"),
         (("system", "p_nominal_w"), "5000"),
+        # tuple() read the string as a roster of its letters
+        (("models",), "pvpro"),
         # a NaN or infinite coefficient stalled the extraction (exit 4)
         *((("system", "datasheet", key), value) for key in _DATASHEET_VALUES
           for value in (math.nan, math.inf, -math.inf))],
