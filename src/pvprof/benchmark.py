@@ -60,13 +60,13 @@ from datetime import datetime, timezone
 import numpy as np
 import scipy
 
-from . import analysis, baselines, fitting
+from . import analysis, baselines, fitting, synth
 from .exceptions import (ConfigError, ExtractionError,
                          InsufficientDataError, NumericalError, PvprofError,
                          finite_number, whole_number)
 from .iotools import dumps_json
 from .preprocess import PreprocessConfig, TrainingWindows
-from .sdm import ArrayTopology
+from .sdm import ArrayTopology, SdmParamsRef
 from .series import DAY, ForecastSeries, TelemetrySeries
 
 SCHEMA_VERSION = 1
@@ -78,8 +78,9 @@ KNOWN_STUDIES = ("seasonal", "weather_cases", "exceedance", "sweep",
 
 # the settings each part of a configuration may hold; a misspelled key is
 # refused rather than silently left at its default.  A section that
-# configures one type (preprocess, regressors, system.topology and
-# system.datasheet) holds that type's fields, checked by ``_build``.
+# configures one type (preprocess, regressors, system.topology,
+# system.datasheet, synth.true_params) holds its fields, checked by
+# ``_build``; synth holds ``synth.WeatherProfile``'s and ``_SYNTH_KEYS``.
 _TOP_LEVEL_KEYS = ("data", "system", "preprocess", "fit", "models",
                    "regressors", "studies", "horizon_hours", "evaluation",
                    "metrics_daylight_only", "seed", "synth")
@@ -91,6 +92,7 @@ _SECTION_KEYS = {
     "studies": KNOWN_STUDIES,
     "evaluation": ("start", "end"),
 }
+_SYNTH_KEYS = ("true_params", "scenario", "noise_v", "noise_i", "alpha_isc")
 # the one key that differs from the field it sets
 _FIELD_KEYS = {"p_ac_limit": "p_ac_limit_w"}
 
@@ -103,27 +105,53 @@ def _check_keys(settings, known, what):
             raise ConfigError(f"unknown {what} {key!r}")
 
 
-def _build(cls, settings, what):
+def _build(cls, settings, what, read=lambda value, name: value, **given):
     """The dataclass ``cls`` made from the JSON object ``settings``, whose
-    keys are its fields (see ``_FIELD_KEYS``).  An unknown key, or a
-    missing one that has no default, is refused and named; ``cls`` checks
-    the values themselves."""
+    keys are its fields (see ``_FIELD_KEYS``) but those ``given``.  An
+    unknown key, or a missing one without a default, is refused and named;
+    ``read(value, name)`` reads each value, and ``cls`` checks them."""
     if not isinstance(settings, dict):
         raise ConfigError(f"{what} must be a JSON object, not "
                           f"{type(settings).__name__}")
-    keys = {_FIELD_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    keys = {_FIELD_KEYS.get(f.name, f.name): f for f in fields(cls)
+            if f.name not in given}
     _check_keys(settings, keys, f"{what} setting")
     for key, f in keys.items():
         if key not in settings and f.default is MISSING:
             raise ConfigError(f"{what} needs {key!r}")
-    return cls(**{keys[key].name: value for key, value in settings.items()})
+    return cls(**given, **{keys[key].name: read(value, f"{what}.{key}")
+                           for key, value in settings.items()})
+
+
+def _synth_arguments(raw, seed, datasheet):
+    """``synth.generate_dataset``'s arguments but the topology, built from
+    the ``synth`` section (None without one) at the run's ``seed``."""
+    section = _section(raw, "synth")
+    if section is None:
+        return None
+    if "true_params" not in section:
+        raise ConfigError("synth needs 'true_params'")
+    weather = {k: v for k, v in section.items() if k not in _SYNTH_KEYS}
+    arguments = dict(
+        true_params=_build(SdmParamsRef, section["true_params"],
+                           "synth.true_params", read=finite_number),
+        profile=_build(synth.WeatherProfile, weather, "synth", seed=seed),
+        scenario=synth.DegradationScenario(section.get("scenario", {})),
+        alpha_isc=finite_number(section.get("alpha_isc", getattr(
+            datasheet, "alpha_isc", 0.0)), "synth.alpha_isc"))
+    for key in ("noise_v", "noise_i"):   # generate_dataset's when left out
+        if key in section:
+            arguments[key] = finite_number(section[key], f"synth.{key}")
+            if arguments[key] < 0:
+                raise ConfigError(f"synth.{key} must be finite and >= 0, "
+                                  f"got {arguments[key]!r}")
+    return arguments
 
 
 def _section(raw, name, default=None):
     """Top-level config section ``name``: ``default`` when it is absent,
-    else the JSON object it must be.  The keys of a section in
-    ``_SECTION_KEYS`` are checked here, the typed sections' by ``_build``
-    and the ``synth`` section's where it is read (``cli``)."""
+    else the JSON object it must be.  Its keys are checked here if it is in
+    ``_SECTION_KEYS``, else by ``_build`` (``synth`` included)."""
     if name not in raw:
         return default
     if not isinstance(raw[name], dict):
@@ -163,7 +191,7 @@ class RunConfig:
     eval_end: np.datetime64 | None
     metrics_daylight_only: bool
     seed: int
-    synth: dict | None
+    synth: dict | None   # see _synth_arguments
     raw: dict
 
     @classmethod
@@ -252,9 +280,15 @@ class RunConfig:
         ev = _section(raw, "evaluation", {})
 
         def _day(key):
+            # numpy would read a number as seconds since 1970
             v = ev.get(key)
-            return None if v is None else np.datetime64(v, "s")
+            day = v.removesuffix("T00:00:00") if isinstance(v, str) else v
+            if v is not None and not synth._is_date(day):
+                raise ConfigError(f"evaluation.{key} must be a day "
+                                  f"(YYYY-MM-DD), got {v!r}")
+            return None if v is None else np.datetime64(day, "s")
 
+        seed = whole_number(raw.get("seed", 0), "seed", low=0)
         return cls(
             telemetry_path=data.get("telemetry"),
             mapping_path=data.get("mapping"),
@@ -268,8 +302,7 @@ class RunConfig:
             eval_start=_day("start"), eval_end=_day("end"),
             metrics_daylight_only=_flag(raw.get("metrics_daylight_only", True),
                                         "metrics_daylight_only"),
-            seed=whole_number(raw.get("seed", 0), "seed", low=0),
-            synth=_section(raw, "synth"), raw=raw)
+            seed=seed, synth=_synth_arguments(raw, seed, datasheet), raw=raw)
 
     def config_hash(self):
         return hashlib.sha256(dumps_json(self.raw).encode()).hexdigest()

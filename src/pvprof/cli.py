@@ -4,7 +4,8 @@ Commands: ``synth`` (generate a ground-truth dataset), ``fit`` (rolling
 parameter estimation), ``predict`` (day-ahead power from the dynamic model),
 ``benchmark`` (full model comparison with studies), ``report`` (SVG charts
 from a benchmark report).  Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numerical failure.
+3 data error, 4 numerical failure.  Every command but ``report`` parses
+its whole configuration, ``synth`` included, with ``RunConfig.from_dict``.
 """
 
 import argparse
@@ -15,7 +16,6 @@ import sys
 from . import charts, fitting, iotools, synth
 from .benchmark import RunConfig, run_benchmark
 from .exceptions import ConfigError, DataError, NumericalError
-from .sdm import SdmParamsRef
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,39 +51,11 @@ def _load_series(cfg: RunConfig, base_dir, verbose):
     return series
 
 
-def _synth_from_config(cfg: RunConfig):
-    if cfg.synth is None:
-        raise ConfigError("configuration has no 'synth' section")
-    try:
-        kwargs = _parse_synth(cfg)
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
-            ValueError) as exc:
-        raise ConfigError(f"invalid synth section: {exc}") from exc
-    return synth.generate_dataset(**kwargs)
-
-
-def _parse_synth(cfg: RunConfig):
-    """``generate_dataset``'s arguments from the config's synth section;
-    a noise level the section leaves out keeps its default."""
-    s = dict(cfg.synth)
-    tp = s.pop("true_params", None)
-    if tp is None:
-        raise ConfigError("synth section needs 'true_params'")
-    true_params = SdmParamsRef(**{k: float(v) for k, v in tp.items()})
-    scenario = synth.DegradationScenario(s.pop("scenario", None) or {})
-    noise = {k: float(s.pop(k)) for k in ("noise_v", "noise_i") if k in s}
-    alpha_isc = float(s.pop("alpha_isc",
-                            cfg.datasheet.alpha_isc if cfg.datasheet else 0.0))
-    profile = synth.WeatherProfile(seed=cfg.seed,
-                                   **{k: (tuple(v) if k == "cloud_days" else v)
-                                      for k, v in s.items()})
-    return dict(true_params=true_params, topo=cfg.topology, profile=profile,
-                scenario=scenario, alpha_isc=alpha_isc, **noise)
-
-
 def cmd_synth(args):
     cfg = _load_config(args)
-    series, log = _synth_from_config(cfg)
+    if cfg.synth is None:
+        raise ConfigError("configuration has no 'synth' section")
+    series, log = synth.generate_dataset(topo=cfg.topology, **cfg.synth)
     os.makedirs(args.out, exist_ok=True)
     iotools.write_telemetry_csv(os.path.join(args.out, "telemetry.csv"), series)
     iotools.write_json(os.path.join(args.out, "ground_truth.json"),

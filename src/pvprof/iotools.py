@@ -59,8 +59,7 @@ def format_timestamp(ts):
 
 def read_mapping(path):
     """Column mapping file: JSON object {native field: source header}."""
-    raw = read_json_object(path, ConfigError, "mapping file")
-    mapping = {k: str(v) for k, v in raw.items()}
+    mapping = read_json_object(path, ConfigError, "mapping file")
     _source_columns(mapping)
     return mapping
 
@@ -68,13 +67,17 @@ def read_mapping(path):
 def _source_columns(mapping):
     """{native field: source header}, unmapped fields under their own name.
 
-    Raises ConfigError for an unknown field, and for two fields sent to one
-    header, which would both read the same column.
+    Raises ConfigError naming an unknown field, a field whose header is not
+    a string, and two fields sent to one header, which would both read the
+    same column.
     """
     mapping = mapping or {}
-    unknown = [k for k in mapping if k not in NATIVE_COLUMNS]
-    if unknown:
-        raise ConfigError(f"mapping refers to unknown fields: {unknown}")
+    for native, source in mapping.items():
+        if native not in NATIVE_COLUMNS:
+            raise ConfigError(f"mapping refers to unknown field {native!r}")
+        if not isinstance(source, str):
+            raise ConfigError(f"mapping of {native} must be a header name "
+                              f"(a JSON string), got {source!r}")
     source_of = {**dict(zip(NATIVE_COLUMNS, NATIVE_COLUMNS)), **mapping}
     fields_of = {}
     for native, source in source_of.items():

@@ -8,12 +8,12 @@ is sufficient to recompute everything that was injected.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
+from datetime import date
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, finite_number, whole_number
 from .sdm import (PARAM_BOX, PARAM_NAMES, ArrayTopology, SdmParamsRef,
                   simulate_array_mpp_arrays)
 from .series import TelemetrySeries
@@ -28,7 +28,8 @@ SOLAR_NOON_HOUR = 12.0
 
 @dataclass(frozen=True)
 class WeatherProfile:
-    """Synthetic weather description; ``seed`` drives every random element."""
+    """Synthetic weather description; ``seed`` drives every random element.
+    Each setting is read by ``whole_number`` or ``finite_number``, in range."""
 
     days: int
     cadence_minutes: int = 15
@@ -43,28 +44,29 @@ class WeatherProfile:
 
     def __post_init__(self):
         for name in ("days", "cadence_minutes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) \
-                    or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, "
-                                  f"got {value!r}")
+            object.__setattr__(self, name, whole_number(getattr(self, name),
+                                                        f"synth.{name}"))
         if (24 * 60) % self.cadence_minutes != 0:
-            raise ConfigError("cadence must divide 24 hours")
-        peak = self.peak_irradiance
-        if isinstance(peak, bool) or not isinstance(peak, numbers.Real) \
-                or not 0.0 < peak < math.inf:
-            raise ConfigError(f"peak_irradiance must be finite and > 0, "
-                              f"got {peak!r}")
+            raise ConfigError("synth.cadence_minutes must divide 24 hours")
+        for name, ok, rule in (
+                ("peak_irradiance", lambda v: v > 0, "> 0"),
+                ("day_length_hours", lambda v: 0 < v <= 24, "in (0, 24]"),
+                ("cloud_depth", lambda v: 0 <= v <= 1, "in [0, 1]"),
+                ("cloud_timescale_minutes", lambda v: v > 0, "> 0"),
+                ("ambient_base", lambda v: True, "any value")):
+            value = finite_number(getattr(self, name), f"synth.{name}")
+            if not ok(value):
+                raise ConfigError(f"synth.{name} must be finite and {rule}, "
+                                  f"got {value!r}")
+            object.__setattr__(self, name, value)
+        days = self.cloud_days
+        if not isinstance(days, (list, tuple)):
+            raise ConfigError(f"synth.cloud_days must be a list, got {days!r}")
+        object.__setattr__(self, "cloud_days", tuple(whole_number(
+            d, "synth.cloud_days", low=0, high=self.days - 1) for d in days))
         if not _is_date(self.start_day):
-            raise ConfigError(f"start_day must be a date (YYYY-MM-DD), "
+            raise ConfigError(f"synth.start_day must be a date (YYYY-MM-DD), "
                               f"got {self.start_day!r}")
-        if not 0.0 <= self.cloud_depth <= 1.0:
-            raise ConfigError("cloud_depth must lie in [0, 1]")
-        if not 0.0 < self.day_length_hours <= 24.0:
-            raise ConfigError("day_length_hours must lie in (0, 24]")
-        bad = [d for d in self.cloud_days if not 0 <= d < self.days]
-        if bad:
-            raise ConfigError(f"cloud day indices out of range: {bad}")
 
     @property
     def samples_per_day(self):
@@ -81,12 +83,10 @@ class WeatherProfile:
 
 
 def _is_date(text):
-    """Whether ``text`` is a string naming one day (``YYYY-MM-DD``)."""
-    if not isinstance(text, str):
-        return False
+    """Whether ``text`` is a ``YYYY-MM-DD`` string (not ``"today"``)."""
     try:
-        return np.datetime_data(np.datetime64(text))[0] == "D"
-    except ValueError:
+        return date.fromisoformat(text).isoformat() == text
+    except (TypeError, ValueError):
         return False
 
 
@@ -174,11 +174,21 @@ class DegradationScenario:
         return cls({param: ("step", day, rel_change)})
 
     def __post_init__(self):
+        if not isinstance(self.trajectories, dict):
+            raise ConfigError(f"synth.scenario must map parameter names to "
+                              f"specs, got {self.trajectories!r}")
         specs = {}
         for name, spec in self.trajectories.items():
+            kind = spec[0] if isinstance(spec, (list, tuple)) and spec else None
             if name not in PARAM_NAMES:
-                raise ConfigError(f"unknown parameter {name!r} in scenario")
-            specs[name] = _trajectory(name, spec)
+                raise ConfigError(f"unknown synth.scenario parameter {name!r}")
+            if not (isinstance(kind, str)
+                    and len(spec) == {"linear": 2, "step": 3}.get(kind)):
+                raise ConfigError(f"synth.scenario.{name} must be ['linear', "
+                                  f"total_rel_change] or ['step', day, "
+                                  f"rel_change], got {spec!r}")
+            specs[name] = (kind, *(finite_number(v, f"synth.scenario.{name}")
+                                   for v in spec[1:]))
         object.__setattr__(self, "trajectories", specs)
 
     def factor(self, name, day_float, total_days):
@@ -197,24 +207,6 @@ class DegradationScenario:
 
     def describe(self):
         return {k: list(v) for k, v in self.trajectories.items()}
-
-
-def _trajectory(name, spec):
-    """Scenario ``spec`` of parameter ``name`` as a tuple of its kind and
-    floats; ``ConfigError`` unless it is ``("linear", total_rel_change)``
-    or ``("step", day, rel_change)`` with finite numbers."""
-    lengths = {"linear": 2, "step": 3}
-    kind = spec[0] if isinstance(spec, (list, tuple)) and spec else None
-    try:
-        values = tuple(float(v) for v in spec[1:])
-    except (OverflowError, TypeError, ValueError):
-        values = (math.nan,)
-    if not (isinstance(kind, str) and len(spec) == lengths.get(kind)
-            and all(map(math.isfinite, values))):
-        raise ConfigError(
-            f"scenario {name}: expected ['linear', total_rel_change] or "
-            f"['step', day, rel_change] of finite numbers, got {spec!r}")
-    return (kind, *values)
 
 
 def _check_trajectory_bounds(values):

@@ -484,6 +484,19 @@ class TestTelemetryLayout:
         with pytest.raises(ConfigError, match=fields):
             iotools.read_telemetry_csv(tmp_path / "unread.csv", mapping)
 
+    @pytest.mark.parametrize("header", [None, 5, ["irr"], True],
+                             ids=json.dumps)
+    def test_mapping_header_must_be_a_string(self, tmp_path, header):
+        # str() made these the headers "None", "5", "['irr']" and "True",
+        # and the run ended with "missing column 'None'" (exit 3)
+        path = tmp_path / "mapping.json"
+        path.write_text(json.dumps({"g_poa": header}))
+        with pytest.raises(ConfigError, match="mapping of g_poa"):
+            iotools.read_mapping(path)
+        with pytest.raises(ConfigError, match="mapping of g_poa"):
+            iotools.read_telemetry_csv(tmp_path / "unread.csv",
+                                       {"g_poa": header})
+
     def test_checks_apply_in_order(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(
@@ -608,8 +621,8 @@ class TestReaderMatchesPerRecordOracle:
         _assert_bit_identical(_columns(back), _columns(written))
 
 
-# a roster_studies-shaped configuration whose length and filter settings
-# the fuzz test overwrites
+# a roster_studies-shaped configuration whose length, filter and synth
+# settings the fuzz test overwrites
 _FUZZ_BASE = {
     "system": {"topology": {"cells_in_series": 72, "modules_per_string": 12,
                             "strings_in_parallel": 8},
@@ -620,9 +633,13 @@ _FUZZ_BASE = {
                "lr", "kr"],
     "regressors": {"lambda_grid": [1e-3, 1e-1], "gamma_grid": [0.5, 2.0],
                    "training_lengths_days": [3]},
+    "synth": {"days": 3, "cloud_days": [1],
+              "true_params": {n: getattr(CSI_PARAMS, n) for n in PARAM_NAMES}},
 }
 _COUNTS = ("cells_in_series", "modules_per_string", "strings_in_parallel")
 _DATASHEET_VALUES = ("v_oc", "i_sc", "v_mp", "i_mp", "alpha_isc", "beta_voc")
+_WEATHER_REALS = ("peak_irradiance", "day_length_hours", "cloud_depth",
+                  "cloud_timescale_minutes", "ambient_base")
 # where a parsed configuration keeps each whole-number setting
 _WHOLE = {("horizon_hours",): lambda c: c.horizon / np.timedelta64(1, "h"),
           ("seed",): lambda c: c.seed,
@@ -631,13 +648,20 @@ _WHOLE = {("horizon_hours",): lambda c: c.horizon / np.timedelta64(1, "h"),
               lambda c: c.datasheet.cells_in_series,
           **{("system", "topology", name):
              (lambda c, name=name: getattr(c.topology, name))
-             for name in _COUNTS}}
+             for name in _COUNTS},
+          **{("synth", name):
+             (lambda c, name=name: getattr(c.synth["profile"], name))
+             for name in ("days", "cadence_minutes")}}
 _FUZZ_KEYS = (("fit", "window_days"), ("fit", "update_days"),
               ("fit", "warm_start"), ("regressors", "holdout_days"),
               ("preprocess", "g_min"), ("preprocess", "k_sigma"),
               ("preprocess", "clip_band"), ("preprocess", "p_ac_limit_w"),
               *_WHOLE,
-              *(("system", "datasheet", key) for key in _DATASHEET_VALUES))
+              *(("system", "datasheet", key) for key in _DATASHEET_VALUES),
+              *(("synth", key) for key in (*_WEATHER_REALS, "cloud_days",
+                                           "start_day", "noise_v", "noise_i",
+                                           "alpha_isc")),
+              *(("synth", "true_params", name) for name in PARAM_NAMES))
 _ANY_SETTING = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([1e300, -1e300, 1e-300, 0.0, -1.0, 3.0]),
@@ -688,7 +712,8 @@ class TestRunConfigFuzz:
         # a numeric setting that parsed was a JSON number, and a whole one
         # was read as given, not truncated
         for path, value in settings.items():
-            if path[-1] != "warm_start" and value is not None:
+            if path[-1] not in ("warm_start", "cloud_days", "start_day") \
+                    and value is not None:
                 assert type(value) in (int, float), (path, value)
             if path in _WHOLE:
                 assert _WHOLE[path](config) == value, (path, value)
@@ -707,6 +732,19 @@ class TestRunConfigFuzz:
         assert config.window_length > np.timedelta64(0, "s")
         assert config.horizon >= np.timedelta64(1, "h")
         assert 0 < config.p_nominal < math.inf
+        # the synth section parsed to checked values only; a large drawn
+        # day count allocates nothing, since nothing is synthesized
+        profile, parsed = config.synth["profile"], config.synth
+        assert all(type(count) is int and count >= 1
+                   for count in (profile.days, profile.cadence_minutes))
+        reals = [getattr(profile, name) for name in _WEATHER_REALS]
+        reals += [getattr(parsed["true_params"], n) for n in PARAM_NAMES]
+        reals += [parsed[key] for key in ("alpha_isc", "noise_v", "noise_i")
+                  if key in parsed]
+        assert all(type(v) is float and math.isfinite(v) for v in reals)
+        assert all(type(day) is int and 0 <= day < profile.days
+                   for day in profile.cloud_days)
+        assert all(parsed.get(key, 0.0) >= 0 for key in ("noise_v", "noise_i"))
 
     @pytest.mark.parametrize("path, value", [
         # int() made 12.7 modules 12 and true strings 1, a nameplate 8x
@@ -730,7 +768,15 @@ class TestRunConfigFuzz:
         (("models",), "pvpro"),
         # a NaN or infinite coefficient stalled the extraction (exit 4)
         *((("system", "datasheet", key), value) for key in _DATASHEET_VALUES
-          for value in (math.nan, math.inf, -math.inf))],
+          for value in (math.nan, math.inf, -math.inf)),
+        # np.datetime64 read a number as seconds since 1970 (true as
+        # 00:00:01), so every day became a forecast day, and a time of day
+        # on end silently added its next day; a fraction and a list were
+        # refused without the key's name
+        (("evaluation", "start"), 5), (("evaluation", "start"), True),
+        (("evaluation", "start"), "2024-06-04T06:00:00"),
+        (("evaluation", "end"), "2024-06-07T12:00:00"),
+        (("evaluation", "end"), 1.5), (("evaluation", "end"), ["2024-06-07"])],
         ids=lambda v: ".".join(v) if isinstance(v, tuple)
         else json.dumps(v))
     def test_setting_is_checked_not_coerced(self, path, value):
@@ -751,6 +797,18 @@ class TestRunConfigFuzz:
                 assert type(get(config)) is int
                 assert get(config) == (72 if path[-1] == "cells_in_series"
                                        else 3)
+
+    def test_evaluation_day_reads_in_either_form(self):
+        # a day, or that day at midnight as perfbench writes it
+        configs = []
+        for start, end in (("2024-06-04", "2024-06-07"),
+                           ("2024-06-04T00:00:00", "2024-06-07T00:00:00")):
+            raw = json.loads(json.dumps(_FUZZ_BASE))
+            raw["evaluation"] = {"start": start, "end": end}
+            configs.append(RunConfig.from_dict(raw))
+        for config in configs:
+            assert config.eval_start == np.datetime64("2024-06-04T00:00:00")
+            assert config.eval_end == np.datetime64("2024-06-07T00:00:00")
 
     @pytest.mark.parametrize("key, value", [
         ("g_min", math.nan), ("g_min", -1.0), ("g_min", math.inf),
@@ -1010,6 +1068,64 @@ def _write_config(tmp_path, days=9, models=("pvpro", "nominal",
     return path
 
 
+# a malformed synth section, and a text its error must hold; after each
+# measured case, what the parent did with it
+_MALFORMED_SYNTH = [
+    (3, "'synth'"), ([1], "'synth'"), ("x", "'synth'"),
+    ({"dayz": 3}, "synth setting 'dayz'"),
+    ({"scenario": {"r_s": []}}, "synth.scenario.r_s"),
+    ({"scenario": {"r_s": ["linear"]}}, "synth.scenario.r_s"),
+    ({"days": "2"}, "synth.days"),
+    ({"scenario": {"r_s": ["quadratic", 0.1]}}, "synth.scenario.r_s"),
+    ({"scenario": {"r_s": ["linear", 0.1, 5]}}, "synth.scenario.r_s"),
+    ({"cadence_minutes": 0}, "synth.cadence_minutes"),
+    ({"cadence_minutes": 7.5}, "synth.cadence_minutes"),
+    ({"true_params": {"i_ph_ref": 9.5}}, "synth.true_params"),
+    ({"true_params": {**{n: getattr(CSI_PARAMS, n) for n in PARAM_NAMES},
+                      "r_s": -1}}, "r_s=-1.0"),
+    ({"noise_v": "x"}, "synth.noise_v"),
+    ({"peak_irradiance": "x"}, "synth.peak_irradiance"),
+    ({"peak_irradiance": -5}, "synth.peak_irradiance"),
+    ({"start_day": "x"}, "synth.start_day"),
+    # the parent: exit 3, "negative DC voltage values" (100 % noise)
+    ({"noise_v": True}, "synth.noise_v"),
+    # exit 0, synthesized with a current coefficient of 1 A/degC
+    ({"alpha_isc": True}, "synth.alpha_isc"),
+    # exit 0: float() read each string below as its number
+    ({"noise_i": "0.5"}, "synth.noise_i"),
+    # exit 0
+    ({"true_params": {**{n: getattr(CSI_PARAMS, n) for n in PARAM_NAMES},
+                      "r_s": "0.35"}}, "synth.true_params.r_s"),
+    # an uncaught numpy UFuncTypeError, a traceback
+    ({"ambient_base": "20"}, "synth.ambient_base"),
+    # exit 0
+    ({"scenario": {"r_s": ["linear", "0.3"]}}, "synth.scenario.r_s"),
+    # exit 0, day 1 silently clear
+    ({"cloud_days": [1.5]}, "synth.cloud_days"),
+    # exit 0, day 1 clouded
+    ({"cloud_days": [True]}, "synth.cloud_days"),
+    # exit 0, a cloud depth of 1
+    ({"cloud_depth": True}, "synth.cloud_depth"),
+    # exit 3, "negative DC voltage values"
+    ({"noise_v": -0.5}, "synth.noise_v"),
+    # an uncaught ZeroDivisionError, a traceback
+    ({"cloud_timescale_minutes": 0}, "synth.cloud_timescale_minutes"),
+    # exit 3, "non-finite values in column g_poa"
+    ({"cloud_timescale_minutes": math.nan}, "synth.cloud_timescale_minutes"),
+    # exit 3, "non-finite values in column t_module"
+    ({"ambient_base": math.nan}, "synth.ambient_base"),
+    # exit 3, "non-finite values in column v_dc"
+    ({"noise_v": math.nan}, "synth.noise_v"),
+    # exit 2, "cloud_depth must lie in [0, 1]", not naming the NaN
+    ({"cloud_depth": math.nan}, "synth.cloud_depth must be a finite number"),
+    # exit 2, "day_length_hours must lie in (0, 24]"
+    ({"day_length_hours": math.nan},
+     "synth.day_length_hours must be a finite number"),
+    # exit 2, "got multiple values for keyword argument 'seed'"
+    ({"seed": 3}, "unknown synth setting 'seed'"),
+]
+
+
 class TestCli:
     @pytest.mark.parametrize("argv", [
         [], ["bogus", "--config", "c.json"],
@@ -1073,19 +1189,11 @@ class TestCli:
                      "--out", str(tmp_path)]) == 2
         assert "'preprocess'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("change", [
-        3, [1], "x", {"dayz": 3}, {"scenario": {"r_s": []}},
-        {"scenario": {"r_s": ["linear"]}}, {"days": "2"},
-        {"scenario": {"r_s": ["quadratic", 0.1]}},
-        {"scenario": {"r_s": ["linear", 0.1, 5]}},
-        {"cadence_minutes": 0}, {"cadence_minutes": 7.5},
-        {"true_params": {"i_ph_ref": 9.5}},
-        {"true_params": {**{n: getattr(CSI_PARAMS, n) for n in PARAM_NAMES},
-                         "r_s": -1}},
-        {"noise_v": "x"}, {"peak_irradiance": "x"},
-        {"peak_irradiance": -5}, {"start_day": "x"}],
-        ids=lambda change: json.dumps(change))
-    def test_malformed_synth_section_exit_code(self, tmp_path, change):
+    @pytest.mark.parametrize("change, named", [
+        pytest.param(change, named, id=json.dumps(change))
+        for change, named in _MALFORMED_SYNTH])
+    def test_malformed_synth_section_exit_code(self, tmp_path, capsys,
+                                               change, named):
         cfg = _write_config(tmp_path)
         raw = json.loads(cfg.read_text())
         if isinstance(change, dict):
@@ -1095,7 +1203,24 @@ class TestCli:
         cfg.write_text(json.dumps(raw))
         assert main(["synth", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "telemetry.csv").exists()
+
+    def test_malformed_synth_section_refused_by_every_command(self, tmp_path,
+                                                              capsys):
+        # the synth section parses with the rest of the configuration, so
+        # a bad one is refused before a command reads its telemetry; at
+        # the parent only `pvprof synth` read it, and this benchmark exited 0
+        cfg = _write_config(tmp_path, days=4, models=("smart_persistence",))
+        out = str(tmp_path)
+        assert main(["synth", "--config", str(cfg), "--out", out]) == 0
+        raw = json.loads(cfg.read_text())
+        raw["synth"]["noise_v"] = True
+        cfg.write_text(json.dumps(raw))
+        capsys.readouterr()
+        for command in ("benchmark", "fit", "predict", "synth"):
+            assert main([command, "--config", str(cfg), "--out", out]) == 2
+            assert "synth.noise_v" in capsys.readouterr().err
 
     @pytest.mark.parametrize("data", [
         {"telemetry": 3}, {"telemetry": "telemetry.csv", "mapping": 3}],
@@ -1286,6 +1411,20 @@ class TestCli:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "v_dc" in err and "i_dc" in err
+
+    def test_mapping_header_not_a_string_exit_code(self, tmp_path, capsys):
+        # a configuration error naming the field; exit 3 at the parent,
+        # "missing column 'None'"
+        cfg = _write_config(tmp_path, days=4, models=("smart_persistence",),
+                            extra={"data": {"telemetry": "telemetry.csv",
+                                            "mapping": "mapping.json"}})
+        (tmp_path / "mapping.json").write_text(json.dumps({"g_poa": None}))
+        assert main(["synth", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["benchmark", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert "mapping of g_poa" in capsys.readouterr().err
 
     def test_non_utf8_telemetry_exit_code(self, tmp_path):
         cfg = _write_config(tmp_path, days=3)

@@ -6,7 +6,7 @@ import os
 import re
 from dataclasses import fields
 
-from pvprof import ArrayTopology
+from pvprof import ArrayTopology, SdmParamsRef, WeatherProfile
 from pvprof.baselines import Datasheet, GridSearchSpec
 from pvprof.benchmark import RunConfig
 from pvprof.preprocess import PreprocessConfig
@@ -39,5 +39,11 @@ def test_configuration_example_parses():
     for settings, cls in ((raw["system"]["topology"], ArrayTopology),
                           (raw["system"]["datasheet"], Datasheet),
                           (raw["preprocess"], PreprocessConfig),
-                          (raw["regressors"], GridSearchSpec)):
+                          (raw["regressors"], GridSearchSpec),
+                          (raw["synth"]["true_params"], SdmParamsRef)):
         assert len(settings) == len(fields(cls)), cls.__name__
+    # the synth section: every weather field but the run's seed, and the
+    # generator's other arguments
+    weather = {f.name for f in fields(WeatherProfile)} - {"seed"}
+    assert set(raw["synth"]) == weather | {"true_params", "scenario",
+                                           "noise_v", "noise_i", "alpha_isc"}

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from pvprof import analysis, baselines, cli, fitting, preprocess, sdm, synth
+from pvprof import analysis, baselines, fitting, preprocess, sdm, synth
 from pvprof.benchmark import RunConfig, run_benchmark
 from pvprof.series import DAY
 from conftest import (ALPHA_ISC, CELLS, CSI_PARAMS, count_calls,
@@ -35,8 +35,8 @@ def test_every_workload_config_parses_and_synthesizes(monkeypatch):
 
     for name, make in workloads.WORKLOADS.items():
         config = RunConfig.from_dict(dict(make(), seed=1))
-        _, log = cli._synth_from_config(config)
-        assert log.days == config.synth["days"], name
+        _, log = synth.generate_dataset(topo=config.topology, **config.synth)
+        assert log.days == config.raw["synth"]["days"], name
 
 
 def test_fit_window_solves_through_the_traced_simulation(monkeypatch, topo,
