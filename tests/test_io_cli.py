@@ -1332,8 +1332,12 @@ class TestCli:
         assert not list(tmp_path.glob("sweep_*.svg"))
 
     @pytest.mark.parametrize("content", [b'{"timestamp": "ts",',
-                                         b'{"timestamp": "\xe9"}', None],
-                             ids=["truncated_json", "not_utf8", "missing"])
+                                         b'{"timestamp": "\xe9"}', None,
+                                         # exit 3 at the parent: str() made
+                                         # the header "None"
+                                         b'{"g_poa": null}'],
+                             ids=["truncated_json", "not_utf8", "missing",
+                                  "header_not_a_string"])
     def test_unreadable_mapping_exit_code(self, tmp_path, content):
         cfg = _write_config(tmp_path, extra={"data": {
             "telemetry": "telemetry.csv", "mapping": "mapping.json"}})
@@ -1411,20 +1415,6 @@ class TestCli:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "v_dc" in err and "i_dc" in err
-
-    def test_mapping_header_not_a_string_exit_code(self, tmp_path, capsys):
-        # a configuration error naming the field; exit 3 at the parent,
-        # "missing column 'None'"
-        cfg = _write_config(tmp_path, days=4, models=("smart_persistence",),
-                            extra={"data": {"telemetry": "telemetry.csv",
-                                            "mapping": "mapping.json"}})
-        (tmp_path / "mapping.json").write_text(json.dumps({"g_poa": None}))
-        assert main(["synth", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["benchmark", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 2
-        assert "mapping of g_poa" in capsys.readouterr().err
 
     def test_non_utf8_telemetry_exit_code(self, tmp_path):
         cfg = _write_config(tmp_path, days=3)
