@@ -22,7 +22,7 @@ from .exceptions import (ConfigError, DataError, ExtractionError,
 from .series import hour_of_day, require_aligned, _as_timestamps
 
 _VTH_REF = sdm.K_BOLTZMANN * sdm.T_REF_K / sdm.Q_ELEMENTARY
-# Newton steps of the datasheet extraction, per seed
+# Newton steps of the datasheet extraction, per start
 _NEWTON_ITERATIONS = 100
 
 
@@ -203,30 +203,28 @@ def fit_desoto_from_datasheet(ds: Datasheet) -> sdm.SdmParamsRef:
     Solves the five STC conditions -- the I-V curve through (0, Isc),
     (Voc, 0) and (Vmp, Imp), zero power slope at the MPP, and the modeled
     Voc temperature coefficient matching beta_voc -- by damped Newton
-    iteration.  The first ideality seed is the one beta_voc implies
-    (`_ideality_from_beta_voc`); a ladder of fixed seeds follows if it
-    does not converge.  Each ideality seed is tried with three shunt seeds.
+    iteration from the ideality that beta_voc implies
+    (`_ideality_from_beta_voc`) and a shunt of 100 Vmp/Imp.  A start can
+    run the shunt down to a few ohms and stall there; then a second start
+    at 10 Vmp/Imp is tried.
 
     Raises
     ------
     ExtractionError
-        If no seed converges within 100 Newton steps, with the residual
-        report of the best attempt.
+        If neither start converges within 100 Newton steps, with the
+        residual report of the better attempt.
     """
     rs0 = max(0.5 * (ds.v_oc - ds.v_mp) / ds.i_mp, 1e-3)
+    a0 = _ideality_from_beta_voc(ds) * ds.cells_in_series * _VTH_REF
     best = None
-    for n0 in (_ideality_from_beta_voc(ds), 1.5, 1.1, 2.0):
-        for rsh_factor in (100.0, 10.0, 1000.0):
-            a0 = n0 * ds.cells_in_series * _VTH_REF
-            rsh0 = rsh_factor * ds.v_mp / ds.i_mp
-            i00 = max((ds.i_sc - ds.v_oc / rsh0) / math.expm1(ds.v_oc / a0), 1e-25)
-            z0 = np.array([ds.i_sc, math.log(i00), rs0, math.log(rsh0), a0])
-            z, norm = _damped_newton(z0, ds)
-            if best is None or norm < best[1]:
-                best = (z, norm)
-            if norm < 1e-11:
-                break
-        if best[1] < 1e-11:
+    for rsh_factor in (100.0, 10.0):
+        rsh0 = rsh_factor * ds.v_mp / ds.i_mp
+        i00 = max((ds.i_sc - ds.v_oc / rsh0) / math.expm1(ds.v_oc / a0), 1e-25)
+        z0 = np.array([ds.i_sc, math.log(i00), rs0, math.log(rsh0), a0])
+        z, norm = _damped_newton(z0, ds)
+        if best is None or norm < best[1]:
+            best = (z, norm)
+        if norm < 1e-11:
             break
     z, norm = best
     if norm >= 1e-11:

@@ -132,13 +132,22 @@ def _synth_arguments(raw, seed, datasheet):
     if "true_params" not in section:
         raise ConfigError("synth needs 'true_params'")
     weather = {k: v for k, v in section.items() if k not in _SYNTH_KEYS}
+    try:
+        true_params = _build(SdmParamsRef, section["true_params"],
+                             "synth.true_params", read=finite_number)
+    except ValueError as exc:   # SdmParamsRef's own check of the set
+        raise ConfigError(f"synth.true_params: {exc}") from exc
     arguments = dict(
-        true_params=_build(SdmParamsRef, section["true_params"],
-                           "synth.true_params", read=finite_number),
+        true_params=true_params,
         profile=_build(synth.WeatherProfile, weather, "synth", seed=seed),
         scenario=synth.DegradationScenario(section.get("scenario", {})),
         alpha_isc=finite_number(section.get("alpha_isc", getattr(
             datasheet, "alpha_isc", 0.0)), "synth.alpha_isc"))
+    days = arguments["profile"].days
+    for name, spec in arguments["scenario"].trajectories.items():
+        if spec[0] == "step" and not 0 <= spec[1] < days:
+            raise ConfigError(f"synth.scenario.{name} steps on day "
+                              f"{spec[1]!r}, outside [0, {days})")
     for key in ("noise_v", "noise_i"):   # generate_dataset's when left out
         if key in section:
             arguments[key] = finite_number(section[key], f"synth.{key}")
@@ -497,8 +506,8 @@ def run_benchmark(config: RunConfig,
                            min(config.grid_spec.training_lengths_days)
                            + config.grid_spec.holdout_days)
     first_possible = days[0] + np.timedelta64(int(np.ceil(history_days)), "D")
-    eval_start = config.eval_start or first_possible.astype("datetime64[s]")
-    eval_start = np.datetime64(eval_start, "s")
+    eval_start = np.datetime64(config.eval_start if config.eval_start
+                               is not None else first_possible, "s")
     eval_end = (np.datetime64(config.eval_end, "s") + DAY
                 if config.eval_end is not None
                 else (days[-1].astype("datetime64[s]") + DAY))

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvprof import analysis, baselines, fitting, sdm
 from pvprof.exceptions import (ConfigError, DataError, ExtractionError,
@@ -132,12 +134,58 @@ class TestDatasheetExtraction:
                                 alpha_isc=0.0, beta_voc=-0.15,
                                 cells_in_series=72)
 
-    def test_unreachable_fill_factor_raises(self):
-        ds = baselines.Datasheet(v_oc=49.0, i_sc=9.5, v_mp=48.5, i_mp=9.45,
-                                 alpha_isc=0.0, beta_voc=-0.15,
-                                 cells_in_series=72)
+    @pytest.mark.parametrize("ds", [
+        baselines.Datasheet(v_oc=49.0, i_sc=9.5, v_mp=48.5, i_mp=9.45,
+                            alpha_isc=0.0, beta_voc=-0.15, cells_in_series=72),
+        replace(DEMO_DATASHEET, beta_voc=0.5),
+        replace(DEMO_DATASHEET, beta_voc=-5.0)],
+        ids=["fill-factor", "demo-beta_voc-0.5", "demo-beta_voc-5.0"])
+    def test_unreachable_fill_factor_raises(self, monkeypatch, ds):
+        # an infeasible datasheet fails in milliseconds: two starts, not a
+        # search that takes seconds (thousands of residual calls) to give up
+        calls = count_calls(monkeypatch, baselines, "_extraction_residuals")
         with pytest.raises(ExtractionError):
             baselines.fit_desoto_from_datasheet(ds)
+        assert len(calls) <= 300
+
+    @settings(max_examples=120)
+    @given(i_ph=st.floats(5.0, 12.0), log_i0=st.floats(-11.0, -9.0),
+           r_s=st.floats(0.1, 0.8),
+           log_rsh=st.floats(2.0, math.log10(5000.0)),
+           n=st.floats(0.9, 2.0), cells=st.sampled_from([36, 60, 72, 96, 144]),
+           alpha_isc=st.floats(0.0, 0.006))
+    def test_extraction_converges_over_the_wide_box(self, i_ph, log_i0, r_s,
+                                                    log_rsh, n, cells,
+                                                    alpha_isc):
+        # the draw_csi_like ranges, widened in ideality, cell count and
+        # current coefficient: every datasheet is extracted by the two
+        # starts, passes the nameplate post-check and recovers its truth
+        truth = sdm.SdmParamsRef(i_ph, 10.0 ** log_i0, r_s, 10.0 ** log_rsh, n)
+        ds = baselines.synthesize_datasheet(truth, cells, alpha_isc=alpha_isc)
+        rec = baselines.fit_desoto_from_datasheet(ds)
+        op = sdm.translate_to_operating(
+            rec, sdm.OperatingConditions(1000.0, 25.0), cells, alpha_isc)
+        assert abs(sdm.short_circuit_current(op) - ds.i_sc) / ds.i_sc < 1e-3
+        assert abs(sdm.open_circuit_voltage(op) - ds.v_oc) / ds.v_oc < 1e-3
+        assert abs(sdm.find_mpp(op).p - ds.v_mp * ds.i_mp) \
+            / (ds.v_mp * ds.i_mp) < 1e-3
+        np.testing.assert_allclose(rec.as_array(), truth.as_array(),
+                                   rtol=1e-6)
+
+    def test_small_shunt_start_reaches_a_stalled_datasheet(self, monkeypatch):
+        # from a shunt of 100 Vmp/Imp Newton runs the shunt down to about
+        # 10 ohm and stalls at a residual of 2.2; the start at 10 Vmp/Imp
+        # converges.  One of 49 such modules in 20,000 wide-box draws.
+        truth = sdm.SdmParamsRef(9.348360853685332, 1.7846814552391095e-11,
+                                 0.1815881233005241, 961.0170996225568,
+                                 1.5130437199474627)
+        ds = baselines.synthesize_datasheet(truth, 144,
+                                            alpha_isc=0.005074114093791706)
+        starts = count_calls(monkeypatch, baselines, "_damped_newton")
+        rec = baselines.fit_desoto_from_datasheet(ds)
+        assert len(starts) == 2
+        np.testing.assert_allclose(rec.as_array(), truth.as_array(),
+                                   rtol=1e-9)
 
     def test_extracted_once_per_datasheet_instance(self, monkeypatch,
                                                    datasheet, topo):

@@ -309,6 +309,28 @@ def test_a_failed_slicing_runs_once_and_is_its_study_error(monkeypatch, topo,
     assert report.studies["weather_cases"] == {"error": str(failure.value)}
 
 
+def test_an_epoch_evaluation_start_is_kept():
+    # numpy's datetime64 of 1970-01-01 is falsy, yet it is a start like any
+    # other, not a missing one: the default starts one window after day one
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "roster_studies")
+    with open(os.path.join(golden, "config.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["models"] = ["smart_persistence", "nominal"]
+    raw["studies"] = {name: False for name in raw["studies"]}
+    series, _ = iotools.read_telemetry_csv(os.path.join(golden,
+                                                        "telemetry.csv"))
+    days = {}
+    for start in ("1970-01-01", str(series.days()[0])):
+        raw["evaluation"] = {"start": start}
+        report = run_benchmark(RunConfig.from_dict(raw), series)
+        days[start] = {model: [row["day"] for row in rows]
+                       for model, rows in report.daily.items()}
+    assert days["1970-01-01"] == days["2024-06-01"]
+    assert days["1970-01-01"]["nominal"] == [
+        f"2024-06-0{d}" for d in range(1, 9)]
+
+
 def test_runs_in_one_process_match_fresh_processes(tmp_path, topo,
                                                    datasheet):
     # the record of solved windows lives for one run: a second run on

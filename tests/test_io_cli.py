@@ -1082,7 +1082,7 @@ _MALFORMED_SYNTH = [
     ({"cadence_minutes": 7.5}, "synth.cadence_minutes"),
     ({"true_params": {"i_ph_ref": 9.5}}, "synth.true_params"),
     ({"true_params": {**{n: getattr(CSI_PARAMS, n) for n in PARAM_NAMES},
-                      "r_s": -1}}, "r_s=-1.0"),
+                      "r_s": -1}}, "synth.true_params"),
     ({"noise_v": "x"}, "synth.noise_v"),
     ({"peak_irradiance": "x"}, "synth.peak_irradiance"),
     ({"peak_irradiance": -5}, "synth.peak_irradiance"),
@@ -1123,6 +1123,10 @@ _MALFORMED_SYNTH = [
      "synth.day_length_hours must be a finite number"),
     # exit 2, "got multiple values for keyword argument 'seed'"
     ({"seed": 3}, "unknown synth setting 'seed'"),
+    # exit 0, the step never happening in the 9 generated days
+    ({"scenario": {"r_s": ["step", 100, 0.5]}}, "synth.scenario.r_s"),
+    # exit 0, the step in force from the first day
+    ({"scenario": {"r_s": ["step", -1, 0.5]}}, "synth.scenario.r_s"),
 ]
 
 
