@@ -24,6 +24,9 @@ from .series import hour_of_day, require_aligned, _as_timestamps
 _VTH_REF = sdm.K_BOLTZMANN * sdm.T_REF_K / sdm.Q_ELEMENTARY
 # Newton steps of the datasheet extraction, per start
 _NEWTON_ITERATIONS = 100
+# columns per panel when the RBF kernel is built into one triangle and
+# mirrored onto the other
+_KERNEL_PANEL = 64
 
 
 @dataclass(frozen=True)
@@ -370,22 +373,50 @@ def _rbf_kernel(sqdist, gamma, out=None):
     return np.exp(out, out=out)
 
 
-def _kernel_dual(K, lam, yc, work):
+def _rbf_upper(Xs, gamma, out):
+    """Write the RBF kernel of the rows of ``Xs`` into the upper triangle,
+    diagonal included, of the F-ordered (n, n) buffer ``out`` and return
+    it.
+
+    Each column panel is the distances of its rows to the rows up to it,
+    so the distance and exp work is about half of the full square.  Below
+    the diagonal only the panels' diagonal blocks are written.
+    """
+    from scipy.spatial.distance import cdist
+
+    n = Xs.shape[0]
+    scratch = np.empty(_KERNEL_PANEL * n)
+    for j0 in range(0, n, _KERNEL_PANEL):
+        j1 = min(j0 + _KERNEL_PANEL, n)
+        panel = scratch[:(j1 - j0) * j1].reshape(j1 - j0, j1)
+        cdist(Xs[j0:j1], Xs[:j1], "sqeuclidean", out=panel)
+        out[:j1, j0:j1] = _rbf_kernel(panel, gamma, out=panel).T
+    return out
+
+
+def _kernel_dual(K, lam, yc):
     """Dual coefficients solving (K + lam I) a = yc by Cholesky.
 
-    ``work`` is an (n, n) C-ordered buffer that receives K + lam I and then
-    its factor; it may be ``K`` itself, which is then overwritten.  The
-    factorization runs in place on the F-ordered transpose, which equals the
-    matrix since it is symmetric.  Raises ``TrainingError`` if the system is
-    not positive definite or the dual is not finite.
+    ``K`` is an F-ordered (n, n) buffer whose strict upper triangle holds
+    an RBF kernel (`_rbf_upper`); the kernel's diagonal, exp(0), is 1.
+    The strict upper triangle is copied onto the strict lower one panel by
+    panel, the diagonal is set to 1 + lam, and the lower triangle is
+    factored in place.  LAPACK's lower Cholesky neither reads nor writes
+    the strict upper triangle, so the kernel is left there for the next
+    lambda, after a failed factorization too.  Raises ``TrainingError`` if
+    the system is not positive definite or the dual is not finite.
     """
     from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-    if work is not K:
-        np.copyto(work, K)
-    work.ravel()[::work.shape[0] + 1] += lam
+    n = K.shape[0]
+    for j0 in range(0, n, _KERNEL_PANEL):
+        j1 = min(j0 + _KERNEL_PANEL, n)
+        block = K[j0:j1, j0:j1]
+        np.copyto(block, block.T, where=np.tri(j1 - j0, k=-1, dtype=bool))
+        K[j1:, j0:j1] = K[j0:j1, j1:].T
+    np.fill_diagonal(K, 1.0 + lam)
     try:
-        factor = cho_factor(work.T, lower=True, overwrite_a=True,
+        factor = cho_factor(K, lower=True, overwrite_a=True,
                             check_finite=False)
         dual = cho_solve(factor, yc, check_finite=False)
     except LinAlgError as exc:
@@ -426,10 +457,9 @@ def train_regressor(family, features, targets, hyperparams=None) -> RegressorMod
             raise TrainingError(f"singular normal equations: {exc}") from exc
         return RegressorModel("linear", x_mean, x_std, y_mean,
                               hyperparams, weights=w)
-    from scipy.spatial.distance import cdist
-
-    K = cdist(Xs, Xs, "sqeuclidean")
-    dual = _kernel_dual(_rbf_kernel(K, gamma, out=K), lam, yc, work=K)
+    n = Xs.shape[0]
+    K = _rbf_upper(Xs, gamma, np.empty((n, n), order="F"))
+    dual = _kernel_dual(K, lam, yc)
     return RegressorModel("kernel_ridge", x_mean, x_std, y_mean,
                           hyperparams, dual_coef=dual, x_train=Xs)
 
@@ -519,16 +549,14 @@ def _kernel_ridge_holdout(spec, X, y, X_val):
     x_mean, x_std, Xs, y_mean, yc = _standardize(X, y)
     val_sqdist = cdist((X_val - x_mean) / x_std, Xs, "sqeuclidean")
     n = Xs.shape[0]
-    K = np.empty((n, n))
-    work = np.empty((n, n))
+    K = np.empty((n, n), order="F")
     cells = {}
     for gamma in spec.gamma_grid:
-        cdist(Xs, Xs, "sqeuclidean", out=K)
-        _rbf_kernel(K, gamma, out=K)
+        _rbf_upper(Xs, gamma, K)
         K_val = _rbf_kernel(val_sqdist, gamma)
         for lam in spec.lambda_grid:
             try:
-                dual = _kernel_dual(K, lam, yc, work)
+                dual = _kernel_dual(K, lam, yc)
             except TrainingError as exc:
                 cells[lam, gamma] = str(exc)
             else:
@@ -572,6 +600,9 @@ def grid_search(spec: GridSearchSpec, family, timestamps, features, targets,
     ``linear`` trains each cell through ``train_regressor``.
     """
     ts = _as_timestamps(timestamps)
+    if ts.size < 2:   # the cadence is a median of differences
+        raise InsufficientDataError(
+            f"grid search needs >= 2 history records, have {ts.size}")
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     cadence = np.median(np.diff(ts).astype("timedelta64[s]").astype(np.int64))

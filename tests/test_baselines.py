@@ -1,11 +1,13 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.spatial.distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -490,6 +492,19 @@ class TestGridSearch:
         with pytest.raises(DataError):
             baselines.grid_search(spec, family, ts, X, y, 30_000.0)
 
+    @pytest.mark.parametrize("records", [0, 1])
+    def test_history_below_two_records_rejected(self, records):
+        # the cadence is the median of the record spacing: on one record
+        # numpy warned twice and int(nan) raised an untyped ValueError
+        ts, X, y = self._series()
+        spec = baselines.GridSearchSpec(lambda_grid=(1e-2,), gamma_grid=(1.0,),
+                                        training_lengths_days=(3,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientDataError, match=">= 2 history"):
+                baselines.grid_search(spec, "kernel_ridge", ts[:records],
+                                      X[:records], y[:records], 30_000.0)
+
     def test_infeasible_length_marked_invalid(self):
         ts, X, y = self._series(days=10)
         spec = baselines.GridSearchSpec(lambda_grid=(1e-2,), gamma_grid=(1.0,),
@@ -530,16 +545,25 @@ class TestGridSearch:
         spec = baselines.GridSearchSpec(lambda_grid=(1e-4, 1e-2, 1.0),
                                         gamma_grid=(0.5, 2.0),
                                         training_lengths_days=(2, 5))
+        # the longer length's kernel spans three column panels and a
+        # remainder, so every panel boundary is crossed
+        panel = baselines._KERNEL_PANEL
+        n = int(np.count_nonzero(self._masks(ts, X, spec, 5)[0]))
+        assert n > 3 * panel and n % panel
         res = baselines.grid_search(spec, "kernel_ridge", ts, X, y, 30_000.0)
         assert all(row["valid"] for row in res.table)
         for row in res.table:
-            train, val = self._masks(ts, X, spec, row["length_days"])
-            model = baselines.train_regressor(
-                "kernel_ridge", X[train], y[train],
-                {"lam": row["lam"], "gamma": row["gamma"]})
-            pred = baselines.predict_regressor(model, X[val])
-            nmae = np.mean(np.abs(pred - y[val])) / 30_000.0
-            assert abs(row["nmae"] - nmae) <= 1e-12 * nmae
+            pred = self._retrained(ts, X, y, spec, row)
+            _, val = self._masks(ts, X, spec, row["length_days"])
+            assert row["nmae"] == np.mean(np.abs(pred - y[val])) / 30_000.0
+
+    def _retrained(self, ts, X, y, spec, row):
+        # the holdout prediction of one table row, by train + predict
+        train, val = self._masks(ts, X, spec, row["length_days"])
+        model = baselines.train_regressor(
+            "kernel_ridge", X[train], y[train],
+            {"lam": row["lam"], "gamma": row["gamma"]})
+        return baselines.predict_regressor(model, X[val])
 
     @pytest.mark.parametrize("family", ["linear", "kernel_ridge"])
     def test_rows_follow_length_lambda_gamma_order(self, family):
@@ -569,24 +593,59 @@ class TestGridSearch:
         res = baselines.grid_search(spec, "kernel_ridge", ts, X, y, 30_000.0)
         singular, ridged = res.table
         assert not singular["valid"] and singular["note"] == str(err.value)
+        # the kernel outlives the partial factorization of lam = 0
+        _, val = self._masks(ts, X, spec, 3)
+        pred = self._retrained(ts, X, y, spec, ridged)
         assert ridged["valid"]
+        assert ridged["nmae"] == np.mean(np.abs(pred - y[val])) / 30_000.0
         assert res.best_hyperparams == {"lam": 1e-3, "gamma": 1.0}
 
-    def test_kernel_ridge_search_holds_two_kernel_matrices(self):
+    def test_kernel_ridge_search_holds_one_kernel_matrix(self):
         ts, X, y = self._series(days=15, seed=3, cloudy=True)
         spec = baselines.GridSearchSpec(lambda_grid=(1e-3, 1e-1),
                                         gamma_grid=(0.5, 2.0),
                                         training_lengths_days=(13,))
         n = int(np.count_nonzero(self._masks(ts, X, spec, 13)[0]))
         assert 550 <= n <= 650
+        # warm up: the first search also loads scipy's modules
+        baselines.grid_search(spec, "kernel_ridge", ts, X, y, 30_000.0)
         tracemalloc.start()
         try:
             baselines.grid_search(spec, "kernel_ridge", ts, X, y, 30_000.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the kernel and its factor; a third n x n array would pass 3
-        assert peak < 3 * n * n * 8
+        # the kernel and its factor share one buffer; a second n x n
+        # array would pass 2
+        assert peak < 2 * n * n * 8
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.0], ids=["solved", "singular"])
+    def test_kernel_dual_keeps_the_strict_upper_triangle(self, lam):
+        # the grid search factors each lambda in the lower triangle of the
+        # buffer that holds the kernel in its upper one: LAPACK's lower
+        # Cholesky must neither read nor write the strict upper triangle,
+        # also when it stops at a non-positive pivot
+        n = 3 * baselines._KERNEL_PANEL + 8
+        Xs = np.random.default_rng(7).normal(size=(n, 3))
+        Xs[-1] = Xs[0]   # singular without a ridge, at the last pivot
+        K = np.full((n, n), np.nan, order="F")
+        baselines._rbf_upper(Xs, 0.5, K)
+        upper = np.triu_indices(n, 1)
+        before = K[upper].copy()
+        K[np.tril_indices(n, -1)] = np.nan   # never read
+        yc = np.random.default_rng(8).normal(size=n)
+        if lam:
+            dual = baselines._kernel_dual(K, lam, yc)
+            full = np.exp(-0.5 * scipy.spatial.distance.cdist(
+                Xs, Xs, "sqeuclidean"))
+            np.testing.assert_allclose(
+                (full + lam * np.eye(n)) @ dual, yc, rtol=0, atol=1e-6)
+        else:
+            with pytest.raises(TrainingError, match="not positive definite"):
+                baselines._kernel_dual(K, lam, yc)
+        assert not np.isnan(K[np.tril_indices(n, -1)]).any()
+        np.testing.assert_array_equal(K[upper].view(np.int64),
+                                      before.view(np.int64))
 
     def test_deterministic_selection(self):
         ts, X, y = self._series(days=12, seed=4)

@@ -331,6 +331,34 @@ def test_an_epoch_evaluation_start_is_kept():
         f"2024-06-0{d}" for d in range(1, 9)]
 
 
+def test_a_one_record_history_skips_the_regressor_days(tmp_path):
+    # the history before the evaluation start is the one record at
+    # 23:45: the grid search cannot take a cadence from it, and the run
+    # used to exit with an untyped ValueError from int(nan)
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "roster_studies")
+    with open(os.path.join(golden, "config.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    del raw["synth"]
+    raw["models"] = ["lr", "kr", "smart_persistence"]
+    raw["studies"] = {name: False for name in raw["studies"]}
+    raw["evaluation"] = {"start": "2024-06-02"}
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    with open(os.path.join(golden, "telemetry.csv"), encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    kept = [row for row in rows if row >= "2024-06-01T23:45:00Z"]
+    (tmp_path / "telemetry.csv").write_text("\n".join([header, *kept]) + "\n")
+    assert cli.main(["benchmark", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    for name in ("lr", "kr"):
+        assert [row["day"] for row in report["daily"][name]] == [
+            f"2024-06-0{d}" for d in range(2, 9)]
+        assert {row.get("skipped") for row in report["daily"][name]} == {
+            "grid search failed: grid search needs >= 2 history records, "
+            "have 1"}
+
+
 def test_runs_in_one_process_match_fresh_processes(tmp_path, topo,
                                                    datasheet):
     # the record of solved windows lives for one run: a second run on
