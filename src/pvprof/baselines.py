@@ -3,9 +3,10 @@
 Smart and naive persistence, the nominal datasheet-parameterized diode model
 (five-condition extraction at standard test conditions), and closed-form
 linear / RBF-kernel ridge regressors with a grid search that treats the
-training-data length as a hyperparameter.  The kernel-ridge functions
-import scipy's ``linalg`` and ``spatial`` themselves, so a command that
-runs no kernel ridge does not load them.
+training-data length as a hyperparameter; kernel ridge holds its kernel
+and Cholesky factor in one n x n buffer, about 8 n^2 bytes.  The
+kernel-ridge functions import scipy's ``linalg`` and ``spatial``
+themselves, so a command that runs no kernel ridge does not load them.
 """
 
 import itertools
@@ -24,8 +25,7 @@ from .series import hour_of_day, require_aligned, _as_timestamps
 _VTH_REF = sdm.K_BOLTZMANN * sdm.T_REF_K / sdm.Q_ELEMENTARY
 # Newton steps of the datasheet extraction, per start
 _NEWTON_ITERATIONS = 100
-# columns per panel when the RBF kernel is built into one triangle and
-# mirrored onto the other
+# columns per panel in which the RBF kernel is built and mirrored
 _KERNEL_PANEL = 64
 
 
@@ -374,14 +374,9 @@ def _rbf_kernel(sqdist, gamma, out=None):
 
 
 def _rbf_upper(Xs, gamma, out):
-    """Write the RBF kernel of the rows of ``Xs`` into the upper triangle,
-    diagonal included, of the F-ordered (n, n) buffer ``out`` and return
-    it.
-
-    Each column panel is the distances of its rows to the rows up to it,
-    so the distance and exp work is about half of the full square.  Below
-    the diagonal only the panels' diagonal blocks are written.
-    """
+    """Write the RBF kernel of the rows of ``Xs`` into the upper triangle
+    of the F-ordered (n, n) ``out``, one column panel at a time, with half
+    the distance and exp work of the full square.  Returns ``out``."""
     from scipy.spatial.distance import cdist
 
     n = Xs.shape[0]
@@ -397,14 +392,14 @@ def _rbf_upper(Xs, gamma, out):
 def _kernel_dual(K, lam, yc):
     """Dual coefficients solving (K + lam I) a = yc by Cholesky.
 
-    ``K`` is an F-ordered (n, n) buffer whose strict upper triangle holds
-    an RBF kernel (`_rbf_upper`); the kernel's diagonal, exp(0), is 1.
-    The strict upper triangle is copied onto the strict lower one panel by
-    panel, the diagonal is set to 1 + lam, and the lower triangle is
-    factored in place.  LAPACK's lower Cholesky neither reads nor writes
-    the strict upper triangle, so the kernel is left there for the next
-    lambda, after a failed factorization too.  Raises ``TrainingError`` if
-    the system is not positive definite or the dual is not finite.
+    ``K`` is an F-ordered (n, n) buffer holding an RBF kernel in its strict
+    upper triangle (`_rbf_upper`).  That is copied onto the strict lower
+    one, the diagonal is set to 1 + lam (the kernel's is exp(0) = 1) and
+    the lower triangle is factored in place.  LAPACK's lower Cholesky
+    neither reads nor writes the strict upper triangle, so the kernel is
+    kept for the next lambda, after a failed factorization too.  Raises
+    ``TrainingError`` if the system is not positive definite or the dual
+    is not finite.
     """
     from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
@@ -432,8 +427,9 @@ def train_regressor(family, features, targets, hyperparams=None) -> RegressorMod
 
     ``linear`` solves the 3x3 normal equations with an unpenalized intercept;
     ``kernel_ridge`` solves the dual system (K + lam I) a = y - mean(y) with
-    the RBF kernel K = exp(-gamma * ||x - x'||^2) by an in-place Cholesky
-    factorization, the same steps ``grid_search`` scores each cell with.
+    the RBF kernel K = exp(-gamma * ||x - x'||^2) in one n x n buffer,
+    kernel above the diagonal and Cholesky factor below, the same steps
+    ``grid_search`` scores each cell with.
     """
     hyperparams = dict(hyperparams or {})
     lam = float(hyperparams.setdefault("lam", 1e-3))
@@ -539,8 +535,8 @@ def _kernel_ridge_holdout(spec, X, y, X_val):
     """Holdout predictions of every kernel-ridge (lambda, gamma) cell.
 
     The training set is standardized once and the holdout distances are
-    built once; each gamma builds its kernel into one n x n buffer, and each
-    lambda factors K + lam I into a second one.  Returns a dict keyed
+    built once; one n x n buffer holds each gamma's kernel in its upper
+    triangle and each lambda's factor in its lower.  Returns a dict keyed
     ``(lam, gamma)`` holding the prediction, or the reason a cell's system
     failed.
     """
@@ -585,19 +581,21 @@ def grid_search(spec: GridSearchSpec, family, timestamps, features, targets,
                 p_nominal, g_min=50.0) -> GridSearchResult:
     """Exhaustive hyperparameter x training-length search.
 
-    Validation is a trailing holdout immediately before the data end; the
-    selection minimizes holdout nMAE with ties broken toward smaller
-    training length, then smaller lambda, then smaller gamma (the order of
-    the table rows).  Cells without enough history are recorded as invalid
+    Validation is a trailing holdout immediately before the data end, one
+    median record spacing after the last record (``InsufficientDataError``
+    below two records); the selection minimizes holdout nMAE with ties
+    broken toward smaller training length, then smaller lambda, then
+    smaller gamma (the order of the table rows).  Cells without enough history are recorded as invalid
     and excluded, as are cells whose training fails.  A non-finite feature
     or target in a daylight holdout row raises ``DataError`` before any cell
     is scored.
 
-    ``kernel_ridge`` shares work across the cells of one training length:
-    one standardization, one RBF kernel per gamma and one in-place Cholesky
-    factorization per lambda -- the steps ``train_regressor`` takes for a
-    single cell, so the selected cell retrains to the model that was scored.
-    ``linear`` trains each cell through ``train_regressor``.
+    ``kernel_ridge`` shares one standardization and one n x n buffer
+    across the cells of one training length: one RBF kernel per gamma above
+    the diagonal and one in-place Cholesky factorization per lambda below
+    -- the steps ``train_regressor`` takes for a single cell, so the
+    selected cell retrains to the model that was scored.  ``linear`` trains
+    each cell through ``train_regressor``.
     """
     ts = _as_timestamps(timestamps)
     if ts.size < 2:   # the cadence is a median of differences
