@@ -5,8 +5,10 @@ Smart and naive persistence, the nominal datasheet-parameterized diode model
 linear / RBF-kernel ridge regressors with a grid search that treats the
 training-data length as a hyperparameter; kernel ridge holds its kernel
 and Cholesky factor in one n x n buffer, about 8 n^2 bytes.  The
-kernel-ridge functions import scipy's ``linalg`` and ``spatial``
-themselves, so a command that runs no kernel ridge does not load them.
+kernel-ridge solve imports scipy's ``linalg`` itself, so a command that
+runs no kernel ridge does not load it; the RBF distances are numpy's
+(`_sqdist`), bit-equal to scipy's ``cdist``, so no run loads
+``scipy.spatial``.
 """
 
 import itertools
@@ -27,6 +29,9 @@ _VTH_REF = sdm.K_BOLTZMANN * sdm.T_REF_K / sdm.Q_ELEMENTARY
 _NEWTON_ITERATIONS = 100
 # columns per panel in which the RBF kernel is built and mirrored
 _KERNEL_PANEL = 64
+# strict lower triangle of one diagonal block, sliced for the last panel
+_PANEL_STRICT_LOWER = np.tri(_KERNEL_PANEL, k=-1, dtype=bool)
+_PANEL_STRICT_LOWER.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -373,18 +378,38 @@ def _rbf_kernel(sqdist, gamma, out=None):
     return np.exp(out, out=out)
 
 
+def _sqdist(A, B, out=None, scratch=None):
+    """Squared Euclidean distances (m, n) between the rows of ``A`` (m, k)
+    and ``B`` (n, k), written into ``out`` with ``scratch`` of the same
+    shape as work space (each allocated when ``None``).
+
+    The squared column differences are added in column order, ``(d0^2 +
+    d1^2) + d2^2``, as scipy's ``cdist(A, B, "sqeuclidean")`` adds them, so
+    the result is bit-equal to it.
+    """
+    shape = (A.shape[0], B.shape[0])
+    out = np.empty(shape) if out is None else out
+    scratch = np.empty(shape) if scratch is None else scratch
+    np.subtract.outer(A[:, 0], B[:, 0], out=out)
+    np.square(out, out=out)
+    for c in range(1, A.shape[1]):
+        np.subtract.outer(A[:, c], B[:, c], out=scratch)
+        np.square(scratch, out=scratch)
+        out += scratch
+    return out
+
+
 def _rbf_upper(Xs, gamma, out):
     """Write the RBF kernel of the rows of ``Xs`` into the upper triangle
     of the F-ordered (n, n) ``out``, one column panel at a time, with half
     the distance and exp work of the full square.  Returns ``out``."""
-    from scipy.spatial.distance import cdist
-
     n = Xs.shape[0]
-    scratch = np.empty(_KERNEL_PANEL * n)
+    scratch = np.empty((2, _KERNEL_PANEL * n))
     for j0 in range(0, n, _KERNEL_PANEL):
         j1 = min(j0 + _KERNEL_PANEL, n)
-        panel = scratch[:(j1 - j0) * j1].reshape(j1 - j0, j1)
-        cdist(Xs[j0:j1], Xs[:j1], "sqeuclidean", out=panel)
+        panel, work = (s[:(j1 - j0) * j1].reshape(j1 - j0, j1)
+                       for s in scratch)
+        _sqdist(Xs[j0:j1], Xs[:j1], out=panel, scratch=work)
         out[:j1, j0:j1] = _rbf_kernel(panel, gamma, out=panel).T
     return out
 
@@ -407,7 +432,8 @@ def _kernel_dual(K, lam, yc):
     for j0 in range(0, n, _KERNEL_PANEL):
         j1 = min(j0 + _KERNEL_PANEL, n)
         block = K[j0:j1, j0:j1]
-        np.copyto(block, block.T, where=np.tri(j1 - j0, k=-1, dtype=bool))
+        np.copyto(block, block.T,
+                  where=_PANEL_STRICT_LOWER[:j1 - j0, :j1 - j0])
         K[j1:, j0:j1] = K[j0:j1, j1:].T
     np.fill_diagonal(K, 1.0 + lam)
     try:
@@ -467,9 +493,7 @@ def predict_regressor(model: RegressorModel, features):
     if model.family == "linear":
         y = Xs @ model.weights + model.y_mean
     else:
-        from scipy.spatial.distance import cdist
-
-        K = cdist(Xs, model.x_train, "sqeuclidean")
+        K = _sqdist(Xs, model.x_train)
         _rbf_kernel(K, model.hyperparams["gamma"], out=K)
         y = K @ model.dual_coef + model.y_mean
     return np.maximum(y, 0.0)
@@ -540,10 +564,8 @@ def _kernel_ridge_holdout(spec, X, y, X_val):
     ``(lam, gamma)`` holding the prediction, or the reason a cell's system
     failed.
     """
-    from scipy.spatial.distance import cdist
-
     x_mean, x_std, Xs, y_mean, yc = _standardize(X, y)
-    val_sqdist = cdist((X_val - x_mean) / x_std, Xs, "sqeuclidean")
+    val_sqdist = _sqdist((X_val - x_mean) / x_std, Xs)
     n = Xs.shape[0]
     K = np.empty((n, n), order="F")
     cells = {}
@@ -583,10 +605,13 @@ def grid_search(spec: GridSearchSpec, family, timestamps, features, targets,
 
     Validation is a trailing holdout immediately before the data end, one
     median record spacing after the last record (``InsufficientDataError``
-    below two records); the selection minimizes holdout nMAE with ties
-    broken toward smaller training length, then smaller lambda, then
-    smaller gamma (the order of the table rows).  Cells without enough history are recorded as invalid
-    and excluded, as are cells whose training fails.  A non-finite feature
+    below two records); the selection minimizes holdout nMAE and keeps the
+    first minimal row of the table, whose rows run over the (ascending)
+    training lengths, then the lambdas, then the gammas, each grid in the
+    order it is listed.  A tie therefore goes to the shorter training
+    length, then to the lambda listed first, then to the gamma listed
+    first.  Cells without enough history are recorded as invalid and
+    excluded, as are cells whose training fails.  A non-finite feature
     or target in a daylight holdout row raises ``DataError`` before any cell
     is scored.
 

@@ -421,6 +421,57 @@ class TestRegressors:
                                rtol=1e-9, atol=1e-9)
 
 
+# row counts on both sides of the kernel's column-panel edge
+_PANEL_EDGE_ROWS = (1, baselines._KERNEL_PANEL - 1, baselines._KERNEL_PANEL,
+                    baselines._KERNEL_PANEL + 1, 3 * baselines._KERNEL_PANEL + 8)
+
+
+def _feature_rows(seed, rows, log_scale, duplicates):
+    # standard normal rows, one scale and offset per column; the last
+    # ``duplicates`` rows repeat the first ones, so distances of exactly 0
+    # are drawn too
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** np.asarray(log_scale)
+    X = (rng.normal(size=(rows, 3)) + rng.normal(size=3)) * scale
+    k = min(duplicates, rows // 2)
+    X[rows - k:] = X[:k]
+    return X
+
+
+class TestSquaredDistances:
+    # scipy's cdist is the oracle: the kernel ridge's distances must equal
+    # it bit for bit, or forecasts and grid tables move in their last digits
+
+    @given(m=st.sampled_from(_PANEL_EDGE_ROWS),
+           n=st.sampled_from(_PANEL_EDGE_ROWS),
+           log_scale=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1), duplicates=st.integers(0, 8),
+           shared=st.booleans())
+    def test_equal_to_cdist(self, m, n, log_scale, seed, duplicates, shared):
+        A = _feature_rows(seed, m, log_scale, duplicates)
+        B = _feature_rows(seed + 1, n, log_scale, duplicates)
+        if shared:   # rows of A repeated in B
+            k = min(m, n, duplicates + 1)
+            B[:k] = A[:k]
+        assert np.array_equal(baselines._sqdist(A, B),
+                              scipy.spatial.distance.cdist(A, B,
+                                                           "sqeuclidean"))
+
+    @given(n=st.sampled_from(_PANEL_EDGE_ROWS),
+           log_scale=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1), duplicates=st.integers(0, 8),
+           gamma=st.sampled_from((1e-4, 0.1, 0.5, 2.0, 5.0, 1e3)))
+    def test_rbf_upper_triangle_equals_the_cdist_kernel(
+            self, n, log_scale, seed, duplicates, gamma):
+        Xs = _feature_rows(seed, n, log_scale, duplicates)
+        K = np.full((n, n), np.nan, order="F")
+        baselines._rbf_upper(Xs, gamma, K)
+        full = np.exp(-gamma * scipy.spatial.distance.cdist(Xs, Xs,
+                                                            "sqeuclidean"))
+        upper = np.triu_indices(n)
+        assert np.array_equal(K[upper], full[upper])
+
+
 class TestGridSearch:
     def _series(self, days=10, seed=0, const_power=None, cloudy=False):
         # without clouds every day repeats the same feature rows

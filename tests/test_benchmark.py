@@ -359,6 +359,45 @@ def test_a_one_record_history_skips_the_regressor_days(tmp_path):
             "have 1"}
 
 
+# run_benchmark on the golden roster_studies telemetry in a fresh process,
+# then print the scipy subpackages it loaded
+_IMPORT_PROBE = """
+import json, pkgutil, sys
+from pvprof import iotools
+from pvprof.benchmark import RunConfig, run_benchmark
+
+golden, models = sys.argv[1:]
+with open(golden + "/config.json", encoding="utf-8") as fh:
+    raw = json.load(fh)
+raw["models"] = models.split(",")
+raw["studies"] = {name: False for name in raw["studies"]}
+series, _ = iotools.read_telemetry_csv(golden + "/telemetry.csv")
+run_benchmark(RunConfig.from_dict(raw), series)
+import scipy
+print(json.dumps(sorted(
+    name for name in (f"scipy.{m.name}" for m in
+                      pkgutil.iter_modules(scipy.__path__)
+                      if m.ispkg and not m.name.startswith("_"))
+    if name in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("models, loaded", [
+    ("pvpro", []), ("lr,kr", ["scipy.linalg"])], ids=["pvpro", "lr-kr"])
+def test_a_run_loads_only_the_scipy_it_uses(models, loaded):
+    # each update is one fresh process, which pays for every import: the
+    # physical model loads no scipy subpackage, and the kernel ridge only
+    # linalg for its Cholesky solve (scipy.spatial alone would also load
+    # sparse, special and constants)
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "roster_studies")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pvprof.__file__)))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, golden, models],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True)
+    assert json.loads(out.stdout) == loaded
+
+
 def test_runs_in_one_process_match_fresh_processes(tmp_path, topo,
                                                    datasheet):
     # the record of solved windows lives for one run: a second run on
