@@ -800,9 +800,9 @@ class TestPredictPower:
 def test_import_leaves_scipy_optimize_out():
     # the window fit has its own solver, so neither the package nor its
     # command line pays for importing scipy.optimize; the kernel-ridge
-    # regressor (scipy.linalg) and the synthetic clouds
-    # (scipy.special) import theirs when they run, and the physical
-    # constants are literals, so a command that runs neither pays for none
+    # regressor (scipy.linalg) and the synthetic clouds (scipy.special)
+    # import theirs when they run, and the physical constants are
+    # literals, so a command that runs neither pays for none
     src = os.path.dirname(os.path.dirname(os.path.abspath(pvprof.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, pvprof, pvprof.cli; "
