@@ -16,11 +16,11 @@ slice: a trained model from ``feature_matrix`` rows of its irradiance and
 module temperature through ``predict_model``, as the studies do, and
 persistence from its timestamps and irradiance, so the day's measured
 power never reaches a prediction.  The sweep study predicts from the last window
-fit that did not fail.  Results are pooled into aggregate and per-day
-metrics plus the enabled studies, all serialized deterministically.  A
-(model, day) cell whose metrics cannot be taken, for want of daylight
-samples or for a non-finite prediction or measurement, is skipped with
-that reason and left out of the pool.
+fit that did not fail, and is an error when pvpro is on the roster and none
+did.  Results are pooled into aggregate and per-day metrics plus the enabled
+studies, all serialized deterministically.  A (model, day) cell whose metrics
+cannot be taken, for want of daylight samples or for a non-finite prediction
+or measurement, is skipped with that reason and left out of the pool.
 
 A run slices each distinct training window once.  One
 ``preprocess.TrainingWindows`` table, made for the run, masks every
@@ -647,12 +647,15 @@ def _run_studies(config, aggregate, agg_inputs, trajectory, trainable,
     if config.studies.get("sweep") and config.datasheet is not None:
         try:
             reference = config.datasheet.desoto_params
-        except ExtractionError as exc:
-            # no reference curve: record the failure as the other studies do
-            studies["sweep"] = {"error": str(exc)}
-        else:
             model = next((fit for fit in reversed(trajectory)
                           if fit.error is None), reference)
+            if model is reference and "pvpro" in config.models:
+                raise InsufficientDataError("every pvpro window fit failed; "
+                                            f"last: {trajectory[-1].error}")
+        except (ExtractionError, InsufficientDataError) as exc:
+            # no curve to sweep: record the failure as the other studies do
+            studies["sweep"] = {"error": str(exc)}
+        else:
             results = analysis.interpretability_sweep(
                 model, {"g_poa": (0.0, 1000.0), "t_module": (0.0, 80.0),
                         "hod": (0.0, 1.0)},

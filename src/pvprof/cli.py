@@ -42,10 +42,9 @@ def _load_series(cfg: RunConfig, base_dir, verbose):
         mapping = iotools.read_mapping(os.path.join(base_dir,
                                                     cfg.mapping_path))
     series, diagnostics = iotools.read_telemetry_csv(path, mapping)
-    if verbose and diagnostics:
+    if verbose:
         for line_no, msg in diagnostics:
             print(f"{path}:{line_no}: {msg}", file=sys.stderr)
-    if verbose:
         print(f"loaded {len(series)} records "
               f"({len(diagnostics)} rejected)", file=sys.stderr)
     return series
@@ -107,45 +106,16 @@ def cmd_benchmark(args):
                                report.forecasts)
     iotools.write_trajectory_csv(os.path.join(args.out, "trajectory.csv"),
                                  report.trajectory)
-    _write_metric_csvs(args.out, report)
+    iotools.write_daily_metrics_csv(
+        os.path.join(args.out, "daily_metrics.csv"), report.daily)
+    iotools.write_aggregate_metrics_csv(
+        os.path.join(args.out, "aggregate_metrics.csv"), report.aggregate)
     if args.verbose:
         for name, agg in report.aggregate.items():
             if agg:
                 print(f"{name}: nMAE {agg['nmae']:.4%} "
                       f"nRMSE {agg['nrmse']:.4%}", file=sys.stderr)
     return EXIT_OK
-
-
-def _write_metric_csvs(out_dir, report):
-    import csv
-    with open(os.path.join(out_dir, "daily_metrics.csv"), "w",
-              newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "model", "n_samples", "nmae", "nrmse",
-                         "nbe_mean", "skipped"])
-        for model, rows in report.daily.items():
-            for row in rows:
-                if "skipped" in row:
-                    writer.writerow([row["day"], model, "", "", "", "",
-                                     row["skipped"]])
-                else:
-                    writer.writerow([
-                        row["day"], model, row["n_samples"],
-                        iotools.format_float(row["nmae"]),
-                        iotools.format_float(row["nrmse"]),
-                        iotools.format_float(row["nbe_mean"]), ""])
-    with open(os.path.join(out_dir, "aggregate_metrics.csv"), "w",
-              newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "n_samples", "nmae", "nrmse", "nbe_mean"])
-        for model, agg in report.aggregate.items():
-            if agg is None:
-                writer.writerow([model, 0, "", "", ""])
-            else:
-                writer.writerow([model, agg["n_samples"],
-                                 iotools.format_float(agg["nmae"]),
-                                 iotools.format_float(agg["nrmse"]),
-                                 iotools.format_float(agg["nbe_mean"])])
 
 
 def _field(value, kind, name):
@@ -196,9 +166,7 @@ def cmd_report(args):
         svg = charts.line_chart(daily_nmae, "Daily day-ahead nMAE",
                                 "nMAE (fraction of nominal)",
                                 x_labels=day_labels)
-        with open(os.path.join(args.out, "daily_nmae.svg"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(svg)
+        iotools.write_text(os.path.join(args.out, "daily_nmae.svg"), svg)
 
     nbe = {}
     for model, agg in sorted(_field(doc.get("aggregate") or {}, dict,
@@ -209,9 +177,7 @@ def cmd_report(args):
     if nbe:
         svg = charts.histogram(nbe, "Distribution of normalized bias error",
                                "nBE (fraction of nominal)")
-        with open(os.path.join(args.out, "nbe_histogram.svg"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(svg)
+        iotools.write_text(os.path.join(args.out, "nbe_histogram.svg"), svg)
 
     studies = _field(doc.get("studies") or {}, dict, "studies")
     sweep = _field(studies.get("sweep") or {}, dict, "studies.sweep")
@@ -230,9 +196,7 @@ def cmd_report(args):
                             f"and curves of the grid's length")
         svg = charts.line_chart(curves, f"Predicted power vs {feature}",
                                 "power (W)", x_values=grid)
-        with open(os.path.join(args.out, f"sweep_{feature}.svg"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(svg)
+        iotools.write_text(os.path.join(args.out, f"sweep_{feature}.svg"), svg)
     return EXIT_OK
 
 

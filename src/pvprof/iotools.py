@@ -8,8 +8,9 @@ read in bulk from their bytes; any other text goes to the standard
 library's ISO-8601 parser on its own.  A rejected row is worded on its
 own, with the physical line it starts on.
 
-All floating-point output is serialized with 17 significant digits so that
-files round-trip exactly and repeated runs are byte-identical.
+Every CSV table goes through one emitter, `_write_csv`.  All numbers are
+written as `format_float` writes them, 17 significant digits, so files
+round-trip exactly and repeated runs are byte-identical.
 """
 
 import csv
@@ -54,7 +55,8 @@ def _epoch_seconds(text):
 
 
 def format_timestamp(ts):
-    return str(np.datetime64(ts, "s")) + "Z"
+    """``YYYY-MM-DDTHH:MM:SSZ`` of a datetime64, or a list of an array's."""
+    return np.datetime_as_string(ts, unit="s", timezone="UTC").tolist()
 
 
 def read_mapping(path):
@@ -323,48 +325,6 @@ def _undecodable_line(path):
     return "?"
 
 
-def write_telemetry_csv(path, series: TelemetrySeries):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(NATIVE_COLUMNS)
-        for k in range(len(series)):
-            writer.writerow([format_timestamp(series.timestamp[k]),
-                             format_float(series.g_poa[k]),
-                             format_float(series.t_module[k]),
-                             format_float(series.v_dc[k]),
-                             format_float(series.i_dc[k])])
-
-
-TRAJECTORY_COLUMNS = ("window_start", "window_end", "i_ph_ref", "i_0_ref",
-                      "r_s", "r_sh_ref", "n_diode", "final_loss",
-                      "iterations", "converged", "n_points",
-                      "r_sh_ref_from_prior")
-
-
-def write_trajectory_csv(path, results):
-    """Fitted-parameter trajectory, one row per window.
-
-    ``r_sh_ref_from_prior`` is ``true`` where the window fit's shunt prior,
-    not the data, set most of ``r_sh_ref``
-    (``FitWindowResult.shunt_from_prior``).
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for r in results:
-            p = r.params
-            writer.writerow([
-                format_timestamp(r.window_start), format_timestamp(r.window_end),
-                format_float(p.i_ph_ref), format_float(p.i_0_ref),
-                format_float(p.r_s), format_float(p.r_sh_ref),
-                format_float(p.n_diode), format_float(r.final_loss),
-                r.iterations, "true" if r.converged else "false", r.n_points,
-                "true" if r.shunt_from_prior else "false"])
-
-
-FORECAST_COLUMNS = ("timestamp", "model", "p_pred_w", "p_meas_w")
-
-
 def _csv_field(text):
     """``text`` as ``csv.writer``'s default dialect writes it in a row of
     several fields: quoted, with its quotes doubled, when it holds a comma,
@@ -374,23 +334,77 @@ def _csv_field(text):
     return text
 
 
-def write_forecast_csv(path, forecasts):
-    """Long-format forecast table across models.
+def _write_csv(path, header, rows):
+    """The one CSV emitter: ``header``, then ``rows``, each its fields'
+    texts joined by commas (a text field through `_csv_field`), every row
+    ended by CRLF: ``csv.writer``'s default dialect for two or more fields."""
+    write_text(path, "\r\n".join([",".join(header), *rows, ""]), newline="")
 
-    The bytes are those of ``csv.writer``'s default dialect (CRLF row ends)
-    with ``format_float`` numbers; each row is one format string, and the
-    table is written in one piece.
-    """
-    lines = [",".join(FORECAST_COLUMNS) + "\r\n"]
+
+def write_telemetry_csv(path, series: TelemetrySeries):
+    # one format string a row; on Python floats .17g is format_float's text
+    _write_csv(path, NATIVE_COLUMNS, [
+        f"{ts},{g:.17g},{t:.17g},{v:.17g},{i:.17g}" for ts, g, t, v, i in zip(
+            format_timestamp(series.timestamp),
+            *(getattr(series, name).tolist() for name in NATIVE_COLUMNS[1:]))])
+
+
+TRAJECTORY_COLUMNS = ("window_start", "window_end", "i_ph_ref", "i_0_ref",
+                      "r_s", "r_sh_ref", "n_diode", "final_loss", "iterations",
+                      "converged", "n_points", "r_sh_ref_from_prior")
+
+
+def write_trajectory_csv(path, results):
+    """Fitted-parameter trajectory, one row per window; ``r_sh_ref_from_prior``
+    is ``true`` where the window fit's shunt prior, not the data, set most
+    of ``r_sh_ref`` (``FitWindowResult.shunt_from_prior``)."""
+    _write_csv(path, TRAJECTORY_COLUMNS, [",".join([
+        *format_timestamp([r.window_start, r.window_end]),
+        *map(format_float, [*r.params.as_array().tolist(), r.final_loss]),
+        str(r.iterations), "true" if r.converged else "false",
+        str(r.n_points), "true" if r.shunt_from_prior else "false"])
+        for r in results])
+
+
+FORECAST_COLUMNS = ("timestamp", "model", "p_pred_w", "p_meas_w")
+
+
+def write_forecast_csv(path, forecasts):
+    """Long-format forecast table across models, one format string a row."""
+    rows = []
     for fc in forecasts:
-        stamps = np.datetime_as_string(fc.timestamp, unit="s").tolist()
         model = _csv_field(fc.model)
-        # p and m are Python floats, so this is format_float's text
-        lines += [f"{ts}Z,{model},{p:.17g},{m:.17g}\r\n"
-                  for ts, p, m in zip(stamps, fc.p_pred.tolist(),
-                                      fc.p_meas.tolist())]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+        rows += [f"{ts},{model},{p:.17g},{m:.17g}"
+                 for ts, p, m in zip(format_timestamp(fc.timestamp),
+                                     fc.p_pred.tolist(), fc.p_meas.tolist())]
+    _write_csv(path, FORECAST_COLUMNS, rows)
+
+
+METRIC_COLUMNS = ("n_samples", "nmae", "nrmse", "nbe_mean")
+
+
+def _metric_fields(m):
+    return [str(m["n_samples"]), *(format_float(m[k])
+                                   for k in METRIC_COLUMNS[1:])]
+
+
+def write_daily_metrics_csv(path, daily):
+    """One row per model and day of ``daily`` ({model: report rows}); a
+    skipped day has empty metrics and its reason under ``skipped``."""
+    _write_csv(path, ("day", "model", *METRIC_COLUMNS, "skipped"), [
+        ",".join([_csv_field(row["day"]), _csv_field(model), *(
+            ["", "", "", "", _csv_field(row["skipped"])] if "skipped" in row
+            else [*_metric_fields(row), ""])])
+        for model, rows in daily.items() for row in rows])
+
+
+def write_aggregate_metrics_csv(path, aggregate):
+    """One row per model of ``aggregate``; a model with no scored day has
+    0 samples and empty metrics."""
+    _write_csv(path, ("model", *METRIC_COLUMNS), [",".join([
+        _csv_field(model),
+        *(["0", "", "", ""] if agg is None else _metric_fields(agg))])
+        for model, agg in aggregate.items()])
 
 
 # the item types of a list that ``_emit_json`` writes in one go
@@ -459,9 +473,13 @@ def dumps_json(obj):
     return "".join(out)
 
 
+def write_text(path, text, newline=None):
+    with open(path, "w", newline=newline, encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(obj))
+    write_text(path, dumps_json(obj))
 
 
 def read_json(path):

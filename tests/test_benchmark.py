@@ -94,6 +94,34 @@ def test_failed_window_is_recorded_and_its_day_skipped(topo, datasheet,
         expected.groups["curves"]["model"])
 
 
+@pytest.mark.parametrize("models", [["pvpro"], ["pvpro", "nominal"],
+                                    ["nominal"]])
+def test_sweep_never_stands_the_datasheet_in_for_pvpro(topo, datasheet,
+                                                       models):
+    # half-day windows hold too few records for any window fit to succeed
+    series, _ = _studies_series(topo, seed=5, days=4)
+    config = RunConfig.from_dict({
+        "system": _system(datasheet), "models": models,
+        "fit": {"window_days": 0.5},
+        "studies": {"exceedance": False, "sweep": True},
+        "evaluation": {"start": "2024-06-03T00:00:00"}})
+    report = run_benchmark(config, series)
+    sweep = report.studies["sweep"]
+    if "pvpro" in models:
+        assert report.aggregate["pvpro"] is None
+        last = report.trajectory[-1].error
+        assert all(fit.error for fit in report.trajectory)
+        assert "need >= 50" in last
+        assert sweep == {"error": f"every pvpro window fit failed; "
+                                  f"last: {last}"}
+    else:
+        # without pvpro on the roster the sweep is the datasheet's, as
+        # before: its model curve is the reference curve
+        assert report.trajectory == []
+        curves = sweep["g_poa"]["curves"]
+        np.testing.assert_array_equal(curves["model"], curves["reference"])
+
+
 def _cells(report):
     """Each (model, day) cell of a report: its forecast array, or its skip
     reason."""

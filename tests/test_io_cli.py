@@ -941,6 +941,11 @@ class TestJson:
         assert iotools.dumps_json(doc) == dumps_json_per_item(doc)
 
 
+# model names and skip reasons that csv.writer quotes, or does not
+CSV_TEXTS = ["pvpro", "a,b", 'say "hi"', 'x,"y"', "line\nbreak", "cr\rend",
+             "", " lead", "100%"]
+
+
 def branchy_format_float(x):
     # the branch-per-case form format_float replaced
     x = float(x)
@@ -986,9 +991,7 @@ class TestFloatText:
         assert rows == expected
 
 
-    @pytest.mark.parametrize("model", [
-        "pvpro", "a,b", 'say "hi"', 'x,"y"', "line\nbreak", "cr\rend", "",
-        " lead", "100%"])
+    @pytest.mark.parametrize("model", CSV_TEXTS)
     def test_forecast_csv_bytes_match_csv_writer(self, tmp_path, model):
         # the table is formatted row by row in one string; its bytes must be
         # csv.writer's default dialect with format_float numbers
@@ -1014,6 +1017,116 @@ class TestFloatText:
                                      iotools.format_float(fc.p_meas[k])])
         assert path.read_bytes() == reference.read_bytes()
         assert b"\r\n" in path.read_bytes()
+
+
+def _old_timestamp(ts):
+    # the per-record timestamp text every writer wrote before
+    return str(np.datetime64(ts, "s")) + "Z"
+
+
+def _csv_writer_bytes(path, header, rows):
+    """The oracle: ``csv.writer``'s default dialect writing ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+class TestCsvWritersMatchCsvWriter:
+    """Every table's bytes are those ``csv.writer`` writes for its rows;
+    every pvprof row has two or more fields."""
+
+    VALUES = [math.nan, TestFloatText.NEG_NAN, math.inf, -math.inf, -0.0,
+              5e-324, 1e300, 0.1]
+
+    def test_telemetry(self, tmp_path):
+        ts = (np.datetime64("1969-12-31T23:00:00")
+              + np.arange(8) * np.timedelta64(1800, "s"))
+        columns = [self.VALUES, self.VALUES[::-1], self.VALUES[2:] +
+                   self.VALUES[:2], [1e-300, -1.5, 2.0, 0.0, 3.0, 5e-324,
+                                     math.nan, -math.inf]]
+        series = TelemetrySeries(ts, *columns)
+        path = tmp_path / "telemetry.csv"
+        iotools.write_telemetry_csv(path, series)
+        rows = [[_old_timestamp(ts[k])]
+                + [iotools.format_float(c[k]) for c in columns]
+                for k in range(len(ts))]
+        assert path.read_bytes() == _csv_writer_bytes(
+            tmp_path / "reference.csv", iotools.NATIVE_COLUMNS, rows)
+
+    def test_trajectory_with_a_failed_window(self, tmp_path):
+        end = np.datetime64("2024-06-04T00:00:00")
+        window = np.timedelta64(3, "D")
+        fitted = replace(CSI_PARAMS, r_s=0.1 + 0.2, n_diode=1.0 / 0.9)
+        results = [
+            fitting.FitWindowResult(end - window, end, fitted, 1e-300, 12,
+                                    True, 1344, shunt_from_prior=True),
+            # a failed window: nan loss, 0 iterations, the starting point
+            fitting.FitWindowResult(end, end + window, CSI_PARAMS, math.nan,
+                                    0, False, 23, error="too few records"),
+            fitting.FitWindowResult(end + window, end + 2 * window, fitted,
+                                    0.1, np.int64(7), np.bool_(False),
+                                    np.int64(96))]
+        path = tmp_path / "trajectory.csv"
+        iotools.write_trajectory_csv(path, results)
+        rows = [[_old_timestamp(r.window_start), _old_timestamp(r.window_end),
+                 *(iotools.format_float(getattr(r.params, name))
+                   for name in PARAM_NAMES),
+                 iotools.format_float(r.final_loss), r.iterations,
+                 "true" if r.converged else "false", r.n_points,
+                 "true" if r.shunt_from_prior else "false"]
+                for r in results]
+        assert path.read_bytes() == _csv_writer_bytes(
+            tmp_path / "reference.csv", iotools.TRAJECTORY_COLUMNS, rows)
+        assert b",nan,0,false,23,false\r\n" in path.read_bytes()
+
+    @pytest.mark.parametrize("text", CSV_TEXTS)
+    def test_metric_tables(self, tmp_path, text):
+        metrics = {"n_samples": 40, "nmae": 0.1, "nrmse": 1.0 / 3.0,
+                   "nbe_mean": -0.0, "exceedance": {"p90": 0.2}}
+        odd = {"n_samples": np.int64(7), "nmae": 5e-324, "nrmse": math.inf,
+               "nbe_mean": math.nan}
+        daily = {
+            text: [{"day": "2024-06-02", **metrics},
+                   {"day": "2024-06-03", "skipped": f"reason {text}"}],
+            "b": [{"day": "2024-06-02",
+                   "skipped": 'window has 44 retained records, need >= 50'},
+                  {"day": "2024-06-03", "skipped": 'a "quoted"\r\nreason'},
+                  {"day": "2024-06-04", **odd}]}
+        aggregate = {text: metrics, "b": None, "c,d": odd}
+        daily_path = tmp_path / "daily_metrics.csv"
+        aggregate_path = tmp_path / "aggregate_metrics.csv"
+        iotools.write_daily_metrics_csv(daily_path, daily)
+        iotools.write_aggregate_metrics_csv(aggregate_path, aggregate)
+
+        def scored(m):
+            return [m["n_samples"], iotools.format_float(m["nmae"]),
+                    iotools.format_float(m["nrmse"]),
+                    iotools.format_float(m["nbe_mean"])]
+
+        rows = [[row["day"], model, "", "", "", "", row["skipped"]]
+                if "skipped" in row else [row["day"], model, *scored(row), ""]
+                for model, model_rows in daily.items() for row in model_rows]
+        assert daily_path.read_bytes() == _csv_writer_bytes(
+            tmp_path / "daily_reference.csv",
+            ["day", "model", "n_samples", "nmae", "nrmse", "nbe_mean",
+             "skipped"], rows)
+        rows = [[model, 0, "", "", ""] if agg is None
+                else [model, *scored(agg)]
+                for model, agg in aggregate.items()]
+        assert aggregate_path.read_bytes() == _csv_writer_bytes(
+            tmp_path / "aggregate_reference.csv",
+            ["model", "n_samples", "nmae", "nrmse", "nbe_mean"], rows)
+        assert b'"window has 44 retained records, need >= 50"' \
+            in daily_path.read_bytes()
+
+    def test_timestamp_texts_match_the_per_record_form(self):
+        ts = (np.datetime64("1969-12-31T23:59:59")
+              + np.arange(0, 10**9, 10**7) * np.timedelta64(1, "s"))
+        assert iotools.format_timestamp(ts) == [_old_timestamp(t)
+                                                for t in ts]
+        assert iotools.format_timestamp(ts[3]) == _old_timestamp(ts[3])
 
 
 class TestCharts:
