@@ -1020,7 +1020,7 @@ class TestFloatText:
 
 
 def _old_timestamp(ts):
-    # the per-record timestamp text every writer wrote before
+    # format_timestamp's text, formed one record at a time: the oracle
     return str(np.datetime64(ts, "s")) + "Z"
 
 
