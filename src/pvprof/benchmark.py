@@ -1,54 +1,47 @@
 """Day-ahead benchmark pipeline and its report.
 
-For every forecast day the roster models are trained strictly on data before
-that day (dynamic fit on a trailing window, regressors on their selected
-training length, persistence on the previous day) and score their prediction
-of the day from its measured weather.  A regressor trains on
-``preprocess.training_window`` through ``analysis.train_model``.  The
-dynamic model's days are the windows of one ``fitting.rolling_fit`` run
-ending at the forecast-day starts, over the configured topology, datasheet
-and window length, so ``trajectory.csv`` holds ``pvprof fit``'s rows and
-labels, failed windows included (their day is skipped with the window's
-error).  A fit that hit its evaluation cap still predicts, from the
-solver's best point, and ``trajectory.csv`` flags it as not converged.
-Every model predicts a day as a power array from the day's telemetry
-slice: a trained model from ``feature_matrix`` rows of its irradiance and
-module temperature through ``predict_model``, as the studies do, and
-persistence from its timestamps and irradiance, so the day's measured
-power never reaches a prediction.  The sweep study predicts from the last window
-fit that did not fail, and is an error when pvpro is on the roster and none
-did.  Results are pooled into aggregate and per-day metrics plus the enabled
-studies, all serialized deterministically.  A (model, day) cell whose metrics
-cannot be taken, for want of daylight samples or for a non-finite prediction
-or measurement, is skipped with that reason and left out of the pool.
+``run_benchmark`` makes one pass over the roster.  Each model gets one
+outcome per forecast day, from data before that day only: a trained
+model, or the ``PvprofError`` that skips the day.  pvpro's days are the
+windows of one ``fitting.rolling_fit`` run ending at the forecast-day
+starts, over the configured topology, datasheet and window length, so
+``trajectory.csv`` holds ``pvprof fit``'s rows and labels, failed windows
+included (their day is skipped with the window's error).  A fit that hit
+its evaluation cap still predicts, from the solver's best point, and
+``trajectory.csv`` flags it as not converged.  nominal is the datasheet's
+extraction (``Datasheet.desoto_params``), taken before the pass, so an
+infeasible datasheet fails the run.  ``lr`` and ``kr`` take one grid
+search on the history before the evaluation, then train on each day's
+``preprocess.training_window`` of the selected length through
+``analysis.train_model``.  A trained model predicts all its days from
+``feature_matrix`` rows of their irradiance and module temperature in one
+``predict_model`` call, one stacked MPP solve for pvpro and nominal; a
+stack that fails is repeated day by day, so a failure skips only its own
+(model, day) cell.  Persistence predicts from the day's timestamps and
+irradiance, so the day's measured power never reaches a prediction.
 
-A run slices each distinct training window once.  One
+Results are pooled into aggregate and per-day metrics plus the enabled
+studies, all serialized deterministically; ``forecasts.csv`` is
+day-major.  A (model, day) cell whose metrics cannot be taken, for want of
+daylight samples or for a non-finite prediction or measurement, is skipped
+with that reason and left out of the pool.  The sweep study predicts from
+the last window fit that did not fail; it is an error when pvpro is on the
+roster and none did, or when the configuration has no datasheet.
+
+A run slices each distinct training window once: one
 ``preprocess.TrainingWindows`` table, made for the run, masks every
-``[end - length, end)`` window the first time a reader asks for it:
-``rolling_fit``'s days, the regressors' training slices and the
-training-length windows read their slices from it, so pvpro, ``lr`` and
-``kr`` share the mask of an equal window.  The weather-case pools keep
+``[end - length, end)`` window the first time a reader asks for it, so
+pvpro's days, the regressors' training slices and the training-length
+windows share the mask of an equal window.  The weather-case pools keep
 their own whole-series mask (see ``analysis.weather_pools``), and their
 days are labelled from each day's own power variability
 (``analysis.classify_days``), so a run reads nothing but its
-configuration and its telemetry.
-
-Every dynamic-model fit of a run goes through one
-``fitting.SolvedWindows``, made for that run.  The weather-case pools
-(``analysis.weather_pools``) and the training-length windows
-(``analysis.training_length_windows``) are sliced once, before any model
-trains, and a slicing error is its study's reported error.  Every pvpro
-fit starts from the datasheet's initial guess, so the days' windows, the
-pools and the training-length windows are solved in one batch, each
-distinct window once, and the days and the studies read their fits from
-the record.
-
-Each trained model predicts all its days in one ``predict_model`` call:
-pvpro's and nominal's days are one stacked MPP solve each, with one
-parameter row per record.  A day whose model could not be trained is left
-out of the stack and skipped with its error, and a stacked solve that
-fails is repeated day by day, so a failure skips only its own
-(model, day) cell.  ``forecasts.csv`` stays day-major.
+configuration and its telemetry.  Both training studies are sliced once,
+before any model trains, and a slicing error is the study's reported
+error.  Every pvpro fit of a run goes through one ``fitting.SolvedWindows``,
+made for that run, and starts from the datasheet's initial guess, so the
+days' windows, the pools and the training-length windows are solved in
+one batch, each distinct window once.
 """
 
 import functools
@@ -376,123 +369,45 @@ def _outcome(run, *args, **kwargs):
         return exc
 
 
-class _DayAheadRunner:
-    """Per-model predictions of the forecast days, each from data before it.
+def _persist(config, series, name, day_start, test: TelemetrySeries):
+    """A persistence model's prediction array for the day ``test``."""
+    hist = series.slice_time(day_start - config.horizon, day_start)
+    if len(hist) == 0:
+        raise InsufficientDataError("no history one horizon back")
+    if name == "smart_persistence":
+        return baselines.smart_persistence(
+            (hist.timestamp, hist.power), (hist.timestamp, hist.g_poa),
+            (test.timestamp, test.g_poa),
+            horizon=config.horizon, g_min=config.preprocess.g_min)
+    return baselines.naive_persistence(
+        (hist.timestamp, hist.power), test.timestamp, horizon=config.horizon)
 
-    Trained models go through ``analysis.train_model``/``predict_model``;
-    the dynamic model's days are the windows of one ``fitting.rolling_fit``
-    run, and the runner adds the regressors' grid selection and
-    persistence.  Every training slice, pvpro's and the regressors', is
-    read from ``windows``, the run's ``preprocess.TrainingWindows``.  Each
-    trained model predicts its days in one ``predict_model`` call, a
-    stacked solve for pvpro and nominal (see the module docstring).  The
-    datasheet extraction is the datasheet's own
-    (``Datasheet.desoto_params``), so every reader shares one run of it.
-    ``solved`` is the run's ``fitting.SolvedWindows``.
-    """
 
-    def __init__(self, config: RunConfig, series: TelemetrySeries,
-                 windows: TrainingWindows):
-        self.cfg = config
-        self.series = series
-        self.windows = windows
-        # each forecast-day start's window fit of the dynamic model, in order
-        self.day_fits: dict = {}
-        self.solved = fitting.SolvedWindows(config.topology, config.datasheet)
-        self.selection: dict = {}
-        self.grid_errors: dict = {}
+def _predict(config, fitted, tests):
+    """Each day's prediction array from its trained model in ``fitted``,
+    from the day's telemetry slice in ``tests``, or the day's
+    ``PvprofError`` as it stands in ``fitted``.
 
-    def prepare(self, eval_start, day_starts, study_windows):
-        """Select the regressors and fit the dynamic model's days; the
-        studies' pvpro training windows, ``study_windows``, are solved in
-        one batch with the days' windows (see the module docstring)."""
-        cfg = self.cfg
-        if "nominal" in cfg.models:
-            # extract up front: an infeasible datasheet fails the run here
-            # rather than skipping the nominal model day by day
-            cfg.datasheet.desoto_params
-        history = self.series.slice_time(self.series.timestamp[0], eval_start)
-        for name, family in analysis.REGRESSOR_FAMILIES.items():
-            if name not in cfg.models:
-                continue
-            try:
-                if len(history) == 0:
-                    raise InsufficientDataError("no history before evaluation")
-                X = baselines.feature_matrix(history.timestamp, history.g_poa,
-                                             history.t_module)
-                self.selection[name] = baselines.grid_search(
-                    cfg.grid_spec, family, history.timestamp, X,
-                    history.power, cfg.p_nominal, g_min=cfg.preprocess.g_min)
-            except (InsufficientDataError, NumericalError) as exc:
-                self.grid_errors[name] = f"grid search failed: {exc}"
-        if "pvpro" in cfg.models:
-            self.solved.plan(study_windows)
-            self.day_fits = dict(zip(day_starts, fitting.rolling_fit(
-                self.series, cfg.topology, cfg.window_length, day_starts,
-                cfg.datasheet, cfg.preprocess, self.solved, self.windows)))
-
-    def predict(self, name, day_starts, tests):
-        """Model ``name``'s prediction array for each day, from the day's
-        telemetry slice in ``tests``, or the ``PvprofError`` that skips
-        the day."""
-        if name in ("smart_persistence", "naive_persistence"):
-            return [_outcome(self._persist, name, day_start, test)
-                    for day_start, test in zip(day_starts, tests)]
-        outcomes = [_outcome(self._trained, name, day_start)
-                    for day_start in day_starts]
-        days = [k for k, fitted in enumerate(outcomes)
-                if not isinstance(fitted, PvprofError)]
-        models = [outcomes[k] for k in days]
-        features = [baselines.feature_matrix(
-            tests[k].timestamp, tests[k].g_poa, tests[k].t_module)
-            for k in days]
-        predict = functools.partial(
-            analysis.predict_model, topo=self.cfg.topology,
-            datasheet=self.cfg.datasheet, g_min=self.cfg.preprocess.g_min)
-        try:
-            preds = predict(models, features)
-        except PvprofError:
-            # a stack that fails is solved day by day: each day gets its
-            # own outcome, as it would alone
-            preds = [_outcome(predict, model, X)
-                     for model, X in zip(models, features)]
-        for k, pred in zip(days, preds):
-            outcomes[k] = pred
-        return outcomes
-
-    def _persist(self, name, day_start, test: TelemetrySeries):
-        """A persistence model's prediction array for the day ``test``."""
-        cfg = self.cfg
-        hist = self.series.slice_time(day_start - cfg.horizon, day_start)
-        if len(hist) == 0:
-            raise InsufficientDataError("no history one horizon back")
-        if name == "smart_persistence":
-            return baselines.smart_persistence(
-                (hist.timestamp, hist.power), (hist.timestamp, hist.g_poa),
-                (test.timestamp, test.g_poa),
-                horizon=cfg.horizon, g_min=cfg.preprocess.g_min)
-        return baselines.naive_persistence(
-            (hist.timestamp, hist.power), test.timestamp, horizon=cfg.horizon)
-
-    def _trained(self, name, day_start):
-        """A trained model's parameters or regressor for one day; raises
-        ``PvprofError`` to skip the day."""
-        cfg = self.cfg
-        if name == "pvpro":
-            fitted = self.day_fits[day_start]
-            if fitted.error is not None:
-                raise PvprofError(fitted.error)
-            return fitted
-        if name == "nominal":
-            return cfg.datasheet.desoto_params
-        if name in self.grid_errors:
-            raise InsufficientDataError(self.grid_errors[name])
-        sel = self.selection[name]
-        length = np.timedelta64(int(sel.best_length_days * 86400), "s")
-        fitted, = analysis.train_model(
-            name, [self.windows.get(day_start, length)], topo=cfg.topology,
-            datasheet=cfg.datasheet, hyperparams=sel.best_hyperparams)
-        return fitted
+    The trained days are one stacked ``predict_model`` call; a stack that
+    fails is predicted day by day, so each day gets its own outcome, as it
+    would alone."""
+    days = [k for k, model in enumerate(fitted)
+            if not isinstance(model, PvprofError)]
+    models = [fitted[k] for k in days]
+    features = [baselines.feature_matrix(
+        tests[k].timestamp, tests[k].g_poa, tests[k].t_module) for k in days]
+    predict = functools.partial(
+        analysis.predict_model, topo=config.topology,
+        datasheet=config.datasheet, g_min=config.preprocess.g_min)
+    try:
+        preds = predict(models, features)
+    except PvprofError:
+        preds = [_outcome(predict, model, X)
+                 for model, X in zip(models, features)]
+    outcomes = list(fitted)
+    for k, pred in zip(days, preds):
+        outcomes[k] = pred
+    return outcomes
 
 
 def run_benchmark(config: RunConfig,
@@ -518,6 +433,7 @@ def run_benchmark(config: RunConfig,
 
     trainable = [m for m in config.models if m in analysis.TRAINABLE_MODELS]
     windows = TrainingWindows(series, config.preprocess)
+    solved = fitting.SolvedWindows(config.topology, config.datasheet)
     # each study's slices, or its error, sliced once; pvpro fits every
     # training slice of them from the datasheet's initial guess
     pools = lengths = None
@@ -537,16 +453,58 @@ def run_benchmark(config: RunConfig,
             study_windows += [window for slices in lengths[1].values()
                               if slices is not None for window in slices]
     day_starts = [day.astype("datetime64[s]") for day in eval_days]
-    runner = _DayAheadRunner(config, series, windows)
-    runner.prepare(eval_start, day_starts, study_windows)
     tests = [series.slice_time(day_start, day_start + DAY)
              for day_start in day_starts]
-    predictions = {name: runner.predict(name, day_starts, tests)
-                   for name in config.models}
+    if "nominal" in config.models:
+        # extract up front: an infeasible datasheet fails the run here
+        # rather than skipping the nominal model day by day
+        config.datasheet.desoto_params
+
+    # each model's outcome of every day: its prediction array, or the
+    # PvprofError that skips the day
+    predictions, selection, trajectory = {}, {}, []
+    history = series.slice_time(series.timestamp[0], eval_start)
+    for name in config.models:
+        if name in ("smart_persistence", "naive_persistence"):
+            predictions[name] = [
+                _outcome(_persist, config, series, name, day_start, test)
+                for day_start, test in zip(day_starts, tests)]
+            continue
+        if name == "pvpro":
+            # the days' windows are solved in one batch with the studies'
+            solved.plan(study_windows)
+            trajectory = fitting.rolling_fit(
+                series, config.topology, config.window_length, day_starts,
+                config.datasheet, config.preprocess, solved, windows)
+            fitted = [fit if fit.error is None else PvprofError(fit.error)
+                      for fit in trajectory]
+        elif name == "nominal":
+            fitted = [config.datasheet.desoto_params] * len(day_starts)
+        else:
+            try:
+                if len(history) == 0:
+                    raise InsufficientDataError("no history before evaluation")
+                sel = selection[name] = baselines.grid_search(
+                    config.grid_spec, analysis.REGRESSOR_FAMILIES[name],
+                    history.timestamp, baselines.feature_matrix(
+                        history.timestamp, history.g_poa, history.t_module),
+                    history.power, config.p_nominal,
+                    g_min=config.preprocess.g_min)
+            except (InsufficientDataError, NumericalError) as exc:
+                fitted = [InsufficientDataError(f"grid search failed: {exc}")
+                          ] * len(day_starts)
+            else:
+                length = np.timedelta64(int(sel.best_length_days * 86400), "s")
+                fitted = [_outcome(lambda: analysis.train_model(
+                    name, [windows.get(day_start, length)],
+                    topo=config.topology, datasheet=config.datasheet,
+                    hyperparams=sel.best_hyperparams)[0])
+                    for day_start in day_starts]
+        predictions[name] = _predict(config, fitted, tests)
 
     daily = {name: [] for name in config.models}
-    pooled = {name: {"ts": [], "pred": [], "meas": [], "g": []}
-              for name in config.models}
+    # each model's scored days: (the day's telemetry, its prediction)
+    scored = {name: [] for name in config.models}
     forecasts = []
     for k, (day, test) in enumerate(zip(eval_days, tests)):
         day_label = str(day)
@@ -564,33 +522,28 @@ def run_benchmark(config: RunConfig,
                 daily[name].append({"day": day_label, "skipped": str(exc)})
                 continue
             daily[name].append({"day": day_label, **report.to_json_dict()})
-            pooled[name]["ts"].append(test.timestamp)
-            pooled[name]["pred"].append(pred)
-            pooled[name]["meas"].append(test.power)
-            pooled[name]["g"].append(test.g_poa)
+            scored[name].append((test, pred))
             forecasts.append(ForecastSeries(test.timestamp, pred, model=name,
                                             p_meas=test.power))
 
     aggregate = {}
     agg_inputs = {}
-    for name in config.models:
-        if not pooled[name]["ts"]:
+    for name, pairs in scored.items():
+        if not pairs:
             aggregate[name] = None
             continue
-        ts = np.concatenate(pooled[name]["ts"])
-        pred = np.concatenate(pooled[name]["pred"])
-        meas = np.concatenate(pooled[name]["meas"])
-        g = np.concatenate(pooled[name]["g"])
-        agg_inputs[name] = (ts, pred, meas, g)
+        ts, pred, meas, g = agg_inputs[name] = tuple(
+            np.concatenate(arrays) for arrays in zip(*(
+                (test.timestamp, p, test.power, test.g_poa)
+                for test, p in pairs)))
         report = analysis.compute_metrics(
             pred, meas, config.p_nominal,
             daylight_only=config.metrics_daylight_only, g_poa=g,
             g_min=config.preprocess.g_min)
         aggregate[name] = report.to_json_dict(with_series=True)
 
-    trajectory = list(runner.day_fits.values())
     studies = _run_studies(config, aggregate, agg_inputs, trajectory,
-                           trainable, pools, lengths, runner.solved)
+                           trainable, pools, lengths, solved)
 
     provenance = {
         "config_sha256": config.config_hash(),
@@ -604,7 +557,7 @@ def run_benchmark(config: RunConfig,
                         "best_length_days": sel.best_length_days,
                         "best_nmae": sel.best_nmae,
                         "table": sel.table}
-                 for name, sel in runner.selection.items()}
+                 for name, sel in selection.items()}
     return BenchmarkReport(
         provenance=provenance, p_nominal=config.p_nominal,
         g_min=config.preprocess.g_min, daily=daily, aggregate=aggregate,
@@ -644,7 +597,9 @@ def _run_studies(config, aggregate, agg_inputs, trajectory, trainable,
                 pools, trainable, topo=config.topology,
                 datasheet=config.datasheet, p_nominal=config.p_nominal,
                 g_min=config.preprocess.g_min, solved=solved))
-    if config.studies.get("sweep") and config.datasheet is not None:
+    if config.studies.get("sweep") and config.datasheet is None:
+        studies["sweep"] = {"error": "the sweep needs a datasheet"}
+    elif config.studies.get("sweep"):
         try:
             reference = config.datasheet.desoto_params
             model = next((fit for fit in reversed(trajectory)

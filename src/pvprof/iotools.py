@@ -23,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 from .exceptions import ConfigError, DataError
-from .series import TelemetrySeries
+from .series import ABSOLUTE_ZERO_C, TelemetrySeries
 
 NATIVE_COLUMNS = ("timestamp", "g_poa", "t_module", "v_dc", "i_dc")
 
@@ -104,7 +104,9 @@ def read_telemetry_csv(path, mapping=None, max_bad_fraction=0.01):
     reason)``, where ``line`` is the physical line the record starts on and
     ``reason`` names the first check it fails, in this order: unparseable
     timestamp, g, t, v or i; non-finite value; negative irradiance; negative
-    DC voltage; timestamp not after the last accepted row.  The run
+    DC voltage; module temperature at or below absolute zero (a missing
+    value written as -9999, say); timestamp not after the last accepted
+    row.  The run
     continues if fewer than ``max_bad_fraction`` of rows are bad; a file
     with no bad row is read whatever the fraction.
     """
@@ -192,11 +194,12 @@ def _record_lines(path, records):
 
 
 # rejection codes, in the order the checks apply; 0 is an accepted row
-_UNPARSEABLE, _NON_FINITE, _NEGATIVE_G, _NEGATIVE_V, _NOT_INCREASING = \
-    range(1, 6)
+(_UNPARSEABLE, _NON_FINITE, _NEGATIVE_G, _NEGATIVE_V, _COLD_T,
+ _NOT_INCREASING) = range(1, 7)
 _REASONS = {_NON_FINITE: "non-finite value",
             _NEGATIVE_G: "negative irradiance",
             _NEGATIVE_V: "negative DC voltage",
+            _COLD_T: "module temperature at or below absolute zero",
             _NOT_INCREASING: "timestamp not increasing"}
 
 
@@ -215,10 +218,11 @@ def _parse_columns(texts):
     values = np.full((4, n), np.nan)
     for c in range(4):
         _floats(texts[c + 1], values[c], parsed[c + 1])
-    g, _, v, _ = values
+    g, t, v, _ = values
     rejection = np.select(
-        [~parsed.all(axis=0), ~np.isfinite(values).all(axis=0), g < 0, v < 0],
-        [_UNPARSEABLE, _NON_FINITE, _NEGATIVE_G, _NEGATIVE_V], 0)
+        [~parsed.all(axis=0), ~np.isfinite(values).all(axis=0), g < 0, v < 0,
+         t <= ABSOLUTE_ZERO_C],
+        [_UNPARSEABLE, _NON_FINITE, _NEGATIVE_G, _NEGATIVE_V, _COLD_T], 0)
     # a row is accepted when it is later than the last accepted row; a row
     # rejected for this is never later than that row, so the last accepted
     # timestamp is the running maximum over all earlier candidates

@@ -13,6 +13,8 @@ import numpy as np
 from .exceptions import DataError
 
 DAY = np.timedelta64(1, "D")
+# a module temperature, in degrees C, at or below this is no reading
+ABSOLUTE_ZERO_C = -273.15
 
 
 def _as_timestamps(values):
@@ -52,6 +54,8 @@ class TelemetrySeries:
             raise DataError("negative irradiance values")
         if np.any(self.v_dc < 0):
             raise DataError("negative DC voltage values")
+        if np.any(self.t_module <= ABSOLUTE_ZERO_C):
+            raise DataError("module temperature at or below absolute zero")
         return self
 
     def __len__(self):

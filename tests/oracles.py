@@ -264,6 +264,9 @@ def _per_record_rows(reader, path, source_of):
             diagnostics.append((line_no, "negative irradiance"))
         elif v < 0:
             diagnostics.append((line_no, "negative DC voltage"))
+        elif t <= -273.15:
+            diagnostics.append((line_no, "module temperature at or below "
+                                         "absolute zero"))
         elif last_ts is not None and ts <= last_ts:
             diagnostics.append((line_no, "timestamp not increasing"))
         else:

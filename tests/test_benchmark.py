@@ -14,9 +14,9 @@ import pytest
 
 import pvprof
 from pvprof import analysis, cli, fitting, iotools, preprocess, synth
-from pvprof.benchmark import RunConfig, run_benchmark
-from pvprof.exceptions import (InsufficientDataError, NumericalError,
-                               SolverError)
+from pvprof.benchmark import KNOWN_STUDIES, RunConfig, run_benchmark
+from pvprof.exceptions import (DataError, InsufficientDataError,
+                               NumericalError, SolverError)
 from pvprof.preprocess import PreprocessConfig, training_window
 from pvprof.series import DAY, TelemetrySeries
 from conftest import ALPHA_ISC, CELLS, CSI_PARAMS, count_calls
@@ -335,6 +335,87 @@ def test_a_failed_slicing_runs_once_and_is_its_study_error(monkeypatch, topo,
         analysis.weather_pools(*slicings[0])
     assert str(failure.value).startswith("case cloudy/clear unfillable")
     assert report.studies["weather_cases"] == {"error": str(failure.value)}
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "roster_studies")
+
+
+def _golden():
+    """The golden roster_studies configuration (as JSON) and telemetry."""
+    with open(os.path.join(GOLDEN, "config.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    series, _ = iotools.read_telemetry_csv(os.path.join(GOLDEN,
+                                                        "telemetry.csv"))
+    return raw, series
+
+
+def test_every_path_of_the_pass_names_its_skip():
+    # from the first day: pvpro's first windows are empty or short,
+    # persistence has no day before, the regressors no history to search
+    raw, series = _golden()
+    raw["studies"] = {name: False for name in KNOWN_STUDIES}
+    raw["evaluation"] = {"start": "2024-06-01"}
+    report = run_benchmark(RunConfig.from_dict(raw), series)
+    skips = {name: [row.get("skipped", "scored") for row in rows]
+             for name, rows in report.daily.items()}
+    persistence = ["no history one horizon back"] + ["scored"] * 7
+    assert skips == {
+        "pvpro": ["outlier regression needs >= 10 retained records, have 0",
+                  "window has 44 retained records, need >= 50"]
+        + ["scored"] * 6,
+        "smart_persistence": persistence,
+        "naive_persistence": persistence,
+        "nominal": ["scored"] * 8,
+        "lr": ["grid search failed: no history before evaluation"] * 8,
+        "kr": ["grid search failed: no history before evaluation"] * 8}
+    assert [fit.error is None for fit in report.trajectory] == [
+        False, False] + [True] * 6
+    assert report.selection == {}
+    assert report.studies == {}
+
+
+def test_a_sweep_without_a_datasheet_is_an_error():
+    # the regressors need no datasheet, but the sweep's reference curve does
+    raw, series = _golden()
+    raw["system"] = {"topology": raw["system"]["topology"],
+                     "p_nominal_w": 34000.0}
+    raw["models"] = ["lr", "smart_persistence"]
+    del raw["synth"]
+    raw["studies"] = {name: False for name in KNOWN_STUDIES}
+    raw["studies"]["sweep"] = True
+    report = run_benchmark(RunConfig.from_dict(raw), series)
+    assert report.studies == {"sweep": {"error": "the sweep needs a "
+                                                 "datasheet"}}
+
+
+def test_a_module_temperature_below_absolute_zero_is_rejected(tmp_path):
+    # PV exports often write -9999 for a missing value; three sunny records
+    # of 2024-06-06 carry it in place of the module temperature
+    with open(os.path.join(GOLDEN, "telemetry.csv"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    sunny = [k for k, line in enumerate(lines) if line.startswith(
+        "2024-06-06") and float(line.split(",")[1]) > 300][:3]
+    for k in sunny:
+        fields = lines[k].split(",")
+        fields[2] = "-9999"
+        lines[k] = ",".join(fields)
+    path = tmp_path / "telemetry.csv"
+    path.write_text("\n".join(lines) + "\n")
+    series, diagnostics = iotools.read_telemetry_csv(path)
+    assert diagnostics == [(k + 1, "module temperature at or below absolute "
+                                   "zero") for k in sunny]
+    assert len(series) == len(lines) - 1 - 3
+    assert series.t_module.min() > -273.15
+
+    raw, clean = _golden()
+    t_module = clean.t_module.copy()
+    t_module[[k - 1 for k in sunny]] = -9999.0
+    cold = replace(clean, t_module=t_module)
+    for t_module in (t_module, np.full(len(clean), -273.15)):
+        with pytest.raises(DataError, match="at or below absolute zero"):
+            replace(clean, t_module=t_module).validate()
+    with pytest.raises(DataError, match="at or below absolute zero"):
+        run_benchmark(RunConfig.from_dict(raw), cold)
 
 
 def test_an_epoch_evaluation_start_is_kept():

@@ -230,7 +230,8 @@ _EDIT_KINDS = (
     st.tuples(st.just("duplicate"), _FRAC),
     st.tuples(st.just("swap"), _FRAC, _FRAC),
     st.tuples(st.just("value"), _FRAC, st.integers(1, 4),
-              st.sampled_from([b"NaN", b"nan", b"inf", b"-inf", b""])),
+              st.sampled_from([b"NaN", b"nan", b"inf", b"-inf", b"",
+                               b"-9999", b"-273.15"])),
     st.tuples(st.just("truncate"), _FRAC, _FRAC),
     st.tuples(st.just("bytes"), _FRAC, st.binary(min_size=1, max_size=4)))
 _CSV_EDITS = st.lists(st.one_of(*_EDIT_KINDS), min_size=1, max_size=5)
@@ -506,14 +507,17 @@ class TestTelemetryLayout:
             "2024-01-01T00:02:00Z,x,y,400,50\n"
             "2024-01-01T00:03:00Z,-1,nan,400,50\n"
             "2024-01-01T00:04:00Z,-1,25,-1,50\n"
-            "2024-01-01T00:00:00Z,500,25,-1,50\n"
+            "2024-01-01T00:00:00Z,500,-9999,-1,50\n"
+            "2024-01-01T00:00:00Z,500,-273.15,400,50\n"
             "2024-01-01T00:00:00Z,500,25,400,50\n"
-            "2024-01-01T00:07:00Z,500,25,400,50\n")
+            "2024-01-01T00:07:00Z,500,-273.1,400,50\n")
         expected = [
             (3, "unparseable row: Invalid isoformat string: 'nonsense'"),
             (4, "unparseable row: could not convert string to float: 'x'"),
             (5, "non-finite value"), (6, "negative irradiance"),
-            (7, "negative DC voltage"), (8, "timestamp not increasing")]
+            (7, "negative DC voltage"),
+            (8, "module temperature at or below absolute zero"),
+            (9, "timestamp not increasing")]
         series, diagnostics = iotools.read_telemetry_csv(
             path, max_bad_fraction=1.0)
         assert diagnostics == expected
@@ -610,9 +614,11 @@ class TestReaderMatchesPerRecordOracle:
         t = rng.normal(25.0, 15.0, n)
         v = rng.uniform(0.0, 600.0, n)
         i = rng.normal(20.0, 30.0, n)
-        # exact zeros, signed zeros, the subnormal and largest doubles
+        # exact zeros, signed zeros, the subnormal and largest doubles, and
+        # the coldest module temperature the reader accepts
         g[:3], t[:3], v[:3], i[:3] = (0.0, 5e-324, 1.7976931348623157e308), \
-            (-0.0, -5e-324, -1e300), (0.0, 5e-324, 1e-300), (-0.0, 1e300, 0.0)
+            (-0.0, -5e-324, np.nextafter(-273.15, 0.0)), \
+            (0.0, 5e-324, 1e-300), (-0.0, 1e300, 0.0)
         written = TelemetrySeries(ts, g, t, v, i)
         path = tmp_path / "year.csv"
         iotools.write_telemetry_csv(path, written)
