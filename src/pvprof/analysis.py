@@ -294,7 +294,7 @@ def weather_pools(series: TelemetrySeries, labels,
     The quality mask is computed once on the whole series, on purpose: train
     and test days interleave, so this is a weather-sensitivity study, not a
     day-ahead one, and no case trains only on records before its test days.
-    The day-ahead runner and ``training_length_windows`` mask each training
+    The day-ahead benchmark and ``training_length_windows`` mask each training
     slice on its own instead (``preprocess.training_window``).
     """
     series.validate()

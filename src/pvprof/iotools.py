@@ -106,9 +106,8 @@ def read_telemetry_csv(path, mapping=None, max_bad_fraction=0.01):
     timestamp, g, t, v or i; non-finite value; negative irradiance; negative
     DC voltage; module temperature at or below absolute zero (a missing
     value written as -9999, say); timestamp not after the last accepted
-    row.  The run
-    continues if fewer than ``max_bad_fraction`` of rows are bad; a file
-    with no bad row is read whatever the fraction.
+    row.  The run continues if fewer than ``max_bad_fraction`` of rows are
+    bad; a file with no bad row is read whatever the fraction.
     """
     source_of = _source_columns(mapping)
     try:

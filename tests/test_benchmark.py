@@ -408,14 +408,13 @@ def test_a_module_temperature_below_absolute_zero_is_rejected(tmp_path):
     assert series.t_module.min() > -273.15
 
     raw, clean = _golden()
-    t_module = clean.t_module.copy()
-    t_module[[k - 1 for k in sunny]] = -9999.0
-    cold = replace(clean, t_module=t_module)
-    for t_module in (t_module, np.full(len(clean), -273.15)):
+    cold = clean.t_module.copy()
+    cold[[k - 1 for k in sunny]] = -9999.0
+    for t_module in (cold, np.full(len(clean), -273.15)):
         with pytest.raises(DataError, match="at or below absolute zero"):
             replace(clean, t_module=t_module).validate()
     with pytest.raises(DataError, match="at or below absolute zero"):
-        run_benchmark(RunConfig.from_dict(raw), cold)
+        run_benchmark(RunConfig.from_dict(raw), replace(clean, t_module=cold))
 
 
 def test_an_epoch_evaluation_start_is_kept():
