@@ -29,9 +29,10 @@ Every fit starts from the datasheet's initial guess (``initial_guess``),
 so a fit depends only on its window and its system: each periodic update
 is a fresh estimate.  A few days of MPP data barely constrain the shunt, so
 each fit adds one prior row on log10 ``r_sh_ref``: half a decade wide,
-centred on the datasheet extraction, weighted by a noise estimate from the
-start's residuals; the result says when the prior, not the data, set the
-shunt (``FitWindowResult.shunt_from_prior``).
+centred on the start's shunt (the extraction's or, if that fails, the
+heuristic 10*(v_mp/i_mp)*cells_in_series clipped to the box), weighted by
+a noise estimate from the start's residuals; the result says when the
+prior, not the data, set the shunt (``FitWindowResult.shunt_from_prior``).
 ``rolling_fit``, the one re-fitting loop of ``pvprof fit`` and the
 benchmark, fits the window ``[end - length, end)`` before each given end.
 It reads its slices from the run's ``preprocess.TrainingWindows`` and plans

@@ -23,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 from .exceptions import ConfigError, DataError
-from .series import ABSOLUTE_ZERO_C, TelemetrySeries
+from .series import RECORD_RULES, TelemetrySeries, first_broken_rule
 
 NATIVE_COLUMNS = ("timestamp", "g_poa", "t_module", "v_dc", "i_dc")
 
@@ -103,11 +103,10 @@ def read_telemetry_csv(path, mapping=None, max_bad_fraction=0.01):
     violating the record invariants is rejected and reported as ``(line,
     reason)``, where ``line`` is the physical line the record starts on and
     ``reason`` names the first check it fails, in this order: unparseable
-    timestamp, g, t, v or i; non-finite value; negative irradiance; negative
-    DC voltage; module temperature at or below absolute zero (a missing
-    value written as -9999, say); timestamp not after the last accepted
-    row.  The run continues if fewer than ``max_bad_fraction`` of rows are
-    bad; a file with no bad row is read whatever the fraction.
+    timestamp, g, t, v or i; non-finite value; the rules of
+    `series.RECORD_RULES`, worded as there; timestamp not after the last
+    accepted row.  The run continues if fewer than ``max_bad_fraction`` of
+    rows are bad; a file with no bad row is read whatever the fraction.
     """
     source_of = _source_columns(mapping)
     try:
@@ -192,13 +191,12 @@ def _record_lines(path, records):
     return [starts[k] for k in records]
 
 
-# rejection codes, in the order the checks apply; 0 is an accepted row
-(_UNPARSEABLE, _NON_FINITE, _NEGATIVE_G, _NEGATIVE_V, _COLD_T,
- _NOT_INCREASING) = range(1, 7)
+# rejection codes, in the order the checks apply; 0 is an accepted row, and
+# the record rule at position k of `series.RECORD_RULES` is _RULE + k
+_UNPARSEABLE, _NON_FINITE, _RULE = 1, 2, 3
+_NOT_INCREASING = _RULE + len(RECORD_RULES)
 _REASONS = {_NON_FINITE: "non-finite value",
-            _NEGATIVE_G: "negative irradiance",
-            _NEGATIVE_V: "negative DC voltage",
-            _COLD_T: "module temperature at or below absolute zero",
+            **{_RULE + k: rule[0] for k, rule in enumerate(RECORD_RULES)},
             _NOT_INCREASING: "timestamp not increasing"}
 
 
@@ -217,11 +215,10 @@ def _parse_columns(texts):
     values = np.full((4, n), np.nan)
     for c in range(4):
         _floats(texts[c + 1], values[c], parsed[c + 1])
-    g, t, v, _ = values
+    rule = first_broken_rule(dict(zip(NATIVE_COLUMNS[1:], values)))
     rejection = np.select(
-        [~parsed.all(axis=0), ~np.isfinite(values).all(axis=0), g < 0, v < 0,
-         t <= ABSOLUTE_ZERO_C],
-        [_UNPARSEABLE, _NON_FINITE, _NEGATIVE_G, _NEGATIVE_V, _COLD_T], 0)
+        [~parsed.all(axis=0), ~np.isfinite(values).all(axis=0),
+         rule < len(RECORD_RULES)], [_UNPARSEABLE, _NON_FINITE, _RULE + rule])
     # a row is accepted when it is later than the last accepted row; a row
     # rejected for this is never later than that row, so the last accepted
     # timestamp is the running maximum over all earlier candidates

@@ -4,6 +4,9 @@ Telemetry and forecast series are stored as parallel numpy arrays keyed by
 a ``datetime64[s]`` timestamp axis.  Every model predicts a day as a power
 array from the day's ``TelemetrySeries`` slice; a ``ForecastSeries`` is
 one scored (model, day) row of the report's forecast table.
+``RECORD_RULES`` is the one table of the physical rules a telemetry record
+keeps: the CSV reader rejects, and ``TelemetrySeries.validate`` refuses, a
+record that breaks one.
 """
 
 from dataclasses import dataclass
@@ -15,6 +18,22 @@ from .exceptions import DataError
 DAY = np.timedelta64(1, "D")
 # a module temperature, in degrees C, at or below this is no reading
 ABSOLUTE_ZERO_C = -273.15
+# the physical rules of a telemetry record, in the order they apply: the
+# reason a record is no reading, the column it reads and the test on that
+# column's values that refuses the record; a NaN breaks no rule
+RECORD_RULES = (("negative irradiance", "g_poa", lambda g: g < 0),
+                ("negative DC voltage", "v_dc", lambda v: v < 0),
+                ("module temperature at or below absolute zero", "t_module",
+                 lambda t: t <= ABSOLUTE_ZERO_C))
+
+
+def first_broken_rule(columns):
+    """Each record's first broken rule: its position in ``RECORD_RULES``, or
+    ``len(RECORD_RULES)`` where it breaks none.  ``columns`` maps each
+    column name a rule reads to its values."""
+    return np.select([test(columns[column])
+                      for _, column, test in RECORD_RULES],
+                     range(len(RECORD_RULES)), len(RECORD_RULES))
 
 
 def _as_timestamps(values):
@@ -43,6 +62,10 @@ class TelemetrySeries:
             setattr(self, name, arr)
 
     def validate(self):
+        """The series itself; raises ``DataError`` if it is empty, if its
+        timestamps do not increase, for a non-finite value (naming its
+        column), or with the reason of the first record rule any record
+        breaks."""
         if len(self) == 0:
             raise DataError("empty telemetry series")
         if np.any(np.diff(self.timestamp) <= np.timedelta64(0, "s")):
@@ -50,12 +73,9 @@ class TelemetrySeries:
         for name in ("g_poa", "t_module", "v_dc", "i_dc"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DataError(f"non-finite values in column {name}")
-        if np.any(self.g_poa < 0):
-            raise DataError("negative irradiance values")
-        if np.any(self.v_dc < 0):
-            raise DataError("negative DC voltage values")
-        if np.any(self.t_module <= ABSOLUTE_ZERO_C):
-            raise DataError("module temperature at or below absolute zero")
+        for reason, column, test in RECORD_RULES:
+            if np.any(test(getattr(self, column))):
+                raise DataError(reason)
         return self
 
     def __len__(self):

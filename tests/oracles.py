@@ -4,10 +4,10 @@ Everything here is deliberately written against the raw model equations with
 scalar math and brute-force searches (bisection, dense scans, quadrature),
 so it shares no solver code with the library under test.  The telemetry
 reader's reference parses one record at a time, as a dict, with the
-standard library's own number and ISO-8601 parsers.  The JSON writer's
-reference emits one value per recursive call.  The quality filters'
-references scan each day's records one at a time and fit the screening
-lines with ``np.polyfit``.
+standard library's own number and ISO-8601 parsers, and checks it against
+``pvprof.series.RECORD_RULES``.  The JSON writer's reference emits one
+value per recursive call.  The quality filters' references scan each day's
+records one at a time and fit the screening lines with ``np.polyfit``.
 """
 
 import csv
@@ -19,26 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from pvprof.exceptions import DataError
-
-KB = 1.380649e-23       # J/K
-QE = 1.602176634e-19    # C
-T_REF_K = 298.15
-G_REF = 1000.0
-EG_REF = 1.121          # eV
-EG_SLOPE = -0.0002677   # relative band-gap change per kelvin
-
-
-def oracle_translate(i_ph_ref, i_0_ref, r_s, r_sh_ref, n_diode,
-                     g_poa, t_cell, cells_in_series, alpha_isc=0.0):
-    """Reference-to-operating translation, evaluated term by term."""
-    t_k = t_cell + 273.15
-    i_ph = g_poa / G_REF * (i_ph_ref + alpha_isc * (t_cell - 25.0))
-    eg = EG_REF * (1.0 + EG_SLOPE * (t_k - T_REF_K))
-    i_0 = i_0_ref * (t_k / T_REF_K) ** 3 * math.exp(
-        (EG_REF / T_REF_K - eg / t_k) * QE / KB)
-    r_sh = r_sh_ref * G_REF / g_poa if g_poa > 0 else 1e8
-    a = n_diode * cells_in_series * KB * t_k / QE
-    return i_ph, i_0, r_s, r_sh, a
+from pvprof.series import RECORD_RULES
 
 
 def diode_residual(i, v, i_ph, i_0, r_s, r_sh, a):
@@ -257,21 +238,18 @@ def _per_record_rows(reader, path, source_of):
         except ValueError as exc:
             diagnostics.append((line_no, f"unparseable row: {exc}"))
             continue
-        g, t, v, i = vals
+        values = dict(zip(TELEMETRY_FIELDS[1:], vals))
+        broken = [reason for reason, column, test in RECORD_RULES
+                  if test(values[column])]
         if not all(math.isfinite(x) for x in vals):
             diagnostics.append((line_no, "non-finite value"))
-        elif g < 0:
-            diagnostics.append((line_no, "negative irradiance"))
-        elif v < 0:
-            diagnostics.append((line_no, "negative DC voltage"))
-        elif t <= -273.15:
-            diagnostics.append((line_no, "module temperature at or below "
-                                         "absolute zero"))
+        elif broken:
+            diagnostics.append((line_no, broken[0]))
         elif last_ts is not None and ts <= last_ts:
             diagnostics.append((line_no, "timestamp not increasing"))
         else:
             last_ts = ts
-            rows.append((ts, g, t, v, i))
+            rows.append((ts, *vals))
     return rows, diagnostics
 
 

@@ -316,8 +316,13 @@ def test_c11_temporal_hygiene_canary(datasheet):
 
 
 def test_c12_benchmark_determinism(datasheet, tmp_path):
+    # both runs share this process's BLAS thread count: kr's kernel-ridge
+    # solves move in their last bits at another one (test_golden's
+    # test_only_kr_depends_on_the_blas_thread_count)
     with criterion(12, "repeated run with identical config and seed is "
-                       "byte-identical apart from the run timestamp"):
+                       "byte-identical apart from the run timestamp, at a "
+                       "fixed BLAS thread count (kr moves in its last bits "
+                       "across thread counts)"):
         cfg_dict = _config_dict(
             datasheet, ["pvpro", "nominal", "smart_persistence", "kr"],
             seed=12,

@@ -12,9 +12,9 @@ from scipy.optimize import least_squares
 import pvprof
 from pvprof import baselines, fitting, preprocess, sdm, synth
 from pvprof.benchmark import RunConfig
-from pvprof.exceptions import (ConfigError, FitDegeneracyError,
-                               InsufficientDataError, NumericalError,
-                               PvprofError)
+from pvprof.exceptions import (ConfigError, ExtractionError,
+                               FitDegeneracyError, InsufficientDataError,
+                               NumericalError, PvprofError)
 from pvprof.series import TelemetrySeries
 from conftest import (ALPHA_ISC, CELLS, CSI_PARAMS, draw_csi_like,
                       start_fits_from)
@@ -332,6 +332,27 @@ class TestShuntPrior:
         assert batch.weight[0] == 0.0
         assert res.shape == (2 * len(retained),)
         assert not result.shunt_from_prior
+
+    def test_failed_extraction_centres_on_the_heuristic_shunt(
+            self, topo, monkeypatch):
+        # the infeasible datasheet of test_baselines'
+        # test_failed_extraction_raises_on_every_read: with no extraction,
+        # the start is initial_guess's heuristic, and the prior is centred
+        # on its shunt, 10*(v_mp/i_mp)*cells_in_series inside the box
+        ds = baselines.Datasheet(v_oc=49.0, i_sc=9.5, v_mp=48.5, i_mp=9.45,
+                                 alpha_isc=0.0, beta_voc=-0.15,
+                                 cells_in_series=72)
+        _, retained = make_window(noise=0.005, topo=topo)
+        batches = spy_batches(monkeypatch)
+        with pytest.raises(ExtractionError):
+            ds.desoto_params
+        fitting.fit_window(retained, topo, ds)
+        batch, = batches
+        heuristic = 10.0 * ds.v_mp / ds.i_mp * ds.cells_in_series
+        lo, hi = sdm.PARAM_BOX["r_sh_ref"]
+        assert lo < heuristic < hi
+        assert fitting.initial_guess(ds).r_sh_ref == heuristic
+        assert batch.centre == np.log10(heuristic)
 
     def test_jacobian_matches_central_differences(self, topo, datasheet,
                                                   monkeypatch):

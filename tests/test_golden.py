@@ -12,7 +12,10 @@ Text fields (timestamps, model names, skip reasons, flags, keys) must
 match exactly.  Numbers must match within ``GOLDEN_RTOL`` relative.
 Measured spreads set that tolerance: forecasts move by at most 4e-9
 relative between equivalent builds, and the BLAS kernels OpenBLAS picks
-per CPU move the ``kr`` metrics in the 13th significant digit.  An
+per CPU, and its thread count, move the ``kr`` metrics in the 13th
+significant digit.  The small run is also made in fresh processes at
+``OPENBLAS_NUM_THREADS`` 1 and 2: every model but ``kr`` must write the
+same bytes at both, and ``kr`` must agree within the tolerances.  An
 ``nbe_series`` entry, (pred - meas)/p_nominal, is
 held to the forecasts' tolerance carried into bias units,
 ``GOLDEN_RTOL*|pred|/p_nominal`` absolute, with ``pred`` the committed
@@ -35,6 +38,8 @@ import csv
 import json
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -134,8 +139,10 @@ def _nbe_tolerances(config, golden, report):
     study group's ``nbe_mean`` tolerance, ``GOLDEN_RTOL*max|p_pred_w|/
     p_nominal`` over all of ``forecasts.csv``."""
     with open(config, encoding="utf-8") as fh:
-        daylight_only = json.load(fh).get("metrics_daylight_only", True)
-    telemetry = read_telemetry_csv(os.path.join(golden, "telemetry.csv"))[0]
+        raw = json.load(fh)
+    daylight_only = raw.get("metrics_daylight_only", True)
+    telemetry = read_telemetry_csv(os.path.join(
+        os.path.dirname(config), raw["data"]["telemetry"]))[0]
     with open(os.path.join(golden, "forecasts.csv"), newline="",
               encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
@@ -190,6 +197,12 @@ def _assert_reproduces(config, golden, out):
     """``pvprof benchmark`` on ``config`` writes, into ``out``, what the
     directory ``golden`` holds."""
     assert main(["benchmark", "--config", config, "--out", str(out)]) == 0
+    _assert_same_outputs(config, golden, out)
+
+
+def _assert_same_outputs(config, golden, out):
+    """The benchmark outputs of ``config`` in ``out`` match those in the
+    directory ``golden`` within the golden tolerances."""
     reports = []
     for directory in (str(out), golden):
         with open(os.path.join(directory, "report.json"),
@@ -252,6 +265,48 @@ def test_benchmark_reproduces_committed_demo_outputs(tmp_path):
 def test_benchmark_reproduces_committed_roster_studies_outputs(tmp_path):
     # synth seed 5000 of perfbench's roster_studies workload
     _assert_reproduces(os.path.join(ROSTER, "config.json"), ROSTER, tmp_path)
+
+
+def _without_kr(node):
+    """The JSON document ``node`` without any entry keyed ``kr``."""
+    if isinstance(node, dict):
+        return {k: _without_kr(v) for k, v in node.items() if k != "kr"}
+    if isinstance(node, list):
+        return [_without_kr(v) for v in node]
+    return node
+
+
+def test_only_kr_depends_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS rounds the kernel-ridge solves (Cholesky factor and solve,
+    # matrix-vector products) differently at another thread count, which
+    # moves kr in its last bits; every other model writes the same bytes at
+    # 1 and 2 threads, and kr agrees within the golden tolerance
+    config = os.path.join(ROSTER, "config.json")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    runs = [subprocess.Popen(
+        [sys.executable, "-m", "pvprof.cli", "benchmark", "--config", config,
+         "--out", str(tmp_path / str(threads))],
+        env=dict(env, OPENBLAS_NUM_THREADS=str(threads)))
+        for threads in (1, 2)]
+    assert [run.wait() for run in runs] == [0, 0]
+    one, two = tmp_path / "1", tmp_path / "2"
+    assert sorted(os.listdir(one)) == sorted(os.listdir(two))
+    assert (one / "trajectory.csv").read_bytes() \
+        == (two / "trajectory.csv").read_bytes()
+    # the model column of each table with one row per model and record
+    for name, column in (("forecasts.csv", 1), ("daily_metrics.csv", 1),
+                         ("aggregate_metrics.csv", 0)):
+        tables = [[line for line in (d / name).read_bytes().split(b"\r\n")
+                   if line.split(b",")[column:column + 1] != [b"kr"]]
+                  for d in (one, two)]
+        assert tables[0] == tables[1], name
+    reports = []
+    for d in (one, two):
+        report = json.loads((d / "report.json").read_text())
+        del report["provenance"]["created_utc"]
+        reports.append(_without_kr(report))
+    assert reports[0] == reports[1]
+    _assert_same_outputs(config, str(one), two)
 
 
 @pytest.mark.parametrize("config, golden, names", [

@@ -627,6 +627,49 @@ class TestReaderMatchesPerRecordOracle:
         _assert_bit_identical(_columns(back), _columns(written))
 
 
+# one record's values: those of a zero floor, of absolute zero, and any
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+_AROUND_ZERO = st.sampled_from([-1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0,
+                                *_NON_FINITE]) | st.floats(-2.0, 2.0)
+_AROUND_ABSOLUTE_ZERO = st.sampled_from([
+    -9999.0, np.nextafter(-273.15, -np.inf), -273.15,
+    np.nextafter(-273.15, 0.0), 25.0, *_NON_FINITE]) | st.floats(-274, -272)
+_ANY_VALUE = st.sampled_from(_NON_FINITE) | st.floats()
+
+
+class TestReaderAgreesWithValidate:
+    """The reader and `TelemetrySeries.validate` refuse a record for the
+    same reason, and accept the same records."""
+
+    @given(g=_AROUND_ZERO, t=_AROUND_ABSOLUTE_ZERO, v=_AROUND_ZERO,
+           i=_ANY_VALUE)
+    @example(g=-1.0, t=25.0, v=400.0, i=50.0)
+    @example(g=500.0, t=25.0, v=-1.0, i=50.0)
+    @example(g=500.0, t=-273.15, v=400.0, i=50.0)
+    @example(g=-1.0, t=-9999.0, v=-1.0, i=50.0)
+    def test_one_record(self, fuzz_dir, g, t, v, i):
+        path = fuzz_dir / "one_record.csv"
+        path.write_text("timestamp,g_poa,t_module,v_dc,i_dc\n"
+                        "2024-01-01T00:00:00Z,"
+                        + ",".join(map(iotools.format_float, (g, t, v, i)))
+                        + "\n")
+        series = TelemetrySeries(["2024-01-01T00:00:00"], [g], [t], [v], [i])
+        try:
+            iotools.read_telemetry_csv(path)
+        except DataError as exc:
+            reason = re.fullmatch(r".*: 1 of 1 rows rejected; first: line 2: "
+                                  r"(.*)", str(exc)).group(1)
+        else:
+            series.validate()
+            return
+        with pytest.raises(DataError) as refused:
+            series.validate()
+        if reason == "non-finite value":
+            assert str(refused.value).startswith("non-finite values in column")
+        else:
+            assert str(refused.value) == reason
+
+
 # a roster_studies-shaped configuration whose length, filter and synth
 # settings the fuzz test overwrites
 _FUZZ_BASE = {
