@@ -216,9 +216,10 @@ def _parse_columns(texts):
     for c in range(4):
         _floats(texts[c + 1], values[c], parsed[c + 1])
     rule = first_broken_rule(dict(zip(NATIVE_COLUMNS[1:], values)))
-    rejection = np.select(
-        [~parsed.all(axis=0), ~np.isfinite(values).all(axis=0),
-         rule < len(RECORD_RULES)], [_UNPARSEABLE, _NON_FINITE, _RULE + rule])
+    rejection = np.where(rule < len(RECORD_RULES), _RULE + rule, 0)
+    # the earlier checks are written last, so each row keeps its first
+    rejection[~np.isfinite(values).all(axis=0)] = _NON_FINITE
+    rejection[~parsed.all(axis=0)] = _UNPARSEABLE
     # a row is accepted when it is later than the last accepted row; a row
     # rejected for this is never later than that row, so the last accepted
     # timestamp is the running maximum over all earlier candidates

@@ -4,9 +4,6 @@ Telemetry and forecast series are stored as parallel numpy arrays keyed by
 a ``datetime64[s]`` timestamp axis.  Every model predicts a day as a power
 array from the day's ``TelemetrySeries`` slice; a ``ForecastSeries`` is
 one scored (model, day) row of the report's forecast table.
-``RECORD_RULES`` is the one table of the physical rules a telemetry record
-keeps: the CSV reader rejects, and ``TelemetrySeries.validate`` refuses, a
-record that breaks one.
 """
 
 from dataclasses import dataclass
@@ -18,9 +15,10 @@ from .exceptions import DataError
 DAY = np.timedelta64(1, "D")
 # a module temperature, in degrees C, at or below this is no reading
 ABSOLUTE_ZERO_C = -273.15
-# the physical rules of a telemetry record, in the order they apply: the
-# reason a record is no reading, the column it reads and the test on that
-# column's values that refuses the record; a NaN breaks no rule
+# the physical rules of a telemetry record, which the CSV reader and
+# `TelemetrySeries.validate` apply in this order: the reason a record is no
+# reading, the column it reads and the test on that column's values that
+# refuses the record; a NaN breaks no rule
 RECORD_RULES = (("negative irradiance", "g_poa", lambda g: g < 0),
                 ("negative DC voltage", "v_dc", lambda v: v < 0),
                 ("module temperature at or below absolute zero", "t_module",
@@ -31,9 +29,11 @@ def first_broken_rule(columns):
     """Each record's first broken rule: its position in ``RECORD_RULES``, or
     ``len(RECORD_RULES)`` where it breaks none.  ``columns`` maps each
     column name a rule reads to its values."""
-    return np.select([test(columns[column])
-                      for _, column, test in RECORD_RULES],
-                     range(len(RECORD_RULES)), len(RECORD_RULES))
+    first = len(RECORD_RULES)
+    for k in reversed(range(len(RECORD_RULES))):
+        _, column, test = RECORD_RULES[k]
+        first = np.where(test(columns[column]), k, first)
+    return first
 
 
 def _as_timestamps(values):
