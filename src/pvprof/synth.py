@@ -106,6 +106,80 @@ def _day_rng(seed, stream, day_index):
     return np.random.default_rng(np.random.SeedSequence((seed, stream, day_index)))
 
 
+# cephes ndtr.c's tables: erfc(x) = exp(-x^2) P(x)/Q(x) on [1, 8) and
+# exp(-x^2) R(x)/S(x) beyond; erf(x) = x T(x^2)/U(x^2) on [0, 1].  Q, S and U
+# are monic, their leading 1 left out as p1evl does.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416,
+           5.01905042251180477414, 6.16021097993053585195,
+           7.40974269950448939160, 2.97886665372100240670)
+_ERFC_S = (2.26052863220117276590, 9.39603524938001434673,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198, 3.36907645100081516050)
+_ERF_T = (9.60497373987051638749, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_SQRTH = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2   # exp(-x^2) underflows beyond
+
+
+def _polevl(x, coef, monic=False):
+    """Horner's rule in cephes' order (``p1evl`` when ``monic``)."""
+    y = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf(x):
+    """cephes ``erf`` for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True)
+
+
+def _normal_cdf(a):
+    """Standard normal CDF of an array, bit for bit as scipy's ``ndtr``.
+
+    A port of cephes' ``ndtr``, ``erf`` and ``erfc``: the same branches in
+    the same order, the same tables and Horner order, and the C library's
+    ``exp`` through ``math.exp`` (numpy's vector ``exp`` differs in the last
+    bit on some arguments, which would move the synthetic telemetry).  NaN
+    gives NaN.
+    """
+    x = np.asarray(a, dtype=float) * _SQRTH
+    z = np.abs(x)
+    y = np.full(x.shape, np.nan)
+    inner = z < _SQRTH
+    y[inner] = 0.5 + 0.5 * _erf(x[inner])
+    outer = z >= _SQRTH
+    zo = z[outer]
+    erfc = np.zeros(zo.shape)              # 0 where exp(-x^2) underflows
+    near = zo < 1.0
+    erfc[near] = 1.0 - _erf(zo[near])
+    far = (zo >= 1.0) & (zo * zo <= _MAXLOG)
+    zf = zo[far]
+    expo = np.array([math.exp(v) for v in (-zf * zf).tolist()])
+    mid = zf < 8.0
+    p = np.where(mid, _polevl(zf, _ERFC_P), _polevl(zf, _ERFC_R))
+    q = np.where(mid, _polevl(zf, _ERFC_Q, monic=True),
+                 _polevl(zf, _ERFC_S, monic=True))
+    erfc[far] = expo * p / q
+    half = 0.5 * erfc
+    y[outer] = np.where(x[outer] > 0, 1.0 - half, half)
+    return y
+
+
 def apply_clouds(g, profile: WeatherProfile):
     """Attenuate cloud days by a smooth seeded factor in [1 - depth, 1].
 
@@ -113,10 +187,6 @@ def apply_clouds(g, profile: WeatherProfile):
     correlation time mapped through the normal CDF, so its bounds hold
     exactly.  Returns the attenuated irradiance and per-day labels.
     """
-    # imported here: only cloud days need it, and importing pvprof should
-    # not load scipy.special
-    from scipy.special import ndtr
-
     g = np.array(g, dtype=float)
     spd = profile.samples_per_day
     labels = []
@@ -133,7 +203,7 @@ def apply_clouds(g, profile: WeatherProfile):
         z[0] = eps[0]
         for k in range(1, spd):
             z[k] = rho * z[k - 1] + math.sqrt(1.0 - rho * rho) * eps[k]
-        attenuation = 1.0 - profile.cloud_depth * ndtr(z)
+        attenuation = 1.0 - profile.cloud_depth * _normal_cdf(z)
         g[day * spd:(day + 1) * spd] *= attenuation
     return g, labels
 

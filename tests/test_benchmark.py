@@ -467,20 +467,24 @@ def test_a_one_record_history_skips_the_regressor_days(tmp_path):
             "have 1"}
 
 
-# run_benchmark on the golden roster_studies telemetry in a fresh process,
+# in a fresh process, run `pvprof synth` on the golden roster_studies config
+# (three cloud days) or run_benchmark on its telemetry with the given models,
 # then print the scipy subpackages it loaded
 _IMPORT_PROBE = """
 import json, pkgutil, sys
-from pvprof import iotools
+from pvprof import cli, iotools
 from pvprof.benchmark import RunConfig, run_benchmark
 
-golden, models = sys.argv[1:]
-with open(golden + "/config.json", encoding="utf-8") as fh:
-    raw = json.load(fh)
-raw["models"] = models.split(",")
-raw["studies"] = {name: False for name in raw["studies"]}
-series, _ = iotools.read_telemetry_csv(golden + "/telemetry.csv")
-run_benchmark(RunConfig.from_dict(raw), series)
+golden, command, models, out = sys.argv[1:]
+if command == "synth":
+    cli.main(["synth", "--config", golden + "/config.json", "--out", out])
+else:
+    with open(golden + "/config.json", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["models"] = models.split(",")
+    raw["studies"] = {name: False for name in raw["studies"]}
+    series, _ = iotools.read_telemetry_csv(golden + "/telemetry.csv")
+    run_benchmark(RunConfig.from_dict(raw), series)
 import scipy
 print(json.dumps(sorted(
     name for name in (f"scipy.{m.name}" for m in
@@ -490,17 +494,20 @@ print(json.dumps(sorted(
 """
 
 
-@pytest.mark.parametrize("models, loaded", [
-    ("pvpro", []), ("lr,kr", ["scipy.linalg"])], ids=["pvpro", "lr-kr"])
-def test_a_run_loads_only_the_scipy_it_uses(models, loaded):
+@pytest.mark.parametrize("command, models, loaded", [
+    ("benchmark", "pvpro", []), ("benchmark", "lr,kr", ["scipy.linalg"]),
+    ("synth", "", [])], ids=["pvpro", "lr-kr", "synth"])
+def test_a_run_loads_only_the_scipy_it_uses(command, models, loaded,
+                                            tmp_path):
     # each update is one fresh process, which pays for every import: the
-    # physical model loads no scipy subpackage, and the kernel ridge only
-    # linalg for its Cholesky solve (scipy.spatial alone would also load
-    # sparse, special and constants)
+    # physical model and the synthetic clouds load no scipy subpackage, and
+    # the kernel ridge only linalg for its Cholesky solve (scipy.spatial
+    # alone would also load sparse, special and constants)
     golden = os.path.join(os.path.dirname(__file__), "golden",
                           "roster_studies")
     src = os.path.dirname(os.path.dirname(os.path.abspath(pvprof.__file__)))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, golden, models],
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, golden,
+                          command, models, str(tmp_path)],
                          env=dict(os.environ, PYTHONPATH=src), check=True,
                          capture_output=True, text=True)
     assert json.loads(out.stdout) == loaded

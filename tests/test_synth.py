@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from pvprof import fitting, synth
 from pvprof.exceptions import ConfigError
@@ -60,6 +65,47 @@ class TestClouds:
         assert np.all(ratio <= 1.0 + 1e-12)
         assert np.all(ratio >= 0.4 - 1e-12)
         assert all(lab == "cloudy" for lab in labels)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64),
+                          np.asarray(b).view(np.int64))
+
+
+class TestNormalCdf:
+    # the cloud model's normal CDF is a port of cephes' ndtr, so synthetic
+    # telemetry keeps scipy's bits without importing scipy.special
+
+    def test_matches_ndtr_bit_for_bit_on_a_fixed_draw(self):
+        rng = np.random.default_rng(37)
+        a = np.concatenate([rng.normal(0.0, 2.0, 1_000_000),
+                            rng.uniform(-45.0, 45.0, 200_000)])
+        assert _same_bits(synth._normal_cdf(a), ndtr(a))
+
+    def test_matches_ndtr_at_every_branch_edge(self):
+        # |a| = 1, sqrt(2) and 8 sqrt(2) are |x| = sqrt(1/2), 1 and 8 with
+        # x = a / sqrt(2); exp(-x^2) underflows to 0 near |a| = 37.7
+        edges = [0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                 math.sqrt(2.0 * synth._MAXLOG)]
+        a = []
+        for edge in edges:
+            for sign in (1.0, -1.0):
+                e = sign * edge
+                lo = hi = e
+                for _ in range(4):
+                    lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+                    a += [lo, hi]
+                a.append(e)
+        a += [-0.0, np.inf, -np.inf]
+        a = np.array(a)
+        assert _same_bits(synth._normal_cdf(a), ndtr(a))
+
+    def test_nan_gives_nan(self):
+        assert np.isnan(synth._normal_cdf(np.array([np.nan, 0.0]))[0])
+
+    @given(st.floats(-50.0, 50.0))
+    def test_matches_ndtr_bit_for_bit(self, a):
+        assert _same_bits(synth._normal_cdf(np.array([a])), ndtr([a]))
 
 
 class TestModuleTemperature:
