@@ -96,7 +96,7 @@ class TestNormalCdf:
                     lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
                     a += [lo, hi]
                 a.append(e)
-        a += [-0.0, np.inf, -np.inf]
+        a += [np.inf, -np.inf]
         a = np.array(a)
         assert _same_bits(synth._normal_cdf(a), ndtr(a))
 
